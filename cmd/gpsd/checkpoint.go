@@ -1,14 +1,14 @@
 package main
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 
 	"gps"
+	"gps/internal/wire"
 )
 
 // worldID pins a checkpoint to the flags that generated its universe and
@@ -47,34 +47,41 @@ var magicHints = map[string]string{
 // header renders the fixed-size checkpoint preamble gpsd writes before
 // the topology record and the per-shard states.
 func (w worldID) header() []byte {
-	buf := make([]byte, 4+8+8+8+8)
-	copy(buf, checkpointMagic)
-	binary.BigEndian.PutUint64(buf[4:], uint64(w.Seed))
-	binary.BigEndian.PutUint64(buf[12:], uint64(w.Prefixes))
-	binary.BigEndian.PutUint64(buf[20:], math.Float64bits(w.Density))
-	binary.BigEndian.PutUint64(buf[28:], uint64(w.Shards))
-	return buf
+	var e wire.Enc
+	e.Magic(checkpointMagic)
+	e.U64(uint64(w.Seed))
+	e.U64(uint64(w.Prefixes))
+	e.U64(math.Float64bits(w.Density))
+	e.U64(uint64(w.Shards))
+	return e
 }
 
-// parseWorldHeader decodes header() output, reporting the found-vs-
-// expected magic when the bytes are from another (or no) gpsd format.
-func parseWorldHeader(hdr []byte) (worldID, error) {
-	var w worldID
-	if len(hdr) != 36 {
-		return w, fmt.Errorf("world header is %d bytes, want 36", len(hdr))
-	}
-	if got := string(hdr[:4]); got != checkpointMagic {
-		if hint, ok := magicHints[got]; ok {
-			return w, fmt.Errorf("found magic %q (%s), want %q; this checkpoint predates the current format and cannot be resumed — start fresh or keep the old binary", got, hint, checkpointMagic)
+// decodeWorld reads header() output. Bytes from an older gpsd format
+// fail saying which one, on top of the found and expected magic every
+// bad-magic error carries.
+func decodeWorld(d *wire.Dec) worldID {
+	d.At("world header", -1)
+	if found := d.Rest(); len(found) >= len(checkpointMagic) {
+		if hint, ok := magicHints[string(found[:len(checkpointMagic)])]; ok {
+			d.Fail(wire.BadMagic, fmt.Errorf("found %q (%s), want %q; it cannot be resumed — start fresh or keep the old binary",
+				found[:len(checkpointMagic)], hint, checkpointMagic))
 		}
-		return w, fmt.Errorf("found magic %q, want %q (%q/%q/%q are older gpsd formats; anything else is not a gpsd checkpoint)",
-			got, checkpointMagic, "GPSD", "GPS2", "GPS3")
 	}
-	w.Seed = int64(binary.BigEndian.Uint64(hdr[4:]))
-	w.Prefixes = int(binary.BigEndian.Uint64(hdr[12:]))
-	w.Density = math.Float64frombits(binary.BigEndian.Uint64(hdr[20:]))
-	w.Shards = int(binary.BigEndian.Uint64(hdr[28:]))
-	return w, nil
+	d.Magic(checkpointMagic)
+	return worldID{
+		Seed:     int64(d.U64()),
+		Prefixes: int(d.U64()),
+		Density:  math.Float64frombits(d.U64()),
+		Shards:   int(d.U64()),
+	}
+}
+
+// parseWorldHeader decodes a standalone header(): the transport's world
+// spec.
+func parseWorldHeader(hdr []byte) (worldID, error) {
+	d := wire.NewDec(checkpointMagic, hdr)
+	w := decodeWorld(d)
+	return w, d.Done()
 }
 
 // topology records which worker owned each shard when the checkpoint was
@@ -102,74 +109,82 @@ const unassigned = ^uint32(0)
 // encode renders the topology record; the shard count comes from the
 // world header, so only the worker count and assignments are written.
 func (t topology) encode() []byte {
-	buf := make([]byte, 4+4*len(t.Assign))
-	binary.BigEndian.PutUint32(buf, uint32(t.Workers))
-	for i, w := range t.Assign {
-		v := unassigned
-		if w >= 0 {
-			v = uint32(w)
+	var e wire.Enc
+	e.U32(uint32(t.Workers))
+	for _, w := range t.Assign {
+		if w < 0 {
+			e.U32(unassigned)
+		} else {
+			e.U32(uint32(w))
 		}
-		binary.BigEndian.PutUint32(buf[4+4*i:], v)
 	}
-	return buf
+	return e
 }
 
-func readTopology(r io.Reader, shards int) (topology, error) {
-	buf := make([]byte, 4+4*shards)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return topology{}, fmt.Errorf("reading topology record: %w", err)
-	}
-	t := topology{Workers: int(binary.BigEndian.Uint32(buf)), Assign: make([]int, shards)}
+func decodeTopology(d *wire.Dec, shards int) topology {
+	d.At("topology", -1)
+	t := topology{Workers: int(d.U32()), Assign: make([]int, shards)}
 	for i := range t.Assign {
-		v := binary.BigEndian.Uint32(buf[4+4*i:])
-		if v == unassigned {
+		if v := d.U32(); v == unassigned {
 			t.Assign[i] = -1
 		} else {
 			t.Assign[i] = int(v)
 		}
 	}
-	return t, nil
+	return t
 }
 
 // errNoCheckpoint distinguishes "no file yet" (fresh start) from a
 // corrupt or mismatched checkpoint (fatal).
 var errNoCheckpoint = os.ErrNotExist
 
+// maxCheckpointShards bounds the shard count a world header may declare.
+const maxCheckpointShards = 1 << 16
+
 // readCheckpointFile reads a checkpoint without validating the world —
 // the re-balance subcommand operates on whatever layout the file holds.
 // It returns errNoCheckpoint when the file does not exist.
 func readCheckpointFile(path string) (worldID, topology, []*gps.ContinuousState, error) {
-	var world worldID
-	var topo topology
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return world, topo, nil, errNoCheckpoint
+			err = errNoCheckpoint
 		}
+		return worldID{}, topology{}, nil, err
+	}
+	world, topo, states, err := decodeCheckpoint(data)
+	if err != nil {
+		err = fmt.Errorf("corrupt checkpoint %s: %w", path, err)
+	}
+	return world, topo, states, err
+}
+
+// encodeCheckpoint renders a whole checkpoint file: the world header,
+// the topology record, then the per-shard states as one GPSS blob.
+func encodeCheckpoint(world worldID, topo topology, states []*gps.ContinuousState) ([]byte, error) {
+	buf := bytes.NewBuffer(append(world.header(), topo.encode()...))
+	err := gps.WriteShardCheckpoint(buf, states)
+	return buf.Bytes(), err
+}
+
+func decodeCheckpoint(data []byte) (worldID, topology, []*gps.ContinuousState, error) {
+	d := wire.NewDec(checkpointMagic, data)
+	world := decodeWorld(d)
+	if world.Shards < 1 || world.Shards > maxCheckpointShards {
+		d.Fail(wire.Implausible, fmt.Errorf("shard count %d", world.Shards))
+	}
+	if err := d.Err(); err != nil {
+		return world, topology{}, nil, err
+	}
+	topo := decodeTopology(d, world.Shards)
+	if err := d.Err(); err != nil {
 		return world, topo, nil, err
 	}
-	defer f.Close()
-	hdr := make([]byte, 36)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return world, topo, nil, fmt.Errorf("corrupt checkpoint %s: %v", path, err)
+	states, err := gps.ReadShardCheckpoint(bytes.NewReader(d.Rest()))
+	if err == nil && len(states) != world.Shards {
+		err = fmt.Errorf("%d shard states; header says %d", len(states), world.Shards)
 	}
-	if world, err = parseWorldHeader(hdr); err != nil {
-		return world, topo, nil, fmt.Errorf("checkpoint %s: %v", path, err)
-	}
-	if world.Shards < 1 || world.Shards > 1<<16 {
-		return world, topo, nil, fmt.Errorf("corrupt checkpoint %s: implausible shard count %d", path, world.Shards)
-	}
-	if topo, err = readTopology(f, world.Shards); err != nil {
-		return world, topo, nil, fmt.Errorf("corrupt checkpoint %s: %v", path, err)
-	}
-	states, err := gps.ReadShardCheckpoint(f)
-	if err != nil {
-		return world, topo, nil, fmt.Errorf("corrupt checkpoint %s: %v", path, err)
-	}
-	if len(states) != world.Shards {
-		return world, topo, nil, fmt.Errorf("checkpoint %s holds %d shard states; header says %d", path, len(states), world.Shards)
-	}
-	return world, topo, states, nil
+	return world, topo, states, err
 }
 
 // loadCheckpoint reads a checkpoint file and returns the per-shard
@@ -205,15 +220,11 @@ func saveCheckpoint(path string, world worldID, topo topology, states []*gps.Con
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(world.header()); err != nil {
-		tmp.Close()
-		return err
+	data, err := encodeCheckpoint(world, topo, states)
+	if err == nil {
+		_, err = tmp.Write(data)
 	}
-	if _, err := tmp.Write(topo.encode()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := gps.WriteShardCheckpoint(tmp, states); err != nil {
+	if err != nil {
 		tmp.Close()
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gps"
+	"gps/internal/wire/wiretest"
 )
 
 // testStates builds a small two-shard coordinator state worth
@@ -237,4 +238,29 @@ func TestRebalanceCheckpointRoundTrip(t *testing.T) {
 	if string(before) != string(after) {
 		t.Error("split+join did not round-trip the checkpoint file byte-identically")
 	}
+}
+
+// TestGoldenCheckpoint holds the GPS4 checkpoint file — world header,
+// topology record, GPSS states — to the bytes gpsd wrote before its
+// codec moved onto internal/wire, and to a typed truncation error at
+// every cut. The states are the ones the GPSS golden decodes to, so the
+// fixture is the file next door rather than a second copy of it.
+func TestGoldenCheckpoint(t *testing.T) {
+	const dir = "../../testdata/golden"
+	gpss, err := os.Open(filepath.Join(dir, "GPSS.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gpss.Close()
+	states, err := gps.ReadShardCheckpoint(gpss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := worldID{Seed: -77, Prefixes: 16, Density: 0.03, Shards: len(states)}
+	topo := topology{Workers: 2, Assign: []int{1, -1, 0}}
+	wiretest.Run(t, dir, []wiretest.Case{{
+		Name:   "GPS4",
+		Encode: func() ([]byte, error) { return encodeCheckpoint(world, topo, states) },
+		Decode: func(b []byte) error { _, _, _, err := decodeCheckpoint(b); return err },
+	}})
 }

@@ -69,17 +69,20 @@ func startInventoryServer(addr string, feed *gps.InventoryFeed, configure func(*
 	return is, nil
 }
 
-// publish indexes a merged inventory and swaps it in as the served
-// snapshot; with a feed attached the epoch also commits to the change
-// feed, which diffs it into the delta replicas and watchers stream.
+// publish indexes a merged inventory, commits it to the change feed
+// (which diffs it into the delta replicas and watchers stream), then
+// swaps the snapshot in as the served one. Feed before publisher: an
+// epoch a client can see served must already be one it can subscribe
+// from.
 func (is *inventoryServer) publish(epoch int, inv map[gps.ServiceKey]*gps.KnownService) {
 	if is == nil {
 		return
 	}
-	is.pub.Publish(gps.NewInventorySnapshot(epoch, inv))
+	snap := gps.NewInventorySnapshot(epoch, inv)
 	if is.feed != nil {
 		is.feed.Commit(epoch, inv)
 	}
+	is.pub.Publish(snap)
 }
 
 // exportFeed serves the replication feed on addr: the -feed listener

@@ -20,6 +20,7 @@ import (
 	"gps/internal/shard/transport"
 	"gps/internal/telemetry"
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 // This file re-exports the library's supporting types through the root
@@ -294,19 +295,18 @@ func WriteShardInventory(w io.Writer, inv map[ServiceKey]*KnownService) error {
 }
 
 // ReadShardInventory parses WriteShardInventory output back into a
-// merged inventory: the serving artifact gpsd -serve-file loads. Errors
-// are typed (*ShardInventoryMagicError, *ShardInventoryTruncatedError).
+// merged inventory: the serving artifact gpsd -serve-file loads.
+// Malformed input is a *WireError with Format "GPSV".
 func ReadShardInventory(r io.Reader) (map[ServiceKey]*KnownService, error) {
 	return shard.ReadInventory(r)
 }
 
-// ShardInventoryMagicError reports bytes that are not a GPSV inventory,
-// or a GPSV version this build does not speak.
-type ShardInventoryMagicError = shard.InventoryMagicError
-
-// ShardInventoryTruncatedError reports a GPSV inventory cut short
-// mid-stream.
-type ShardInventoryTruncatedError = shard.InventoryTruncatedError
+// WireError is the typed failure every binary decoder in the stack
+// returns for malformed input — checkpoints, inventories, deltas,
+// datasets and transport frames alike. Format names the format ("GPSV",
+// "GPSE", "GPST", ...), Kind the damage (bad magic, bad version,
+// truncated, implausible, trailing data), Section and Index where.
+type WireError = wire.Error
 
 // ShardCommitHook observes each committed coordinator epoch with the
 // merged global inventory; register it with a ShardCoordinator's or
@@ -572,13 +572,6 @@ type SnapshotDelta = shard.Delta
 // SnapshotDeltaEntry is one added or updated service in a SnapshotDelta.
 type SnapshotDeltaEntry = shard.DeltaEntry
 
-// SnapshotDeltaMagicError reports bytes that are not a GPSE delta, or a
-// GPSE version this build does not speak.
-type SnapshotDeltaMagicError = shard.DeltaMagicError
-
-// SnapshotDeltaTruncatedError reports a GPSE delta cut short mid-stream.
-type SnapshotDeltaTruncatedError = shard.DeltaTruncatedError
-
 // ComputeSnapshotDelta diffs two merged inventories (only the canonical
 // GPSV serving fields participate) into the delta that advances base to
 // next.
@@ -604,8 +597,8 @@ func WriteSnapshotDelta(w io.Writer, d *SnapshotDelta) error {
 	return shard.WriteDelta(w, d)
 }
 
-// ReadSnapshotDelta parses WriteSnapshotDelta output. Errors are typed
-// (*SnapshotDeltaMagicError, *SnapshotDeltaTruncatedError).
+// ReadSnapshotDelta parses WriteSnapshotDelta output. Malformed input is
+// a *WireError with Format "GPSE".
 func ReadSnapshotDelta(r io.Reader) (*SnapshotDelta, error) {
 	return shard.ReadDelta(r)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gps"
+	"gps/internal/wire"
 )
 
 // The type aliases, pinned by assignability. A change to any underlying
@@ -67,16 +68,15 @@ var (
 	_ *gps.DistributedCoordinator = (*gps.DistributedCoordinator)(nil)
 	_ *gps.ShardWorkerError       = (*gps.ShardWorkerError)(nil)
 
-	_ *gps.InventorySnapshot            = (*gps.InventorySnapshot)(nil)
-	_ *gps.InventoryPublisher           = (*gps.InventoryPublisher)(nil)
-	_ *gps.InventoryServer              = (*gps.InventoryServer)(nil)
-	_ gps.InventoryStats                = gps.InventoryStats{}
-	_ gps.ServedService                 = gps.ServedService{}
-	_ gps.InventoryPortCount            = gps.InventoryPortCount{}
-	_ gps.ShardCommitHook               = gps.ShardCommitHook(nil)
-	_ gps.ContinuousCommitHook          = gps.ContinuousCommitHook(nil)
-	_ *gps.ShardInventoryMagicError     = (*gps.ShardInventoryMagicError)(nil)
-	_ *gps.ShardInventoryTruncatedError = (*gps.ShardInventoryTruncatedError)(nil)
+	_ *gps.InventorySnapshot   = (*gps.InventorySnapshot)(nil)
+	_ *gps.InventoryPublisher  = (*gps.InventoryPublisher)(nil)
+	_ *gps.InventoryServer     = (*gps.InventoryServer)(nil)
+	_ gps.InventoryStats       = gps.InventoryStats{}
+	_ gps.ServedService        = gps.ServedService{}
+	_ gps.InventoryPortCount   = gps.InventoryPortCount{}
+	_ gps.ShardCommitHook      = gps.ShardCommitHook(nil)
+	_ gps.ContinuousCommitHook = gps.ContinuousCommitHook(nil)
+	_ *gps.WireError           = (*wire.Error)(nil)
 )
 
 // TestFacadeEndToEnd drives every exported function through one tiny
@@ -386,11 +386,11 @@ func TestFacadeServing(t *testing.T) {
 	}
 
 	// The GPSV artifact round-trips and serves the same aggregates.
-	var wire bytes.Buffer
-	if err := gps.WriteShardInventory(&wire, inv); err != nil {
+	var gpsv bytes.Buffer
+	if err := gps.WriteShardInventory(&gpsv, inv); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := gps.ReadShardInventory(&wire)
+	loaded, err := gps.ReadShardInventory(bytes.NewReader(gpsv.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,29 +428,32 @@ func TestFacadeServing(t *testing.T) {
 	}
 
 	// Typed read errors surface through the facade.
-	var magicErr *gps.ShardInventoryMagicError
-	if _, err := gps.ReadShardInventory(bytes.NewReader([]byte("nonsense bytes"))); !errors.As(err, &magicErr) {
-		t.Errorf("foreign bytes: %v; want *gps.ShardInventoryMagicError", err)
+	var werr *gps.WireError
+	if _, err := gps.ReadShardInventory(bytes.NewReader([]byte("nonsense bytes"))); !errors.As(err, &werr) ||
+		werr.Format != "GPSV" || werr.Kind != wire.BadMagic {
+		t.Errorf("foreign bytes: %v; want a GPSV bad-magic *gps.WireError", err)
+	}
+	if _, err := gps.ReadShardInventory(bytes.NewReader(gpsv.Bytes()[:gpsv.Len()-1])); !errors.As(err, &werr) ||
+		werr.Format != "GPSV" || werr.Kind != wire.Truncated || werr.Section != "entry" {
+		t.Errorf("truncated inventory: %v; want a GPSV truncated-entry *gps.WireError", err)
 	}
 }
 
 // Replication facade aliases, pinned by assignability.
 var (
-	_ *gps.SnapshotDelta               = (*gps.SnapshotDelta)(nil)
-	_ gps.SnapshotDeltaEntry           = gps.SnapshotDeltaEntry{}
-	_ *gps.SnapshotDeltaMagicError     = (*gps.SnapshotDeltaMagicError)(nil)
-	_ *gps.SnapshotDeltaTruncatedError = (*gps.SnapshotDeltaTruncatedError)(nil)
-	_ *gps.InventoryFeed               = (*gps.InventoryFeed)(nil)
-	_ gps.InventoryFeedSource          = (*gps.InventoryFeed)(nil)
-	_ gps.InventoryFeedEvent           = gps.InventoryFeedEvent{}
-	_ *gps.InventoryFeedConn           = (*gps.InventoryFeedConn)(nil)
-	_ *gps.ReplicaServer               = (*gps.ReplicaServer)(nil)
-	_ gps.ReplicaOptions               = gps.ReplicaOptions{}
-	_ *gps.WatchClient                 = (*gps.WatchClient)(nil)
-	_ gps.WatchEvent                   = gps.WatchEvent{}
-	_ gps.WatchEntry                   = gps.WatchEntry{}
-	_ gps.WatchKey                     = gps.WatchKey{}
-	_ error                            = gps.ErrWatchDone
+	_ *gps.SnapshotDelta      = (*gps.SnapshotDelta)(nil)
+	_ gps.SnapshotDeltaEntry  = gps.SnapshotDeltaEntry{}
+	_ *gps.InventoryFeed      = (*gps.InventoryFeed)(nil)
+	_ gps.InventoryFeedSource = (*gps.InventoryFeed)(nil)
+	_ gps.InventoryFeedEvent  = gps.InventoryFeedEvent{}
+	_ *gps.InventoryFeedConn  = (*gps.InventoryFeedConn)(nil)
+	_ *gps.ReplicaServer      = (*gps.ReplicaServer)(nil)
+	_ gps.ReplicaOptions      = gps.ReplicaOptions{}
+	_ *gps.WatchClient        = (*gps.WatchClient)(nil)
+	_ gps.WatchEvent          = gps.WatchEvent{}
+	_ gps.WatchEntry          = gps.WatchEntry{}
+	_ gps.WatchKey            = gps.WatchKey{}
+	_ error                   = gps.ErrWatchDone
 )
 
 // TestFacadeReplication drives the replication surface end to end
@@ -513,13 +516,14 @@ func TestFacadeReplication(t *testing.T) {
 	if len(base) != len(next) {
 		t.Fatalf("applied delta leaves %d services; want %d", len(base), len(next))
 	}
-	var deltaMagic *gps.SnapshotDeltaMagicError
-	if _, err := gps.ReadSnapshotDelta(bytes.NewReader([]byte("nonsense bytes"))); !errors.As(err, &deltaMagic) {
-		t.Errorf("foreign bytes: %v; want *gps.SnapshotDeltaMagicError", err)
+	var werr *gps.WireError
+	if _, err := gps.ReadSnapshotDelta(bytes.NewReader([]byte("nonsense bytes"))); !errors.As(err, &werr) ||
+		werr.Format != "GPSE" || werr.Kind != wire.BadMagic {
+		t.Errorf("foreign bytes: %v; want a GPSE bad-magic *gps.WireError", err)
 	}
-	var deltaTrunc *gps.SnapshotDeltaTruncatedError
-	if _, err := gps.ReadSnapshotDelta(bytes.NewReader(dw.Bytes()[:dw.Len()-1])); !errors.As(err, &deltaTrunc) {
-		t.Errorf("truncated delta: %v; want *gps.SnapshotDeltaTruncatedError", err)
+	if _, err := gps.ReadSnapshotDelta(bytes.NewReader(dw.Bytes()[:dw.Len()-1])); !errors.As(err, &werr) ||
+		werr.Format != "GPSE" || werr.Kind != wire.Truncated {
+		t.Errorf("truncated delta: %v; want a GPSE truncated *gps.WireError", err)
 	}
 
 	// Serve the feed on a real listener; a replica follows it.

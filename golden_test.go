@@ -1,0 +1,183 @@
+package gps_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"time"
+
+	"gps/internal/asndb"
+	"gps/internal/continuous"
+	"gps/internal/dataset"
+	"gps/internal/features"
+	"gps/internal/metrics"
+	"gps/internal/netmodel"
+	"gps/internal/shard"
+	"gps/internal/shard/transport"
+	"gps/internal/store"
+	"gps/internal/trace"
+	"gps/internal/wire/wiretest"
+)
+
+// The fixtures behind testdata/golden. Everything is a pure function of a
+// fixed seed (math/rand's seeded sequence is frozen by the Go 1 promise),
+// so the fixture the goldens were generated from is the fixture the test
+// re-encodes. The GPST payload goldens are checked beside their
+// unexported encoders in internal/shard/transport, GPS4 in cmd/gpsd.
+
+// goldenDataset is a seed-scan dataset: a few dozen services, some
+// sharing banner values (the string table must intern them), some bare.
+func goldenDataset(seed int64, n int) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	d := &dataset.Dataset{
+		Name:             fmt.Sprintf("golden-%d", seed),
+		SpaceSize:        1 << 20,
+		SampleFraction:   0.015625,
+		Ports:            []uint16{22, 80, 443, 7547, 8080, 65535},
+		CollectionProbes: 123456789,
+	}
+	banners := []string{"nginx", "Apache/2.4.41 (Ubuntu)", "SSH-2.0-OpenSSH_8.2p1", "", "RomPager/4.07 UPnP/1.0"}
+	for i := 0; i < n; i++ {
+		rec := dataset.Record{
+			IP:    asndb.IP(0x0a000000 + uint32(rng.Intn(1<<16))),
+			Port:  d.Ports[rng.Intn(len(d.Ports))],
+			Proto: features.Protocol(rng.Intn(6)),
+			ASN:   asndb.ASN(64500 + rng.Intn(300)),
+			TTL:   uint8(32 + rng.Intn(200)),
+		}
+		if nf := rng.Intn(4); nf > 0 {
+			rec.Feats = make(features.Set, nf)
+			for j := 0; j < nf; j++ {
+				rec.Feats[features.Key(1+rng.Intn(20))] = banners[rng.Intn(len(banners))]
+			}
+		}
+		d.Records = append(d.Records, rec)
+	}
+	return d
+}
+
+// goldenState is one shard's continuous state over goldenDataset.
+func goldenState(seed int64, n int) *continuous.State {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	st := &continuous.State{Epoch: 7, Known: make(map[netmodel.Key]*continuous.Entry)}
+	for e := 1; e <= 3; e++ {
+		st.History = append(st.History, continuous.EpochStats{
+			Epoch: e, ReverifyProbes: uint64(1000 * e), DiscoveryProbes: uint64(1 << (10 * e)),
+			Verified: 40 + e, Lost: e, Evicted: e / 2, NewFound: 3 * e, Refreshed: 2 * e,
+			TrainSize: 300 + e, KnownSize: 40 + 3*e,
+			Freshness: metrics.Freshness{Known: 50, Fresh: 40, Stale: 10, Checked: 45, Alive: 44 - e},
+		})
+	}
+	for _, rec := range goldenDataset(seed, n).Records {
+		first := rng.Intn(5)
+		st.Known[rec.Key()] = &continuous.Entry{
+			Rec: rec, FirstSeen: first, LastSeen: first + rng.Intn(3), Stale: rng.Intn(3),
+		}
+	}
+	return st
+}
+
+// goldenInventory is a merged inventory at one of two consecutive
+// epochs: the second drops, adds and ages services relative to the first.
+func goldenInventory(next bool) map[netmodel.Key]*continuous.Entry {
+	inv := shard.CloneInventory(goldenState(11, 48).Known)
+	if !next {
+		return inv
+	}
+	keys := make([]netmodel.Key, 0, len(inv))
+	for k := range inv {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i].IP < keys[j].IP || keys[i].IP == keys[j].IP && keys[i].Port < keys[j].Port
+	})
+	for i, k := range keys {
+		switch i % 5 {
+		case 0:
+			delete(inv, k)
+		case 1:
+			inv[k].LastSeen++
+			inv[k].Stale = 0
+		}
+	}
+	for k, e := range goldenState(12, 6).Known {
+		inv[k] = e
+	}
+	return inv
+}
+
+func goldenSpans() []trace.SpanRecord {
+	start := time.Unix(1700000000, 123456789)
+	return []trace.SpanRecord{
+		{TraceID: 0xabcdef0123, SpanID: 1, Name: "rpc.epoch", Proc: "worker-a", Start: start, Duration: 1500 * time.Millisecond,
+			Attrs: []trace.Attr{{Key: "shard", Value: "2"}, {Key: "epoch", Value: "9"}}},
+		{TraceID: 0xabcdef0123, SpanID: 2, Parent: 1, Name: "reverify", Proc: "worker-a", Start: start.Add(time.Millisecond), Duration: 300 * time.Microsecond},
+		{TraceID: 0xabcdef0123, SpanID: 3, Parent: 1, Name: "discover", Proc: "worker-a", Start: start.Add(-time.Hour), Duration: 0,
+			Attrs: []trace.Attr{{Key: "error", Value: ""}}},
+	}
+}
+
+func writeTo(write func(*bytes.Buffer) error) ([]byte, error) {
+	var buf bytes.Buffer
+	err := write(&buf)
+	return buf.Bytes(), err
+}
+
+func goldenCases() []wiretest.Case {
+	return []wiretest.Case{
+		{Name: "GPSD",
+			Encode: func() ([]byte, error) {
+				return writeTo(func(b *bytes.Buffer) error { _, err := store.WriteDatasetBinary(b, goldenDataset(1, 40)); return err })
+			},
+			Decode: func(b []byte) error { _, err := store.ReadDatasetBinary(bytes.NewReader(b)); return err }},
+		{Name: "GPSC",
+			Encode: func() ([]byte, error) {
+				return writeTo(func(b *bytes.Buffer) error { return continuous.WriteCheckpoint(b, goldenState(2, 40)) })
+			},
+			Decode: func(b []byte) error { _, err := continuous.ReadCheckpoint(bytes.NewReader(b)); return err }},
+		{Name: "GPSS",
+			Encode: func() ([]byte, error) {
+				states := []*continuous.State{goldenState(3, 24), goldenState(4, 0), goldenState(5, 16)}
+				return writeTo(func(b *bytes.Buffer) error { return shard.WriteCheckpoint(b, states) })
+			},
+			Decode: func(b []byte) error { _, err := shard.ReadCheckpoint(bytes.NewReader(b)); return err }},
+		{Name: "GPSV",
+			Encode: func() ([]byte, error) {
+				return writeTo(func(b *bytes.Buffer) error { return shard.WriteInventory(b, goldenInventory(false)) })
+			},
+			Decode: func(b []byte) error { _, err := shard.ReadInventory(bytes.NewReader(b)); return err }},
+		{Name: "GPSE",
+			Encode: func() ([]byte, error) {
+				d := shard.ComputeDelta(goldenInventory(false), goldenInventory(true), 41, 42)
+				return writeTo(func(b *bytes.Buffer) error { return shard.WriteDelta(b, d) })
+			},
+			Decode: func(b []byte) error { _, err := shard.ReadDelta(bytes.NewReader(b)); return err }},
+		{Name: "GPSP",
+			Encode: func() ([]byte, error) {
+				return transport.EncodeWorldSpec([]byte("an opaque base world spec"), 300, []int{299, 0, 128, 7}), nil
+			},
+			Decode: func(b []byte) error { _, _, _, err := transport.DecodeWorldSpec(b); return err }},
+		// GPSI, the batch pipeline's key-set dump, is write-only: nothing
+		// in the tree reads it back, so its bytes are the whole contract.
+		{Name: "GPSI",
+			Encode: func() ([]byte, error) {
+				m := &shard.Merged{Found: make(map[netmodel.Key]bool)}
+				for k := range goldenInventory(false) {
+					m.Found[k] = true
+				}
+				return writeTo(func(b *bytes.Buffer) error { return m.WriteInventory(b) })
+			}},
+		{Name: "spans",
+			Encode: func() ([]byte, error) { return trace.EncodeSpans(goldenSpans()), nil },
+			Decode: func(b []byte) error { _, err := trace.DecodeSpans(b); return err }},
+	}
+}
+
+// TestGoldenFormats holds every exported codec to the bytes it wrote
+// before the formats moved onto internal/wire, and to a typed truncation
+// error at every cut.
+func TestGoldenFormats(t *testing.T) {
+	wiretest.Run(t, "testdata/golden", goldenCases())
+}

@@ -7,6 +7,8 @@ package fixture
 import (
 	"errors"
 	"io"
+
+	"gps/internal/wire"
 )
 
 // Frame types: each must appear on both sides of the wire.
@@ -66,4 +68,11 @@ func decodeData(payload []byte) error {
 		return errors.New("short payload")
 	}
 	return nil
+}
+
+// decodeTolerant finishes with Err: trailing bytes are not its business.
+func decodeTolerant(payload []byte) (int64, error) {
+	d := wire.NewDec("GPST", payload)
+	v := d.Varint()
+	return v, d.Err()
 }

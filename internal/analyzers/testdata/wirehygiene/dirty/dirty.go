@@ -5,6 +5,8 @@ package fixture
 import (
 	"errors"
 	"io"
+
+	"gps/internal/wire"
 )
 
 const (
@@ -54,4 +56,12 @@ func readBody(payload []byte, n int) error {
 		return nil
 	}
 	return errors.New("trailing bytes")
+}
+
+// decodeStrict parses through the shared codec but finishes with Done,
+// which is the same exhaustion assert spelled differently.
+func decodeStrict(payload []byte) (int64, error) {
+	d := wire.NewDec("GPST", payload)
+	v := d.Varint()
+	return v, d.Done() // want `decoder decodeStrict finishes with wire.Dec.Done`
 }

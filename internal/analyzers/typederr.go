@@ -9,8 +9,8 @@ import (
 )
 
 // typedErrPkgs are the packages whose API contract promises typed,
-// matchable errors: the transport documents MagicError/VersionError/
-// FrameSizeError/... (PR 3) and serve promises stable error codes over
+// matchable errors: the transport documents *wire.Error/FrameSizeError/
+// DisconnectError/... (PR 3) and serve promises stable error codes over
 // HTTP and typed errors from its readers (PR 4/7).
 var typedErrPkgs = []string{
 	"gps/internal/shard/transport",
@@ -32,7 +32,7 @@ with %w (or a typed wrapper with Unwrap) instead.
 
 Unexported package-level errors.New sentinels are flagged: callers in
 other packages cannot errors.Is-match what they cannot name. Export
-the sentinel (documented API surface, like ErrTruncated) or define a
+the sentinel (documented API surface, like serve.ErrWatchDone) or define a
 typed error.`,
 	Run: runTypederr,
 }

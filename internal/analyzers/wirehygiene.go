@@ -12,6 +12,9 @@ var wirePkgs = []string{
 	"gps/internal/shard/transport",
 }
 
+// wirePkgPath is the shared codec, whose Dec.Done asserts exhaustion.
+const wirePkgPath = "gps/internal/wire"
+
 // msgConstRe names the frame-type constants the pairing rule governs.
 var msgConstRe = regexp.MustCompile(`^msg[A-Z]`)
 
@@ -29,10 +32,11 @@ comparison in a dispatch path): a frame only one side understands is a
 protocol skew waiting for a version bump nobody made.
 
 Decode*/read* functions must never assert exact payload exhaustion
-(len(...) ==/!= comparisons): PR 9 stitched tracing over the live
-protocol precisely because decoders tolerate trailing bytes, which is
-what lets the wire grow optional trailing fields without a version
-bump. Minimum-length guards (<, >=) remain fine.`,
+(len(...) ==/!= comparisons, or finishing a wire.Dec with Done rather
+than Err): PR 9 stitched tracing over the live protocol precisely
+because decoders tolerate trailing bytes, which is what lets the wire
+grow optional trailing fields without a version bump. Minimum-length
+guards (<, >=) remain fine.`,
 	Run: runWirehygiene,
 }
 
@@ -195,8 +199,9 @@ func containsPos(n ast.Node, pos token.Pos) bool {
 	return n.Pos() <= pos && pos < n.End()
 }
 
-// checkExhaustionAsserts flags exact payload-length comparisons inside
-// decoder functions.
+// checkExhaustionAsserts flags exact payload-length comparisons, and
+// (*wire.Dec).Done — the codec's own exhaustion assert — inside decoder
+// functions.
 func checkExhaustionAsserts(pass *Pass) {
 	info := pass.Info()
 	forEachFunc(pass.Pkg, func(decl *ast.FuncDecl) {
@@ -204,6 +209,15 @@ func checkExhaustionAsserts(pass *Pass) {
 			return
 		}
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Done" &&
+					funcPkgPath(fn) == wirePkgPath && recvTypeName(fn) == "Dec" {
+					pass.Reportf(call.Pos(),
+						"decoder %s finishes with wire.Dec.Done, which refuses trailing bytes: decoders must tolerate them (two-way compatibility, PR 9); finish with Err",
+						decl.Name.Name)
+				}
+				return true
+			}
 			be, ok := n.(*ast.BinaryExpr)
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 				return true

@@ -1,9 +1,7 @@
 package continuous
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -12,6 +10,7 @@ import (
 	"gps/internal/metrics"
 	"gps/internal/netmodel"
 	"gps/internal/store"
+	"gps/internal/wire"
 )
 
 // Checkpoint format:
@@ -34,119 +33,86 @@ import (
 const (
 	checkpointMagic   = "GPSC"
 	checkpointVersion = 1
+
+	maxHistory  = 1 << 24
+	maxKnownSet = 1 << 28
 )
 
 // WriteCheckpoint serializes the state.
 func WriteCheckpoint(w io.Writer, st *State) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(checkpointMagic)
-	bw.WriteByte(checkpointVersion)
-	writeUvarint(bw, uint64(st.Epoch))
+	var e wire.Enc
+	e.Header(checkpointMagic, checkpointVersion)
+	e.Uvarint(uint64(st.Epoch))
 
-	writeUvarint(bw, uint64(len(st.History)))
+	e.Uvarint(uint64(len(st.History)))
 	for _, h := range st.History {
 		for _, v := range statsCounters(h) {
-			writeUvarint(bw, v)
+			e.Uvarint(v)
 		}
 	}
 
 	// The known set as a store binary dataset, deterministically ordered.
 	keys := sortedKnownKeys(st)
-	d := &dataset.Dataset{Name: "continuous-checkpoint"}
-	for _, k := range keys {
-		d.Records = append(d.Records, st.Known[k].Rec)
+	d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(keys))}
+	for i, k := range keys {
+		d.Records[i] = st.Known[k].Rec
 	}
 	var blob bytes.Buffer
 	if _, err := store.WriteDatasetBinary(&blob, d); err != nil {
 		return fmt.Errorf("continuous: encoding known set: %w", err)
 	}
-	writeUvarint(bw, uint64(blob.Len()))
-	bw.Write(blob.Bytes())
+	e.Blob(blob.Bytes())
 
 	for _, k := range keys {
-		e := st.Known[k]
-		writeUvarint(bw, uint64(e.FirstSeen))
-		writeUvarint(bw, uint64(e.LastSeen))
-		writeUvarint(bw, uint64(e.Stale))
+		known := st.Known[k]
+		e.Uvarint(uint64(known.FirstSeen))
+		e.Uvarint(uint64(known.LastSeen))
+		e.Uvarint(uint64(known.Stale))
 	}
-	return bw.Flush()
+	_, err := w.Write(e)
+	return err
 }
 
-// ReadCheckpoint parses WriteCheckpoint output.
+// ReadCheckpoint parses WriteCheckpoint output. Malformed input is a
+// *wire.Error with Format "GPSC", or "GPSD" when the damage is inside
+// the embedded known set.
 func ReadCheckpoint(r io.Reader) (*State, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("continuous: reading magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("continuous: bad checkpoint magic %q", magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != checkpointVersion {
-		return nil, fmt.Errorf("continuous: unsupported checkpoint version %d", ver)
-	}
-
+	d := wire.NewReader(checkpointMagic, r)
+	d.At("header", -1)
+	d.Header(checkpointMagic, checkpointVersion)
 	st := &State{Known: make(map[netmodel.Key]*Entry)}
-	epoch, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	st.Epoch = int(epoch)
+	st.Epoch = int(d.Uvarint())
 
-	nHist, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nHist > 1<<24 {
-		return nil, fmt.Errorf("continuous: implausible history length %d", nHist)
-	}
-	st.History = make([]EpochStats, nHist)
-	for i := range st.History {
+	// History grows as epochs prove to exist; the declared count sizes
+	// nothing, so a few hostile bytes cannot demand gigabytes.
+	nHist := d.Count(d.Uvarint(), maxHistory)
+	st.History = make([]EpochStats, 0, min(nHist, 1<<10))
+	for i := 0; i < nHist && d.Err() == nil; i++ {
+		d.At("history", i)
 		var vals [15]uint64
 		for j := range vals {
-			if vals[j], err = binary.ReadUvarint(br); err != nil {
-				return nil, err
-			}
+			vals[j] = d.Uvarint()
 		}
-		st.History[i] = statsFromCounters(vals)
+		st.History = append(st.History, statsFromCounters(vals))
 	}
 
-	blobLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
+	d.At("known set", -1)
+	blob := d.Blob(maxKnownSet)
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	if blobLen > 1<<28 {
-		return nil, fmt.Errorf("continuous: implausible known-set size %d", blobLen)
-	}
-	blob := make([]byte, blobLen)
-	if _, err := io.ReadFull(br, blob); err != nil {
-		return nil, err
-	}
-	d, err := store.ReadDatasetBinary(bytes.NewReader(blob))
+	known, err := store.ReadDatasetBinary(bytes.NewReader(blob))
 	if err != nil {
 		return nil, fmt.Errorf("continuous: decoding known set: %w", err)
 	}
-
-	for _, rec := range d.Records {
-		first, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		last, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		stale, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
+	for i, rec := range known.Records {
+		d.At("entry", i)
 		st.Known[rec.Key()] = &Entry{
-			Rec: rec, FirstSeen: int(first), LastSeen: int(last), Stale: int(stale),
+			Rec: rec, FirstSeen: int(d.Uvarint()), LastSeen: int(d.Uvarint()), Stale: int(d.Uvarint()),
 		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -190,10 +156,4 @@ func statsFromCounters(v [15]uint64) EpochStats {
 			Checked: int(v[13]), Alive: int(v[14]),
 		},
 	}
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
 }

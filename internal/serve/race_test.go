@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -109,5 +110,60 @@ func TestSnapshotSwapConcurrent(t *testing.T) {
 
 	if got := pub.Current().Epoch(); got != epochs && torn.Load() == 0 {
 		t.Errorf("final epoch %d; want %d", got, epochs)
+	}
+}
+
+// TestReplicaEpochInvariant hammers a replica's three views of "the
+// current epoch" from a reader goroutine while an origin commits epoch
+// after epoch, asserting the ReplicaServer invariant on every read:
+//
+//	Feed().Head() >= Publisher().Current().Epoch() >= Epoch()
+//
+// Every view only moves forward, so reading the smallest first keeps the
+// check sound without a lock: a view read later can only have grown. A
+// replica that serves an epoch before its feed has committed it — so a
+// client reading an ETag at N cannot yet subscribe from N — fails here.
+func TestReplicaEpochInvariant(t *testing.T) {
+	const epochs = 300
+	origin := NewFeed(8)
+	defer origin.Close()
+	origin.Commit(0, testInventory(5, 0))
+	addr, shutdown := startOriginFeed(t, origin)
+	defer shutdown()
+
+	rep := NewReplicaServer(addr, fastReplicaOpts())
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan struct{})
+	go func() { defer close(runDone); rep.Run(ctx) }()
+	defer func() { cancel(); <-runDone }()
+
+	var stop atomic.Bool
+	var reads int
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for ; !stop.Load() && !t.Failed(); reads++ {
+			epoch, published := rep.Epoch(), -1
+			if snap := rep.Publisher().Current(); snap != nil {
+				published = snap.Epoch()
+			}
+			if head := rep.Feed().Head(); head < published || published < epoch {
+				t.Errorf("read %d: Feed().Head()=%d Publisher().Current().Epoch()=%d Epoch()=%d; want head >= published >= epoch",
+					reads, head, published, epoch)
+			}
+		}
+	}()
+
+	for e := 1; e <= epochs && !t.Failed(); e++ {
+		waitReplicaEpoch(t, rep, e-1)
+		origin.Commit(e, testInventory(5+e%7, e))
+	}
+	if !t.Failed() {
+		waitReplicaEpoch(t, rep, epochs)
+	}
+	stop.Store(true)
+	<-readerDone
+	if reads < epochs && !t.Failed() {
+		t.Errorf("reader made %d observations over %d epochs; the hammer never ran", reads, epochs)
 	}
 }

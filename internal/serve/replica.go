@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gps/internal/continuous"
-	"gps/internal/netmodel"
 	"gps/internal/shard"
 	"gps/internal/shard/transport"
 	"gps/internal/trace"
@@ -54,32 +52,35 @@ func (o *ReplicaOptions) logf(format string, args ...any) {
 // restarts, or falls behind the origin's delta history bootstraps from
 // a full snapshot frame and catches up; its subscription epoch rides
 // the feed protocol, so a live replica only ever transfers the churn.
+//
+// An applied epoch lives in exactly two places, written in one order:
+// the feed commits it (and retains its inventory), then the publisher
+// swaps in its already-indexed snapshot. Epoch() reads the publisher. So at every
+// observation, by any goroutine,
+//
+//	Feed().Head() >= Publisher().Current().Epoch() >= Epoch()
+//
+// (reading right to left): whoever sees an epoch served can subscribe to
+// the feed from it, which is what a chained replica or a /v1/watch
+// client resuming from an ETag does.
 type ReplicaServer struct {
 	upstream string
 	opts     *ReplicaOptions
 	pub      *Publisher
 	feed     *Feed
-	epoch    atomic.Int64 // last applied epoch; -1 before bootstrap
 	lag      atomic.Int64 // origin head minus applied epoch, per last event
-
-	// inv is the replica's current inventory, touched only by Run.
-	// Deltas apply to a clone, so every map ever handed to the feed or
-	// the publisher stays frozen.
-	inv map[netmodel.Key]*continuous.Entry
 }
 
 // NewReplicaServer prepares a replica of the origin feed at upstream
 // (host:port of the origin's -feed listener). Run starts it; Publisher
 // and Feed are live immediately (serving 503s until the bootstrap).
 func NewReplicaServer(upstream string, opts *ReplicaOptions) *ReplicaServer {
-	r := &ReplicaServer{
+	return &ReplicaServer{
 		upstream: upstream,
 		opts:     opts,
 		pub:      &Publisher{},
 		feed:     NewFeed(opts.feedHistory()),
 	}
-	r.epoch.Store(-1)
-	return r
 }
 
 func (o *ReplicaOptions) feedHistory() int {
@@ -98,8 +99,14 @@ func (r *ReplicaServer) Publisher() *Publisher { return r.pub }
 // transport.ServeFeed, further replicas).
 func (r *ReplicaServer) Feed() *Feed { return r.feed }
 
-// Epoch returns the last applied epoch, -1 before the first bootstrap.
-func (r *ReplicaServer) Epoch() int { return int(r.epoch.Load()) }
+// Epoch returns the last applied epoch — the one being served — or -1
+// before the first bootstrap.
+func (r *ReplicaServer) Epoch() int {
+	if snap := r.pub.Current(); snap != nil {
+		return snap.Epoch()
+	}
+	return -1
+}
 
 // Health implements HealthSource: a replica is "starting" until its
 // first bootstrap frame lands, and reports how many epochs it trails
@@ -172,8 +179,16 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 				r.opts.logf("replica: undecodable snapshot for epoch %d: %v", ev.Epoch, err)
 				return -1 // refuse the stream; re-bootstrap from scratch
 			}
-			r.adopt(ev, inv)
+			if ev.Epoch <= r.Epoch() {
+				// The origin restarted behind what this replica serves.
+				// Served epochs never move backward, so keep serving and
+				// re-bootstrap once the origin has passed it.
+				r.opts.logf("replica: origin snapshot at epoch %d is behind served epoch %d", ev.Epoch, r.Epoch())
+				return -1
+			}
+			snap := NewSnapshot(ev.Epoch, inv)
 			r.feed.Commit(ev.Epoch, inv)
+			r.publish(ev, snap)
 			replicaBootstraps.Inc()
 			r.opts.logf("replica: bootstrapped at epoch %d (%d services)", ev.Epoch, len(inv))
 		case transport.FeedDelta:
@@ -188,14 +203,18 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 				r.opts.logf("replica: delta for epoch %d unusable: %v", ev.Epoch, err)
 				return -1
 			}
-			next := shard.CloneInventory(r.inv)
+			// Deltas apply to a clone, so every map ever handed to the
+			// feed or the publisher stays frozen.
+			_, cur := r.feed.SnapshotInventory()
+			next := shard.CloneInventory(cur)
 			if err := shard.ApplyDelta(next, d); err != nil {
 				applySpan.FinishErr(err)
 				r.opts.logf("replica: applying delta %d→%d: %v", d.BaseEpoch, d.Epoch, err)
 				return -1
 			}
-			r.adopt(ev, next)
+			snap := NewSnapshot(ev.Epoch, next)
 			r.feed.CommitDelta(d, ev.Payload, next)
+			r.publish(ev, snap)
 			replicaDeltasApplied.Inc()
 			applySpan.SetAttr(trace.Int("services", len(next)))
 			applySpan.Finish()
@@ -203,12 +222,12 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 	}
 }
 
-// adopt installs a new inventory view and publishes its snapshot.
-func (r *ReplicaServer) adopt(ev transport.FeedEvent, inv map[netmodel.Key]*continuous.Entry) {
-	r.inv = inv
-	r.epoch.Store(int64(ev.Epoch))
+// publish serves an epoch the feed has already committed. Callers index
+// the snapshot before the feed commit, so the two commit points sit back
+// to back and the feed is only ever ahead for a pointer swap.
+func (r *ReplicaServer) publish(ev transport.FeedEvent, snap *Snapshot) {
 	r.lag.Store(int64(ev.Head - ev.Epoch))
-	r.pub.Publish(NewSnapshot(ev.Epoch, inv))
+	r.pub.Publish(snap)
 	replicaLag.Set(float64(ev.Head - ev.Epoch))
 }
 

@@ -148,8 +148,8 @@ func TestReplicaBootstrapAndFollow(t *testing.T) {
 
 	commit := func(epoch, n int) {
 		inv := testInventory(n, epoch)
-		originPub.Publish(NewSnapshot(epoch, inv))
 		origin.Commit(epoch, inv)
+		originPub.Publish(NewSnapshot(epoch, inv))
 	}
 	commit(0, 20)
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
+	"gps/internal/wire"
 )
 
 // Merged is the single global view folded from per-shard pipeline results:
@@ -163,25 +163,13 @@ const inventoryMagic = "GPSI"
 // services produce byte-identical output whatever the shard count — the
 // determinism contract the shards experiment asserts.
 func (m *Merged) WriteInventory(w io.Writer) error {
-	keys := make([]netmodel.Key, 0, len(m.Found))
-	for k := range m.Found {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	if _, err := io.WriteString(w, inventoryMagic); err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(len(keys)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
+	keys := sortedKeys(m.Found)
+	e := make(wire.Enc, 0, 12+6*len(keys))
+	e.Magic(inventoryMagic)
+	e.U64(uint64(len(keys)))
 	for _, k := range keys {
-		binary.BigEndian.PutUint32(buf[:4], uint32(k.IP))
-		binary.BigEndian.PutUint16(buf[4:6], k.Port)
-		if _, err := w.Write(buf[:6]); err != nil {
-			return err
-		}
+		encodeKey(&e, k)
 	}
-	return nil
+	_, err := w.Write(e)
+	return err
 }

@@ -1,13 +1,12 @@
 package shard
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"gps/internal/continuous"
+	"gps/internal/wire"
 )
 
 // Sharded checkpoint format:
@@ -33,70 +32,45 @@ const (
 
 // WriteCheckpoint serializes per-shard continuous states in shard order.
 func WriteCheckpoint(w io.Writer, states []*continuous.State) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(checkpointMagic)
-	bw.WriteByte(checkpointVersion)
-	writeUvarint(bw, uint64(len(states)))
-	var blob bytes.Buffer
+	var e wire.Enc
+	e.Header(checkpointMagic, checkpointVersion)
+	e.Uvarint(uint64(len(states)))
 	for i, st := range states {
-		blob.Reset()
-		if err := continuous.WriteCheckpoint(&blob, st); err != nil {
-			return fmt.Errorf("shard: encoding shard %d: %w", i, err)
+		blob, err := EncodeState(st)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		writeUvarint(bw, uint64(blob.Len()))
-		bw.Write(blob.Bytes())
+		e.Blob(blob)
 	}
-	return bw.Flush()
+	_, err := w.Write(e)
+	return err
 }
 
-// ReadCheckpoint parses WriteCheckpoint output.
+// ReadCheckpoint parses WriteCheckpoint output. Malformed input is a
+// *wire.Error with Format "GPSS", or "GPSC" when the damage is inside a
+// shard's embedded state.
 func ReadCheckpoint(r io.Reader) ([]*continuous.State, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("shard: reading magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return nil, fmt.Errorf("shard: bad checkpoint magic %q", magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != checkpointVersion {
-		return nil, fmt.Errorf("shard: unsupported checkpoint version %d", ver)
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxShards {
-		return nil, fmt.Errorf("shard: implausible shard count %d", n)
+	d := wire.NewReader(checkpointMagic, r)
+	d.Header(checkpointMagic, checkpointVersion)
+	n := d.Count(d.Uvarint(), maxShards)
+	if n == 0 {
+		d.Fail(wire.Implausible, errors.New("no shards"))
 	}
 	states := make([]*continuous.State, n)
 	for i := range states {
-		blobLen, err := binary.ReadUvarint(br)
+		d.At("shard", i)
+		blob := d.Blob(maxShardBlob)
+		if d.Err() != nil {
+			break
+		}
+		st, err := DecodeState(blob)
 		if err != nil {
-			return nil, err
-		}
-		if blobLen > maxShardBlob {
-			return nil, fmt.Errorf("shard: implausible shard %d state size %d", i, blobLen)
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return nil, fmt.Errorf("shard: reading shard %d state: %w", i, err)
-		}
-		st, err := continuous.ReadCheckpoint(bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("shard: decoding shard %d state: %w", i, err)
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		states[i] = st
 	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
 	return states, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
 }

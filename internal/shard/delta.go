@@ -1,18 +1,14 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 
-	"gps/internal/asndb"
 	"gps/internal/continuous"
 	"gps/internal/dataset"
-	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/wire"
 )
 
 // Epoch-delta format ("GPSE", version 1):
@@ -153,200 +149,62 @@ func CloneInventory(inv map[netmodel.Key]*continuous.Entry) map[netmodel.Key]*co
 	return out
 }
 
-// DeltaMagicError reports bytes that are not a GPSE delta at all, or a
-// GPSE version this reader does not speak.
-type DeltaMagicError struct {
-	// Found is the magic encountered; Version is the declared version
-	// when the magic matched (0 otherwise).
-	Found   string
-	Version uint8
-}
-
-func (e *DeltaMagicError) Error() string {
-	if e.Found != deltaMagic {
-		return fmt.Sprintf("shard: bad delta magic %q, want %q", e.Found, deltaMagic)
-	}
-	return fmt.Sprintf("shard: unsupported delta version %d, want %d", e.Version, deltaVersion)
-}
-
-// DeltaTruncatedError reports a delta cut short mid-stream.
-type DeltaTruncatedError struct {
-	// Section names the part being decoded ("header", "add", "update",
-	// "remove"); Entry is the 0-based index within the section, or -1 for
-	// the header.
-	Section string
-	Entry   int
-	Err     error
-}
-
-func (e *DeltaTruncatedError) Error() string {
-	if e.Entry < 0 {
-		return fmt.Sprintf("shard: truncated delta header: %v", e.Err)
-	}
-	return fmt.Sprintf("shard: truncated delta at %s %d: %v", e.Section, e.Entry, e.Err)
-}
-
-func (e *DeltaTruncatedError) Unwrap() error { return e.Err }
-
 // WriteDelta serializes a delta canonically. Entries and removes are
 // written in their slice order; ComputeDelta output is already sorted,
 // so equal diffs produce equal bytes.
 func WriteDelta(w io.Writer, d *Delta) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(deltaMagic)
-	bw.WriteByte(deltaVersion)
-	writeVarint(bw, int64(d.BaseEpoch))
-	writeVarint(bw, int64(d.Epoch))
-	writeUvarint(bw, uint64(len(d.Adds)))
-	for _, a := range d.Adds {
-		writeDeltaEntry(bw, a)
+	e := make(wire.Enc, 0, 32+servedSizeHint*d.Size())
+	e.Header(deltaMagic, deltaVersion)
+	e.Varint(int64(d.BaseEpoch))
+	e.Varint(int64(d.Epoch))
+	for _, entries := range [][]DeltaEntry{d.Adds, d.Updates} {
+		e.Uvarint(uint64(len(entries)))
+		for i := range entries {
+			encodeServed(&e, entries[i].Key, &entries[i].Entry)
+		}
 	}
-	writeUvarint(bw, uint64(len(d.Updates)))
-	for _, u := range d.Updates {
-		writeDeltaEntry(bw, u)
-	}
-	writeUvarint(bw, uint64(len(d.Removes)))
+	e.Uvarint(uint64(len(d.Removes)))
 	for _, k := range d.Removes {
-		writeDeltaKey(bw, k)
+		encodeKey(&e, k)
 	}
-	return bw.Flush()
+	_, err := w.Write(e)
+	return err
 }
 
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeDeltaKey(bw *bufio.Writer, k netmodel.Key) {
-	var kb [6]byte
-	binary.BigEndian.PutUint32(kb[:4], uint32(k.IP))
-	binary.BigEndian.PutUint16(kb[4:6], k.Port)
-	bw.Write(kb[:])
-}
-
-func writeDeltaEntry(bw *bufio.Writer, de DeltaEntry) {
-	writeDeltaKey(bw, de.Key)
-	e := de.Entry
-	writeUvarint(bw, uint64(e.Rec.Proto))
-	writeUvarint(bw, uint64(e.Rec.ASN))
-	writeUvarint(bw, uint64(e.Rec.TTL))
-	writeUvarint(bw, uint64(e.FirstSeen))
-	writeUvarint(bw, uint64(e.LastSeen))
-	writeUvarint(bw, uint64(e.Stale))
-}
-
-// ReadDelta parses WriteDelta output. Errors are typed: *DeltaMagicError
-// for foreign or wrong-version bytes, *DeltaTruncatedError for a stream
-// cut short; other corruption (implausible counts, trailing bytes)
-// returns a plain error.
+// ReadDelta parses WriteDelta output. Every malformed input is a
+// *wire.Error with Format "GPSE": foreign bytes, another version, a
+// stream cut short (Section "header", "add", "update" or "remove", with
+// the entry index inside a section), an implausible count, trailing
+// bytes.
 func ReadDelta(r io.Reader) (*Delta, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, len(deltaMagic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, &DeltaTruncatedError{Section: "header", Entry: -1, Err: err}
+	d := wire.NewReader(deltaMagic, r)
+	d.At("header", -1)
+	d.Header(deltaMagic, deltaVersion)
+	out := &Delta{}
+	out.BaseEpoch = int(d.Varint())
+	out.Epoch = int(d.Varint())
+	out.Adds = decodeDeltaEntries(d, "add")
+	out.Updates = decodeDeltaEntries(d, "update")
+	d.At("remove", -1)
+	n := d.Count(d.Uvarint(), maxInventoryEntries)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.At("remove", i)
+		out.Removes = append(out.Removes, decodeKey(d))
 	}
-	if string(hdr[:len(deltaMagic)]) != deltaMagic {
-		return nil, &DeltaMagicError{Found: string(hdr[:len(deltaMagic)])}
-	}
-	if hdr[len(deltaMagic)] != deltaVersion {
-		return nil, &DeltaMagicError{Found: deltaMagic, Version: hdr[len(deltaMagic)]}
-	}
-	d := &Delta{}
-	var err error
-	if d.BaseEpoch, err = readDeltaVarint(br); err != nil {
-		return nil, &DeltaTruncatedError{Section: "header", Entry: -1, Err: err}
-	}
-	if d.Epoch, err = readDeltaVarint(br); err != nil {
-		return nil, &DeltaTruncatedError{Section: "header", Entry: -1, Err: err}
-	}
-	if d.Adds, err = readDeltaEntries(br, "add"); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
-	}
-	if d.Updates, err = readDeltaEntries(br, "update"); err != nil {
-		return nil, err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, &DeltaTruncatedError{Section: "remove", Entry: -1, Err: eofToUnexpected(err)}
-	}
-	if n > maxInventoryEntries {
-		return nil, fmt.Errorf("shard: implausible delta remove count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		k, err := readDeltaKey(br)
-		if err != nil {
-			return nil, &DeltaTruncatedError{Section: "remove", Entry: int(i), Err: err}
-		}
-		d.Removes = append(d.Removes, k)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("shard: trailing data after delta %d→%d", d.BaseEpoch, d.Epoch)
-	}
-	return d, nil
-}
-
-func readDeltaEntries(br *bufio.Reader, section string) ([]DeltaEntry, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, &DeltaTruncatedError{Section: section, Entry: -1, Err: eofToUnexpected(err)}
-	}
-	if n > maxInventoryEntries {
-		return nil, fmt.Errorf("shard: implausible delta %s count %d", section, n)
-	}
-	var out []DeltaEntry
-	for i := uint64(0); i < n; i++ {
-		k, err := readDeltaKey(br)
-		if err != nil {
-			return nil, &DeltaTruncatedError{Section: section, Entry: int(i), Err: err}
-		}
-		var vals [6]uint64
-		for j := range vals {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, &DeltaTruncatedError{Section: section, Entry: int(i), Err: eofToUnexpected(err)}
-			}
-			vals[j] = v
-		}
-		out = append(out, DeltaEntry{
-			Key: k,
-			Entry: continuous.Entry{
-				Rec: dataset.Record{
-					IP: k.IP, Port: k.Port,
-					Proto: features.Protocol(vals[0]),
-					ASN:   asndb.ASN(vals[1]),
-					TTL:   uint8(vals[2]),
-				},
-				FirstSeen: int(vals[3]),
-				LastSeen:  int(vals[4]),
-				Stale:     int(vals[5]),
-			},
-		})
 	}
 	return out, nil
 }
 
-func readDeltaKey(br *bufio.Reader) (netmodel.Key, error) {
-	var kb [6]byte
-	if _, err := io.ReadFull(br, kb[:]); err != nil {
-		return netmodel.Key{}, eofToUnexpected(err)
+func decodeDeltaEntries(d *wire.Dec, section string) []DeltaEntry {
+	d.At(section, -1)
+	n := d.Count(d.Uvarint(), maxInventoryEntries)
+	var out []DeltaEntry
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.At(section, i)
+		k, e := decodeServed(d)
+		out = append(out, DeltaEntry{Key: k, Entry: e})
 	}
-	return netmodel.Key{
-		IP:   asndb.IP(binary.BigEndian.Uint32(kb[:4])),
-		Port: binary.BigEndian.Uint16(kb[4:6]),
-	}, nil
-}
-
-func readDeltaVarint(br *bufio.Reader) (int, error) {
-	v, err := binary.ReadVarint(br)
-	return int(v), eofToUnexpected(err)
-}
-
-// eofToUnexpected maps a clean EOF mid-structure to ErrUnexpectedEOF:
-// inside a declared delta any end-of-stream is a truncation.
-func eofToUnexpected(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return out
 }

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"gps/internal/asndb"
@@ -10,6 +12,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/wire"
 )
 
 // invBytes is the equality the replication path is judged on: the
@@ -225,8 +228,8 @@ func TestDeltaWireRoundTrip(t *testing.T) {
 }
 
 // TestReadDeltaTypedErrors mirrors the GPSV reader's error contract:
-// foreign magic and unknown versions are *DeltaMagicError, every
-// truncation point is *DeltaTruncatedError, trailing bytes are refused.
+// foreign magic, unknown versions, every truncation point and trailing
+// bytes are each a GPSE *wire.Error of the matching kind.
 func TestReadDeltaTypedErrors(t *testing.T) {
 	mk := func(i int) netmodel.Key {
 		return netmodel.Key{IP: asndb.IP(0x0a000001 + uint32(i)), Port: 443}
@@ -247,33 +250,36 @@ func TestReadDeltaTypedErrors(t *testing.T) {
 	if err := WriteDelta(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	wire := buf.Bytes()
+	blob := buf.Bytes()
 
-	var magicErr *DeltaMagicError
-	if _, err := ReadDelta(bytes.NewReader([]byte("GPSXxxxxxxxx"))); !errors.As(err, &magicErr) || magicErr.Found != "GPSX" {
-		t.Errorf("foreign magic: %v; want *DeltaMagicError{Found: GPSX}", err)
+	var werr *wire.Error
+	if _, err := ReadDelta(bytes.NewReader([]byte("GPSXxxxxxxxx"))); !errors.As(err, &werr) ||
+		werr.Format != "GPSE" || werr.Kind != wire.BadMagic || !strings.Contains(err.Error(), `"GPSX"`) {
+		t.Errorf("foreign magic: %v; want a GPSE bad-magic *wire.Error naming GPSX", err)
 	}
 	future := append([]byte(deltaMagic), 99, 0, 0)
-	if _, err := ReadDelta(bytes.NewReader(future)); !errors.As(err, &magicErr) || magicErr.Version != 99 {
-		t.Errorf("future version: %v; want *DeltaMagicError{Version: 99}", err)
+	if _, err := ReadDelta(bytes.NewReader(future)); !errors.As(err, &werr) ||
+		werr.Kind != wire.BadVersion || !strings.Contains(err.Error(), "version 99") {
+		t.Errorf("future version: %v; want a bad-version *wire.Error naming 99", err)
+	}
+	huge := append([]byte(deltaMagic), deltaVersion, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x7f)
+	if _, err := ReadDelta(bytes.NewReader(huge)); !errors.As(err, &werr) || werr.Kind != wire.Implausible || werr.Section != "add" {
+		t.Errorf("add count 2^35-1: %v; want an implausible add count", err)
 	}
 
-	for cut := 0; cut < len(wire); cut++ {
-		_, err := ReadDelta(bytes.NewReader(wire[:cut]))
-		var truncErr *DeltaTruncatedError
-		if cut >= len(deltaMagic) {
-			if !errors.As(err, &truncErr) {
-				t.Fatalf("cut at %d: %v; want *DeltaTruncatedError", cut, err)
-			}
-			continue
+	sections := map[string]bool{"header": true, "add": true, "update": true, "remove": true}
+	for cut := 0; cut < len(blob); cut++ {
+		_, err := ReadDelta(bytes.NewReader(blob[:cut]))
+		if !errors.As(err, &werr) || werr.Kind != wire.Truncated || !errors.Is(err, io.ErrUnexpectedEOF) || !sections[werr.Section] {
+			t.Fatalf("cut at %d: %v; want a truncated *wire.Error in a known section", cut, err)
 		}
 		// Inside the magic a cut is still a (header) truncation.
-		if !errors.As(err, &truncErr) || truncErr.Section != "header" {
+		if cut < len(deltaMagic) && werr.Section != "header" {
 			t.Fatalf("cut at %d: %v; want header truncation", cut, err)
 		}
 	}
 
-	if _, err := ReadDelta(bytes.NewReader(append(append([]byte{}, wire...), 0xFF))); err == nil {
-		t.Error("trailing data accepted")
+	if _, err := ReadDelta(bytes.NewReader(append(append([]byte{}, blob...), 0xFF))); !wire.IsKind(err, wire.Trailing) {
+		t.Errorf("trailing data: %v; want a trailing-data *wire.Error", err)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -11,6 +12,8 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/wire"
+	"gps/internal/wire/wiretest"
 )
 
 // fuzzEntry builds a serving-field entry for key k, the only fields the
@@ -36,18 +39,16 @@ func fuzzBaseInventory() map[netmodel.Key]*continuous.Entry {
 	return inv
 }
 
-// typedShardError accepts the documented decode failure modes of the
-// GPSV/GPSE readers: the typed magic and truncation errors, plus the
-// descriptive "shard:" corruption errors (implausible counts, trailing
-// bytes). Anything else is an undocumented failure.
-func typedShardError(err error) bool {
-	var im *InventoryMagicError
-	var it *InventoryTruncatedError
-	var dm *DeltaMagicError
-	var dt *DeltaTruncatedError
-	return errors.As(err, &im) || errors.As(err, &it) ||
-		errors.As(err, &dm) || errors.As(err, &dt) ||
-		strings.HasPrefix(err.Error(), "shard:")
+// typedShardError accepts the documented failure modes of the GPSV/GPSE
+// readers — a *wire.Error naming the format — and of ApplyDelta, whose
+// base-mismatch errors are descriptive "shard:" ones. Anything else is
+// an undocumented failure.
+func typedShardError(err error, format string) bool {
+	var werr *wire.Error
+	if errors.As(err, &werr) {
+		return werr.Format == format
+	}
+	return strings.HasPrefix(err.Error(), "shard:")
 }
 
 // FuzzReadInventory drives arbitrary bytes through the GPSV reader. No
@@ -72,7 +73,7 @@ func FuzzReadInventory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inv, err := ReadInventory(bytes.NewReader(data))
 		if err != nil {
-			if !typedShardError(err) {
+			if !typedShardError(err, "GPSV") {
 				t.Fatalf("ReadInventory: untyped error %T: %v", err, err)
 			}
 			return
@@ -122,7 +123,7 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDelta(bytes.NewReader(data))
 		if err != nil {
-			if !typedShardError(err) {
+			if !typedShardError(err, "GPSE") {
 				t.Fatalf("ReadDelta: untyped error %T: %v", err, err)
 			}
 			return
@@ -131,7 +132,7 @@ func FuzzApplyDelta(f *testing.F) {
 		if err := ApplyDelta(applied, d); err != nil {
 			// A structurally valid delta against the wrong base: the
 			// documented mismatch error, with no panic.
-			if !typedShardError(err) {
+			if !typedShardError(err, "") {
 				t.Fatalf("ApplyDelta: untyped error %T: %v", err, err)
 			}
 			return
@@ -161,4 +162,24 @@ func diffInventories(t *testing.T, a, b map[netmodel.Key]*continuous.Entry) {
 			t.Fatalf("inventories diverge at %v: %+v vs %+v", k, ea, eb)
 		}
 	}
+}
+
+// FuzzReadCheckpoint drives arbitrary bytes through the GPSS reader and
+// the GPSC/GPSD readers nested in each shard blob. No input may panic;
+// every refusal is a *wire.Error naming the format that broke; and an
+// accepted layout is canonical after one write.
+func FuzzReadCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile("../../testdata/golden/GPSS.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])                 // cut inside a shard blob
+	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
+	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
+	f.Add([]byte("GPSS\x01\x00"))                 // zero shards
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.FuzzCanonical(t, data, "GPSS GPSC GPSD", ReadCheckpoint, WriteCheckpoint)
+	})
 }

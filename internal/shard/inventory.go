@@ -1,10 +1,6 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 	"sort"
 
@@ -13,6 +9,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/wire"
 )
 
 // Inventory format ("GPSV", version 2):
@@ -37,42 +34,56 @@ const (
 	// maxInventoryEntries bounds the entry count a file may declare,
 	// mirroring the implausibility guards of the checkpoint readers.
 	maxInventoryEntries = 1 << 28
+	// servedSizeHint is a typical encoded entry: the 6-byte key plus six
+	// mostly one-byte uvarints. It only sizes buffers.
+	servedSizeHint = 16
 )
 
-// InventoryMagicError reports bytes that are not a GPSV inventory at all,
-// or a GPSV version this reader does not speak.
-type InventoryMagicError struct {
-	// Found is the magic encountered; Version is the declared version
-	// when the magic matched (0 otherwise).
-	Found   string
-	Version uint8
+// encodeServed writes one service as GPSV and GPSE both carry it: the
+// (IP, port) key and the serving fields.
+func encodeServed(w *wire.Enc, k netmodel.Key, e *continuous.Entry) {
+	encodeKey(w, k)
+	w.Uvarint(uint64(e.Rec.Proto))
+	w.Uvarint(uint64(e.Rec.ASN))
+	w.Uvarint(uint64(e.Rec.TTL))
+	w.Uvarint(uint64(e.FirstSeen))
+	w.Uvarint(uint64(e.LastSeen))
+	w.Uvarint(uint64(e.Stale))
 }
 
-func (e *InventoryMagicError) Error() string {
-	if e.Found != stateInventoryMagic {
-		return fmt.Sprintf("shard: bad inventory magic %q, want %q", e.Found, stateInventoryMagic)
+func decodeServed(d *wire.Dec) (netmodel.Key, continuous.Entry) {
+	k := decodeKey(d)
+	return k, continuous.Entry{
+		Rec: dataset.Record{
+			IP: k.IP, Port: k.Port,
+			Proto: features.Protocol(d.Uvarint()),
+			ASN:   asndb.ASN(d.Uvarint()),
+			TTL:   uint8(d.Uvarint()),
+		},
+		FirstSeen: int(d.Uvarint()),
+		LastSeen:  int(d.Uvarint()),
+		Stale:     int(d.Uvarint()),
 	}
-	return fmt.Sprintf("shard: unsupported inventory version %d, want %d (version-1 files predate the serving fields and must be rewritten)",
-		e.Version, stateInventoryVersion)
 }
 
-// InventoryTruncatedError reports an inventory cut short mid-stream: the
-// header or an entry ended before its declared size was read.
-type InventoryTruncatedError struct {
-	// Entry is the 0-based index of the entry being decoded, or -1 when
-	// the header itself was short.
-	Entry int
-	Err   error
+func encodeKey(w *wire.Enc, k netmodel.Key) {
+	w.U32(uint32(k.IP))
+	w.U16(k.Port)
 }
 
-func (e *InventoryTruncatedError) Error() string {
-	if e.Entry < 0 {
-		return fmt.Sprintf("shard: truncated inventory header: %v", e.Err)
+func decodeKey(d *wire.Dec) netmodel.Key {
+	return netmodel.Key{IP: asndb.IP(d.U32()), Port: d.U16()}
+}
+
+// sortedKeys returns a key set in canonical (IP, port) order.
+func sortedKeys[V any](m map[netmodel.Key]V) []netmodel.Key {
+	keys := make([]netmodel.Key, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return fmt.Sprintf("shard: truncated inventory at entry %d: %v", e.Entry, e.Err)
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	return keys
 }
-
-func (e *InventoryTruncatedError) Unwrap() error { return e.Err }
 
 // WriteInventory serializes a merged continuous inventory canonically:
 // the sorted (IP, port) key set, each key followed by its entry's record
@@ -81,102 +92,43 @@ func (e *InventoryTruncatedError) Unwrap() error { return e.Err }
 // byte-identical output whatever their shard layout or transport — the
 // determinism contract the distributed CI gate diffs.
 func WriteInventory(w io.Writer, inv map[netmodel.Key]*continuous.Entry) error {
-	keys := make([]netmodel.Key, 0, len(inv))
-	for k := range inv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-
-	bw := bufio.NewWriter(w)
-	bw.WriteString(stateInventoryMagic)
-	bw.WriteByte(stateInventoryVersion)
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(keys)))
-	bw.Write(hdr[:])
+	keys := sortedKeys(inv)
+	e := make(wire.Enc, 0, 13+servedSizeHint*len(keys))
+	e.Header(stateInventoryMagic, stateInventoryVersion)
+	e.U64(uint64(len(keys)))
 	for _, k := range keys {
-		var kb [6]byte
-		binary.BigEndian.PutUint32(kb[:4], uint32(k.IP))
-		binary.BigEndian.PutUint16(kb[4:6], k.Port)
-		bw.Write(kb[:])
-		e := inv[k]
-		writeUvarint(bw, uint64(e.Rec.Proto))
-		writeUvarint(bw, uint64(e.Rec.ASN))
-		writeUvarint(bw, uint64(e.Rec.TTL))
-		writeUvarint(bw, uint64(e.FirstSeen))
-		writeUvarint(bw, uint64(e.LastSeen))
-		writeUvarint(bw, uint64(e.Stale))
+		encodeServed(&e, k, inv[k])
 	}
-	return bw.Flush()
+	_, err := w.Write(e)
+	return err
 }
 
 // ReadInventory parses WriteInventory output back into a merged
 // inventory. The reconstructed entries carry the key, the serving fields
 // (protocol, ASN, TTL), and the observation counters; application-layer
-// features are not part of the format and come back empty. Errors are
-// typed: *InventoryMagicError for foreign or wrong-version bytes,
-// *InventoryTruncatedError for a stream cut short; other corruption (an
-// implausible entry count, trailing bytes) returns a plain error.
+// features are not part of the format and come back empty. Every
+// malformed input is a *wire.Error with Format "GPSV": foreign bytes,
+// another version, a stream cut short (Section "header" or "entry" with
+// its index), an implausible entry count, trailing bytes.
 func ReadInventory(r io.Reader) (map[netmodel.Key]*continuous.Entry, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 4+1+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, &InventoryTruncatedError{Entry: -1, Err: err}
-	}
-	if string(hdr[:4]) != stateInventoryMagic {
-		return nil, &InventoryMagicError{Found: string(hdr[:4])}
-	}
-	if hdr[4] != stateInventoryVersion {
-		return nil, &InventoryMagicError{Found: stateInventoryMagic, Version: hdr[4]}
-	}
-	n := binary.BigEndian.Uint64(hdr[5:])
-	if n > maxInventoryEntries {
-		return nil, fmt.Errorf("shard: implausible inventory entry count %d", n)
-	}
+	d := wire.NewReader(stateInventoryMagic, r)
+	d.At("header", -1)
+	d.Header(stateInventoryMagic, stateInventoryVersion)
+	n := d.Count(d.U64(), maxInventoryEntries)
 
 	// The capacity hint trusts the header only up to a point: a crafted
 	// 13-byte file may declare any count under the cap, and the bytes
 	// backing real entries are only proven to exist as the loop reads
 	// them — so a short file must fail with a truncation error, not an
 	// up-front multi-gigabyte allocation.
-	hint := n
-	if hint > 1<<20 {
-		hint = 1 << 20
+	inv := make(map[netmodel.Key]*continuous.Entry, min(n, 1<<20))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.At("entry", i)
+		k, e := decodeServed(d)
+		inv[k] = &e
 	}
-	inv := make(map[netmodel.Key]*continuous.Entry, hint)
-	var kb [6]byte
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, kb[:]); err != nil {
-			return nil, &InventoryTruncatedError{Entry: int(i), Err: err}
-		}
-		k := netmodel.Key{
-			IP:   asndb.IP(binary.BigEndian.Uint32(kb[:4])),
-			Port: binary.BigEndian.Uint16(kb[4:6]),
-		}
-		var vals [6]uint64
-		for j := range vals {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					err = io.ErrUnexpectedEOF
-				}
-				return nil, &InventoryTruncatedError{Entry: int(i), Err: err}
-			}
-			vals[j] = v
-		}
-		inv[k] = &continuous.Entry{
-			Rec: dataset.Record{
-				IP: k.IP, Port: k.Port,
-				Proto: features.Protocol(vals[0]),
-				ASN:   asndb.ASN(vals[1]),
-				TTL:   uint8(vals[2]),
-			},
-			FirstSeen: int(vals[3]),
-			LastSeen:  int(vals[4]),
-			Stale:     int(vals[5]),
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("shard: trailing data after %d inventory entries", n)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return inv, nil
 }

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"gps/internal/asndb"
@@ -10,6 +12,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/wire"
 )
 
 // TestInventoryRoundTrip pins the write→read contract: everything the
@@ -89,45 +92,50 @@ func TestReadInventoryTypedErrors(t *testing.T) {
 	if err := WriteInventory(&buf, inv); err != nil {
 		t.Fatal(err)
 	}
-	wire := buf.Bytes()
+	blob := buf.Bytes()
 
 	// Foreign bytes: a magic error naming what was found.
-	var magicErr *InventoryMagicError
+	var werr *wire.Error
 	_, err := ReadInventory(bytes.NewReader([]byte("GPSXxxxxxxxxxxxx")))
-	if !errors.As(err, &magicErr) || magicErr.Found != "GPSX" {
-		t.Errorf("foreign magic: %v; want *InventoryMagicError{Found: GPSX}", err)
+	if !errors.As(err, &werr) || werr.Format != "GPSV" || werr.Kind != wire.BadMagic || !strings.Contains(err.Error(), `"GPSX"`) {
+		t.Errorf("foreign magic: %v; want a GPSV bad-magic *wire.Error naming GPSX", err)
 	}
 
 	// A version-1 file (no version byte: the count's high 0x00 byte lands
 	// where the version lives) must fail loudly, not misparse.
 	v1 := append([]byte(stateInventoryMagic), make([]byte, 9)...)
 	_, err = ReadInventory(bytes.NewReader(v1))
-	if !errors.As(err, &magicErr) || magicErr.Found != stateInventoryMagic || magicErr.Version == stateInventoryVersion {
+	if !errors.As(err, &werr) || werr.Format != "GPSV" || werr.Kind != wire.BadVersion || !strings.Contains(err.Error(), "version 0") {
 		t.Errorf("version-1 bytes: %v; want a version mismatch", err)
+	}
+
+	// An implausible entry count is refused before anything is sized.
+	huge := append([]byte(stateInventoryMagic), stateInventoryVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	if _, err = ReadInventory(bytes.NewReader(huge)); !wire.IsKind(err, wire.Implausible) {
+		t.Errorf("count 2^64-1: %v; want an implausible-count *wire.Error", err)
 	}
 
 	// Every possible truncation point yields a typed truncation error
 	// (never a silent short inventory, never a panic).
-	for cut := 0; cut < len(wire); cut++ {
-		_, err := ReadInventory(bytes.NewReader(wire[:cut]))
-		var truncErr *InventoryTruncatedError
+	for cut := 0; cut < len(blob); cut++ {
+		_, err := ReadInventory(bytes.NewReader(blob[:cut]))
+		if !errors.As(err, &werr) || werr.Kind != wire.Truncated || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d: %v; want a truncated *wire.Error", cut, err)
+		}
 		if cut < 5+8 {
-			if !errors.As(err, &truncErr) || truncErr.Entry != -1 {
+			if werr.Section != "header" || werr.Index != -1 {
 				t.Fatalf("cut at %d: %v; want header truncation", cut, err)
 			}
 			continue
 		}
-		if !errors.As(err, &truncErr) {
-			t.Fatalf("cut at %d: %v; want *InventoryTruncatedError", cut, err)
-		}
-		if truncErr.Entry < 0 || truncErr.Entry >= len(inv) {
-			t.Fatalf("cut at %d: entry index %d out of range", cut, truncErr.Entry)
+		if werr.Section != "entry" || werr.Index < 0 || werr.Index >= len(inv) {
+			t.Fatalf("cut at %d: %v; entry index out of range", cut, err)
 		}
 	}
 
 	// Trailing garbage after the declared entries is corruption too.
-	_, err = ReadInventory(bytes.NewReader(append(append([]byte{}, wire...), 0xFF)))
-	if err == nil {
-		t.Error("trailing data accepted")
+	_, err = ReadInventory(bytes.NewReader(append(append([]byte{}, blob...), 0xFF)))
+	if !wire.IsKind(err, wire.Trailing) {
+		t.Errorf("trailing data: %v; want a trailing-data *wire.Error", err)
 	}
 }

@@ -136,8 +136,8 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	if err := readHandshake(conn); err != nil {
 		// The usual failure here is version skew: an old worker dialed
 		// a new cluster listener (or a fuzzer dialed anything). Our
-		// preamble already went out, so the peer holds a typed
-		// VersionError of its own; we log, count, and keep accepting.
+		// preamble already went out, so the peer holds a bad-version
+		// error of its own; we log, count, and keep accepting.
 		reject(err)
 		return
 	}
@@ -177,9 +177,7 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	}
 	if taken {
 		c.mu.Unlock()
-		var e enc
-		e.bytes([]byte(fmt.Sprintf("worker id %q is already in the fleet", m.ID)))
-		writeFrame(conn, msgError, e.payload())
+		writeFrame(conn, msgError, encodeError(fmt.Sprintf("worker id %q is already in the fleet", m.ID)))
 		reject(fmt.Errorf("worker id %q already taken", m.ID))
 		return
 	}

@@ -116,12 +116,11 @@ func (w *workerLink) rpc(timeout time.Duration, typ uint8, payload []byte, want 
 	coordFramesRecv.Inc()
 	coordBytesRecv.Add(uint64(len(resp) + frameOverhead))
 	if got == msgError {
-		d := newDec(resp)
-		msg := d.bytes()
-		if d.err != nil {
-			return nil, &DisconnectError{Addr: w.addr, Err: d.err}
+		msg, err := decodeError(resp)
+		if err != nil {
+			return nil, &DisconnectError{Addr: w.addr, Err: err}
 		}
-		return nil, &RemoteError{Msg: string(msg)}
+		return nil, &RemoteError{Msg: msg}
 	}
 	if got != want {
 		return nil, &DisconnectError{Addr: w.addr, Err: fmt.Errorf("frame type %d in reply, want %d", got, want)}
@@ -287,13 +286,10 @@ func (c *Coordinator) specFor(wi int) []byte {
 // is deterministic, so replica and worker agree) for
 // States/Inventory/failover.
 func (c *Coordinator) Seed(seed *dataset.Dataset) error {
-	blob, err := encodeSeed(seed)
+	payload, err := encodeSeed(seed)
 	if err != nil {
 		return err
 	}
-	var e enc
-	e.bytes(blob)
-	payload := e.payload()
 	for _, w := range c.workers {
 		if !w.alive {
 			continue

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"gps/internal/wire"
 )
 
 // The replication feed puts the epoch-delta stream on the wire: an
@@ -94,15 +96,12 @@ func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
 		return err
 	}
 	if typ != msgSubscribe {
-		var e enc
-		e.bytes([]byte(fmt.Sprintf("expected subscribe frame, got type %d", typ)))
-		writeFrame(conn, msgError, e.payload())
+		writeFrame(conn, msgError, encodeError(fmt.Sprintf("expected subscribe frame, got type %d", typ)))
 		return fmt.Errorf("transport: feed client opened with frame type %d", typ)
 	}
-	d := newDec(payload)
-	since := int(d.varint())
-	if d.err != nil {
-		return d.err
+	since, err := decodeSubscribe(payload)
+	if err != nil {
+		return err
 	}
 
 	// The client sends nothing after the subscribe, so a pending read
@@ -132,11 +131,7 @@ func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
 			continue
 		}
 		if blob, next, ok := src.Delta(cur); ok {
-			var e enc
-			e.varint(int64(src.Head()))
-			e.varint(int64(next))
-			e.bytes(blob)
-			if err := writeFeedFrame(conn, opts, msgDelta, e.payload()); err != nil {
+			if err := writeFeedFrame(conn, opts, msgDelta, encodeFeedDelta(src.Head(), next, blob)); err != nil {
 				return err
 			}
 			feedDeltasSent.Inc()
@@ -146,10 +141,7 @@ func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
 		// Out of history (first contact, or the replica lagged past the
 		// retention window): restart it from a full snapshot.
 		epoch, blob := src.Snapshot()
-		var e enc
-		e.varint(int64(epoch))
-		e.bytes(blob)
-		if err := writeFeedFrame(conn, opts, msgSnapshot, e.payload()); err != nil {
+		if err := writeFeedFrame(conn, opts, msgSnapshot, encodeFeedSnapshot(epoch, blob)); err != nil {
 			return err
 		}
 		feedSnapshotsSent.Inc()
@@ -218,9 +210,7 @@ func DialFeed(addr string, since int, opts *Options) (*FeedConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: handshake with feed %s: %w", addr, err)
 	}
-	var e enc
-	e.varint(int64(since))
-	if err := writeFrame(conn, msgSubscribe, e.payload()); err != nil {
+	if err := writeFrame(conn, msgSubscribe, encodeSubscribe(since)); err != nil {
 		conn.Close()
 		return nil, &DisconnectError{Addr: addr, Err: err}
 	}
@@ -234,37 +224,76 @@ func DialFeed(addr string, since int, opts *Options) (*FeedConn, error) {
 func (f *FeedConn) Recv() (FeedEvent, error) {
 	typ, payload, err := readFrame(f.conn)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, ErrTruncated) {
+		if errors.Is(err, io.EOF) || wire.IsKind(err, wire.Truncated) {
 			return FeedEvent{}, &DisconnectError{Addr: f.addr, Err: err}
 		}
 		return FeedEvent{}, err
 	}
 	feedEventsRecv.Inc()
-	d := newDec(payload)
 	switch typ {
 	case msgSnapshot:
-		ev := FeedEvent{Kind: FeedSnapshot}
-		ev.Epoch = int(d.varint())
-		ev.Head = ev.Epoch
-		ev.Payload = d.bytes()
-		return ev, d.err
+		return decodeFeedSnapshot(payload)
 	case msgDelta:
-		ev := FeedEvent{Kind: FeedDelta}
-		ev.Head = int(d.varint())
-		ev.Epoch = int(d.varint())
-		ev.Payload = d.bytes()
-		return ev, d.err
+		return decodeFeedDelta(payload)
 	case msgShutdown:
 		return FeedEvent{}, io.EOF
 	case msgError:
-		msg := d.bytes()
-		if d.err != nil {
-			return FeedEvent{}, d.err
+		msg, err := decodeError(payload)
+		if err != nil {
+			return FeedEvent{}, err
 		}
-		return FeedEvent{}, &RemoteError{Msg: string(msg)}
+		return FeedEvent{}, &RemoteError{Msg: msg}
 	default:
 		return FeedEvent{}, fmt.Errorf("transport: unexpected feed frame type %d", typ)
 	}
+}
+
+// The three feed payloads. A snapshot lands the replica on the origin's
+// head, so its Head is its Epoch; a delta carries the head separately.
+
+func encodeSubscribe(since int) []byte {
+	var e wire.Enc
+	e.Varint(int64(since))
+	return e
+}
+
+func decodeSubscribe(payload []byte) (since int, err error) {
+	d := wire.NewDec(Magic, payload)
+	since = int(d.Varint())
+	return since, d.Err()
+}
+
+func encodeFeedSnapshot(epoch int, gpsv []byte) []byte {
+	e := make(wire.Enc, 0, len(gpsv)+20)
+	e.Varint(int64(epoch))
+	e.Blob(gpsv)
+	return e
+}
+
+func decodeFeedSnapshot(payload []byte) (FeedEvent, error) {
+	d := wire.NewDec(Magic, payload)
+	ev := FeedEvent{Kind: FeedSnapshot}
+	ev.Epoch = int(d.Varint())
+	ev.Head = ev.Epoch
+	ev.Payload = d.Blob(maxFrame)
+	return ev, d.Err()
+}
+
+func encodeFeedDelta(head, epoch int, gpse []byte) []byte {
+	e := make(wire.Enc, 0, len(gpse)+30)
+	e.Varint(int64(head))
+	e.Varint(int64(epoch))
+	e.Blob(gpse)
+	return e
+}
+
+func decodeFeedDelta(payload []byte) (FeedEvent, error) {
+	d := wire.NewDec(Magic, payload)
+	ev := FeedEvent{Kind: FeedDelta}
+	ev.Head = int(d.Varint())
+	ev.Epoch = int(d.Varint())
+	ev.Payload = d.Blob(maxFrame)
+	return ev, d.Err()
 }
 
 // Close tears the subscription down; a blocked Recv returns.

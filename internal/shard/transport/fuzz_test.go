@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"gps/internal/continuous"
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 // frameBytes builds a seed corpus entry through the package's own
@@ -48,7 +50,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		typ, payload, err := readFrame(bytes.NewReader(data))
 		if err != nil {
 			var fse *FrameSizeError
-			if !errors.Is(err, ErrTruncated) && !errors.As(err, &fse) && !errors.Is(err, io.EOF) {
+			if !isTruncatedGPST(err) && !errors.As(err, &fse) && !errors.Is(err, io.EOF) {
 				t.Fatalf("readFrame: untyped error %T: %v", err, err)
 			}
 			return
@@ -70,5 +72,37 @@ func FuzzDecodeFrame(f *testing.F) {
 		decodeOffer(payload)
 		decodeJoin(payload)
 		DecodeWorldSpec(payload)
+	})
+}
+
+// FuzzDecodeWorldSpec drives arbitrary bytes through the GPSP envelope
+// reader. No input may panic; every refusal is a *wire.Error naming
+// GPSP; and an accepted envelope re-encodes to one that decodes to the
+// same base spec, shard count and owned set.
+func FuzzDecodeWorldSpec(f *testing.F) {
+	good := EncodeWorldSpec([]byte("world"), 300, []int{2, 130})
+	f.Add(good)
+	f.Add(good[:len(good)-3])                                     // cut inside the base spec
+	f.Add([]byte("GPSX rest"))                                    // foreign magic
+	f.Add(append([]byte(specMagic), 4, 2, 2, 0, 1, 'b'))          // descending owned list
+	f.Add(append([]byte(specMagic), 0xff, 0xff, 0xff, 0x7f, 0x0)) // implausible shard count
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base, shards, owned, err := DecodeWorldSpec(data)
+		if err != nil {
+			var werr *wire.Error
+			if !errors.As(err, &werr) || werr.Format != specMagic {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		base2, shards2, owned2, err := DecodeWorldSpec(EncodeWorldSpec(base, shards, owned))
+		if err != nil {
+			t.Fatalf("re-reading a re-encoded envelope: %v", err)
+		}
+		if !bytes.Equal(base, base2) || shards != shards2 || !reflect.DeepEqual(owned, owned2) {
+			t.Fatalf("envelope changed across a round trip: (%q, %d, %v) vs (%q, %d, %v)",
+				base, shards, owned, base2, shards2, owned2)
+		}
 	})
 }

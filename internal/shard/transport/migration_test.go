@@ -3,11 +3,15 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gps/internal/wire"
 )
 
 // startJoinListener arms a coordinator's cluster listener and returns
@@ -300,7 +304,7 @@ func TestMigrationDeathMidTransfer(t *testing.T) {
 // TestMigrationVersionSkewRejected covers both directions of version
 // skew on the join path: an old worker dialing a new cluster listener
 // is rejected without disturbing the listener, and a new worker dialing
-// an old coordinator surfaces a typed *VersionError from Join.
+// an old coordinator surfaces a bad-version *wire.Error from Join.
 func TestMigrationVersionSkewRejected(t *testing.T) {
 	const worldSeed = 21
 	rejectBase := clusterJoinRejects.Value()
@@ -315,7 +319,7 @@ func TestMigrationVersionSkewRejected(t *testing.T) {
 
 	// Old worker → new listener: speak version 1. The listener's
 	// preamble must still be ours (so the old side can build its own
-	// VersionError), and the connection must then close without a
+	// version error), and the connection must then close without a
 	// msgJoinOK.
 	conn, err := net.Dial("tcp", joinAddr)
 	if err != nil {
@@ -369,12 +373,12 @@ func TestMigrationVersionSkewRejected(t *testing.T) {
 		}
 	}()
 	err = Join(oldLis.Addr().String(), "newworker", newSimWorld, &WorkerOptions{DialTimeout: 2 * time.Second})
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("Join against a v1 coordinator returned %v; want *VersionError", err)
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Format != Magic || werr.Kind != wire.BadVersion {
+		t.Fatalf("Join against a v1 coordinator returned %v; want a bad-version GPST *wire.Error", err)
 	}
-	if ve.Got != 1 || ve.Want != Version {
-		t.Errorf("VersionError %d/%d; want 1/%d", ve.Got, ve.Want, Version)
+	if want := fmt.Sprintf("found version 1, want %d", Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("bad-version error %q does not say %q", err, want)
 	}
 
 	c.Close()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 func spanAttr(r trace.SpanRecord, key string) string {
@@ -102,61 +103,61 @@ func TestTransportTraceStitching(t *testing.T) {
 // old frames.
 func TestTransportTraceContextSkew(t *testing.T) {
 	// Old coordinator -> new worker: the request ends after the epoch.
-	var oldReq enc
-	oldReq.varint(3)
-	oldReq.varint(9)
-	shard, epoch, tc, err := decodeEpochReq(oldReq.payload())
+	var oldReq wire.Enc
+	oldReq.Varint(3)
+	oldReq.Varint(9)
+	shard, epoch, tc, err := decodeEpochReq(oldReq)
 	if err != nil || shard != 3 || epoch != 9 || tc.Valid() {
 		t.Fatalf("old epoch request decoded to (%d, %d, %+v, %v); want (3, 9, zero ctx, nil)",
 			shard, epoch, tc, err)
 	}
 	// New coordinator without a trace emits exactly the old frame.
-	if !bytes.Equal(encodeEpochReq(3, 9, trace.SpanContext{}), oldReq.payload()) {
+	if !bytes.Equal(encodeEpochReq(3, 9, trace.SpanContext{}), oldReq) {
 		t.Error("untraced epoch request differs from the pre-trace wire format")
 	}
 	// With a trace the old fields stay a prefix, so an old worker's
 	// decoder reads them and ignores the tail.
 	traced := encodeEpochReq(3, 9, trace.SpanContext{TraceID: 0xabc, SpanID: 0xdef})
-	if !bytes.HasPrefix(traced, oldReq.payload()) {
+	if !bytes.HasPrefix(traced, oldReq) {
 		t.Error("trace context must trail the v2 epoch-request fields")
 	}
 
 	// Old worker -> new coordinator: the result ends after the draining
 	// flag; the span batch comes back nil.
-	var oldRes enc
-	oldRes.varint(1)
-	oldRes.bytes([]byte("state"))
-	oldRes.bool(true)
-	rShard, state, draining, spans, err := decodeEpochResult(oldRes.payload())
+	var oldRes wire.Enc
+	oldRes.Varint(1)
+	oldRes.Blob([]byte("state"))
+	oldRes.Bool(true)
+	rShard, state, draining, spans, err := decodeEpochResult(oldRes)
 	if err != nil || rShard != 1 || string(state) != "state" || !draining || spans != nil {
 		t.Fatalf("old epoch result decoded to (%d, %q, %v, %v, %v)", rShard, state, draining, spans, err)
 	}
-	if !bytes.Equal(encodeEpochResult(1, []byte("state"), true, nil), oldRes.payload()) {
+	if !bytes.Equal(encodeEpochResult(1, []byte("state"), true, nil), oldRes) {
 		t.Error("spanless epoch result differs from the pre-trace wire format")
 	}
 
 	// Migration legs: offer and state frames without the trailing
 	// context decode to a zero context, and zero-context encodes match.
 	cfg := testConfig(1).Continuous
-	var oldOffer enc
-	oldOffer.varint(2)
+	var oldOffer wire.Enc
+	oldOffer.Varint(2)
 	encodeConfig(&oldOffer, cfg)
-	oldOffer.bytes([]byte("spec"))
-	m, err := decodeOffer(oldOffer.payload())
+	oldOffer.Blob([]byte("spec"))
+	m, err := decodeOffer(oldOffer)
 	if err != nil || m.Shard != 2 || m.Trace.Valid() {
 		t.Fatalf("old offer decoded to (%+v, %v)", m, err)
 	}
-	if !bytes.Equal(encodeOffer(offerMsg{Shard: 2, Cfg: cfg, WorldSpec: []byte("spec")}), oldOffer.payload()) {
+	if !bytes.Equal(encodeOffer(offerMsg{Shard: 2, Cfg: cfg, WorldSpec: []byte("spec")}), oldOffer) {
 		t.Error("untraced offer differs from the pre-trace wire format")
 	}
-	var oldState enc
-	oldState.varint(2)
-	oldState.bytes([]byte("blob"))
-	sShard, blob, stc, err := decodeShardState(oldState.payload())
+	var oldState wire.Enc
+	oldState.Varint(2)
+	oldState.Blob([]byte("blob"))
+	sShard, blob, stc, err := decodeShardState(oldState)
 	if err != nil || sShard != 2 || string(blob) != "blob" || stc.Valid() {
 		t.Fatalf("old shard state decoded to (%d, %q, %+v, %v)", sShard, blob, stc, err)
 	}
-	if !bytes.Equal(encodeShardState(2, []byte("blob"), trace.SpanContext{}), oldState.payload()) {
+	if !bytes.Equal(encodeShardState(2, []byte("blob"), trace.SpanContext{}), oldState) {
 		t.Error("untraced shard state differs from the pre-trace wire format")
 	}
 

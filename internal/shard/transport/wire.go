@@ -21,14 +21,12 @@
 // reuse the existing on-disk encodings (store binary datasets for the
 // seed, continuous checkpoints for shard state), so the transport inherits
 // their compactness and their compatibility story. Every malformed input
-// maps to a typed error — MagicError, VersionError, FrameSizeError,
-// ErrTruncated — never a silent misparse or a hang.
+// maps to a typed error — a *wire.Error with Format "GPST" (bad magic,
+// bad version, truncated, implausible) or a FrameSizeError — never a
+// silent misparse or a hang.
 package transport
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -38,6 +36,7 @@ import (
 	"gps/internal/features"
 	"gps/internal/probmodel"
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 const (
@@ -48,8 +47,9 @@ const (
 	// (msgJoin/msgJoinOK), the live-migration envelopes
 	// (msgOffer/msgState/msgAck), and the draining flag on epoch
 	// results. A v1 worker dialing a v2 join listener (or vice versa)
-	// gets a typed VersionError on both sides — the listener logs and
-	// keeps accepting, the worker reports and exits — never a misparse.
+	// gets a typed bad-version *wire.Error on both sides — the listener
+	// logs and keeps accepting, the worker reports and exits — never a
+	// misparse.
 	Version = 2
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
@@ -88,25 +88,6 @@ const (
 	msgAck    = 16 // worker → coordinator: offer/state leg confirmed
 )
 
-// MagicError reports a stream that did not open with the transport magic:
-// the peer is not a GPS transport endpoint.
-type MagicError struct {
-	Got []byte
-}
-
-func (e *MagicError) Error() string {
-	return fmt.Sprintf("transport: bad stream magic %q, want %q", e.Got, Magic)
-}
-
-// VersionError reports a wire-protocol version mismatch between peers.
-type VersionError struct {
-	Got, Want uint8
-}
-
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("transport: peer speaks protocol version %d, want %d", e.Got, e.Want)
-}
-
 // FrameSizeError reports a length prefix larger than the protocol allows:
 // either a corrupt stream or a peer trying to make the reader allocate.
 type FrameSizeError struct {
@@ -118,11 +99,6 @@ type FrameSizeError struct {
 func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("transport: frame type %d declares %d-byte payload, limit %d", e.Type, e.Size, e.Max)
 }
-
-// ErrTruncated reports a stream that ended mid-frame (or mid-preamble):
-// the peer died or the connection was cut between a length prefix and its
-// payload.
-var ErrTruncated = errors.New("transport: truncated frame")
 
 // RemoteError carries a failure the worker reported over the wire (an
 // msgError frame): the connection is healthy, the request failed.
@@ -163,26 +139,25 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 
 // writeHandshake sends this side's stream preamble.
 func writeHandshake(w io.Writer) error {
-	_, err := w.Write(append([]byte(Magic), Version))
+	var e wire.Enc
+	e.Header(Magic, Version)
+	_, err := w.Write(e)
 	return err
 }
 
-// readHandshake consumes and validates the peer's stream preamble.
+// readHandshake consumes and validates the peer's stream preamble. A
+// stream that ends inside it is a truncation; any other read failure
+// (a deadline, a reset) is returned as the connection's own error.
 func readHandshake(r io.Reader) error {
-	buf := make([]byte, len(Magic)+1)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: stream closed during handshake", ErrTruncated)
-		}
+	var buf [len(Magic) + 1]byte
+	n, err := io.ReadFull(r, buf[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return err
 	}
-	if string(buf[:len(Magic)]) != Magic {
-		return &MagicError{Got: buf[:len(Magic)]}
-	}
-	if buf[len(Magic)] != Version {
-		return &VersionError{Got: buf[len(Magic)], Want: Version}
-	}
-	return nil
+	d := wire.NewDec(Magic, buf[:n])
+	d.At("handshake", -1)
+	d.Header(Magic, Version)
+	return d.Err()
 }
 
 // writeFrame sends one frame, rejecting oversized payloads locally — a
@@ -193,9 +168,10 @@ func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 	if uint64(len(payload)) > maxFrame {
 		return &FrameSizeError{Type: typ, Size: uint64(len(payload)), Max: maxFrame}
 	}
-	hdr := [5]byte{typ}
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := make(wire.Enc, 0, frameOverhead)
+	hdr.U8(typ)
+	hdr.U32(uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -203,206 +179,114 @@ func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 }
 
 // readFrame reads one frame. A stream that ends cleanly between frames
-// returns io.EOF; one cut mid-frame returns ErrTruncated; an implausible
-// length prefix returns FrameSizeError before any allocation.
+// returns io.EOF; one cut mid-frame returns a truncated *wire.Error; an
+// implausible length prefix returns FrameSizeError before any
+// allocation.
 func readFrame(r io.Reader) (uint8, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr [frameOverhead]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: stream closed mid-header", ErrTruncated)
+			err = truncatedFrame(fmt.Errorf("stream closed %d bytes into the frame header", n))
 		}
 		return 0, nil, err
 	}
-	typ := hdr[0]
-	size := uint64(binary.BigEndian.Uint32(hdr[1:]))
+	d := wire.NewDec(Magic, hdr[:])
+	typ, size := d.U8(), uint64(d.U32())
 	if size > maxFrame {
 		return typ, nil, &FrameSizeError{Type: typ, Size: size, Max: maxFrame}
 	}
 	payload := make([]byte, size)
 	if n, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return typ, nil, fmt.Errorf("%w: stream closed %d bytes into a %d-byte payload",
-				ErrTruncated, n, size)
+			err = truncatedFrame(fmt.Errorf("stream closed %d bytes into a %d-byte payload", n, size))
 		}
 		return typ, nil, err
 	}
 	return typ, payload, nil
 }
 
-// enc builds frame payloads.
-type enc struct {
-	buf bytes.Buffer
+// truncatedFrame reports a stream that ended mid-frame: the peer died or
+// the connection was cut between a length prefix and its payload.
+func truncatedFrame(detail error) error {
+	return &wire.Error{Format: Magic, Kind: wire.Truncated, Section: "frame", Index: -1, Err: detail}
 }
 
-func (e *enc) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	e.buf.Write(b[:binary.PutUvarint(b[:], v)])
-}
+// Payload decoders in this package finish with Dec.Err, never Dec.Done:
+// they do not require payload exhaustion, which is what lets a frame
+// grow optional trailing fields without a version bump (gpslint's
+// wirehygiene holds them to it). A length-prefixed field is bounded by
+// maxFrame: it cannot outgrow the frame that carries it.
 
-func (e *enc) varint(v int64) {
-	var b [binary.MaxVarintLen64]byte
-	e.buf.Write(b[:binary.PutVarint(b[:], v)])
-}
-
-func (e *enc) u8(v uint8)      { e.buf.WriteByte(v) }
-func (e *enc) f64(v float64)   { e.uvarint(math.Float64bits(v)) }
-func (e *enc) bool(v bool)     { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
-func (e *enc) bytes(b []byte)  { e.uvarint(uint64(len(b))); e.buf.Write(b) }
-func (e *enc) payload() []byte { return e.buf.Bytes() }
-
-// dec parses frame payloads; the first malformed field poisons every
-// subsequent read so call sites check err once at the end.
-type dec struct {
-	r   *bytes.Reader
-	err error
-}
-
-func newDec(payload []byte) *dec { return &dec{r: bytes.NewReader(payload)} }
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: payload ended mid-field", ErrTruncated)
-	}
-}
-
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.fail()
-	}
-	return v
-}
-
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.fail()
-	}
-	return v
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.r.ReadByte()
-	if err != nil {
-		d.fail()
-	}
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.uvarint()) }
-func (d *dec) bool() bool   { return d.u8() != 0 }
-
-func (d *dec) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > maxFrame || n > uint64(d.r.Len()) {
-		d.fail()
-		return nil
-	}
-	b := make([]byte, n)
-	io.ReadFull(d.r, b) // length checked against the remaining payload above
-	return b
-}
-
-// Optional trailing trace context. Decoders in this package never
-// require payload exhaustion, so appending (trace id, span id) to the
+// Optional trailing trace context. Appending (trace id, span id) to the
 // END of an existing payload is wire-compatible in both directions
 // without a version bump: a pre-trace v2 peer ignores the extra bytes,
-// and a post-trace peer treats their absence as "no trace". The
-// encoder emits nothing for an invalid context, so with tracing
-// disabled the wire bytes are identical to the pre-trace protocol.
-func (e *enc) traceCtx(ctx trace.SpanContext) {
-	if !ctx.Valid() {
-		return
+// and a post-trace peer treats their absence as "no trace". Nothing is
+// emitted for an invalid context, so with tracing disabled the wire
+// bytes are identical to the pre-trace protocol.
+func encodeTraceCtx(e *wire.Enc, ctx trace.SpanContext) {
+	if ctx.Valid() {
+		*e = trace.AppendContext(*e, ctx)
 	}
-	e.uvarint(ctx.TraceID)
-	e.uvarint(ctx.SpanID)
 }
 
-// traceCtx reads an optional trailing trace context. Best-effort by
-// contract: absence, truncation, or garbage all yield the zero context
-// and never poison the decoder — trace metadata must not fail a frame.
-func (d *dec) traceCtx() trace.SpanContext {
-	if d.err != nil || d.r.Len() == 0 {
-		return trace.SpanContext{}
-	}
-	tid, err1 := binary.ReadUvarint(d.r)
-	sid, err2 := binary.ReadUvarint(d.r)
-	if err1 != nil || err2 != nil {
-		return trace.SpanContext{}
-	}
-	return trace.SpanContext{TraceID: tid, SpanID: sid}
-}
-
-// optBytes reads an optional trailing length-prefixed blob, nil when
-// the payload is already exhausted (pre-trace peer).
-func (d *dec) optBytes() []byte {
-	if d.err != nil || d.r.Len() == 0 {
-		return nil
-	}
-	return d.bytes()
+// decodeTraceCtx reads an optional trailing trace context. Best-effort
+// by contract: absence, truncation, or garbage all yield the zero
+// context and never poison the decoder — trace metadata must not fail a
+// frame.
+func decodeTraceCtx(d *wire.Dec) trace.SpanContext {
+	ctx, _ := trace.ReadContext(d.Rest())
+	return ctx
 }
 
 // encodeConfig serializes a per-shard continuous configuration. The field
 // order is frozen by Version.
-func encodeConfig(e *enc, c continuous.Config) {
-	e.uvarint(c.Budget)
-	e.f64(c.ReverifyFraction)
-	e.varint(int64(c.MaxStale))
-	e.varint(int64(c.ShardIndex))
-	e.varint(int64(c.ShardCount))
+func encodeConfig(e *wire.Enc, c continuous.Config) {
+	e.Uvarint(c.Budget)
+	e.Uvarint(math.Float64bits(c.ReverifyFraction))
+	e.Varint(int64(c.MaxStale))
+	e.Varint(int64(c.ShardIndex))
+	e.Varint(int64(c.ShardCount))
 	p := c.Pipeline
-	e.u8(p.StepBits)
-	e.bool(p.StepZero)
-	e.varint(int64(p.Workers))
-	e.u8(uint8(p.Families))
-	e.f64(p.Floor)
-	e.varint(int64(p.MinSupport))
+	e.U8(p.StepBits)
+	e.Bool(p.StepZero)
+	e.Varint(int64(p.Workers))
+	e.U8(uint8(p.Families))
+	e.Uvarint(math.Float64bits(p.Floor))
+	e.Varint(int64(p.MinSupport))
 	keys := make([]byte, len(p.AppKeys))
 	for i, k := range p.AppKeys {
 		keys[i] = byte(k)
 	}
-	e.bytes(keys)
-	e.uvarint(p.Budget)
-	e.varint(p.Seed)
-	e.bool(p.RandomPriorsOrder)
-	e.bool(p.ExactShardCounts)
+	e.Blob(keys)
+	e.Uvarint(p.Budget)
+	e.Varint(p.Seed)
+	e.Bool(p.RandomPriorsOrder)
+	e.Bool(p.ExactShardCounts)
 }
 
-func decodeConfig(d *dec) continuous.Config {
+func decodeConfig(d *wire.Dec) continuous.Config {
 	var c continuous.Config
-	c.Budget = d.uvarint()
-	c.ReverifyFraction = d.f64()
-	c.MaxStale = int(d.varint())
-	c.ShardIndex = int(d.varint())
-	c.ShardCount = int(d.varint())
-	c.Pipeline.StepBits = d.u8()
-	c.Pipeline.StepZero = d.bool()
-	c.Pipeline.Workers = int(d.varint())
-	c.Pipeline.Families = probmodel.FamilySet(d.u8())
-	c.Pipeline.Floor = d.f64()
-	c.Pipeline.MinSupport = int(d.varint())
-	if keys := d.bytes(); len(keys) > 0 {
+	c.Budget = d.Uvarint()
+	c.ReverifyFraction = math.Float64frombits(d.Uvarint())
+	c.MaxStale = int(d.Varint())
+	c.ShardIndex = int(d.Varint())
+	c.ShardCount = int(d.Varint())
+	c.Pipeline.StepBits = d.U8()
+	c.Pipeline.StepZero = d.Bool()
+	c.Pipeline.Workers = int(d.Varint())
+	c.Pipeline.Families = probmodel.FamilySet(d.U8())
+	c.Pipeline.Floor = math.Float64frombits(d.Uvarint())
+	c.Pipeline.MinSupport = int(d.Varint())
+	if keys := d.Blob(maxFrame); len(keys) > 0 {
 		c.Pipeline.AppKeys = make([]features.Key, len(keys))
 		for i, k := range keys {
 			c.Pipeline.AppKeys[i] = features.Key(k)
 		}
 	}
-	c.Pipeline.Budget = d.uvarint()
-	c.Pipeline.Seed = d.varint()
-	c.Pipeline.RandomPriorsOrder = d.bool()
-	c.Pipeline.ExactShardCounts = d.bool()
+	c.Pipeline.Budget = d.Uvarint()
+	c.Pipeline.Seed = d.Varint()
+	c.Pipeline.RandomPriorsOrder = d.Bool()
+	c.Pipeline.ExactShardCounts = d.Bool()
 	return c
 }
 
@@ -422,43 +306,43 @@ type initMsg struct {
 }
 
 func encodeInit(m initMsg) []byte {
-	var e enc
-	e.varint(int64(m.Shard))
+	var e wire.Enc
+	e.Varint(int64(m.Shard))
 	encodeConfig(&e, m.Cfg)
-	e.bytes(m.WorldSpec)
-	e.u8(m.Mode)
-	e.bytes(m.Blob)
-	return e.payload()
+	e.Blob(m.WorldSpec)
+	e.U8(m.Mode)
+	e.Blob(m.Blob)
+	return e
 }
 
 func decodeInit(payload []byte) (initMsg, error) {
-	d := newDec(payload)
+	d := wire.NewDec(Magic, payload)
 	var m initMsg
-	m.Shard = int(d.varint())
+	m.Shard = int(d.Varint())
 	m.Cfg = decodeConfig(d)
-	m.WorldSpec = d.bytes()
-	m.Mode = d.u8()
-	m.Blob = d.bytes()
-	return m, d.err
+	m.WorldSpec = d.Blob(maxFrame)
+	m.Mode = d.U8()
+	m.Blob = d.Blob(maxFrame)
+	return m, d.Err()
 }
 
 // encodeEpochReq frames an epoch request; tc, when valid, is the
 // coordinator's per-shard RPC span, appended as an optional trailing
 // field so the worker can parent its phase spans under it.
 func encodeEpochReq(shard, epoch int, tc trace.SpanContext) []byte {
-	var e enc
-	e.varint(int64(shard))
-	e.varint(int64(epoch))
-	e.traceCtx(tc)
-	return e.payload()
+	var e wire.Enc
+	e.Varint(int64(shard))
+	e.Varint(int64(epoch))
+	encodeTraceCtx(&e, tc)
+	return e
 }
 
 func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err error) {
-	d := newDec(payload)
-	shard = int(d.varint())
-	epoch = int(d.varint())
-	tc = d.traceCtx()
-	return shard, epoch, tc, d.err
+	d := wire.NewDec(Magic, payload)
+	shard = int(d.Varint())
+	epoch = int(d.Varint())
+	tc = decodeTraceCtx(d)
+	return shard, epoch, tc, d.Err()
 }
 
 // encodeEpochResult carries a shard's post-epoch state back to the
@@ -471,35 +355,51 @@ func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err
 // coordinator can stitch them into its own flight recorder. Only sent
 // when the request carried a trace context.
 func encodeEpochResult(shard int, state []byte, draining bool, spans []byte) []byte {
-	var e enc
-	e.varint(int64(shard))
-	e.bytes(state)
-	e.bool(draining)
+	var e wire.Enc
+	e.Varint(int64(shard))
+	e.Blob(state)
+	e.Bool(draining)
 	if len(spans) > 0 {
-		e.bytes(spans)
+		e.Blob(spans)
 	}
-	return e.payload()
+	return e
 }
 
 func decodeEpochResult(payload []byte) (shard int, state []byte, draining bool, spans []byte, err error) {
-	d := newDec(payload)
-	shard = int(d.varint())
-	state = d.bytes()
-	draining = d.bool()
-	spans = d.optBytes()
-	return shard, state, draining, spans, d.err
+	d := wire.NewDec(Magic, payload)
+	shard = int(d.Varint())
+	state = d.Blob(maxFrame)
+	draining = d.Bool()
+	if d.More() { // optional trailing field: absent from a pre-trace peer
+		spans = d.Blob(maxFrame)
+	}
+	return shard, state, draining, spans, d.Err()
+}
+
+// encodeError frames a failure report for msgError; the receiver turns
+// the decoded message into a *RemoteError.
+func encodeError(msg string) []byte {
+	var e wire.Enc
+	e.Str(msg)
+	return e
+}
+
+func decodeError(payload []byte) (msg string, err error) {
+	d := wire.NewDec(Magic, payload)
+	msg = d.Str(maxFrame)
+	return msg, d.Err()
 }
 
 func encodeShardAck(shard int) []byte {
-	var e enc
-	e.varint(int64(shard))
-	return e.payload()
+	var e wire.Enc
+	e.Varint(int64(shard))
+	return e
 }
 
 func decodeShardAck(payload []byte) (int, error) {
-	d := newDec(payload)
-	shard := int(d.varint())
-	return shard, d.err
+	d := wire.NewDec(Magic, payload)
+	shard := int(d.Varint())
+	return shard, d.Err()
 }
 
 // joinMsg is the decoded form of an msgJoin payload: how a -join worker
@@ -509,16 +409,16 @@ type joinMsg struct {
 }
 
 func encodeJoin(m joinMsg) []byte {
-	var e enc
-	e.bytes([]byte(m.ID))
-	return e.payload()
+	var e wire.Enc
+	e.Str(m.ID)
+	return e
 }
 
 func decodeJoin(payload []byte) (joinMsg, error) {
-	d := newDec(payload)
+	d := wire.NewDec(Magic, payload)
 	var m joinMsg
-	m.ID = string(d.bytes())
-	return m, d.err
+	m.ID = d.Str(maxFrame)
+	return m, d.Err()
 }
 
 // offerMsg is the decoded form of an msgOffer payload: the first leg of
@@ -539,40 +439,40 @@ type offerMsg struct {
 }
 
 func encodeOffer(m offerMsg) []byte {
-	var e enc
-	e.varint(int64(m.Shard))
+	var e wire.Enc
+	e.Varint(int64(m.Shard))
 	encodeConfig(&e, m.Cfg)
-	e.bytes(m.WorldSpec)
-	e.traceCtx(m.Trace)
-	return e.payload()
+	e.Blob(m.WorldSpec)
+	encodeTraceCtx(&e, m.Trace)
+	return e
 }
 
 func decodeOffer(payload []byte) (offerMsg, error) {
-	d := newDec(payload)
+	d := wire.NewDec(Magic, payload)
 	var m offerMsg
-	m.Shard = int(d.varint())
+	m.Shard = int(d.Varint())
 	m.Cfg = decodeConfig(d)
-	m.WorldSpec = d.bytes()
-	m.Trace = d.traceCtx()
-	return m, d.err
+	m.WorldSpec = d.Blob(maxFrame)
+	m.Trace = decodeTraceCtx(d)
+	return m, d.Err()
 }
 
 // encodeShardState frames a shard's serialized state for msgState, the
 // second migration leg. tc carries the migration span context.
 func encodeShardState(shard int, state []byte, tc trace.SpanContext) []byte {
-	var e enc
-	e.varint(int64(shard))
-	e.bytes(state)
-	e.traceCtx(tc)
-	return e.payload()
+	var e wire.Enc
+	e.Varint(int64(shard))
+	e.Blob(state)
+	encodeTraceCtx(&e, tc)
+	return e
 }
 
 func decodeShardState(payload []byte) (shard int, state []byte, tc trace.SpanContext, err error) {
-	d := newDec(payload)
-	shard = int(d.varint())
-	state = d.bytes()
-	tc = d.traceCtx()
-	return shard, state, tc, d.err
+	d := wire.NewDec(Magic, payload)
+	shard = int(d.Varint())
+	state = d.Blob(maxFrame)
+	tc = decodeTraceCtx(d)
+	return shard, state, tc, d.Err()
 }
 
 // World-spec partition envelope. The coordinator never sends a caller's
@@ -596,53 +496,44 @@ func EncodeWorldSpec(base []byte, shards int, owned []int) []byte {
 	sorted := make([]int, len(owned))
 	copy(sorted, owned)
 	sort.Ints(sorted)
-	var e enc
-	e.buf.WriteString(specMagic)
-	e.uvarint(uint64(shards))
-	e.uvarint(uint64(len(sorted)))
+	var e wire.Enc
+	e.Magic(specMagic)
+	e.Uvarint(uint64(shards))
+	e.Uvarint(uint64(len(sorted)))
 	for _, s := range sorted {
-		e.uvarint(uint64(s))
+		e.Uvarint(uint64(s))
 	}
-	e.bytes(base)
-	return e.payload()
+	e.Blob(base)
+	return e
 }
 
 // DecodeWorldSpec unwraps EncodeWorldSpec output into the base spec, the
 // total shard count, and the owned shard indexes (ascending). Every
 // malformed input — wrong magic, implausible counts, out-of-range or
-// unsorted indexes, truncation — returns a typed or descriptive error,
-// never a misparse.
+// unsorted indexes, truncation — returns a *wire.Error with Format
+// "GPSP", never a misparse.
 func DecodeWorldSpec(spec []byte) (base []byte, shards int, owned []int, err error) {
-	if len(spec) < len(specMagic) || string(spec[:len(specMagic)]) != specMagic {
-		got := spec
-		if len(got) > len(specMagic) {
-			got = got[:len(specMagic)]
-		}
-		return nil, 0, nil, &MagicError{Got: got}
+	d := wire.NewDec(specMagic, spec)
+	d.Magic(specMagic)
+	n := d.Count(d.Uvarint(), maxSpecShards)
+	if n < 1 {
+		d.Fail(wire.Implausible, fmt.Errorf("declares %d shards", n))
 	}
-	d := newDec(spec[len(specMagic):])
-	n := d.uvarint()
-	if d.err == nil && (n < 1 || n > maxSpecShards) {
-		return nil, 0, nil, fmt.Errorf("transport: world spec declares %d shards, limit %d", n, maxSpecShards)
-	}
-	k := d.uvarint()
-	if d.err == nil && k > n {
-		return nil, 0, nil, fmt.Errorf("transport: world spec owns %d of %d shards", k, n)
-	}
+	k := d.Count(d.Uvarint(), uint64(n))
 	owned = make([]int, 0, k)
-	for i := uint64(0); i < k && d.err == nil; i++ {
-		s := d.uvarint()
-		if s >= n {
-			return nil, 0, nil, fmt.Errorf("transport: world spec owns shard %d of %d", s, n)
-		}
-		if len(owned) > 0 && int(s) <= owned[len(owned)-1] {
-			return nil, 0, nil, fmt.Errorf("transport: world spec owned-shard list not strictly ascending")
+	for i := 0; i < k && d.Err() == nil; i++ {
+		d.At("owned shard", i)
+		s := d.Uvarint()
+		if s >= uint64(n) {
+			d.Fail(wire.Implausible, fmt.Errorf("shard %d of %d", s, n))
+		} else if i > 0 && int(s) <= owned[i-1] {
+			d.Fail(wire.Implausible, fmt.Errorf("list not strictly ascending"))
 		}
 		owned = append(owned, int(s))
 	}
-	base = d.bytes()
-	if d.err != nil {
-		return nil, 0, nil, d.err
+	base = d.Blob(maxFrame)
+	if err := d.Err(); err != nil {
+		return nil, 0, nil, err
 	}
-	return base, int(n), owned, nil
+	return base, n, owned, nil
 }

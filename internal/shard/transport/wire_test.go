@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"gps/internal/features"
 	"gps/internal/pipeline"
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 func TestWireFrameRoundTrip(t *testing.T) {
@@ -31,6 +34,13 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// isTruncatedGPST is the check every truncation test below makes: a
+// *wire.Error of kind Truncated naming the transport.
+func isTruncatedGPST(err error) bool {
+	var werr *wire.Error
+	return errors.As(err, &werr) && werr.Format == Magic && werr.Kind == wire.Truncated
+}
+
 func TestWireTruncatedFrame(t *testing.T) {
 	// A header promising 100 payload bytes backed by only 10.
 	var buf bytes.Buffer
@@ -38,13 +48,13 @@ func TestWireTruncatedFrame(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[1:], 100)
 	buf.Write(hdr[:])
 	buf.Write(make([]byte, 10))
-	if _, _, err := readFrame(&buf); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated payload returned %v; want ErrTruncated", err)
+	if _, _, err := readFrame(&buf); !isTruncatedGPST(err) {
+		t.Errorf("truncated payload returned %v; want a truncated GPST *wire.Error", err)
 	}
 
 	// A stream cut inside the 5-byte header itself.
-	if _, _, err := readFrame(bytes.NewReader(hdr[:3])); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated header returned %v; want ErrTruncated", err)
+	if _, _, err := readFrame(bytes.NewReader(hdr[:3])); !isTruncatedGPST(err) {
+		t.Errorf("truncated header returned %v; want a truncated GPST *wire.Error", err)
 	}
 }
 
@@ -82,23 +92,23 @@ func TestWireOversizedWriteRefused(t *testing.T) {
 func TestWireVersionMismatch(t *testing.T) {
 	preamble := append([]byte(Magic), Version+1)
 	err := readHandshake(bytes.NewReader(preamble))
-	var ve *VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("future-version preamble returned %v; want *VersionError", err)
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Format != Magic || werr.Kind != wire.BadVersion {
+		t.Fatalf("future-version preamble returned %v; want a bad-version GPST *wire.Error", err)
 	}
-	if ve.Got != Version+1 || ve.Want != Version {
-		t.Errorf("VersionError = %+v; want got %d want %d", ve, Version+1, Version)
+	if want := fmt.Sprintf("found version %d, want %d", Version+1, Version); !strings.Contains(err.Error(), want) {
+		t.Errorf("bad-version error %q does not say %q", err, want)
 	}
 }
 
 func TestWireBadMagic(t *testing.T) {
 	err := readHandshake(bytes.NewReader([]byte("HTTP1")))
-	var me *MagicError
-	if !errors.As(err, &me) {
-		t.Fatalf("non-transport stream returned %v; want *MagicError", err)
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Format != Magic || werr.Kind != wire.BadMagic {
+		t.Fatalf("non-transport stream returned %v; want a bad-magic GPST *wire.Error", err)
 	}
-	if !errors.Is(readHandshake(bytes.NewReader([]byte("GP"))), ErrTruncated) {
-		t.Error("preamble cut mid-magic did not return ErrTruncated")
+	if !isTruncatedGPST(readHandshake(bytes.NewReader([]byte("GP")))) {
+		t.Error("preamble cut mid-magic did not return a truncated *wire.Error")
 	}
 }
 
@@ -164,12 +174,12 @@ func TestWireConfigRoundTrip(t *testing.T) {
 			ExactShardCounts:  true,
 		},
 	}
-	var e enc
+	var e wire.Enc
 	encodeConfig(&e, in)
-	d := newDec(e.payload())
+	d := wire.NewDec(Magic, e)
 	out := decodeConfig(d)
-	if d.err != nil {
-		t.Fatal(d.err)
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if out.Budget != in.Budget || out.ReverifyFraction != in.ReverifyFraction ||
 		out.MaxStale != in.MaxStale || out.ShardIndex != in.ShardIndex ||
@@ -197,8 +207,8 @@ func TestWireInitTruncatedPayload(t *testing.T) {
 	m := initMsg{Shard: 1, WorldSpec: []byte("spec"), Mode: initResume, Blob: bytes.Repeat([]byte("x"), 64)}
 	full := encodeInit(m)
 	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
-		if _, err := decodeInit(full[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Errorf("init payload cut to %d/%d bytes returned %v; want ErrTruncated", cut, len(full), err)
+		if _, err := decodeInit(full[:cut]); !isTruncatedGPST(err) {
+			t.Errorf("init payload cut to %d/%d bytes returned %v; want a truncated *wire.Error", cut, len(full), err)
 		}
 	}
 	if got, err := decodeInit(full); err != nil || got.Shard != 1 || !bytes.Equal(got.Blob, m.Blob) {
@@ -247,12 +257,13 @@ func TestWireWorldSpecEnvelopeRejects(t *testing.T) {
 		"owns more than n": append(append([]byte{}, "GPSP"...), 2, 3, 0, 1, 1, 1, 'b'),
 	}
 	for name, spec := range cases {
-		if _, _, _, err := DecodeWorldSpec(spec); err == nil {
-			t.Errorf("%s: DecodeWorldSpec accepted %q", name, spec)
+		_, _, _, err := DecodeWorldSpec(spec)
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Format != specMagic {
+			t.Errorf("%s: DecodeWorldSpec(%q) returned %v; want a GPSP *wire.Error", name, spec, err)
 		}
 	}
-	var me *MagicError
-	if _, _, _, err := DecodeWorldSpec([]byte("nope-not-a-spec")); !errors.As(err, &me) {
-		t.Errorf("foreign bytes returned %v; want *MagicError", err)
+	if _, _, _, err := DecodeWorldSpec([]byte("nope-not-a-spec")); !wire.IsKind(err, wire.BadMagic) {
+		t.Errorf("foreign bytes returned %v; want a bad-magic *wire.Error", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	gpsshard "gps/internal/shard"
 	"gps/internal/store"
 	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 // World is a worker's deterministic replica of the scanned universe.
@@ -134,8 +135,8 @@ func Serve(lis net.Listener, factory WorldFactory, opts *WorkerOptions) error {
 // on the same connection. The coordinator admits the worker at its next
 // epoch boundary and live-migrates shards onto it. Join returns nil
 // when the coordinator shuts the session down cleanly (including after
-// a drain); a version-skewed coordinator surfaces as a *VersionError,
-// a refused registration as a *RemoteError.
+// a drain); a version-skewed coordinator surfaces as a bad-version
+// *wire.Error, a refused registration as a *RemoteError.
 func Join(addr, id string, factory WorldFactory, opts *WorkerOptions) error {
 	if factory == nil {
 		return fmt.Errorf("transport: Join needs a WorldFactory")
@@ -166,12 +167,11 @@ func Join(addr, id string, factory WorldFactory, opts *WorkerOptions) error {
 	switch typ {
 	case msgJoinOK:
 	case msgError:
-		d := newDec(payload)
-		msg := d.bytes()
-		if d.err != nil {
-			return &DisconnectError{Addr: addr, Err: d.err}
+		msg, err := decodeError(payload)
+		if err != nil {
+			return &DisconnectError{Addr: addr, Err: err}
 		}
-		return &RemoteError{Msg: string(msg)}
+		return &RemoteError{Msg: msg}
 	default:
 		return &DisconnectError{Addr: addr, Err: fmt.Errorf("frame type %d in join reply, want %d", typ, msgJoinOK)}
 	}
@@ -227,7 +227,7 @@ func (s *session) loop(conn net.Conn) error {
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
-			if errors.Is(err, ErrTruncated) {
+			if wire.IsKind(err, wire.Truncated) {
 				return &DisconnectError{Addr: conn.RemoteAddr().String(), Err: err}
 			}
 			return err
@@ -267,9 +267,7 @@ func (s *session) send(conn net.Conn, typ uint8, payload []byte) error {
 // reject reports a request failure to the coordinator; the session
 // continues. Only a conn write failure is returned.
 func (s *session) reject(conn net.Conn, cause error) error {
-	var e enc
-	e.bytes([]byte(cause.Error()))
-	return s.send(conn, msgError, e.payload())
+	return s.send(conn, msgError, encodeError(cause.Error()))
 }
 
 // buildWorld resolves a changed world spec: an existing extendable world
@@ -300,14 +298,9 @@ func (s *session) buildWorld(spec []byte) (w World, err error) {
 // handleSeed stores the session's broadcast seed set: it arrives once
 // per worker, however many of the worker's shards later reference it.
 func (s *session) handleSeed(conn net.Conn, payload []byte) error {
-	d := newDec(payload)
-	blob := d.bytes()
-	if d.err != nil {
-		return s.reject(conn, d.err)
-	}
-	seed, err := store.ReadDatasetBinary(bytes.NewReader(blob))
+	seed, err := decodeSeed(payload)
 	if err != nil {
-		return s.reject(conn, fmt.Errorf("decoding seed dataset: %w", err))
+		return s.reject(conn, err)
 	}
 	s.seed = seed
 	return s.send(conn, msgSeedOK, nil)
@@ -454,11 +447,27 @@ func (s *session) handleState(conn net.Conn, payload []byte) error {
 	return s.send(conn, msgAck, encodeShardAck(sh))
 }
 
-// encodeSeed serializes a seed dataset for broadcast.
+// encodeSeed frames a seed dataset for the msgSeed broadcast: one GPSD
+// blob.
 func encodeSeed(seed *dataset.Dataset) ([]byte, error) {
-	var blob bytes.Buffer
-	if _, err := store.WriteDatasetBinary(&blob, seed); err != nil {
+	var gpsd bytes.Buffer
+	if _, err := store.WriteDatasetBinary(&gpsd, seed); err != nil {
 		return nil, fmt.Errorf("transport: encoding seed set: %w", err)
 	}
-	return blob.Bytes(), nil
+	var e wire.Enc
+	e.Blob(gpsd.Bytes())
+	return e, nil
+}
+
+func decodeSeed(payload []byte) (*dataset.Dataset, error) {
+	d := wire.NewDec(Magic, payload)
+	gpsd := d.Blob(maxFrame)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	seed, err := store.ReadDatasetBinary(bytes.NewReader(gpsd))
+	if err != nil {
+		return nil, fmt.Errorf("decoding seed dataset: %w", err)
+	}
+	return seed, nil
 }

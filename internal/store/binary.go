@@ -1,8 +1,7 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 	"gps/internal/asndb"
 	"gps/internal/dataset"
 	"gps/internal/features"
+	"gps/internal/wire"
 )
 
 // Binary dataset format:
@@ -31,222 +31,120 @@ import (
 const (
 	binaryMagic   = "GPSD"
 	binaryVersion = 1
+
+	maxPorts   = 1 << 16
+	maxString  = 1 << 20
+	maxStrings = 1 << 28
+	maxRecords = 1 << 28
 )
 
 // WriteDatasetBinary writes the dataset in the compact binary format and
 // returns the number of bytes written.
 func WriteDatasetBinary(w io.Writer, d *dataset.Dataset) (uint64, error) {
-	cw := &CountingWriter{W: w}
-	bw := bufio.NewWriter(cw)
+	var e wire.Enc
+	e.Header(binaryMagic, binaryVersion)
+	e.Str(d.Name)
+	e.Uvarint(d.SpaceSize)
+	e.Uvarint(d.CollectionProbes)
+	e.U64(math.Float64bits(d.SampleFraction))
 
-	bw.WriteString(binaryMagic)
-	bw.WriteByte(binaryVersion)
-	writeUvarint(bw, uint64(len(d.Name)))
-	bw.WriteString(d.Name)
-	writeUvarint(bw, d.SpaceSize)
-	writeUvarint(bw, d.CollectionProbes)
-	var f8 [8]byte
-	binary.BigEndian.PutUint64(f8[:], math.Float64bits(d.SampleFraction))
-	bw.Write(f8[:])
-
-	writeUvarint(bw, uint64(len(d.Ports)))
+	e.Uvarint(uint64(len(d.Ports)))
 	prev := uint64(0)
 	for _, p := range d.Ports {
-		writeUvarint(bw, uint64(p)-prev)
+		e.Uvarint(uint64(p) - prev)
 		prev = uint64(p)
 	}
 
-	// Build the string table.
+	// The string table goes first on the wire but is only known once
+	// every record's features are interned, so the records are encoded
+	// to the side and appended after it.
 	index := make(map[string]uint64)
-	var table []string
-	intern := func(s string) uint64 {
-		if id, ok := index[s]; ok {
-			return id
+	var table, recs wire.Enc
+	recs.Uvarint(uint64(len(d.Records)))
+	for _, r := range d.Records {
+		recs.U32(uint32(r.IP))
+		recs.U16(r.Port)
+		recs.U8(uint8(r.Proto))
+		recs.Uvarint(uint64(r.ASN))
+		recs.U8(r.TTL)
+		feats := r.Feats.Values()
+		recs.U8(uint8(len(feats)))
+		for _, v := range feats {
+			id, ok := index[v.Val]
+			if !ok {
+				id = uint64(len(index))
+				index[v.Val] = id
+				table.Str(v.Val)
+			}
+			recs.U8(uint8(v.Key))
+			recs.Uvarint(id)
 		}
-		id := uint64(len(table))
-		index[s] = id
-		table = append(table, s)
-		return id
 	}
-	type featRef struct {
-		key features.Key
-		id  uint64
-	}
-	featRefs := make([][]featRef, len(d.Records))
-	for i, r := range d.Records {
-		for _, v := range r.Feats.Values() {
-			featRefs[i] = append(featRefs[i], featRef{key: v.Key, id: intern(v.Val)})
-		}
-	}
-	writeUvarint(bw, uint64(len(table)))
-	for _, s := range table {
-		writeUvarint(bw, uint64(len(s)))
-		bw.WriteString(s)
-	}
+	e.Uvarint(uint64(len(index)))
+	e = append(append(e, table...), recs...)
 
-	writeUvarint(bw, uint64(len(d.Records)))
-	var u4 [4]byte
-	var u2 [2]byte
-	for i, r := range d.Records {
-		binary.BigEndian.PutUint32(u4[:], uint32(r.IP))
-		bw.Write(u4[:])
-		binary.BigEndian.PutUint16(u2[:], r.Port)
-		bw.Write(u2[:])
-		bw.WriteByte(byte(r.Proto))
-		writeUvarint(bw, uint64(r.ASN))
-		bw.WriteByte(r.TTL)
-		bw.WriteByte(byte(len(featRefs[i])))
-		for _, fr := range featRefs[i] {
-			bw.WriteByte(byte(fr.key))
-			writeUvarint(bw, fr.id)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.N, err
-	}
-	return cw.N, nil
+	n, err := w.Write(e)
+	return uint64(n), err
 }
 
-// ReadDatasetBinary parses WriteDatasetBinary output.
+// ReadDatasetBinary parses WriteDatasetBinary output. Malformed input is
+// a *wire.Error with Format "GPSD".
 func ReadDatasetBinary(r io.Reader) (*dataset.Dataset, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("store: bad magic %q", magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != binaryVersion {
-		return nil, fmt.Errorf("store: unsupported version %d", ver)
-	}
-
+	dec := wire.NewReader(binaryMagic, r)
+	dec.At("header", -1)
+	dec.Header(binaryMagic, binaryVersion)
 	d := &dataset.Dataset{}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	d.Name = string(name)
-	if d.SpaceSize, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
-	}
-	if d.CollectionProbes, err = binary.ReadUvarint(br); err != nil {
-		return nil, err
-	}
-	var f8 [8]byte
-	if _, err := io.ReadFull(br, f8[:]); err != nil {
-		return nil, err
-	}
-	d.SampleFraction = math.Float64frombits(binary.BigEndian.Uint64(f8[:]))
+	d.Name = dec.Str(maxString)
+	d.SpaceSize = dec.Uvarint()
+	d.CollectionProbes = dec.Uvarint()
+	d.SampleFraction = math.Float64frombits(dec.U64())
 
-	nPorts, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nPorts > 65536 {
-		return nil, fmt.Errorf("store: implausible port count %d", nPorts)
-	}
 	prev := uint64(0)
-	for i := uint64(0); i < nPorts; i++ {
-		delta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prev += delta
+	for i, n := 0, dec.Count(dec.Uvarint(), maxPorts); i < n && dec.Err() == nil; i++ {
+		dec.At("port", i)
+		prev += dec.Uvarint()
 		if prev > 65535 {
-			return nil, fmt.Errorf("store: port overflow")
+			dec.Fail(wire.Implausible, errors.New("port overflow"))
 		}
 		d.Ports = append(d.Ports, uint16(prev))
 	}
 
-	nStrings, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	table := make([]string, nStrings)
-	for i := range table {
-		slen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if slen > 1<<20 {
-			return nil, fmt.Errorf("store: implausible string length %d", slen)
-		}
-		buf := make([]byte, slen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		table[i] = string(buf)
+	// Counts size nothing up front: a few hostile bytes may declare any
+	// count under the cap, so slices grow as elements prove to exist.
+	dec.At("string table", -1)
+	var table []string
+	for i, n := 0, dec.Count(dec.Uvarint(), maxStrings); i < n && dec.Err() == nil; i++ {
+		dec.At("string", i)
+		table = append(table, dec.Str(maxString))
 	}
 
-	nRecords, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	d.Records = make([]dataset.Record, 0, nRecords)
-	var u4 [4]byte
-	var u2 [2]byte
-	for i := uint64(0); i < nRecords; i++ {
-		var rec dataset.Record
-		if _, err := io.ReadFull(br, u4[:]); err != nil {
-			return nil, err
+	dec.At("records", -1)
+	nRecords := dec.Count(dec.Uvarint(), maxRecords)
+	d.Records = make([]dataset.Record, 0, min(nRecords, 1<<16))
+	for i := 0; i < nRecords && dec.Err() == nil; i++ {
+		dec.At("record", i)
+		rec := dataset.Record{
+			IP:    asndb.IP(dec.U32()),
+			Port:  dec.U16(),
+			Proto: features.Protocol(dec.U8()),
+			ASN:   asndb.ASN(dec.Uvarint()),
+			TTL:   dec.U8(),
 		}
-		rec.IP = asndb.IP(binary.BigEndian.Uint32(u4[:]))
-		if _, err := io.ReadFull(br, u2[:]); err != nil {
-			return nil, err
-		}
-		rec.Port = binary.BigEndian.Uint16(u2[:])
-		proto, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		rec.Proto = features.Protocol(proto)
-		asn, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		rec.ASN = asndb.ASN(asn)
-		ttl, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		rec.TTL = ttl
-		nf, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if nf > 0 {
+		if nf := int(dec.U8()); nf > 0 {
 			rec.Feats = make(features.Set, nf)
-			for j := 0; j < int(nf); j++ {
-				key, err := br.ReadByte()
-				if err != nil {
-					return nil, err
-				}
-				id, err := binary.ReadUvarint(br)
-				if err != nil {
-					return nil, err
-				}
+			for j := 0; j < nf && dec.Err() == nil; j++ {
+				key, id := features.Key(dec.U8()), dec.Uvarint()
 				if id >= uint64(len(table)) {
-					return nil, fmt.Errorf("store: string index %d out of range", id)
+					dec.Fail(wire.Implausible, fmt.Errorf("string index %d of %d", id, len(table)))
+					break
 				}
-				rec.Feats[features.Key(key)] = table[id]
+				rec.Feats[key] = table[id]
 			}
 		}
 		d.Records = append(d.Records, rec)
 	}
+	if err := dec.Done(); err != nil {
+		return nil, err
+	}
 	return d, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
 }

@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"time"
+
+	"gps/internal/wire"
 )
 
 // Wire encoding for trace context and span batches. These ride as
@@ -14,15 +12,14 @@ import (
 // tracing simply ignores the extra bytes, and a new peer treats their
 // absence as "no trace". Nothing here bumps the wire version.
 
-// ErrBadSpanBatch reports a span batch that failed to decode.
-var ErrBadSpanBatch = errors.New("trace: malformed span batch")
-
 // AppendContext appends a span context to buf as two uvarints
 // (trace id, span id). Appending the zero context is allowed and
 // decodes back to zero.
 func AppendContext(buf []byte, ctx SpanContext) []byte {
-	buf = binary.AppendUvarint(buf, ctx.TraceID)
-	return binary.AppendUvarint(buf, ctx.SpanID)
+	e := wire.Enc(buf)
+	e.Uvarint(ctx.TraceID)
+	e.Uvarint(ctx.SpanID)
+	return e
 }
 
 // ReadContext decodes a span context produced by AppendContext from
@@ -30,24 +27,25 @@ func AppendContext(buf []byte, ctx SpanContext) []byte {
 // yields the zero context — trace context is best-effort metadata and
 // must never fail a frame.
 func ReadContext(buf []byte) (SpanContext, []byte) {
-	tid, n := binary.Uvarint(buf)
-	if n <= 0 {
+	d := wire.NewDec("trace context", buf)
+	ctx := SpanContext{TraceID: d.Uvarint(), SpanID: d.Uvarint()}
+	if d.Err() != nil {
 		return SpanContext{}, nil
 	}
-	buf = buf[n:]
-	sid, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return SpanContext{}, nil
-	}
-	return SpanContext{TraceID: tid, SpanID: sid}, buf[n:]
+	return ctx, d.Rest()
 }
 
-// maxWireSpans bounds a decoded batch so a corrupt length prefix
-// cannot balloon allocation. An epoch ships ~1 span per phase per
-// shard; 4096 is orders of magnitude above any honest batch.
-const maxWireSpans = 4096
-
-const maxWireString = 1 << 16
+const (
+	// spanFormat names the span batch in decode errors; the batch has no
+	// magic of its own, it rides inside a GPST epoch result.
+	spanFormat = "trace spans"
+	// maxWireSpans bounds a decoded batch (and one span's attributes) so
+	// a corrupt count cannot balloon allocation. An epoch ships ~1 span
+	// per phase per shard; 4096 is orders of magnitude above any honest
+	// batch.
+	maxWireSpans  = 4096
+	maxWireString = 1 << 16
+)
 
 // EncodeSpans serializes a span batch for shipping across the wire
 // (worker → coordinator on an epoch result). Returns nil for an empty
@@ -56,105 +54,52 @@ func EncodeSpans(recs []SpanRecord) []byte {
 	if len(recs) == 0 {
 		return nil
 	}
-	var b []byte
-	b = binary.AppendUvarint(b, uint64(len(recs)))
+	var e wire.Enc
+	e.Uvarint(uint64(len(recs)))
 	for _, r := range recs {
-		b = binary.AppendUvarint(b, r.TraceID)
-		b = binary.AppendUvarint(b, r.SpanID)
-		b = binary.AppendUvarint(b, r.Parent)
-		b = appendWireString(b, r.Name)
-		b = appendWireString(b, r.Proc)
-		b = binary.AppendVarint(b, r.Start.UnixNano())
-		b = binary.AppendUvarint(b, uint64(r.Duration))
-		b = binary.AppendUvarint(b, uint64(len(r.Attrs)))
+		e.Uvarint(r.TraceID)
+		e.Uvarint(r.SpanID)
+		e.Uvarint(r.Parent)
+		e.Str(r.Name)
+		e.Str(r.Proc)
+		e.Varint(r.Start.UnixNano())
+		e.Uvarint(uint64(r.Duration))
+		e.Uvarint(uint64(len(r.Attrs)))
 		for _, a := range r.Attrs {
-			b = appendWireString(b, a.Key)
-			b = appendWireString(b, a.Value)
+			e.Str(a.Key)
+			e.Str(a.Value)
 		}
 	}
-	return b
+	return e
 }
 
-// DecodeSpans parses a batch produced by EncodeSpans.
+// DecodeSpans parses a batch produced by EncodeSpans. Malformed input is
+// a *wire.Error carrying the index of the span it broke in.
 func DecodeSpans(buf []byte) ([]SpanRecord, error) {
-	r := bytes.NewReader(buf)
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrBadSpanBatch, err)
-	}
-	if n > maxWireSpans {
-		return nil, fmt.Errorf("%w: %d spans exceeds limit %d", ErrBadSpanBatch, n, maxWireSpans)
-	}
+	d := wire.NewDec(spanFormat, buf)
+	n := d.Count(d.Uvarint(), maxWireSpans)
 	recs := make([]SpanRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var rec SpanRecord
-		if rec.TraceID, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("%w: span %d trace id", ErrBadSpanBatch, i)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.At("span", i)
+		rec := SpanRecord{
+			TraceID:  d.Uvarint(),
+			SpanID:   d.Uvarint(),
+			Parent:   d.Uvarint(),
+			Name:     d.Str(maxWireString),
+			Proc:     d.Str(maxWireString),
+			Start:    time.Unix(0, d.Varint()),
+			Duration: time.Duration(d.Uvarint()),
 		}
-		if rec.SpanID, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("%w: span %d span id", ErrBadSpanBatch, i)
-		}
-		if rec.Parent, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("%w: span %d parent", ErrBadSpanBatch, i)
-		}
-		if rec.Name, err = readWireString(r); err != nil {
-			return nil, fmt.Errorf("%w: span %d name", ErrBadSpanBatch, i)
-		}
-		if rec.Proc, err = readWireString(r); err != nil {
-			return nil, fmt.Errorf("%w: span %d proc", ErrBadSpanBatch, i)
-		}
-		startNS, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: span %d start", ErrBadSpanBatch, i)
-		}
-		rec.Start = time.Unix(0, startNS)
-		dur, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: span %d duration", ErrBadSpanBatch, i)
-		}
-		rec.Duration = time.Duration(dur)
-		na, err := binary.ReadUvarint(r)
-		if err != nil || na > maxWireSpans {
-			return nil, fmt.Errorf("%w: span %d attr count", ErrBadSpanBatch, i)
-		}
-		if na > 0 {
+		if na := d.Count(d.Uvarint(), maxWireSpans); na > 0 {
 			rec.Attrs = make([]Attr, 0, na)
-			for j := uint64(0); j < na; j++ {
-				k, err := readWireString(r)
-				if err != nil {
-					return nil, fmt.Errorf("%w: span %d attr key", ErrBadSpanBatch, i)
-				}
-				v, err := readWireString(r)
-				if err != nil {
-					return nil, fmt.Errorf("%w: span %d attr value", ErrBadSpanBatch, i)
-				}
-				rec.Attrs = append(rec.Attrs, Attr{Key: k, Value: v})
+			for j := 0; j < na && d.Err() == nil; j++ {
+				rec.Attrs = append(rec.Attrs, Attr{Key: d.Str(maxWireString), Value: d.Str(maxWireString)})
 			}
 		}
 		recs = append(recs, rec)
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
 	return recs, nil
-}
-
-func appendWireString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readWireString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxWireString {
-		return "", fmt.Errorf("string length %d exceeds limit", n)
-	}
-	if uint64(r.Len()) < n {
-		return "", errors.New("truncated string")
-	}
-	buf := make([]byte, n)
-	if _, err := r.Read(buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
