@@ -374,8 +374,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 }
 
 // BenchmarkServeQuery measures the read path under fire: query latency
-// through the full HTTP handler (routing, snapshot load, page copy, JSON
-// render, cache) while a committer goroutine keeps swapping fresh
+// through the full HTTP handler (routing, snapshot load, in-place JSON
+// render) while a committer goroutine keeps swapping fresh
 // snapshots in — the serving claim is precisely that commits never stall
 // readers, so the tail latencies are reported alongside the mean.
 func BenchmarkServeQuery(b *testing.B) {

@@ -195,9 +195,9 @@ func TestCheckpointStaleTmpIgnored(t *testing.T) {
 	}
 }
 
-// TestRebalanceCheckpointRoundTrip drives the -rebalance machinery at the
-// file level: split doubles the recorded shard count, join restores it,
-// and the final bytes equal the original — the "no rescan" contract.
+// TestRebalanceCheckpointRoundTrip drives the `gpsd rebalance` machinery at
+// the file level: split doubles the recorded shard count, join restores
+// it, and the final bytes equal the original — the "no rescan" contract.
 func TestRebalanceCheckpointRoundTrip(t *testing.T) {
 	states := testStates(t, 2)
 	path := filepath.Join(t.TempDir(), "gpsd.ckpt")

@@ -2,73 +2,91 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestSubcommandAliasEquivalence pins the CLI migration contract: every
-// deprecated mode flag and its subcommand spelling must parse to the
-// exact same daemonFlags, and only the deprecated spelling prints a
-// migration hint.
+// TestSubcommandAliasEquivalence pins the end of the CLI migration. The
+// pre-subcommand mode flags (-worker, -coordinator, -replica, -watch,
+// -serve-file, -rebalance) are gone: each old spelling is an unknown-flag
+// error, reported on the writer parseArgs was given. Each subcommand
+// still parses, silently, to exactly the configuration its alias used to
+// select — the defaults plus the fields listed here.
 func TestSubcommandAliasEquivalence(t *testing.T) {
+	defaults, err := parseArgs(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name       string
-		deprecated []string
+		removed    []string // the old spelling
+		flag       string   // the flag it falls over
 		subcommand []string
+		want       func(f *daemonFlags)
 	}{
 		{
 			"worker",
-			[]string{"-worker", "-listen", "127.0.0.1:0"},
+			[]string{"-worker", "-listen", "127.0.0.1:0"}, "-worker",
 			[]string{"worker", "-listen", "127.0.0.1:0"},
+			func(f *daemonFlags) { f.workerMode, f.listen = true, "127.0.0.1:0" },
 		},
 		{
 			"coordinator",
-			[]string{"-coordinator", "-workers", "a:1,b:2", "-shards", "4"},
+			[]string{"-coordinator", "-workers", "a:1,b:2", "-shards", "4"}, "-coordinator",
 			[]string{"coordinator", "-workers", "a:1,b:2", "-shards", "4"},
+			func(f *daemonFlags) { f.coordinator, f.workers, f.shards = true, "a:1,b:2", 4 },
 		},
 		{
 			"replica",
-			[]string{"-replica", "-upstream", "o:9", "-serve", "127.0.0.1:0"},
+			[]string{"-replica", "-upstream", "o:9", "-serve", "127.0.0.1:0"}, "-replica",
 			[]string{"replica", "-upstream", "o:9", "-serve", "127.0.0.1:0"},
+			func(f *daemonFlags) { f.replicaMode, f.upstream, f.serve = true, "o:9", "127.0.0.1:0" },
 		},
 		{
 			"watch",
-			[]string{"-watch", "http://o/v1/watch", "-epochs", "3"},
+			[]string{"-watch", "http://o/v1/watch", "-epochs", "3"}, "-watch",
 			[]string{"watch", "http://o/v1/watch", "-epochs", "3"},
+			func(f *daemonFlags) { f.watchURL, f.epochs = "http://o/v1/watch", 3 },
 		},
 		{
 			"watch operand after flags",
-			[]string{"-watch", "http://o/v1/watch", "-epochs", "3"},
+			[]string{"-epochs", "3", "-watch", "http://o/v1/watch"}, "-watch",
 			[]string{"watch", "-epochs", "3", "http://o/v1/watch"},
+			func(f *daemonFlags) { f.watchURL, f.epochs = "http://o/v1/watch", 3 },
 		},
 		{
 			"serve",
-			[]string{"-serve-file", "inv.gpsv", "-serve", "127.0.0.1:0"},
+			[]string{"-serve-file", "inv.gpsv", "-serve", "127.0.0.1:0"}, "-serve-file",
 			[]string{"serve", "inv.gpsv", "-serve", "127.0.0.1:0"},
+			func(f *daemonFlags) { f.serveFile, f.serve = "inv.gpsv", "127.0.0.1:0" },
 		},
 		{
 			"rebalance",
-			[]string{"-rebalance", "split", "-checkpoint", "c.ckpt"},
+			[]string{"-rebalance", "split", "-checkpoint", "c.ckpt"}, "-rebalance",
 			[]string{"rebalance", "split", "-checkpoint", "c.ckpt"},
+			func(f *daemonFlags) { f.rebalance, f.checkpoint = "split", "c.ckpt" },
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var oldErr, newErr bytes.Buffer
-			viaFlag, err := parseArgs(tc.deprecated, &oldErr)
-			if err != nil {
-				t.Fatalf("deprecated form: %v", err)
+			unknown := "flag provided but not defined: " + tc.flag
+			if _, err := parseArgs(tc.removed, &oldErr); err == nil || err.Error() != unknown {
+				t.Errorf("removed spelling %v: err = %v; want %q", tc.removed, err, unknown)
 			}
-			viaSub, err := parseArgs(tc.subcommand, &newErr)
+			if !strings.Contains(oldErr.String(), unknown) {
+				t.Errorf("removed spelling printed %q; want it to name the flag", oldErr.String())
+			}
+			got, err := parseArgs(tc.subcommand, &newErr)
 			if err != nil {
 				t.Fatalf("subcommand form: %v", err)
 			}
-			if !reflect.DeepEqual(viaFlag, viaSub) {
-				t.Errorf("parse mismatch:\n flag form: %+v\n subcommand: %+v", viaFlag, viaSub)
-			}
-			if !strings.Contains(oldErr.String(), "deprecated") {
-				t.Errorf("deprecated form printed no hint: %q", oldErr.String())
+			want := defaults
+			tc.want(&want)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("parse mismatch:\n got: %+v\nwant: %+v", got, want)
 			}
 			if newErr.String() != "" {
 				t.Errorf("subcommand form printed: %q", newErr.String())

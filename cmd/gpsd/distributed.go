@@ -241,7 +241,7 @@ func saveShardCheckpoints(dir string, states []*gps.ContinuousState) error {
 // join keeps the lower half's.
 func runRebalance(f daemonFlags) int {
 	if f.checkpoint == "" {
-		mainLog.Errorf("-rebalance needs -checkpoint FILE")
+		mainLog.Errorf("gpsd rebalance needs -checkpoint FILE")
 		return 2
 	}
 	world, topo, states, err := readCheckpointFile(f.checkpoint)
@@ -266,7 +266,7 @@ func runRebalance(f daemonFlags) int {
 		topo.Assign = topo.Assign[:len(topo.Assign)/2]
 		world.Shards /= 2
 	default:
-		mainLog.Errorf("-rebalance %q: want 'split' or 'join'", f.rebalance)
+		mainLog.Errorf("gpsd rebalance %q: want 'split' or 'join'", f.rebalance)
 		return 2
 	}
 	if err := saveCheckpoint(f.checkpoint, world, topo, states); err != nil {

@@ -12,8 +12,8 @@ import (
 
 // TestLogRouting pins the structured logger's stream contract: epoch
 // progress and other info-level lines go to the stdout writer, warnings
-// (empty shards, the deprecated-flag hint) to the stderr writer, and
-// every line carries the component and level fields.
+// (empty shards) to the stderr writer, and every line carries the
+// component and level fields.
 func TestLogRouting(t *testing.T) {
 	var out, errw bytes.Buffer
 	prevOut, prevErr := gps.SetLogOutput(&out, &errw)
@@ -40,47 +40,24 @@ func TestLogRouting(t *testing.T) {
 	}
 }
 
-// TestDeprecatedHintIsStructuredWarning: the migration hint rides the
-// structured logger at warn level, into the stderr writer parseArgs was
-// given — never the process-wide streams.
-func TestDeprecatedHintIsStructuredWarning(t *testing.T) {
-	var out, errw bytes.Buffer
-	prevOut, prevErr := gps.SetLogOutput(&out, &errw)
-	defer gps.SetLogOutput(prevOut, prevErr)
-
-	var hint bytes.Buffer
-	if _, err := parseArgs([]string{"-worker", "-listen", "127.0.0.1:0"}, &hint); err != nil {
-		t.Fatal(err)
-	}
-	h := hint.String()
-	for _, want := range []string{"level=warn", "component=gpsd", "deprecated"} {
-		if !strings.Contains(h, want) {
-			t.Errorf("hint missing %q: %q", want, h)
-		}
-	}
-	if out.Len() != 0 || errw.Len() != 0 {
-		t.Errorf("hint leaked to process-wide writers: out=%q err=%q", out.String(), errw.String())
-	}
-}
-
 // TestLogJSONFlag: -log-json switches the stream to one JSON object per
-// line, applied during parseArgs so even the first line obeys it.
+// line, applied during parseArgs so the first line after it obeys it.
 func TestLogJSONFlag(t *testing.T) {
 	defer gps.SetLogJSON(false)
 	var out, errw bytes.Buffer
 	prevOut, prevErr := gps.SetLogOutput(&out, &errw)
 	defer gps.SetLogOutput(prevOut, prevErr)
 
-	var hint bytes.Buffer
-	if _, err := parseArgs([]string{"-log-json", "-worker", "-listen", "127.0.0.1:0"}, &hint); err != nil {
+	if _, err := parseArgs([]string{"worker", "-log-json", "-listen", "127.0.0.1:0"}, &errw); err != nil {
 		t.Fatal(err)
 	}
+	warnEmptyShards([]int{2}, false)
 	var obj map[string]any
-	if err := json.Unmarshal(hint.Bytes(), &obj); err != nil {
-		t.Fatalf("hint is not JSON under -log-json: %q (%v)", hint.String(), err)
+	if err := json.Unmarshal(errw.Bytes(), &obj); err != nil {
+		t.Fatalf("warning is not JSON under -log-json: %q (%v)", errw.String(), err)
 	}
 	if obj["level"] != "warn" || obj["component"] != "gpsd" {
-		t.Errorf("hint JSON fields = %v", obj)
+		t.Errorf("warning JSON fields = %v", obj)
 	}
 
 	logEpoch(gps.EpochStats{Epoch: 7}, time.Millisecond)

@@ -12,12 +12,12 @@
 // in-process model of the paper's horizontal scale-out claim (§5.5).
 //
 // The same split also runs across processes and hosts. A worker process
-// (-worker -listen addr) serves shard epochs over the GPS shard
-// transport; a coordinator (-coordinator -workers addr,addr,...) dials
-// the fleet, broadcasts the seed and the world spec, assigns shards
+// (gpsd worker -listen addr) serves shard epochs over the GPS shard
+// transport; a coordinator (gpsd coordinator -workers addr,addr,...)
+// dials the fleet, broadcasts the seed and the world spec, assigns shards
 // round-robin, and folds the streamed per-epoch results into the same
 // merged view — byte-identical to the in-process run, which CI enforces.
-// -rebalance split|join doubles or halves a checkpoint's shard count
+// gpsd rebalance split|join doubles or halves a checkpoint's shard count
 // without a rescan, so a fleet can grow or shrink between runs.
 //
 // Each epoch the daemon advances the synthetic universe one churn step
@@ -32,19 +32,19 @@
 // API (internal/serve) on ADDR, in both single-process and coordinator
 // modes: at each epoch commit the merged inventory is indexed into an
 // immutable snapshot and swapped in atomically, so readers query the
-// last committed epoch without ever blocking the scan loop. With
-// -serve-file FILE the daemon is pure read path: it loads a GPSV
-// inventory file (-inventory output) and serves it until SIGINT/SIGTERM.
+// last committed epoch without ever blocking the scan loop. gpsd serve
+// FILE is pure read path: it loads a GPSV inventory file (-inventory
+// output) and serves it until SIGINT/SIGTERM.
 //
 // A serving daemon is also a replication origin: every commit is diffed
 // into a per-epoch delta (adds/updates/removes), retained in a bounded
 // history (-feed-history) behind GET /v1/watch, and — with -feed ADDR —
 // streamed to read replicas over the shard transport. A replica
-// (gpsd -replica -upstream ADDR -serve ADDR) bootstraps from a full
+// (gpsd replica -upstream ADDR -serve ADDR) bootstraps from a full
 // snapshot frame, applies deltas as epochs commit, and serves the whole
 // /v1 API with responses byte-identical to the origin's; it can chain
 // (-feed on a replica re-exports the stream) and re-bootstraps by itself
-// when it falls behind the origin's retained history. gpsd -watch URL is
+// when it falls behind the origin's retained history. gpsd watch URL is
 // the standalone feed consumer: it follows /v1/watch, folds events into
 // a local inventory, and can persist it as a GPSV file.
 //
@@ -75,10 +75,6 @@
 //	gpsd [flags] -serve ADDR [-feed ADDR] [-feed-history N]
 //	gpsd replica -upstream ADDR -serve ADDR [-feed ADDR]
 //	gpsd watch URL [-epochs N] [-inventory FILE]
-//
-// The pre-subcommand spellings (-worker, -coordinator, -replica,
-// -watch URL, -serve-file FILE, -rebalance MODE) keep working as
-// deprecated aliases; each prints a one-line migration hint.
 //
 // -epochs 0 runs until SIGINT/SIGTERM; the daemon always finishes the
 // epoch in flight before exiting, then flushes a final checkpoint and
@@ -147,8 +143,7 @@ type daemonFlags struct {
 }
 
 // registerFlags binds every gpsd flag onto fs. One shared set serves
-// all modes: the subcommand (or deprecated mode flag) decides which
-// subset matters.
+// all modes: the subcommand decides which subset matters.
 func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 	fs.Int64Var(&f.seed, "seed", 42, "generator seed; also drives per-epoch churn")
 	fs.IntVar(&f.prefixes, "prefixes", 16, "announced /16 blocks in the universe")
@@ -166,28 +161,22 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 	fs.BoolVar(&f.exact, "exact-counts", false, "account exact per-shard prefix-scan probe counts instead of the ideal 1/N share")
 
 	fs.BoolVar(&f.logJSON, "log-json", false, "emit every log line as one JSON object instead of key=value text")
-	fs.BoolVar(&f.workerMode, "worker", false, "deprecated alias of the 'worker' subcommand")
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:7600", "worker mode: address to listen on")
 	fs.StringVar(&f.joinAddr, "join", "", "worker mode: join the running coordinator at this -cluster address instead of listening")
 	fs.StringVar(&f.workerName, "name", "", "worker mode with -join: worker id to register as (default: coordinator assigns the remote address)")
 	fs.BoolVar(&f.leave, "leave", false, "worker mode with -join: on SIGINT/SIGTERM, drain shards back to the fleet before exiting")
-	fs.BoolVar(&f.coordinator, "coordinator", false, "deprecated alias of the 'coordinator' subcommand")
 	fs.StringVar(&f.workers, "workers", "", "coordinator mode: comma-separated worker addresses")
 	fs.StringVar(&f.cluster, "cluster", "", "coordinator mode: accept joining workers on this address (gpsd worker -join)")
 	fs.BoolVar(&f.admin, "admin", false, "enable mutating /v1/cluster endpoints on -serve (default: read-only)")
 	fs.Float64Var(&f.rebalFactor, "rebalance-factor", 0, "coordinator mode: migrate a shard off a worker whose epoch-latency EWMA exceeds the cluster median by this factor (0 = off)")
 	fs.DurationVar(&f.rpcTimeout, "rpc-timeout", 2*time.Minute, "coordinator mode: per-RPC deadline (turns a wedged worker into an error)")
 	fs.StringVar(&f.shardCkpts, "shard-checkpoints", "", "coordinator mode: also write per-shard checkpoints into this directory each epoch")
-	fs.StringVar(&f.rebalance, "rebalance", "", "deprecated alias of the 'rebalance' subcommand: 'split' doubles -checkpoint's shard count, 'join' halves it")
 	fs.StringVar(&f.serve, "serve", "", "serve the inventory query API on this address (e.g. 127.0.0.1:7080) alongside the daemon")
-	fs.StringVar(&f.serveFile, "serve-file", "", "deprecated alias of the 'serve' subcommand: serve this GPSV inventory file on -serve")
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /v1/metricz, /v1/healthz, and /debug/pprof on this address, in every mode")
 
 	fs.StringVar(&f.feedAddr, "feed", "", "serve the replication feed on this address (requires -serve); replicas subscribe here")
 	fs.IntVar(&f.feedHistory, "feed-history", 0, "epoch deltas to retain for replicas and /v1/watch (0 = default depth)")
-	fs.BoolVar(&f.replicaMode, "replica", false, "deprecated alias of the 'replica' subcommand")
 	fs.StringVar(&f.upstream, "upstream", "", "replica mode: origin feed address (the origin's -feed)")
-	fs.StringVar(&f.watchURL, "watch", "", "deprecated alias of the 'watch' subcommand: follow this /v1/watch URL")
 }
 
 // mainLog is the daemon's structured logger: every line carries
@@ -196,25 +185,11 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 // to stdout, warnings and errors to stderr.
 var mainLog = gps.NewLogger("gpsd")
 
-// deprecatedFlags maps each pre-subcommand mode flag to the spelling
-// that replaces it. Using one prints a single migration hint; behavior
-// is unchanged, and the alias test pins flag and subcommand to the same
-// parsed configuration.
-var deprecatedFlags = map[string]string{
-	"worker":      "gpsd worker",
-	"coordinator": "gpsd coordinator",
-	"replica":     "gpsd replica",
-	"watch":       "gpsd watch URL",
-	"serve-file":  "gpsd serve FILE",
-	"rebalance":   "gpsd rebalance split|join",
-}
-
 // parseArgs turns a gpsd command line into a daemonFlags. The first
 // argument may be a subcommand (worker, coordinator, replica, watch,
 // serve, rebalance); watch/serve/rebalance take one positional operand,
 // accepted either right after the subcommand or after the flags.
-// Everything else parses through the shared flag set, so a subcommand
-// and its deprecated flag spelling resolve to identical configurations.
+// Everything else parses through the shared flag set.
 func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
 	var f daemonFlags
 	fs := flag.NewFlagSet("gpsd", flag.ContinueOnError)
@@ -258,15 +233,9 @@ func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
 		f.rebalance = operand
 	}
 	// Structured logging is live from this point on: the JSON switch is
-	// applied before the first line (the deprecation hint below) so a
-	// log shipper never sees a mixed stream.
+	// applied before the first line so a log shipper never sees a mixed
+	// stream.
 	gps.SetLogJSON(f.logJSON)
-	hintLog := mainLog.Output(nil, stderr)
-	fs.Visit(func(fl *flag.Flag) {
-		if repl, ok := deprecatedFlags[fl.Name]; ok {
-			hintLog.Warnf("-%s is deprecated; use `%s` (same behavior)", fl.Name, repl)
-		}
-	})
 	return f, nil
 }
 

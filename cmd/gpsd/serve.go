@@ -24,7 +24,7 @@ var serveLog = gps.NewLogger("serve")
 type inventoryServer struct {
 	addr string
 	pub  *gps.InventoryPublisher
-	feed *gps.InventoryFeed // change feed behind /v1/watch and -feed; nil on the -serve-file path
+	feed *gps.InventoryFeed // change feed behind /v1/watch and -feed; nil on the `gpsd serve FILE` path
 	srv  *http.Server
 
 	feedLis  net.Listener

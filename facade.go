@@ -295,7 +295,7 @@ func WriteShardInventory(w io.Writer, inv map[ServiceKey]*KnownService) error {
 }
 
 // ReadShardInventory parses WriteShardInventory output back into a
-// merged inventory: the serving artifact gpsd -serve-file loads.
+// merged inventory: the serving artifact `gpsd serve FILE` loads.
 // Malformed input is a *WireError with Format "GPSV".
 func ReadShardInventory(r io.Reader) (map[ServiceKey]*KnownService, error) {
 	return shard.ReadInventory(r)
@@ -329,7 +329,8 @@ type InventoryPublisher = serve.Publisher
 
 // InventoryServer is the HTTP query API (/v1/host, /v1/port, /v1/asn,
 // /v1/prefix, /v1/ports, /v1/stats, /v1/healthz) over a publisher, with
-// pagination, epoch-keyed ETags, and a bounded query cache.
+// pagination and epoch-keyed ETags; every response is a pure function of
+// the snapshot it is served from.
 type InventoryServer = serve.Server
 
 // InventoryStats is a snapshot's precomputed aggregate view.

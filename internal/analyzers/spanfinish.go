@@ -11,12 +11,8 @@ const (
 	telemetryPkgPath = "gps/internal/telemetry"
 )
 
-// finishers maps the span-producing package to the method(s) that
-// retire a span from it.
-var finishers = map[string]map[string]bool{
-	tracePkgPath:     {"Finish": true, "FinishErr": true},
-	telemetryPkgPath: {"End": true},
-}
+// finishers are the methods that retire a trace span.
+var finishers = map[string]bool{"Finish": true, "FinishErr": true}
 
 // ctorNameRe names the contexts where telemetry registration may run:
 // init functions and new*/New* constructors. Everything else is a hot
@@ -34,7 +30,7 @@ Every trace.StartSpan / Tracer.StartSpan result must reach Finish or
 FinishErr in its enclosing function (defer or explicit), be returned,
 stored, or passed on — a dropped span never lands in the flight
 recorder, so the epoch it timed silently vanishes from /v1/tracez
-(PR 9). telemetry.StartSpan results must likewise reach End.
+(PR 9).
 
 Calls that register metrics (Registry.Counter/Gauge/GaugeFunc/
 Histogram/EWMA) may only run in package-level var initializers, init
@@ -48,17 +44,10 @@ func runSpanfinish(pass *Pass) {
 	checkRegistrationSites(pass)
 }
 
-// spanProducer reports which span package a call produces a span for,
-// "" if it is not a span start.
-func spanProducer(info *types.Info, call *ast.CallExpr) string {
+// startsSpan reports whether a call starts a trace span.
+func startsSpan(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != "StartSpan" {
-		return ""
-	}
-	if p := funcPkgPath(fn); p == tracePkgPath || p == telemetryPkgPath {
-		return p
-	}
-	return ""
+	return fn != nil && fn.Name() == "StartSpan" && funcPkgPath(fn) == tracePkgPath
 }
 
 // checkSpanLifecycles walks every function and verifies each started
@@ -73,7 +62,6 @@ func checkSpanLifecycles(pass *Pass) {
 		type tracked struct {
 			obj  types.Object
 			pos  ast.Node
-			pkg  string
 			name string
 		}
 		var spans []tracked
@@ -81,7 +69,7 @@ func checkSpanLifecycles(pass *Pass) {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := st.X.(*ast.CallExpr); ok {
-					if spanProducer(info, call) != "" {
+					if startsSpan(info, call) {
 						pass.Reportf(call.Pos(),
 							"span started and immediately discarded: it can never be finished")
 					}
@@ -92,11 +80,7 @@ func checkSpanLifecycles(pass *Pass) {
 				}
 				for i, rhs := range st.Rhs {
 					call, ok := rhs.(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					pkg := spanProducer(info, call)
-					if pkg == "" {
+					if !ok || !startsSpan(info, call) {
 						continue
 					}
 					id, isIdent := unparen(st.Lhs[i]).(*ast.Ident)
@@ -114,7 +98,7 @@ func checkSpanLifecycles(pass *Pass) {
 						obj = info.Uses[id]
 					}
 					if obj != nil {
-						spans = append(spans, tracked{obj: obj, pos: call, pkg: pkg, name: id.Name})
+						spans = append(spans, tracked{obj: obj, pos: call, name: id.Name})
 					}
 				}
 			}
@@ -124,11 +108,11 @@ func checkSpanLifecycles(pass *Pass) {
 		// finishing call or an escape anywhere in the declaration
 		// (deferred closures included).
 		for _, sp := range spans {
-			if spanRetired(info, decl.Body, sp.obj, finishers[sp.pkg]) {
+			if spanRetired(info, decl.Body, sp.obj) {
 				continue
 			}
 			pass.Reportf(sp.pos.Pos(),
-				"span %s is started but never finished on any path: add a defer %s.Finish() (or FinishErr/End), return it, or hand it off",
+				"span %s is started but never finished on any path: add a defer %s.Finish() (or FinishErr), return it, or hand it off",
 				sp.name, sp.name)
 		}
 	})
@@ -137,7 +121,7 @@ func checkSpanLifecycles(pass *Pass) {
 // spanRetired reports whether obj reaches a finisher method or escapes
 // the function (returned, passed as an argument, stored, or
 // re-assigned) anywhere under body.
-func spanRetired(info *types.Info, body *ast.BlockStmt, obj types.Object, finish map[string]bool) bool {
+func spanRetired(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
 	retired := false
 	var stack []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -160,7 +144,7 @@ func spanRetired(info *types.Info, body *ast.BlockStmt, obj types.Object, finish
 				if p.X == id || containsPos(p.X, id.Pos()) {
 					// sp.Something — a finisher retires it; any other
 					// method (SetAttr, Context) does not.
-					if finish[p.Sel.Name] {
+					if finishers[p.Sel.Name] {
 						retired = true
 					}
 					return !retired

@@ -54,10 +54,4 @@ func handoff(parent trace.SpanContext) {
 
 func consume(sp *trace.Span) { sp.Finish() }
 
-// observeOnce retires a telemetry span through End.
-func observeOnce() {
-	sp := telemetry.StartSpan(hist)
-	defer sp.End()
-}
-
 func work() error { return nil }

@@ -7,8 +7,6 @@ import (
 	"gps/internal/trace"
 )
 
-var hist = telemetry.Default.Histogram("fixture_dirty_seconds", "fixture histogram", nil)
-
 func discarded(parent trace.SpanContext) {
 	trace.StartSpan(parent, "discarded") // want `span started and immediately discarded`
 }
@@ -20,13 +18,6 @@ func blanked(parent trace.SpanContext) {
 func leaked(parent trace.SpanContext) {
 	sp := trace.StartSpan(parent, "leaked") // want `span sp is started but never finished on any path`
 	sp.SetAttr()
-}
-
-func leakedTelemetry() {
-	sp := telemetry.StartSpan(hist) // want `span sp is started but never finished on any path`
-	if sp == (telemetry.Span{}) {
-		return
-	}
 }
 
 // observe registers on every call: the registry lock on a hot path, and

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,7 +71,7 @@ func TestSnapshotSwapConcurrent(t *testing.T) {
 					continue
 				}
 				// Every so often go through the full HTTP path (ETag,
-				// cache, JSON render) instead of the raw snapshot.
+				// JSON render) instead of the raw snapshot.
 				req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 				rr := httptest.NewRecorder()
 				h.ServeHTTP(rr, req)
@@ -111,6 +112,79 @@ func TestSnapshotSwapConcurrent(t *testing.T) {
 	if got := pub.Current().Epoch(); got != epochs && torn.Load() == 0 {
 		t.Errorf("final epoch %d; want %d", got, epochs)
 	}
+}
+
+// TestConcurrentBodiesMatchSnapshot is the purity check under load: 8
+// readers cycle over every endpoint while a committer publishes epoch
+// after epoch, and every 200 must carry exactly the bytes a single
+// goroutine renders from the snapshot the response's ETag names. What a
+// snapshot shares between requests — its once-rendered aggregates —
+// must never show through. Run with -race.
+func TestConcurrentBodiesMatchSnapshot(t *testing.T) {
+	const (
+		epochs  = 40
+		readers = 8
+	)
+	paths := []string{
+		"/v1/stats", "/v1/ports", "/v1/host/10.0.0.1",
+		"/v1/port/80?limit=4", "/v1/port/80?offset=4&limit=1000",
+		"/v1/asn/200", "/v1/prefix/10.1.0.0?limit=7",
+	}
+	fetch := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		return rr
+	}
+
+	// The oracle, rendered before any concurrency starts, from snapshots
+	// of its own: ETag -> path -> body.
+	want := make(map[string]map[string]string)
+	for e := 1; e <= epochs; e++ {
+		var solo Publisher
+		solo.Publish(NewSnapshot(e, testInventory(20+e, e)))
+		h := NewServer(&solo).Handler()
+		bodies := make(map[string]string)
+		for _, p := range paths {
+			bodies[p] = fetch(h, p).Body.String()
+		}
+		want[epochETag(e)] = bodies
+	}
+
+	var pub Publisher
+	h := NewServer(&pub).Handler()
+	var done atomic.Bool
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !done.Load(); i++ {
+				path := paths[i%len(paths)]
+				rr := fetch(h, path)
+				served.Add(1)
+				if rr.Code != http.StatusOK {
+					continue // 503 before the first publish
+				}
+				etag := rr.Header().Get("ETag")
+				if got := rr.Body.String(); got != want[etag][path] {
+					t.Errorf("GET %s at %s:\n got %s\nwant %s", path, etag, got, want[etag][path])
+					return
+				}
+			}
+		}(r)
+	}
+	for e := 1; e <= epochs && !t.Failed(); e++ {
+		pub.Publish(NewSnapshot(e, testInventory(20+e, e)))
+		// Hold each epoch until every reader has been through it a few
+		// times, so requests race both the swap and each other's first
+		// render of the new snapshot.
+		for until := served.Load() + 4*readers; served.Load() < until && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }
 
 // TestReplicaEpochInvariant hammers a replica's three views of "the

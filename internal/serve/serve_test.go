@@ -271,8 +271,8 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// A non-canonical spelling of the same query must serve the exact
-	// bytes of the canonical one (they share a cache entry, so the body
-	// must be a pure function of the parsed values).
+	// bytes of the canonical one (the body is a pure function of the
+	// parsed values, never of the raw path).
 	canon, _ := get(t, h, "/v1/port/80?limit=4", nil)
 	padded, _ := get(t, h, "/v1/port/0080?limit=4", nil)
 	if canon.Body.String() != padded.Body.String() {
@@ -308,14 +308,14 @@ func TestServerEndpoints(t *testing.T) {
 
 // TestServerDeterministicBodies pins the serving contract the distributed
 // CI gate relies on: two servers over equal inventories — whatever
-// publisher or cache state they went through — serve byte-identical list
+// snapshots their publishers held before — serve byte-identical list
 // bodies.
 func TestServerDeterministicBodies(t *testing.T) {
 	inv := testInventory(40, 9)
 	var pubA, pubB Publisher
 	hA, hB := NewServer(&pubA).Handler(), NewServer(&pubB).Handler()
 	pubA.Publish(NewSnapshot(9, inv))
-	pubB.Publish(NewSnapshot(5, testInventory(7, 5))) // warm B's cache on other data
+	pubB.Publish(NewSnapshot(5, testInventory(7, 5))) // B served other data first
 	pubB.Publish(NewSnapshot(9, inv))
 
 	for _, path := range []string{
@@ -324,51 +324,15 @@ func TestServerDeterministicBodies(t *testing.T) {
 	} {
 		rrA, _ := get(t, hA, path, nil)
 		rrB, _ := get(t, hB, path, nil)
-		// Twice against A: the second hit comes from the cache.
+		// Twice against A: /v1/ports renders once per snapshot, and the
+		// second answer is the kept body.
 		rrA2, _ := get(t, hA, path, nil)
 		if rrA.Body.String() != rrB.Body.String() {
 			t.Errorf("GET %s: servers disagree:\n%s\n%s", path, rrA.Body.String(), rrB.Body.String())
 		}
 		if rrA.Body.String() != rrA2.Body.String() {
-			t.Errorf("GET %s: cached body differs from first render", path)
+			t.Errorf("GET %s: second body differs from first render", path)
 		}
-	}
-}
-
-func TestQueryCache(t *testing.T) {
-	c := newQueryCache(2)
-	c.put(1, "a", []byte("A"))
-	c.put(1, "b", []byte("B"))
-	if body, ok := c.get(1, "a"); !ok || string(body) != "A" {
-		t.Fatalf("get a: %q %v", body, ok)
-	}
-	// Capacity 2: inserting c evicts the oldest (a).
-	c.put(1, "c", []byte("C"))
-	if _, ok := c.get(1, "a"); ok {
-		t.Error("a survived FIFO eviction")
-	}
-	if _, ok := c.get(1, "b"); !ok {
-		t.Error("b evicted out of order")
-	}
-	// An epoch bump empties everything.
-	if _, ok := c.get(2, "b"); ok {
-		t.Error("b survived an epoch swap")
-	}
-	// A stale writer (still holding the old snapshot) must not poison
-	// the new epoch.
-	c.put(1, "d", []byte("D"))
-	if _, ok := c.get(2, "d"); ok {
-		t.Error("stale-epoch put landed in the new epoch")
-	}
-
-	// A stale reader (ditto) must miss without rolling the cache back and
-	// wiping the current epoch's entries.
-	c.put(2, "e", []byte("E"))
-	if _, ok := c.get(1, "e"); ok {
-		t.Error("stale-epoch get served a new-epoch body")
-	}
-	if body, ok := c.get(2, "e"); !ok || string(body) != "E" {
-		t.Error("stale-epoch get wiped the current epoch's cache")
 	}
 }
 
@@ -575,12 +539,23 @@ func TestCursorPagination(t *testing.T) {
 	}
 
 	// Same query by cursor and by offset serve byte-identical pages (the
-	// cache key canonicalizes the resolved window, not the spelling).
+	// body depends on the resolved window, not the spelling).
 	byCursor, _ := get(t, h, "/v1/port/80?cursor="+encodeCursor(7, 4), nil)
 	byOffset, _ := get(t, h, "/v1/port/80?offset=4", nil)
 	if byCursor.Body.String() != byOffset.Body.String() {
 		t.Errorf("cursor and offset spellings serve different bytes:\n%s\n%s",
 			byCursor.Body.String(), byOffset.Body.String())
+	}
+
+	// limit=0 is a legal "totals only" query, and its empty page carries no
+	// cursor: one would resume at the same offset, so a client following
+	// cursors would fetch the same empty page forever.
+	_, body0 := get(t, h, "/v1/port/80?limit=0", nil)
+	if body0["count"] != float64(0) || body0["total"] != float64(total) {
+		t.Errorf("limit=0: count %v total %v; want 0 %d", body0["count"], body0["total"], total)
+	}
+	if body0["next_cursor"] != nil {
+		t.Errorf("limit=0: empty page carries next_cursor %v, which does not advance", body0["next_cursor"])
 	}
 
 	// Rotation: the snapshot swaps, the old cursor answers 410 with a

@@ -12,18 +12,23 @@
 // aggregates — and swaps it into a Publisher with a single atomic pointer
 // store. Readers load the pointer, query the immutable structure, and
 // never block the scan loop (and the scan loop never blocks them): there
-// is no lock anywhere on the read path.
+// is no lock anywhere on the read path. A request touches one atomic
+// load (the pointer), the snapshot it found there, a render buffer of
+// its own, and the atomic counters that account for it.
 //
 // Server wraps a Publisher in an HTTP API (/v1/host, /v1/port, /v1/asn,
-// /v1/prefix, /v1/ports, /v1/stats, /v1/healthz) with pagination, ETags
-// keyed on the epoch, and a bounded per-epoch query-result cache that
-// invalidates itself on snapshot swap. cmd/gpsd mounts it next to the
+// /v1/prefix, /v1/ports, /v1/stats, /v1/healthz) with pagination and
+// ETags keyed on the epoch. Every response is a pure function of the
+// snapshot: list pages render straight from its postings, and the two
+// aggregate bodies are rendered once and kept in it, so nothing outlives
+// a swap and nothing needs invalidating. cmd/gpsd mounts it next to the
 // daemon (-serve), next to the distributed coordinator, or standalone
-// over a GPSV inventory file (-serve-file).
+// over a GPSV inventory file (gpsd serve FILE).
 package serve
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
@@ -71,9 +76,10 @@ type PortCount struct {
 }
 
 // Snapshot is one immutable, fully-indexed view of the inventory at a
-// committed epoch. All methods are safe for unlimited concurrent use; a
-// Snapshot is never mutated after NewSnapshot returns, which is what lets
-// the Publisher swap it under readers with a single atomic store.
+// committed epoch. All methods are safe for unlimited concurrent use; the
+// inventory and its indexes are never mutated after NewSnapshot returns,
+// which is what lets the Publisher swap it under readers with a single
+// atomic store.
 type Snapshot struct {
 	epoch    int
 	services []Service // sorted by (IP, port): the canonical order
@@ -83,6 +89,28 @@ type Snapshot struct {
 	byASN    map[asndb.ASN][]int32
 	ports    []PortCount // sorted by port
 	stats    Stats
+
+	// What the Server answers with that depends on nothing but the
+	// snapshot. Each is rendered by the first request that asks for it (a
+	// snapshot nobody queries pays nothing) and dies with the snapshot,
+	// so there is nothing to invalidate.
+	etag      lazy[string]
+	statsBody lazy[[]byte]
+	portsBody lazy[[]byte]
+}
+
+// lazy is a pure function's value, kept once the first caller has
+// computed it. Callers racing to be first each compute it and one result
+// wins; they are equal, and nobody waits on a lock.
+type lazy[T any] struct{ p atomic.Pointer[T] }
+
+func (l *lazy[T]) get(compute func() T) T {
+	if p := l.p.Load(); p != nil {
+		return *p
+	}
+	v := compute()
+	l.p.CompareAndSwap(nil, &v)
+	return *l.p.Load()
 }
 
 // NewSnapshot indexes a merged inventory (shard.MergeInventories output,
@@ -190,24 +218,30 @@ func (s *Snapshot) Prefix16(ip asndb.IP, offset, limit int) ([]Service, int) {
 	return s.page(s.byPrefix[ip&asndb.Mask(16)], offset, limit)
 }
 
+// window clamps one page of a postings list: offset into [0, total], a
+// negative limit meaning "the rest".
+func window(ids []int32, offset, limit int) []int32 {
+	if offset < 0 {
+		offset = 0
+	}
+	if offset > len(ids) {
+		offset = len(ids)
+	}
+	end := len(ids)
+	if limit >= 0 && offset+limit < end {
+		end = offset + limit
+	}
+	return ids[offset:end]
+}
+
 // page materializes one window of a postings list. The result is a fresh
 // slice (callers may append or sort it freely); the total is the full
 // postings length.
 func (s *Snapshot) page(ids []int32, offset, limit int) ([]Service, int) {
-	total := len(ids)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	end := total
-	if limit >= 0 && offset+limit < end {
-		end = offset + limit
-	}
-	out := make([]Service, 0, end-offset)
-	for _, id := range ids[offset:end] {
+	win := window(ids, offset, limit)
+	out := make([]Service, 0, len(win))
+	for _, id := range win {
 		out = append(out, s.services[id])
 	}
-	return out, total
+	return out, len(ids)
 }

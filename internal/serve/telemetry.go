@@ -7,18 +7,12 @@ import (
 	"time"
 
 	"gps/internal/telemetry"
-	"gps/internal/trace"
 )
 
 // Serving-layer metrics. The publisher is a zero-value type with no
 // constructor, so its gauges are package-level: one process serves one
 // inventory, published through however many Publisher values exist.
 var (
-	cacheHits = telemetry.Default.Counter("gps_query_cache_total",
-		"query-cache lookups by result", "result", "hit")
-	cacheMisses = telemetry.Default.Counter("gps_query_cache_total",
-		"query-cache lookups by result", "result", "miss")
-
 	snapshotEpoch = telemetry.Default.Gauge("gps_snapshot_epoch",
 		"epoch of the currently served inventory snapshot")
 	snapshotPublishes = telemetry.Default.Counter("gps_snapshot_publishes_total",
@@ -114,19 +108,18 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // instrument wraps a route handler with latency and response-code
-// accounting plus a per-request trace span keyed by endpoint, so a
-// slow request shows up in /v1/tracez with its path and status.
+// accounting: the histogram and the counters are the record of a request.
+// Requests start no trace spans — a root span per request would claim the
+// logger's current-trace slot from the epoch in flight and push finished
+// epochs out of the flight recorder within a fraction of a second of
+// traffic.
 func instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	m := newEndpointMetrics(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		reqSpan := trace.StartSpan(trace.SpanContext{}, "http."+endpoint,
-			trace.String("method", r.Method), trace.String("path", r.URL.Path))
-		sp := telemetry.StartSpan(m.latency)
+		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		sp.End()
-		reqSpan.SetAttr(trace.Int("status", rec.code))
-		reqSpan.Finish()
+		m.latency.Observe(time.Since(start).Seconds())
 		c, ok := m.byCode[rec.code]
 		if !ok {
 			c = m.codeCounter(rec.code)

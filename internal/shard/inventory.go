@@ -24,7 +24,7 @@ import (
 // Version 1 had no version byte and carried only the observation
 // counters; version 2 adds the record fields the serving layer indexes on
 // (protocol, ASN, TTL), so a GPSV file is a self-contained serving
-// artifact — gpsd -serve-file answers /v1/asn queries from it without the
+// artifact — gpsd serve FILE answers /v1/asn queries from it without the
 // checkpoint. Application-layer features stay in checkpoints only.
 //
 // (The batch pipeline's key-set dump under "GPSI" lives in batch.go.)

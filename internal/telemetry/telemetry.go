@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Kind discriminates the metric types a family can hold.
@@ -396,30 +395,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // P50 and P99 are the dashboard quantiles the epoch summary logs.
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// --- Span --------------------------------------------------------------------
-
-// Span times one phase of work into a histogram (in seconds). Use it
-// for the epoch phase split:
-//
-//	sp := telemetry.StartSpan(reverifyHist)
-//	... phase ...
-//	elapsed := sp.End()
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan opens a span against h.
-func StartSpan(h *Histogram) Span { return Span{h: h, start: time.Now()} }
-
-// End closes the span, observes the elapsed seconds, and returns the
-// duration.
-func (s Span) End() time.Duration {
-	d := time.Since(s.start)
-	s.h.Observe(d.Seconds())
-	return d
-}
 
 // --- EWMA --------------------------------------------------------------------
 

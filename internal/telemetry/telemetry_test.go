@@ -120,18 +120,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-func TestSpanObserves(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("t_span_seconds", "span", nil)
-	sp := StartSpan(h)
-	if d := sp.End(); d < 0 {
-		t.Fatalf("negative span duration %v", d)
-	}
-	if h.Count() != 1 {
-		t.Fatalf("span did not observe: count %d", h.Count())
-	}
-}
-
 func TestSetEnabled(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_ops_total", "")

@@ -113,7 +113,7 @@ test -s "$DIR/single.inv"
 echo "== starting 3 workers"
 ports=(7461 7462 7463)
 for p in "${ports[@]}"; do
-  "$BIN" -worker -listen "127.0.0.1:$p" -debug-addr "127.0.0.1:$((p+100))" \
+  "$BIN" worker -listen "127.0.0.1:$p" -debug-addr "127.0.0.1:$((p+100))" \
       > "$DIR/worker-$p.log" 2>&1 &
   pids+=($!)
 done
@@ -123,7 +123,7 @@ echo "== distributed run (coordinator + 3 workers, 4 shards, serving on :7472, f
 # one; determinism is untouched (churn derives from seed+epoch, not wall
 # time).
 workers=$(IFS=,; echo "${ports[*]/#/127.0.0.1:}")
-"$BIN" "${COMMON[@]}" -coordinator -workers "$workers" \
+"$BIN" coordinator "${COMMON[@]}" -workers "$workers" \
     -checkpoint "$DIR/dist.ckpt" -shard-checkpoints "$DIR/shards" \
     -inventory "$DIR/dist.inv" -serve 127.0.0.1:7472 \
     -feed 127.0.0.1:7480 -interval 2s > "$DIR/coordinator.log" 2>&1 &
@@ -131,16 +131,16 @@ coord_pid=$!
 pids+=($coord_pid)
 
 echo "== two read replicas (:7474, :7475) and a /v1/watch consumer"
-"$BIN" -replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7474 > "$DIR/replica-a.log" 2>&1 &
+"$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7474 > "$DIR/replica-a.log" 2>&1 &
 replica_a=$!
 pids+=($replica_a)
-"$BIN" -replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7475 > "$DIR/replica-b.log" 2>&1 &
+"$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7475 > "$DIR/replica-b.log" 2>&1 &
 replica_b=$!
 pids+=($replica_b)
 # Replicas redial their upstream until it exists; the watch client makes
 # one HTTP request, so it starts once the origin is actually serving.
 wait_healthy http://127.0.0.1:7472
-"$BIN" -watch http://127.0.0.1:7472/v1/watch -epochs 3 \
+"$BIN" watch http://127.0.0.1:7472/v1/watch -epochs 3 \
     -inventory "$DIR/watch.inv" > "$DIR/watch.log" 2>&1 &
 watch_pid=$!
 pids+=($watch_pid)
@@ -168,7 +168,7 @@ for epoch in 1 2 3; do
   2)
     # Restart it: a replica is stateless, so the new process must
     # re-bootstrap from a snapshot frame and catch up on its own.
-    "$BIN" -replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7475 > "$DIR/replica-b2.log" 2>&1 &
+    "$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7475 > "$DIR/replica-b2.log" 2>&1 &
     replica_b=$!
     pids+=($replica_b)
     ;;
@@ -208,6 +208,7 @@ test -s "$DIR/watch.inv"
 
 snapshot_queries http://127.0.0.1:7472 dist
 curl -fsS http://127.0.0.1:7472/v1/metricz > "$DIR/dist.metricz"
+curl -fsS "http://127.0.0.1:7472/v1/tracez?format=text&limit=4096" > "$DIR/dist.tracez"
 feed_head=$(metric_value "$DIR/dist.metricz" gps_feed_head_epoch)
 if [ "$feed_head" != "3" ]; then
   echo "origin feed head is $feed_head, want 3" >&2
@@ -285,9 +286,17 @@ echo "== diffing served queries: distributed == single-process"
 cmp "$DIR/single.stats.json" "$DIR/dist.stats.json"
 cmp "$DIR/single.ports.json" "$DIR/dist.ports.json"
 cmp "$DIR/single.port.json"  "$DIR/dist.port.json"
+# Query traffic leaves the flight recorder to the epochs: after every
+# request above, the serving coordinator still lists its epoch traces and
+# not one per-request span.
+if ! awk '$2 == "epoch" {epochs++} $2 ~ /^http\./ {requests++} END {exit !(epochs && !requests)}' "$DIR/dist.tracez"; then
+  echo "coordinator /v1/tracez lost its epoch traces or holds http.* request spans" >&2
+  cat "$DIR/dist.tracez" >&2
+  exit 1
+fi
 
 echo "== standalone file server over the merged inventory (:7473)"
-"$BIN" -serve 127.0.0.1:7473 -serve-file "$DIR/single.inv" > "$DIR/servefile.log" 2>&1 &
+"$BIN" serve "$DIR/single.inv" -serve 127.0.0.1:7473 > "$DIR/servefile.log" 2>&1 &
 file_pid=$!
 pids+=($file_pid)
 wait_healthy http://127.0.0.1:7473
@@ -334,7 +343,7 @@ for p in "${churn_ports[@]}"; do
   pids+=($!)
 done
 churn_workers=$(IFS=,; echo "${churn_ports[*]/#/127.0.0.1:}")
-"$BIN" "${CHURN_COMMON[@]}" -coordinator -workers "$churn_workers" \
+"$BIN" coordinator "${CHURN_COMMON[@]}" -workers "$churn_workers" \
     -cluster 127.0.0.1:7490 -admin -serve 127.0.0.1:7476 \
     -inventory "$DIR/churn-dist.inv" -interval 1s > "$DIR/churn-coordinator.log" 2>&1 &
 churn_coord=$!
