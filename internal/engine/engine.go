@@ -1,16 +1,16 @@
-// Package engine is a small parallel aggregation engine: the stand-in for
-// Google BigQuery in the GPS pipeline (§5.5). The paper's key systems
-// claim is that GPS's conditional-probability computation is
-// embarrassingly parallel — a map/shuffle/reduce over (feature, port)
-// pairs — so a serverless warehouse executes it in minutes while a single
-// core needs days. This engine implements exactly that shape: workers map
-// input shards to key/value pairs, a hash shuffle routes pairs to
-// reducers, and reducers merge concurrently. Setting Workers to 1 gives
-// the paper's single-core comparison point (§6.5, Table 2).
+// Package engine is the parallel substrate of the GPS pipeline: the
+// stand-in for Google BigQuery (§5.5). The paper's key systems claim is
+// that GPS's conditional-probability computation is embarrassingly
+// parallel — host counts over (feature value, port) pairs — so a
+// serverless warehouse executes it in minutes while a single core needs
+// days. Here that shape is a range of seed hosts cut into one contiguous
+// chunk per worker: each worker counts its chunk into integers of its own
+// and the caller merges the per-chunk results, which come back in chunk
+// order so the merge never depends on scheduling. Setting Workers to 1
+// gives the paper's single-core comparison point (§6.5, Table 2).
 package engine
 
 import (
-	"hash/maphash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,13 +18,12 @@ import (
 
 // Config controls execution.
 type Config struct {
-	// Workers is the mapper/reducer parallelism; 0 means GOMAXPROCS.
+	// Workers is the parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Shards overrides the shuffle shard count (the number of reducer
-	// partitions the key space is hashed into); 0 matches it to the
-	// worker count. More shards than workers models a warehouse whose
-	// shuffle fan-out exceeds its slot count — useful for sizing the
-	// cross-shard merge — at the cost of smaller per-shard maps.
+	// Shards is ignored. It sized the hash shuffle of the map/reduce this
+	// package no longer has; the field stays only because
+	// cmd/gpsbench/trace.go assigns it, and goes when a benchmark PR
+	// drops that assignment.
 	Shards int
 }
 
@@ -36,148 +35,31 @@ func (c Config) Resolve() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ResolveShards returns the effective shuffle shard count given the
-// resolved worker count.
-func (c Config) ResolveShards(workers int) int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return workers
-}
-
-// Stats accumulates engine work counters, the analogue of BigQuery's
-// "data processed / shuffled" accounting in Table 2.
+// Stats accumulates work counters, the analogue of BigQuery's "data
+// processed / shuffled" accounting in Table 2.
 type Stats struct {
-	RecordsIn    atomic.Uint64 // input records mapped
-	PairsEmitted atomic.Uint64 // key/value pairs shuffled
+	RecordsIn    atomic.Uint64 // input records read
+	PairsEmitted atomic.Uint64 // observations counted
 }
 
-// Emit is the callback mappers use to produce a key/value pair.
-type Emit[K comparable, V any] func(K, V)
-
-// MapReduce runs mapFn over items in parallel, shuffles emitted pairs by
-// key hash, and folds values per key with reduceFn. The result map holds
-// one entry per distinct key. Deterministic given deterministic callbacks:
-// reduceFn must be commutative and associative.
-func MapReduce[T any, K comparable, V any](
-	cfg Config, stats *Stats, items []T,
-	mapFn func(T, Emit[K, V]),
-	reduceFn func(V, V) V,
-) map[K]V {
+// chunkSize is the length of every chunk but the last when [0, n) is cut
+// for cfg's workers; n must be positive.
+func chunkSize(cfg Config, n int) int {
 	workers := cfg.Resolve()
-	if workers > len(items) && len(items) > 0 {
-		workers = len(items)
+	if workers > n {
+		workers = n
 	}
-	if len(items) == 0 {
-		return map[K]V{}
-	}
-	// Each mapper owns `shards` maps; reducer s merges shard s of every
-	// mapper. By default the shard count equals the worker count so
-	// reduce parallelism matches map parallelism; Config.Shards overrides
-	// it.
-	shards := cfg.ResolveShards(workers)
-	seed := maphash.MakeSeed()
-	local := make([][]map[K]V, workers)
-
-	var wg sync.WaitGroup
-	chunk := (len(items) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(items) {
-			hi = len(items)
-		}
-		if lo >= hi {
-			local[w] = make([]map[K]V, shards)
-			for s := range local[w] {
-				local[w][s] = map[K]V{}
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			mine := make([]map[K]V, shards)
-			for s := range mine {
-				mine[s] = make(map[K]V)
-			}
-			var pairs, recs uint64
-			emit := func(k K, v V) {
-				s := int(maphash.Comparable(seed, k) % uint64(shards))
-				m := mine[s]
-				if old, ok := m[k]; ok {
-					m[k] = reduceFn(old, v)
-				} else {
-					m[k] = v
-				}
-				pairs++
-			}
-			for i := lo; i < hi; i++ {
-				mapFn(items[i], emit)
-				recs++
-			}
-			local[w] = mine
-			if stats != nil {
-				stats.RecordsIn.Add(recs)
-				stats.PairsEmitted.Add(pairs)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Reduce phase: merge shard s across all mappers, in parallel.
-	merged := make([]map[K]V, shards)
-	var rg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		rg.Add(1)
-		go func(s int) {
-			defer rg.Done()
-			dst := local[0][s]
-			for w := 1; w < workers; w++ {
-				for k, v := range local[w][s] {
-					if old, ok := dst[k]; ok {
-						dst[k] = reduceFn(old, v)
-					} else {
-						dst[k] = v
-					}
-				}
-			}
-			merged[s] = dst
-		}(s)
-	}
-	rg.Wait()
-
-	// Collapse shards into one map for the caller.
-	total := 0
-	for _, m := range merged {
-		total += len(m)
-	}
-	out := make(map[K]V, total)
-	for _, m := range merged {
-		for k, v := range m {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// GroupCount is MapReduce specialized to counting keys.
-func GroupCount[T any, K comparable](cfg Config, stats *Stats, items []T, keysOf func(T, Emit[K, uint64])) map[K]uint64 {
-	return MapReduce(cfg, stats, items, keysOf, func(a, b uint64) uint64 { return a + b })
+	return (n + workers - 1) / workers
 }
 
 // ParallelFor splits [0, n) into contiguous chunks and runs body on each
 // chunk concurrently.
 func ParallelFor(cfg Config, n int, body func(lo, hi int)) {
-	workers := cfg.Resolve()
-	if workers > n {
-		workers = n
-	}
 	if n <= 0 {
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
+	chunk := chunkSize(cfg, n)
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
@@ -190,4 +72,17 @@ func ParallelFor(cfg Config, n int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
+}
+
+// Chunks is ParallelFor for a body that returns a result: the results come
+// back ordered by chunk, lowest range first, however the goroutines were
+// scheduled. It returns nil when n <= 0.
+func Chunks[R any](cfg Config, n int, body func(lo, hi int) R) []R {
+	if n <= 0 {
+		return nil
+	}
+	chunk := chunkSize(cfg, n)
+	out := make([]R, (n+chunk-1)/chunk)
+	ParallelFor(cfg, n, func(lo, hi int) { out[lo/chunk] = body(lo, hi) })
+	return out
 }

@@ -3,87 +3,7 @@ package engine
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestGroupCountBasic(t *testing.T) {
-	items := []string{"a", "b", "a", "c", "a", "b"}
-	got := GroupCount(Config{}, nil, items, func(s string, emit Emit[string, uint64]) {
-		emit(s, 1)
-	})
-	want := map[string]uint64{"a": 3, "b": 2, "c": 1}
-	if len(got) != len(want) {
-		t.Fatalf("got %d keys; want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d; want %d", k, got[k], v)
-		}
-	}
-}
-
-func TestGroupCountEmpty(t *testing.T) {
-	got := GroupCount(Config{}, nil, nil, func(int, Emit[int, uint64]) {})
-	if len(got) != 0 {
-		t.Errorf("empty input produced %d keys", len(got))
-	}
-}
-
-// TestMapReduceParallelMatchesSerial property: results are identical for
-// 1 worker and N workers, for random inputs.
-func TestMapReduceParallelMatchesSerial(t *testing.T) {
-	f := func(data []uint16) bool {
-		mapFn := func(v uint16, emit Emit[uint16, uint64]) {
-			emit(v%64, uint64(v))
-			emit(v%7, 1)
-		}
-		add := func(a, b uint64) uint64 { return a + b }
-		serial := MapReduce(Config{Workers: 1}, nil, data, mapFn, add)
-		parallel := MapReduce(Config{Workers: 8}, nil, data, mapFn, add)
-		if len(serial) != len(parallel) {
-			return false
-		}
-		for k, v := range serial {
-			if parallel[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMapReduceMaxReduce(t *testing.T) {
-	items := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	got := MapReduce(Config{}, nil, items, func(v int, emit Emit[string, int]) {
-		emit("max", v)
-	}, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	if got["max"] != 9 {
-		t.Errorf("max = %d; want 9", got["max"])
-	}
-}
-
-func TestMapReduceStats(t *testing.T) {
-	var stats Stats
-	items := make([]int, 100)
-	MapReduce(Config{Workers: 4}, &stats, items, func(v int, emit Emit[int, uint64]) {
-		emit(v, 1)
-		emit(v+1, 1)
-	}, func(a, b uint64) uint64 { return a + b })
-	if got := stats.RecordsIn.Load(); got != 100 {
-		t.Errorf("RecordsIn = %d; want 100", got)
-	}
-	if got := stats.PairsEmitted.Load(); got != 200 {
-		t.Errorf("PairsEmitted = %d; want 200", got)
-	}
-}
 
 func TestParallelForCoversAll(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
@@ -121,42 +41,29 @@ func TestConfigResolve(t *testing.T) {
 	}
 }
 
-func TestMapReduceMoreWorkersThanItems(t *testing.T) {
-	got := MapReduce(Config{Workers: 64}, nil, []int{1, 2}, func(v int, emit Emit[int, uint64]) {
-		emit(v, 1)
-	}, func(a, b uint64) uint64 { return a + b })
-	if len(got) != 2 || got[1] != 1 || got[2] != 1 {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestMapReduceShardsKnob(t *testing.T) {
-	items := make([]int, 1000)
-	for i := range items {
-		items[i] = i
-	}
-	want := MapReduce(Config{Workers: 1}, nil, items,
-		func(v int, emit Emit[int, uint64]) { emit(v%37, 1) },
-		func(a, b uint64) uint64 { return a + b })
-	// The result must be identical whatever the shuffle fan-out,
-	// including more shards than workers and more workers than shards.
-	for _, cfg := range []Config{{Workers: 2, Shards: 16}, {Workers: 8, Shards: 1}, {Shards: 3}} {
-		got := MapReduce(cfg, nil, items,
-			func(v int, emit Emit[int, uint64]) { emit(v%37, 1) },
-			func(a, b uint64) uint64 { return a + b })
-		if len(got) != len(want) {
-			t.Fatalf("cfg %+v: %d keys; want %d", cfg, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Errorf("cfg %+v: key %d = %d; want %d", cfg, k, got[k], v)
+// TestChunksOrder: results come back by chunk, lowest range first, and the
+// chunks tile [0, n) exactly, whatever the worker count.
+func TestChunksOrder(t *testing.T) {
+	type span struct{ lo, hi int }
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		for _, n := range []int{1, 2, 7, 1000} {
+			got := Chunks(Config{Workers: workers}, n, func(lo, hi int) span { return span{lo, hi} })
+			next := 0
+			for _, s := range got {
+				if s.lo != next || s.hi <= s.lo {
+					t.Fatalf("workers=%d n=%d: chunks %v do not tile the range in order", workers, n, got)
+				}
+				next = s.hi
+			}
+			if next != n || len(got) > workers {
+				t.Fatalf("workers=%d n=%d: %d chunks ending at %d", workers, n, len(got), next)
 			}
 		}
 	}
-	if (Config{Shards: 5}).ResolveShards(2) != 5 {
-		t.Error("explicit shard count not honored")
-	}
-	if (Config{}).ResolveShards(2) != 2 {
-		t.Error("default shard count must match workers")
+}
+
+func TestChunksEmpty(t *testing.T) {
+	if got := Chunks(Config{}, 0, func(lo, hi int) int { return 1 }); got != nil {
+		t.Errorf("n=0 returned %v", got)
 	}
 }

@@ -86,17 +86,8 @@ func (c Config) EffectiveStep() uint8 {
 	return c.StepBits
 }
 
-// engine derives the compute-engine configuration. A sharded run pins the
-// shuffle fan-out to the global shard count — each of the N nodes runs the
-// same warehouse shape, so per-shard engine stats stay comparable across
-// shard counts instead of drifting with the local worker count.
-func (c Config) engine() engine.Config {
-	eng := engine.Config{Workers: c.Workers}
-	if c.sharded() {
-		eng.Shards = c.ShardCount
-	}
-	return eng
-}
+// engine derives the compute-engine configuration.
+func (c Config) engine() engine.Config { return engine.Config{Workers: c.Workers} }
 
 // sharded reports whether the run is restricted to one shard.
 func (c Config) sharded() bool { return c.ShardCount > 1 }

@@ -4,10 +4,18 @@
 // for every seed service, the feature tuple that best predicts it — and
 // then maps each anchor service's feature values through that list to emit
 // an ordered predictions list of (IP, port) pairs to scan.
+//
+// Both steps work on the model's integer condition ids (probmodel.CondID):
+// the list is one row of rules per id, and an anchor is resolved to the ids
+// of the conditions the seed exhibited before any rule is looked up. An
+// anchor value the seed never showed has no id and so no rule; it is
+// skipped, and the model is never written after Build. Conditions become
+// strings again only in MPF.RulesFor and MPF.Entries.
 package predict
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gps/internal/asndb"
 	"gps/internal/dataset"
@@ -16,25 +24,32 @@ import (
 	"gps/internal/probmodel"
 )
 
-// mpfKey pairs a condition with the port it predicts.
-type mpfKey struct {
-	cond probmodel.Cond
-	port uint16
-}
-
-// Entry is one MPF rule: when a discovered service matches Cond, predict
-// Port on the same host with probability P.
+// Entry is one MPF rule in display form: when a discovered service matches
+// Cond, predict Port on the same host with probability P.
 type Entry struct {
 	Cond probmodel.Cond
 	Port uint16
 	P    float64
 }
 
-// MPF is the most-predictive-feature-values list, indexed by condition for
-// prediction-time lookup.
+// rule is an Entry as the list stores it; the condition is the row.
+type rule struct {
+	port uint16
+	p    float64
+}
+
+// MPF is the most-predictive-feature-values list. It is indexed by the
+// model's CondID, in the shape of the model's own pair table: the rules
+// keyed on condition id are rules[rowOff[id]:rowOff[id+1]], by descending
+// probability then ascending port. The ids are those of the model the
+// list was built from and mean nothing to another one. Immutable after
+// BuildMPF and safe for concurrent use; conditions turn back into strings
+// only in RulesFor and Entries.
 type MPF struct {
-	byCond map[probmodel.Cond][]Entry
-	n      int
+	model  *probmodel.Model
+	rowOff []uint32
+	rules  []rule
+	conds  int // rows that hold at least one rule
 }
 
 // BuildMPF runs §5.4 step 1 over the seed hosts: for each seed service
@@ -44,69 +59,110 @@ type MPF struct {
 // contributes its best rule, every predictable pattern seen in the seed is
 // guaranteed representation — the property §5.4 calls crucial.
 func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, cfg engine.Config) *MPF {
-	// Shuffle on the (cond, port) pair; reduce keeps the probability
-	// (identical by construction since P is a pure function of the pair).
-	pairs := engine.MapReduce(cfg, nil, hosts,
-		func(h dataset.HostGroup, emit engine.Emit[mpfKey, float64]) {
+	// A rule packs into one integer, condition above port. Its
+	// probability is a pure function of that pair, so it is looked up
+	// once per distinct rule after the duplicates are gone.
+	var pairs []uint64
+	for _, part := range engine.Chunks(cfg, len(hosts), func(lo, hi int) []uint64 {
+		var out []uint64
+		var scratch probmodel.Scratch
+		for _, h := range hosts[lo:hi] {
 			if len(h.Records) < 2 {
-				return
+				continue
 			}
-			for _, ra := range h.Records {
-				best, p, ok := m.BestCondForHost(h, ra.Port)
-				if !ok {
-					continue
+			for i, best := range m.HostBest(h, &scratch) {
+				if best.Cond != probmodel.NoCond {
+					out = append(out, uint64(best.Cond)<<16|uint64(h.Records[i].Port))
 				}
-				emit(mpfKey{cond: best, port: ra.Port}, p)
 			}
-		},
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-
-	out := &MPF{byCond: make(map[probmodel.Cond][]Entry), n: len(pairs)}
-	for k, p := range pairs {
-		out.byCond[k.cond] = append(out.byCond[k.cond], Entry{Cond: k.cond, Port: k.port, P: p})
+		}
+		return out
+	}) {
+		pairs = append(pairs, part...)
 	}
-	for _, entries := range out.byCond {
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].P != entries[j].P {
-				return entries[i].P > entries[j].P
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+
+	out := &MPF{model: m, rowOff: make([]uint32, m.NumConds()+1), rules: make([]rule, len(pairs))}
+	for i, pair := range pairs {
+		cond, port := probmodel.CondID(pair>>16), uint16(pair)
+		out.rules[i] = rule{port: port, p: m.ProbID(cond, port)}
+		out.rowOff[cond+1]++
+	}
+	for id := 0; id < m.NumConds(); id++ {
+		if out.rowOff[id+1] > 0 {
+			out.conds++
+		}
+		out.rowOff[id+1] += out.rowOff[id]
+		slices.SortFunc(out.rules[out.rowOff[id]:out.rowOff[id+1]], func(a, b rule) int {
+			if a.p != b.p {
+				return cmp.Compare(b.p, a.p)
 			}
-			return entries[i].Port < entries[j].Port
+			return cmp.Compare(a.port, b.port)
 		})
 	}
 	return out
 }
 
 // Len returns the number of MPF rules.
-func (m *MPF) Len() int { return m.n }
-
-// RulesFor returns the rules keyed on a condition, ordered by descending
-// probability. Callers must not modify the slice.
-func (m *MPF) RulesFor(c probmodel.Cond) []Entry { return m.byCond[c] }
+func (m *MPF) Len() int { return len(m.rules) }
 
 // NumConds returns the number of distinct conditions in the list.
-func (m *MPF) NumConds() int { return len(m.byCond) }
+func (m *MPF) NumConds() int { return m.conds }
+
+// rulesOf returns the rules keyed on a condition of the list's model.
+func (m *MPF) rulesOf(id probmodel.CondID) []rule {
+	return m.rules[m.rowOff[id]:m.rowOff[id+1]]
+}
+
+// RulesFor returns the rules keyed on a condition, ordered by descending
+// probability.
+func (m *MPF) RulesFor(c probmodel.Cond) []Entry {
+	id, ok := m.model.Lookup(c)
+	if !ok {
+		return nil
+	}
+	var out []Entry
+	for _, r := range m.rulesOf(id) {
+		out = append(out, Entry{Cond: c, Port: r.port, P: r.p})
+	}
+	return out
+}
 
 // Entries returns every rule, ordered by descending probability. Used by
 // the Table 3 analysis of which features predict the most services.
 func (m *MPF) Entries() []Entry {
-	out := make([]Entry, 0, m.n)
-	for _, es := range m.byCond {
-		out = append(out, es...)
+	// Each rule's condition is rendered once, here, and not inside the
+	// comparator.
+	type rendered struct {
+		Entry
+		cond string
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
+	all := make([]rendered, 0, len(m.rules))
+	for id := 0; id+1 < len(m.rowOff); id++ {
+		rules := m.rulesOf(probmodel.CondID(id))
+		if len(rules) == 0 {
+			continue
 		}
-		if out[i].Port != out[j].Port {
-			return out[i].Port < out[j].Port
+		c := m.model.Cond(probmodel.CondID(id))
+		str := c.String()
+		for _, r := range rules {
+			all = append(all, rendered{Entry{Cond: c, Port: r.port, P: r.p}, str})
 		}
-		return out[i].Cond.String() < out[j].Cond.String()
+	}
+	slices.SortFunc(all, func(a, b rendered) int {
+		if a.P != b.P {
+			return cmp.Compare(b.P, a.P)
+		}
+		if a.Port != b.Port {
+			return cmp.Compare(a.Port, b.Port)
+		}
+		return cmp.Compare(a.cond, b.cond)
 	})
+	out := make([]Entry, len(all))
+	for i, r := range all {
+		out[i] = r.Entry
+	}
 	return out
 }
 
@@ -123,47 +179,60 @@ type Prediction struct {
 func (p Prediction) Key() netmodel.Key { return netmodel.Key{IP: p.IP, Port: p.Port} }
 
 // Predict runs §5.4 steps 2-3: for every anchor service discovered by the
-// priors scan, extract its feature values, look each resulting condition
-// up in the MPF list, and emit the predicted ports on that host. Duplicate
-// (IP, port) predictions keep their maximum probability. known filters out
-// services already discovered (no point re-probing them); it may be nil.
+// priors scan, resolve its feature values to the model's conditions, look
+// each one up in the MPF list, and emit the predicted ports on that host.
+// A feature value the seed never showed resolves to no condition: no rule
+// can be keyed on it, so it predicts nothing and the model is only read.
+// Duplicate (IP, port) predictions keep their maximum probability. known
+// filters out services already discovered (no point re-probing them); it
+// may be nil, and is called from several goroutines. mpf must have been
+// built from m.
 func Predict(m *probmodel.Model, mpf *MPF, anchors []dataset.Record, known func(netmodel.Key) bool, cfg engine.Config) []Prediction {
-	preds := engine.MapReduce(cfg, nil, anchors,
-		func(r dataset.Record, emit engine.Emit[netmodel.Key, float64]) {
-			for _, c := range m.CondsOf(r) {
-				for _, e := range m2entries(mpf, c) {
-					if e.Port == r.Port {
+	if mpf.model != m {
+		panic("predict: the MPF list was built from another model")
+	}
+	var out []Prediction
+	for _, part := range engine.Chunks(cfg, len(anchors), func(lo, hi int) []Prediction {
+		var out []Prediction
+		var scratch probmodel.Scratch
+		for _, r := range anchors[lo:hi] {
+			for _, c := range m.Resolve(r, &scratch) {
+				for _, e := range mpf.rulesOf(c) {
+					if e.port == r.Port {
 						continue
 					}
-					k := netmodel.Key{IP: r.IP, Port: e.Port}
-					if known != nil && known(k) {
+					if known != nil && known(netmodel.Key{IP: r.IP, Port: e.port}) {
 						continue
 					}
-					emit(k, e.P)
+					out = append(out, Prediction{IP: r.IP, Port: e.port, P: e.p})
 				}
 			}
-		},
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-
-	out := make([]Prediction, 0, len(preds))
-	for k, p := range preds {
-		out = append(out, Prediction{IP: k.IP, Port: k.Port, P: p})
+		}
+		return out
+	}) {
+		out = append(out, part...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
+
+	// Bring each (IP, port) together with its best probability first,
+	// keep that one, then order the survivors for scanning.
+	slices.SortFunc(out, func(a, b Prediction) int {
+		if a.IP != b.IP {
+			return cmp.Compare(a.IP, b.IP)
 		}
-		if out[i].IP != out[j].IP {
-			return out[i].IP < out[j].IP
+		if a.Port != b.Port {
+			return cmp.Compare(a.Port, b.Port)
 		}
-		return out[i].Port < out[j].Port
+		return cmp.Compare(b.P, a.P)
+	})
+	out = slices.CompactFunc(out, func(a, b Prediction) bool { return a.IP == b.IP && a.Port == b.Port })
+	slices.SortFunc(out, func(a, b Prediction) int {
+		if a.P != b.P {
+			return cmp.Compare(b.P, a.P)
+		}
+		if a.IP != b.IP {
+			return cmp.Compare(a.IP, b.IP)
+		}
+		return cmp.Compare(a.Port, b.Port)
 	})
 	return out
 }
-
-func m2entries(mpf *MPF, c probmodel.Cond) []Entry { return mpf.byCond[c] }

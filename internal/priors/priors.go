@@ -11,7 +11,6 @@ package priors
 
 import (
 	"sort"
-	"sync"
 
 	"gps/internal/asndb"
 	"gps/internal/dataset"
@@ -63,16 +62,9 @@ type tupleKey struct {
 //  3. Tuples are grouped and ranked by the number of seed services they
 //     help predict.
 func Build(m *probmodel.Model, hosts []dataset.HostGroup, stepBits uint8, cfg engine.Config) List {
-	workers := cfg.Resolve()
-	locals := make([]map[tupleKey]int, workers)
-	var mu sync.Mutex
-	next := 0
-	engine.ParallelFor(cfg, len(hosts), func(lo, hi int) {
-		mu.Lock()
-		slot := next
-		next++
-		mu.Unlock()
+	locals := engine.Chunks(cfg, len(hosts), func(lo, hi int) map[tupleKey]int {
 		counts := make(map[tupleKey]int)
+		var scratch probmodel.Scratch
 		for _, h := range hosts[lo:hi] {
 			subnet := asndb.SubnetOf(h.IP, stepBits)
 			if len(h.Records) == 1 {
@@ -81,18 +73,17 @@ func Build(m *probmodel.Model, hosts []dataset.HostGroup, stepBits uint8, cfg en
 				counts[tupleKey{port: h.Records[0].Port, subnet: subnet}]++
 				continue
 			}
-			for _, ra := range h.Records {
-				best, _, ok := m.BestCondForHost(h, ra.Port)
-				if !ok {
-					// No pattern reaches the floor; the service
-					// must anchor itself.
-					counts[tupleKey{port: ra.Port, subnet: subnet}]++
-					continue
+			for i, best := range m.HostBest(h, &scratch) {
+				// When no pattern reaches the floor the service
+				// must anchor itself.
+				port := h.Records[i].Port
+				if best.Cond != probmodel.NoCond {
+					port = m.Port(best.Cond)
 				}
-				counts[tupleKey{port: best.Port, subnet: subnet}]++
+				counts[tupleKey{port: port, subnet: subnet}]++
 			}
 		}
-		locals[slot] = counts
+		return counts
 	})
 
 	merged := make(map[tupleKey]int)

@@ -1,6 +1,7 @@
 package priors
 
 import (
+	"math/rand"
 	"testing"
 
 	"gps/internal/asndb"
@@ -8,6 +9,7 @@ import (
 	"gps/internal/engine"
 	"gps/internal/features"
 	"gps/internal/probmodel"
+	"gps/internal/probmodel/modeltest"
 )
 
 // scenario: a fleet where the SSH service on 222 strongly predicts HTTP on
@@ -119,6 +121,42 @@ func TestDeterministicOrder(t *testing.T) {
 	for i := range a.Targets {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatalf("target %d differs between worker counts", i)
+		}
+	}
+}
+
+// TestBuildMatchesPerServiceCalls: the list built from one HostBest call
+// per host is the list the per-service BestCondForHost calls gave, on a
+// random population and for 1, 2 and 8 workers.
+func TestBuildMatchesPerServiceCalls(t *testing.T) {
+	hosts := modeltest.Hosts(rand.New(rand.NewSource(35)), 300)
+	for _, cfg := range []probmodel.Config{{}, {Floor: -1, MinSupport: -1}, {Floor: 0.5, MinSupport: 4}} {
+		m := probmodel.Build(cfg, hosts)
+		for _, step := range []uint8{0, 16, 20} {
+			want := map[tupleKey]int{}
+			for _, h := range hosts {
+				for _, ra := range h.Records {
+					port := ra.Port
+					if best, _, ok := m.BestCondForHost(h, ra.Port); ok && len(h.Records) > 1 {
+						port = best.Port
+					}
+					want[tupleKey{port: port, subnet: asndb.SubnetOf(h.IP, step)}]++
+				}
+			}
+			for _, workers := range []int{1, 2, 8} {
+				list := Build(m, hosts, step, engine.Config{Workers: workers})
+				if len(list.Targets) != len(want) {
+					t.Fatalf("/%d workers %d: %d targets; want %d", step, workers, len(list.Targets), len(want))
+				}
+				for i, tgt := range list.Targets {
+					if got := want[tupleKey{port: tgt.Port, subnet: tgt.Subnet}]; got != tgt.Coverage {
+						t.Fatalf("/%d workers %d: target %v covers %d; want %d", step, workers, tgt, tgt.Coverage, got)
+					}
+					if i > 0 && list.Targets[i-1].Coverage < tgt.Coverage {
+						t.Fatalf("/%d workers %d: targets not by descending coverage", step, workers)
+					}
+				}
+			}
 		}
 	}
 }

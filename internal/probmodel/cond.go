@@ -8,9 +8,27 @@
 //	Expression 7:  P(PortA | PortB, App_PortB, Net_IP)   all three
 //
 // Each probability is a simple ratio of host counts: of the hosts in the
-// seed set exhibiting the condition, what fraction also had PortA open.
-// The model is built with one parallel map/shuffle/reduce pass over seed
-// hosts (the computation GPS runs on BigQuery).
+// seed set exhibiting the condition, what fraction also had PortA open
+// (the computation GPS runs on BigQuery).
+//
+// Counting is done on integers. Build interns every distinct condition to
+// a dense CondID whose dictionary key is fixed-size and holds no string:
+// the port, the two feature keys, the application value as an index into
+// the model's table of distinct values, and the network value as the
+// subnet's network address or the AS number itself. Ids are handed out in
+// order of first appearance over the hosts, their records (T, then TA by
+// feature key, then TN by configured network key, then TAN) in one
+// sequential pass, so they depend on the input alone and not on how many
+// workers count the pairs afterwards. Hosts per condition and hosts per
+// (condition, other open port) are flat arrays indexed by CondID; priors
+// and predict ask for conditions by id (HostBest, Resolve, ProbID) and
+// never see a string.
+//
+// Strings live at the edges: Cond is the display form of a condition, with
+// the banner, "10.0.0.0/16" and "AS7" spelled out, for tables, tests and
+// experiments. Model.Cond renders an id into one and Model.Lookup parses
+// one back; Prob, CondHosts, BestCond and BestCondForHost take and return
+// the display form and go through the same dictionary.
 package probmodel
 
 import (
@@ -58,9 +76,10 @@ const AllFamilies = FamilySet(1<<FamilyT | 1<<FamilyTA | 1<<FamilyTN | 1<<Family
 // TransportOnly enables only Expression 4; used by the ablation study.
 const TransportOnly = FamilySet(1 << FamilyT)
 
-// Cond is one condition tuple: the right-hand side of a conditional
-// probability. Port is always present (PortB); the application and network
-// slots are optional and determine the family.
+// Cond is one condition tuple in display form: the right-hand side of a
+// conditional probability. Port is always present (PortB); the application
+// and network slots are optional and determine the family. The model
+// counts by CondID; a Cond is what an id renders to.
 type Cond struct {
 	Port   uint16
 	AppKey features.Key // KeyNone when the family has no application slot
@@ -129,7 +148,8 @@ func DefaultNetKeys() []features.Key {
 }
 
 // NetFeatures computes the requested network-layer feature values for a
-// record's address.
+// record's address, formatted for display. The model keeps the same values
+// as integers.
 func NetFeatures(r dataset.Record, netKeys []features.Key) []features.Value {
 	out := make([]features.Value, 0, len(netKeys))
 	for _, k := range netKeys {
@@ -142,10 +162,11 @@ func NetFeatures(r dataset.Record, netKeys []features.Key) []features.Value {
 	return out
 }
 
-// CondsOf enumerates every condition tuple a record contributes, filtered
-// to the enabled families and feature keys. enabledKeys may be nil to
-// allow all application features; nets carries the precomputed
-// network-layer values for the record's address.
+// CondsOf enumerates every condition tuple a record contributes, in
+// display form, filtered to the enabled families and feature keys. Its
+// order is the order the model assigns ids and breaks ties in.
+// enabledKeys may be nil to allow all application features; nets carries
+// the precomputed network-layer values for the record's address.
 func CondsOf(r dataset.Record, fams FamilySet, enabledKeys map[features.Key]bool, nets []features.Value) []Cond {
 	apps := r.Feats.Values()
 	if enabledKeys != nil {

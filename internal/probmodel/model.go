@@ -1,6 +1,11 @@
 package probmodel
 
 import (
+	"slices"
+	"strconv"
+	"strings"
+
+	"gps/internal/asndb"
 	"gps/internal/dataset"
 	"gps/internal/engine"
 	"gps/internal/features"
@@ -57,67 +62,325 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pairKey is the shuffle key for co-occurrence counting: a condition from
-// service B paired with another open port A on the same host.
-type pairKey struct {
-	cond Cond
-	port uint16
+// CondID names a condition inside one Model: its index in the model's
+// dictionary, dense from 0 in order of first appearance in the seed hosts
+// Build was given. An id means nothing to another model.
+type CondID uint32
+
+// NoCond is the CondID of no condition.
+const NoCond = ^CondID(0)
+
+// condKey is a condition as the dictionary stores it: fixed-size and
+// pointer-free, so hashing it touches no string. appVal indexes
+// Model.strs; netVal is the subnet's network address for a subnet key and
+// the AS number for KeyASN — the formatted spellings ("10.0.0.0/16",
+// "AS7") exist only in Cond.
+type condKey struct {
+	port   uint16
+	appKey features.Key
+	netKey features.Key
+	appVal uint32
+	netVal uint32
 }
 
 // Model holds the trained conditional probabilities. It is immutable after
-// Build and safe for concurrent queries.
+// Build and safe for concurrent queries: nothing is interned, cached or
+// built lazily at query time.
+//
+// Counts live in flat arrays indexed by CondID. condHosts[id] is the
+// number of seed hosts exhibiting the condition; the hosts that also had
+// another port open are one CSR row per condition — rowOff[id] to
+// rowOff[id+1] in pairPort (ascending) and pairHosts — which Prob binary
+// searches. Ids depend only on the order of hosts, records and feature
+// keys in Build's input, never on Config.Engine, so every table is
+// identical for any worker count.
 type Model struct {
 	cfg        Config
-	condHosts  map[Cond]uint64    // hosts exhibiting each condition
-	pairHosts  map[pairKey]uint64 // hosts exhibiting cond AND port A open
 	hostsSeen  int
 	enabledKey map[features.Key]bool // nil = all
+	nets       []netSlot             // cfg.NetKeys, resolved
+	strID      map[string]uint32     // application feature value → index in strs
+	strs       []string              // the values, for rendering a Cond
+	dict       map[condKey]CondID    // read-only after Build
+	keys       []condKey             // CondID → key
+	condHosts  []uint32              // CondID → hosts exhibiting it
+	rowOff     []uint32              // CondID → start of its row; len(keys)+1
+	pairPort   []uint16              // other open ports, ascending within a row
+	pairHosts  []uint32              // hosts exhibiting the condition AND that port
 	stats      engine.Stats
 }
 
-// Build trains the model over seed hosts with one parallel
-// map/shuffle/reduce pass (per count family).
+// netSlot is one configured network feature: a subnet length, or the ASN.
+type netSlot struct {
+	key  features.Key
+	mask asndb.IP // subnet mask; unused for the ASN
+	asn  bool
+}
+
+// Build trains the model over seed hosts. One sequential pass interns
+// every condition and counts the hosts exhibiting it; the (condition,
+// other open port) co-occurrences are then emitted in parallel as packed
+// integers, sorted per worker and merged into the CSR rows.
 func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 	cfg = cfg.withDefaults()
-	m := &Model{cfg: cfg, hostsSeen: len(hosts)}
+	m := &Model{
+		cfg: cfg, hostsSeen: len(hosts),
+		strID: make(map[string]uint32), dict: make(map[condKey]CondID),
+	}
 	if cfg.AppKeys != nil {
 		m.enabledKey = make(map[features.Key]bool, len(cfg.AppKeys))
 		for _, k := range cfg.AppKeys {
 			m.enabledKey[k] = true
 		}
 	}
+	for _, k := range cfg.NetKeys {
+		if bits, ok := k.SubnetBits(); ok {
+			m.nets = append(m.nets, netSlot{key: k, mask: asndb.Mask(bits)})
+		} else if k == features.KeyASN {
+			m.nets = append(m.nets, netSlot{key: k, asn: true})
+		}
+	}
 
 	// Pass 1: count hosts per condition. A condition is counted once per
-	// host no matter how many ports it predicts from there.
-	m.condHosts = engine.GroupCount(cfg.Engine, &m.stats, hosts,
-		func(h dataset.HostGroup, emit engine.Emit[Cond, uint64]) {
-			for _, r := range h.Records {
-				for _, c := range m.CondsOf(r) {
-					emit(c, 1)
-				}
+	// record that exhibits it; ids[recStart[i]:recStart[i+1]] keeps the
+	// conditions of the i-th record overall for pass 2, and hostFirst[h] is
+	// the overall index of host h's first record.
+	nrec := 0
+	for _, h := range hosts {
+		nrec += len(h.Records)
+	}
+	var (
+		s         Scratch
+		ids       = make([]CondID, 0, 8*nrec) // a guess; append corrects it
+		recStart  = make([]uint32, 0, nrec+1)
+		hostFirst = make([]int, len(hosts))
+	)
+	for i, h := range hosts {
+		hostFirst[i] = len(recStart)
+		for _, r := range h.Records {
+			start := len(ids)
+			recStart = append(recStart, uint32(start))
+			ids = m.appendConds(ids, r, &s, true)
+			for _, id := range ids[start:] {
+				m.condHosts[id]++
 			}
-		})
+		}
+	}
+	recStart = append(recStart, uint32(len(ids)))
 
 	// Pass 2: count hosts per (condition, other open port). Only hosts
-	// with at least two services contribute pairs.
-	m.pairHosts = engine.GroupCount(cfg.Engine, &m.stats, hosts,
-		func(h dataset.HostGroup, emit engine.Emit[pairKey, uint64]) {
-			if len(h.Records) < 2 {
-				return
+	// with at least two services contribute pairs. A pair packs into one
+	// integer, condition above port, so sorting groups a row together.
+	runs := engine.Chunks(cfg.Engine, len(hosts), func(lo, hi int) []uint64 {
+		var out []uint64
+		for i := lo; i < hi; i++ {
+			recs := hosts[i].Records
+			if len(recs) < 2 {
+				continue
 			}
-			for _, rb := range h.Records {
-				conds := m.CondsOf(rb)
-				for _, ra := range h.Records {
+			for b, rb := range recs {
+				rec := hostFirst[i] + b
+				conds := ids[recStart[rec]:recStart[rec+1]]
+				for _, ra := range recs {
 					if ra.Port == rb.Port {
 						continue
 					}
 					for _, c := range conds {
-						emit(pairKey{cond: c, port: ra.Port}, 1)
+						out = append(out, uint64(c)<<16|uint64(ra.Port))
 					}
 				}
 			}
-		})
+		}
+		slices.Sort(out)
+		return out
+	})
+	emitted := len(ids)
+	for _, run := range runs {
+		emitted += len(run)
+	}
+	m.mergePairs(runs)
+	if len(hosts) > 0 {
+		m.stats.RecordsIn.Add(2 * uint64(len(hosts))) // each pass reads every host
+		m.stats.PairsEmitted.Add(uint64(emitted))
+	}
 	return m
+}
+
+// mergePairs merges the workers' sorted runs of packed (condition, port)
+// pairs into the CSR rows, counting how often each pair occurs.
+func (m *Model) mergePairs(runs [][]uint64) {
+	m.rowOff = make([]uint32, len(m.keys)+1)
+	pos := make([]int, len(runs))
+	row := 0 // rows up to and including this one have their offset set
+	for {
+		least, found := uint64(0), false
+		for i, run := range runs {
+			if pos[i] < len(run) && (!found || run[pos[i]] < least) {
+				least, found = run[pos[i]], true
+			}
+		}
+		if !found {
+			break
+		}
+		var n uint32
+		for i, run := range runs {
+			for pos[i] < len(run) && run[pos[i]] == least {
+				pos[i]++
+				n++
+			}
+		}
+		for cond := int(least >> 16); row < cond; {
+			row++
+			m.rowOff[row] = uint32(len(m.pairPort))
+		}
+		m.pairPort = append(m.pairPort, uint16(least))
+		m.pairHosts = append(m.pairHosts, n)
+	}
+	for row < len(m.keys) {
+		row++
+		m.rowOff[row] = uint32(len(m.pairPort))
+	}
+}
+
+// Scratch is one goroutine's reusable working memory for HostBest and
+// Resolve. The zero value is ready; slices returned from a call that took
+// a Scratch are valid until the next call that takes the same one.
+type Scratch struct {
+	apps   [features.NumKeys]appSlot
+	ids    []CondID
+	starts []int
+	best   []Best
+}
+
+// appSlot is one application feature of the record being compiled.
+type appSlot struct {
+	key features.Key
+	str string // the value as the record carries it
+	val uint32 // its index in Model.strs
+}
+
+// appendConds appends the ids of the conditions r exhibits, in CondsOf's
+// order (T, TA by key, TN by configured net key, TAN app-major). With
+// intern set (Build only) an unknown value or condition is added to the
+// dictionary; otherwise it is left out, since it has no counts.
+func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern bool) []CondID {
+	// The record's enabled application features, ascending by key — the
+	// order features.Set.Values walks them in — and only then their value
+	// ids, so that interning never sees the map's iteration order.
+	napps := 0
+	for k, v := range r.Feats {
+		if k < features.KeyProtocol || int(k) > features.NumKeys || (m.enabledKey != nil && !m.enabledKey[k]) {
+			continue
+		}
+		i := napps
+		for ; i > 0 && s.apps[i-1].key > k; i-- {
+			s.apps[i] = s.apps[i-1]
+		}
+		s.apps[i] = appSlot{key: k, str: v}
+		napps++
+	}
+	apps := s.apps[:0]
+	for _, a := range s.apps[:napps] {
+		id, ok := m.strID[a.str]
+		if !ok {
+			if !intern {
+				continue
+			}
+			id = uint32(len(m.strs))
+			m.strs = append(m.strs, a.str)
+			m.strID[a.str] = id
+		}
+		apps = append(apps, appSlot{key: a.key, val: id})
+	}
+
+	add := func(k condKey) {
+		id, ok := m.dict[k]
+		if !ok {
+			if !intern {
+				return
+			}
+			id = CondID(len(m.keys))
+			m.dict[k] = id
+			m.keys = append(m.keys, k)
+			m.condHosts = append(m.condHosts, 0)
+		}
+		dst = append(dst, id)
+	}
+	netVal := func(n netSlot) uint32 {
+		if n.asn {
+			return uint32(r.ASN)
+		}
+		return uint32(r.IP & n.mask)
+	}
+	fams := m.cfg.Families
+	if fams.Has(FamilyT) {
+		add(condKey{port: r.Port})
+	}
+	if fams.Has(FamilyTA) {
+		for _, a := range apps {
+			add(condKey{port: r.Port, appKey: a.key, appVal: a.val})
+		}
+	}
+	if fams.Has(FamilyTN) {
+		for _, n := range m.nets {
+			add(condKey{port: r.Port, netKey: n.key, netVal: netVal(n)})
+		}
+	}
+	if fams.Has(FamilyTAN) {
+		for _, a := range apps {
+			for _, n := range m.nets {
+				add(condKey{port: r.Port, appKey: a.key, appVal: a.val, netKey: n.key, netVal: netVal(n)})
+			}
+		}
+	}
+	return dst
+}
+
+// Resolve returns the ids of the conditions r exhibits that the model has
+// counts for, in CondsOf's order. A condition the seed never showed — a
+// banner, subnet or AS first met on an anchor — has no id, no counts and
+// no rules, so it is left out rather than interned: resolving reads the
+// model and never writes it.
+func (m *Model) Resolve(r dataset.Record, s *Scratch) []CondID {
+	s.ids = m.appendConds(s.ids[:0], r, s, false)
+	return s.ids
+}
+
+// Best is the condition most predictive of one service of a host, with
+// its probability. Cond is NoCond when no condition reaches the floor.
+type Best struct {
+	Cond CondID
+	P    float64
+}
+
+// HostBest returns, for every record of the host in order, the condition
+// on the host's other services that maximizes the probability of that
+// record's port — the inner step of both the priors algorithm (§5.3) and
+// the prediction algorithm (§5.4), for the whole host at once: each
+// record's condition list is compiled once, not once per service it might
+// predict. Ties keep the earlier record, then the earlier condition in
+// CondsOf's order, so simpler families win.
+func (m *Model) HostBest(h dataset.HostGroup, s *Scratch) []Best {
+	s.ids, s.starts, s.best = s.ids[:0], s.starts[:0], s.best[:0]
+	for _, r := range h.Records {
+		s.starts = append(s.starts, len(s.ids))
+		s.ids = m.appendConds(s.ids, r, s, false)
+		s.best = append(s.best, Best{Cond: NoCond})
+	}
+	s.starts = append(s.starts, len(s.ids))
+	for b, rb := range h.Records {
+		for _, c := range s.ids[s.starts[b]:s.starts[b+1]] {
+			for a, ra := range h.Records {
+				if ra.Port == rb.Port {
+					continue
+				}
+				if q := m.ProbID(c, ra.Port); q > s.best[a].P {
+					s.best[a] = Best{Cond: c, P: q}
+				}
+			}
+		}
+	}
+	return s.best
 }
 
 // CondsOf enumerates the condition tuples a record contributes under this
@@ -132,40 +395,112 @@ func (m *Model) Floor() float64 { return m.cfg.Floor }
 // Families returns the enabled family set.
 func (m *Model) Families() FamilySet { return m.cfg.Families }
 
-// EnabledKeys returns the application-feature restriction (nil = all).
-func (m *Model) EnabledKeys() map[features.Key]bool { return m.enabledKey }
-
 // HostsSeen returns how many seed hosts the model was trained on.
 func (m *Model) HostsSeen() int { return m.hostsSeen }
 
 // NumConds returns the number of distinct conditions observed.
-func (m *Model) NumConds() int { return len(m.condHosts) }
+func (m *Model) NumConds() int { return len(m.keys) }
 
 // NumPairs returns the number of distinct (condition, port) pairs.
-func (m *Model) NumPairs() int { return len(m.pairHosts) }
+func (m *Model) NumPairs() int { return len(m.pairPort) }
 
-// Stats exposes the engine work counters accumulated during Build.
+// Stats exposes the work counters accumulated during Build: hosts read
+// (once per pass) and condition and pair observations counted — the
+// analogue of Table 2's "data processed / shuffled".
 func (m *Model) Stats() (recordsIn, pairsEmitted uint64) {
 	return m.stats.RecordsIn.Load(), m.stats.PairsEmitted.Load()
 }
 
-// CondHosts returns how many seed hosts exhibited the condition.
-func (m *Model) CondHosts(c Cond) uint64 { return m.condHosts[c] }
+// Port returns the port (PortB) of the condition.
+func (m *Model) Port(id CondID) uint16 { return m.keys[id].port }
 
-// Prob returns P(portA open | cond), applying the configured floor:
-// probabilities below the floor return 0 because GPS treats them as no
-// better than random probing.
-func (m *Model) Prob(c Cond, portA uint16) float64 {
-	denom := m.condHosts[c]
-	if denom == 0 || denom < uint64(m.cfg.MinSupport) {
+// Cond renders the condition in its display form: this is where the
+// interned application value, the subnet and the AS number become strings
+// again.
+func (m *Model) Cond(id CondID) Cond {
+	k := m.keys[id]
+	c := Cond{Port: k.port, AppKey: k.appKey, NetKey: k.netKey}
+	if k.appKey != features.KeyNone {
+		c.AppVal = m.strs[k.appVal]
+	}
+	if bits, ok := k.netKey.SubnetBits(); ok {
+		c.NetVal = asndb.Prefix{Addr: asndb.IP(k.netVal), Bits: bits}.String()
+	} else if k.netKey == features.KeyASN {
+		c.NetVal = asndb.ASN(k.netVal).String()
+	}
+	return c
+}
+
+// Lookup returns the id of a condition given in display form; ok is false
+// when the seed never exhibited it. The network value is parsed back into
+// the integer the dictionary is keyed on, and a spelling other than the
+// one Cond renders ("AS07", a prefix with host bits) is not found, as it
+// never was.
+func (m *Model) Lookup(c Cond) (id CondID, ok bool) {
+	k := condKey{port: c.Port, appKey: c.AppKey, netKey: c.NetKey}
+	if c.AppKey != features.KeyNone {
+		if k.appVal, ok = m.strID[c.AppVal]; !ok {
+			return NoCond, false
+		}
+	}
+	if _, subnet := c.NetKey.SubnetBits(); subnet {
+		p, err := asndb.ParsePrefix(c.NetVal)
+		if err != nil {
+			return NoCond, false
+		}
+		k.netVal = uint32(p.Addr)
+	} else if c.NetKey == features.KeyASN {
+		digits, _ := strings.CutPrefix(c.NetVal, "AS")
+		n, err := strconv.ParseUint(digits, 10, 32)
+		if err != nil {
+			return NoCond, false
+		}
+		k.netVal = uint32(n)
+	}
+	if id, ok = m.dict[k]; !ok || m.Cond(id) != c {
+		return NoCond, false
+	}
+	return id, true
+}
+
+// CondHosts returns how many seed hosts exhibited the condition.
+func (m *Model) CondHosts(c Cond) uint64 {
+	id, ok := m.Lookup(c)
+	if !ok {
 		return 0
 	}
-	num := m.pairHosts[pairKey{cond: c, port: portA}]
-	p := float64(num) / float64(denom)
+	return uint64(m.condHosts[id])
+}
+
+// ProbID returns P(portA open | cond), applying the configured floor and
+// minimum support: a condition under the support, or a probability below
+// the floor, returns 0 because GPS treats it as no better than random
+// probing.
+func (m *Model) ProbID(id CondID, portA uint16) float64 {
+	denom := m.condHosts[id]
+	if int(denom) < m.cfg.MinSupport {
+		return 0
+	}
+	lo := m.rowOff[id]
+	i, ok := slices.BinarySearch(m.pairPort[lo:m.rowOff[id+1]], portA)
+	if !ok {
+		return 0
+	}
+	p := float64(m.pairHosts[int(lo)+i]) / float64(denom)
 	if p < m.cfg.Floor {
 		return 0
 	}
 	return p
+}
+
+// Prob is ProbID for a condition in display form; a condition the seed
+// never exhibited has probability 0.
+func (m *Model) Prob(c Cond, portA uint16) float64 {
+	id, ok := m.Lookup(c)
+	if !ok {
+		return 0
+	}
+	return m.ProbID(id, portA)
 }
 
 // BestCond returns the condition among cands maximizing P(portA | cond),
@@ -182,17 +517,23 @@ func (m *Model) BestCond(cands []Cond, portA uint16) (best Cond, p float64, ok b
 }
 
 // BestCondForHost scans every other service on the host and returns the
-// condition most predictive of portA — the inner step of both the priors
-// algorithm (§5.3) and the prediction algorithm (§5.4).
+// condition most predictive of portA, in display form. Callers that want
+// every service of the host should use HostBest.
 func (m *Model) BestCondForHost(h dataset.HostGroup, portA uint16) (best Cond, p float64, ok bool) {
+	var s Scratch
+	id := NoCond
 	for _, rb := range h.Records {
 		if rb.Port == portA {
 			continue
 		}
-		c, q, found := m.BestCond(m.CondsOf(rb), portA)
-		if found && q > p {
-			best, p, ok = c, q, true
+		for _, c := range m.Resolve(rb, &s) {
+			if q := m.ProbID(c, portA); q > p {
+				id, p = c, q
+			}
 		}
 	}
-	return best, p, ok
+	if id == NoCond {
+		return Cond{}, 0, false
+	}
+	return m.Cond(id), p, true
 }

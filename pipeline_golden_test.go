@@ -1,0 +1,134 @@
+package gps
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gps/internal/features"
+	"gps/internal/probmodel"
+)
+
+// updatePipelineGolden rewrites testdata/golden/pipeline/index.tsv from
+// the code under test. The checked-in file was written by the commit
+// BEFORE the model went integer-keyed (string-keyed probmodel.Cond maps),
+// so replaying it proves the interned tables count exactly what the maps
+// counted. Regenerate only from a commit whose outputs are the reference.
+var updatePipelineGolden = flag.Bool("update-pipeline-golden", false,
+	"rewrite testdata/golden/pipeline/index.tsv from this tree's gps.Run")
+
+const pipelineGoldenPath = "testdata/golden/pipeline/index.tsv"
+
+// pipelineGoldenWorlds are the seeds of the small universes replayed.
+var pipelineGoldenWorlds = []int64{100, 101, 102}
+
+type pipelineGoldenConfig struct {
+	name string
+	cfg  Config
+}
+
+// pipelineGoldenConfigs covers every model-side switch gps.Run has:
+// worker counts, step size, budget, family sets, floor and support
+// ablations, an application-key restriction and a sharded run.
+func pipelineGoldenConfigs(f *fixture) []pipelineGoldenConfig {
+	return []pipelineGoldenConfig{
+		{"workers1", Config{Seed: 11, Workers: 1}},
+		{"workers2", Config{Seed: 11, Workers: 2}},
+		{"workers3", Config{Seed: 11, Workers: 3}},
+		{"step20-budget", Config{Seed: 12, StepBits: 20, Budget: f.u.SpaceSize() / 2}},
+		{"stepzero-transport", Config{Seed: 13, StepZero: true, Families: probmodel.TransportOnly}},
+		{"nofloor-nosupport", Config{Seed: 14, Floor: -1, MinSupport: -1}},
+		{"appkeys", Config{Seed: 15, AppKeys: []features.Key{features.KeyProtocol, features.KeyHTTPServer, features.KeySSHBanner}}},
+		{"shard1of4-exact", Config{Seed: 16, ShardIndex: 1, ShardCount: 4, ExactShardCounts: true}},
+		{"tn-tan", Config{Seed: 17, Families: probmodel.FamilySet(0).With(probmodel.FamilyTN).With(probmodel.FamilyTAN)}},
+	}
+}
+
+// pipelineDigest is one golden row: the sizes in clear (so a mismatch
+// says which list moved) and a sha256 per list over a fixed-width
+// big-endian serialization, probabilities as their IEEE-754 bits.
+func pipelineDigest(res *Result) string {
+	h := sha256.New()
+	put := func(vs ...uint64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.BigEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	sum := func() string {
+		s := hex.EncodeToString(h.Sum(nil))
+		h.Reset()
+		return s
+	}
+	for _, t := range res.PriorsList.Targets {
+		put(uint64(t.Port), uint64(t.Subnet.Addr), uint64(t.Subnet.Bits), uint64(t.Coverage))
+	}
+	targets := sum()
+	for _, p := range res.Predictions {
+		put(uint64(p.IP), uint64(p.Port), math.Float64bits(p.P))
+	}
+	preds := sum()
+	for _, d := range res.Discoveries {
+		put(uint64(d.Key.IP), uint64(d.Key.Port), uint64(d.Phase), d.Probes, math.Float64bits(d.P))
+	}
+	discs := sum()
+	recs, pairs := res.Model.Stats()
+	return fmt.Sprintf("targets=%d predictions=%d discoveries=%d conds=%d pairs=%d records_in=%d pairs_emitted=%d priors_probes=%d predict_probes=%d\t%s\t%s\t%s",
+		len(res.PriorsList.Targets), len(res.Predictions), len(res.Discoveries),
+		res.Model.NumConds(), res.Model.NumPairs(), recs, pairs,
+		res.PriorsProbes, res.PredictProbes, targets, preds, discs)
+}
+
+// TestPipelineGolden replays gps.Run over three seeded worlds and nine
+// configurations against rows written by the string-keyed model: the
+// priors targets, the predictions (float bits included), the discovery
+// log with its probe counters, and the model's NumConds, NumPairs and
+// Stats must all be bit-identical.
+func TestPipelineGolden(t *testing.T) {
+	var lines []string
+	for _, world := range pipelineGoldenWorlds {
+		f := newFixture(t, world)
+		for _, c := range pipelineGoldenConfigs(f) {
+			res, err := Run(f.u, f.seedSet, c.cfg)
+			if err != nil {
+				t.Fatalf("world %d %s: %v", world, c.name, err)
+			}
+			lines = append(lines, fmt.Sprintf("%d\t%s\t%s", world, c.name, pipelineDigest(res)))
+		}
+	}
+	if *updatePipelineGolden {
+		if err := os.MkdirAll(filepath.Dir(pipelineGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pipelineGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	file, err := os.Open(pipelineGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	var want []string
+	for sc := bufio.NewScanner(file); sc.Scan(); {
+		want = append(want, sc.Text())
+	}
+	if len(want) != len(lines) {
+		t.Fatalf("golden has %d rows; this tree produced %d", len(want), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Errorf("row %d differs\n got: %s\nwant: %s", i, lines[i], want[i])
+		}
+	}
+}
