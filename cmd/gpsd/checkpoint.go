@@ -7,7 +7,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"gps"
+	"gps/internal/continuous"
+	"gps/internal/shard"
 	"gps/internal/wire"
 )
 
@@ -144,7 +145,7 @@ const maxCheckpointShards = 1 << 16
 // readCheckpointFile reads a checkpoint without validating the world —
 // the re-balance subcommand operates on whatever layout the file holds.
 // It returns errNoCheckpoint when the file does not exist.
-func readCheckpointFile(path string) (worldID, topology, []*gps.ContinuousState, error) {
+func readCheckpointFile(path string) (worldID, topology, []*continuous.State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -161,13 +162,13 @@ func readCheckpointFile(path string) (worldID, topology, []*gps.ContinuousState,
 
 // encodeCheckpoint renders a whole checkpoint file: the world header,
 // the topology record, then the per-shard states as one GPSS blob.
-func encodeCheckpoint(world worldID, topo topology, states []*gps.ContinuousState) ([]byte, error) {
+func encodeCheckpoint(world worldID, topo topology, states []*continuous.State) ([]byte, error) {
 	buf := bytes.NewBuffer(append(world.header(), topo.encode()...))
-	err := gps.WriteShardCheckpoint(buf, states)
+	err := shard.WriteCheckpoint(buf, states)
 	return buf.Bytes(), err
 }
 
-func decodeCheckpoint(data []byte) (worldID, topology, []*gps.ContinuousState, error) {
+func decodeCheckpoint(data []byte) (worldID, topology, []*continuous.State, error) {
 	d := wire.NewDec(checkpointMagic, data)
 	world := decodeWorld(d)
 	if world.Shards < 1 || world.Shards > maxCheckpointShards {
@@ -180,7 +181,7 @@ func decodeCheckpoint(data []byte) (worldID, topology, []*gps.ContinuousState, e
 	if err := d.Err(); err != nil {
 		return world, topo, nil, err
 	}
-	states, err := gps.ReadShardCheckpoint(bytes.NewReader(d.Rest()))
+	states, err := shard.ReadCheckpoint(bytes.NewReader(d.Rest()))
 	if err == nil && len(states) != world.Shards {
 		err = fmt.Errorf("%d shard states; header says %d", len(states), world.Shards)
 	}
@@ -192,7 +193,7 @@ func decodeCheckpoint(data []byte) (worldID, topology, []*gps.ContinuousState, e
 // errNoCheckpoint when the file does not exist; any other error means the
 // checkpoint is corrupt or was written for a different world and must not
 // be silently discarded.
-func loadCheckpoint(path string, want worldID) ([]*gps.ContinuousState, topology, error) {
+func loadCheckpoint(path string, want worldID) ([]*continuous.State, topology, error) {
 	got, topo, states, err := readCheckpointFile(path)
 	if err != nil {
 		return nil, topo, err
@@ -213,7 +214,7 @@ func loadCheckpoint(path string, want worldID) ([]*gps.ContinuousState, topology
 // crash at that moment leaves a truncated checkpoint under the final
 // name. The directory is also synced (best effort) so the rename itself
 // survives a crash.
-func saveCheckpoint(path string, world worldID, topo topology, states []*gps.ContinuousState) error {
+func saveCheckpoint(path string, world worldID, topo topology, states []*continuous.State) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -8,22 +8,25 @@ import (
 	"testing"
 
 	"gps"
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
+	"gps/internal/shard"
 	"gps/internal/wire/wiretest"
 )
 
 // testStates builds a small two-shard coordinator state worth
 // checkpointing.
-func testStates(t *testing.T, shards int) []*gps.ContinuousState {
+func testStates(t *testing.T, shards int) []*continuous.State {
 	t.Helper()
-	u := gps.GenerateUniverse(gps.SmallUniverseParams(3))
+	u := netmodel.Generate(netmodel.TestParams(3))
 	seedSet := gps.CollectSeed(u, 0.05, 3^0x5eed)
 	seedSet = seedSet.FilterPorts(seedSet.EligiblePorts(2))
-	cfg := gps.ShardConfig{
+	cfg := shard.Config{
 		Shards:     shards,
-		Continuous: gps.ContinuousConfig{Pipeline: gps.Config{Workers: 1, Seed: 3}},
+		Continuous: continuous.Config{Pipeline: gps.Config{Workers: 1, Seed: 3}},
 	}
-	coord := gps.NewShardCoordinator(seedSet, cfg)
-	if _, err := coord.Epoch(gps.ApplyChurn(u, gps.DefaultChurn(4))); err != nil {
+	coord := shard.NewCoordinator(seedSet, cfg)
+	if _, err := coord.Epoch(netmodel.Churn(u, netmodel.DefaultChurn(4))); err != nil {
 		t.Fatal(err)
 	}
 	return coord.States()
@@ -252,7 +255,7 @@ func TestGoldenCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gpss.Close()
-	states, err := gps.ReadShardCheckpoint(gpss)
+	states, err := shard.ReadCheckpoint(gpss)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,9 @@ import (
 	"runtime"
 	"sync"
 
-	"gps"
+	"gps/internal/serve"
+	"gps/internal/telemetry"
+	"gps/internal/trace"
 )
 
 // processHealth is the role-specific readiness the debug server's
@@ -18,12 +20,12 @@ import (
 // structured readiness probe.
 var processHealth struct {
 	mu   sync.Mutex
-	info gps.HealthInfo
+	info serve.HealthInfo
 }
 
 // setProcessHealth mutates the debug server's readiness doc in place;
 // safe from any goroutine.
-func setProcessHealth(mutate func(*gps.HealthInfo)) {
+func setProcessHealth(mutate func(*serve.HealthInfo)) {
 	processHealth.mu.Lock()
 	defer processHealth.mu.Unlock()
 	mutate(&processHealth.info)
@@ -32,11 +34,11 @@ func setProcessHealth(mutate func(*gps.HealthInfo)) {
 // workerShardsOwned is the transport session's owned-shard gauge,
 // resolved once: processHealthInfo runs per /v1/healthz probe, which
 // must not re-enter the telemetry registry.
-var workerShardsOwned = gps.Telemetry().Gauge("gps_worker_shards_owned",
+var workerShardsOwned = telemetry.Default.Gauge("gps_worker_shards_owned",
 	"shards currently assigned to this worker's session")
 
 // processHealthInfo snapshots the readiness doc for a probe.
-func processHealthInfo() gps.HealthInfo {
+func processHealthInfo() serve.HealthInfo {
 	processHealth.mu.Lock()
 	defer processHealth.mu.Unlock()
 	info := processHealth.info
@@ -49,7 +51,7 @@ func processHealthInfo() gps.HealthInfo {
 }
 
 // debugLog tags the debug side channel's lines.
-var debugLog = gps.NewLogger("debug")
+var debugLog = trace.NewLogger("debug")
 
 // startDebugServer exposes the operational side channel every gpsd mode
 // shares: /v1/metricz (Prometheus text), /v1/healthz (role-specific
@@ -64,12 +66,12 @@ func startDebugServer(addr string) {
 	}
 	initProcessMetrics()
 	mux := http.NewServeMux()
-	mux.Handle("/v1/metricz", gps.Telemetry().Handler())
-	mux.Handle("/v1/healthz", gps.HealthHandler(gps.HealthFunc(processHealthInfo)))
-	mux.Handle("/v1/tracez", gps.TraceHandler())
-	mux.Handle("/v1/debugz", gps.DebugzHandler(gps.DebugzOptions{
+	mux.Handle("/v1/metricz", telemetry.Default.Handler())
+	mux.Handle("/v1/healthz", serve.HealthHandler(serve.HealthFunc(processHealthInfo)))
+	mux.Handle("/v1/tracez", trace.Handler())
+	mux.Handle("/v1/debugz", trace.DebugzHandler(trace.DebugzOptions{
 		Metrics: func(w io.Writer) error {
-			_, err := gps.Telemetry().WriteTo(w)
+			_, err := telemetry.Default.WriteTo(w)
 			return err
 		},
 		HealthState: func() (string, bool) {
@@ -87,7 +89,7 @@ func startDebugServer(addr string) {
 		debugLog.Warnf("debug server: %v", err)
 		return
 	}
-	srv := gps.NewHTTPServer("", mux)
+	srv := serve.NewHTTPServer("", mux)
 	// CPU profiles stream for ?seconds=N; the serving layer's write bound
 	// would truncate them.
 	srv.WriteTimeout = 0
@@ -103,14 +105,14 @@ func startDebugServer(addr string) {
 // time. Heap via GaugeFunc replaces the MemStats figure the worker used
 // to print in its world-built log line.
 func initProcessMetrics() {
-	gps.Telemetry().GaugeFunc("gps_process_heap_bytes",
+	telemetry.Default.GaugeFunc("gps_process_heap_bytes",
 		"live heap allocation (runtime.MemStats.HeapAlloc)",
 		func() float64 {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			return float64(ms.HeapAlloc)
 		})
-	gps.Telemetry().GaugeFunc("gps_process_goroutines",
+	telemetry.Default.GaugeFunc("gps_process_goroutines",
 		"current goroutine count",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 }

@@ -1,15 +1,19 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"gps"
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
+	"gps/internal/serve"
+	"gps/internal/shard"
+	"gps/internal/shard/transport"
+	"gps/internal/trace"
 )
 
 // runCoordinator drives a distributed run: dial the worker fleet, seed or
@@ -19,21 +23,21 @@ import (
 // view the in-process daemon maintains, so checkpoints, inventories, and
 // log lines are interchangeable between the two modes.
 func runCoordinator(f daemonFlags) int {
-	gps.Tracing().SetProcess("coordinator")
+	trace.Default.SetProcess("coordinator")
 	addrs := strings.Split(f.workers, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 	world := f.world()
-	clusterLog := gps.NewLogger("cluster")
-	opts := &gps.DistributedOptions{
+	clusterLog := trace.NewLogger("cluster")
+	opts := &transport.Options{
 		Timeout:         f.rpcTimeout,
 		RebalanceFactor: f.rebalFactor,
 		Logf: func(format string, args ...any) {
 			clusterLog.Infof(format, args...)
 		},
 	}
-	coord, err := gps.DialShardWorkers(addrs, f.shardConfig(), world.header(), opts)
+	coord, err := transport.Dial(addrs, f.shardConfig(), world.header(), opts)
 	if err != nil {
 		mainLog.Errorf("%v", err)
 		return 1
@@ -41,7 +45,7 @@ func runCoordinator(f daemonFlags) int {
 	defer coord.Close()
 	mainLog.Infof("coordinating %d shards over %d workers (%s)",
 		f.shards, len(addrs), f.workers)
-	setProcessHealth(func(i *gps.HealthInfo) {
+	setProcessHealth(func(i *serve.HealthInfo) {
 		i.Role = "coordinator"
 		i.ShardsOwned = f.shards
 	})
@@ -61,37 +65,24 @@ func runCoordinator(f daemonFlags) int {
 
 	// Resume from a checkpoint when one exists; otherwise generate the
 	// universe locally just long enough to collect the broadcast seed.
-	resumed := false
-	if f.checkpoint != "" {
-		states, topo, err := loadCheckpoint(f.checkpoint, world)
-		switch {
-		case errors.Is(err, errNoCheckpoint):
-			// Fresh start below.
-		case err != nil:
+	states, topo, err := resumeStates(f, world)
+	if err != nil {
+		mainLog.Errorf("%v", err)
+		return 1
+	}
+	if states != nil {
+		if topo.Workers > 0 && topo.Workers != len(addrs) {
+			mainLog.Infof("checkpoint was written by a %d-worker fleet; re-homing shards over %d workers",
+				topo.Workers, len(addrs))
+		}
+		if err := coord.Resume(states); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
-		default:
-			known := 0
-			for _, st := range states {
-				known += len(st.Known)
-			}
-			mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
-				f.checkpoint, states[0].Epoch, known, len(states))
-			if topo.Workers > 0 && topo.Workers != len(addrs) {
-				mainLog.Infof("checkpoint was written by a %d-worker fleet; re-homing shards over %d workers",
-					topo.Workers, len(addrs))
-			}
-			if err := coord.Resume(states); err != nil {
-				mainLog.Errorf("%v", err)
-				return 1
-			}
-			resumed = true
 		}
-	}
-	if !resumed {
+	} else {
 		mainLog.Infof("generating universe (seed=%d, %d /16s, density %.1f%%) for seeding",
 			f.seed, f.prefixes, 100*f.density)
-		u, err := gps.NewUniverse(gps.DemoUniverseParams(f.seed, f.prefixes, f.density))
+		u, err := netmodel.GenerateChecked(gps.DemoUniverseParams(f.seed, f.prefixes, f.density))
 		if err != nil {
 			mainLog.Errorf("invalid universe flags: %v", err)
 			return 2
@@ -105,88 +96,67 @@ func runCoordinator(f daemonFlags) int {
 			return 1
 		}
 	}
-	warnEmptyShards(coord.EmptyShards(), resumed)
+	warnEmptyShards(coord.EmptyShards(), states != nil)
 
+	fleet := &fleetCoordinator{Coordinator: coord}
 	var api *inventoryServer
 	if f.serve != "" {
 		// The serving coordinator is also the cluster control plane:
 		// GET /v1/cluster reads the membership doc straight off the
 		// coordinator, and the drain endpoint (behind -admin) feeds
 		// RequestDrain. The health doc carries the coordinator role.
-		configure := func(api *gps.InventoryServer) {
+		configure := func(api *serve.Server) {
 			api.EnableCluster(coord, f.admin)
-			api.SetHealthSource(gps.HealthFunc(func() gps.HealthInfo {
-				return gps.HealthInfo{Role: "coordinator", ShardsOwned: f.shards}
+			api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
+				return serve.HealthInfo{Role: "coordinator", ShardsOwned: f.shards}
 			}))
 		}
-		if api, err = startServing(f, coord, configure); err != nil {
+		if api, err = startServing(f, fleet, configure); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
 		}
 	}
 
-	sig := notifySignals()
-	reported := 0
-	stopped := false
-	for epoch := coord.EpochNumber() + 1; !stopped && (f.epochs == 0 || epoch <= f.epochs); epoch++ {
-		select {
-		case s := <-sig:
-			mainLog.Infof("%v — flushing and stopping cleanly", s)
-			stopped = true
-			continue
-		default:
-		}
-
-		start := time.Now()
-		stats, err := coord.Epoch()
-		for _, we := range coord.Failures()[reported:] {
-			mainLog.Warnf("%v — shard re-queued", we)
-			reported++
-		}
-		if err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
-		}
-		elapsed := time.Since(start)
-		logEpoch(stats, elapsed)
-
-		var ckpt time.Duration
-		if f.checkpoint != "" {
-			ckptStart := time.Now()
-			topo := topology{Workers: len(addrs), Assign: coord.Assignment()}
-			if err := saveCheckpoint(f.checkpoint, world, topo, coord.States()); err != nil {
-				mainLog.Errorf("checkpoint: %v", err)
-				return 1
-			}
-			ckpt = time.Since(ckptStart)
-			checkpointSeconds.Observe(ckpt.Seconds())
-		}
-		if f.shardCkpts != "" {
-			if err := saveShardCheckpoints(f.shardCkpts, coord.States()); err != nil {
-				mainLog.Errorf("shard checkpoints: %v", err)
-				return 1
-			}
-		}
-		logEpochJSON(stats, elapsed, ckpt)
-		if f.interval > 0 && !stopped {
-			select {
-			case s := <-sig:
-				mainLog.Infof("%v — flushing and stopping cleanly", s)
-				stopped = true
-			case <-time.After(f.interval):
-			}
-		}
+	if code := runEpochs(f, world, fleet, api); code != 0 {
+		return code
 	}
-	serveUntilSignal(api, sig, stopped)
 	// Close the worker fleet before the final flush: the coordinator
 	// holds every shard's state locally, so the checkpoint and inventory
 	// need nothing further from the workers, and the shutdown frames land
 	// while they are still draining. (The deferred Close stays as the
 	// error-path fallback; a second Close is harmless.)
-	suffix := fmt.Sprintf(" across %d/%d workers", coord.AliveWorkers(), len(addrs))
+	suffix := fleet.exitSuffix()
 	coord.Close()
-	return finishDaemon(f, world, topology{Workers: len(addrs), Assign: coord.Assignment()},
-		coord.States(), coord.EpochNumber(), api, suffix, coord.Inventory)
+	return finishDaemon(f, world, fleet, api, suffix)
+}
+
+// fleetCoordinator adapts the distributed coordinator to the epoch
+// loop: each epoch reports the worker failures it survived, and the
+// topology it checkpoints is the live fleet's — WorkerAddrs, not the
+// -workers list, because Assignment indexes a fleet that grows with
+// every admitted -join.
+type fleetCoordinator struct {
+	*transport.Coordinator
+	reported int
+}
+
+func (c *fleetCoordinator) Epoch() (continuous.EpochStats, error) {
+	stats, err := c.Coordinator.Epoch()
+	for _, we := range c.Failures()[c.reported:] {
+		mainLog.Warnf("%v — shard re-queued", we)
+		c.reported++
+	}
+	return stats, err
+}
+
+func (c *fleetCoordinator) topology() topology {
+	return topology{Workers: len(c.WorkerAddrs()), Assign: c.Assignment()}
+}
+
+// exitSuffix is the fleet's share of the exit line: living workers over
+// the fleet the run ended with.
+func (c *fleetCoordinator) exitSuffix() string {
+	return fmt.Sprintf(" across %d/%d workers", c.AliveWorkers(), len(c.WorkerAddrs()))
 }
 
 // saveShardCheckpoints writes each shard's state as its own continuous
@@ -197,7 +167,7 @@ func runCoordinator(f daemonFlags) int {
 // file under the final name), and shard files beyond the current layout
 // — leftovers of a larger pre-join layout — are removed so the directory
 // always describes exactly the current shards.
-func saveShardCheckpoints(dir string, states []*gps.ContinuousState) error {
+func saveShardCheckpoints(dir string, states []*continuous.State) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -207,7 +177,7 @@ func saveShardCheckpoints(dir string, states []*gps.ContinuousState) error {
 		if err != nil {
 			return err
 		}
-		err = gps.WriteContinuousCheckpoint(tmpf, st)
+		err = continuous.WriteCheckpoint(tmpf, st)
 		if err == nil {
 			err = tmpf.Sync()
 		}
@@ -251,7 +221,7 @@ func runRebalance(f daemonFlags) int {
 	}
 	switch f.rebalance {
 	case "split":
-		if states, err = gps.SplitShardStates(states); err != nil {
+		if states, err = shard.SplitStates(states); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
 		}
@@ -259,7 +229,7 @@ func runRebalance(f daemonFlags) int {
 		topo.Assign = append(topo.Assign, topo.Assign...)
 		world.Shards *= 2
 	case "join":
-		if states, err = gps.JoinShardStates(states); err != nil {
+		if states, err = shard.JoinStates(states); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
 		}

@@ -97,6 +97,12 @@ import (
 	"time"
 
 	"gps"
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
+	"gps/internal/serve"
+	"gps/internal/shard"
+	"gps/internal/telemetry"
+	"gps/internal/trace"
 )
 
 // daemonFlags is every knob the daemon, coordinator, and worker modes
@@ -183,7 +189,7 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 // component=gpsd plus the trace id of the epoch in flight, so a slow
 // log line can be pulled up as a waterfall in /v1/tracez. Info routes
 // to stdout, warnings and errors to stderr.
-var mainLog = gps.NewLogger("gpsd")
+var mainLog = trace.NewLogger("gpsd")
 
 // parseArgs turns a gpsd command line into a daemonFlags. The first
 // argument may be a subcommand (worker, coordinator, replica, watch,
@@ -235,7 +241,7 @@ func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
 	// Structured logging is live from this point on: the JSON switch is
 	// applied before the first line so a log shipper never sees a mixed
 	// stream.
-	gps.SetLogJSON(f.logJSON)
+	trace.SetLogJSON(f.logJSON)
 	return f, nil
 }
 
@@ -293,10 +299,10 @@ func (f daemonFlags) world() worldID {
 
 // shardConfig derives the coordinator configuration both the in-process
 // and the distributed mode run, so the two produce identical epochs.
-func (f daemonFlags) shardConfig() gps.ShardConfig {
-	return gps.ShardConfig{
+func (f daemonFlags) shardConfig() shard.Config {
+	return shard.Config{
 		Shards: f.shards,
-		Continuous: gps.ContinuousConfig{
+		Continuous: continuous.Config{
 			Budget:           f.budget,
 			ReverifyFraction: f.reverify,
 			MaxStale:         f.maxStale,
@@ -310,7 +316,7 @@ func (f daemonFlags) shardConfig() gps.ShardConfig {
 }
 
 // collectSeedSet gathers and filters the initial observation set.
-func collectSeedSet(u *gps.Universe, f daemonFlags) *gps.Dataset {
+func collectSeedSet(u *netmodel.Universe, f daemonFlags) *gps.Dataset {
 	seedSet := gps.CollectSeed(u, f.seedFrac, f.seed^0x5eed)
 	seedSet = seedSet.FilterPorts(seedSet.EligiblePorts(2))
 	mainLog.Infof("seeded with %d services (%.2f%% sample, %d probes)",
@@ -321,23 +327,23 @@ func collectSeedSet(u *gps.Universe, f daemonFlags) *gps.Dataset {
 // logEpoch emits the per-epoch progress report through the structured
 // logger: the human-readable summary is the msg, the figures ride as
 // fields so both text and -log-json modes stay greppable.
-func logEpoch(stats gps.EpochStats, elapsed time.Duration) {
-	mainLog.Log(gps.LogLevelInfo, "epoch complete",
-		gps.LogInt("epoch", stats.Epoch),
-		gps.LogInt("known", stats.KnownSize),
-		gps.LogInt("verified", stats.Verified),
-		gps.LogInt("lost", stats.Lost),
-		gps.LogInt("evicted", stats.Evicted),
-		gps.LogInt("new", stats.NewFound),
-		gps.LogString("alive", fmt.Sprintf("%.1f%%", 100*stats.Freshness.AliveFrac())),
-		gps.LogString("stale", fmt.Sprintf("%.1f%%", 100*stats.Freshness.StaleRate())),
-		gps.LogString("probes", fmt.Sprintf("%d", stats.Probes())),
-		gps.LogString("took", elapsed.Round(time.Millisecond).String()))
+func logEpoch(stats continuous.EpochStats, elapsed time.Duration) {
+	mainLog.Log(trace.LevelInfo, "epoch complete",
+		trace.Int("epoch", stats.Epoch),
+		trace.Int("known", stats.KnownSize),
+		trace.Int("verified", stats.Verified),
+		trace.Int("lost", stats.Lost),
+		trace.Int("evicted", stats.Evicted),
+		trace.Int("new", stats.NewFound),
+		trace.String("alive", fmt.Sprintf("%.1f%%", 100*stats.Freshness.AliveFrac())),
+		trace.String("stale", fmt.Sprintf("%.1f%%", 100*stats.Freshness.StaleRate())),
+		trace.String("probes", fmt.Sprintf("%d", stats.Probes())),
+		trace.String("took", elapsed.Round(time.Millisecond).String()))
 }
 
 // checkpointSeconds times the atomic checkpoint save, the one epoch cost
 // the phase histograms inside the scan layers cannot see.
-var checkpointSeconds = gps.Telemetry().Histogram("gps_checkpoint_seconds",
+var checkpointSeconds = telemetry.Default.Histogram("gps_checkpoint_seconds",
 	"time to persist the epoch checkpoint (fsync + rename)", nil)
 
 // epochSummaryJSON is the machine-readable twin of logEpoch: one JSON
@@ -368,7 +374,7 @@ type epochSummaryJSON struct {
 // logEpochJSON emits the structured per-epoch summary. With concurrent
 // shards the phase seconds are summed across shards (CPU-seconds);
 // epoch_sec is wall time.
-func logEpochJSON(stats gps.EpochStats, elapsed, ckpt time.Duration) {
+func logEpochJSON(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
 	body, err := json.Marshal(epochSummaryJSON{
 		Event: "epoch", Epoch: stats.Epoch, Known: stats.KnownSize,
 		Verified: stats.Verified, Lost: stats.Lost, Evicted: stats.Evicted,
@@ -390,12 +396,12 @@ func logEpochJSON(stats gps.EpochStats, elapsed, ckpt time.Duration) {
 // writeInventoryFile dumps the merged inventory in its canonical byte
 // encoding: the artifact the distributed CI gate diffs against the
 // in-process run.
-func writeInventoryFile(path string, inv map[gps.ServiceKey]*gps.KnownService) error {
+func writeInventoryFile(path string, inv map[netmodel.Key]*continuous.Entry) error {
 	tmpf, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := gps.WriteShardInventory(tmpf, inv); err != nil {
+	if err := shard.WriteInventory(tmpf, inv); err != nil {
 		tmpf.Close()
 		return err
 	}
@@ -425,12 +431,63 @@ func notifySignals() chan os.Signal {
 	return sig
 }
 
+// resumeStates loads -checkpoint for a resume: the per-shard states and
+// the recorded topology, or nil states for a fresh start (no -checkpoint,
+// or no file yet). Any other failure is fatal to the caller — a corrupt
+// or mismatched checkpoint must not be silently discarded.
+func resumeStates(f daemonFlags, world worldID) ([]*continuous.State, topology, error) {
+	if f.checkpoint == "" {
+		return nil, topology{}, nil
+	}
+	states, topo, err := loadCheckpoint(f.checkpoint, world)
+	if errors.Is(err, errNoCheckpoint) {
+		return nil, topology{}, nil
+	}
+	if err != nil {
+		return nil, topo, err
+	}
+	// Partitions are disjoint under the hash split, so the global
+	// inventory size is just the sum — no need to merge-copy every
+	// entry for a log line.
+	known := 0
+	for _, st := range states {
+		known += len(st.Known)
+	}
+	mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
+		f.checkpoint, states[0].Epoch, known, len(states))
+	return states, topo, nil
+}
+
+// localCoordinator adapts the in-process shard coordinator to the epoch
+// loop: it owns the simulated universe and advances it one churn step
+// before each epoch. The churn seed of epoch e is seed+e, so a resumed
+// daemon replays to the exact universe the interrupted one would have.
+type localCoordinator struct {
+	*shard.Coordinator
+	u    *netmodel.Universe
+	seed int64
+}
+
+func newLocalCoordinator(coord *shard.Coordinator, u *netmodel.Universe, seed int64) *localCoordinator {
+	for e := 1; e <= coord.EpochNumber(); e++ {
+		u = netmodel.Churn(u, netmodel.DefaultChurn(seed+int64(e)))
+	}
+	return &localCoordinator{Coordinator: coord, u: u, seed: seed}
+}
+
+func (c *localCoordinator) Epoch() (continuous.EpochStats, error) {
+	c.u = netmodel.Churn(c.u, netmodel.DefaultChurn(c.seed+int64(c.EpochNumber()+1)))
+	return c.Coordinator.Epoch(c.u)
+}
+
+func (c *localCoordinator) topology() topology { return localTopology(len(c.States())) }
+
 // runDaemon is the single-process mode: N in-process shards (or one
 // unsharded runner) driven epoch by epoch against the locally simulated
 // universe.
 func runDaemon(f daemonFlags) int {
-	gps.Tracing().SetProcess("daemon")
-	setProcessHealth(func(i *gps.HealthInfo) {
+	trace.Default.SetProcess("daemon")
+	setProcessHealth(func(i *serve.HealthInfo) {
 		i.Role = "origin"
 		i.ShardsOwned = f.shards
 	})
@@ -439,7 +496,7 @@ func runDaemon(f daemonFlags) int {
 
 	mainLog.Infof("generating universe (seed=%d, %d /16s, density %.1f%%)",
 		f.seed, f.prefixes, 100*f.density)
-	u, err := gps.NewUniverse(params)
+	u, err := netmodel.GenerateChecked(params)
 	if err != nil {
 		mainLog.Errorf("invalid universe flags: %v", err)
 		return 2
@@ -451,48 +508,30 @@ func runDaemon(f daemonFlags) int {
 	}
 	mainLog.Infof("%s", worldLine)
 
-	cfg := f.shardConfig()
-
 	// Resume from a checkpoint when one exists; otherwise collect a
 	// fresh seed sample.
-	var coord *gps.ShardCoordinator
-	resumed := false
-	if f.checkpoint != "" {
-		states, _, err := loadCheckpoint(f.checkpoint, world)
-		switch {
-		case errors.Is(err, errNoCheckpoint):
-			// Fresh start below.
-		case err != nil:
+	states, _, err := resumeStates(f, world)
+	if err != nil {
+		mainLog.Errorf("%v", err)
+		return 1
+	}
+	var sc *shard.Coordinator
+	if states != nil {
+		if sc, err = shard.ResumeCoordinator(states, f.shardConfig()); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
-		default:
-			// Partitions are disjoint under the hash split, so the global
-			// inventory size is just the sum — no need to merge-copy every
-			// entry for a log line.
-			known := 0
-			for _, st := range states {
-				known += len(st.Known)
-			}
-			mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
-				f.checkpoint, states[0].Epoch, known, len(states))
-			if coord, err = gps.ResumeShardCoordinator(states, cfg); err != nil {
-				mainLog.Errorf("%v", err)
-				return 1
-			}
-			resumed = true
 		}
+	} else {
+		sc = shard.NewCoordinator(collectSeedSet(u, f), f.shardConfig())
 	}
-	if coord == nil {
-		coord = gps.NewShardCoordinator(collectSeedSet(u, f), cfg)
-	}
-	warnEmptyShards(coord.EmptyShards(), resumed)
+	warnEmptyShards(sc.EmptyShards(), states != nil)
+	coord := newLocalCoordinator(sc, u, f.seed)
 
 	var api *inventoryServer
 	if f.serve != "" {
-		var err error
-		configure := func(api *gps.InventoryServer) {
-			api.SetHealthSource(gps.HealthFunc(func() gps.HealthInfo {
-				return gps.HealthInfo{Role: "origin", ShardsOwned: f.shards}
+		configure := func(api *serve.Server) {
+			api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
+				return serve.HealthInfo{Role: "origin", ShardsOwned: f.shards}
 			}))
 		}
 		if api, err = startServing(f, coord, configure); err != nil {
@@ -501,13 +540,18 @@ func runDaemon(f daemonFlags) int {
 		}
 	}
 
-	// Replay churn deterministically up to the resumed epoch: the churn
-	// seed of epoch e is seed+e, so a resumed daemon sees the exact
-	// universe the interrupted one would have.
-	for e := 1; e <= coord.EpochNumber(); e++ {
-		u = gps.ApplyChurn(u, gps.DefaultChurn(f.seed+int64(e)))
+	if code := runEpochs(f, world, coord, api); code != 0 {
+		return code
 	}
+	return finishDaemon(f, world, coord, api, "")
+}
 
+// runEpochs is the epoch loop both daemon modes share: poll for a
+// signal, run one epoch, report it, persist the checkpoint(s), pause
+// -interval — until -epochs is reached or a signal arrives; a daemon
+// that is serving then keeps answering queries at the final epoch until
+// signalled. A non-zero return is the process exit code.
+func runEpochs(f daemonFlags, world worldID, coord servableCoordinator, api *inventoryServer) int {
 	sig := notifySignals()
 	stopped := false
 	for epoch := coord.EpochNumber() + 1; !stopped && (f.epochs == 0 || epoch <= f.epochs); epoch++ {
@@ -519,9 +563,8 @@ func runDaemon(f daemonFlags) int {
 		default:
 		}
 
-		u = gps.ApplyChurn(u, gps.DefaultChurn(f.seed+int64(epoch)))
 		start := time.Now()
-		stats, err := coord.Epoch(u)
+		stats, err := coord.Epoch()
 		if err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
@@ -532,15 +575,21 @@ func runDaemon(f daemonFlags) int {
 		var ckpt time.Duration
 		if f.checkpoint != "" {
 			ckptStart := time.Now()
-			if err := saveCheckpoint(f.checkpoint, world, localTopology(f.shards), coord.States()); err != nil {
+			if err := saveCheckpoint(f.checkpoint, world, coord.topology(), coord.States()); err != nil {
 				mainLog.Errorf("checkpoint: %v", err)
 				return 1
 			}
 			ckpt = time.Since(ckptStart)
 			checkpointSeconds.Observe(ckpt.Seconds())
 		}
+		if f.shardCkpts != "" {
+			if err := saveShardCheckpoints(f.shardCkpts, coord.States()); err != nil {
+				mainLog.Errorf("shard checkpoints: %v", err)
+				return 1
+			}
+		}
 		logEpochJSON(stats, elapsed, ckpt)
-		if f.interval > 0 && !stopped {
+		if f.interval > 0 {
 			select {
 			case s := <-sig:
 				mainLog.Infof("%v — flushing and stopping cleanly", s)
@@ -549,13 +598,8 @@ func runDaemon(f daemonFlags) int {
 			}
 		}
 	}
-	// A serving daemon's job is not over when its scan is: keep
-	// answering queries at the final epoch until signalled.
 	serveUntilSignal(api, sig, stopped)
-	return finishDaemon(f, world, localTopology(f.shards), coord.States(),
-		coord.EpochNumber(), api, "", func() (map[gps.ServiceKey]*gps.KnownService, int) {
-			return coord.Inventory()
-		})
+	return 0
 }
 
 // finishDaemon is the clean-exit path both daemon modes share: flush a
@@ -564,16 +608,14 @@ func runDaemon(f daemonFlags) int {
 // ran), write the merged -inventory artifact, drain and stop the query
 // API, and report. Everything a restart needs is on disk before the
 // process exits.
-func finishDaemon(f daemonFlags, world worldID, topo topology, states []*gps.ContinuousState,
-	epoch int, api *inventoryServer, suffix string,
-	inventory func() (map[gps.ServiceKey]*gps.KnownService, int)) int {
+func finishDaemon(f daemonFlags, world worldID, coord servableCoordinator, api *inventoryServer, suffix string) int {
 	if f.checkpoint != "" {
-		if err := saveCheckpoint(f.checkpoint, world, topo, states); err != nil {
+		if err := saveCheckpoint(f.checkpoint, world, coord.topology(), coord.States()); err != nil {
 			mainLog.Errorf("final checkpoint: %v", err)
 			return 1
 		}
 	}
-	known, conflicts := inventory()
+	known, conflicts := coord.Inventory()
 	if f.inventory != "" {
 		if err := writeInventoryFile(f.inventory, known); err != nil {
 			mainLog.Errorf("inventory: %v", err)
@@ -581,7 +623,7 @@ func finishDaemon(f daemonFlags, world worldID, topo topology, states []*gps.Con
 		}
 	}
 	api.shutdown()
-	done := fmt.Sprintf("done after epoch %d; %d services known%s", epoch, len(known), suffix)
+	done := fmt.Sprintf("done after epoch %d; %d services known%s", coord.EpochNumber(), len(known), suffix)
 	if conflicts > 0 {
 		done += fmt.Sprintf(" (%d cross-shard conflicts resolved)", conflicts)
 	}

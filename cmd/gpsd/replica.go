@@ -7,11 +7,15 @@ import (
 	"net/http"
 	"time"
 
-	"gps"
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
+	"gps/internal/serve"
+	"gps/internal/shard/transport"
+	"gps/internal/trace"
 )
 
 // replicaLog tags the replica and watch modes' lines.
-var replicaLog = gps.NewLogger("replica")
+var replicaLog = trace.NewLogger("replica")
 
 // runReplica is the stateless read-replica mode: subscribe to an origin
 // daemon's replication feed (-upstream = the origin's -feed address),
@@ -22,9 +26,9 @@ var replicaLog = gps.NewLogger("replica")
 // retained delta history re-bootstraps by itself. With -feed the
 // replica re-exports the stream, so replicas chain into a fan-out tree.
 func runReplica(f daemonFlags) int {
-	gps.Tracing().SetProcess("replica")
-	setProcessHealth(func(i *gps.HealthInfo) { i.Role = "replica" })
-	rep := gps.NewReplicaServer(f.upstream, &gps.ReplicaOptions{
+	trace.Default.SetProcess("replica")
+	setProcessHealth(func(i *serve.HealthInfo) { i.Role = "replica" })
+	rep := serve.NewReplicaServer(f.upstream, &serve.ReplicaOptions{
 		FeedHistory: f.feedHistory,
 		Logf: func(format string, args ...any) {
 			replicaLog.Warnf(format, args...)
@@ -36,8 +40,8 @@ func runReplica(f daemonFlags) int {
 		replicaLog.Errorf("serve: %v", err)
 		return 1
 	}
-	srv := gps.NewHTTPServer("",
-		gps.NewInventoryServer(rep.Publisher()).
+	srv := serve.NewHTTPServer("",
+		serve.NewServer(rep.Publisher()).
 			EnableWatch(rep.Feed()).
 			SetHealthSource(rep).
 			Handler())
@@ -56,7 +60,7 @@ func runReplica(f daemonFlags) int {
 			replicaLog.Errorf("feed: %v", err)
 			return 1
 		}
-		go func() { feedDone <- gps.ServeInventoryFeed(feedLis, rep.Feed(), nil) }()
+		go func() { feedDone <- transport.ServeFeed(feedLis, rep.Feed(), nil) }()
 		replicaLog.Infof("re-exporting replication feed on %s", feedLis.Addr())
 	}
 
@@ -93,8 +97,8 @@ func runReplica(f daemonFlags) int {
 // once epoch N is applied; otherwise it follows until signalled or the
 // origin closes the stream.
 func runWatch(f daemonFlags) int {
-	gps.Tracing().SetProcess("watch")
-	inv := make(map[gps.ServiceKey]*gps.KnownService)
+	trace.Default.SetProcess("watch")
+	inv := make(map[netmodel.Key]*continuous.Entry)
 	last := -1
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -105,15 +109,15 @@ func runWatch(f daemonFlags) int {
 		cancel()
 	}()
 
-	wc := &gps.WatchClient{URL: f.watchURL, Since: -1}
-	err := wc.Follow(ctx, func(ev gps.WatchEvent) error {
+	wc := &serve.WatchClient{URL: f.watchURL, Since: -1}
+	err := wc.Follow(ctx, func(ev serve.WatchEvent) error {
 		if err := ev.ApplyTo(inv); err != nil {
 			return err
 		}
 		last = ev.Epoch
 		replicaLog.Infof("watch: %s to epoch %d (%d services)", ev.Event, ev.Epoch, len(inv))
 		if f.epochs > 0 && ev.Epoch >= f.epochs {
-			return gps.ErrWatchDone
+			return serve.ErrWatchDone
 		}
 		return nil
 	})

@@ -9,11 +9,16 @@ import (
 	"os"
 	"time"
 
-	"gps"
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
+	"gps/internal/serve"
+	"gps/internal/shard"
+	"gps/internal/shard/transport"
+	"gps/internal/trace"
 )
 
 // serveLog tags the query-API side channel's lines.
-var serveLog = gps.NewLogger("serve")
+var serveLog = trace.NewLogger("serve")
 
 // inventoryServer bundles the snapshot publisher and the HTTP server gpsd
 // runs alongside the daemon when -serve is set. The scan loop feeds it
@@ -23,8 +28,8 @@ var serveLog = gps.NewLogger("serve")
 // branches.
 type inventoryServer struct {
 	addr string
-	pub  *gps.InventoryPublisher
-	feed *gps.InventoryFeed // change feed behind /v1/watch and -feed; nil on the `gpsd serve FILE` path
+	pub  *serve.Publisher
+	feed *serve.Feed // change feed behind /v1/watch and -feed; nil on the `gpsd serve FILE` path
 	srv  *http.Server
 
 	feedLis  net.Listener
@@ -38,13 +43,13 @@ type inventoryServer struct {
 // configure, when non-nil, runs against the server before it starts
 // accepting — the hook the modes use to attach health sources and the
 // cluster control plane.
-func startInventoryServer(addr string, feed *gps.InventoryFeed, configure func(*gps.InventoryServer)) (*inventoryServer, error) {
+func startInventoryServer(addr string, feed *serve.Feed, configure func(*serve.Server)) (*inventoryServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	pub := &gps.InventoryPublisher{}
-	api := gps.NewInventoryServer(pub)
+	pub := &serve.Publisher{}
+	api := serve.NewServer(pub)
 	if feed != nil {
 		api.EnableWatch(feed)
 	}
@@ -58,7 +63,7 @@ func startInventoryServer(addr string, feed *gps.InventoryFeed, configure func(*
 		// NewHTTPServer, not a bare http.Server: the read path is public,
 		// and without header/read timeouts a slow-loris client pins
 		// connections forever.
-		srv: gps.NewHTTPServer("", api.Handler()),
+		srv: serve.NewHTTPServer("", api.Handler()),
 	}
 	go func() {
 		if err := is.srv.Serve(lis); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -74,11 +79,11 @@ func startInventoryServer(addr string, feed *gps.InventoryFeed, configure func(*
 // swaps the snapshot in as the served one. Feed before publisher: an
 // epoch a client can see served must already be one it can subscribe
 // from.
-func (is *inventoryServer) publish(epoch int, inv map[gps.ServiceKey]*gps.KnownService) {
+func (is *inventoryServer) publish(epoch int, inv map[netmodel.Key]*continuous.Entry) {
 	if is == nil {
 		return
 	}
-	snap := gps.NewInventorySnapshot(epoch, inv)
+	snap := serve.NewSnapshot(epoch, inv)
 	if is.feed != nil {
 		is.feed.Commit(epoch, inv)
 	}
@@ -94,14 +99,14 @@ func (is *inventoryServer) exportFeed(addr string) error {
 	}
 	is.feedLis = lis
 	is.feedDone = make(chan error, 1)
-	go func() { is.feedDone <- gps.ServeInventoryFeed(lis, is.feed, nil) }()
+	go func() { is.feedDone <- transport.ServeFeed(lis, is.feed, nil) }()
 	serveLog.Infof("serving replication feed on %s", lis.Addr())
 	return nil
 }
 
 // hook returns the epoch-commit hook feeding the publisher (nil when not
 // serving, which unregisters cleanly).
-func (is *inventoryServer) hook() gps.ShardCommitHook {
+func (is *inventoryServer) hook() shard.CommitHook {
 	if is == nil {
 		return nil
 	}
@@ -133,11 +138,15 @@ func (is *inventoryServer) shutdown() {
 }
 
 // servableCoordinator is the slice of both coordinator types (in-process
-// and distributed) the serving layer hangs off.
+// and distributed, through their adapters) the epoch loop drives and the
+// serving layer hangs off.
 type servableCoordinator interface {
-	SetCommitHook(gps.ShardCommitHook)
-	Inventory() (map[gps.ServiceKey]*gps.KnownService, int)
+	SetCommitHook(shard.CommitHook)
+	Inventory() (map[netmodel.Key]*continuous.Entry, int)
 	EpochNumber() int
+	Epoch() (continuous.EpochStats, error)
+	States() []*continuous.State
+	topology() topology
 }
 
 // startServing mounts the query API next to a coordinator: the commit
@@ -147,8 +156,8 @@ type servableCoordinator interface {
 // change-feed origin (/v1/watch); -feed additionally exports the feed to
 // replicas over the shard transport. configure customizes the server
 // before it accepts (health source, cluster control plane).
-func startServing(f daemonFlags, coord servableCoordinator, configure func(*gps.InventoryServer)) (*inventoryServer, error) {
-	api, err := startInventoryServer(f.serve, gps.NewInventoryFeed(f.feedHistory), configure)
+func startServing(f daemonFlags, coord servableCoordinator, configure func(*serve.Server)) (*inventoryServer, error) {
+	api, err := startInventoryServer(f.serve, serve.NewFeed(f.feedHistory), configure)
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +190,13 @@ func serveUntilSignal(api *inventoryServer, sig chan os.Signal, stopped bool) {
 // SIGTERM — the read path with no scanner attached, for serving yesterday's
 // inventory or somebody else's.
 func runServeFile(f daemonFlags) int {
-	gps.Tracing().SetProcess("serve")
+	trace.Default.SetProcess("serve")
 	file, err := os.Open(f.serveFile)
 	if err != nil {
 		serveLog.Errorf("%v", err)
 		return 1
 	}
-	inv, err := gps.ReadShardInventory(file)
+	inv, err := shard.ReadInventory(file)
 	file.Close()
 	if err != nil {
 		serveLog.Errorf("%v", err)
@@ -202,9 +211,9 @@ func runServeFile(f daemonFlags) int {
 			epoch = e.LastSeen
 		}
 	}
-	api, err := startInventoryServer(f.serve, nil, func(api *gps.InventoryServer) {
-		api.SetHealthSource(gps.HealthFunc(func() gps.HealthInfo {
-			return gps.HealthInfo{Role: "file"}
+	api, err := startInventoryServer(f.serve, nil, func(api *serve.Server) {
+		api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
+			return serve.HealthInfo{Role: "file"}
 		}))
 	})
 	if err != nil {

@@ -9,12 +9,17 @@ import (
 	"syscall"
 
 	"gps"
+	"gps/internal/netmodel"
+	"gps/internal/serve"
+	"gps/internal/shard/transport"
+	"gps/internal/telemetry"
+	"gps/internal/trace"
 )
 
 // workerLog tags every worker-side line; the transport session's Logf
 // feeds through it too, so migrations and drains land in the same
 // structured stream.
-var workerLog = gps.NewLogger("worker")
+var workerLog = trace.NewLogger("worker")
 
 // demoWorld is the worker-side replica of gpsd's simulated universe. The
 // coordinator broadcasts its 36-byte world header wrapped in the
@@ -27,17 +32,17 @@ var workerLog = gps.NewLogger("worker")
 // the distributed run stays byte-identical to a single-process one.
 type demoWorld struct {
 	id    worldID
-	part  *gps.UniversePartition
+	part  *netmodel.Partition
 	epoch int
-	base  *gps.Universe // epoch-0 universe, cached so rewinds replay churn only
-	u     *gps.Universe
+	base  *netmodel.Universe // epoch-0 universe, cached so rewinds replay churn only
+	u     *netmodel.Universe
 	gens  int // universe generations performed, observed by tests
 }
 
 // parseWorkerSpec unwraps the partition envelope and the world header,
 // cross-checking the two shard counts.
-func parseWorkerSpec(spec []byte) (worldID, *gps.UniversePartition, error) {
-	base, shards, owned, err := gps.SplitShardWorldSpec(spec)
+func parseWorkerSpec(spec []byte) (worldID, *netmodel.Partition, error) {
+	base, shards, owned, err := transport.DecodeWorldSpec(spec)
 	if err != nil {
 		return worldID{}, nil, fmt.Errorf("world spec: %v", err)
 	}
@@ -48,14 +53,15 @@ func parseWorkerSpec(spec []byte) (worldID, *gps.UniversePartition, error) {
 	if shards != id.Shards {
 		return worldID{}, nil, fmt.Errorf("world spec: envelope says %d shards, header says %d", shards, id.Shards)
 	}
-	return id, &gps.UniversePartition{Count: shards, Owned: owned}, nil
+	return id, &netmodel.Partition{Count: shards, Owned: owned}, nil
 }
 
-// newDemoWorld is the worker's gps.ShardWorldFactory. Universe
+// newDemoWorld is the worker's transport.WorldFactory. Universe
 // parameters arrive from the network, so they are validated
-// (gps.NewUniverse), never trusted: a corrupt or crafted spec must
-// surface as a `world spec rejected` RPC error, not crash the worker.
-func newDemoWorld(spec []byte) (gps.ShardWorld, error) {
+// (netmodel.GenerateChecked), never trusted: a corrupt or crafted spec
+// must surface as a `world spec rejected` RPC error, not crash the
+// worker.
+func newDemoWorld(spec []byte) (transport.World, error) {
 	id, part, err := parseWorkerSpec(spec)
 	if err != nil {
 		return nil, err
@@ -71,11 +77,11 @@ func newDemoWorld(spec []byte) (gps.ShardWorld, error) {
 }
 
 // generate materializes one partition of the world at epoch 0.
-func (w *demoWorld) generate(part *gps.UniversePartition) (*gps.Universe, error) {
+func (w *demoWorld) generate(part *netmodel.Partition) (*netmodel.Universe, error) {
 	w.gens++
 	p := gps.DemoUniverseParams(w.id.Seed, w.id.Prefixes, w.id.Density)
 	p.Partition = part
-	return gps.NewUniverse(p)
+	return netmodel.GenerateChecked(p)
 }
 
 // logBuilt reports the world the worker now holds and publishes the
@@ -95,11 +101,11 @@ func (w *demoWorld) logBuilt(how string) {
 // world (re)build — including re-queue extensions and migrations — and
 // must not re-enter the telemetry registry each time.
 var (
-	worldHostsGauge = gps.Telemetry().Gauge("gps_world_hosts",
+	worldHostsGauge = telemetry.Default.Gauge("gps_world_hosts",
 		"hosts materialized in this process's universe partition")
-	worldOwnedShardsGauge = gps.Telemetry().Gauge("gps_world_owned_shards",
+	worldOwnedShardsGauge = telemetry.Default.Gauge("gps_world_owned_shards",
 		"shards this process's universe partition covers")
-	worldTotalShardsGauge = gps.Telemetry().Gauge("gps_world_total_shards",
+	worldTotalShardsGauge = telemetry.Default.Gauge("gps_world_total_shards",
 		"total shards in the world's layout")
 )
 
@@ -117,13 +123,13 @@ func setWorldGauges(hosts, ownedShards, totalShards int) {
 // only move forward; a re-queued shard may rewind, in which case churn
 // replays from the cached epoch-0 base — the generator never runs again
 // for a world the worker already built.
-func (w *demoWorld) UniverseAt(e int) (*gps.Universe, error) {
+func (w *demoWorld) UniverseAt(e int) (*netmodel.Universe, error) {
 	if e < w.epoch {
 		w.u, w.epoch = w.base, 0
 	}
 	for w.epoch < e {
 		w.epoch++
-		w.u = gps.ApplyChurn(w.u, gps.DefaultChurn(w.id.Seed+int64(w.epoch)))
+		w.u = netmodel.Churn(w.u, netmodel.DefaultChurn(w.id.Seed+int64(w.epoch)))
 	}
 	return w.u, nil
 }
@@ -157,11 +163,11 @@ func (w *demoWorld) Extend(spec []byte) error {
 		w.part = part
 		return nil
 	}
-	dbase, err := w.generate(&gps.UniversePartition{Count: part.Count, Owned: delta})
+	dbase, err := w.generate(&netmodel.Partition{Count: part.Count, Owned: delta})
 	if err != nil {
 		return err
 	}
-	base, err := gps.MergeUniverses(w.base, dbase)
+	base, err := netmodel.Merge(w.base, dbase)
 	if err != nil {
 		return err
 	}
@@ -169,11 +175,11 @@ func (w *demoWorld) Extend(spec []byte) error {
 	// lands on exactly the hosts the full replay would.
 	du := dbase
 	for e := 1; e <= w.epoch; e++ {
-		du = gps.ApplyChurn(du, gps.DefaultChurn(w.id.Seed+int64(e)))
+		du = netmodel.Churn(du, netmodel.DefaultChurn(w.id.Seed+int64(e)))
 	}
 	u := base
 	if w.epoch > 0 {
-		if u, err = gps.MergeUniverses(w.u, du); err != nil {
+		if u, err = netmodel.Merge(w.u, du); err != nil {
 			return err
 		}
 	}
@@ -189,8 +195,8 @@ func (w *demoWorld) Extend(spec []byte) error {
 // with -leave a signal drains its shards back into the fleet before
 // exit rather than dropping them.
 func runWorker(f daemonFlags) int {
-	gps.Tracing().SetProcess("worker")
-	setProcessHealth(func(i *gps.HealthInfo) { i.Role = "worker" })
+	trace.Default.SetProcess("worker")
+	setProcessHealth(func(i *serve.HealthInfo) { i.Role = "worker" })
 	if f.joinAddr != "" {
 		return runJoiningWorker(f)
 	}
@@ -212,7 +218,7 @@ func runWorker(f daemonFlags) int {
 	logf := func(format string, args ...any) {
 		workerLog.Infof(format, args...)
 	}
-	if err := gps.ServeShardWorker(lis, newDemoWorld, &gps.ShardWorkerOptions{Logf: logf}); err != nil {
+	if err := transport.Serve(lis, newDemoWorld, &transport.WorkerOptions{Logf: logf}); err != nil {
 		workerLog.Errorf("%v", err)
 		return 1
 	}
@@ -229,7 +235,7 @@ func runWorker(f daemonFlags) int {
 // exits (the coordinator re-queues the shards onto survivors).
 func runJoiningWorker(f daemonFlags) int {
 	if f.workerName != "" {
-		gps.Tracing().SetProcess("worker:" + f.workerName)
+		trace.Default.SetProcess("worker:" + f.workerName)
 	}
 	var draining atomic.Bool
 	sig := make(chan os.Signal, 1)
@@ -239,7 +245,7 @@ func runJoiningWorker(f daemonFlags) int {
 		if f.leave {
 			workerLog.Infof("%v — draining: handing shards back before exit", s)
 			draining.Store(true)
-			setProcessHealth(func(i *gps.HealthInfo) { i.Draining = true })
+			setProcessHealth(func(i *serve.HealthInfo) { i.Draining = true })
 			s = <-sig
 		}
 		workerLog.Warnf("%v — exiting now", s)
@@ -252,13 +258,13 @@ func runJoiningWorker(f daemonFlags) int {
 	} else {
 		workerLog.Infof("%q joining %s", name, f.joinAddr)
 	}
-	opts := &gps.ShardWorkerOptions{
+	opts := &transport.WorkerOptions{
 		Draining: &draining,
 		Logf: func(format string, args ...any) {
 			workerLog.Infof(format, args...)
 		},
 	}
-	if err := gps.JoinShardWorker(f.joinAddr, name, newDemoWorld, opts); err != nil {
+	if err := transport.Join(f.joinAddr, name, newDemoWorld, opts); err != nil {
 		workerLog.Errorf("%v", err)
 		return 1
 	}

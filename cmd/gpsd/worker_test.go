@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"gps"
+	"gps/internal/shard/transport"
 )
 
 // testWorkerSpec builds the enveloped spec a coordinator would deliver
 // to a worker owning the given shards of testWorldID(n)'s world.
 func testWorkerSpec(t *testing.T, shards int, owned ...int) []byte {
 	t.Helper()
-	return gps.PartitionShardWorldSpec(testWorldID(shards).header(), shards, owned)
+	return transport.EncodeWorldSpec(testWorldID(shards).header(), shards, owned)
 }
 
 func buildDemoWorld(t *testing.T, shards int, owned ...int) *demoWorld {
@@ -118,7 +118,7 @@ func TestDemoWorldExtend(t *testing.T) {
 	if err := w.Extend(testWorkerSpec(t, 4, 0)); err == nil {
 		t.Error("Extend accepted a shrunk owned-shard set")
 	}
-	other := gps.PartitionShardWorldSpec(worldID{Seed: 99, Prefixes: 16, Density: 0.03, Shards: 4}.header(), 4, []int{0, 1})
+	other := transport.EncodeWorldSpec(worldID{Seed: 99, Prefixes: 16, Density: 0.03, Shards: 4}.header(), 4, []int{0, 1})
 	if err := w.Extend(other); err == nil {
 		t.Error("Extend accepted a different world's spec")
 	}
@@ -141,11 +141,11 @@ func TestNewDemoWorldRejectsBadSpecs(t *testing.T) {
 		{"garbage", []byte("not a spec at all")},
 		{"raw header without envelope", testWorldID(2).header()},
 		{"truncated envelope", testWorkerSpec(t, 2, 0)[:6]},
-		{"stale header magic", gps.PartitionShardWorldSpec(append([]byte("GPS3"), testWorldID(2).header()[4:]...), 2, []int{0})},
-		{"shard count mismatch", gps.PartitionShardWorldSpec(testWorldID(3).header(), 2, []int{0})},
-		{"owned shard out of range", gps.PartitionShardWorldSpec(testWorldID(2).header(), 2, []int{5})},
-		{"NaN density", gps.PartitionShardWorldSpec(nanDensity.header(), 2, []int{0})},
-		{"implausible prefix count", gps.PartitionShardWorldSpec(hugePrefixes.header(), 2, []int{0})},
+		{"stale header magic", transport.EncodeWorldSpec(append([]byte("GPS3"), testWorldID(2).header()[4:]...), 2, []int{0})},
+		{"shard count mismatch", transport.EncodeWorldSpec(testWorldID(3).header(), 2, []int{0})},
+		{"owned shard out of range", transport.EncodeWorldSpec(testWorldID(2).header(), 2, []int{5})},
+		{"NaN density", transport.EncodeWorldSpec(nanDensity.header(), 2, []int{0})},
+		{"implausible prefix count", transport.EncodeWorldSpec(hugePrefixes.header(), 2, []int{0})},
 	}
 	for _, c := range cases {
 		w, err := newDemoWorld(c.spec)
@@ -176,7 +176,7 @@ func TestWorkerSpecRoundTrip(t *testing.T) {
 func TestWorkerSpecErrorNamesMagic(t *testing.T) {
 	old := append([]byte("GPS3"), make([]byte, 32)...)
 	binary.BigEndian.PutUint64(old[4:], 3)
-	_, _, err := parseWorkerSpec(gps.PartitionShardWorldSpec(old, 2, []int{0}))
+	_, _, err := parseWorkerSpec(transport.EncodeWorldSpec(old, 2, []int{0}))
 	if err == nil || !strings.Contains(err.Error(), "GPS3") || !strings.Contains(err.Error(), checkpointMagic) {
 		t.Errorf("stale-magic spec error %q does not name found and expected magic", err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,16 +161,6 @@ func goldenCases() []wiretest.Case {
 				return transport.EncodeWorldSpec([]byte("an opaque base world spec"), 300, []int{299, 0, 128, 7}), nil
 			},
 			Decode: func(b []byte) error { _, _, _, err := transport.DecodeWorldSpec(b); return err }},
-		// GPSI, the batch pipeline's key-set dump, is write-only: nothing
-		// in the tree reads it back, so its bytes are the whole contract.
-		{Name: "GPSI",
-			Encode: func() ([]byte, error) {
-				m := &shard.Merged{Found: make(map[netmodel.Key]bool)}
-				for k := range goldenInventory(false) {
-					m.Found[k] = true
-				}
-				return writeTo(func(b *bytes.Buffer) error { return m.WriteInventory(b) })
-			}},
 		{Name: "spans",
 			Encode: func() ([]byte, error) { return trace.EncodeSpans(goldenSpans()), nil },
 			Decode: func(b []byte) error { _, err := trace.DecodeSpans(b); return err }},
@@ -179,5 +171,24 @@ func goldenCases() []wiretest.Case {
 // before the formats moved onto internal/wire, and to a typed truncation
 // error at every cut.
 func TestGoldenFormats(t *testing.T) {
-	wiretest.Run(t, "testdata/golden", goldenCases())
+	cases := goldenCases()
+	wiretest.Run(t, "testdata/golden", cases)
+
+	// A golden with no row pins nothing: a format that was deleted must
+	// take its .bin with it.
+	checked := map[string]bool{"GPS4": true} // cmd/gpsd's TestGoldenCheckpoint
+	for _, c := range cases {
+		checked[c.Name] = true
+	}
+	files, err := filepath.Glob("testdata/golden/*.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".bin")
+		// GPST-* are internal/shard/transport's TestGoldenPayloads rows.
+		if !checked[name] && !strings.HasPrefix(name, "GPST-") {
+			t.Errorf("%s has no goldenCases row", f)
+		}
+	}
 }

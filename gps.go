@@ -16,14 +16,16 @@
 //     most-predictive-feature-values list and probe the predicted
 //     (IP, port) pairs in descending probability.
 //
-// The package orchestrates the substrate packages (scanner, lzr, zgrab,
+// The pipeline orchestrates the substrate packages (scanner, lzr, zgrab,
 // probmodel, priors, predict) against a netmodel.Universe, which stands in
-// for the live IPv4 Internet. The batch pipeline itself lives in
-// internal/pipeline; this package re-exports it, the continuous
-// subsystem (internal/continuous, re-exported below in facade.go) runs
-// the same pipeline epoch after epoch against an evolving universe, and
-// the shard subsystem (internal/shard) partitions either mode across N
-// deterministic hash shards with a cross-shard merge.
+// for the live IPv4 Internet. It lives in internal/pipeline; this package
+// is its public face — Run, Config, Result, CollectSeed, Evaluate — plus
+// the few helpers examples/ and cmd/gps spell (facade.go). The continuous
+// subsystem (internal/continuous) runs the same pipeline epoch after
+// epoch against an evolving universe, the shard subsystem
+// (internal/shard) partitions either mode across N deterministic hash
+// shards with a cross-shard merge, and internal/serve answers queries
+// over the result; the binaries that drive those import them directly.
 package gps
 
 import (
@@ -36,23 +38,6 @@ import (
 // a /16 step size, every feature family, the paper's probability floor,
 // and full parallelism.
 type Config = pipeline.Config
-
-// Phase identifies which scan phase discovered a service.
-type Phase = pipeline.Phase
-
-// Scan phases.
-const (
-	PhasePriors  = pipeline.PhasePriors
-	PhasePredict = pipeline.PhasePredict
-)
-
-// Discovery is one service found by the scans, annotated with the
-// cumulative probe count at the moment of discovery: the raw material of
-// every coverage-vs-bandwidth curve in the evaluation.
-type Discovery = pipeline.Discovery
-
-// Timings records wall time per pipeline stage (Table 2's rows).
-type Timings = pipeline.Timings
 
 // Result is everything a GPS run produces.
 type Result = pipeline.Result

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"gps/internal/netmodel"
+	"gps/internal/pipeline"
 )
 
 // testFixture builds one small universe + split shared by the root tests.
 type fixture struct {
-	u       *Universe
+	u       *netmodel.Universe
 	seedSet *Dataset
 	testSet *Dataset
 }
@@ -106,7 +107,7 @@ func TestDiscoveriesOrderedByProbes(t *testing.T) {
 			t.Fatal("discovery log not monotone in probes")
 		}
 		last = d.Probes
-		if d.Phase == PhasePredict {
+		if d.Phase == pipeline.PhasePredict {
 			seenPredict = true
 		} else if seenPredict {
 			t.Fatal("priors discovery after predict phase began")
@@ -202,7 +203,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.EffectiveStep() != 0 {
 		t.Error("StepZero ignored")
 	}
-	if PhasePriors.String() != "priors" || PhasePredict.String() != "predict" {
+	if pipeline.PhasePriors.String() != "priors" || pipeline.PhasePredict.String() != "predict" {
 		t.Error("phase names wrong")
 	}
 }
@@ -224,5 +225,17 @@ func TestMiddleboxesFiltered(t *testing.T) {
 		if h.Middlebox {
 			t.Fatal("middlebox used as anchor")
 		}
+	}
+}
+
+// TestDemoUniverseParams: gps and gpsd derive their universe from these
+// three knobs alone, so each must land in the parameters.
+func TestDemoUniverseParams(t *testing.T) {
+	p := DemoUniverseParams(21, 8, 0.05)
+	if p.Seed != 21 || p.NumPrefix16 != 8 || p.HostDensity != 0.05 || p.NumASes != 4 {
+		t.Errorf("DemoUniverseParams(21, 8, 0.05) = %+v", p)
+	}
+	if _, err := NewUniverse(p); err != nil {
+		t.Errorf("demo parameters rejected: %v", err)
 	}
 }

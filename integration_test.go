@@ -1,15 +1,14 @@
 package gps_test
 
 // Integration tests spanning the full stack: universe generation, the
-// wire-level scanner, LZR fingerprinting, the GPS pipeline, persistence,
-// and evaluation — the paths a downstream user composes.
+// scanner, LZR fingerprinting, the GPS pipeline, persistence, and
+// evaluation — the paths a downstream user composes.
 
 import (
 	"bytes"
 	"testing"
 
 	"gps"
-	"gps/internal/asndb"
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/lzr"
@@ -19,13 +18,13 @@ import (
 	"gps/internal/zgrab"
 )
 
-// TestIntegrationWireDiscovery drives one discovery end to end at the
-// packet level: SYN probe bytes out, SYN-ACK bytes back, LZR protocol
-// bytes exchanged, ZGrab features extracted — and the features must match
-// what the dataset layer records for the same service.
+// TestIntegrationWireDiscovery drives one discovery end to end through
+// the three scan layers: the SYN probe acknowledged, LZR protocol bytes
+// exchanged, ZGrab features extracted — and the features must match what
+// the dataset layer records for the same service.
 func TestIntegrationWireDiscovery(t *testing.T) {
 	u := netmodel.Generate(netmodel.TestParams(201))
-	wire := scanner.NewWireScanner(scanner.New(u), asndb.MustParseIP("192.0.2.1"), 0xfeed)
+	sc := scanner.New(u)
 	fp := lzr.New(u)
 	gr := zgrab.New(u)
 
@@ -50,12 +49,8 @@ func TestIntegrationWireDiscovery(t *testing.T) {
 		t.Fatal("no suitable host")
 	}
 
-	ok, err := wire.Probe(target.IP, port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("live service did not acknowledge at the wire level")
+	if !sc.Probe(target.IP, port) {
+		t.Fatal("live service did not acknowledge the probe")
 	}
 	res := fp.Fingerprint(target.IP, port)
 	if res.Status != lzr.StatusService {

@@ -17,7 +17,6 @@ func (a ASN) String() string { return fmt.Sprintf("AS%d", uint32(a)) }
 // safe for concurrent lookups once built.
 type Table struct {
 	root *node
-	n    int
 }
 
 type node struct {
@@ -39,9 +38,6 @@ func (t *Table) Insert(p Prefix, asn ASN) {
 			cur.child[b] = &node{}
 		}
 		cur = cur.child[b]
-	}
-	if !cur.set {
-		t.n++
 	}
 	cur.asn = asn
 	cur.set = true
@@ -72,9 +68,6 @@ func (t *Table) Lookup(ip IP) (ASN, bool) {
 	}
 	return best, found
 }
-
-// Len returns the number of routes in the table.
-func (t *Table) Len() int { return t.n }
 
 // Route is one table entry, used for enumeration.
 type Route struct {

@@ -215,9 +215,3 @@ func (m *Model) Score(x []float32) float64 {
 	}
 	return s
 }
-
-// Predict returns the probability estimate for one instance.
-func (m *Model) Predict(x []float32) float64 { return sigmoid(m.Score(x)) }
-
-// NumTrees returns the ensemble size.
-func (m *Model) NumTrees() int { return len(m.trees) }

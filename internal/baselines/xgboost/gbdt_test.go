@@ -18,7 +18,7 @@ func TestTrainLearnsConjunction(t *testing.T) {
 	m := Train(X, y, DefaultParams())
 	correct := 0
 	for i := range X {
-		pred := m.Predict(X[i]) > 0.5
+		pred := sigmoid(m.Score(X[i])) > 0.5
 		if pred == y[i] {
 			correct++
 		}
@@ -26,8 +26,8 @@ func TestTrainLearnsConjunction(t *testing.T) {
 	if acc := float64(correct) / float64(len(X)); acc < 0.98 {
 		t.Errorf("accuracy %.3f on a noiseless conjunction; want ~1", acc)
 	}
-	if m.NumTrees() != DefaultParams().Trees {
-		t.Errorf("NumTrees = %d", m.NumTrees())
+	if len(m.trees) != DefaultParams().Trees {
+		t.Errorf("ensemble holds %d trees", len(m.trees))
 	}
 }
 
@@ -44,7 +44,7 @@ func TestTrainLearnsContinuousThreshold(t *testing.T) {
 	m := Train(X, y, DefaultParams())
 	correct := 0
 	for i := range X {
-		if (m.Predict(X[i]) > 0.5) == y[i] {
+		if (sigmoid(m.Score(X[i])) > 0.5) == y[i] {
 			correct++
 		}
 	}
@@ -59,7 +59,7 @@ func TestTrainImbalancedBaseRate(t *testing.T) {
 	X := [][]float32{{0}, {1}, {0}, {1}}
 	y := []bool{false, false, false, false}
 	m := Train(X, y, DefaultParams())
-	if p := m.Predict([]float32{1}); p > 0.4 {
+	if p := sigmoid(m.Score([]float32{1})); p > 0.4 {
 		t.Errorf("all-negative training predicted %f", p)
 	}
 }

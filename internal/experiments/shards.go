@@ -1,11 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"maps"
 	"time"
 
 	"gps/internal/metrics"
+	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/shard"
 )
@@ -28,8 +29,8 @@ type ShardsPoint struct {
 	// Wall is the wall-clock time of the whole sharded run (all shards
 	// concurrent), and Merge the cross-shard fold alone.
 	Wall, Merge time.Duration
-	// Identical reports whether the merged inventory is byte-identical
-	// to the 1-shard baseline — the determinism contract.
+	// Identical reports whether the merged inventory is the 1-shard
+	// baseline's, key for key — the determinism contract.
 	Identical bool
 }
 
@@ -60,17 +61,13 @@ func ShardsExperiment(s *Setup, counts []int) *ShardsResult {
 	// The determinism baseline is always a real 1-shard run, whatever
 	// order (or subset) of counts the caller asked for; when counts
 	// starts with 1 that run doubles as the first point.
-	var baseline []byte
+	var baseline map[netmodel.Key]bool
 	if counts[0] != 1 {
 		m1, err := shard.Run(s.Universe, seedSet, cfg, 1)
 		if err != nil {
 			panic(err)
 		}
-		var inv bytes.Buffer
-		if err := m1.WriteInventory(&inv); err != nil {
-			panic(err)
-		}
-		baseline = inv.Bytes()
+		baseline = m1.Found
 	}
 	for _, n := range counts {
 		start := time.Now()
@@ -80,12 +77,8 @@ func ShardsExperiment(s *Setup, counts []int) *ShardsResult {
 		}
 		wall := time.Since(start)
 
-		var inv bytes.Buffer
-		if err := m.WriteInventory(&inv); err != nil {
-			panic(err)
-		}
 		if baseline == nil {
-			baseline = inv.Bytes()
+			baseline = m.Found
 		}
 		found := 0
 		for k := range m.Found {
@@ -100,7 +93,7 @@ func ShardsExperiment(s *Setup, counts []int) *ShardsResult {
 			MaxShardProbes: m.MaxShardProbes,
 			Wall:           wall,
 			Merge:          m.MergeTime,
-			Identical:      bytes.Equal(inv.Bytes(), baseline),
+			Identical:      maps.Equal(m.Found, baseline),
 		}
 		if gt.Total() > 0 {
 			p.Coverage = float64(found) / float64(gt.Total())

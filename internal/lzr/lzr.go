@@ -60,7 +60,6 @@ type Result struct {
 // implements it.
 type Source interface {
 	HostAt(ip asndb.IP) (*netmodel.Host, bool)
-	ServiceAt(ip asndb.IP, port uint16) (*netmodel.Service, bool)
 }
 
 // Fingerprinter runs LZR's identification waterfall.

@@ -13,7 +13,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 
 	"gps/internal/dataset"
@@ -95,9 +94,6 @@ func NewTracker(gt *GroundTruth, spaceSize uint64) *Tracker {
 // Spend advances the probe counter without a discovery.
 func (t *Tracker) Spend(probes uint64) { t.probes += probes }
 
-// Probes returns cumulative probes spent.
-func (t *Tracker) Probes() uint64 { return t.probes }
-
 // Record registers a discovered service. It returns true when the service
 // is a new ground-truth hit.
 func (t *Tracker) Record(k netmodel.Key) bool {
@@ -109,9 +105,6 @@ func (t *Tracker) Record(k netmodel.Key) bool {
 	t.normAcc += 1 / float64(t.gt.PortCount(k.Port))
 	return true
 }
-
-// Found returns the number of distinct ground-truth services found.
-func (t *Tracker) Found() int { return len(t.found) }
 
 // FracAll returns Equation 1 at the current state.
 func (t *Tracker) FracAll() float64 {
@@ -197,16 +190,4 @@ func (c Curve) PrecisionAt(fracAll float64) (float64, bool) {
 		return 0, false
 	}
 	return c[i].Precision, true
-}
-
-// SavingsVs returns how many times less bandwidth this curve needs than
-// other to reach the same fraction of all services (>1 means this curve is
-// cheaper). Returns NaN when either curve never reaches the fraction.
-func (c Curve) SavingsVs(other Curve, fracAll float64) float64 {
-	a, okA := c.BandwidthFor(fracAll)
-	b, okB := other.BandwidthFor(fracAll)
-	if !okA || !okB || a == 0 {
-		return math.NaN()
-	}
-	return float64(b) / float64(a)
 }

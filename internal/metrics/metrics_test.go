@@ -137,27 +137,6 @@ func TestCurveQueries(t *testing.T) {
 	}
 }
 
-func TestSavingsVs(t *testing.T) {
-	cheap := buildCurve()
-	// An "expensive" curve: same discoveries at 10x the probes.
-	gt := NewGroundTruth(tinyDataset())
-	tr := NewTracker(gt, 1000)
-	tr.Spend(2000)
-	tr.Record(netmodel.Key{IP: 1, Port: 80})
-	tr.Record(netmodel.Key{IP: 2, Port: 80})
-	tr.Record(netmodel.Key{IP: 3, Port: 80})
-	tr.Snapshot()
-	expensive := tr.Curve()
-
-	s := cheap.SavingsVs(expensive, 0.6)
-	if s != 10 {
-		t.Errorf("SavingsVs = %f; want 10", s)
-	}
-	if !math.IsNaN(cheap.SavingsVs(expensive, 0.9)) {
-		t.Error("SavingsVs beyond the other curve's reach must be NaN")
-	}
-}
-
 func TestTrackerZeroGT(t *testing.T) {
 	gt := NewGroundTruth(&dataset.Dataset{})
 	tr := NewTracker(gt, 0)

@@ -166,7 +166,7 @@ type generator struct {
 	p    Params
 	u    *Universe
 	part *Partition
-	// claims holds one bit per scannable address (dense AddrAt index):
+	// claims holds one bit per scannable address (dense IndexOf index):
 	// set when some entity — host, pseudo host, middlebox, whether owned
 	// or not — placed itself there. Placement runs over the full
 	// universe even under a Partition (it is cheap: a few rng draws per

@@ -131,9 +131,9 @@ func TestPartitionMultiShardAndMerge(t *testing.T) {
 			t.Fatalf("host %v differs between direct and merged generation", h.IP)
 		}
 	}
-	if part := merged.Partition(); part == nil || part.Count != n || len(part.Owned) != 2 ||
+	if part := merged.part; part == nil || part.Count != n || len(part.Owned) != 2 ||
 		part.Owned[0] != 0 || part.Owned[1] != 2 {
-		t.Errorf("merged partition = %+v; want {Count: 4, Owned: [0 2]}", merged.Partition())
+		t.Errorf("merged partition = %+v; want {Count: 4, Owned: [0 2]}", merged.part)
 	}
 
 	// Merging overlapping partitions must refuse.

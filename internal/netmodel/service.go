@@ -89,12 +89,6 @@ func (h *Host) AddService(s *Service) {
 	h.ports = nil
 }
 
-// RemoveService drops the service on the given port, if any.
-func (h *Host) RemoveService(port uint16) {
-	delete(h.services, port)
-	h.ports = nil
-}
-
 // SetPseudoBlock makes the host serve the same pseudo service on every
 // port in [lo, hi].
 func (h *Host) SetPseudoBlock(lo, hi uint16, tmpl *Service) {

@@ -66,15 +66,8 @@ type Universe struct {
 // Seed returns the generator seed that produced this universe.
 func (u *Universe) Seed() int64 { return u.seed }
 
-// Partition returns the ownership restriction this universe was
-// generated under; nil means the full universe.
-func (u *Universe) Partition() *Partition { return u.part }
-
 // ASes returns the autonomous systems of the universe.
 func (u *Universe) ASes() []ASInfo { return u.ases }
-
-// Routes returns the routing table for ASN lookups.
-func (u *Universe) Routes() *asndb.Table { return u.routes }
 
 // Prefixes returns the announced /16 blocks in ascending order. The
 // scannable address space is exactly the union of these blocks.
@@ -120,38 +113,12 @@ func (u *Universe) Responsive(ip asndb.IP, port uint16) bool {
 	return ok && h.Responsive(port)
 }
 
-// ResponseTTL returns the TTL a response from (ip, port) would carry;
-// forwarded services show a different TTL than the host's other services
-// (§7). ok is false when nothing would respond. Middleboxes answer with a
-// fixed appliance TTL.
-func (u *Universe) ResponseTTL(ip asndb.IP, port uint16) (uint8, bool) {
-	h, ok := u.hosts[ip]
-	if !ok {
-		return 0, false
-	}
-	if svc, okS := h.ServiceAt(port); okS {
-		return svc.TTL, true
-	}
-	if h.Middlebox {
-		return 255, true
-	}
-	return 0, false
-}
-
 // ASNOf returns the ASN announcing ip's prefix.
 func (u *Universe) ASNOf(ip asndb.IP) (asndb.ASN, bool) { return u.routes.Lookup(ip) }
 
-// AddrAt maps a dense index in [0, SpaceSize) to the index-th scannable
-// address. The scanner uses this with a random permutation of the index
-// space to visit every address exactly once in pseudorandom order.
-func (u *Universe) AddrAt(i uint64) asndb.IP {
-	// Prefixes are all /16s, so each holds 65536 addresses.
-	p := u.prefixes[i>>16]
-	return p.Addr + asndb.IP(i&0xffff)
-}
-
-// IndexOf is the inverse of AddrAt; ok is false when ip is outside the
-// announced space.
+// IndexOf maps a scannable address to its dense index in [0, SpaceSize):
+// the announced /16s in ascending order, 65536 addresses each. ok is
+// false when ip is outside the announced space.
 func (u *Universe) IndexOf(ip asndb.IP) (uint64, bool) {
 	want := asndb.SubnetOf(ip, 16)
 	i := sort.Search(len(u.prefixes), func(i int) bool { return u.prefixes[i].Addr >= want.Addr })
@@ -159,12 +126,6 @@ func (u *Universe) IndexOf(ip asndb.IP) (uint64, bool) {
 		return 0, false
 	}
 	return uint64(i)<<16 | uint64(ip&0xffff), true
-}
-
-// Contains reports whether ip is inside the announced address space.
-func (u *Universe) Contains(ip asndb.IP) bool {
-	_, ok := u.IndexOf(ip)
-	return ok
 }
 
 // ResponsiveIn returns every address inside prefix that would acknowledge

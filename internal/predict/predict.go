@@ -10,7 +10,7 @@
 // of the conditions the seed exhibited before any rule is looked up. An
 // anchor value the seed never showed has no id and so no rule; it is
 // skipped, and the model is never written after Build. Conditions become
-// strings again only in MPF.RulesFor and MPF.Entries.
+// strings again only in MPF.Entries.
 package predict
 
 import (
@@ -44,12 +44,11 @@ type rule struct {
 // probability then ascending port. The ids are those of the model the
 // list was built from and mean nothing to another one. Immutable after
 // BuildMPF and safe for concurrent use; conditions turn back into strings
-// only in RulesFor and Entries.
+// only in Entries.
 type MPF struct {
 	model  *probmodel.Model
 	rowOff []uint32
 	rules  []rule
-	conds  int // rows that hold at least one rule
 }
 
 // BuildMPF runs §5.4 step 1 over the seed hosts: for each seed service
@@ -90,9 +89,6 @@ func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, cfg engine.Config) 
 		out.rowOff[cond+1]++
 	}
 	for id := 0; id < m.NumConds(); id++ {
-		if out.rowOff[id+1] > 0 {
-			out.conds++
-		}
 		out.rowOff[id+1] += out.rowOff[id]
 		slices.SortFunc(out.rules[out.rowOff[id]:out.rowOff[id+1]], func(a, b rule) int {
 			if a.p != b.p {
@@ -107,26 +103,9 @@ func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, cfg engine.Config) 
 // Len returns the number of MPF rules.
 func (m *MPF) Len() int { return len(m.rules) }
 
-// NumConds returns the number of distinct conditions in the list.
-func (m *MPF) NumConds() int { return m.conds }
-
 // rulesOf returns the rules keyed on a condition of the list's model.
 func (m *MPF) rulesOf(id probmodel.CondID) []rule {
 	return m.rules[m.rowOff[id]:m.rowOff[id+1]]
-}
-
-// RulesFor returns the rules keyed on a condition, ordered by descending
-// probability.
-func (m *MPF) RulesFor(c probmodel.Cond) []Entry {
-	id, ok := m.model.Lookup(c)
-	if !ok {
-		return nil
-	}
-	var out []Entry
-	for _, r := range m.rulesOf(id) {
-		out = append(out, Entry{Cond: c, Port: r.port, P: r.p})
-	}
-	return out
 }
 
 // Entries returns every rule, ordered by descending probability. Used by

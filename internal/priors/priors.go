@@ -35,19 +35,6 @@ type List struct {
 	StepBits uint8
 }
 
-// ProbeCost returns the number of probes needed to scan the first n
-// targets (each costs one subnet's worth of addresses). n < 0 means all.
-func (l List) ProbeCost(n int) uint64 {
-	if n < 0 || n > len(l.Targets) {
-		n = len(l.Targets)
-	}
-	var total uint64
-	for i := 0; i < n; i++ {
-		total += l.Targets[i].Subnet.Size()
-	}
-	return total
-}
-
 // tupleKey groups targets during construction.
 type tupleKey struct {
 	port   uint16

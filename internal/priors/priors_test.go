@@ -79,22 +79,6 @@ func TestBuildChoosesMostPredictiveAnchor(t *testing.T) {
 	}
 }
 
-func TestProbeCost(t *testing.T) {
-	hosts := scenario()
-	m := probmodel.Build(probmodel.Config{Floor: -1, MinSupport: -1}, hosts)
-	list := Build(m, hosts, 24, engine.Config{})
-	if got := list.ProbeCost(1); got != 256 {
-		t.Errorf("ProbeCost(1) = %d; want 256 for one /24", got)
-	}
-	all := list.ProbeCost(-1)
-	if all != uint64(len(list.Targets))*256 {
-		t.Errorf("ProbeCost(-1) = %d", all)
-	}
-	if list.ProbeCost(1000000) != all {
-		t.Error("ProbeCost beyond length must clamp")
-	}
-}
-
 func TestStepSizeChangesTupleGranularity(t *testing.T) {
 	hosts := scenario()
 	m := probmodel.Build(probmodel.Config{Floor: -1, MinSupport: -1}, hosts)
@@ -105,7 +89,13 @@ func TestStepSizeChangesTupleGranularity(t *testing.T) {
 		t.Errorf("/24 produced %d targets, /8 produced %d; narrow should be >=",
 			len(narrow.Targets), len(wide.Targets))
 	}
-	if wide.ProbeCost(-1) <= narrow.ProbeCost(-1) {
+	cost := func(l List) (probes uint64) {
+		for _, tgt := range l.Targets {
+			probes += tgt.Subnet.Size()
+		}
+		return probes
+	}
+	if cost(wide) <= cost(narrow) {
 		t.Error("wide steps must cost more probes than narrow steps")
 	}
 }

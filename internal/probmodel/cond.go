@@ -73,9 +73,6 @@ func (s FamilySet) With(f Family) FamilySet { return s | 1<<f }
 // AllFamilies enables every family (GPS's default configuration).
 const AllFamilies = FamilySet(1<<FamilyT | 1<<FamilyTA | 1<<FamilyTN | 1<<FamilyTAN)
 
-// TransportOnly enables only Expression 4; used by the ablation study.
-const TransportOnly = FamilySet(1 << FamilyT)
-
 // Cond is one condition tuple in display form: the right-hand side of a
 // conditional probability. Port is always present (PortB); the application
 // and network slots are optional and determine the family. The model

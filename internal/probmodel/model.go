@@ -96,7 +96,6 @@ type condKey struct {
 // identical for any worker count.
 type Model struct {
 	cfg        Config
-	hostsSeen  int
 	enabledKey map[features.Key]bool // nil = all
 	nets       []netSlot             // cfg.NetKeys, resolved
 	strID      map[string]uint32     // application feature value → index in strs
@@ -124,7 +123,7 @@ type netSlot struct {
 func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 	cfg = cfg.withDefaults()
 	m := &Model{
-		cfg: cfg, hostsSeen: len(hosts),
+		cfg:   cfg,
 		strID: make(map[string]uint32), dict: make(map[condKey]CondID),
 	}
 	if cfg.AppKeys != nil {
@@ -389,15 +388,6 @@ func (m *Model) CondsOf(r dataset.Record) []Cond {
 	return CondsOf(r, m.cfg.Families, m.enabledKey, NetFeatures(r, m.cfg.NetKeys))
 }
 
-// Floor returns the configured probability floor.
-func (m *Model) Floor() float64 { return m.cfg.Floor }
-
-// Families returns the enabled family set.
-func (m *Model) Families() FamilySet { return m.cfg.Families }
-
-// HostsSeen returns how many seed hosts the model was trained on.
-func (m *Model) HostsSeen() int { return m.hostsSeen }
-
 // NumConds returns the number of distinct conditions observed.
 func (m *Model) NumConds() int { return len(m.keys) }
 
@@ -501,19 +491,6 @@ func (m *Model) Prob(c Cond, portA uint16) float64 {
 		return 0
 	}
 	return m.ProbID(id, portA)
-}
-
-// BestCond returns the condition among cands maximizing P(portA | cond),
-// with the probability; ok is false when every candidate is below the
-// floor. Ties break toward the earlier candidate, which CondsOf orders by
-// family (T, TA, TN, TAN) so simpler conditions win ties.
-func (m *Model) BestCond(cands []Cond, portA uint16) (best Cond, p float64, ok bool) {
-	for _, c := range cands {
-		if q := m.Prob(c, portA); q > p {
-			best, p, ok = c, q, true
-		}
-	}
-	return best, p, ok
 }
 
 // BestCondForHost scans every other service on the host and returns the

@@ -75,9 +75,6 @@ func TestProbHandComputed(t *testing.T) {
 			t.Errorf("P(%d | %v) = %f; want %f", c.port, c.cond, got, c.want)
 		}
 	}
-	if m.HostsSeen() != 7 {
-		t.Errorf("HostsSeen = %d; want 7", m.HostsSeen())
-	}
 }
 
 func TestCondHostCounts(t *testing.T) {
@@ -125,7 +122,7 @@ func TestMinSupport(t *testing.T) {
 }
 
 func TestFamilyFiltering(t *testing.T) {
-	m := Build(Config{Families: TransportOnly, Floor: -1, MinSupport: -1}, handHosts())
+	m := Build(Config{Families: FamilySet(0).With(FamilyT), Floor: -1, MinSupport: -1}, handHosts())
 	if got := m.Prob(Cond{Port: 80, AppKey: features.KeyHTTPServer, AppVal: "fleetA"}, 443); got != 0 {
 		t.Errorf("TA condition active in transport-only model: %f", got)
 	}

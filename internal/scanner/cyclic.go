@@ -190,6 +190,3 @@ func (it *CyclicIterator) Reset() {
 	it.cur = it.first
 	it.done = false
 }
-
-// Len returns the size of the index space.
-func (it *CyclicIterator) Len() uint64 { return it.n }

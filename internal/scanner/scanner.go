@@ -44,9 +44,6 @@ func (b *Blocklist) Blocked(ip asndb.IP) bool {
 	return blocked
 }
 
-// Len returns the number of blocked prefixes.
-func (b *Blocklist) Len() int { return len(b.prefixes) }
-
 // Scanner is the probe engine. It is safe for concurrent use: probe
 // accounting is atomic, and the Responder contract requires concurrent
 // reads to be safe.
@@ -54,7 +51,6 @@ type Scanner struct {
 	target Responder
 	block  *Blocklist
 	probes atomic.Uint64
-	hits   atomic.Uint64
 	// shardIdx/shardCnt restrict prefix scans to the addresses this
 	// scanner's shard owns (asndb.ShardOf); shardCnt <= 1 disables it.
 	shardIdx, shardCnt int
@@ -75,7 +71,7 @@ func New(target Responder) *Scanner {
 // NewSharded creates a scanner that owns one partition of an n-way
 // hash-split of the address space: prefix scans probe (and account) only
 // the addresses with asndb.ShardOf(ip, count) == index. Targeted probes
-// (Probe, ScanIPs) are unrestricted — callers direct those explicitly.
+// (Probe) are unrestricted — callers direct those explicitly.
 // count <= 1 yields a regular unsharded scanner; an index outside
 // [0, count) panics, since such a scanner would own nothing while still
 // accounting its probe share.
@@ -172,24 +168,11 @@ func (s *Scanner) Probe(ip asndb.IP, port uint16) bool {
 		return false
 	}
 	s.probes.Add(1)
-	if s.target.Responsive(ip, port) {
-		s.hits.Add(1)
-		return true
-	}
-	return false
+	return s.target.Responsive(ip, port)
 }
 
 // Probes returns the number of probes sent so far.
 func (s *Scanner) Probes() uint64 { return s.probes.Load() }
-
-// Hits returns the number of positive responses so far.
-func (s *Scanner) Hits() uint64 { return s.hits.Load() }
-
-// ResetCounters zeroes the probe and hit counters.
-func (s *Scanner) ResetCounters() {
-	s.probes.Store(0)
-	s.hits.Store(0)
-}
 
 // ScanPrefix probes every address in the prefix on one port, in ZMap's
 // pseudorandom order, and returns the responsive addresses. A sharded
@@ -248,7 +231,6 @@ func (s *Scanner) ScanPrefixFast(p asndb.Prefix, port uint16, seed int64) []asnd
 		if s.shardCnt > 1 {
 			hits = s.filterOwned(hits)
 		}
-		s.hits.Add(uint64(len(hits)))
 		return hits
 	}
 	// With a blocklist, count the unblocked fraction precisely.
@@ -273,7 +255,6 @@ func (s *Scanner) ScanPrefixFast(p asndb.Prefix, port uint16, seed int64) []asnd
 	for _, ip := range pr.ResponsiveIn(p, port) {
 		if !s.block.Blocked(ip) && s.owns(ip) {
 			out = append(out, ip)
-			s.hits.Add(1)
 		}
 	}
 	return out
@@ -290,17 +271,6 @@ func (s *Scanner) filterOwned(ips []asndb.IP) []asndb.IP {
 		}
 	}
 	return owned
-}
-
-// ScanIPs probes a target list on one port and returns the responders.
-func (s *Scanner) ScanIPs(ips []asndb.IP, port uint16) []asndb.IP {
-	var out []asndb.IP
-	for _, ip := range ips {
-		if s.Probe(ip, port) {
-			out = append(out, ip)
-		}
-	}
-	return out
 }
 
 // Rate describes a scanning rate for wall-time estimates.
@@ -320,20 +290,4 @@ func (r Rate) Duration(probes uint64) time.Duration {
 	}
 	sec := float64(probes) / r.PPS()
 	return time.Duration(sec * float64(time.Second))
-}
-
-// Bandwidth expresses a probe count in the paper's bandwidth unit:
-// the number of full one-port passes over the scannable address space
-// ("# of 100% scans", Figure 2's x-axis).
-type Bandwidth struct {
-	Probes    uint64
-	SpaceSize uint64
-}
-
-// Scans returns the bandwidth in units of 100% scans.
-func (b Bandwidth) Scans() float64 {
-	if b.SpaceSize == 0 {
-		return 0
-	}
-	return float64(b.Probes) / float64(b.SpaceSize)
 }

@@ -51,12 +51,8 @@ func TestProbeCounting(t *testing.T) {
 	if s.Probe(asndb.MustParseIP("10.0.0.2"), 80) {
 		t.Error("probe to empty address succeeded")
 	}
-	if s.Probes() != 2 || s.Hits() != 1 {
-		t.Errorf("probes=%d hits=%d; want 2/1", s.Probes(), s.Hits())
-	}
-	s.ResetCounters()
-	if s.Probes() != 0 || s.Hits() != 0 {
-		t.Error("ResetCounters did not zero")
+	if s.Probes() != 2 {
+		t.Errorf("probes=%d; want 2", s.Probes())
 	}
 }
 
@@ -71,9 +67,6 @@ func TestBlocklist(t *testing.T) {
 	}
 	if !s.Probe(asndb.MustParseIP("10.0.1.1"), 443) {
 		t.Error("probe outside blocklist failed")
-	}
-	if s.Blocklist().Len() != 1 {
-		t.Error("blocklist length wrong")
 	}
 }
 
@@ -124,22 +117,6 @@ func TestScanPrefixFastBlocklist(t *testing.T) {
 	}
 }
 
-func TestScanIPs(t *testing.T) {
-	s := New(testNet())
-	ips := []asndb.IP{
-		asndb.MustParseIP("10.0.0.1"),
-		asndb.MustParseIP("10.0.0.2"),
-		asndb.MustParseIP("11.0.0.1"),
-	}
-	got := s.ScanIPs(ips, 80)
-	if len(got) != 2 {
-		t.Errorf("ScanIPs found %d; want 2", len(got))
-	}
-	if s.Probes() != 3 {
-		t.Errorf("probes = %d; want 3", s.Probes())
-	}
-}
-
 func TestRateMath(t *testing.T) {
 	r := Rate{Gbps: 1}
 	pps := r.PPS()
@@ -153,16 +130,6 @@ func TestRateMath(t *testing.T) {
 	}
 	if (Rate{}).Duration(1000) != 0 {
 		t.Error("zero rate must yield zero duration")
-	}
-}
-
-func TestBandwidthUnits(t *testing.T) {
-	b := Bandwidth{Probes: 2000, SpaceSize: 1000}
-	if b.Scans() != 2 {
-		t.Errorf("Scans() = %f; want 2", b.Scans())
-	}
-	if (Bandwidth{Probes: 5}).Scans() != 0 {
-		t.Error("zero space must yield 0")
 	}
 }
 

@@ -79,7 +79,7 @@ func TestSnapshotIndexes(t *testing.T) {
 		}
 		for _, s := range svcs {
 			if s.Port != port {
-				t.Fatalf("port %d query returned %v", port, s.Key())
+				t.Fatalf("port %d query returned %v:%d", port, s.IP, s.Port)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestSnapshotIndexes(t *testing.T) {
 	for k := range inv {
 		found := false
 		for _, s := range snap.Host(k.IP) {
-			if s.Key() == k {
+			if s.IP == k.IP && s.Port == k.Port {
 				found = true
 			}
 		}

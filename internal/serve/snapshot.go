@@ -50,9 +50,6 @@ type Service struct {
 	Stale     int
 }
 
-// Key returns the (IP, port) identity of the service.
-func (s Service) Key() netmodel.Key { return netmodel.Key{IP: s.IP, Port: s.Port} }
-
 // Stats is the snapshot's precomputed aggregate view: how big the
 // inventory is, how it spreads over the address space, and how fresh it
 // is. Computing it once at build time keeps /v1/stats O(1).

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
-	"gps/internal/wire"
 )
 
 // Merged is the single global view folded from per-shard pipeline results:
@@ -153,23 +151,4 @@ func keyLess(a, b netmodel.Key) bool {
 		return a.IP < b.IP
 	}
 	return a.Port < b.Port
-}
-
-// inventoryMagic heads WriteInventory output.
-const inventoryMagic = "GPSI"
-
-// WriteInventory serializes the merged inventory canonically: the sorted
-// (IP, port) key set, 6 bytes per key. Two runs that discovered the same
-// services produce byte-identical output whatever the shard count — the
-// determinism contract the shards experiment asserts.
-func (m *Merged) WriteInventory(w io.Writer) error {
-	keys := sortedKeys(m.Found)
-	e := make(wire.Enc, 0, 12+6*len(keys))
-	e.Magic(inventoryMagic)
-	e.U64(uint64(len(keys)))
-	for _, k := range keys {
-		encodeKey(&e, k)
-	}
-	_, err := w.Write(e)
-	return err
 }

@@ -92,9 +92,6 @@ func ResumeCoordinator(states []*continuous.State, cfg Config) (*Coordinator, er
 	return c, nil
 }
 
-// Shards returns the partition count.
-func (c *Coordinator) Shards() int { return len(c.runners) }
-
 // SetCommitHook registers the hook Epoch invokes after each commit; nil
 // unregisters. Call it before the epoch loop starts, not concurrently
 // with Epoch.

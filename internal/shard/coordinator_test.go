@@ -22,8 +22,8 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 	u, seedSet := testWorld(t, 11)
 	const n = 3
 	c := NewCoordinator(seedSet, coordConfig(n))
-	if c.Shards() != n {
-		t.Fatalf("Shards() = %d; want %d", c.Shards(), n)
+	if len(c.States()) != n {
+		t.Fatalf("%d shard states; want %d", len(c.States()), n)
 	}
 
 	// Seeding partitions the seed set: the merged inventory is exactly

@@ -26,8 +26,6 @@ import (
 // (protocol, ASN, TTL), so a GPSV file is a self-contained serving
 // artifact — gpsd serve FILE answers /v1/asn queries from it without the
 // checkpoint. Application-layer features stay in checkpoints only.
-//
-// (The batch pipeline's key-set dump under "GPSI" lives in batch.go.)
 const (
 	stateInventoryMagic   = "GPSV"
 	stateInventoryVersion = 2

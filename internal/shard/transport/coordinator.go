@@ -605,9 +605,6 @@ func indexOf(xs []int, x int) int {
 	return 0
 }
 
-// Shards returns the partition count.
-func (c *Coordinator) Shards() int { return c.cfg.Shards }
-
 // SetCommitHook registers the hook Epoch invokes after each all-or-
 // nothing state commit, mirroring the in-process coordinator; nil
 // unregisters. Call it before the epoch loop starts, not concurrently

@@ -24,7 +24,7 @@ func spanAttr(r trace.SpanRecord, key string) string {
 func TestTransportTraceStitching(t *testing.T) {
 	const worldSeed, n = 21, 2
 	trace.Default.Reset()
-	trace.SetEnabled(true)
+	trace.Default.SetEnabled(true)
 
 	var addrs []string
 	for i := 0; i < n; i++ {
@@ -163,8 +163,8 @@ func TestTransportTraceContextSkew(t *testing.T) {
 
 	// End to end with tracing disabled the wire carries exactly the old
 	// frames: a full epoch must still run, and record nothing.
-	trace.SetEnabled(false)
-	defer trace.SetEnabled(true)
+	trace.Default.SetEnabled(false)
+	defer trace.Default.SetEnabled(true)
 	trace.Default.Reset()
 	w := startWorker(t)
 	c, err := Dial([]string{w.addr()}, testConfig(1), worldSpec(21), testOptions())

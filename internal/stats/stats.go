@@ -11,60 +11,6 @@ import (
 	"sort"
 )
 
-// Summary holds basic order statistics of a sample.
-type Summary struct {
-	N        int
-	Min, Max float64
-	Mean     float64
-	Median   float64
-	P90, P99 float64
-	StdDev   float64
-}
-
-// Summarize computes order statistics; it returns the zero Summary for an
-// empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s := Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: quantile(sorted, 0.5),
-		P90:    quantile(sorted, 0.9),
-		P99:    quantile(sorted, 0.99),
-	}
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	s.Mean = sum / float64(s.N)
-	var varSum float64
-	for _, x := range sorted {
-		d := x - s.Mean
-		varSum += d * d
-	}
-	s.StdDev = math.Sqrt(varSum / float64(s.N))
-	return s
-}
-
-// quantile interpolates the q-quantile of a sorted sample.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
 // ZipfFit estimates the exponent of a rank-frequency power law
 // f(r) ∝ r^(-alpha) by least squares on log-log coordinates. Counts are
 // sorted descending internally; zero counts are dropped. R2 reports the

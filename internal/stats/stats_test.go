@@ -9,20 +9,6 @@ import (
 	"gps/internal/netmodel"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty sample not zero")
-	}
-	one := Summarize([]float64{7})
-	if one.Median != 7 || one.P99 != 7 {
-		t.Errorf("singleton summary = %+v", one)
-	}
-}
-
 func TestFitZipfRecoversExponent(t *testing.T) {
 	// Synthesize an exact power law f(r) = 1e6 * r^-1.2.
 	counts := make([]int, 500)

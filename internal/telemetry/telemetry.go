@@ -351,9 +351,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.m.sumBits.Load()) }
-
 // Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
 // within the bucket holding the target rank, the same estimate
 // Prometheus's histogram_quantile computes. Observations in the +Inf

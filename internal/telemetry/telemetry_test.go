@@ -84,7 +84,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d, want 100", h.Count())
 	}
-	if got := h.Sum(); math.Abs(got-(90*0.005+9*0.05+5)) > 1e-9 {
+	if got := math.Float64frombits(h.m.sumBits.Load()); math.Abs(got-(90*0.005+9*0.05+5)) > 1e-9 {
 		t.Fatalf("sum = %v", got)
 	}
 	if p := h.P50(); p <= 0 || p > 0.01 {

@@ -15,8 +15,8 @@ import (
 // the epoch in flight (Tracer.CurrentTrace), so a slow line in the log
 // can be looked up as a waterfall in /v1/tracez.
 //
-// Routing contract (pinned by a cmd/gpsd test): Debug and Info go to
-// the stdout writer, Warn and Error to the stderr writer. Text mode
+// Routing contract (pinned by a cmd/gpsd test): Info goes to os.Stdout,
+// Warn and Error to os.Stderr, each read at emit time. Text mode
 // emits logfmt-style key=value lines; SetLogJSON(true) switches every
 // line to a single JSON object.
 
@@ -48,8 +48,6 @@ func (l Level) String() string {
 var (
 	logMu   sync.Mutex
 	logJSON bool
-	logOut  io.Writer = os.Stdout
-	logErr  io.Writer = os.Stderr
 )
 
 // SetLogJSON switches all loggers between logfmt text (false) and
@@ -60,30 +58,11 @@ func SetLogJSON(on bool) {
 	logMu.Unlock()
 }
 
-// SetLogOutput redirects the process-wide log destinations: out
-// receives Debug/Info lines, errw receives Warn/Error lines. A nil
-// writer leaves that destination unchanged. Returns the previous pair
-// so tests can restore it.
-func SetLogOutput(out, errw io.Writer) (prevOut, prevErr io.Writer) {
-	logMu.Lock()
-	prevOut, prevErr = logOut, logErr
-	if out != nil {
-		logOut = out
-	}
-	if errw != nil {
-		logErr = errw
-	}
-	logMu.Unlock()
-	return prevOut, prevErr
-}
-
 // Logger emits leveled structured lines tagged with a component and a
-// fixed field set. Loggers are cheap values; derive per-subsystem ones
-// with With.
+// fixed field set.
 type Logger struct {
 	component string
 	fields    []Attr
-	out, err  io.Writer // optional per-logger override (tests, parseArgs)
 	tr        *Tracer
 }
 
@@ -93,31 +72,13 @@ func NewLogger(component string, fields ...Attr) *Logger {
 	return &Logger{component: component, fields: fields, tr: Default}
 }
 
-// With returns a copy carrying extra fixed fields (e.g. shard=3).
-func (l *Logger) With(fields ...Attr) *Logger {
-	cp := *l
-	cp.fields = append(append([]Attr(nil), l.fields...), fields...)
-	return &cp
-}
-
-// Output returns a copy writing to the given writers instead of the
-// process-wide destinations. A nil writer keeps the process-wide one.
-func (l *Logger) Output(out, errw io.Writer) *Logger {
-	cp := *l
-	cp.out, cp.err = out, errw
-	return &cp
-}
-
-// Debugf logs at debug level (stdout writer).
-func (l *Logger) Debugf(format string, args ...any) { l.logf(LevelDebug, format, args...) }
-
-// Infof logs at info level (stdout writer).
+// Infof logs at info level (stdout).
 func (l *Logger) Infof(format string, args ...any) { l.logf(LevelInfo, format, args...) }
 
-// Warnf logs at warn level (stderr writer).
+// Warnf logs at warn level (stderr).
 func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, args...) }
 
-// Errorf logs at error level (stderr writer).
+// Errorf logs at error level (stderr).
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }
 
 // Log emits a message with per-line fields appended after the fixed
@@ -149,17 +110,9 @@ func (l *Logger) emit(level Level, msg string, extra []Attr) {
 
 	logMu.Lock()
 	defer logMu.Unlock()
-	w := logOut
+	w := os.Stdout
 	if level >= LevelWarn {
-		w = logErr
-	}
-	if level >= LevelWarn && l.err != nil {
-		w = l.err
-	} else if level < LevelWarn && l.out != nil {
-		w = l.out
-	}
-	if w == nil {
-		return
+		w = os.Stderr
 	}
 	if logJSON {
 		obj := make(map[string]any, len(l.fields)+len(extra)+5)

@@ -53,9 +53,6 @@ func Int(k string, v int) Attr { return Attr{k, strconv.Itoa(v)} }
 // Int64 builds an int64 attribute.
 func Int64(k string, v int64) Attr { return Attr{k, strconv.FormatInt(v, 10)} }
 
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{k, strconv.FormatBool(v)} }
-
 // SpanRecord is a finished span as stored in the flight recorder and
 // as shipped between processes. Proc names the process that recorded
 // the span (set via SetProcess) so a stitched trace shows which side
@@ -133,9 +130,6 @@ func NewTracer(capacity int) *Tracer {
 // nil and every nil-span method is a no-op, so the marginal cost at an
 // instrumentation site is one atomic load.
 func (t *Tracer) SetEnabled(on bool) { t.disabled.Store(!on) }
-
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return !t.disabled.Load() }
 
 // SetProcess labels spans recorded from now on with a process name
 // (e.g. "worker:w3") so stitched traces show where each span ran.
@@ -436,19 +430,7 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanRecord {
 	return out
 }
 
-// Package-level conveniences on the Default tracer, mirroring
-// telemetry's Default registry.
-
 // StartSpan begins a span on the Default tracer.
 func StartSpan(parent SpanContext, name string, attrs ...Attr) *Span {
 	return Default.StartSpan(parent, name, attrs...)
 }
-
-// SetEnabled toggles the Default tracer.
-func SetEnabled(on bool) { Default.SetEnabled(on) }
-
-// Enabled reports the Default tracer's state.
-func Enabled() bool { return Default.Enabled() }
-
-// SetProcess labels the Default tracer's spans.
-func SetProcess(name string) { Default.SetProcess(name) }

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -278,35 +278,61 @@ func TestDebugzHandler(t *testing.T) {
 	}
 }
 
-func TestLoggerRouting(t *testing.T) {
-	var out, errw bytes.Buffer
-	l := NewLogger("gpsd", String("mode", "test")).Output(&out, &errw)
-	l.Infof("epoch %d done", 3)
-	l.Warnf("deprecated flag")
-	l.Errorf("boom")
+// captureStd runs fn with os.Stdout and os.Stderr swapped for pipes and
+// returns what each received: the logger reads both at emit time.
+func captureStd(t *testing.T, fn func()) (out, errw string) {
+	t.Helper()
+	outR, outW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errR, errW, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevOut, prevErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outW, errW
+	defer func() { os.Stdout, os.Stderr = prevOut, prevErr }()
+	fn()
+	outW.Close()
+	errW.Close()
+	ob, _ := io.ReadAll(outR)
+	eb, _ := io.ReadAll(errR)
+	return string(ob), string(eb)
+}
 
-	if !strings.Contains(out.String(), "level=info") ||
-		!strings.Contains(out.String(), `msg="epoch 3 done"`) ||
-		!strings.Contains(out.String(), "component=gpsd") ||
-		!strings.Contains(out.String(), "mode=test") {
-		t.Fatalf("stdout line wrong: %q", out.String())
+func TestLoggerRouting(t *testing.T) {
+	l := NewLogger("gpsd", String("mode", "test"))
+	out, errw := captureStd(t, func() {
+		l.Infof("epoch %d done", 3)
+		l.Warnf("deprecated flag")
+		l.Errorf("boom")
+	})
+
+	if !strings.Contains(out, "level=info") ||
+		!strings.Contains(out, `msg="epoch 3 done"`) ||
+		!strings.Contains(out, "component=gpsd") ||
+		!strings.Contains(out, "mode=test") {
+		t.Fatalf("stdout line wrong: %q", out)
 	}
-	if strings.Contains(out.String(), "deprecated") || strings.Contains(out.String(), "boom") {
-		t.Fatalf("warn/error leaked to stdout: %q", out.String())
+	if strings.Contains(out, "deprecated") || strings.Contains(out, "boom") {
+		t.Fatalf("warn/error leaked to stdout: %q", out)
 	}
-	if !strings.Contains(errw.String(), "level=warn") || !strings.Contains(errw.String(), "level=error") {
-		t.Fatalf("stderr lines wrong: %q", errw.String())
+	if !strings.Contains(errw, "level=warn") || !strings.Contains(errw, "level=error") {
+		t.Fatalf("stderr lines wrong: %q", errw)
 	}
 }
 
 func TestLoggerTraceField(t *testing.T) {
-	var out bytes.Buffer
-	l := NewLogger("gpsd").Output(&out, &out)
-	sp := Default.StartSpan(SpanContext{}, "epoch")
-	l.Infof("during epoch")
-	sp.Finish()
-	l.Infof("after epoch")
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	l := NewLogger("gpsd")
+	var sp *Span
+	out, _ := captureStd(t, func() {
+		sp = Default.StartSpan(SpanContext{}, "epoch")
+		l.Infof("during epoch")
+		sp.Finish()
+		l.Infof("after epoch")
+	})
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines", len(lines))
 	}
@@ -322,12 +348,11 @@ func TestLoggerTraceField(t *testing.T) {
 func TestLoggerJSON(t *testing.T) {
 	SetLogJSON(true)
 	defer SetLogJSON(false)
-	var out bytes.Buffer
-	l := NewLogger("cluster", String("shard", "2")).Output(&out, &out)
-	l.Log(LevelInfo, "migrated", String("to", "w4"))
+	l := NewLogger("cluster", String("shard", "2"))
+	out, _ := captureStd(t, func() { l.Log(LevelInfo, "migrated", String("to", "w4")) })
 	var obj map[string]any
-	if err := json.Unmarshal(out.Bytes(), &obj); err != nil {
-		t.Fatalf("not JSON: %q (%v)", out.String(), err)
+	if err := json.Unmarshal([]byte(out), &obj); err != nil {
+		t.Fatalf("not JSON: %q (%v)", out, err)
 	}
 	if obj["level"] != "info" || obj["component"] != "cluster" ||
 		obj["msg"] != "migrated" || obj["shard"] != "2" || obj["to"] != "w4" {

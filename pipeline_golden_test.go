@@ -44,7 +44,7 @@ func pipelineGoldenConfigs(f *fixture) []pipelineGoldenConfig {
 		{"workers2", Config{Seed: 11, Workers: 2}},
 		{"workers3", Config{Seed: 11, Workers: 3}},
 		{"step20-budget", Config{Seed: 12, StepBits: 20, Budget: f.u.SpaceSize() / 2}},
-		{"stepzero-transport", Config{Seed: 13, StepZero: true, Families: probmodel.TransportOnly}},
+		{"stepzero-transport", Config{Seed: 13, StepZero: true, Families: probmodel.FamilySet(0).With(probmodel.FamilyT)}},
 		{"nofloor-nosupport", Config{Seed: 14, Floor: -1, MinSupport: -1}},
 		{"appkeys", Config{Seed: 15, AppKeys: []features.Key{features.KeyProtocol, features.KeyHTTPServer, features.KeySSHBanner}}},
 		{"shard1of4-exact", Config{Seed: 16, ShardIndex: 1, ShardCount: 4, ExactShardCounts: true}},
