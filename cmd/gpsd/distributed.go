@@ -45,10 +45,6 @@ func runCoordinator(f daemonFlags) int {
 	defer coord.Close()
 	mainLog.Infof("coordinating %d shards over %d workers (%s)",
 		f.shards, len(addrs), f.workers)
-	setProcessHealth(func(i *serve.HealthInfo) {
-		i.Role = "coordinator"
-		i.ShardsOwned = f.shards
-	})
 
 	// The join listener makes membership elastic: workers started later
 	// with -join register here and receive live shard migrations at the
@@ -64,7 +60,7 @@ func runCoordinator(f daemonFlags) int {
 	}
 
 	// Resume from a checkpoint when one exists; otherwise generate the
-	// universe locally just long enough to collect the broadcast seed.
+	// universe locally just long enough to collect the seed.
 	states, topo, err := resumeStates(f, world)
 	if err != nil {
 		mainLog.Errorf("%v", err)
@@ -104,13 +100,8 @@ func runCoordinator(f daemonFlags) int {
 		// The serving coordinator is also the cluster control plane:
 		// GET /v1/cluster reads the membership doc straight off the
 		// coordinator, and the drain endpoint (behind -admin) feeds
-		// RequestDrain. The health doc carries the coordinator role.
-		configure := func(api *serve.Server) {
-			api.EnableCluster(coord, f.admin)
-			api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
-				return serve.HealthInfo{Role: "coordinator", ShardsOwned: f.shards}
-			}))
-		}
+		// RequestDrain.
+		configure := func(api *serve.Server) { api.EnableCluster(coord, f.admin) }
 		if api, err = startServing(f, fleet, configure); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1

@@ -14,8 +14,8 @@
 // The same split also runs across processes and hosts. A worker process
 // (gpsd worker -listen addr) serves shard epochs over the GPS shard
 // transport; a coordinator (gpsd coordinator -workers addr,addr,...)
-// dials the fleet, broadcasts the seed and the world spec, assigns shards
-// round-robin, and folds the streamed per-epoch results into the same
+// dials the fleet, places each shard's seeded state and world spec on a
+// worker round-robin, and folds the streamed per-epoch results into the same
 // merged view — byte-identical to the in-process run, which CI enforces.
 // gpsd rebalance split|join doubles or halves a checkpoint's shard count
 // without a rescan, so a fleet can grow or shrink between runs.
@@ -99,7 +99,6 @@ import (
 	"gps"
 	"gps/internal/continuous"
 	"gps/internal/netmodel"
-	"gps/internal/serve"
 	"gps/internal/shard"
 	"gps/internal/telemetry"
 	"gps/internal/trace"
@@ -261,28 +260,29 @@ func main() {
 		mainLog.Errorf("-feed needs -serve ADDR (the feed streams what the query API serves)")
 		os.Exit(2)
 	}
+	declareProcessHealth(f)
 	startDebugServer(f.debugAddr)
 
-	switch {
-	case f.workerMode:
+	switch f.role() {
+	case "worker":
 		os.Exit(runWorker(f))
-	case f.rebalance != "":
+	case "rebalance":
 		os.Exit(runRebalance(f))
-	case f.watchURL != "":
+	case "watch":
 		os.Exit(runWatch(f))
-	case f.replicaMode:
+	case "replica":
 		if f.serve == "" || f.upstream == "" {
 			mainLog.Errorf("replica mode needs -upstream ADDR and -serve ADDR")
 			os.Exit(2)
 		}
 		os.Exit(runReplica(f))
-	case f.serveFile != "":
+	case "file":
 		if f.serve == "" {
 			mainLog.Errorf("gpsd serve FILE needs -serve ADDR to listen on")
 			os.Exit(2)
 		}
 		os.Exit(runServeFile(f))
-	case f.coordinator || f.workers != "":
+	case "coordinator":
 		if !f.coordinator || f.workers == "" {
 			mainLog.Errorf("coordinator mode needs -workers addr,addr,... (gpsd coordinator -workers ...)")
 			os.Exit(2)
@@ -290,6 +290,26 @@ func main() {
 		os.Exit(runCoordinator(f))
 	}
 	os.Exit(runDaemon(f))
+}
+
+// role names the mode the flags select: main dispatches on it and
+// /v1/healthz reports it, on every listener the process opens.
+func (f daemonFlags) role() string {
+	switch {
+	case f.workerMode:
+		return "worker"
+	case f.rebalance != "":
+		return "rebalance"
+	case f.watchURL != "":
+		return "watch"
+	case f.replicaMode:
+		return "replica"
+	case f.serveFile != "":
+		return "file"
+	case f.coordinator || f.workers != "":
+		return "coordinator"
+	}
+	return "origin"
 }
 
 // world derives the checkpoint/world-spec identity from the flags.
@@ -487,10 +507,6 @@ func (c *localCoordinator) topology() topology { return localTopology(len(c.Stat
 // universe.
 func runDaemon(f daemonFlags) int {
 	trace.Default.SetProcess("daemon")
-	setProcessHealth(func(i *serve.HealthInfo) {
-		i.Role = "origin"
-		i.ShardsOwned = f.shards
-	})
 	params := gps.DemoUniverseParams(f.seed, f.prefixes, f.density)
 	world := f.world()
 
@@ -529,12 +545,7 @@ func runDaemon(f daemonFlags) int {
 
 	var api *inventoryServer
 	if f.serve != "" {
-		configure := func(api *serve.Server) {
-			api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
-				return serve.HealthInfo{Role: "origin", ShardsOwned: f.shards}
-			}))
-		}
-		if api, err = startServing(f, coord, configure); err != nil {
+		if api, err = startServing(f, coord, nil); err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
 		}

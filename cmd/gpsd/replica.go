@@ -27,13 +27,13 @@ var replicaLog = trace.NewLogger("replica")
 // replica re-exports the stream, so replicas chain into a fan-out tree.
 func runReplica(f daemonFlags) int {
 	trace.Default.SetProcess("replica")
-	setProcessHealth(func(i *serve.HealthInfo) { i.Role = "replica" })
 	rep := serve.NewReplicaServer(f.upstream, &serve.ReplicaOptions{
 		FeedHistory: f.feedHistory,
 		Logf: func(format string, args ...any) {
 			replicaLog.Warnf(format, args...)
 		},
 	})
+	setProcessHealthLive(replicaHealthLive(rep))
 
 	lis, err := net.Listen("tcp", f.serve)
 	if err != nil {
@@ -41,10 +41,7 @@ func runReplica(f daemonFlags) int {
 		return 1
 	}
 	srv := serve.NewHTTPServer("",
-		serve.NewServer(rep.Publisher()).
-			EnableWatch(rep.Feed()).
-			SetHealthSource(rep).
-			Handler())
+		newAPIServer(rep.Publisher()).EnableWatch(rep.Feed()).Handler())
 	go func() {
 		if err := srv.Serve(lis); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			replicaLog.Errorf("serve: %v", err)

@@ -41,15 +41,15 @@ type inventoryServer struct {
 // additionally mounts GET /v1/watch over it; committed epochs must then
 // flow through publish so the feed and the snapshots stay in lockstep.
 // configure, when non-nil, runs against the server before it starts
-// accepting — the hook the modes use to attach health sources and the
-// cluster control plane.
+// accepting — the hook the coordinator uses to attach the cluster
+// control plane.
 func startInventoryServer(addr string, feed *serve.Feed, configure func(*serve.Server)) (*inventoryServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	pub := &serve.Publisher{}
-	api := serve.NewServer(pub)
+	api := newAPIServer(pub)
 	if feed != nil {
 		api.EnableWatch(feed)
 	}
@@ -211,11 +211,7 @@ func runServeFile(f daemonFlags) int {
 			epoch = e.LastSeen
 		}
 	}
-	api, err := startInventoryServer(f.serve, nil, func(api *serve.Server) {
-		api.SetHealthSource(serve.HealthFunc(func() serve.HealthInfo {
-			return serve.HealthInfo{Role: "file"}
-		}))
-	})
+	api, err := startInventoryServer(f.serve, nil, nil)
 	if err != nil {
 		serveLog.Errorf("%v", err)
 		return 1

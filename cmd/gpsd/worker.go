@@ -189,14 +189,14 @@ func (w *demoWorld) Extend(spec []byte) error {
 }
 
 // runWorker serves shard epochs until SIGINT/SIGTERM. The world comes
-// from the coordinator's Init (or a migration offer), so a worker needs
+// from the coordinator's Init, so a worker needs
 // no universe flags — just an address. With -join ADDR the worker dials
 // a running coordinator's -cluster listener instead of listening itself;
 // with -leave a signal drains its shards back into the fleet before
 // exit rather than dropping them.
 func runWorker(f daemonFlags) int {
 	trace.Default.SetProcess("worker")
-	setProcessHealth(func(i *serve.HealthInfo) { i.Role = "worker" })
+	setProcessHealthLive(workerHealthLive)
 	if f.joinAddr != "" {
 		return runJoiningWorker(f)
 	}

@@ -152,8 +152,7 @@ func ShardOf(ip IP, n int) int {
 
 // ShardOwns reports whether shard index of an n-way split owns ip. It is
 // the single ownership predicate every sharded layer (scanner, pipeline,
-// continuous, shard.Filter) shares; count <= 1 means unsharded, which
-// owns everything.
+// continuous) shares; count <= 1 means unsharded, which owns everything.
 func ShardOwns(ip IP, index, count int) bool {
 	return count <= 1 || ShardOf(ip, count) == index
 }

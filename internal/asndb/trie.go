@@ -1,9 +1,6 @@
 package asndb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ASN is an autonomous system number.
 type ASN uint32
@@ -67,34 +64,4 @@ func (t *Table) Lookup(ip IP) (ASN, bool) {
 		}
 	}
 	return best, found
-}
-
-// Route is one table entry, used for enumeration.
-type Route struct {
-	Prefix Prefix
-	ASN    ASN
-}
-
-// Routes returns all entries sorted by network address then prefix length.
-func (t *Table) Routes() []Route {
-	var out []Route
-	var walk func(n *node, addr uint32, depth uint8)
-	walk = func(n *node, addr uint32, depth uint8) {
-		if n == nil {
-			return
-		}
-		if n.set {
-			out = append(out, Route{Prefix: Prefix{Addr: IP(addr), Bits: depth}, ASN: n.asn})
-		}
-		walk(n.child[0], addr, depth+1)
-		walk(n.child[1], addr|1<<(31-depth), depth+1)
-	}
-	walk(t.root, 0, 0)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Addr != out[j].Prefix.Addr {
-			return out[i].Prefix.Addr < out[j].Prefix.Addr
-		}
-		return out[i].Prefix.Bits < out[j].Prefix.Bits
-	})
-	return out
 }

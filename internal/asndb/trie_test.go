@@ -53,29 +53,14 @@ func TestTableOverwrite(t *testing.T) {
 	}
 }
 
-func TestTableRoutes(t *testing.T) {
-	var tb Table
-	routes := []Route{
-		{MustPrefix(MustParseIP("10.0.0.0"), 8), 1},
-		{MustPrefix(MustParseIP("10.1.0.0"), 16), 2},
-		{MustPrefix(MustParseIP("192.168.0.0"), 16), 3},
-	}
-	for _, r := range routes {
-		tb.Insert(r.Prefix, r.ASN)
-	}
-	got := tb.Routes()
-	if len(got) != len(routes) {
-		t.Fatalf("Routes() returned %d entries; want %d", len(got), len(routes))
-	}
-	for i, r := range got {
-		if r != routes[i] {
-			t.Errorf("route %d = %v; want %v", i, r, routes[i])
-		}
-	}
+// route is one reference table entry.
+type route struct {
+	Prefix Prefix
+	ASN    ASN
 }
 
 // lookupNaive is the reference longest-prefix-match implementation.
-func lookupNaive(routes []Route, ip IP) (ASN, bool) {
+func lookupNaive(routes []route, ip IP) (ASN, bool) {
 	bestBits := -1
 	var best ASN
 	for _, r := range routes {
@@ -94,7 +79,7 @@ func TestTableLookupQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var tb Table
-		var routes []Route
+		var routes []route
 		n := 1 + r.Intn(30)
 		for i := 0; i < n; i++ {
 			bits := uint8(r.Intn(25))
@@ -111,7 +96,7 @@ func TestTableLookupQuick(t *testing.T) {
 				}
 			}
 			if !replaced {
-				routes = append(routes, Route{pfx, asn})
+				routes = append(routes, route{pfx, asn})
 			}
 			tb.Insert(pfx, asn)
 		}

@@ -130,20 +130,11 @@ type State struct {
 	History []EpochStats
 }
 
-// CommitHook observes each committed epoch: it runs synchronously at the
-// end of Epoch with the epoch number and the post-epoch inventory. The
-// map is the runner's live state — read it during the call, copy what
-// must outlive it (serve.NewSnapshot does exactly that). This is how the
-// serving layer learns about commits without the scan loop knowing the
-// serving layer exists.
-type CommitHook func(epoch int, known map[netmodel.Key]*Entry)
-
 // Runner drives the continuous scan. It is not safe for concurrent use.
 type Runner struct {
-	cfg  Config
-	st   *State
-	hook CommitHook
-	tel  *runnerTelemetry
+	cfg Config
+	st  *State
+	tel *runnerTelemetry
 	// tparent is the trace context the next Epoch's phase spans parent
 	// to. A shard coordinator (or a transport worker relaying a remote
 	// coordinator's context) sets it before each Epoch call; when unset,
@@ -179,11 +170,6 @@ func Resume(st *State, cfg Config) *Runner {
 // State exposes the runner's state (shared, not copied): read it for
 // reporting, checkpoint it with WriteCheckpoint.
 func (r *Runner) State() *State { return r.st }
-
-// SetCommitHook registers the hook Epoch invokes after each commit; nil
-// unregisters. Call it before the epoch loop starts, not concurrently
-// with Epoch.
-func (r *Runner) SetCommitHook(h CommitHook) { r.hook = h }
 
 // SetTraceParent sets the span context the next Epoch's phase spans
 // attach to — the per-shard span of a coordinator, or the RPC span id
@@ -352,9 +338,6 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 	}
 	r.st.History = append(r.st.History, stats)
 	r.tel.record(stats)
-	if r.hook != nil {
-		r.hook(e, r.st.Known)
-	}
 	ownSpan.SetAttr(trace.Int("known", stats.KnownSize))
 	ownSpan.Finish()
 	return stats, nil

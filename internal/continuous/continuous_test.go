@@ -255,40 +255,3 @@ func statesEqual(a, b *State) bool {
 	}
 	return true
 }
-
-// TestCommitHook verifies the epoch-commit hook the serving layer hangs
-// off: called once per epoch, in order, with the post-epoch inventory.
-func TestCommitHook(t *testing.T) {
-	u, seedSet := testWorld(t, 9)
-	r := New(seedSet, testConfig())
-
-	var epochs []int
-	var lastSize int
-	r.SetCommitHook(func(epoch int, known map[netmodel.Key]*Entry) {
-		epochs = append(epochs, epoch)
-		lastSize = len(known)
-	})
-
-	world := u
-	for e := 1; e <= 2; e++ {
-		world = churned(world, 400, e)
-		if _, err := r.Epoch(world); err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
-		}
-		if len(epochs) != e || epochs[e-1] != e {
-			t.Fatalf("after epoch %d hook saw %v", e, epochs)
-		}
-		if lastSize != len(r.State().Known) {
-			t.Errorf("hook saw %d entries; state holds %d", lastSize, len(r.State().Known))
-		}
-	}
-
-	// Unregistering stops the calls.
-	r.SetCommitHook(nil)
-	if _, err := r.Epoch(churned(world, 400, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) != 2 {
-		t.Errorf("hook ran after unregistering: %v", epochs)
-	}
-}

@@ -50,7 +50,7 @@ type Dataset struct {
 
 	// byIP holds record indexes per IP, built lazily. The lazy build is
 	// NOT safe for concurrent first use: methods that call index()
-	// (Contains, RecordsFor, IPs, Split) must not race on a fresh
+	// (IPs, Split) must not race on a fresh
 	// dataset. ByHost — the one accessor sharded pipelines call
 	// concurrently on a shared seed set — deliberately does not use it.
 	byIP map[asndb.IP][]int
@@ -68,31 +68,6 @@ func (d *Dataset) IPs() []asndb.IP {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// RecordsFor returns the records of one IP (nil if absent).
-func (d *Dataset) RecordsFor(ip asndb.IP) []Record {
-	d.index()
-	idxs := d.byIP[ip]
-	if idxs == nil {
-		return nil
-	}
-	out := make([]Record, len(idxs))
-	for i, idx := range idxs {
-		out[i] = d.Records[idx]
-	}
-	return out
-}
-
-// Contains reports whether the dataset holds service (ip, port).
-func (d *Dataset) Contains(ip asndb.IP, port uint16) bool {
-	d.index()
-	for _, idx := range d.byIP[ip] {
-		if d.Records[idx].Port == port {
-			return true
-		}
-	}
-	return false
 }
 
 // PortPopulation returns responsive-IP counts per port.

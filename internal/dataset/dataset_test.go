@@ -131,25 +131,6 @@ func TestByHostSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestContainsAndRecordsFor(t *testing.T) {
-	u := testUniverse(t)
-	d := SnapshotLZR(u, 0.3, 7)
-	r := d.Records[0]
-	if !d.Contains(r.IP, r.Port) {
-		t.Error("Contains missed an existing record")
-	}
-	if d.Contains(r.IP, 64999) && u.Responsive(r.IP, 64999) == false {
-		t.Error("Contains invented a service")
-	}
-	recs := d.RecordsFor(r.IP)
-	if len(recs) == 0 {
-		t.Error("RecordsFor returned nothing")
-	}
-	if d.RecordsFor(0) != nil {
-		t.Error("RecordsFor(0) should be nil")
-	}
-}
-
 func TestTopPortsOrdering(t *testing.T) {
 	u := testUniverse(t)
 	ports := TopPorts(u, 10)

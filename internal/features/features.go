@@ -113,16 +113,6 @@ func (k Key) String() string {
 	return fmt.Sprintf("Key(%d)", uint8(k))
 }
 
-// Valid reports whether k names a defined feature (KeyNone is not valid).
-func (k Key) Valid() bool {
-	return k > KeyNone && k < numKeysExtended && k != numKeys
-}
-
-// IsNetwork reports whether k is a network-layer feature (subnet or ASN).
-func (k Key) IsNetwork() bool {
-	return k == KeySubnet16 || k == KeyASN || (k > numKeys && k < numKeysExtended)
-}
-
 // SubnetBits returns the prefix length of a subnet feature key and whether
 // k is one.
 func (k Key) SubnetBits() (uint8, bool) {

@@ -12,8 +12,8 @@ func TestAllKeysCount(t *testing.T) {
 	}
 	seen := map[Key]bool{}
 	for _, k := range keys {
-		if !k.Valid() {
-			t.Errorf("key %v invalid", k)
+		if k == KeyNone {
+			t.Error("AllKeys lists KeyNone")
 		}
 		if seen[k] {
 			t.Errorf("key %v duplicated", k)
@@ -22,31 +22,10 @@ func TestAllKeysCount(t *testing.T) {
 	}
 }
 
-func TestKeyClassification(t *testing.T) {
-	app, net := 0, 0
-	for _, k := range AllKeys() {
-		if k.IsNetwork() {
-			net++
-		} else {
-			app++
-		}
-	}
-	// 23 transport/application features plus /16 and ASN.
-	if app != 23 || net != 2 {
-		t.Errorf("app=%d net=%d; want 23/2", app, net)
-	}
-	if KeyNone.Valid() {
-		t.Error("KeyNone must be invalid")
-	}
-}
-
 func TestExtendedSubnetKeys(t *testing.T) {
 	for _, k := range CandidateNetworkKeys() {
-		if !k.Valid() {
-			t.Errorf("candidate key %v invalid", k)
-		}
-		if !k.IsNetwork() {
-			t.Errorf("candidate key %v not network", k)
+		if _, subnet := k.SubnetBits(); !subnet && k != KeyASN {
+			t.Errorf("candidate key %v is neither a subnet nor the ASN", k)
 		}
 	}
 	cases := []struct {
@@ -111,7 +90,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if NumProtocols != 15 {
 		t.Fatalf("NumProtocols = %d; the paper names 15 banner protocols", NumProtocols)
 	}
-	for _, p := range AllProtocols() {
+	for p := ProtocolHTTP; int(p) <= NumProtocols; p++ {
 		if ParseProtocol(p.String()) != p {
 			t.Errorf("ParseProtocol(%q) != %v", p.String(), p)
 		}
@@ -121,21 +100,5 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 	if Protocol(99).String() != "unknown" {
 		t.Error("out-of-range protocol must be unknown")
-	}
-}
-
-func TestBannerKeys(t *testing.T) {
-	for _, p := range AllProtocols() {
-		k, ok := p.BannerKey()
-		if !ok {
-			t.Errorf("protocol %v has no banner key", p)
-			continue
-		}
-		if k.IsNetwork() {
-			t.Errorf("banner key %v of %v is not an application feature", k, p)
-		}
-	}
-	if _, ok := ProtocolUnknown.BannerKey(); ok {
-		t.Error("Unknown protocol must not have a banner key")
 	}
 }

@@ -67,52 +67,3 @@ func ParseProtocol(name string) Protocol {
 	}
 	return ProtocolUnknown
 }
-
-// AllProtocols returns the 15 named protocols.
-func AllProtocols() []Protocol {
-	out := make([]Protocol, 0, NumProtocols)
-	for p := ProtocolHTTP; p < numProtocols; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
-// BannerKey returns the application-layer feature key that carries this
-// protocol's primary banner, and whether one exists. HTTP and TLS carry
-// several features; this returns the most identifying one (Server header
-// and certificate hash, respectively).
-func (p Protocol) BannerKey() (Key, bool) {
-	switch p {
-	case ProtocolHTTP:
-		return KeyHTTPServer, true
-	case ProtocolTLS:
-		return KeyTLSCertHash, true
-	case ProtocolSSH:
-		return KeySSHBanner, true
-	case ProtocolVNC:
-		return KeyVNCDesktopName, true
-	case ProtocolSMTP:
-		return KeySMTPBanner, true
-	case ProtocolFTP:
-		return KeyFTPBanner, true
-	case ProtocolIMAP:
-		return KeyIMAPBanner, true
-	case ProtocolPOP3:
-		return KeyPOP3Banner, true
-	case ProtocolCWMP:
-		return KeyCWMPHeader, true
-	case ProtocolTelnet:
-		return KeyTelnetBanner, true
-	case ProtocolPPTP:
-		return KeyPPTPVendor, true
-	case ProtocolMySQL:
-		return KeyMySQLVersion, true
-	case ProtocolMemcached:
-		return KeyMemcachedVersion, true
-	case ProtocolMSSQL:
-		return KeyMSSQLVersion, true
-	case ProtocolIPMI:
-		return KeyIPMIBanner, true
-	}
-	return KeyNone, false
-}

@@ -10,7 +10,7 @@ import (
 // TestBannerIdentifyRoundTrip: for every protocol, the banner the service
 // emits must be identified back as that protocol — LZR's core competence.
 func TestBannerIdentifyRoundTrip(t *testing.T) {
-	for _, p := range features.AllProtocols() {
+	for p := features.ProtocolHTTP; int(p) <= features.NumProtocols; p++ {
 		svc := &netmodel.Service{Port: 12345, Proto: p, Feats: features.Set{}}
 		banner := Banner(svc)
 		if len(banner) == 0 {

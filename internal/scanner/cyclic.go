@@ -184,9 +184,3 @@ func (it *CyclicIterator) Next() (idx uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// Reset rewinds the iterator to the start of its cycle.
-func (it *CyclicIterator) Reset() {
-	it.cur = it.first
-	it.done = false
-}

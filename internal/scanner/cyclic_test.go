@@ -117,31 +117,6 @@ func TestCyclicIteratorSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestCyclicIteratorReset(t *testing.T) {
-	it, _ := NewCyclicIterator(100, 9)
-	var first []uint64
-	for {
-		idx, ok := it.Next()
-		if !ok {
-			break
-		}
-		first = append(first, idx)
-	}
-	it.Reset()
-	for i := 0; ; i++ {
-		idx, ok := it.Next()
-		if !ok {
-			if i != len(first) {
-				t.Errorf("second pass emitted %d; want %d", i, len(first))
-			}
-			break
-		}
-		if idx != first[i] {
-			t.Fatalf("Reset changed order at %d", i)
-		}
-	}
-}
-
 func TestCyclicIteratorErrors(t *testing.T) {
 	if _, err := NewCyclicIterator(0, 1); err == nil {
 		t.Error("empty space accepted")

@@ -8,11 +8,6 @@ import (
 	"gps/internal/asndb"
 )
 
-// ProbeIPID is the IP identification field GPS stamps on every SYN probe.
-// The fixed value gives network operators a one-line firewall rule to block
-// GPS scans (§3, Ethics; §5.5), which is a deliberate design choice.
-const ProbeIPID = 54321
-
 // ProbeBytes is the on-wire size of one SYN probe frame (Ethernet + IPv4 +
 // TCP), used to convert probe counts to link bandwidth.
 const ProbeBytes = 84

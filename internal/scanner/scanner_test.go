@@ -133,14 +133,6 @@ func TestRateMath(t *testing.T) {
 	}
 }
 
-func TestProbeIPIDFingerprint(t *testing.T) {
-	// The fingerprint constant is part of GPS's blockability contract;
-	// a change would break operator firewall rules.
-	if ProbeIPID != 54321 {
-		t.Errorf("ProbeIPID = %d; the paper fixes it at 54321", ProbeIPID)
-	}
-}
-
 func TestShardedPrefixScan(t *testing.T) {
 	net := fakeNetFast{testNet()}
 	pfx := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 16)

@@ -12,7 +12,8 @@ import (
 // the classic {"status","epoch","services"} body unchanged.
 type HealthInfo struct {
 	// Role names what this process is in the deployment: "origin",
-	// "coordinator", "worker", "replica", or "file".
+	// "coordinator", "worker", "replica", or "file" (gpsd's one-shot
+	// tools report their own names, "watch" and "rebalance").
 	Role string
 	// ShardsOwned is the number of shards this process currently
 	// computes (coordinator: total; worker: its session's share).

@@ -23,61 +23,6 @@
 // inventory.
 package shard
 
-import (
-	"gps/internal/asndb"
-	"gps/internal/dataset"
-)
-
-// Filter selects one partition of an n-way hash split of the address
-// space. The zero value owns everything.
-type Filter struct {
-	// Index identifies the owned partition, in [0, Count).
-	Index int
-	// Count is the total partition count; <= 1 disables sharding.
-	Count int
-}
-
-// Enabled reports whether the filter restricts to a real partition.
-func (f Filter) Enabled() bool { return f.Count > 1 }
-
-// Owns reports whether ip belongs to this filter's partition.
-func (f Filter) Owns(ip asndb.IP) bool {
-	return asndb.ShardOwns(ip, f.Index, f.Count)
-}
-
-// Partition splits a dataset into n shard-local datasets by IP hash.
-// Records keep their relative order inside each partition; the union of
-// the partitions is the input. Each partition inherits the dataset's
-// metadata, with CollectionProbes split exactly (the slices always sum
-// to the input's — this is cost accounting for probes already spent, so
-// unlike SliceBudget there is no minimum-one clamp).
-func Partition(d *dataset.Dataset, n int) []*dataset.Dataset {
-	if n < 1 {
-		n = 1
-	}
-	each := d.CollectionProbes / uint64(n)
-	rem := d.CollectionProbes % uint64(n)
-	out := make([]*dataset.Dataset, n)
-	for i := range out {
-		probes := each
-		if uint64(i) < rem {
-			probes++
-		}
-		out[i] = &dataset.Dataset{
-			Name:             d.Name,
-			SpaceSize:        d.SpaceSize,
-			SampleFraction:   d.SampleFraction,
-			Ports:            d.Ports,
-			CollectionProbes: probes,
-		}
-	}
-	for _, r := range d.Records {
-		s := asndb.ShardOf(r.IP, n)
-		out[s].Records = append(out[s].Records, r)
-	}
-	return out
-}
-
 // SliceBudget splits a global probe budget into n per-shard slices that
 // sum exactly to the total, with the remainder spread over the low shard
 // indexes. A zero total (unlimited) yields unlimited slices. Exception:

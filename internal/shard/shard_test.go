@@ -20,53 +20,6 @@ func testWorld(t testing.TB, seed int64) (*netmodel.Universe, *dataset.Dataset) 
 	return u, seedSet.FilterPorts(eligible)
 }
 
-func TestFilterOwns(t *testing.T) {
-	var zero Filter
-	if zero.Enabled() {
-		t.Error("zero filter enabled")
-	}
-	if !zero.Owns(asndb.MustParseIP("10.0.0.1")) {
-		t.Error("zero filter must own everything")
-	}
-	const n = 4
-	ip := asndb.MustParseIP("10.0.0.1")
-	owners := 0
-	for i := 0; i < n; i++ {
-		if (Filter{Index: i, Count: n}).Owns(ip) {
-			owners++
-		}
-	}
-	if owners != 1 {
-		t.Errorf("%d shards own %v; want exactly 1", owners, ip)
-	}
-}
-
-func TestPartitionDisjointUnion(t *testing.T) {
-	_, seedSet := testWorld(t, 5)
-	const n = 4
-	parts := Partition(seedSet, n)
-	if len(parts) != n {
-		t.Fatalf("got %d partitions; want %d", len(parts), n)
-	}
-	total := 0
-	var probes uint64
-	for i, p := range parts {
-		total += p.NumServices()
-		probes += p.CollectionProbes
-		for _, r := range p.Records {
-			if asndb.ShardOf(r.IP, n) != i {
-				t.Errorf("partition %d holds %v owned by shard %d", i, r.Key(), asndb.ShardOf(r.IP, n))
-			}
-		}
-	}
-	if total != seedSet.NumServices() {
-		t.Errorf("partitions hold %d records; input had %d", total, seedSet.NumServices())
-	}
-	if probes != seedSet.CollectionProbes {
-		t.Errorf("partition collection probes sum to %d; want %d", probes, seedSet.CollectionProbes)
-	}
-}
-
 func TestSliceBudget(t *testing.T) {
 	slices := SliceBudget(103, 4)
 	var sum uint64
@@ -198,18 +151,5 @@ func TestRunFreshSeedConcurrent(t *testing.T) {
 	}
 	if len(m.Found) == 0 {
 		t.Error("8-shard run on a fresh seed found nothing")
-	}
-}
-
-func TestPartitionTinyProbes(t *testing.T) {
-	d := &dataset.Dataset{CollectionProbes: 2}
-	var sum uint64
-	for _, p := range Partition(d, 4) {
-		sum += p.CollectionProbes
-	}
-	// Unlike SliceBudget, partition accounting has no minimum-one clamp:
-	// these are probes already spent, and the slices must sum exactly.
-	if sum != 2 {
-		t.Errorf("partition CollectionProbes sum to %d; want 2", sum)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // to move one shard's state on its own. These helpers make the single
 // shard the unit of serialization: EncodeState produces a standalone
 // blob (exactly one continuous checkpoint), DecodeState parses it back.
-// The transport's migration envelopes (msgState), resume inits, and
-// epoch results all ship this blob, so a migrated shard's state is
-// byte-compatible with a checkpointed one.
+// The transport's placement RPC (msgInit — seeding, resume, failover and
+// migration alike) and epoch results all ship this blob, so a migrated
+// shard's state is byte-compatible with a checkpointed one.
 
 // EncodeState serializes one shard's continuous state as a standalone
 // blob — the unit of live migration and of per-shard resume.

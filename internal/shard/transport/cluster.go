@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"gps/internal/shard"
 	"gps/internal/trace"
 )
 
@@ -25,13 +24,14 @@ import (
 // (Status) is the only thing other goroutines may touch, and it is a
 // copy under a mutex.
 //
-// A migration is a two-phase exchange: msgOffer ships the recipient's
-// prospective world spec (its owned partition plus the migrating
-// shard), and only after the recipient has built or extended that
-// partition and acked does msgState ship the shard's current state.
-// The assignment re-points after the second ack. Any rejection,
-// death, or timeout before that leaves the shard exactly where it was
-// — on its donor, whose runner never stopped being valid.
+// A migration is one placement (placeShard in coordinator.go): the
+// recipient gets the same msgInit a seeded, resumed or failed-over
+// shard gets — its prospective world spec (its owned partition plus the
+// migrating shard) and the coordinator's copy of the shard's state —
+// builds or extends that partition, resumes a runner, and acks. The
+// assignment re-points after that one ack. Any rejection, death, or
+// timeout before it leaves the shard exactly where it was — on its
+// donor, whose runner never stopped being valid.
 
 // Worker lifecycle states reported in WorkerStatus.State.
 const (
@@ -368,15 +368,20 @@ func (c *Coordinator) migrateAnywhere(s int, reason string) error {
 	return last
 }
 
+// shardCounts tallies the current assignment: worker index → shards owned.
+func (c *Coordinator) shardCounts() map[int]int {
+	counts := make(map[int]int)
+	for _, wi := range c.assign {
+		counts[wi]++
+	}
+	return counts
+}
+
 // migrationTargets returns eligible recipient worker indexes — alive,
 // not draining, not the current owner — least-loaded (by shard count,
 // ties to lower index) first.
 func (c *Coordinator) migrationTargets(s int) []int {
-	counts := make(map[int]int)
-	for sh, wi := range c.assign {
-		_ = sh
-		counts[wi]++
-	}
+	counts := c.shardCounts()
 	var out []int
 	for wi, w := range c.workers {
 		if !w.alive || w.draining || w.wantsDrain || wi == c.assign[s] {
@@ -401,10 +406,7 @@ func (c *Coordinator) migrationTargets(s int) []int {
 // migration failure (retried at the next boundary).
 func (c *Coordinator) balanceCounts(reason string) {
 	for guard := 0; guard < c.cfg.Shards; guard++ {
-		counts := make(map[int]int)
-		for _, wi := range c.assign {
-			counts[wi]++
-		}
+		counts := c.shardCounts()
 		maxW, minW := -1, -1
 		for wi, w := range c.workers {
 			if !w.alive || w.draining || w.wantsDrain {
@@ -495,31 +497,30 @@ func (c *Coordinator) rebalanceOnce() {
 	}
 }
 
-// migrate live-migrates shard s to worker index `to`: offer (the
-// recipient builds/extends its world partition), then state (the
-// recipient resumes a runner), then — only after both acks — the
-// assignment re-points. Every failure path leaves the shard on its
-// donor: a rejection (RemoteError) is counted and returned; a link
-// failure additionally marks the recipient dead, exactly as if it had
-// died serving an epoch.
+// migrate live-migrates shard s to worker index `to`: place it there,
+// and re-point the assignment only after the recipient's ack. Every
+// failure path leaves the shard on its donor: a rejection (RemoteError)
+// is counted and returned; a link failure additionally marks the
+// recipient dead, exactly as if it had died serving an epoch.
 func (c *Coordinator) migrate(s, to int, reason string) error {
 	w := c.workers[to]
-	from := c.assign[s]
+	from := c.workers[c.assign[s]]
 	start := time.Now()
 	// The migration span parents under the in-flight epoch when one is
 	// open (migrations land at epoch boundaries, inside Epoch); a
-	// boundary-less migration roots its own trace. Its context rides
-	// both handshake legs so the recipient's adopt spans join it.
+	// boundary-less migration roots its own trace. Its context rides the
+	// placement so the recipient's adopt span joins it.
 	migSpan := trace.StartSpan(c.epochTrace, "migrate",
-		trace.Int("shard", s), trace.String("from", c.workers[from].id),
+		trace.Int("shard", s), trace.String("from", from.id),
 		trace.String("to", w.id), trace.String("reason", reason))
 	c.setInFlight(&MigrationStatus{
-		Shard: s, From: c.workers[from].id, To: w.id,
+		Shard: s, From: from.id, To: w.id,
 		Reason: reason, Epoch: c.EpochNumber(),
 	})
 	defer c.setInFlight(nil)
 
-	fail := func(err error) error {
+	if err := c.placeShard(s, to, migSpan.Context()); err != nil {
+		err = fmt.Errorf("transport: shard %d placement on %q: %w", s, w.id, err)
 		migrationRejects.Inc()
 		if !fatalRPC(err) {
 			c.workerFailed(s, w, err)
@@ -527,30 +528,7 @@ func (c *Coordinator) migrate(s, to int, reason string) error {
 		migSpan.FinishErr(err)
 		return err
 	}
-	spec := EncodeWorldSpec(c.worldSpec, c.cfg.Shards, append(c.ownedBy(to), s))
-	offer := offerMsg{Shard: s, Cfg: c.shardCfg(s), WorldSpec: spec, Trace: migSpan.Context()}
-	legSpan := trace.StartSpan(migSpan.Context(), "migrate.offer")
-	_, err := w.rpc(c.opts.timeout(), msgOffer, encodeOffer(offer), msgAck)
-	legSpan.FinishErr(err)
-	if err != nil {
-		return fail(fmt.Errorf("transport: shard %d offer to %q: %w", s, w.id, err))
-	}
-	blob, err := shard.EncodeState(c.states[s])
-	if err != nil {
-		migrationRejects.Inc()
-		migSpan.FinishErr(err)
-		return err
-	}
-	legSpan = trace.StartSpan(migSpan.Context(), "migrate.state",
-		trace.Int("state_bytes", len(blob)))
-	_, err = w.rpc(c.opts.timeout(), msgState, encodeShardState(s, blob, migSpan.Context()), msgAck)
-	legSpan.FinishErr(err)
-	if err != nil {
-		return fail(fmt.Errorf("transport: shard %d state to %q: %w", s, w.id, err))
-	}
-
 	c.assign[s] = to
-	c.inited[s] = true
 	sec := time.Since(start).Seconds()
 	migrationSeconds.Observe(sec)
 	switch reason {
@@ -562,24 +540,13 @@ func (c *Coordinator) migrate(s, to int, reason string) error {
 		migrationsRebalance.Inc()
 	}
 	c.recordMigration(MigrationStatus{
-		Shard: s, From: c.workers[from].id, To: w.id,
+		Shard: s, From: from.id, To: w.id,
 		Reason: reason, Epoch: c.EpochNumber(), Seconds: sec,
 	})
 	c.opts.logf("transport: migrated shard %d from %q to %q (%s, %.3fs)",
-		s, c.workers[from].id, w.id, reason, sec)
+		s, from.id, w.id, reason, sec)
 	migSpan.Finish()
 	return nil
-}
-
-// ownedBy returns the shards currently assigned to worker index wi.
-func (c *Coordinator) ownedBy(wi int) []int {
-	var out []int
-	for s, w := range c.assign {
-		if w == wi {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func (c *Coordinator) setInFlight(m *MigrationStatus) {

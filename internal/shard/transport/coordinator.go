@@ -137,7 +137,7 @@ func (w *workerLink) rpc(timeout time.Duration, typ uint8, payload []byte, want 
 // The coordinator is not safe for concurrent use.
 type Coordinator struct {
 	cfg       shard.Config
-	worldSpec []byte // caller's base spec; wrapped per worker by specFor
+	worldSpec []byte // caller's base spec; wrapped per worker by placeShard
 	opts      *Options
 
 	workers []*workerLink
@@ -175,8 +175,8 @@ type Coordinator struct {
 // join dies).
 //
 // worldSpec is the caller's base world description. The coordinator
-// never broadcasts it raw: every Init wraps it with the receiving
-// worker's current owned-shard set (EncodeWorldSpec), so a worker can
+// never sends it raw: every placement wraps it with the receiving
+// worker's owned-shard set (EncodeWorldSpec), so a worker can
 // materialize only the partition of the world its shards scan. Worker
 // factories unwrap with DecodeWorldSpec.
 func Dial(addrs []string, cfg shard.Config, worldSpec []byte, opts *Options) (*Coordinator, error) {
@@ -262,97 +262,100 @@ func (c *Coordinator) shardCfg(s int) continuous.Config {
 	return sc
 }
 
-// specFor wraps the base world spec with worker wi's current owned-shard
-// set. The set is read from the live assignment, so a shard re-queued
-// off a dead worker changes the survivor's spec — the worker notices the
-// new bytes on the shard's Init and extends (or rebuilds) its partition
-// to cover the adopted shard.
-func (c *Coordinator) specFor(wi int) []byte {
-	var owned []int
-	for s, w := range c.assign {
-		if w == wi {
-			owned = append(owned, s)
-		}
-	}
-	return EncodeWorldSpec(c.worldSpec, c.cfg.Shards, owned)
-}
-
-// Seed initializes every shard from one broadcast seed set, exactly like
-// the in-process coordinator: the full set is sent to every worker once
-// (msgSeed), and each shard's Init then references it — the worker's
-// runner keeps only the records its partition owns, so a worker serving
-// k shards still receives and decodes the seed exactly once. The
-// coordinator keeps a local replica of each seeded state (continuous.New
-// is deterministic, so replica and worker agree) for
-// States/Inventory/failover.
-func (c *Coordinator) Seed(seed *dataset.Dataset) error {
-	payload, err := encodeSeed(seed)
+// placeShard puts shard s on worker wi at the coordinator's current
+// state for it: the one placement RPC. Seeding, resume, dead-worker
+// failover and live migration all land here, because the coordinator owns
+// every shard's state and a worker's runner is only a cache of it. The
+// world spec is the base spec wrapped with wi's owned-shard set plus s
+// (s is not yet assigned to wi when a migration calls), so the worker
+// notices the new bytes and builds, extends or rebuilds its partition to
+// cover the shard before it acks. tc, when valid, parents the worker's
+// adopt span.
+//
+// The shard counts as placed only once the worker's ack names it; an ack
+// for any other shard poisons the link like any protocol violation
+// (*DisconnectError, so callers fail over). A RemoteError means the
+// healthy worker refused deterministically (bad world spec, undecodable
+// state). Nothing but inited[s] is written here: re-pointing assign[s]
+// is the caller's move, after this returns nil.
+func (c *Coordinator) placeShard(s, wi int, tc trace.SpanContext) error {
+	w := c.workers[wi]
+	blob, err := shard.EncodeState(c.states[s])
 	if err != nil {
 		return err
 	}
-	for _, w := range c.workers {
-		if !w.alive {
-			continue
-		}
-		if _, err := w.rpc(c.opts.timeout(), msgSeed, payload, msgSeedOK); err != nil {
-			if fatalRPC(err) {
-				return fmt.Errorf("transport: seeding worker %s: %w", w.addr, err)
-			}
-			// The worker died before taking any shard; its shards fail
-			// over during initAll, landing on workers that did get the
-			// seed.
-			c.workerFailed(-1, w, err)
-		}
+	owned := c.ownedBy(wi)
+	if c.assign[s] != wi {
+		owned = append(owned, s)
 	}
-	c.states = make([]*continuous.State, c.cfg.Shards)
-	for s := range c.states {
-		c.states[s] = continuous.New(seed, c.shardCfg(s)).State()
+	m := initMsg{
+		Shard: s, Cfg: c.shardCfg(s), State: blob, Trace: tc,
+		WorldSpec: EncodeWorldSpec(c.worldSpec, c.cfg.Shards, owned),
 	}
-	return c.initAll(func(s int) (uint8, []byte) { return initSeedRef, nil })
+	resp, err := w.rpc(c.opts.timeout(), msgInit, encodeInit(m), msgInitOK)
+	if err != nil {
+		return err
+	}
+	got, err := decodeShardAck(resp)
+	if err == nil && got != s {
+		err = fmt.Errorf("init ack names shard %d, placed shard %d", got, s)
+	}
+	if err != nil {
+		return &DisconnectError{Addr: w.addr, Err: err}
+	}
+	c.inited[s] = true
+	return nil
 }
 
-// Resume initializes every shard from checkpointed states, one per shard
-// in shard order.
+// ownedBy returns the shards currently assigned to worker index wi.
+func (c *Coordinator) ownedBy(wi int) []int {
+	var out []int
+	for s, w := range c.assign {
+		if w == wi {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Seed initializes every shard from one seed set, exactly like the
+// in-process coordinator: each shard's epoch-0 state is the records its
+// partition owns (continuous.New is deterministic), built here, and the
+// fleet then starts from those states the way it would from a checkpoint.
+// A worker receives only its own shards' states, never the whole seed.
+func (c *Coordinator) Seed(seed *dataset.Dataset) error {
+	states := make([]*continuous.State, c.cfg.Shards)
+	for s := range states {
+		states[s] = continuous.New(seed, c.shardCfg(s)).State()
+	}
+	return c.Resume(states)
+}
+
+// Resume initializes every shard from the given states, one per shard in
+// shard order, failing over to survivors when a worker dies
+// mid-initialization. A RemoteError is not a worker failure — the
+// connection is healthy and the request was rejected deterministically,
+// so retrying it on every other worker would only tear the fleet down —
+// it aborts the initialization instead.
 func (c *Coordinator) Resume(states []*continuous.State) error {
 	if len(states) != c.cfg.Shards {
 		return fmt.Errorf("transport: %d shard states for %d shards", len(states), c.cfg.Shards)
 	}
 	c.states = states
-	blobs := make([][]byte, len(states))
-	for s, st := range states {
-		blob, err := shard.EncodeState(st)
-		if err != nil {
-			return fmt.Errorf("transport: shard %d: %w", s, err)
-		}
-		blobs[s] = blob
-	}
-	return c.initAll(func(s int) (uint8, []byte) { return initResume, blobs[s] })
-}
-
-// initAll pushes every shard to its assigned worker, failing over to
-// survivors when a worker dies mid-initialization. A RemoteError is not
-// a worker failure — the connection is healthy and the request was
-// rejected deterministically (bad world spec, undecodable state), so
-// retrying it on every other worker would only tear the fleet down — it
-// aborts the initialization instead.
-func (c *Coordinator) initAll(payload func(s int) (mode uint8, blob []byte)) error {
 	for s := range c.assign {
 		for {
 			w, err := c.liveWorker(s)
 			if err != nil {
 				return err
 			}
-			mode, blob := payload(s)
-			m := initMsg{Shard: s, Cfg: c.shardCfg(s), WorldSpec: c.specFor(c.assign[s]), Mode: mode, Blob: blob}
-			if _, err := w.rpc(c.opts.timeout(), msgInit, encodeInit(m), msgInitOK); err != nil {
-				if fatalRPC(err) {
-					return fmt.Errorf("transport: init shard %d on %s: %w", s, w.addr, err)
-				}
-				c.workerFailed(s, w, err)
-				continue
+			err = c.placeShard(s, c.assign[s], trace.SpanContext{})
+			if err == nil {
+				break
 			}
-			c.inited[s] = true
-			break
+			if fatalRPC(err) {
+				return fmt.Errorf("transport: init shard %d on %s: %w", s, w.addr, err)
+			}
+			c.workerFailed(s, w, err)
 		}
 	}
 	return nil
@@ -547,15 +550,9 @@ func (c *Coordinator) Epoch() (continuous.EpochStats, error) {
 // beneath it in the stitched tree.
 func (c *Coordinator) runShardEpoch(w *workerLink, s, epoch int, parent trace.SpanContext) (*continuous.State, error) {
 	if !c.inited[s] {
-		blob, err := shard.EncodeState(c.states[s])
-		if err != nil {
+		if err := c.placeShard(s, c.assign[s], parent); err != nil {
 			return nil, err
 		}
-		m := initMsg{Shard: s, Cfg: c.shardCfg(s), WorldSpec: c.specFor(c.assign[s]), Mode: initResume, Blob: blob}
-		if _, err := w.rpc(c.opts.timeout(), msgInit, encodeInit(m), msgInitOK); err != nil {
-			return nil, err
-		}
-		c.inited[s] = true
 	}
 	rpcSpan := trace.StartSpan(parent, "rpc.epoch",
 		trace.Int("shard", s), trace.String("worker", w.id))

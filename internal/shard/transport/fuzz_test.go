@@ -32,13 +32,13 @@ func FuzzDecodeFrame(f *testing.F) {
 	cfg := continuous.Config{Budget: 64, ShardCount: 4}
 	spec := EncodeWorldSpec([]byte("world"), 4, []int{0, 2})
 	seeds := [][]byte{
-		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 1, Cfg: cfg, WorldSpec: spec, Mode: initSeedRef})),
+		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 1, Cfg: cfg, WorldSpec: spec, State: []byte("blob")})),
 		frameBytes(f, msgEpoch, encodeEpochReq(3, 17, trace.SpanContext{TraceID: 7, SpanID: 9})),
 		frameBytes(f, msgEpochResult, encodeEpochResult(3, []byte("state"), true, []byte("spans"))),
-		frameBytes(f, msgOffer, encodeOffer(offerMsg{Shard: 2, Cfg: cfg, WorldSpec: spec})),
+		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: spec, State: []byte("blob"), Trace: trace.SpanContext{TraceID: 7, SpanID: 9}})),
 		frameBytes(f, msgJoin, encodeJoin(joinMsg{ID: "worker-a"})),
-		frameBytes(f, msgAck, encodeShardAck(5)),
-		frameBytes(f, msgState, encodeShardState(2, []byte("blob"), trace.SpanContext{})),
+		frameBytes(f, msgInitOK, encodeShardAck(5)),
+		frameBytes(f, msgError, encodeError("shard 5 is not mine")),
 		{},                             // clean EOF
 		{msgInit, 0, 0},                // cut mid-header
 		{0xff, 0xff, 0xff, 0xff, 0xff}, // implausible length prefix
@@ -68,8 +68,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		decodeEpochReq(payload)
 		decodeEpochResult(payload)
 		decodeShardAck(payload)
-		decodeShardState(payload)
-		decodeOffer(payload)
+		decodeError(payload)
 		decodeJoin(payload)
 		DecodeWorldSpec(payload)
 	})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gps/internal/shard"
 	"gps/internal/wire"
 )
 
@@ -164,11 +165,12 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 	}
 }
 
-// TestMigrationOfferRejected: a joiner whose factory refuses the world
-// spec rejects the offer; the assignment must be unchanged (the shard
-// stays on its donor), the epoch must still succeed, and the run must
-// stay byte-identical — a failed migration is invisible to the data.
-func TestMigrationOfferRejected(t *testing.T) {
+// TestMigrationPlacementRejected: a joiner whose factory refuses the
+// world spec rejects the placement; the assignment must be unchanged
+// (the shard stays on its donor), the epoch must still succeed, and the
+// run must stay byte-identical — a failed migration is invisible to the
+// data.
+func TestMigrationPlacementRejected(t *testing.T) {
 	const worldSeed, n, epochs = 21, 2, 2
 	rejectBase := migrationRejects.Value()
 
@@ -203,14 +205,16 @@ func TestMigrationOfferRejected(t *testing.T) {
 	after := c.Assignment()
 	for s := range before {
 		if before[s] != after[s] {
-			t.Errorf("shard %d re-pointed %d → %d after a rejected offer", s, before[s], after[s])
+			t.Errorf("shard %d re-pointed %d → %d after a rejected placement", s, before[s], after[s])
 		}
 	}
-	if got := findWorker(t, c, "refuser"); got.ShardCount != 0 {
-		t.Errorf("refusing joiner owns %d shards; want 0", got.ShardCount)
+	if got := findWorker(t, c, "refuser"); got.ShardCount != 0 || got.State != WorkerAlive {
+		t.Errorf("refusing joiner = %+v; want alive (a rejection is not a link failure) and owning 0 shards", got)
 	}
-	if migrationRejects.Value() == rejectBase {
-		t.Error("rejected offer not counted")
+	// One boundary, one attempt: the balance pass stops at its first
+	// failure and retries at the next boundary.
+	if got := migrationRejects.Value() - rejectBase; got != 1 {
+		t.Errorf("gps_shard_migration_rejects_total moved by %d; want 1", got)
 	}
 	ref := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
@@ -220,9 +224,34 @@ func TestMigrationOfferRejected(t *testing.T) {
 	<-joinDone
 }
 
-// TestMigrationDeathMidTransfer: a joiner that acks the offer and dies
-// before the state leg leaves the shard on its donor — the assignment
-// never re-points to a worker that did not confirm the state.
+// joinByHand registers a hand-rolled joiner on the cluster listener and
+// returns its connection once the coordinator lists it as pending.
+func joinByHand(t *testing.T, c *Coordinator, joinAddr, id string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", joinAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := writeHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := readHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, msgJoin, encodeJoin(joinMsg{ID: id})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(conn); err != nil || typ != msgJoinOK {
+		t.Fatalf("join reply type %d err %v; want %d", typ, err, msgJoinOK)
+	}
+	waitForWorker(t, c, id, WorkerPending)
+	return conn
+}
+
+// TestMigrationDeathMidTransfer: a joiner that dies holding an unacked
+// msgInit leaves the shard on its donor — the assignment never re-points
+// to a worker that did not confirm the placement.
 func TestMigrationDeathMidTransfer(t *testing.T) {
 	const worldSeed, n = 21, 2
 
@@ -242,43 +271,26 @@ func TestMigrationDeathMidTransfer(t *testing.T) {
 		t.Fatalf("epoch 1: %v", err)
 	}
 
-	// A hand-rolled joiner: register, ack the offer, die before the
-	// state arrives.
-	conn, err := net.Dial("tcp", joinAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := readHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, msgJoin, encodeJoin(joinMsg{ID: "flaky"})); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := readFrame(conn); err != nil || typ != msgJoinOK {
-		t.Fatalf("join reply type %d err %v; want %d", typ, err, msgJoinOK)
-	}
-	waitForWorker(t, c, "flaky", WorkerPending)
-
+	// A hand-rolled joiner: register, take delivery of the placement,
+	// die before acking it.
+	conn := joinByHand(t, c, joinAddr, "flaky")
 	epochDone := make(chan error, 1)
 	go func() {
 		_, err := c.Epoch()
 		epochDone <- err
 	}()
 	typ, payload, err := readFrame(conn)
-	if err != nil || typ != msgOffer {
-		t.Fatalf("expected an offer, got type %d err %v", typ, err)
+	if err != nil || typ != msgInit {
+		t.Fatalf("expected a placement, got type %d err %v", typ, err)
 	}
-	m, err := decodeOffer(payload)
+	m, err := decodeInit(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, msgAck, encodeShardAck(m.Shard)); err != nil {
-		t.Fatal(err)
+	if st, err := shard.DecodeState(m.State); err != nil || st.Epoch != 1 {
+		t.Fatalf("placement carried state (%+v, %v); want the shard's epoch-1 state", st, err)
 	}
-	conn.Close() // death between offer ack and state ack
+	conn.Close() // death between the placement and its ack
 
 	if err := <-epochDone; err != nil {
 		t.Fatalf("epoch 2 after mid-transfer death: %v", err)
@@ -298,6 +310,46 @@ func TestMigrationDeathMidTransfer(t *testing.T) {
 	ref := inProcessRun(t, worldSeed, n, 3)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("inventory diverged after a mid-transfer death")
+	}
+}
+
+// TestMigrationAckNamesWrongShard: the one ack that re-points an
+// assignment must name the migrated shard. A joiner that acks a
+// different one is a protocol violation — dead, with the shard still on
+// its donor.
+func TestMigrationAckNamesWrongShard(t *testing.T) {
+	const worldSeed, n = 21, 2
+
+	w0 := startWorker(t)
+	c, err := Dial([]string{w0.addr()}, testConfig(n), worldSpec(worldSeed), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	joinAddr := startJoinListener(t, c)
+	_, seedSet := testSeed(worldSeed)
+	if err := c.Seed(seedSet); err != nil {
+		t.Fatal(err)
+	}
+
+	conn := joinByHand(t, c, joinAddr, "liar")
+	go func() {
+		if typ, payload, err := readFrame(conn); err == nil && typ == msgInit {
+			if m, err := decodeInit(payload); err == nil {
+				writeFrame(conn, msgInitOK, encodeShardAck(m.Shard+1))
+			}
+		}
+	}()
+	if _, err := c.Epoch(); err != nil {
+		t.Fatalf("epoch 1 with a lying joiner: %v", err)
+	}
+	for s, wi := range c.Assignment() {
+		if c.workers[wi].id != w0.addr() {
+			t.Errorf("shard %d re-pointed to %q on an ack for another shard", s, c.workers[wi].id)
+		}
+	}
+	if got := findWorker(t, c, "liar"); got.State != WorkerDead {
+		t.Errorf("lying joiner state %q; want %q", got.State, WorkerDead)
 	}
 }
 

@@ -50,7 +50,7 @@ var (
 	migrationsRebalance = telemetry.Default.Counter("gps_shard_migrations_total",
 		"live shard migrations completed, by trigger", "reason", "rebalance")
 	migrationSeconds = telemetry.Default.Histogram("gps_shard_migration_seconds",
-		"duration of one live shard migration (offer through state ack)", nil)
+		"duration of one live shard migration (placement through its ack)", nil)
 	migrationRejects = telemetry.Default.Counter("gps_shard_migration_rejects_total",
 		"live migrations refused or failed before the assignment re-pointed")
 	clusterJoins = telemetry.Default.Counter("gps_cluster_joins_total",
@@ -72,8 +72,6 @@ var (
 		"shard epochs executed by this worker")
 	workerShardsOwned = telemetry.Default.Gauge("gps_worker_shards_owned",
 		"shards currently assigned to this worker's session")
-	workerMigrationsIn = telemetry.Default.Counter("gps_worker_migrations_in_total",
-		"shards this worker adopted through a live migration")
 
 	feedSessions = telemetry.Default.Counter("gps_feed_sessions_total",
 		"replica subscriptions accepted by this origin's feed listener")

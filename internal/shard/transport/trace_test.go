@@ -119,7 +119,7 @@ func TestTransportTraceContextSkew(t *testing.T) {
 	// decoder reads them and ignores the tail.
 	traced := encodeEpochReq(3, 9, trace.SpanContext{TraceID: 0xabc, SpanID: 0xdef})
 	if !bytes.HasPrefix(traced, oldReq) {
-		t.Error("trace context must trail the v2 epoch-request fields")
+		t.Error("trace context must trail the epoch-request fields")
 	}
 
 	// Old worker -> new coordinator: the result ends after the draining
@@ -136,29 +136,21 @@ func TestTransportTraceContextSkew(t *testing.T) {
 		t.Error("spanless epoch result differs from the pre-trace wire format")
 	}
 
-	// Migration legs: offer and state frames without the trailing
-	// context decode to a zero context, and zero-context encodes match.
+	// Placement: an init from an encoder that never appends a context
+	// still decodes, to a zero context, and a zero-context encode is
+	// exactly those bytes.
 	cfg := testConfig(1).Continuous
-	var oldOffer wire.Enc
-	oldOffer.Varint(2)
-	encodeConfig(&oldOffer, cfg)
-	oldOffer.Blob([]byte("spec"))
-	m, err := decodeOffer(oldOffer)
-	if err != nil || m.Shard != 2 || m.Trace.Valid() {
-		t.Fatalf("old offer decoded to (%+v, %v)", m, err)
+	var oldInit wire.Enc
+	oldInit.Varint(2)
+	encodeConfig(&oldInit, cfg)
+	oldInit.Blob([]byte("spec"))
+	oldInit.Blob([]byte("blob"))
+	m, err := decodeInit(oldInit)
+	if err != nil || m.Shard != 2 || string(m.State) != "blob" || m.Trace.Valid() {
+		t.Fatalf("untraced init decoded to (%+v, %v)", m, err)
 	}
-	if !bytes.Equal(encodeOffer(offerMsg{Shard: 2, Cfg: cfg, WorldSpec: []byte("spec")}), oldOffer) {
-		t.Error("untraced offer differs from the pre-trace wire format")
-	}
-	var oldState wire.Enc
-	oldState.Varint(2)
-	oldState.Blob([]byte("blob"))
-	sShard, blob, stc, err := decodeShardState(oldState)
-	if err != nil || sShard != 2 || string(blob) != "blob" || stc.Valid() {
-		t.Fatalf("old shard state decoded to (%d, %q, %+v, %v)", sShard, blob, stc, err)
-	}
-	if !bytes.Equal(encodeShardState(2, []byte("blob"), trace.SpanContext{}), oldState) {
-		t.Error("untraced shard state differs from the pre-trace wire format")
+	if !bytes.Equal(encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: []byte("spec"), State: []byte("blob")}), oldInit) {
+		t.Error("untraced init carries bytes past the state blob")
 	}
 
 	// End to end with tracing disabled the wire carries exactly the old

@@ -598,3 +598,130 @@ func TestTransportResume(t *testing.T) {
 		t.Error("resumed distributed run differs from the uninterrupted reference")
 	}
 }
+
+// lyingWorker is a hand-rolled worker that takes every placement and
+// acks it under the next shard's name. It never decodes the payload
+// beyond the shard index, so it adopts nothing.
+func lyingWorker(t *testing.T) net.Listener {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if writeHandshake(conn) != nil || readHandshake(conn) != nil {
+			return
+		}
+		for {
+			typ, payload, err := readFrame(conn)
+			if err != nil || typ != msgInit {
+				return
+			}
+			m, err := decodeInit(payload)
+			if err != nil {
+				return
+			}
+			if writeFrame(conn, msgInitOK, encodeShardAck(m.Shard+1)) != nil {
+				return
+			}
+		}
+	}()
+	return lis
+}
+
+// TestTransportInitAckNamesWrongShard: the init ack carries the shard the
+// worker adopted, and a placement only counts when it names the shard
+// that was placed. A worker that acks another shard has broken protocol:
+// it must end up dead with the shard re-queued to a survivor, never
+// owning it on the strength of an ack for something else.
+func TestTransportInitAckNamesWrongShard(t *testing.T) {
+	const worldSeed, n = 21, 2
+
+	liar, honest := lyingWorker(t), startWorker(t)
+	liarAddr := liar.Addr().String()
+	c, err := Dial([]string{liarAddr, honest.addr()}, testConfig(n), worldSpec(worldSeed), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Resume rather than Seed so the same test drives any protocol
+	// version: both place shards with msgInit.
+	_, seedSet := testSeed(worldSeed)
+	if err := c.Resume(shard.NewCoordinator(seedSet, testConfig(n)).States()); err != nil {
+		t.Fatalf("Resume with one lying worker: %v", err)
+	}
+	if c.AliveWorkers() != 1 {
+		t.Fatalf("AliveWorkers = %d; the worker that acked the wrong shard is still trusted", c.AliveWorkers())
+	}
+	for s, wi := range c.Assignment() {
+		if c.WorkerAddrs()[wi] != honest.addr() {
+			t.Errorf("shard %d is assigned to %s; want the honest worker", s, c.WorkerAddrs()[wi])
+		}
+	}
+	fails := c.Failures()
+	var de *DisconnectError
+	if len(fails) != 1 || fails[0].Addr != liarAddr || fails[0].Shard != 0 || !errors.As(fails[0].Err, &de) {
+		t.Fatalf("failures = %v; want one *DisconnectError from %s on shard 0", fails, liarAddr)
+	}
+
+	if _, err := c.Epoch(); err != nil {
+		t.Fatalf("epoch 1 on the survivor: %v", err)
+	}
+	for _, w := range c.Status().Workers {
+		if w.ID == liarAddr && (w.State != WorkerDead || w.ShardCount != 0) {
+			t.Errorf("lying worker = %+v; want dead, owning nothing", w)
+		}
+	}
+	ref := inProcessRun(t, worldSeed, n, 1)
+	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
+		t.Error("inventory after re-queueing off the lying worker differs from the in-process run")
+	}
+}
+
+// TestTransportSeedIsResume is the oracle for Seed being "build the
+// per-shard states, then Resume": a seeded shard's epoch-0 state survives
+// the state codec bit for bit, and a runner resumed from the decoded
+// state runs epoch 1 to the same bytes as the runner seeded directly —
+// so it does not matter that workers now receive the state, not the seed.
+func TestTransportSeedIsResume(t *testing.T) {
+	for _, worldSeed := range []int64{21, 22, 23} {
+		u, seedSet := testSeed(worldSeed)
+		world := netmodel.Churn(u, netmodel.DefaultChurn(worldSeed+1))
+		for _, n := range []int{1, 2, 4, 8} {
+			cfg := testConfig(n)
+			c := &Coordinator{cfg: cfg, budgets: shard.SliceBudget(cfg.Continuous.Budget, n)}
+			for s := 0; s < n; s++ {
+				seeded := continuous.New(seedSet, c.shardCfg(s))
+				blob, err := shard.EncodeState(seeded.State())
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := shard.DecodeState(blob)
+				if err != nil {
+					t.Fatalf("seed %d, shard %d/%d: decoding the seeded state: %v", worldSeed, s, n, err)
+				}
+				if again, err := shard.EncodeState(st); err != nil || !bytes.Equal(again, blob) {
+					t.Fatalf("seed %d, shard %d/%d: seeded state is not canonical across the codec (%v)", worldSeed, s, n, err)
+				}
+				resumed := continuous.Resume(st, c.shardCfg(s))
+				for _, r := range []*continuous.Runner{seeded, resumed} {
+					if _, err := r.Epoch(world); err != nil {
+						t.Fatalf("seed %d, shard %d/%d: epoch 1: %v", worldSeed, s, n, err)
+					}
+				}
+				a, _ := shard.EncodeState(seeded.State())
+				b, _ := shard.EncodeState(resumed.State())
+				if !bytes.Equal(a, b) {
+					t.Errorf("seed %d, shard %d/%d: resumed runner's epoch-1 state differs from the seeded runner's", worldSeed, s, n)
+				}
+			}
+		}
+	}
+}

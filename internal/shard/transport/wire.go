@@ -1,16 +1,16 @@
 // Package transport runs the shard coordinator across process and host
 // boundaries. The in-process coordinator (internal/shard) proved the shard
-// boundary is serialization-friendly — pure-hash ownership, broadcastable
-// seed, per-shard checkpoint blobs — and this package puts a wire on it: a
-// coordinator dials N worker processes, broadcasts the seed set, assigns
-// shard ownership (addresses map to shards via asndb.ShardOf; shards map
-// to workers round-robin), streams per-epoch shard results back, and folds
-// them through the same MergeStats/MergeInventories the in-process
-// coordinator uses. Because every shard epoch is a deterministic function
-// of (state, universe, config), and workers replicate the universe
-// deterministically from a world spec, the distributed merged inventory is
-// byte-identical to the in-process coordinator's — the contract the CI
-// gate diffs.
+// boundary is serialization-friendly — pure-hash ownership, per-shard
+// checkpoint blobs — and this package puts a wire on it: a coordinator
+// dials N worker processes, seeds every shard's state locally, places
+// each shard on a worker (addresses map to shards via asndb.ShardOf;
+// shards map to workers round-robin), streams per-epoch shard results
+// back, and folds them through the same MergeStats/MergeInventories the
+// in-process coordinator uses. Because every shard epoch is a
+// deterministic function of (state, universe, config), and workers
+// replicate the universe deterministically from a world spec, the
+// distributed merged inventory is byte-identical to the in-process
+// coordinator's — the contract the CI gate diffs.
 //
 // The wire protocol is deliberately small: a 5-byte preamble ("GPST" plus
 // a version byte) in each direction, then length-prefixed frames of
@@ -18,9 +18,9 @@
 //	type u8 | payload length u32 big-endian | payload
 //
 // Payloads are uvarint/zigzag scalars plus length-prefixed blobs that
-// reuse the existing on-disk encodings (store binary datasets for the
-// seed, continuous checkpoints for shard state), so the transport inherits
-// their compactness and their compatibility story. Every malformed input
+// reuse the existing on-disk encodings (continuous checkpoints for shard
+// state, GPSV/GPSE for the feed), so the transport inherits their
+// compactness and their compatibility story. Every malformed input
 // maps to a typed error — a *wire.Error with Format "GPST" (bad magic,
 // bad version, truncated, implausible) or a FrameSizeError — never a
 // silent misparse or a hang.
@@ -44,28 +44,28 @@ const (
 	Magic = "GPST"
 	// Version is the wire-protocol version; peers must match exactly.
 	// Version 2 added dynamic membership: the join handshake
-	// (msgJoin/msgJoinOK), the live-migration envelopes
-	// (msgOffer/msgState/msgAck), and the draining flag on epoch
-	// results. A v1 worker dialing a v2 join listener (or vice versa)
+	// (msgJoin/msgJoinOK) and the draining flag on epoch results.
+	// Version 3 made msgInit the only way a shard reaches a worker — it
+	// always carries the shard's state — and retired the seed broadcast
+	// and the two-leg migration frames. A skewed peer on either listener
 	// gets a typed bad-version *wire.Error on both sides — the listener
 	// logs and keeps accepting, the worker reports and exits — never a
 	// misparse.
-	Version = 2
+	Version = 3
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
 )
 
-// Frame types.
+// Frame types. The numbers are wire identities, so the ones version 3
+// retired (7, 8, 14, 15, 16) stay unused rather than being re-dealt.
 const (
-	msgInit        = 1 // coordinator → worker: adopt a shard (seed or resume)
-	msgInitOK      = 2 // worker → coordinator: shard adopted
+	msgInit        = 1 // coordinator → worker: adopt a shard at the carried state
+	msgInitOK      = 2 // worker → coordinator: shard adopted (names the shard)
 	msgEpoch       = 3 // coordinator → worker: run one epoch on a shard
 	msgEpochResult = 4 // worker → coordinator: post-epoch shard state
 	msgShutdown    = 5 // coordinator → worker: close the session cleanly
 	msgError       = 6 // worker → coordinator: request failed remotely
-	msgSeed        = 7 // coordinator → worker: session seed set, sent once
-	msgSeedOK      = 8 // worker → coordinator: seed stored
 
 	// Replication feed frames (feed.go). The feed reuses the GPST
 	// preamble and framing; a replica subscribes once, then the origin
@@ -74,18 +74,13 @@ const (
 	msgSnapshot  = 10 // origin → replica: full GPSV inventory (bootstrap)
 	msgDelta     = 11 // origin → replica: one GPSE epoch delta
 
-	// Dynamic-membership frames (wire v2). A worker started with -join
-	// dials the coordinator's cluster listener and registers with
-	// msgJoin; once admitted it serves the same session protocol as a
-	// dialed worker, on the same connection. Live migration is a
-	// two-phase offer/state exchange, each leg confirmed by msgAck, and
-	// the assignment re-points only after both acks — so a rejection or
-	// death anywhere leaves the shard on its donor.
+	// Dynamic-membership frames. A worker started with -join dials the
+	// coordinator's cluster listener and registers with msgJoin; once
+	// admitted it serves the same session protocol as a dialed worker,
+	// on the same connection. A live migration needs no frame of its
+	// own: it is an msgInit to the recipient (cluster.go).
 	msgJoin   = 12 // worker → coordinator: register with the cluster
 	msgJoinOK = 13 // coordinator → worker: registered; session follows
-	msgOffer  = 14 // coordinator → worker: prepare to adopt a shard (world spec)
-	msgState  = 15 // coordinator → worker: the offered shard's current state
-	msgAck    = 16 // worker → coordinator: offer/state leg confirmed
 )
 
 // FrameSizeError reports a length prefix larger than the protocol allows:
@@ -121,8 +116,7 @@ func (e *DisconnectError) Error() string {
 func (e *DisconnectError) Unwrap() error { return e.Err }
 
 // WorkerError is the coordinator-level failure type: which worker failed,
-// which shard it was serving (-1 when the failure was not tied to one
-// shard, e.g. during the seed broadcast), and why. The coordinator
+// which shard it was serving or being handed, and why. The coordinator
 // re-queues the shard to a surviving worker; Epoch returns a WorkerError
 // only when no worker is left to take it.
 type WorkerError struct {
@@ -219,8 +213,8 @@ func truncatedFrame(detail error) error {
 
 // Optional trailing trace context. Appending (trace id, span id) to the
 // END of an existing payload is wire-compatible in both directions
-// without a version bump: a pre-trace v2 peer ignores the extra bytes,
-// and a post-trace peer treats their absence as "no trace". Nothing is
+// without a version bump: a pre-trace peer ignores the extra bytes, and
+// a post-trace peer treats their absence as "no trace". Nothing is
 // emitted for an invalid context, so with tracing disabled the wire
 // bytes are identical to the pre-trace protocol.
 func encodeTraceCtx(e *wire.Enc, ctx trace.SpanContext) {
@@ -290,19 +284,20 @@ func decodeConfig(d *wire.Dec) continuous.Config {
 	return c
 }
 
-// Init modes: what the Init blob holds.
-const (
-	initResume  = 1 // continuous checkpoint; worker adopts it verbatim
-	initSeedRef = 2 // empty; seed from the session's msgSeed broadcast
-)
-
-// initMsg is the decoded form of an msgInit payload.
+// initMsg is the decoded form of an msgInit payload — the one placement
+// RPC. Seeding, resume, failover and live migration all send it: the
+// shard index, its runner config, the recipient's world spec (its owned
+// partition including this shard, which it builds or extends before
+// acking) and the shard's current state as the coordinator holds it.
 type initMsg struct {
 	Shard     int
 	Cfg       continuous.Config
 	WorldSpec []byte
-	Mode      uint8
-	Blob      []byte
+	State     []byte // shard.EncodeState blob
+	// Trace is the optional trailing span context (the migration or the
+	// epoch that absorbed a failover): the worker parents its adopt span
+	// under it so both sides of the placement share one trace.
+	Trace trace.SpanContext
 }
 
 func encodeInit(m initMsg) []byte {
@@ -310,8 +305,8 @@ func encodeInit(m initMsg) []byte {
 	e.Varint(int64(m.Shard))
 	encodeConfig(&e, m.Cfg)
 	e.Blob(m.WorldSpec)
-	e.U8(m.Mode)
-	e.Blob(m.Blob)
+	e.Blob(m.State)
+	encodeTraceCtx(&e, m.Trace)
 	return e
 }
 
@@ -321,8 +316,8 @@ func decodeInit(payload []byte) (initMsg, error) {
 	m.Shard = int(d.Varint())
 	m.Cfg = decodeConfig(d)
 	m.WorldSpec = d.Blob(maxFrame)
-	m.Mode = d.U8()
-	m.Blob = d.Blob(maxFrame)
+	m.State = d.Blob(maxFrame)
+	m.Trace = decodeTraceCtx(d)
 	return m, d.Err()
 }
 
@@ -390,6 +385,8 @@ func decodeError(payload []byte) (msg string, err error) {
 	return msg, d.Err()
 }
 
+// encodeShardAck is msgInitOK's payload: the shard the worker adopted,
+// which the coordinator checks against the one it placed.
 func encodeShardAck(shard int) []byte {
 	var e wire.Enc
 	e.Varint(int64(shard))
@@ -419,60 +416,6 @@ func decodeJoin(payload []byte) (joinMsg, error) {
 	var m joinMsg
 	m.ID = d.Str(maxFrame)
 	return m, d.Err()
-}
-
-// offerMsg is the decoded form of an msgOffer payload: the first leg of
-// a live migration. It carries everything the recipient needs to
-// prepare for ownership except the state itself — the shard index, its
-// runner config, and the prospective world spec (the recipient's
-// current owned set plus the offered shard), which the recipient
-// builds or extends before acking. The state follows in msgState only
-// after the offer is confirmed, so a rejection costs no state bytes.
-type offerMsg struct {
-	Shard     int
-	Cfg       continuous.Config
-	WorldSpec []byte
-	// Trace is the optional migration span context (trailing wire
-	// field): the recipient parents its accept/build spans under it so
-	// both sides of the handshake share one trace.
-	Trace trace.SpanContext
-}
-
-func encodeOffer(m offerMsg) []byte {
-	var e wire.Enc
-	e.Varint(int64(m.Shard))
-	encodeConfig(&e, m.Cfg)
-	e.Blob(m.WorldSpec)
-	encodeTraceCtx(&e, m.Trace)
-	return e
-}
-
-func decodeOffer(payload []byte) (offerMsg, error) {
-	d := wire.NewDec(Magic, payload)
-	var m offerMsg
-	m.Shard = int(d.Varint())
-	m.Cfg = decodeConfig(d)
-	m.WorldSpec = d.Blob(maxFrame)
-	m.Trace = decodeTraceCtx(d)
-	return m, d.Err()
-}
-
-// encodeShardState frames a shard's serialized state for msgState, the
-// second migration leg. tc carries the migration span context.
-func encodeShardState(shard int, state []byte, tc trace.SpanContext) []byte {
-	var e wire.Enc
-	e.Varint(int64(shard))
-	e.Blob(state)
-	encodeTraceCtx(&e, tc)
-	return e
-}
-
-func decodeShardState(payload []byte) (shard int, state []byte, tc trace.SpanContext, err error) {
-	d := wire.NewDec(Magic, payload)
-	shard = int(d.Varint())
-	state = d.Blob(maxFrame)
-	tc = decodeTraceCtx(d)
-	return shard, state, tc, d.Err()
 }
 
 // World-spec partition envelope. The coordinator never sends a caller's

@@ -79,7 +79,7 @@ func TestWireOversizedLengthPrefix(t *testing.T) {
 // desync the stream.
 func TestWireOversizedWriteRefused(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, msgSeed, make([]byte, maxFrame+1))
+	err := writeFrame(&buf, msgInit, make([]byte, maxFrame+1))
 	var fse *FrameSizeError
 	if !errors.As(err, &fse) {
 		t.Fatalf("oversized write returned %v; want *FrameSizeError", err)
@@ -204,14 +204,14 @@ func TestWireConfigRoundTrip(t *testing.T) {
 }
 
 func TestWireInitTruncatedPayload(t *testing.T) {
-	m := initMsg{Shard: 1, WorldSpec: []byte("spec"), Mode: initResume, Blob: bytes.Repeat([]byte("x"), 64)}
+	m := initMsg{Shard: 1, WorldSpec: []byte("spec"), State: bytes.Repeat([]byte("x"), 64)}
 	full := encodeInit(m)
 	for _, cut := range []int{0, 1, len(full) / 2, len(full) - 1} {
 		if _, err := decodeInit(full[:cut]); !isTruncatedGPST(err) {
 			t.Errorf("init payload cut to %d/%d bytes returned %v; want a truncated *wire.Error", cut, len(full), err)
 		}
 	}
-	if got, err := decodeInit(full); err != nil || got.Shard != 1 || !bytes.Equal(got.Blob, m.Blob) {
+	if got, err := decodeInit(full); err != nil || got.Shard != 1 || !bytes.Equal(got.State, m.State) {
 		t.Errorf("full init payload = (%+v, %v)", got, err)
 	}
 }

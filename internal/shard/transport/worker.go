@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"gps/internal/continuous"
-	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	gpsshard "gps/internal/shard"
-	"gps/internal/store"
 	"gps/internal/trace"
 	"gps/internal/wire"
 )
@@ -60,10 +58,10 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 	// Draining, when set and true, makes the worker leave gracefully:
 	// epoch results carry the draining flag, the coordinator migrates
-	// this worker's shards away at the next epoch boundary, and the
-	// worker refuses new shard offers meanwhile. Serve returns after
-	// the current session ends instead of waiting for the next
-	// coordinator. The caller flips the bool from its signal handler.
+	// this worker's shards away at the next epoch boundary and stops
+	// choosing it as a placement target. Serve returns after the
+	// current session ends instead of waiting for the next coordinator.
+	// The caller flips the bool from its signal handler.
 	Draining *atomic.Bool
 	// DialTimeout bounds how long Join waits for the coordinator's
 	// cluster listener (retried with backoff); 0 selects 15 seconds.
@@ -133,10 +131,10 @@ func Serve(lis net.Listener, factory WorldFactory, opts *WorkerOptions) error {
 // coordinator side of -join): dial, handshake, introduce ourselves with
 // msgJoin, then serve the same session protocol a dialed worker serves,
 // on the same connection. The coordinator admits the worker at its next
-// epoch boundary and live-migrates shards onto it. Join returns nil
-// when the coordinator shuts the session down cleanly (including after
-// a drain); a version-skewed coordinator surfaces as a bad-version
-// *wire.Error, a refused registration as a *RemoteError.
+// epoch boundary and places shards on it. Join returns nil when the
+// coordinator shuts the session down cleanly (including after a drain);
+// a version-skewed coordinator surfaces as a bad-version *wire.Error, a
+// refused registration as a *RemoteError.
 func Join(addr, id string, factory WorldFactory, opts *WorkerOptions) error {
 	if factory == nil {
 		return fmt.Errorf("transport: Join needs a WorldFactory")
@@ -196,9 +194,7 @@ type session struct {
 
 	world     World
 	worldSpec []byte
-	seed      *dataset.Dataset // session seed set, broadcast once by msgSeed
 	runners   map[int]*continuous.Runner
-	offered   map[int]continuous.Config // migration offers awaiting their msgState
 }
 
 func newSession(factory WorldFactory, opts *WorkerOptions) *session {
@@ -206,7 +202,6 @@ func newSession(factory WorldFactory, opts *WorkerOptions) *session {
 		factory: factory,
 		opts:    opts,
 		runners: make(map[int]*continuous.Runner),
-		offered: make(map[int]continuous.Config),
 	}
 }
 
@@ -235,16 +230,10 @@ func (s *session) loop(conn net.Conn) error {
 		workerFramesRecv.Inc()
 		workerBytesRecv.Add(uint64(len(payload) + frameOverhead))
 		switch typ {
-		case msgSeed:
-			err = s.handleSeed(conn, payload)
 		case msgInit:
 			err = s.handleInit(conn, payload)
 		case msgEpoch:
 			err = s.handleEpoch(conn, payload)
-		case msgOffer:
-			err = s.handleOffer(conn, payload)
-		case msgState:
-			err = s.handleState(conn, payload)
 		case msgShutdown:
 			return nil
 		default:
@@ -295,46 +284,38 @@ func (s *session) buildWorld(spec []byte) (w World, err error) {
 	return s.factory(spec)
 }
 
-// handleSeed stores the session's broadcast seed set: it arrives once
-// per worker, however many of the worker's shards later reference it.
-func (s *session) handleSeed(conn net.Conn, payload []byte) error {
-	seed, err := decodeSeed(payload)
-	if err != nil {
-		return s.reject(conn, err)
-	}
-	s.seed = seed
-	return s.send(conn, msgSeedOK, nil)
-}
-
+// handleInit is the worker half of the one placement RPC: build or
+// extend the world partition the spec names (the expensive, rejectable
+// part), resume a runner on the carried state, and ack with the shard.
+// The worker cannot tell a first seeding from a resume, a failover or a
+// live migration, and does not need to: whatever runner it held for the
+// shard was a cache of the coordinator's state and is replaced. A
+// refusal touches no runner, so the coordinator goes on using whichever
+// worker owned the shard before.
 func (s *session) handleInit(conn net.Conn, payload []byte) error {
 	m, err := decodeInit(payload)
 	if err != nil {
 		return s.reject(conn, err)
 	}
+	adoptSpan := trace.StartSpan(m.Trace, "adopt",
+		trace.Int("shard", m.Shard), trace.Int("state_bytes", len(m.State)))
 	if s.world == nil || !bytes.Equal(s.worldSpec, m.WorldSpec) {
 		w, err := s.buildWorld(m.WorldSpec)
 		if err != nil {
+			adoptSpan.FinishErr(err)
 			return s.reject(conn, fmt.Errorf("world spec rejected: %w", err))
 		}
 		s.world, s.worldSpec = w, m.WorldSpec
 	}
-	switch m.Mode {
-	case initSeedRef:
-		if s.seed == nil {
-			return s.reject(conn, fmt.Errorf("shard %d references the session seed, but none was broadcast", m.Shard))
-		}
-		s.runners[m.Shard] = continuous.New(s.seed, m.Cfg)
-	case initResume:
-		st, err := gpsshard.DecodeState(m.Blob)
-		if err != nil {
-			return s.reject(conn, err)
-		}
-		s.runners[m.Shard] = continuous.Resume(st, m.Cfg)
-	default:
-		return s.reject(conn, fmt.Errorf("unknown init mode %d", m.Mode))
+	st, err := gpsshard.DecodeState(m.State)
+	if err != nil {
+		adoptSpan.FinishErr(err)
+		return s.reject(conn, err)
 	}
-	s.opts.logf("transport: adopted shard %d/%d (%d known services)",
-		m.Shard, m.Cfg.ShardCount, len(s.runners[m.Shard].State().Known))
+	s.runners[m.Shard] = continuous.Resume(st, m.Cfg)
+	adoptSpan.Finish()
+	s.opts.logf("transport: adopted shard %d/%d at epoch %d (%d known services)",
+		m.Shard, m.Cfg.ShardCount, st.Epoch, len(st.Known))
 	workerShardsOwned.Set(float64(len(s.runners)))
 	return s.send(conn, msgInitOK, encodeShardAck(m.Shard))
 }
@@ -385,89 +366,4 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 	// The draining flag rides every epoch result: it is how a worker
 	// asks the coordinator to migrate its shards away before it leaves.
 	return s.send(conn, msgEpochResult, encodeEpochResult(shard, blob, s.opts.draining(), spanBlob))
-}
-
-// handleOffer is the first migration leg: the coordinator proposes that
-// this worker adopt a shard, shipping the prospective world spec (our
-// current owned set plus the offered shard). We build or extend the
-// world partition now — the expensive, rejectable part — and ack; the
-// shard's state follows in msgState. A draining worker refuses: it is
-// on its way out, and accepting would migrate the shard twice.
-func (s *session) handleOffer(conn net.Conn, payload []byte) error {
-	m, err := decodeOffer(payload)
-	if err != nil {
-		return s.reject(conn, err)
-	}
-	if s.opts.draining() {
-		return s.reject(conn, fmt.Errorf("shard %d offer refused: worker is draining", m.Shard))
-	}
-	// Joining the coordinator's migration trace: our accept-side span
-	// records how long the world build took on this end of the wire.
-	acceptSpan := trace.StartSpan(m.Trace, "migrate.accept", trace.Int("shard", m.Shard))
-	if s.world == nil || !bytes.Equal(s.worldSpec, m.WorldSpec) {
-		w, err := s.buildWorld(m.WorldSpec)
-		if err != nil {
-			acceptSpan.FinishErr(err)
-			return s.reject(conn, fmt.Errorf("world spec rejected: %w", err))
-		}
-		s.world, s.worldSpec = w, m.WorldSpec
-	}
-	s.offered[m.Shard] = m.Cfg
-	acceptSpan.Finish()
-	s.opts.logf("transport: offered shard %d/%d; world partition ready", m.Shard, m.Cfg.ShardCount)
-	return s.send(conn, msgAck, encodeShardAck(m.Shard))
-}
-
-// handleState is the second migration leg: the offered shard's current
-// state arrives, the worker resumes a runner on it, and from the ack
-// onward this worker is the shard's owner.
-func (s *session) handleState(conn net.Conn, payload []byte) error {
-	sh, blob, tc, err := decodeShardState(payload)
-	if err != nil {
-		return s.reject(conn, err)
-	}
-	cfg, ok := s.offered[sh]
-	if !ok {
-		return s.reject(conn, fmt.Errorf("state for shard %d arrived without a prior offer", sh))
-	}
-	adoptSpan := trace.StartSpan(tc, "migrate.adopt",
-		trace.Int("shard", sh), trace.Int("state_bytes", len(blob)))
-	st, err := gpsshard.DecodeState(blob)
-	if err != nil {
-		adoptSpan.FinishErr(err)
-		return s.reject(conn, err)
-	}
-	delete(s.offered, sh)
-	s.runners[sh] = continuous.Resume(st, cfg)
-	adoptSpan.Finish()
-	workerMigrationsIn.Inc()
-	workerShardsOwned.Set(float64(len(s.runners)))
-	s.opts.logf("transport: migrated in shard %d at epoch %d (%d known services)",
-		sh, st.Epoch, len(st.Known))
-	return s.send(conn, msgAck, encodeShardAck(sh))
-}
-
-// encodeSeed frames a seed dataset for the msgSeed broadcast: one GPSD
-// blob.
-func encodeSeed(seed *dataset.Dataset) ([]byte, error) {
-	var gpsd bytes.Buffer
-	if _, err := store.WriteDatasetBinary(&gpsd, seed); err != nil {
-		return nil, fmt.Errorf("transport: encoding seed set: %w", err)
-	}
-	var e wire.Enc
-	e.Blob(gpsd.Bytes())
-	return e, nil
-}
-
-func decodeSeed(payload []byte) (*dataset.Dataset, error) {
-	d := wire.NewDec(Magic, payload)
-	gpsd := d.Blob(maxFrame)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	seed, err := store.ReadDatasetBinary(bytes.NewReader(gpsd))
-	if err != nil {
-		return nil, fmt.Errorf("decoding seed dataset: %w", err)
-	}
-	return seed, nil
 }

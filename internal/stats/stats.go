@@ -67,27 +67,6 @@ func FitZipf(counts []int) ZipfFit {
 	return ZipfFit{Alpha: -slope, R2: r2, Ranks: len(cs)}
 }
 
-// Entropy computes the Shannon entropy (bits) of a discrete distribution
-// given as counts.
-func Entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Gini computes the Gini coefficient of a sample of non-negative values:
 // 0 for perfect equality, approaching 1 for total concentration. Used to
 // quantify how concentrated services are across subnets.

@@ -37,18 +37,6 @@ func TestFitZipfDegenerate(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if h := Entropy([]int{1, 1, 1, 1}); math.Abs(h-2) > 1e-12 {
-		t.Errorf("uniform-4 entropy = %f; want 2 bits", h)
-	}
-	if h := Entropy([]int{10}); h != 0 {
-		t.Errorf("point-mass entropy = %f; want 0", h)
-	}
-	if Entropy(nil) != 0 {
-		t.Error("empty entropy nonzero")
-	}
-}
-
 func TestGini(t *testing.T) {
 	if g := Gini([]float64{1, 1, 1, 1}); math.Abs(g) > 1e-9 {
 		t.Errorf("equal gini = %f; want 0", g)
