@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,9 +19,9 @@ import (
 // silently evict the whole inventory against a world it never scanned, and
 // a shard-count mismatch would strand hosts in partitions nothing scans.
 //
-// The same 36 bytes double as the transport's world spec: the coordinator
-// broadcasts header() to its workers, which rebuild the identical universe
-// from it (parseWorldHeader).
+// The same 36 bytes double as the transport's world spec: every msgInit
+// that places a shard on a worker carries header(), from which the worker
+// rebuilds the identical universe (parseWorldHeader).
 type worldID struct {
 	Seed     int64
 	Prefixes int
@@ -207,36 +208,50 @@ func loadCheckpoint(path string, want worldID) ([]*continuous.State, topology, e
 	return states, topo, nil
 }
 
-// saveCheckpoint writes the topology and per-shard states to a temp file
-// in the target directory, fsyncs it, and renames it into place. The
-// fsync before the rename is what makes the sequence crash-safe: without
-// it the rename can land while the data blocks are still dirty, and a
-// crash at that moment leaves a truncated checkpoint under the final
-// name. The directory is also synced (best effort) so the rename itself
-// survives a crash.
+// saveCheckpoint writes the topology and per-shard states in place of
+// the previous checkpoint, atomically.
 func saveCheckpoint(path string, world worldID, topo topology, states []*continuous.State) error {
+	data, err := encodeCheckpoint(world, topo, states)
+	if err != nil {
+		return err
+	}
+	return atomicWriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// atomicWriteFile streams write's output to a temp file in path's
+// directory, fsyncs it, and renames it into place, so a failed or
+// interrupted write — or a concurrent reader — never sees a truncated
+// file under the final name: the previous file stays until the new one
+// is complete, and the temp file is removed on any failure. The fsync
+// before the rename is what makes the sequence crash-safe: without it
+// the rename can land while the data blocks are still dirty. The
+// directory is also synced (best effort) so the rename itself survives
+// a crash. The file gets the mode os.Create would have asked for, not
+// CreateTemp's 0600: another user's `gpsd serve FILE` reads inventories.
+func atomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	data, err := encodeCheckpoint(world, topo, states)
+	err = write(tmp)
 	if err == nil {
-		_, err = tmp.Write(data)
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
 	if d, err := os.Open(dir); err == nil {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -195,6 +197,75 @@ func TestCheckpointStaleTmpIgnored(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Epoch != states[0].Epoch {
 		t.Error("stale tmp file corrupted the resumed state")
+	}
+}
+
+// TestAtomicWriteFileFailedWrite: a writer that errors midway must leave
+// the previous file byte-identical under the final name and no temp file
+// behind — the contract the checkpoint, the per-shard checkpoints and
+// the -inventory file all get from atomicWriteFile.
+func TestAtomicWriteFileFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gpsd.inv")
+	previous := []byte("previous complete file")
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := atomicWriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of the next")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("atomicWriteFile returned %v; want the writer's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, previous) {
+		t.Errorf("previous file now reads %q, %v; want it untouched", got, err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Errorf("directory holds %v; want only the previous file", names)
+	}
+}
+
+// TestWriteInventoryFileReplaces: a reader that opened the -inventory
+// file before an epoch rewrites it (a concurrent `gpsd serve FILE`) must
+// keep reading the complete previous inventory — the new one is a new
+// file renamed into place, not a truncate-and-stream of the old one.
+func TestWriteInventoryFileReplaces(t *testing.T) {
+	states := testStates(t, 1)
+	inv, _ := shard.MergeInventories(states)
+	path := filepath.Join(t.TempDir(), "gpsd.inv")
+	if err := writeInventoryFile(path, inv); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	for k := range inv {
+		delete(inv, k)
+		break
+	}
+	if err := writeInventoryFile(path, inv); err != nil {
+		t.Fatal(err)
+	}
+	if seen, err := io.ReadAll(reader); err != nil || !bytes.Equal(seen, first) {
+		t.Errorf("open reader saw %d bytes, %v; want the %d bytes of the inventory it opened", len(seen), err, len(first))
+	}
+	second, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := shard.ReadInventory(bytes.NewReader(second)); err != nil || len(got) != len(inv) {
+		t.Errorf("rewritten inventory reads %d entries, %v; want %d", len(got), err, len(inv))
 	}
 }
 

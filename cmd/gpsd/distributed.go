@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -153,33 +154,18 @@ func (c *fleetCoordinator) exitSuffix() string {
 // saveShardCheckpoints writes each shard's state as its own continuous
 // checkpoint (shard-000.ckpt, ...): the per-shard diagnostics CI uploads
 // when the distributed gate fails, and the raw material for hand
-// re-balancing. Each file lands via the same temp+fsync+rename dance as
-// the combined checkpoint (a crash mid-write must not leave a truncated
-// file under the final name), and shard files beyond the current layout
-// — leftovers of a larger pre-join layout — are removed so the directory
-// always describes exactly the current shards.
+// re-balancing. Each file lands via atomicWriteFile like the combined
+// checkpoint, and shard files beyond the current layout — leftovers of a
+// larger pre-join layout — are removed so the directory always describes
+// exactly the current shards.
 func saveShardCheckpoints(dir string, states []*continuous.State) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, st := range states {
 		path := filepath.Join(dir, fmt.Sprintf("shard-%03d.ckpt", i))
-		tmpf, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+		err := atomicWriteFile(path, func(w io.Writer) error { return continuous.WriteCheckpoint(w, st) })
 		if err != nil {
-			return err
-		}
-		err = continuous.WriteCheckpoint(tmpf, st)
-		if err == nil {
-			err = tmpf.Sync()
-		}
-		if cerr := tmpf.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmpf.Name(), path)
-		}
-		if err != nil {
-			os.Remove(tmpf.Name())
 			return err
 		}
 	}

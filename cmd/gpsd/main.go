@@ -415,17 +415,10 @@ func logEpochJSON(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
 
 // writeInventoryFile dumps the merged inventory in its canonical byte
 // encoding: the artifact the distributed CI gate diffs against the
-// in-process run.
+// in-process run, and what a concurrent `gpsd serve FILE` reads — so it
+// is replaced atomically, never written in place.
 func writeInventoryFile(path string, inv map[netmodel.Key]*continuous.Entry) error {
-	tmpf, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := shard.WriteInventory(tmpf, inv); err != nil {
-		tmpf.Close()
-		return err
-	}
-	return tmpf.Close()
+	return atomicWriteFile(path, func(w io.Writer) error { return shard.WriteInventory(w, inv) })
 }
 
 // warnEmptyShards reports partitions that own no services.

@@ -21,15 +21,16 @@ import (
 // structured stream.
 var workerLog = trace.NewLogger("worker")
 
-// demoWorld is the worker-side replica of gpsd's simulated universe. The
-// coordinator broadcasts its 36-byte world header wrapped in the
-// transport's partition envelope (the total shard count plus this
-// worker's owned shards); the worker rebuilds only the owned partition
-// of the deterministic universe — ~owned/N of the full-world memory —
-// and steps churn forward epoch by epoch with the same seed+epoch recipe
-// the in-process daemon uses. Partitioned generation and churn are
-// subset-stable (every host is a pure function of seed and identity), so
-// the distributed run stays byte-identical to a single-process one.
+// demoWorld is the worker-side replica of gpsd's simulated universe.
+// Each placement (msgInit) carries the coordinator's 36-byte world
+// header wrapped in the transport's partition envelope (the total shard
+// count plus this worker's owned shards); the worker rebuilds only the
+// owned partition of the deterministic universe — ~owned/N of the
+// full-world memory — and steps churn forward epoch by epoch with the
+// same seed+epoch recipe the in-process daemon uses. Partitioned
+// generation and churn are subset-stable (every host is a pure function
+// of seed and identity), so the distributed run stays byte-identical to
+// a single-process one.
 type demoWorld struct {
 	id    worldID
 	part  *netmodel.Partition

@@ -19,9 +19,9 @@ import (
 )
 
 // TestIntegrationWireDiscovery drives one discovery end to end through
-// the three scan layers: the SYN probe acknowledged, LZR protocol bytes
-// exchanged, ZGrab features extracted — and the features must match what
-// the dataset layer records for the same service.
+// the three scan layers: the SYN probe acknowledged, the service
+// classified by LZR, its features observed by ZGrab — and the features
+// must match what the dataset layer records for the same service.
 func TestIntegrationWireDiscovery(t *testing.T) {
 	u := netmodel.Generate(netmodel.TestParams(201))
 	sc := scanner.New(u)

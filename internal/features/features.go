@@ -152,7 +152,9 @@ type Value struct {
 func (v Value) String() string { return v.Key.String() + "=" + v.Val }
 
 // Set is an immutable collection of feature values attached to one service
-// or host, at most one value per key.
+// or host, at most one value per key. A service's set is shared, not
+// copied, by every record and grab that observes the service, so a Set
+// must not be mutated once attached.
 type Set map[Key]string
 
 // Get returns the value for key k and whether it is present.

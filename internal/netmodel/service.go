@@ -27,9 +27,11 @@ import (
 type Service struct {
 	Port  uint16
 	Proto features.Protocol
-	// Feats holds the application-layer features revealed by a full L7
-	// handshake (ZGrab's job). Network-layer features are derived from
-	// the host's IP, not stored here.
+	// Feats holds the application-layer features a full L7 handshake
+	// reveals. The seed snapshots and zgrab.Grab both hand out this very
+	// set, shared with the universe; it must not be mutated.
+	// Network-layer features are derived from the host's IP, not stored
+	// here.
 	Feats features.Set
 	// TTL is the IP time-to-live observed on responses. Port-forwarded
 	// services traverse an extra hop, so their TTL differs from the

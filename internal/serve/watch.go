@@ -23,42 +23,26 @@ import (
 // machine feed, and a consumer accumulating events must be able to
 // reconstruct the origin inventory exactly (WatchEvent.ApplyTo does).
 
-// watchKeyJSON names one removed service.
-type watchKeyJSON struct {
-	IP   string `json:"ip"`
-	Port uint16 `json:"port"`
-}
-
-// watchEntryJSON is one added/updated/snapshot service with every
-// GPSV serving field, numerically — lossless, unlike serviceJSON.
-type watchEntryJSON struct {
-	IP        string `json:"ip"`
-	Port      uint16 `json:"port"`
-	Proto     uint8  `json:"proto"`
-	ASN       uint32 `json:"asn"`
-	TTL       uint8  `json:"ttl"`
-	FirstSeen int    `json:"first_seen"`
-	LastSeen  int    `json:"last_seen"`
-	Stale     int    `json:"stale"`
-}
-
+// watchSnapshotJSON and watchDeltaJSON are the two event lines, built
+// from the exported WatchEntry/WatchKey the consumer decodes into
+// (watchclient.go).
 type watchSnapshotJSON struct {
-	Event    string           `json:"event"` // "snapshot"
-	Epoch    int              `json:"epoch"`
-	Services []watchEntryJSON `json:"services"`
+	Event    string       `json:"event"` // "snapshot"
+	Epoch    int          `json:"epoch"`
+	Services []WatchEntry `json:"services"`
 }
 
 type watchDeltaJSON struct {
-	Event     string           `json:"event"` // "delta"
-	BaseEpoch int              `json:"base_epoch"`
-	Epoch     int              `json:"epoch"`
-	Adds      []watchEntryJSON `json:"adds"`
-	Updates   []watchEntryJSON `json:"updates"`
-	Removes   []watchKeyJSON   `json:"removes"`
+	Event     string       `json:"event"` // "delta"
+	BaseEpoch int          `json:"base_epoch"`
+	Epoch     int          `json:"epoch"`
+	Adds      []WatchEntry `json:"adds"`
+	Updates   []WatchEntry `json:"updates"`
+	Removes   []WatchKey   `json:"removes"`
 }
 
-func toWatchEntry(k netmodel.Key, e *continuous.Entry) watchEntryJSON {
-	return watchEntryJSON{
+func toWatchEntry(k netmodel.Key, e *continuous.Entry) WatchEntry {
+	return WatchEntry{
 		IP: k.IP.String(), Port: k.Port,
 		Proto: uint8(e.Rec.Proto), ASN: uint32(e.Rec.ASN), TTL: e.Rec.TTL,
 		FirstSeen: e.FirstSeen, LastSeen: e.LastSeen, Stale: e.Stale,
@@ -68,9 +52,9 @@ func toWatchEntry(k netmodel.Key, e *continuous.Entry) watchEntryJSON {
 func toWatchDelta(d *shard.Delta) watchDeltaJSON {
 	out := watchDeltaJSON{
 		Event: "delta", BaseEpoch: d.BaseEpoch, Epoch: d.Epoch,
-		Adds:    make([]watchEntryJSON, 0, len(d.Adds)),
-		Updates: make([]watchEntryJSON, 0, len(d.Updates)),
-		Removes: make([]watchKeyJSON, 0, len(d.Removes)),
+		Adds:    make([]WatchEntry, 0, len(d.Adds)),
+		Updates: make([]WatchEntry, 0, len(d.Updates)),
+		Removes: make([]WatchKey, 0, len(d.Removes)),
 	}
 	for _, a := range d.Adds {
 		out.Adds = append(out.Adds, toWatchEntry(a.Key, &a.Entry))
@@ -79,7 +63,7 @@ func toWatchDelta(d *shard.Delta) watchDeltaJSON {
 		out.Updates = append(out.Updates, toWatchEntry(u.Key, &u.Entry))
 	}
 	for _, k := range d.Removes {
-		out.Removes = append(out.Removes, watchKeyJSON{IP: k.IP.String(), Port: k.Port})
+		out.Removes = append(out.Removes, WatchKey{IP: k.IP.String(), Port: k.Port})
 	}
 	return out
 }
@@ -96,7 +80,7 @@ func toWatchSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) watchSna
 		return keys[i].Port < keys[j].Port
 	})
 	out := watchSnapshotJSON{Event: "snapshot", Epoch: epoch,
-		Services: make([]watchEntryJSON, 0, len(inv))}
+		Services: make([]WatchEntry, 0, len(inv))}
 	for _, k := range keys {
 		out.Services = append(out.Services, toWatchEntry(k, inv[k]))
 	}

@@ -17,8 +17,9 @@ import (
 	"gps/internal/netmodel"
 )
 
-// WatchEntry is one service in a watch event, mirroring the wire shape
-// (watchEntryJSON): every GPSV serving field, numerically.
+// WatchEntry is one added/updated/snapshot service in a watch event,
+// as the producer encodes it and the consumer decodes it: every GPSV
+// serving field, numerically — lossless, unlike the list endpoints.
 type WatchEntry struct {
 	IP        string `json:"ip"`
 	Port      uint16 `json:"port"`

@@ -26,16 +26,13 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			fmt.Fprintf(cw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, m := range f.instances2() {
+		for _, m := range f.sortedInstances() {
 			writeMetric(cw, f, m)
 		}
 	}
 	err := cw.w.(*bufio.Writer).Flush()
 	return cw.n, err
 }
-
-// instances2 is sortedInstances; split out so writeMetric stays testable.
-func (f *family) instances2() []*metric { return f.sortedInstances() }
 
 func writeMetric(w io.Writer, f *family, m *metric) {
 	switch f.kind {

@@ -1,8 +1,11 @@
-// Package zgrab simulates ZGrab, the application-layer handshake tool at
-// the end of the GPS scanning pipeline. For every service LZR fingerprints
-// as real, ZGrab completes the full Layer-7 handshake and collects the
-// application-layer features of Table 1 (banners, TLS certificates, SSH
-// keys, version strings).
+// Package zgrab stands in for ZGrab, the application-layer handshake tool
+// at the end of the GPS scanning pipeline. For every service LZR
+// classifies as real, ZGrab collects the application-layer features of
+// Table 1 (banners, TLS certificates, SSH keys, version strings). The
+// paper drives ZGrab as an external tool; what is reproduced here is what
+// it observes, not its wire behaviour, so a grab reads the service's
+// features off the universe exactly as the seed path
+// (dataset.SnapshotLZR) does.
 package zgrab
 
 import (
@@ -11,17 +14,15 @@ import (
 	"gps/internal/netmodel"
 )
 
-// Grab is the result of one full L7 handshake.
+// Grab is what one full L7 handshake observes.
 type Grab struct {
 	IP    asndb.IP
 	Port  uint16
 	Proto features.Protocol
-	// Feats holds the application-layer features parsed out of the
-	// session transcript.
+	// Feats is the service's application-layer feature set, shared with
+	// the universe; it must not be mutated.
 	Feats features.Set
 	TTL   uint8
-	// Transcript is the raw session bytes the features were parsed from.
-	Transcript []byte
 }
 
 // Source is the network view ZGrab needs; *netmodel.Universe implements it.
@@ -37,20 +38,12 @@ type Grabber struct {
 // New creates a grabber.
 func New(src Source) *Grabber { return &Grabber{src: src} }
 
-// Grab completes the full L7 session against (ip, port): the service
-// renders its transcript (Session) and the grabber parses the features
-// back out of the bytes (Parse). ok is false when the service vanished or
-// never existed. Services speaking unknown protocols yield no features.
+// Grab observes the service at (ip, port). ok is false when the service
+// vanished or never existed.
 func (g *Grabber) Grab(ip asndb.IP, port uint16) (Grab, bool) {
 	svc, ok := g.src.ServiceAt(ip, port)
 	if !ok {
 		return Grab{}, false
 	}
-	transcript := Session(svc)
-	return Grab{
-		IP: ip, Port: port, Proto: svc.Proto,
-		Feats:      Parse(svc.Proto, transcript),
-		TTL:        svc.TTL,
-		Transcript: transcript,
-	}, true
+	return Grab{IP: ip, Port: port, Proto: svc.Proto, Feats: svc.Feats, TTL: svc.TTL}, true
 }

@@ -105,16 +105,23 @@ func TestPipelineGolden(t *testing.T) {
 			lines = append(lines, fmt.Sprintf("%d\t%s\t%s", world, c.name, pipelineDigest(res)))
 		}
 	}
-	if *updatePipelineGolden {
-		if err := os.MkdirAll(filepath.Dir(pipelineGoldenPath), 0o755); err != nil {
+	checkGoldenRows(t, pipelineGoldenPath, *updatePipelineGolden, lines)
+}
+
+// checkGoldenRows compares rows against the golden file at path line by
+// line, or rewrites the file from them when update is set.
+func checkGoldenRows(t *testing.T, path string, update bool, lines []string) {
+	t.Helper()
+	if update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(pipelineGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	file, err := os.Open(pipelineGoldenPath)
+	file, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
