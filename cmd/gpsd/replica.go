@@ -2,15 +2,10 @@ package main
 
 import (
 	"context"
-	"errors"
-	"net"
-	"net/http"
-	"time"
 
 	"gps/internal/continuous"
 	"gps/internal/netmodel"
 	"gps/internal/serve"
-	"gps/internal/shard/transport"
 	"gps/internal/trace"
 )
 
@@ -35,30 +30,20 @@ func runReplica(f daemonFlags) int {
 	})
 	setProcessHealthLive(replicaHealthLive(rep))
 
-	lis, err := net.Listen("tcp", f.serve)
+	api, err := startInventoryServer(f.serve, rep.Publisher(), rep.Feed(), nil)
 	if err != nil {
-		replicaLog.Errorf("serve: %v", err)
+		replicaLog.Errorf("%v", err)
 		return 1
 	}
-	srv := serve.NewHTTPServer("",
-		newAPIServer(rep.Publisher()).EnableWatch(rep.Feed()).Handler())
-	go func() {
-		if err := srv.Serve(lis); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			replicaLog.Errorf("serve: %v", err)
-		}
-	}()
-	replicaLog.Infof("replica of %s serving inventory API on http://%s/v1/",
-		f.upstream, lis.Addr())
-
-	var feedLis net.Listener
-	feedDone := make(chan error, 1)
+	replicaLog.Infof("replica of %s serving inventory API on http://%s/v1/", f.upstream, api.addr)
 	if f.feedAddr != "" {
-		if feedLis, err = net.Listen("tcp", f.feedAddr); err != nil {
-			replicaLog.Errorf("feed: %v", err)
+		addr, err := api.exportFeed(f.feedAddr)
+		if err != nil {
+			replicaLog.Errorf("%v", err)
+			api.shutdown()
 			return 1
 		}
-		go func() { feedDone <- transport.ServeFeed(feedLis, rep.Feed(), nil) }()
-		replicaLog.Infof("re-exporting replication feed on %s", feedLis.Addr())
+		replicaLog.Infof("re-exporting replication feed on %s", addr)
 	}
 
 	// Run applies the feed until signalled; it keeps serving the last
@@ -71,18 +56,7 @@ func runReplica(f daemonFlags) int {
 		cancel()
 	}()
 	rep.Run(ctx)
-
-	if feedLis != nil {
-		feedLis.Close()
-		if err := <-feedDone; err != nil {
-			replicaLog.Errorf("feed: %v", err)
-		}
-	}
-	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer scancel()
-	if srv.Shutdown(sctx) != nil {
-		srv.Close()
-	}
+	api.shutdown()
 	replicaLog.Infof("replica done at epoch %d", rep.Epoch())
 	return 0
 }

@@ -20,12 +20,15 @@ import (
 // serveLog tags the query-API side channel's lines.
 var serveLog = trace.NewLogger("serve")
 
-// inventoryServer bundles the snapshot publisher and the HTTP server gpsd
-// runs alongside the daemon when -serve is set. The scan loop feeds it
-// through a commit hook; readers never block the loop (the publisher swap
-// is a single atomic store) and the loop never blocks readers. All
-// methods are nil-safe so the daemon paths need no "is serving enabled"
-// branches.
+// inventoryServer is the serve lifecycle of every gpsd mode that answers
+// queries — daemon, coordinator, serve FILE and replica: the -serve
+// listener over a publisher, /v1/watch over a change feed, the optional
+// -feed export, and the feed-first ordered shutdown. An origin's scan
+// loop feeds it through the commit hook (readers never block the loop —
+// the publisher swap is a single atomic store — and the loop never blocks
+// readers); a replica hands in the publisher and feed its ReplicaServer
+// commits to. shutdown is nil-safe so the daemon's exit path needs no
+// "is serving enabled" branch.
 type inventoryServer struct {
 	addr string
 	pub  *serve.Publisher
@@ -36,19 +39,18 @@ type inventoryServer struct {
 	feedDone chan error
 }
 
-// startInventoryServer listens on addr and serves the query API in the
-// background. Queries answer 503 until the first publish. A non-nil feed
-// additionally mounts GET /v1/watch over it; committed epochs must then
-// flow through publish so the feed and the snapshots stay in lockstep.
-// configure, when non-nil, runs against the server before it starts
-// accepting — the hook the coordinator uses to attach the cluster
+// startInventoryServer listens on addr and serves the query API over pub
+// in the background. Queries answer 503 until the first publish. A
+// non-nil feed additionally mounts GET /v1/watch over it; epochs must
+// then reach pub and feed through serve.Commit so the two stay in
+// lockstep. configure, when non-nil, runs against the server before it
+// starts accepting — the hook the coordinator uses to attach the cluster
 // control plane.
-func startInventoryServer(addr string, feed *serve.Feed, configure func(*serve.Server)) (*inventoryServer, error) {
+func startInventoryServer(addr string, pub *serve.Publisher, feed *serve.Feed, configure func(*serve.Server)) (*inventoryServer, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	pub := &serve.Publisher{}
 	api := newAPIServer(pub)
 	if feed != nil {
 		api.EnableWatch(feed)
@@ -70,47 +72,26 @@ func startInventoryServer(addr string, feed *serve.Feed, configure func(*serve.S
 			serveLog.Errorf("%v", err)
 		}
 	}()
-	serveLog.Infof("serving inventory API on http://%s/v1/", is.addr)
 	return is, nil
 }
 
-// publish indexes a merged inventory, commits it to the change feed
-// (which diffs it into the delta replicas and watchers stream), then
-// swaps the snapshot in as the served one. Feed before publisher: an
-// epoch a client can see served must already be one it can subscribe
-// from.
+// publish is an origin's commit hook: the merged inventory of an epoch
+// goes through serve.Commit (index, feed, publisher — in that order).
 func (is *inventoryServer) publish(epoch int, inv map[netmodel.Key]*continuous.Entry) {
-	if is == nil {
-		return
-	}
-	snap := serve.NewSnapshot(epoch, inv)
-	if is.feed != nil {
-		is.feed.Commit(epoch, inv)
-	}
-	is.pub.Publish(snap)
+	serve.Commit(is.pub, is.feed, epoch, inv, nil, nil)
 }
 
-// exportFeed serves the replication feed on addr: the -feed listener
-// replicas dial.
-func (is *inventoryServer) exportFeed(addr string) error {
+// exportFeed serves the replication feed on addr — the -feed listener
+// replicas dial — and returns the address it bound.
+func (is *inventoryServer) exportFeed(addr string) (net.Addr, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("feed: %w", err)
+		return nil, fmt.Errorf("feed: %w", err)
 	}
 	is.feedLis = lis
 	is.feedDone = make(chan error, 1)
 	go func() { is.feedDone <- transport.ServeFeed(lis, is.feed, nil) }()
-	serveLog.Infof("serving replication feed on %s", lis.Addr())
-	return nil
-}
-
-// hook returns the epoch-commit hook feeding the publisher (nil when not
-// serving, which unregisters cleanly).
-func (is *inventoryServer) hook() shard.CommitHook {
-	if is == nil {
-		return nil
-	}
-	return is.publish
+	return lis.Addr(), nil
 }
 
 // shutdown drains in-flight queries and closes the listener; part of the
@@ -157,18 +138,21 @@ type servableCoordinator interface {
 // replicas over the shard transport. configure customizes the server
 // before it accepts (health source, cluster control plane).
 func startServing(f daemonFlags, coord servableCoordinator, configure func(*serve.Server)) (*inventoryServer, error) {
-	api, err := startInventoryServer(f.serve, serve.NewFeed(f.feedHistory), configure)
+	api, err := startInventoryServer(f.serve, &serve.Publisher{}, serve.NewFeed(f.feedHistory), configure)
 	if err != nil {
 		return nil, err
 	}
-	coord.SetCommitHook(api.hook())
+	serveLog.Infof("serving inventory API on http://%s/v1/", api.addr)
+	coord.SetCommitHook(api.publish)
 	inv, _ := coord.Inventory()
 	api.publish(coord.EpochNumber(), inv)
 	if f.feedAddr != "" {
-		if err := api.exportFeed(f.feedAddr); err != nil {
+		addr, err := api.exportFeed(f.feedAddr)
+		if err != nil {
 			api.shutdown()
 			return nil, err
 		}
+		serveLog.Infof("serving replication feed on %s", addr)
 	}
 	return api, nil
 }
@@ -211,11 +195,12 @@ func runServeFile(f daemonFlags) int {
 			epoch = e.LastSeen
 		}
 	}
-	api, err := startInventoryServer(f.serve, nil, nil)
+	api, err := startInventoryServer(f.serve, &serve.Publisher{}, nil, nil)
 	if err != nil {
 		serveLog.Errorf("%v", err)
 		return 1
 	}
+	serveLog.Infof("serving inventory API on http://%s/v1/", api.addr)
 	api.publish(epoch, inv)
 	serveLog.Infof("serving %d services (epoch %d) from %s", len(inv), epoch, f.serveFile)
 	s := <-notifySignals()

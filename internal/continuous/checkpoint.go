@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"gps/internal/dataset"
 	"gps/internal/metrics"
@@ -52,7 +51,7 @@ func WriteCheckpoint(w io.Writer, st *State) error {
 	}
 
 	// The known set as a store binary dataset, deterministically ordered.
-	keys := sortedKnownKeys(st)
+	keys := netmodel.SortedKeys(st.Known)
 	d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(keys))}
 	for i, k := range keys {
 		d.Records[i] = st.Known[k].Rec
@@ -115,20 +114,6 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-func sortedKnownKeys(st *State) []netmodel.Key {
-	keys := make([]netmodel.Key, 0, len(st.Known))
-	for k := range st.Known {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].IP != keys[j].IP {
-			return keys[i].IP < keys[j].IP
-		}
-		return keys[i].Port < keys[j].Port
-	})
-	return keys
 }
 
 // statsCounters flattens EpochStats for serialization; statsFromCounters

@@ -208,10 +208,7 @@ func (r *Runner) sortedKeys() []netmodel.Key {
 		if a.LastSeen != b.LastSeen {
 			return a.LastSeen < b.LastSeen
 		}
-		if keys[i].IP != keys[j].IP {
-			return keys[i].IP < keys[j].IP
-		}
-		return keys[i].Port < keys[j].Port
+		return keys[i].Compare(keys[j]) < 0
 	})
 	return keys
 }

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -344,4 +345,32 @@ func TestForwardedServiceTTL(t *testing.T) {
 		return
 	}
 	t.Skip("no host with both forwarded and regular services")
+}
+
+// TestKeyCompare: Compare is the lexicographic (IP, port) order — IP
+// first across the whole 32-bit range, port breaking ties — and
+// SortedKeys returns a map's keys in it.
+func TestKeyCompare(t *testing.T) {
+	ordered := []Key{
+		{IP: 0, Port: 0}, {IP: 0, Port: 65535}, {IP: 1, Port: 0}, {IP: 1, Port: 80},
+		{IP: 0x7fffffff, Port: 443}, {IP: 0x80000000, Port: 1}, {IP: 0xffffffff, Port: 0}, {IP: 0xffffffff, Port: 65535},
+	}
+	set := map[Key]bool{}
+	for i, a := range ordered {
+		set[a] = true
+		for j, b := range ordered {
+			want := 0
+			if i < j {
+				want = -1
+			} else if i > j {
+				want = 1
+			}
+			if got := a.Compare(b); got != want {
+				t.Errorf("%v.Compare(%v) = %d; want %d", a, b, got, want)
+			}
+		}
+	}
+	if got := SortedKeys(set); !slices.Equal(got, ordered) {
+		t.Errorf("SortedKeys = %v; want %v", got, ordered)
+	}
 }

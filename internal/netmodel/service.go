@@ -16,7 +16,9 @@
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"gps/internal/asndb"
 	"gps/internal/features"
@@ -57,6 +59,25 @@ type Key struct {
 
 // String renders "ip:port".
 func (k Key) String() string { return fmt.Sprintf("%s:%d", k.IP, k.Port) }
+
+// Compare orders keys by (IP, port): the canonical order of every
+// inventory format, snapshot, delta and event list, and the tie-break
+// wherever services are ranked by something else first.
+func (k Key) Compare(o Key) int {
+	// One integer comparison with the IP as the high bits, small enough
+	// to inline into the sorts that call it a few million times an epoch.
+	return cmp.Compare(uint64(k.IP)<<16|uint64(k.Port), uint64(o.IP)<<16|uint64(o.Port))
+}
+
+// SortedKeys returns the keys of m in Compare order.
+func SortedKeys[V any](m map[Key]V) []Key {
+	keys := make([]Key, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, Key.Compare)
+	return keys
+}
 
 // Host is one responsive IPv4 address and everything it serves.
 type Host struct {

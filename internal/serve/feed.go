@@ -17,21 +17,51 @@ import (
 // feed's memory to history × churn.
 const defaultFeedHistory = 64
 
-// feedDelta is one retained epoch transition: the decoded delta (the
-// watch endpoint re-serializes it as JSON) and its canonical GPSE wire
-// bytes (what replica sessions stream).
-type feedDelta struct {
-	delta *shard.Delta
-	wire  []byte
+// Commit makes inv the inventory served for epoch. It is the one place an
+// epoch becomes visible — an origin's commit hook, gpsd serve FILE and a
+// replica landing a snapshot or a delta all come through here — so the
+// order is written once: index the snapshot (the slow step, first, so
+// the two commit points sit back to back), commit the feed, swap the
+// publisher. At every observation, by any goroutine, reading right to
+// left,
+//
+//	feed.Head() >= pub.Current().Epoch()
+//
+// so whoever sees an epoch served can subscribe to the feed from it: a
+// chained replica, or a /v1/watch client resuming from an ETag.
+//
+// A replica passes the delta d it applied to reach inv and the GPSE
+// bytes it arrived as, which its feed re-exports as they are; with d nil
+// the feed diffs inv against the inventory it retains. feed is nil where
+// there is no change feed (serve FILE). inv becomes the feed's to keep.
+func Commit(pub *Publisher, feed *Feed, epoch int, inv map[netmodel.Key]*continuous.Entry, d *shard.Delta, gpse []byte) {
+	snap := NewSnapshot(epoch, inv)
+	switch {
+	case feed == nil:
+	case d != nil:
+		feed.commit(epoch, inv, d.BaseEpoch, gpse)
+	default:
+		feed.Commit(epoch, inv)
+	}
+	pub.Publish(snap)
 }
 
-// Feed is the change-feed hub between the commit path and the
-// replication/watch consumers. The commit hook calls Commit with each
-// epoch's merged inventory; the feed diffs it against the previous
-// epoch's retained view, keeps the delta in a bounded history ring, and
-// wakes every waiting subscriber. It implements the transport layer's
-// FeedSource contract structurally (Head/Snapshot/Delta/Wait) and backs
-// GET /v1/watch through the same history.
+// feedDelta is one retained epoch transition, kept in the one form every
+// subscriber is served from: its canonical GPSE bytes. A replica session
+// frames them as they are; a watch session decodes them into its JSON
+// line.
+type feedDelta struct {
+	base, epoch int
+	wire        []byte
+}
+
+// Feed is the change-feed hub between the commit path (Commit, above)
+// and the replication/watch consumers. Each committed epoch's merged
+// inventory is diffed against the previous epoch's retained view, the
+// delta kept in a bounded history ring, and every waiting subscriber
+// woken. It is the transport layer's FeedSource (Head/Snapshot/Delta/
+// Wait): transport.FeedSession drives replica sessions and GET /v1/watch
+// alike off those four methods.
 //
 // All methods are safe for concurrent use.
 type Feed struct {
@@ -54,62 +84,45 @@ func NewFeed(history int) *Feed {
 	return &Feed{epoch: -1, history: history, notify: make(chan struct{})}
 }
 
-// Commit records a newly committed epoch and its merged inventory. The
-// map becomes the feed's to keep (the commit-hook contract: coordinators
-// build it fresh per commit) and must not be mutated afterwards.
-// Non-monotonic epochs are ignored, mirroring Publisher.Publish.
+// Commit records a newly committed epoch and its merged inventory,
+// diffing it against the retained one into the delta subscribers are
+// served. The map becomes the feed's to keep (the commit-hook contract:
+// coordinators build it fresh per commit) and must not be mutated
+// afterwards. Non-monotonic epochs are ignored, mirroring
+// Publisher.Publish.
 func (f *Feed) Commit(epoch int, inv map[netmodel.Key]*continuous.Entry) {
+	f.commit(epoch, inv, 0, nil)
+}
+
+// commit is Commit for a caller that may already hold the transition: a
+// non-nil gpse is the delta advancing base to epoch as it arrived over
+// the wire (the replica path, inv being the result of applying it), and
+// retaining the origin's bytes re-exports the feed without diffing or
+// re-serializing. The bytes become the feed's to keep.
+func (f *Feed) commit(epoch int, inv map[netmodel.Key]*continuous.Entry, base int, gpse []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed || epoch <= f.epoch {
 		return
 	}
-	if f.epoch >= 0 {
-		f.retain(shard.ComputeDelta(f.inv, inv, f.epoch, epoch), nil)
-	}
-	f.adopt(epoch, inv)
-}
-
-// CommitDelta records an epoch transition whose delta is already known —
-// the replica path, where the delta arrived over the wire and inv is the
-// result of applying it. Passing the original wire bytes (nil re-encodes)
-// lets a replica re-export the feed without re-serialization. Both the
-// delta and the map become the feed's to keep.
-func (f *Feed) CommitDelta(d *shard.Delta, wire []byte, inv map[netmodel.Key]*continuous.Entry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed || d.Epoch <= f.epoch {
-		return
-	}
-	if f.epoch >= 0 && d.BaseEpoch == f.epoch {
-		f.retain(d, wire)
-	}
-	f.adopt(d.Epoch, inv)
-}
-
-// retain appends one transition to the history ring. Callers hold f.mu.
-func (f *Feed) retain(d *shard.Delta, wire []byte) {
-	if wire == nil {
+	if gpse == nil && f.epoch >= 0 {
 		var buf bytes.Buffer
-		if err := shard.WriteDelta(&buf, d); err != nil {
-			return // never fails on an in-memory buffer; drop defensively
+		// WriteDelta never fails on an in-memory buffer; were it to, the
+		// transition is left out and subscribers at f.epoch re-bootstrap.
+		if shard.WriteDelta(&buf, shard.ComputeDelta(f.inv, inv, f.epoch, epoch)) == nil {
+			base, gpse = f.epoch, buf.Bytes()
 		}
-		wire = buf.Bytes()
 	}
-	f.hist = append(f.hist, feedDelta{delta: d, wire: wire})
-	if len(f.hist) > f.history {
-		f.hist = f.hist[len(f.hist)-f.history:]
+	if gpse != nil && f.epoch >= 0 && base == f.epoch {
+		f.hist = append(f.hist, feedDelta{base: base, epoch: epoch, wire: gpse})
+		if len(f.hist) > f.history {
+			f.hist = f.hist[len(f.hist)-f.history:]
+		}
 	}
-}
-
-// adopt swaps in the new inventory and wakes waiters. Callers hold f.mu.
-func (f *Feed) adopt(epoch int, inv map[netmodel.Key]*continuous.Entry) {
-	f.epoch = epoch
-	f.inv = inv
-	f.invWire = nil
+	f.epoch, f.inv, f.invWire = epoch, inv, nil
 	feedHeadEpoch.Set(float64(epoch))
 	feedHistoryDepth.Set(float64(len(f.hist)))
-	close(f.notify)
+	close(f.notify) // wake every waiter
 	f.notify = make(chan struct{})
 }
 
@@ -136,7 +149,7 @@ func (f *Feed) Snapshot() (int, []byte) {
 
 // SnapshotInventory returns the current epoch and a reference to the
 // retained inventory. The map is as-committed and must be treated as
-// immutable; it backs the watch endpoint's bootstrap frames.
+// immutable; a replica clones it as the base of its next delta apply.
 func (f *Feed) SnapshotInventory() (int, map[netmodel.Key]*continuous.Entry) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -147,33 +160,14 @@ func (f *Feed) SnapshotInventory() (int, map[netmodel.Key]*continuous.Entry) {
 // next epoch, or ok=false when from has aged out of the history (the
 // subscriber must re-bootstrap from Snapshot).
 func (f *Feed) Delta(from int) ([]byte, int, bool) {
-	fd, ok := f.lookup(from)
-	if !ok {
-		return nil, 0, false
-	}
-	return fd.wire, fd.delta.Epoch, true
-}
-
-// DeltaAt is Delta for consumers that want the decoded form (the watch
-// endpoint re-serializes it as JSON). The returned delta is shared and
-// must be treated as immutable.
-func (f *Feed) DeltaAt(from int) (*shard.Delta, bool) {
-	fd, ok := f.lookup(from)
-	if !ok {
-		return nil, false
-	}
-	return fd.delta, true
-}
-
-func (f *Feed) lookup(from int) (feedDelta, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, fd := range f.hist {
-		if fd.delta.BaseEpoch == from {
-			return fd, true
+		if fd.base == from {
+			return fd.wire, fd.epoch, true
 		}
 	}
-	return feedDelta{}, false
+	return nil, 0, false
 }
 
 // Wait blocks until the head epoch exceeds epoch, cancel fires, or the

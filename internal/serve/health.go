@@ -85,23 +85,32 @@ func writeHealth(w http.ResponseWriter, r *http.Request, doc healthJSON) {
 	w.Write(append(body, '\n'))
 }
 
-// healthDoc merges the snapshot view with the attached HealthSource
-// into the served document.
-func (s *Server) healthDoc() healthJSON {
-	doc := healthJSON{Status: "ok"}
-	if s.health != nil {
-		info := s.health.Health()
-		doc.Role = info.Role
-		doc.ShardsOwned = info.ShardsOwned
-		doc.FeedLag = info.FeedLag
-		doc.Draining = info.Draining
-		if info.Bootstrapping {
-			doc.Status = "starting"
-		}
-		if info.Draining {
-			doc.Status = "draining"
-		}
+// roleDoc is the role part of the readiness document: what a process
+// says about itself whether or not it serves an inventory.
+func roleDoc(info HealthInfo) healthJSON {
+	doc := healthJSON{
+		Status: "ok", Role: info.Role,
+		ShardsOwned: info.ShardsOwned, FeedLag: info.FeedLag,
+		Draining: info.Draining,
 	}
+	if info.Bootstrapping {
+		doc.Status = "starting"
+	}
+	if info.Draining {
+		doc.Status = "draining"
+	}
+	return doc
+}
+
+// healthDoc is the served document: the attached HealthSource's role
+// part plus the snapshot fields; with no snapshot published yet the
+// server is starting, whatever its role says.
+func (s *Server) healthDoc() healthJSON {
+	var info HealthInfo
+	if s.health != nil {
+		info = s.health.Health()
+	}
+	doc := roleDoc(info)
 	if snap := s.pub.Current(); snap != nil {
 		doc.Epoch = snap.Epoch()
 		doc.Services = snap.NumServices()
@@ -121,18 +130,6 @@ func HealthHandler(hs HealthSource) http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, errMethodNotAllowed, "GET or HEAD only")
 			return
 		}
-		info := hs.Health()
-		doc := healthJSON{
-			Status: "ok", Role: info.Role,
-			ShardsOwned: info.ShardsOwned, FeedLag: info.FeedLag,
-			Draining: info.Draining,
-		}
-		if info.Bootstrapping {
-			doc.Status = "starting"
-		}
-		if info.Draining {
-			doc.Status = "draining"
-		}
-		writeHealth(w, r, doc)
+		writeHealth(w, r, roleDoc(hs.Health()))
 	})
 }

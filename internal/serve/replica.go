@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gps/internal/continuous"
+	"gps/internal/netmodel"
 	"gps/internal/shard"
 	"gps/internal/shard/transport"
 	"gps/internal/trace"
@@ -28,19 +30,6 @@ type ReplicaOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o *ReplicaOptions) backoff() time.Duration {
-	if o == nil || o.Backoff <= 0 {
-		return 250 * time.Millisecond
-	}
-	return o.Backoff
-}
-
-func (o *ReplicaOptions) logf(format string, args ...any) {
-	if o != nil && o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
 // ReplicaServer is a stateless read replica: it subscribes to an origin
 // daemon's replication feed, applies epoch deltas onto a local
 // inventory, and publishes each resulting epoch through its own
@@ -53,19 +42,13 @@ func (o *ReplicaOptions) logf(format string, args ...any) {
 // a full snapshot frame and catches up; its subscription epoch rides
 // the feed protocol, so a live replica only ever transfers the churn.
 //
-// An applied epoch lives in exactly two places, written in one order:
-// the feed commits it (and retains its inventory), then the publisher
-// swaps in its already-indexed snapshot. Epoch() reads the publisher. So at every
-// observation, by any goroutine,
-//
-//	Feed().Head() >= Publisher().Current().Epoch() >= Epoch()
-//
-// (reading right to left): whoever sees an epoch served can subscribe to
-// the feed from it, which is what a chained replica or a /v1/watch
-// client resuming from an ETag does.
+// An applied epoch lives in exactly two places, the re-export feed and
+// the publisher, and both are written by Commit, whose order gives the
+// replica the same invariant as an origin; Epoch() reads the publisher,
+// so Feed().Head() >= Publisher().Current().Epoch() >= Epoch().
 type ReplicaServer struct {
 	upstream string
-	opts     *ReplicaOptions
+	opts     ReplicaOptions // defaults resolved by NewReplicaServer
 	pub      *Publisher
 	feed     *Feed
 	lag      atomic.Int64 // origin head minus applied epoch, per last event
@@ -75,19 +58,18 @@ type ReplicaServer struct {
 // (host:port of the origin's -feed listener). Run starts it; Publisher
 // and Feed are live immediately (serving 503s until the bootstrap).
 func NewReplicaServer(upstream string, opts *ReplicaOptions) *ReplicaServer {
-	return &ReplicaServer{
-		upstream: upstream,
-		opts:     opts,
-		pub:      &Publisher{},
-		feed:     NewFeed(opts.feedHistory()),
+	r := &ReplicaServer{upstream: upstream, pub: &Publisher{}}
+	if opts != nil {
+		r.opts = *opts
 	}
-}
-
-func (o *ReplicaOptions) feedHistory() int {
-	if o == nil {
-		return 0
+	if r.opts.Backoff <= 0 {
+		r.opts.Backoff = 250 * time.Millisecond
 	}
-	return o.FeedHistory
+	if r.opts.Logf == nil {
+		r.opts.Logf = func(string, ...any) {}
+	}
+	r.feed = NewFeed(r.opts.FeedHistory)
+	return r
 }
 
 // Publisher returns the replica's snapshot publisher; wrap it in a
@@ -125,32 +107,24 @@ func (r *ReplicaServer) Health() HealthInfo {
 // applied snapshot throughout any upstream outage.
 func (r *ReplicaServer) Run(ctx context.Context) error {
 	defer r.feed.Close()
-	delay := r.opts.backoff()
+	delay := r.opts.Backoff
 	since := r.Epoch()
 	for ctx.Err() == nil {
-		fc, err := transport.DialFeed(r.upstream, since, r.opts.dialOpts())
+		fc, err := transport.DialFeed(r.upstream, since, r.opts.Dial)
 		if err != nil {
-			r.opts.logf("replica: dialing %s: %v", r.upstream, err)
-			if !r.sleep(ctx, delay) {
-				return nil
+			r.opts.Logf("replica: dialing %s: %v", r.upstream, err)
+		} else {
+			// A dead context must unblock Recv: close the connection under it.
+			stop := context.AfterFunc(ctx, func() { fc.Close() })
+			before := r.Epoch()
+			since = r.consume(ctx, fc)
+			stop()
+			fc.Close()
+			if r.Epoch() != before {
+				// The connection made progress; don't punish the next dial
+				// for an origin restart that happened epochs later.
+				delay = r.opts.Backoff
 			}
-			delay = r.nextDelay(delay)
-			replicaReconnects.Inc()
-			continue
-		}
-		// A dead context must unblock Recv: close the connection under it.
-		stop := context.AfterFunc(ctx, func() { fc.Close() })
-		before := r.Epoch()
-		since = r.consume(ctx, fc)
-		stop()
-		fc.Close()
-		if r.Epoch() != before {
-			// The connection made progress; don't punish the next dial
-			// for an origin restart that happened epochs later.
-			delay = r.opts.backoff()
-		}
-		if ctx.Err() != nil {
-			return nil
 		}
 		if !r.sleep(ctx, delay) {
 			return nil
@@ -168,7 +142,7 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 		ev, err := fc.Recv()
 		if err != nil {
 			if ctx.Err() == nil {
-				r.opts.logf("replica: feed from %s ended: %v", r.upstream, err)
+				r.opts.Logf("replica: feed from %s ended: %v", r.upstream, err)
 			}
 			return r.Epoch()
 		}
@@ -176,21 +150,19 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 		case transport.FeedSnapshot:
 			inv, err := shard.ReadInventory(bytes.NewReader(ev.Payload))
 			if err != nil {
-				r.opts.logf("replica: undecodable snapshot for epoch %d: %v", ev.Epoch, err)
+				r.opts.Logf("replica: undecodable snapshot for epoch %d: %v", ev.Epoch, err)
 				return -1 // refuse the stream; re-bootstrap from scratch
 			}
 			if ev.Epoch <= r.Epoch() {
 				// The origin restarted behind what this replica serves.
 				// Served epochs never move backward, so keep serving and
 				// re-bootstrap once the origin has passed it.
-				r.opts.logf("replica: origin snapshot at epoch %d is behind served epoch %d", ev.Epoch, r.Epoch())
+				r.opts.Logf("replica: origin snapshot at epoch %d is behind served epoch %d", ev.Epoch, r.Epoch())
 				return -1
 			}
-			snap := NewSnapshot(ev.Epoch, inv)
-			r.feed.Commit(ev.Epoch, inv)
-			r.publish(ev, snap)
+			r.land(ev, inv, nil)
 			replicaBootstraps.Inc()
-			r.opts.logf("replica: bootstrapped at epoch %d (%d services)", ev.Epoch, len(inv))
+			r.opts.Logf("replica: bootstrapped at epoch %d (%d services)", ev.Epoch, len(inv))
 		case transport.FeedDelta:
 			applySpan := trace.StartSpan(trace.SpanContext{}, "replica.apply",
 				trace.Int("epoch", ev.Epoch), trace.Int("delta_bytes", len(ev.Payload)))
@@ -200,7 +172,7 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 					err = fmt.Errorf("delta base epoch %d does not match replica epoch %d", d.BaseEpoch, r.Epoch())
 				}
 				applySpan.FinishErr(err)
-				r.opts.logf("replica: delta for epoch %d unusable: %v", ev.Epoch, err)
+				r.opts.Logf("replica: delta for epoch %d unusable: %v", ev.Epoch, err)
 				return -1
 			}
 			// Deltas apply to a clone, so every map ever handed to the
@@ -209,12 +181,10 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 			next := shard.CloneInventory(cur)
 			if err := shard.ApplyDelta(next, d); err != nil {
 				applySpan.FinishErr(err)
-				r.opts.logf("replica: applying delta %d→%d: %v", d.BaseEpoch, d.Epoch, err)
+				r.opts.Logf("replica: applying delta %d→%d: %v", d.BaseEpoch, d.Epoch, err)
 				return -1
 			}
-			snap := NewSnapshot(ev.Epoch, next)
-			r.feed.CommitDelta(d, ev.Payload, next)
-			r.publish(ev, snap)
+			r.land(ev, next, d)
 			replicaDeltasApplied.Inc()
 			applySpan.SetAttr(trace.Int("services", len(next)))
 			applySpan.Finish()
@@ -222,12 +192,13 @@ func (r *ReplicaServer) consume(ctx context.Context, fc *transport.FeedConn) int
 	}
 }
 
-// publish serves an epoch the feed has already committed. Callers index
-// the snapshot before the feed commit, so the two commit points sit back
-// to back and the feed is only ever ahead for a pointer swap.
-func (r *ReplicaServer) publish(ev transport.FeedEvent, snap *Snapshot) {
+// land commits the inventory an event produced — d is the delta that
+// was applied, nil for a snapshot — and records how far behind the
+// origin's head it leaves the replica. The lag is stored first so that
+// whoever sees the epoch served reads the lag that goes with it.
+func (r *ReplicaServer) land(ev transport.FeedEvent, inv map[netmodel.Key]*continuous.Entry, d *shard.Delta) {
 	r.lag.Store(int64(ev.Head - ev.Epoch))
-	r.pub.Publish(snap)
+	Commit(r.pub, r.feed, ev.Epoch, inv, d, ev.Payload)
 	replicaLag.Set(float64(ev.Head - ev.Epoch))
 }
 
@@ -243,15 +214,8 @@ func (r *ReplicaServer) sleep(ctx context.Context, d time.Duration) bool {
 }
 
 func (r *ReplicaServer) nextDelay(d time.Duration) time.Duration {
-	if max := 16 * r.opts.backoff(); d >= max {
+	if max := 16 * r.opts.Backoff; d >= max {
 		return max
 	}
 	return 2 * d
-}
-
-func (o *ReplicaOptions) dialOpts() *transport.Options {
-	if o == nil {
-		return nil
-	}
-	return o.Dial
 }

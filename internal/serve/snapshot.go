@@ -116,17 +116,7 @@ func (l *lazy[T]) get(compute func() T) T {
 // the snapshot copies what it serves, so the producer may keep mutating
 // its inventory the moment this returns.
 func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
-	keys := make([]netmodel.Key, 0, len(inv))
-	for k := range inv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].IP != keys[j].IP {
-			return keys[i].IP < keys[j].IP
-		}
-		return keys[i].Port < keys[j].Port
-	})
-
+	keys := netmodel.SortedKeys(inv)
 	s := &Snapshot{
 		epoch:    epoch,
 		services: make([]Service, len(keys)),

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"gps/internal/continuous"
 	"gps/internal/netmodel"
 	"gps/internal/shard"
+	"gps/internal/shard/transport"
 )
 
 // GET /v1/watch streams the change feed as newline-delimited JSON: one
@@ -69,22 +70,33 @@ func toWatchDelta(d *shard.Delta) watchDeltaJSON {
 }
 
 func toWatchSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) watchSnapshotJSON {
-	keys := make([]netmodel.Key, 0, len(inv))
-	for k := range inv {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].IP != keys[j].IP {
-			return keys[i].IP < keys[j].IP
-		}
-		return keys[i].Port < keys[j].Port
-	})
 	out := watchSnapshotJSON{Event: "snapshot", Epoch: epoch,
 		Services: make([]WatchEntry, 0, len(inv))}
-	for _, k := range keys {
+	for _, k := range netmodel.SortedKeys(inv) {
 		out.Services = append(out.Services, toWatchEntry(k, inv[k]))
 	}
 	return out
+}
+
+// watchLine renders one feed event — the GPSE or GPSV bytes every
+// subscriber is served from — as its NDJSON line.
+func watchLine(ev transport.FeedEvent) ([]byte, error) {
+	var doc any
+	if ev.Kind == transport.FeedSnapshot {
+		inv, err := shard.ReadInventory(bytes.NewReader(ev.Payload))
+		if err != nil {
+			return nil, err
+		}
+		doc = toWatchSnapshot(ev.Epoch, inv)
+	} else {
+		d, err := shard.ReadDelta(bytes.NewReader(ev.Payload))
+		if err != nil {
+			return nil, err
+		}
+		doc = toWatchDelta(d)
+	}
+	body, err := json.Marshal(doc)
+	return append(body, '\n'), err
 }
 
 // watchWriteTimeout bounds one event line's write+flush. A consumer that
@@ -102,7 +114,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.feed == nil {
 		writeError(w, http.StatusNotFound, errWatchUnavailable,
-			"this server runs without a change feed; /v1/watch is served by daemons and replicas, not -serve-file")
+			"this server runs without a change feed; /v1/watch is served by daemons and replicas, not gpsd serve FILE")
 		return
 	}
 	since := -1
@@ -125,51 +137,29 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	watchSessions.Add(1)
 	defer watchSessions.Add(-1)
 
-	writeLine := func(v any) bool {
-		body, err := json.Marshal(v)
+	// The session is the one every feed subscriber gets; only the
+	// rendering is this endpoint's. It ends, and with it the response
+	// body, when the feed closes, the client disconnects (r.Context() is
+	// done) or a line cannot be delivered.
+	transport.FeedSession(r.Context(), s.feed, since, func(ev transport.FeedEvent) error {
+		line, err := watchLine(ev)
 		if err != nil {
-			return false
+			return err
 		}
 		rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		if _, err := w.Write(append(body, '\n')); err != nil {
-			return false
+		if _, err := w.Write(line); err != nil {
+			return err
 		}
-		return rc.Flush() == nil
-	}
-
-	// The session mirrors a feed replica's: deltas while the client's
-	// epoch is in history, a full snapshot when it is not, Wait between
-	// commits. r.Context() is done when the client disconnects.
-	cancel := r.Context().Done()
-	cur := since
-	for {
-		head := s.feed.Head()
-		if head < 0 || cur == head {
-			if !s.feed.Wait(head, cancel) {
-				return // feed closed: clean end of stream
-			}
-			select {
-			case <-cancel:
-				return
-			default:
-			}
-			continue
+		if err := rc.Flush(); err != nil {
+			return err
 		}
-		if d, ok := s.feed.DeltaAt(cur); ok {
-			if !writeLine(toWatchDelta(d)) {
-				return
-			}
+		if ev.Kind == transport.FeedSnapshot {
+			watchSnapshotsSent.Inc()
+		} else {
 			watchEventsSent.Inc()
-			cur = d.Epoch
-			continue
 		}
-		epoch, inv := s.feed.SnapshotInventory()
-		if !writeLine(toWatchSnapshot(epoch, inv)) {
-			return
-		}
-		watchSnapshotsSent.Inc()
-		cur = epoch
-	}
+		return nil
+	})
 }
 
 // ipKey parses a watch event's textual IP back into an inventory key.

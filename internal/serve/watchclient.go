@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"gps/internal/asndb"
@@ -15,6 +16,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/netmodel"
+	"gps/internal/shard"
 )
 
 // WatchEntry is one added/updated/snapshot service in a watch event,
@@ -50,78 +52,62 @@ type WatchEvent struct {
 	Removes   []WatchKey   `json:"removes"`
 }
 
-func (e WatchEntry) entry() (netmodel.Key, *continuous.Entry, error) {
-	k, err := ipKey(e.IP, e.Port)
-	if err != nil {
-		return netmodel.Key{}, nil, err
+// delta is the event in the form shard.ApplyDelta takes: a delta event
+// as it stands, a snapshot's services as the adds onto an inventory the
+// caller has emptied.
+func (ev WatchEvent) delta() (*shard.Delta, error) {
+	var bad error
+	key := func(ip string, port uint16) netmodel.Key {
+		k, err := ipKey(ip, port)
+		if err != nil && bad == nil {
+			bad = err
+		}
+		return k
 	}
-	return k, &continuous.Entry{
-		Rec: dataset.Record{
-			IP: k.IP, Port: e.Port,
-			Proto: features.Protocol(e.Proto), ASN: asndb.ASN(e.ASN), TTL: e.TTL,
-		},
-		FirstSeen: e.FirstSeen, LastSeen: e.LastSeen, Stale: e.Stale,
-	}, nil
+	entries := func(es []WatchEntry) []shard.DeltaEntry {
+		out := make([]shard.DeltaEntry, len(es))
+		for i, e := range es {
+			k := key(e.IP, e.Port)
+			out[i] = shard.DeltaEntry{Key: k, Entry: continuous.Entry{
+				Rec: dataset.Record{
+					IP: k.IP, Port: e.Port,
+					Proto: features.Protocol(e.Proto), ASN: asndb.ASN(e.ASN), TTL: e.TTL,
+				},
+				FirstSeen: e.FirstSeen, LastSeen: e.LastSeen, Stale: e.Stale,
+			}}
+		}
+		return out
+	}
+	d := &shard.Delta{BaseEpoch: ev.BaseEpoch, Epoch: ev.Epoch, Updates: entries(ev.Updates)}
+	if ev.Event == "snapshot" {
+		d.Adds = entries(ev.Services)
+	} else {
+		d.Adds = entries(ev.Adds)
+	}
+	for _, r := range ev.Removes {
+		d.Removes = append(d.Removes, key(r.IP, r.Port))
+	}
+	return d, bad
 }
 
-// ApplyTo folds the event into inv: a snapshot replaces its contents, a
-// delta applies adds/updates/removes strictly (an add that exists or an
-// update/remove that does not means inv diverged from the stream's
-// base, and errors with inv partially updated). A consumer that starts
-// from an empty map and applies every event in order holds exactly the
-// origin's inventory after each event.
+// ApplyTo folds the event into inv with shard.ApplyDelta, the one strict
+// apply: a snapshot replaces inv's contents; a delta's adds must be new
+// and its updates and removes must hit (anything else means inv diverged
+// from the stream's base, and errors with inv partially updated). A
+// consumer that starts from an empty map and applies every event in
+// order holds exactly the origin's inventory after each event.
 func (ev WatchEvent) ApplyTo(inv map[netmodel.Key]*continuous.Entry) error {
-	switch ev.Event {
-	case "snapshot":
-		for k := range inv {
-			delete(inv, k)
-		}
-		for _, s := range ev.Services {
-			k, e, err := s.entry()
-			if err != nil {
-				return fmt.Errorf("serve: watch snapshot: %w", err)
-			}
-			inv[k] = e
-		}
-		return nil
-	case "delta":
-		for _, a := range ev.Adds {
-			k, e, err := a.entry()
-			if err != nil {
-				return fmt.Errorf("serve: watch delta: %w", err)
-			}
-			if _, ok := inv[k]; ok {
-				return fmt.Errorf("serve: watch delta %d→%d adds %v/%d, which is already held",
-					ev.BaseEpoch, ev.Epoch, a.IP, a.Port)
-			}
-			inv[k] = e
-		}
-		for _, u := range ev.Updates {
-			k, e, err := u.entry()
-			if err != nil {
-				return fmt.Errorf("serve: watch delta: %w", err)
-			}
-			if _, ok := inv[k]; !ok {
-				return fmt.Errorf("serve: watch delta %d→%d updates %v/%d, which is not held",
-					ev.BaseEpoch, ev.Epoch, u.IP, u.Port)
-			}
-			inv[k] = e
-		}
-		for _, r := range ev.Removes {
-			k, err := ipKey(r.IP, r.Port)
-			if err != nil {
-				return fmt.Errorf("serve: watch delta: %w", err)
-			}
-			if _, ok := inv[k]; !ok {
-				return fmt.Errorf("serve: watch delta %d→%d removes %v/%d, which is not held",
-					ev.BaseEpoch, ev.Epoch, r.IP, r.Port)
-			}
-			delete(inv, k)
-		}
-		return nil
-	default:
+	if ev.Event != "snapshot" && ev.Event != "delta" {
 		return fmt.Errorf("serve: unknown watch event %q", ev.Event)
 	}
+	d, err := ev.delta()
+	if err != nil {
+		return fmt.Errorf("serve: watch %s: %w", ev.Event, err)
+	}
+	if ev.Event == "snapshot" {
+		clear(inv)
+	}
+	return shard.ApplyDelta(inv, d)
 }
 
 // ErrWatchDone stops WatchClient.Follow from inside the callback;
@@ -145,8 +131,14 @@ type WatchClient struct {
 // stop), or the stream ends. A non-200 response is decoded into the
 // error envelope and returned as an error.
 func (c *WatchClient) Follow(ctx context.Context, fn func(WatchEvent) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.URL+"?since="+strconv.Itoa(c.Since), nil)
+	u, err := url.Parse(c.URL)
+	if err != nil {
+		return fmt.Errorf("serve: watch: %w", err)
+	}
+	q := u.Query()
+	q.Set("since", strconv.Itoa(c.Since))
+	u.RawQuery = q.Encode()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		return fmt.Errorf("serve: watch: %w", err)
 	}

@@ -140,15 +140,8 @@ func MergeResults(results []*pipeline.Result) *Merged {
 			}
 		}
 	}
-	sort.Slice(m.Anchors, func(i, j int) bool { return keyLess(m.Anchors[i].Key(), m.Anchors[j].Key()) })
-	sort.Slice(m.Discoveries, func(i, j int) bool { return keyLess(m.Discoveries[i].Key, m.Discoveries[j].Key) })
+	sort.Slice(m.Anchors, func(i, j int) bool { return m.Anchors[i].Key().Compare(m.Anchors[j].Key()) < 0 })
+	sort.Slice(m.Discoveries, func(i, j int) bool { return m.Discoveries[i].Key.Compare(m.Discoveries[j].Key) < 0 })
 	m.MergeTime = time.Since(start)
 	return m
-}
-
-func keyLess(a, b netmodel.Key) bool {
-	if a.IP != b.IP {
-		return a.IP < b.IP
-	}
-	return a.Port < b.Port
 }

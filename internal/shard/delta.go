@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"gps/internal/continuous"
 	"gps/internal/dataset"
@@ -100,12 +100,12 @@ func ComputeDelta(base, next map[netmodel.Key]*continuous.Entry, baseEpoch, epoc
 	}
 	sortDeltaEntries(d.Adds)
 	sortDeltaEntries(d.Updates)
-	sort.Slice(d.Removes, func(i, j int) bool { return keyLess(d.Removes[i], d.Removes[j]) })
+	slices.SortFunc(d.Removes, netmodel.Key.Compare)
 	return d
 }
 
 func sortDeltaEntries(es []DeltaEntry) {
-	sort.Slice(es, func(i, j int) bool { return keyLess(es[i].Key, es[j].Key) })
+	slices.SortFunc(es, func(a, b DeltaEntry) int { return a.Key.Compare(b.Key) })
 }
 
 // ApplyDelta applies a delta to an inventory in place: adds must be new

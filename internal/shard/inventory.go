@@ -2,7 +2,6 @@ package shard
 
 import (
 	"io"
-	"sort"
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
@@ -73,16 +72,6 @@ func decodeKey(d *wire.Dec) netmodel.Key {
 	return netmodel.Key{IP: asndb.IP(d.U32()), Port: d.U16()}
 }
 
-// sortedKeys returns a key set in canonical (IP, port) order.
-func sortedKeys[V any](m map[netmodel.Key]V) []netmodel.Key {
-	keys := make([]netmodel.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	return keys
-}
-
 // WriteInventory serializes a merged continuous inventory canonically:
 // the sorted (IP, port) key set, each key followed by its entry's record
 // fields and FirstSeen/LastSeen/Stale counters. Two coordinators that
@@ -90,7 +79,7 @@ func sortedKeys[V any](m map[netmodel.Key]V) []netmodel.Key {
 // byte-identical output whatever their shard layout or transport — the
 // determinism contract the distributed CI gate diffs.
 func WriteInventory(w io.Writer, inv map[netmodel.Key]*continuous.Entry) error {
-	keys := sortedKeys(inv)
+	keys := netmodel.SortedKeys(inv)
 	e := make(wire.Enc, 0, 13+servedSizeHint*len(keys))
 	e.Header(stateInventoryMagic, stateInventoryVersion)
 	e.U64(uint64(len(keys)))

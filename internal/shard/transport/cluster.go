@@ -128,12 +128,7 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 		c.opts.logf("transport: join from %s rejected: %v", addr, why)
 		conn.Close()
 	}
-	conn.SetDeadline(time.Now().Add(c.opts.dialTimeout()))
-	if err := writeHandshake(conn); err != nil {
-		reject(err)
-		return
-	}
-	if err := readHandshake(conn); err != nil {
+	if err := openConn(conn, "joining worker", addr, c.opts.dialTimeout()); err != nil {
 		// The usual failure here is version skew: an old worker dialed
 		// a new cluster listener (or a fuzzer dialed anything). Our
 		// preamble already went out, so the peer holds a bad-version
@@ -191,10 +186,6 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 		c.removePending(w)
 		conn.Close()
 		return
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(30 * time.Second)
 	}
 	conn.SetDeadline(time.Time{}) // per-RPC deadlines take over after admission
 	c.opts.logf("transport: worker %q (%s) joined; admitting at the next epoch boundary", m.ID, addr)

@@ -204,16 +204,10 @@ func Dial(addrs []string, cfg shard.Config, worldSpec []byte, opts *Options) (*C
 			c.Close()
 			return nil, fmt.Errorf("transport: dialing worker %s: %w", addr, err)
 		}
-		conn.SetDeadline(time.Now().Add(opts.timeout()))
-		if err := writeHandshake(conn); err != nil {
+		if err := openConn(conn, "worker", addr, opts.timeout()); err != nil {
 			conn.Close()
 			c.Close()
-			return nil, &DisconnectError{Addr: addr, Err: err}
-		}
-		if err := readHandshake(conn); err != nil {
-			conn.Close()
-			c.Close()
-			return nil, fmt.Errorf("transport: handshake with worker %s: %w", addr, err)
+			return nil, err
 		}
 		c.workers = append(c.workers, newWorkerLink(addr, addr, conn, false))
 	}

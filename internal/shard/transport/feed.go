@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -66,10 +67,6 @@ func ServeFeed(lis net.Listener, src FeedSource, opts *Options) error {
 			}
 			return err
 		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(30 * time.Second)
-		}
 		feedSessions.Inc()
 		feedSubscribers.Add(1)
 		go func(conn net.Conn) {
@@ -82,13 +79,45 @@ func ServeFeed(lis net.Listener, src FeedSource, opts *Options) error {
 	}
 }
 
-// serveFeedSession runs one replica's subscription to completion.
-func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
-	conn.SetDeadline(time.Now().Add(opts.timeout()))
-	if err := writeHandshake(conn); err != nil {
-		return err
+// FeedSession runs one subscriber's session over src, whatever the
+// subscriber's transport: from the epoch it already holds, emit is
+// handed the events described above — a FeedDelta while that epoch is in
+// src's history, a FeedSnapshot when it is not — waiting between
+// commits. It returns nil when src closes (the clean end of the stream,
+// which the caller signals in its own encoding), ctx.Err() when the
+// subscriber went away, and emit's error for an undeliverable event.
+func FeedSession(ctx context.Context, src FeedSource, since int, emit func(FeedEvent) error) error {
+	cur := since
+	for {
+		head := src.Head()
+		if head < 0 || cur == head {
+			// Nothing to send (yet): wait for the next commit.
+			if !src.Wait(head, ctx.Done()) {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			continue
+		}
+		var ev FeedEvent
+		if gpse, next, ok := src.Delta(cur); ok {
+			ev = FeedEvent{Kind: FeedDelta, Epoch: next, Head: src.Head(), Payload: gpse}
+		} else {
+			epoch, gpsv := src.Snapshot()
+			ev = FeedEvent{Kind: FeedSnapshot, Epoch: epoch, Head: epoch, Payload: gpsv}
+		}
+		if err := emit(ev); err != nil {
+			return err
+		}
+		cur = ev.Epoch
 	}
-	if err := readHandshake(conn); err != nil {
+}
+
+// serveFeedSession runs one replica's subscription to completion: the
+// set-up exchange, then FeedSession with each event written as a frame.
+func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
+	if err := openConn(conn, "feed subscriber", conn.RemoteAddr().String(), opts.timeout()); err != nil {
 		return err
 	}
 	typ, payload, err := readFrame(conn)
@@ -106,47 +135,34 @@ func serveFeedSession(conn net.Conn, src FeedSource, opts *Options) error {
 
 	// The client sends nothing after the subscribe, so a pending read
 	// only ever completes when the connection dies — which is exactly
-	// the signal Wait needs to stop blocking for a gone replica.
+	// the signal the session needs to stop waiting for a gone replica.
 	conn.SetDeadline(time.Time{})
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		defer close(cancel)
+		defer cancel()
 		io.Copy(io.Discard, conn)
 	}()
 
-	cur := since
-	for {
-		head := src.Head()
-		if head < 0 || cur == head {
-			// Nothing to send (yet): wait for the next commit.
-			if !src.Wait(head, cancel) {
-				writeFeedFrame(conn, opts, msgShutdown, nil)
-				return nil
-			}
-			select {
-			case <-cancel:
-				return nil
-			default:
-			}
-			continue
-		}
-		if blob, next, ok := src.Delta(cur); ok {
-			if err := writeFeedFrame(conn, opts, msgDelta, encodeFeedDelta(src.Head(), next, blob)); err != nil {
+	err = FeedSession(ctx, src, since, func(ev FeedEvent) error {
+		if ev.Kind == FeedSnapshot {
+			if err := writeFeedFrame(conn, opts, msgSnapshot, encodeFeedSnapshot(ev.Epoch, ev.Payload)); err != nil {
 				return err
 			}
-			feedDeltasSent.Inc()
-			cur = next
-			continue
+			feedSnapshotsSent.Inc()
+			return nil
 		}
-		// Out of history (first contact, or the replica lagged past the
-		// retention window): restart it from a full snapshot.
-		epoch, blob := src.Snapshot()
-		if err := writeFeedFrame(conn, opts, msgSnapshot, encodeFeedSnapshot(epoch, blob)); err != nil {
+		if err := writeFeedFrame(conn, opts, msgDelta, encodeFeedDelta(ev.Head, ev.Epoch, ev.Payload)); err != nil {
 			return err
 		}
-		feedSnapshotsSent.Inc()
-		cur = epoch
+		feedDeltasSent.Inc()
+		return nil
+	})
+	if err == nil {
+		writeFeedFrame(conn, opts, msgShutdown, nil)
+	} else if errors.Is(err, context.Canceled) {
+		err = nil // the replica hung up; nothing to report
 	}
+	return err
 }
 
 // writeFeedFrame sends one frame under a per-write deadline: a replica
@@ -197,18 +213,9 @@ func DialFeed(addr string, since int, opts *Options) (*FeedConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing feed %s: %w", addr, err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(30 * time.Second)
-	}
-	conn.SetDeadline(time.Now().Add(opts.timeout()))
-	if err := writeHandshake(conn); err != nil {
+	if err := openConn(conn, "feed", addr, opts.timeout()); err != nil {
 		conn.Close()
-		return nil, &DisconnectError{Addr: addr, Err: err}
-	}
-	if err := readHandshake(conn); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("transport: handshake with feed %s: %w", addr, err)
+		return nil, err
 	}
 	if err := writeFrame(conn, msgSubscribe, encodeSubscribe(since)); err != nil {
 		conn.Close()

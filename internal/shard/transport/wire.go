@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sort"
+	"time"
 
 	"gps/internal/continuous"
 	"gps/internal/features"
@@ -130,6 +132,30 @@ func (e *WorkerError) Error() string {
 }
 
 func (e *WorkerError) Unwrap() error { return e.Err }
+
+// openConn is how every GPST connection starts, on both ends of every
+// link (coordinator↔worker, join, feed): keepalive, because links idle
+// between epochs and only keepalive reaps a half-open connection to a
+// crashed or partitioned peer, then the preamble exchange under a set-up
+// deadline, which stays armed for the caller's own set-up frames
+// (subscribe, join) until the caller clears or replaces it. A preamble
+// that cannot be sent is a *DisconnectError; one that cannot be read or
+// is refused wraps the decoder's error (version skew is a bad-version
+// *wire.Error) with the peer it came from.
+func openConn(conn net.Conn, peer, addr string, setup time.Duration) error {
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetKeepAlive(true)
+		tc.SetKeepAlivePeriod(30 * time.Second)
+	}
+	conn.SetDeadline(time.Now().Add(setup))
+	if err := writeHandshake(conn); err != nil {
+		return &DisconnectError{Addr: addr, Err: err}
+	}
+	if err := readHandshake(conn); err != nil {
+		return fmt.Errorf("transport: handshake with %s %s: %w", peer, addr, err)
+	}
+	return nil
+}
 
 // writeHandshake sends this side's stream preamble.
 func writeHandshake(w io.Writer) error {

@@ -104,14 +104,6 @@ func Serve(lis net.Listener, factory WorldFactory, opts *WorkerOptions) error {
 			}
 			return err
 		}
-		// Idle sessions are normal (the coordinator may pause between
-		// epochs), so there is no read deadline — aggressive keepalive
-		// is what reaps a half-open connection to a crashed or
-		// partitioned coordinator, freeing the worker for the next one.
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetKeepAlive(true)
-			tc.SetKeepAlivePeriod(30 * time.Second)
-		}
 		workerSessions.Inc()
 		s := newSession(factory, opts)
 		if err := s.serve(conn); err != nil {
@@ -144,16 +136,8 @@ func Join(addr, id string, factory WorldFactory, opts *WorkerOptions) error {
 		return fmt.Errorf("transport: joining coordinator %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetKeepAlive(true)
-		tc.SetKeepAlivePeriod(30 * time.Second)
-	}
-	conn.SetDeadline(time.Now().Add(opts.joinDialTimeout()))
-	if err := writeHandshake(conn); err != nil {
-		return &DisconnectError{Addr: addr, Err: err}
-	}
-	if err := readHandshake(conn); err != nil {
-		return fmt.Errorf("transport: handshake with coordinator %s: %w", addr, err)
+	if err := openConn(conn, "coordinator", addr, opts.joinDialTimeout()); err != nil {
+		return err
 	}
 	if err := writeFrame(conn, msgJoin, encodeJoin(joinMsg{ID: id})); err != nil {
 		return &DisconnectError{Addr: addr, Err: err}
@@ -206,12 +190,13 @@ func newSession(factory WorldFactory, opts *WorkerOptions) *session {
 }
 
 func (s *session) serve(conn net.Conn) error {
-	if err := writeHandshake(conn); err != nil {
+	if err := openConn(conn, "coordinator", conn.RemoteAddr().String(), s.opts.joinDialTimeout()); err != nil {
 		return err
 	}
-	if err := readHandshake(conn); err != nil {
-		return err
-	}
+	// Idle stretches between epochs are normal, so the session itself
+	// has no deadline: keepalive is what frees the worker from a
+	// half-open connection for the next coordinator.
+	conn.SetDeadline(time.Time{})
 	return s.loop(conn)
 }
 

@@ -239,10 +239,5 @@ func (c *CountingWriter) Write(p []byte) (int, error) {
 
 // sortRecords orders records by (IP, port) for deterministic output.
 func sortRecords(recs []dataset.Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].IP != recs[j].IP {
-			return recs[i].IP < recs[j].IP
-		}
-		return recs[i].Port < recs[j].Port
-	})
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Key().Compare(recs[j].Key()) < 0 })
 }

@@ -343,7 +343,9 @@ func (c *Collector) Stop() []SpanRecord {
 	cols := t.collectors[c.trace]
 	for i, cc := range cols {
 		if cc == c {
-			cols = append(cols[:i], cols[i+1:]...)
+			// A fresh slice, not an in-place shift: offerCollectors walks
+			// the old one after dropping colMu.
+			cols = append(append([]*Collector(nil), cols[:i]...), cols[i+1:]...)
 			break
 		}
 	}

@@ -114,6 +114,28 @@ func TestCollector(t *testing.T) {
 	}
 }
 
+// TestCollectorStopWhileRecording: two shard sessions of one worker
+// collect the same epoch trace, and one stops while the other's spans
+// are still finishing. Stop used to shift the shared collector slice in
+// place under a span's lock-free walk of it (run under -race).
+func TestCollectorStopWhileRecording(t *testing.T) {
+	tr := NewTracer(64)
+	root := tr.StartSpan(SpanContext{}, "epoch")
+	keep := tr.Collect(root.Context().TraceID)
+	defer keep.Stop()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			tr.StartSpan(root.Context(), "phase").Finish()
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		tr.Collect(root.Context().TraceID).Stop()
+	}
+	<-done
+}
+
 func TestWireContextRoundtrip(t *testing.T) {
 	ctx := SpanContext{TraceID: 0xdeadbeefcafe, SpanID: 42}
 	buf := AppendContext([]byte("prefix"), ctx)

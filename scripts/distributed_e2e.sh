@@ -12,7 +12,10 @@
 # (bodies and ETags) at every epoch, one replica is killed and restarted
 # mid-run and must re-converge, and a /v1/watch consumer accumulating
 # the NDJSON change feed must reconstruct the final inventory exactly —
-# byte-identical to the coordinator's -inventory artifact.
+# byte-identical to the coordinator's -inventory artifact. Replica A
+# re-exports the feed and a second-tier replica C subscribes to A, not to
+# the origin: the chained case, and the only end-to-end run of a replica
+# re-serving the delta bytes it applied.
 #
 # CI runs this under `timeout 300` so a wedged worker fails the job
 # instead of hanging it; everything the run produces lands in $DIR, which
@@ -130,10 +133,14 @@ workers=$(IFS=,; echo "${ports[*]/#/127.0.0.1:}")
 coord_pid=$!
 pids+=($coord_pid)
 
-echo "== two read replicas (:7474, :7475) and a /v1/watch consumer"
-"$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7474 > "$DIR/replica-a.log" 2>&1 &
+echo "== two read replicas (:7474 re-exporting on :7485, :7475), a second-tier replica of :7474 (:7477) and a /v1/watch consumer"
+"$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7474 \
+    -feed 127.0.0.1:7485 > "$DIR/replica-a.log" 2>&1 &
 replica_a=$!
 pids+=($replica_a)
+"$BIN" replica -upstream 127.0.0.1:7485 -serve 127.0.0.1:7477 > "$DIR/replica-c.log" 2>&1 &
+replica_c=$!
+pids+=($replica_c)
 "$BIN" replica -upstream 127.0.0.1:7480 -serve 127.0.0.1:7475 > "$DIR/replica-b.log" 2>&1 &
 replica_b=$!
 pids+=($replica_b)
@@ -182,6 +189,20 @@ fetch_at_epoch http://127.0.0.1:7475 /v1/ports 3 "$DIR/replica-b.e3.ports.json"
 cmp "$DIR/origin.e3.stats.json" "$DIR/replica-b.e3.stats.json"
 cmp "$DIR/origin.e3.ports.json" "$DIR/replica-b.e3.ports.json"
 
+echo "== second-tier replica (fed by replica A's re-export) matches the origin"
+wait_stats http://127.0.0.1:7477 3
+fetch_at_epoch http://127.0.0.1:7477 /v1/stats 3 "$DIR/replica-c.e3.stats.json"
+fetch_at_epoch http://127.0.0.1:7477 /v1/ports 3 "$DIR/replica-c.e3.ports.json"
+cmp "$DIR/origin.e3.stats.json" "$DIR/replica-c.e3.stats.json"
+cmp "$DIR/origin.e3.ports.json" "$DIR/replica-c.e3.ports.json"
+# C must have got there on deltas A re-served, not on a late bootstrap.
+curl -fsS http://127.0.0.1:7477/v1/metricz > "$DIR/replica-c.metricz"
+deltas_c=$(metric_value "$DIR/replica-c.metricz" gps_replica_deltas_applied_total)
+if [ "$deltas_c" -lt 1 ]; then
+  echo "second-tier replica applied no delta from replica A's re-export" >&2
+  exit 1
+fi
+
 echo "== replica telemetry (lag, delta/bootstrap accounting)"
 curl -fsS http://127.0.0.1:7474/v1/metricz > "$DIR/replica-a.metricz"
 curl -fsS http://127.0.0.1:7475/v1/metricz > "$DIR/replica-b.metricz"
@@ -216,8 +237,8 @@ if [ "$feed_head" != "3" ]; then
 fi
 kill -TERM $coord_pid
 wait $coord_pid
-kill -TERM $replica_a $replica_b
-wait $replica_a $replica_b 2>/dev/null || true
+kill -TERM $replica_a $replica_b $replica_c
+wait $replica_a $replica_b $replica_c 2>/dev/null || true
 
 # The watch consumer folded snapshot+delta events from an empty map; its
 # persisted inventory must equal the coordinator's artifact exactly.
@@ -472,4 +493,4 @@ fi
 cmp "$DIR/churn-single.inv" "$DIR/churn-dist.inv"
 echo "   churned fleet inventory byte-identical to single-process run"
 
-echo "PASS: distributed inventory byte-identical to single-process; served queries identical across single, distributed, and file modes; telemetry consistent across modes; re-balance round-trips; cluster churn (join + drain + leave) preserves byte-identity"
+echo "PASS: distributed inventory byte-identical to single-process; served queries identical across single, distributed, and file modes; first- and second-tier replicas byte-identical to the origin; telemetry consistent across modes; re-balance round-trips; cluster churn (join + drain + leave) preserves byte-identity"

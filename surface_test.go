@@ -70,3 +70,64 @@ func TestRootSurfaceIsSpelled(t *testing.T) {
 		}
 	}
 }
+
+// TestOneCommitSite holds the replication path to its rule: outside
+// tests, the benchmark driver and the examples, a snapshot is indexed in
+// exactly two places — serve.Commit, which is therefore the only code
+// that orders snapshot, feed commit and publish, and the root facade's
+// alias for library users. A new NewSnapshot call is a second commit
+// sequence that has to keep the epoch invariant by hand: call
+// serve.Commit instead.
+func TestOneCommitSite(t *testing.T) {
+	fset := token.NewFileSet()
+	var sites []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("cmd", "gpsbench") || path == "examples" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				switch fn := call.Fun.(type) {
+				case *ast.Ident:
+					name = fn.Name
+				case *ast.SelectorExpr:
+					name = fn.Sel.Name
+				}
+				if name == "NewSnapshot" {
+					sites = append(sites, filepath.ToSlash(path)+":"+fd.Name.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"facade.go:NewInventorySnapshot", "internal/serve/feed.go:Commit"}
+	if strings.Join(sites, " ") != strings.Join(want, " ") {
+		t.Errorf("NewSnapshot is called from %v; want exactly %v", sites, want)
+	}
+}
