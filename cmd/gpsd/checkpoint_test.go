@@ -79,7 +79,16 @@ func TestCheckpointLocalTopology(t *testing.T) {
 	states := testStates(t, 2)
 	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
 	world := testWorldID(2)
-	if err := saveCheckpoint(path, world, localTopology(2), states); err != nil {
+	// An in-process coordinator's executors are not workers: the topology
+	// read off it is the local one, and its exit line names no fleet.
+	coord, err := shard.ResumeCoordinator(states, shard.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exitSuffix(coord); got != "" {
+		t.Errorf("in-process exit suffix %q; want none", got)
+	}
+	if err := saveCheckpoint(path, world, topologyOf(coord), states); err != nil {
 		t.Fatal(err)
 	}
 	_, topo, err := loadCheckpoint(path, world)

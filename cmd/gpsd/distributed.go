@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"gps"
 	"gps/internal/continuous"
 	"gps/internal/netmodel"
 	"gps/internal/serve"
@@ -18,11 +17,11 @@ import (
 )
 
 // runCoordinator drives a distributed run: dial the worker fleet, seed or
-// resume, then stream epochs. The epoch computation happens entirely on
-// the workers (each owns a deterministic replica of the universe); the
-// coordinator folds the streamed per-shard states into the same merged
-// view the in-process daemon maintains, so checkpoints, inventories, and
-// log lines are interchangeable between the two modes.
+// resume, then stream epochs. It is the same coordinator the in-process
+// daemon runs, over GPST executors: the epoch computation happens on the
+// workers (each owns a deterministic replica of the universe), and the
+// states they stream back are committed, merged, checkpointed and logged
+// by the same code in both modes.
 func runCoordinator(f daemonFlags) int {
 	trace.Default.SetProcess("coordinator")
 	addrs := strings.Split(f.workers, ",")
@@ -60,56 +59,29 @@ func runCoordinator(f daemonFlags) int {
 		mainLog.Infof("accepting joining workers on %s", lis.Addr())
 	}
 
-	// Resume from a checkpoint when one exists; otherwise generate the
-	// universe locally just long enough to collect the seed.
-	states, topo, err := resumeStates(f, world)
+	resumed, code := seedOrResume(f, world, len(addrs), func() (*netmodel.Universe, error) {
+		w, err := fullDemoWorld(f, " for seeding")
+		if err != nil {
+			return nil, err
+		}
+		return w.u, nil
+	}, coord.Resume, coord.Seed)
+	if code != 0 {
+		return code
+	}
+	warnEmptyShards(coord.EmptyShards(), resumed)
+
+	// The serving coordinator is also the cluster control plane:
+	// GET /v1/cluster reads the membership doc straight off the
+	// coordinator, and the drain endpoint (behind -admin) feeds
+	// RequestDrain.
+	api, err := startServing(f, coord.Coordinator, func(api *serve.Server) { api.EnableCluster(coord, f.admin) })
 	if err != nil {
 		mainLog.Errorf("%v", err)
 		return 1
 	}
-	if states != nil {
-		if topo.Workers > 0 && topo.Workers != len(addrs) {
-			mainLog.Infof("checkpoint was written by a %d-worker fleet; re-homing shards over %d workers",
-				topo.Workers, len(addrs))
-		}
-		if err := coord.Resume(states); err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
-		}
-	} else {
-		mainLog.Infof("generating universe (seed=%d, %d /16s, density %.1f%%) for seeding",
-			f.seed, f.prefixes, 100*f.density)
-		u, err := netmodel.GenerateChecked(gps.DemoUniverseParams(f.seed, f.prefixes, f.density))
-		if err != nil {
-			mainLog.Errorf("invalid universe flags: %v", err)
-			return 2
-		}
-		// The coordinator holds the full seeding universe, so its world
-		// gauges describe the whole world — the total the per-worker
-		// partition gauges must sum to (the e2e script asserts this).
-		setWorldGauges(u.NumHosts(), f.shards, f.shards)
-		if err := coord.Seed(collectSeedSet(u, f)); err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
-		}
-	}
-	warnEmptyShards(coord.EmptyShards(), states != nil)
 
-	fleet := &fleetCoordinator{Coordinator: coord}
-	var api *inventoryServer
-	if f.serve != "" {
-		// The serving coordinator is also the cluster control plane:
-		// GET /v1/cluster reads the membership doc straight off the
-		// coordinator, and the drain endpoint (behind -admin) feeds
-		// RequestDrain.
-		configure := func(api *serve.Server) { api.EnableCluster(coord, f.admin) }
-		if api, err = startServing(f, fleet, configure); err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
-		}
-	}
-
-	if code := runEpochs(f, world, fleet, api); code != 0 {
+	if code := runEpochs(f, world, coord.Coordinator, coord.Epoch, api); code != 0 {
 		return code
 	}
 	// Close the worker fleet before the final flush: the coordinator
@@ -117,38 +89,8 @@ func runCoordinator(f daemonFlags) int {
 	// need nothing further from the workers, and the shutdown frames land
 	// while they are still draining. (The deferred Close stays as the
 	// error-path fallback; a second Close is harmless.)
-	suffix := fleet.exitSuffix()
 	coord.Close()
-	return finishDaemon(f, world, fleet, api, suffix)
-}
-
-// fleetCoordinator adapts the distributed coordinator to the epoch
-// loop: each epoch reports the worker failures it survived, and the
-// topology it checkpoints is the live fleet's — WorkerAddrs, not the
-// -workers list, because Assignment indexes a fleet that grows with
-// every admitted -join.
-type fleetCoordinator struct {
-	*transport.Coordinator
-	reported int
-}
-
-func (c *fleetCoordinator) Epoch() (continuous.EpochStats, error) {
-	stats, err := c.Coordinator.Epoch()
-	for _, we := range c.Failures()[c.reported:] {
-		mainLog.Warnf("%v — shard re-queued", we)
-		c.reported++
-	}
-	return stats, err
-}
-
-func (c *fleetCoordinator) topology() topology {
-	return topology{Workers: len(c.WorkerAddrs()), Assign: c.Assignment()}
-}
-
-// exitSuffix is the fleet's share of the exit line: living workers over
-// the fleet the run ended with.
-func (c *fleetCoordinator) exitSuffix() string {
-	return fmt.Sprintf(" across %d/%d workers", c.AliveWorkers(), len(c.WorkerAddrs()))
+	return finishDaemon(f, world, coord.Coordinator, api)
 }
 
 // saveShardCheckpoints writes each shard's state as its own continuous

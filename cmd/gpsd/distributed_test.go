@@ -63,11 +63,10 @@ func TestFleetTopologyCountsJoinedWorkers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	fleet := &fleetCoordinator{Coordinator: coord}
-	if _, err := fleet.Epoch(); err != nil {
+	if _, err := coord.Epoch(); err != nil {
 		t.Fatal(err)
 	}
-	topo := fleet.topology()
+	topo := topologyOf(coord.Coordinator)
 	if topo.Workers != 3 {
 		t.Errorf("topology records %d workers; the fleet is 3 after the join", topo.Workers)
 	}
@@ -83,7 +82,7 @@ func TestFleetTopologyCountsJoinedWorkers(t *testing.T) {
 	if onJoiner == 0 {
 		t.Errorf("no shard migrated onto the joiner: %v", topo.Assign)
 	}
-	if got, want := fleet.exitSuffix(), " across 3/3 workers"; got != want {
+	if got, want := exitSuffix(coord.Coordinator), " across 3/3 workers"; got != want {
 		t.Errorf("exit suffix %q; want %q", got, want)
 	}
 

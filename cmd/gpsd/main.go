@@ -387,13 +387,15 @@ type epochSummaryJSON struct {
 	RetrainSec      float64 `json:"retrain_sec"`
 	DiscoverSec     float64 `json:"discover_sec"`
 	FoldSec         float64 `json:"fold_sec"`
+	BoundShard      int     `json:"bound_shard"`
 	CheckpointSec   float64 `json:"checkpoint_sec"`
 	EpochSec        float64 `json:"epoch_sec"`
 }
 
-// logEpochJSON emits the structured per-epoch summary. With concurrent
-// shards the phase seconds are summed across shards (CPU-seconds);
-// epoch_sec is wall time.
+// logEpochJSON emits the structured per-epoch summary. Shards run
+// concurrently, so the phase seconds are those of bound_shard, the shard
+// whose epoch took longest (shard.MergeStats): they sum to no more than
+// epoch_sec, the coordinator's wall time.
 func logEpochJSON(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
 	body, err := json.Marshal(epochSummaryJSON{
 		Event: "epoch", Epoch: stats.Epoch, Known: stats.KnownSize,
@@ -405,6 +407,7 @@ func logEpochJSON(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
 		RetrainSec:    stats.Phases.Retrain.Seconds(),
 		DiscoverSec:   stats.Phases.Discover.Seconds(),
 		FoldSec:       stats.Phases.Fold.Seconds(),
+		BoundShard:    stats.Phases.Shard,
 		CheckpointSec: ckpt.Seconds(), EpochSec: elapsed.Seconds(),
 	})
 	if err != nil {
@@ -444,121 +447,141 @@ func notifySignals() chan os.Signal {
 	return sig
 }
 
-// resumeStates loads -checkpoint for a resume: the per-shard states and
-// the recorded topology, or nil states for a fresh start (no -checkpoint,
-// or no file yet). Any other failure is fatal to the caller — a corrupt
-// or mismatched checkpoint must not be silently discarded.
-func resumeStates(f daemonFlags, world worldID) ([]*continuous.State, topology, error) {
-	if f.checkpoint == "" {
-		return nil, topology{}, nil
+// seedOrResume is the start-up sequence both daemon modes share: resume
+// from -checkpoint when it holds one — any failure but a missing file is
+// fatal, a corrupt or mismatched checkpoint must not be silently
+// discarded — and otherwise collect a fresh seed sample from the epoch-0
+// universe, which only a fresh start needs. resume and seed are how the
+// mode's coordinator takes either; fleet is the worker count it dialed (0
+// in process), reported against the topology the checkpoint recorded. A
+// non-zero code is the process exit code.
+func seedOrResume(f daemonFlags, world worldID, fleet int, universe func() (*netmodel.Universe, error),
+	resume func([]*continuous.State) error, seed func(*gps.Dataset) error) (resumed bool, code int) {
+	var states []*continuous.State
+	var topo topology
+	err := errNoCheckpoint
+	if f.checkpoint != "" {
+		states, topo, err = loadCheckpoint(f.checkpoint, world)
 	}
-	states, topo, err := loadCheckpoint(f.checkpoint, world)
-	if errors.Is(err, errNoCheckpoint) {
-		return nil, topology{}, nil
+	switch {
+	case err == nil:
+		// Partitions are disjoint under the hash split, so the global
+		// inventory size is just the sum — no need to merge-copy every
+		// entry for a log line.
+		known := 0
+		for _, st := range states {
+			known += len(st.Known)
+		}
+		mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
+			f.checkpoint, states[0].Epoch, known, len(states))
+		if fleet > 0 && topo.Workers > 0 && topo.Workers != fleet {
+			mainLog.Infof("checkpoint was written by a %d-worker fleet; re-homing shards over %d workers",
+				topo.Workers, fleet)
+		}
+		err = resume(states)
+	case errors.Is(err, errNoCheckpoint):
+		var u *netmodel.Universe
+		if u, err = universe(); err != nil {
+			return false, 2
+		}
+		err = seed(collectSeedSet(u, f))
 	}
 	if err != nil {
-		return nil, topo, err
+		mainLog.Errorf("%v", err)
+		return false, 1
 	}
-	// Partitions are disjoint under the hash split, so the global
-	// inventory size is just the sum — no need to merge-copy every
-	// entry for a log line.
-	known := 0
-	for _, st := range states {
-		known += len(st.Known)
+	return states != nil, 0
+}
+
+// topologyOf is the fleet a checkpoint records: the live workers —
+// WorkerAddrs, not the -workers list, because Assignment indexes a fleet
+// that grows with every admitted -join. An in-process coordinator's
+// executors are goroutines, not workers: it records none.
+func topologyOf(coord *shard.Coordinator) topology {
+	if workers := len(coord.WorkerAddrs()); workers > 0 {
+		return topology{Workers: workers, Assign: coord.Assignment()}
 	}
-	mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
-		f.checkpoint, states[0].Epoch, known, len(states))
-	return states, topo, nil
+	return localTopology(len(coord.States()))
 }
 
-// localCoordinator adapts the in-process shard coordinator to the epoch
-// loop: it owns the simulated universe and advances it one churn step
-// before each epoch. The churn seed of epoch e is seed+e, so a resumed
-// daemon replays to the exact universe the interrupted one would have.
-type localCoordinator struct {
-	*shard.Coordinator
-	u    *netmodel.Universe
-	seed int64
-}
-
-func newLocalCoordinator(coord *shard.Coordinator, u *netmodel.Universe, seed int64) *localCoordinator {
-	for e := 1; e <= coord.EpochNumber(); e++ {
-		u = netmodel.Churn(u, netmodel.DefaultChurn(seed+int64(e)))
+// exitSuffix is a fleet's share of the exit line: living workers over the
+// fleet the run ended with.
+func exitSuffix(coord *shard.Coordinator) string {
+	if workers := len(coord.WorkerAddrs()); workers > 0 {
+		return fmt.Sprintf(" across %d/%d workers", coord.AliveWorkers(), workers)
 	}
-	return &localCoordinator{Coordinator: coord, u: u, seed: seed}
+	return ""
 }
 
-func (c *localCoordinator) Epoch() (continuous.EpochStats, error) {
-	c.u = netmodel.Churn(c.u, netmodel.DefaultChurn(c.seed+int64(c.EpochNumber()+1)))
-	return c.Coordinator.Epoch(c.u)
-}
-
-func (c *localCoordinator) topology() topology { return localTopology(len(c.States())) }
-
-// runDaemon is the single-process mode: N in-process shards (or one
-// unsharded runner) driven epoch by epoch against the locally simulated
-// universe.
+// runDaemon is the single-process mode: N shards (or one unsharded
+// runner) on in-process executors, driven epoch by epoch against the
+// locally simulated universe.
 func runDaemon(f daemonFlags) int {
 	trace.Default.SetProcess("daemon")
-	params := gps.DemoUniverseParams(f.seed, f.prefixes, f.density)
 	world := f.world()
 
-	mainLog.Infof("generating universe (seed=%d, %d /16s, density %.1f%%)",
-		f.seed, f.prefixes, 100*f.density)
-	u, err := netmodel.GenerateChecked(params)
+	// The same world replica a worker holds, over the whole address space:
+	// epoch e's universe is the churn replay UniverseAt already is, so a
+	// resumed daemon scans exactly what the interrupted one would have.
+	w, err := fullDemoWorld(f, "")
 	if err != nil {
-		mainLog.Errorf("invalid universe flags: %v", err)
 		return 2
 	}
-	setWorldGauges(u.NumHosts(), f.shards, f.shards)
+	u := w.u
 	worldLine := fmt.Sprintf("%d hosts, %d services, %d addresses", u.NumHosts(), u.NumServices(), u.SpaceSize())
 	if f.shards > 1 {
 		worldLine += fmt.Sprintf("; %d shards", f.shards)
 	}
 	mainLog.Infof("%s", worldLine)
 
-	// Resume from a checkpoint when one exists; otherwise collect a
-	// fresh seed sample.
-	states, _, err := resumeStates(f, world)
+	var coord *shard.Coordinator
+	resumed, code := seedOrResume(f, world, 0,
+		func() (*netmodel.Universe, error) { return u, nil },
+		func(states []*continuous.State) (err error) {
+			coord, err = shard.ResumeCoordinator(states, f.shardConfig())
+			return err
+		},
+		func(seed *gps.Dataset) error {
+			coord = shard.NewCoordinator(seed, f.shardConfig())
+			return nil
+		})
+	if code != 0 {
+		return code
+	}
+	warnEmptyShards(coord.EmptyShards(), resumed)
+
+	api, err := startServing(f, coord, nil)
 	if err != nil {
 		mainLog.Errorf("%v", err)
 		return 1
 	}
-	var sc *shard.Coordinator
-	if states != nil {
-		if sc, err = shard.ResumeCoordinator(states, f.shardConfig()); err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
-		}
-	} else {
-		sc = shard.NewCoordinator(collectSeedSet(u, f), f.shardConfig())
-	}
-	warnEmptyShards(sc.EmptyShards(), states != nil)
-	coord := newLocalCoordinator(sc, u, f.seed)
 
-	var api *inventoryServer
-	if f.serve != "" {
-		if api, err = startServing(f, coord, nil); err != nil {
-			mainLog.Errorf("%v", err)
-			return 1
+	epoch := func() (continuous.EpochStats, error) {
+		u, err := w.UniverseAt(coord.EpochNumber() + 1)
+		if err != nil {
+			return continuous.EpochStats{}, err
 		}
+		return coord.Epoch(u)
 	}
-
-	if code := runEpochs(f, world, coord, api); code != 0 {
+	if code := runEpochs(f, world, coord, epoch, api); code != 0 {
 		return code
 	}
-	return finishDaemon(f, world, coord, api, "")
+	return finishDaemon(f, world, coord, api)
 }
 
 // runEpochs is the epoch loop both daemon modes share: poll for a
-// signal, run one epoch, report it, persist the checkpoint(s), pause
-// -interval — until -epochs is reached or a signal arrives; a daemon
-// that is serving then keeps answering queries at the final epoch until
+// signal, run one epoch (epoch is where the modes differ: which universe,
+// if any, the coordinator's executors are handed), report it and the
+// worker failures it survived, persist the checkpoint(s), pause -interval
+// — until -epochs is reached or a signal arrives; a daemon that is
+// serving then keeps answering queries at the final epoch until
 // signalled. A non-zero return is the process exit code.
-func runEpochs(f daemonFlags, world worldID, coord servableCoordinator, api *inventoryServer) int {
+func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
+	epoch func() (continuous.EpochStats, error), api *inventoryServer) int {
 	sig := notifySignals()
 	stopped := false
-	for epoch := coord.EpochNumber() + 1; !stopped && (f.epochs == 0 || epoch <= f.epochs); epoch++ {
+	reported := 0
+	for e := coord.EpochNumber() + 1; !stopped && (f.epochs == 0 || e <= f.epochs); e++ {
 		select {
 		case s := <-sig:
 			mainLog.Infof("%v — flushing and stopping cleanly", s)
@@ -568,7 +591,11 @@ func runEpochs(f daemonFlags, world worldID, coord servableCoordinator, api *inv
 		}
 
 		start := time.Now()
-		stats, err := coord.Epoch()
+		stats, err := epoch()
+		for _, we := range coord.Failures()[reported:] {
+			mainLog.Warnf("%v — shard re-queued", we)
+			reported++
+		}
 		if err != nil {
 			mainLog.Errorf("%v", err)
 			return 1
@@ -579,7 +606,7 @@ func runEpochs(f daemonFlags, world worldID, coord servableCoordinator, api *inv
 		var ckpt time.Duration
 		if f.checkpoint != "" {
 			ckptStart := time.Now()
-			if err := saveCheckpoint(f.checkpoint, world, coord.topology(), coord.States()); err != nil {
+			if err := saveCheckpoint(f.checkpoint, world, topologyOf(coord), coord.States()); err != nil {
 				mainLog.Errorf("checkpoint: %v", err)
 				return 1
 			}
@@ -612,9 +639,9 @@ func runEpochs(f daemonFlags, world worldID, coord servableCoordinator, api *inv
 // ran), write the merged -inventory artifact, drain and stop the query
 // API, and report. Everything a restart needs is on disk before the
 // process exits.
-func finishDaemon(f daemonFlags, world worldID, coord servableCoordinator, api *inventoryServer, suffix string) int {
+func finishDaemon(f daemonFlags, world worldID, coord *shard.Coordinator, api *inventoryServer) int {
 	if f.checkpoint != "" {
-		if err := saveCheckpoint(f.checkpoint, world, coord.topology(), coord.States()); err != nil {
+		if err := saveCheckpoint(f.checkpoint, world, topologyOf(coord), coord.States()); err != nil {
 			mainLog.Errorf("final checkpoint: %v", err)
 			return 1
 		}
@@ -627,7 +654,7 @@ func finishDaemon(f daemonFlags, world worldID, coord servableCoordinator, api *
 		}
 	}
 	api.shutdown()
-	done := fmt.Sprintf("done after epoch %d; %d services known%s", coord.EpochNumber(), len(known), suffix)
+	done := fmt.Sprintf("done after epoch %d; %d services known%s", coord.EpochNumber(), len(known), exitSuffix(coord))
 	if conflicts > 0 {
 		done += fmt.Sprintf(" (%d cross-shard conflicts resolved)", conflicts)
 	}

@@ -118,26 +118,18 @@ func (is *inventoryServer) shutdown() {
 	}
 }
 
-// servableCoordinator is the slice of both coordinator types (in-process
-// and distributed, through their adapters) the epoch loop drives and the
-// serving layer hangs off.
-type servableCoordinator interface {
-	SetCommitHook(shard.CommitHook)
-	Inventory() (map[netmodel.Key]*continuous.Entry, int)
-	EpochNumber() int
-	Epoch() (continuous.EpochStats, error)
-	States() []*continuous.State
-	topology() topology
-}
-
-// startServing mounts the query API next to a coordinator: the commit
-// hook publishes each epoch, and the seeded (or resumed) inventory is
+// startServing mounts the query API next to a coordinator when -serve
+// asks for it (otherwise the nil server, whose shutdown is a no-op): the
+// commit hook publishes each epoch, and the seeded (or resumed) inventory is
 // published immediately so queries answer from the current state instead
 // of 503ing until the first commit. A serving coordinator is always a
 // change-feed origin (/v1/watch); -feed additionally exports the feed to
 // replicas over the shard transport. configure customizes the server
 // before it accepts (health source, cluster control plane).
-func startServing(f daemonFlags, coord servableCoordinator, configure func(*serve.Server)) (*inventoryServer, error) {
+func startServing(f daemonFlags, coord *shard.Coordinator, configure func(*serve.Server)) (*inventoryServer, error) {
+	if f.serve == "" {
+		return nil, nil
+	}
 	api, err := startInventoryServer(f.serve, &serve.Publisher{}, serve.NewFeed(f.feedHistory), configure)
 	if err != nil {
 		return nil, err

@@ -67,13 +67,38 @@ func newDemoWorld(spec []byte) (transport.World, error) {
 	if err != nil {
 		return nil, err
 	}
+	w, err := generateDemoWorld(id, part)
+	if err != nil {
+		return nil, err
+	}
+	w.logBuilt("built")
+	return w, nil
+}
+
+// generateDemoWorld materializes one partition of world id at epoch 0; a
+// nil partition is the whole world.
+func generateDemoWorld(id worldID, part *netmodel.Partition) (*demoWorld, error) {
 	w := &demoWorld{id: id, part: part}
 	base, err := w.generate(part)
 	if err != nil {
 		return nil, err
 	}
 	w.base, w.u = base, base
-	w.logBuilt("built")
+	return w, nil
+}
+
+// fullDemoWorld is the whole world, as the in-process daemon scans it and
+// a seeding coordinator samples it; its world gauges are the total the
+// per-worker partition gauges must sum to (the e2e script asserts this).
+func fullDemoWorld(f daemonFlags, why string) (*demoWorld, error) {
+	mainLog.Infof("generating universe (seed=%d, %d /16s, density %.1f%%)%s",
+		f.seed, f.prefixes, 100*f.density, why)
+	w, err := generateDemoWorld(f.world(), nil)
+	if err != nil {
+		mainLog.Errorf("invalid universe flags: %v", err)
+		return nil, err
+	}
+	setWorldGauges(w.u.NumHosts(), f.shards, f.shards)
 	return w, nil
 }
 

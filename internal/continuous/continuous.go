@@ -143,9 +143,15 @@ type Runner struct {
 }
 
 // New creates a runner seeded with an initial observation set (typically
-// pipeline.CollectSeed output or the seed half of a dataset split). The
-// seed records become the epoch-0 inventory and first training set.
+// pipeline.CollectSeed output or the seed half of a dataset split).
 func New(seed *dataset.Dataset, cfg Config) *Runner {
+	return Resume(SeedState(seed, cfg), cfg)
+}
+
+// SeedState is the epoch-0 state New starts from: the seed records the
+// shard owns become the inventory and first training set. A coordinator
+// that only places states on executors needs no runner of its own.
+func SeedState(seed *dataset.Dataset, cfg Config) *State {
 	st := &State{Known: make(map[netmodel.Key]*Entry, seed.NumServices())}
 	for _, r := range seed.Records {
 		if !cfg.owns(r.IP) {
@@ -156,7 +162,7 @@ func New(seed *dataset.Dataset, cfg Config) *Runner {
 			st.Known[k] = &Entry{Rec: r}
 		}
 	}
-	return &Runner{cfg: cfg, st: st, tel: newRunnerTelemetry(cfg)}
+	return st
 }
 
 // Resume creates a runner continuing from a checkpointed state.

@@ -8,18 +8,21 @@ import (
 	"gps/internal/telemetry"
 )
 
-// PhaseTimes is the wall-clock split of one epoch across its phases.
-// It rides on EpochStats for the structured epoch log but is NOT
-// checkpointed: resumed history and states that crossed the shard
-// transport carry zeroes, and shard.MergeStats sums across concurrent
-// shards, so merged values read as CPU-seconds, not wall time. The
-// authoritative long-term record is the gps_epoch_phase_seconds
-// histogram on the process that ran the phase.
+// PhaseTimes is the wall-clock split of one epoch across its phases, as
+// measured by the runner that ran it. It rides on EpochStats for the
+// structured epoch log — across the shard transport too, beside the
+// state — but is NOT checkpointed: resumed history carries zeroes.
+// Concurrent shards' phases do not add, so shard.MergeStats reports the
+// bounding shard's. The authoritative long-term record is the
+// gps_epoch_phase_seconds histogram on the process that ran the phase.
 type PhaseTimes struct {
 	Reverify time.Duration // re-probing the known set
 	Retrain  time.Duration // rebuilding the probability model
 	Discover time.Duration // priors + prediction scans (pipeline minus retrain)
 	Fold     time.Duration // merging discoveries back into the inventory
+	// Shard names whose clock this is in merged stats (shard.MergeStats):
+	// the shard that bounded the epoch. A runner leaves it zero.
+	Shard int
 }
 
 // runnerTelemetry is one runner's pre-registered metric handles, looked

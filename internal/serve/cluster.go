@@ -6,7 +6,7 @@ import (
 	"net/url"
 	"strings"
 
-	"gps/internal/shard/transport"
+	"gps/internal/shard"
 )
 
 // ClusterSource is the control-plane view behind GET /v1/cluster and
@@ -14,7 +14,7 @@ import (
 type ClusterSource interface {
 	// Status returns the live membership document: workers, per-shard
 	// assignment and latency, and recent migrations.
-	Status() transport.ClusterStatus
+	Status() shard.ClusterStatus
 	// RequestDrain queues a worker's shards for migration away at the
 	// next epoch boundary.
 	RequestDrain(id string) error

@@ -6,18 +6,18 @@ import (
 	"strings"
 	"testing"
 
-	"gps/internal/shard/transport"
+	"gps/internal/shard"
 )
 
 // fakeCluster is a canned ClusterSource: a fixed status document plus a
 // scripted drain response, recording what ids were drained.
 type fakeCluster struct {
-	doc      transport.ClusterStatus
+	doc      shard.ClusterStatus
 	drainErr error
 	drained  []string
 }
 
-func (f *fakeCluster) Status() transport.ClusterStatus { return f.doc }
+func (f *fakeCluster) Status() shard.ClusterStatus { return f.doc }
 
 func (f *fakeCluster) RequestDrain(id string) error {
 	if f.drainErr != nil {
@@ -27,13 +27,13 @@ func (f *fakeCluster) RequestDrain(id string) error {
 	return nil
 }
 
-func testClusterDoc() transport.ClusterStatus {
-	return transport.ClusterStatus{
+func testClusterDoc() shard.ClusterStatus {
+	return shard.ClusterStatus{
 		Epoch:  7,
 		Shards: 4,
-		Workers: []transport.WorkerStatus{
-			{ID: "w0", Addr: "127.0.0.1:9001", State: transport.WorkerAlive, ShardCount: 2, Shards: []int{0, 1}},
-			{ID: "w1", Addr: "127.0.0.1:9002", State: transport.WorkerAlive, ShardCount: 2, Shards: []int{2, 3}},
+		Workers: []shard.WorkerStatus{
+			{ID: "w0", Addr: "127.0.0.1:9001", State: shard.WorkerAlive, ShardCount: 2, Shards: []int{0, 1}},
+			{ID: "w1", Addr: "127.0.0.1:9002", State: shard.WorkerAlive, ShardCount: 2, Shards: []int{2, 3}},
 		},
 	}
 }

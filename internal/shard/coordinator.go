@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -25,32 +26,100 @@ type Config struct {
 	Continuous continuous.Config
 }
 
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
+// Executor is where one worker's shards run their epochs: a cached
+// continuous.Runner in process, a GPST connection to a worker process in a
+// fleet. The coordinator owns every shard's state; an executor holds a
+// cache of what was placed on it, and one goroutine at a time calls it.
+//
+// A failed call is a link failure — the worker is declared dead and its
+// shards fail over — unless the error's chain holds one whose
+// `Refused() bool` reports true: a refusal (a rejected world spec, an
+// epoch that itself errored) would fail identically on every worker, so it
+// aborts instead. An executor that also implements io.Closer is closed
+// when its worker leaves the fleet, drained or dead.
+type Executor interface {
+	// Place caches shard s at st, the coordinator's state for it. owned is
+	// every shard the worker serves once the placement lands, s included;
+	// tc, when valid, parents the placement's spans.
+	Place(s int, cfg continuous.Config, st *continuous.State, owned []int, tc trace.SpanContext) error
+	// Epoch runs shard s's given epoch from its placed state and returns
+	// the new state, the epoch's stats (phases included) and whether the
+	// worker asks to drain. u is the universe an in-process epoch scans;
+	// it is nil for a fleet, whose workers hold their own replica, built
+	// from the world spec. The runner's phase spans hang from the
+	// per-shard span the executor opens under parent.
+	Epoch(s, epoch int, u *netmodel.Universe, parent trace.SpanContext) (st *continuous.State, stats continuous.EpochStats, draining bool, err error)
+}
+
+// refusal marks an in-process epoch's error: with no link to lose, a local
+// epoch fails only by erroring itself.
+type refusal struct{ error }
+
+func (r refusal) Refused() bool { return true }
+func (r refusal) Unwrap() error { return r.error }
+
+// refused reports whether an executor failure is a refusal (see Executor).
+func refused(err error) bool {
+	var r interface{ Refused() bool }
+	return errors.As(err, &r) && r.Refused()
+}
+
+// localExecutor skips the wire: runners resumed on the coordinator's own
+// states, which an epoch advances in place — no copy, no encode/decode.
+// (So a refused epoch leaves its shard part-advanced; only a fleet, whose
+// workers run on decoded copies, retries from an untouched state.)
+type localExecutor struct{ runners map[int]*continuous.Runner }
+
+func (x *localExecutor) Place(s int, cfg continuous.Config, st *continuous.State, _ []int, _ trace.SpanContext) error {
+	x.runners[s] = continuous.Resume(st, cfg)
+	return nil
+}
+
+func (x *localExecutor) Epoch(s, _ int, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
+	r := x.runners[s]
+	span := trace.StartSpan(parent, "shard-epoch", trace.Int("shard", s))
+	r.SetTraceParent(span.Context())
+	stats, err := r.Epoch(u)
+	r.SetTraceParent(trace.SpanContext{})
+	span.FinishErr(err)
+	if err != nil {
+		return nil, stats, false, refusal{err}
 	}
-	return c.Shards
+	return r.State(), stats, false, nil
 }
 
-// shardConfig derives shard i's runner configuration.
-func (c Config) shardConfig(i int, budgets []uint64) continuous.Config {
-	sc := c.Continuous
-	sc.Budget = budgets[i]
-	sc.ShardIndex, sc.ShardCount = i, c.shards()
-	return sc
-}
-
-// Coordinator drives N continuous runners, one per partition, running
-// their epochs concurrently and folding their per-shard inventories into
-// one global view on demand. Each runner owns its partition exclusively:
-// its model retrains on its own inventory, its discovery pipeline scans
-// only its addresses, and its probe budget is a 1/N slice of the global
-// epoch budget. The coordinator itself is not safe for concurrent use.
+// Coordinator drives N shards epoch by epoch, in process or across a
+// worker fleet — only the workers' Executors differ. It owns the per-shard
+// states, the shard → worker assignment, the budget slices, the epoch loop
+// with its failover and all-or-nothing commit, the merged view and the
+// membership policy (cluster.go). Each shard owns one partition
+// exclusively (asndb.ShardOf, enforced by its runner's shard filter): its
+// model retrains on its own inventory, its discovery scans only its
+// addresses, and its probe budget is a 1/N slice of the epoch budget.
+// Apart from Status and RequestDrain it is not safe for concurrent use.
 type Coordinator struct {
 	cfg     Config
-	runners []*continuous.Runner
-	hook    CommitHook
+	budgets []uint64
+	factor  float64 // rebalance policy threshold; 0 disables it
+	logf    func(format string, args ...any)
 	tel     *coordTelemetry
+	hook    CommitHook
+
+	workers  []*worker
+	admitted []*worker // joined since the last epoch boundary
+	assign   []int     // shard → index into workers
+	placed   []bool    // shard is cached on its assigned worker at states[s]
+	states   []*continuous.State
+	failures []*WorkerError
+
+	// epochTrace is the in-flight epoch's root span context: boundary
+	// work (migrations, drains) parents its spans under it.
+	epochTrace trace.SpanContext
+
+	// Shared with HTTP handlers; the rest is epoch-loop-thread only.
+	mu       sync.Mutex
+	drainReq map[string]bool
+	status   ClusterStatus
 }
 
 // CommitHook observes each committed coordinator epoch. It runs
@@ -61,40 +130,123 @@ type Coordinator struct {
 // without copying again.
 type CommitHook func(epoch int, inv map[netmodel.Key]*continuous.Entry)
 
-// NewCoordinator creates a coordinator seeded with an initial observation
-// set. The seed is handed to every runner; each keeps only the records its
-// partition owns, so the union of the shard inventories is exactly the
-// seeded set.
-func NewCoordinator(seed *dataset.Dataset, cfg Config) *Coordinator {
-	n := cfg.shards()
-	budgets := SliceBudget(cfg.Continuous.Budget, n)
-	c := &Coordinator{cfg: cfg, runners: make([]*continuous.Runner, n), tel: newCoordTelemetry(n)}
-	for i := range c.runners {
-		c.runners[i] = continuous.New(seed, cfg.shardConfig(i, budgets))
+// NewFleetCoordinator creates a coordinator with no workers and no shard
+// states: Admit the starting fleet, then Seed or Resume. rebalanceFactor
+// arms the latency rebalance policy (0 disables it; see rebalanceOnce);
+// logf receives one line per membership event.
+func NewFleetCoordinator(cfg Config, rebalanceFactor float64, logf func(format string, args ...any)) *Coordinator {
+	n := max(cfg.Shards, 1)
+	cfg.Shards = n
+	return &Coordinator{
+		cfg:      cfg,
+		budgets:  SliceBudget(cfg.Continuous.Budget, n),
+		factor:   rebalanceFactor,
+		logf:     logf,
+		tel:      newCoordTelemetry(n),
+		assign:   make([]int, n),
+		placed:   make([]bool, n),
+		drainReq: make(map[string]bool),
+	}
+}
+
+// newLocalCoordinator is a coordinator over in-process executors, one
+// worker per shard so the shards' epochs run concurrently.
+func newLocalCoordinator(cfg Config) *Coordinator {
+	c := NewFleetCoordinator(cfg, 0, func(string, ...any) {})
+	for i := range c.assign {
+		c.Admit(fmt.Sprintf("local/%d", i), "", &localExecutor{runners: make(map[int]*continuous.Runner)})
 	}
 	return c
 }
 
-// ResumeCoordinator recreates a coordinator from checkpointed per-shard
-// states, one per partition in shard order. The state count must match
-// cfg.Shards — resuming under a different shard count would strand every
-// host in a partition that no longer scans it.
-func ResumeCoordinator(states []*continuous.State, cfg Config) (*Coordinator, error) {
-	n := cfg.shards()
-	if len(states) != n {
-		return nil, fmt.Errorf("shard: checkpoint holds %d shard states; config says %d shards", len(states), n)
+// NewCoordinator creates an in-process coordinator seeded with an initial
+// observation set (see Seed).
+func NewCoordinator(seed *dataset.Dataset, cfg Config) *Coordinator {
+	c := newLocalCoordinator(cfg)
+	if err := c.Seed(seed); err != nil {
+		panic(err) // unreachable: an in-process placement cannot fail
 	}
-	budgets := SliceBudget(cfg.Continuous.Budget, n)
-	c := &Coordinator{cfg: cfg, runners: make([]*continuous.Runner, n), tel: newCoordTelemetry(n)}
-	for i := range c.runners {
-		c.runners[i] = continuous.Resume(states[i], cfg.shardConfig(i, budgets))
-	}
-	return c, nil
+	return c
 }
 
-// SetCommitHook registers the hook Epoch invokes after each commit; nil
-// unregisters. Call it before the epoch loop starts, not concurrently
-// with Epoch.
+// ResumeCoordinator recreates an in-process coordinator from checkpointed
+// per-shard states (see Resume).
+func ResumeCoordinator(states []*continuous.State, cfg Config) (*Coordinator, error) {
+	c := newLocalCoordinator(cfg)
+	return c, c.Resume(states)
+}
+
+// shardConfig derives shard s's runner configuration: the global budget
+// pre-sliced, the shard filter pinned.
+func (c *Coordinator) shardConfig(s int) continuous.Config {
+	sc := c.cfg.Continuous
+	sc.Budget = c.budgets[s]
+	sc.ShardIndex, sc.ShardCount = s, c.cfg.Shards
+	return sc
+}
+
+// Seed initializes every shard from one seed set: each shard's epoch-0
+// state is the records its partition owns (continuous.SeedState is
+// deterministic), so the union of the shard inventories is exactly the
+// seeded set, and the workers then start from those states the way they
+// would from a checkpoint. A worker receives only its own shards' states,
+// never the whole seed.
+func (c *Coordinator) Seed(seed *dataset.Dataset) error {
+	states := make([]*continuous.State, c.cfg.Shards)
+	for s := range states {
+		states[s] = continuous.SeedState(seed, c.shardConfig(s))
+	}
+	return c.Resume(states)
+}
+
+// Resume initializes every shard from the given states, one per shard in
+// shard order, placing each on its worker (with the epoch loop's failover
+// and refusal rules, see fanOut). The state count must match cfg.Shards —
+// resuming under a different shard count would strand every host in a
+// partition that no longer scans it.
+func (c *Coordinator) Resume(states []*continuous.State) error {
+	if len(states) != c.cfg.Shards {
+		return fmt.Errorf("shard: checkpoint holds %d shard states; config says %d shards", len(states), c.cfg.Shards)
+	}
+	if len(c.workers) == 0 {
+		return fmt.Errorf("shard: no workers admitted")
+	}
+	c.states = states
+	return c.fanOut("init", func(wi, s int) error { return c.place(s, wi, trace.SpanContext{}) })
+}
+
+// place puts shard s on worker wi at the coordinator's current state for
+// it: the one placement. Seeding, resume, dead-worker failover and live
+// migration all land here, because the coordinator owns every shard's
+// state and a worker's runner is only a cache of it. Re-pointing
+// assign[s] is the caller's move, after this returns nil (s is not yet
+// assigned to wi when a migration calls).
+func (c *Coordinator) place(s, wi int, tc trace.SpanContext) error {
+	owned := c.ownedBy(wi)
+	if c.assign[s] != wi {
+		owned = append(owned, s)
+	}
+	if err := c.workers[wi].ex.Place(s, c.shardConfig(s), c.states[s], owned, tc); err != nil {
+		return err
+	}
+	c.placed[s] = true
+	return nil
+}
+
+// ownedBy returns the shards currently assigned to worker index wi.
+func (c *Coordinator) ownedBy(wi int) []int {
+	var out []int
+	for s, w := range c.assign {
+		if w == wi {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// SetCommitHook registers the hook Epoch invokes after each all-or-nothing
+// commit; nil unregisters. Call it before the epoch loop starts, not
+// concurrently with Epoch.
 func (c *Coordinator) SetCommitHook(h CommitHook) { c.hook = h }
 
 // EmptyShards returns the indexes of shards with an empty inventory.
@@ -105,8 +257,8 @@ func (c *Coordinator) SetCommitHook(h CommitHook) { c.hook = h }
 // partition's population died out).
 func (c *Coordinator) EmptyShards() []int {
 	var out []int
-	for i, r := range c.runners {
-		if len(r.State().Known) == 0 {
+	for i, st := range c.states {
+		if len(st.Known) == 0 {
 			out = append(out, i)
 		}
 	}
@@ -115,61 +267,172 @@ func (c *Coordinator) EmptyShards() []int {
 
 // EpochNumber returns the last completed epoch (shards advance in
 // lockstep).
-func (c *Coordinator) EpochNumber() int { return c.runners[0].State().Epoch }
-
-// States exposes the per-shard states in shard order (shared, not
-// copied): read them for reporting, checkpoint them with WriteCheckpoint.
-func (c *Coordinator) States() []*continuous.State {
-	out := make([]*continuous.State, len(c.runners))
-	for i, r := range c.runners {
-		out[i] = r.State()
+func (c *Coordinator) EpochNumber() int {
+	if len(c.states) == 0 {
+		return 0
 	}
-	return out
+	return c.states[0].Epoch
 }
 
-// Epoch runs one epoch on every shard concurrently against the universe
-// and returns the merged stats: counters summed, freshness folded. The
-// per-shard stats remain available in each shard state's History.
-func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error) {
-	root := trace.StartSpan(trace.SpanContext{}, "epoch",
-		trace.Int("epoch", c.EpochNumber()+1), trace.Int("shards", len(c.runners)))
-	stats := make([]continuous.EpochStats, len(c.runners))
-	errs := make([]error, len(c.runners))
-	var wg sync.WaitGroup
-	for i, r := range c.runners {
-		wg.Add(1)
-		go func(i int, r *continuous.Runner) {
-			defer wg.Done()
-			ssp := trace.StartSpan(root.Context(), "shard-epoch", trace.Int("shard", i))
-			r.SetTraceParent(ssp.Context())
-			start := time.Now()
-			stats[i], errs[i] = r.Epoch(u)
-			c.tel.observeShard(i, time.Since(start))
-			r.SetTraceParent(trace.SpanContext{})
-			ssp.FinishErr(errs[i])
-		}(i, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			root.FinishErr(err)
-			return continuous.EpochStats{}, fmt.Errorf("shard: shard %d/%d: %w", i, len(c.runners), err)
+// States exposes the coordinator's authoritative per-shard states in
+// shard order (shared, not copied): read them for reporting, checkpoint
+// them with WriteCheckpoint. After every Epoch they are exactly what the
+// executors hold, so checkpointing the coordinator checkpoints the fleet.
+func (c *Coordinator) States() []*continuous.State { return c.states }
+
+// fanOut runs op once for every shard: workers in parallel, a worker's
+// shards in sequence, in rounds until every shard has succeeded. A link
+// failure re-queues the worker's unfinished shards to survivors for the
+// next round — safe because an epoch is a deterministic function of
+// (state, universe, config) and the coordinator still holds the pre-epoch
+// state. A refusal aborts instead. The error is a *WorkerError only when
+// a shard has nowhere left to run.
+func (c *Coordinator) fanOut(what string, op func(wi, s int) error) error {
+	n := c.cfg.Shards
+	done := make([]bool, n)
+	for {
+		// Re-home shards whose worker died (in a previous round or a
+		// previous epoch) before fanning out.
+		byWorker := make(map[int][]int)
+		for s := 0; s < n; s++ {
+			if done[s] {
+				continue
+			}
+			wi, err := c.liveWorker(s)
+			if err != nil {
+				return err
+			}
+			byWorker[wi] = append(byWorker[wi], s)
+		}
+		if len(byWorker) == 0 {
+			return nil
+		}
+
+		// Each worker's goroutine writes only its own shards' slots.
+		failed := make([]error, n)
+		var wg sync.WaitGroup
+		for wi, shards := range byWorker {
+			wg.Add(1)
+			go func(wi int, shards []int) {
+				defer wg.Done()
+				for i, s := range shards {
+					err := op(wi, s)
+					if err == nil {
+						done[s] = true
+						continue
+					}
+					failed[s] = err
+					if !refused(err) {
+						// The link is poisoned: every later shard on this
+						// worker fails over too.
+						for _, rest := range shards[i+1:] {
+							failed[rest] = err
+						}
+					}
+					return
+				}
+			}(wi, shards)
+		}
+		wg.Wait()
+
+		var abort error
+		for s, err := range failed {
+			switch w := c.workers[c.assign[s]]; {
+			case err == nil:
+			case refused(err):
+				abort = fmt.Errorf("shard: %s, shard %d on %s: %w", what, s, w.id, err)
+			default:
+				c.workerFailed(s, w, err)
+			}
+		}
+		if abort != nil {
+			// Workers whose shards did succeed are now ahead of c.states:
+			// re-place from the retained states before any retry.
+			for s := range c.placed {
+				c.placed[s] = false
+			}
+			return abort
 		}
 	}
-	c.tel.commit(c.EpochNumber())
-	if c.hook != nil {
-		inv, _ := MergeInventories(c.States())
-		c.hook(c.EpochNumber(), inv)
+}
+
+// Epoch runs the next epoch on every shard (fanOut) and returns the merged
+// stats (MergeStats). u is the universe as of this epoch for in-process
+// executors, nil for a fleet (see Executor).
+//
+// State commits are all-or-nothing: the states advance only when every
+// shard finished the epoch, so after an error a fleet coordinator still
+// holds the consistent pre-epoch layout (checkpointable, retryable), and
+// the commit hook only ever observes a fully consistent post-epoch one.
+func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error) {
+	if c.states == nil {
+		return continuous.EpochStats{}, fmt.Errorf("shard: Epoch before Seed or Resume")
 	}
+	n := c.cfg.Shards
+	epoch := c.EpochNumber() + 1
+	root := trace.StartSpan(trace.SpanContext{}, "epoch", trace.Int("epoch", epoch), trace.Int("shards", n))
+	c.epochTrace = root.Context()
+	defer func() { c.epochTrace = trace.SpanContext{} }()
+	// The epoch boundary: every queued membership change lands here, under
+	// the root span and before any shard starts, so the fan-out always
+	// sees a settled assignment.
+	c.maintain()
+
+	next := make([]*continuous.State, n)
+	stats := make([]continuous.EpochStats, n)
+	walls := make([]time.Duration, n)
+	err := c.fanOut(fmt.Sprintf("epoch %d", epoch), func(wi, s int) error {
+		w := c.workers[wi]
+		if !c.placed[s] {
+			if err := c.place(s, wi, root.Context()); err != nil {
+				return err
+			}
+		}
+		start := time.Now()
+		st, shardStats, draining, err := w.ex.Epoch(s, epoch, u, root.Context())
+		if err != nil {
+			return err
+		}
+		if st.Epoch != epoch {
+			return fmt.Errorf("shard %d state returned at epoch %d, want %d", s, st.Epoch, epoch)
+		}
+		next[s], stats[s], walls[s] = st, shardStats, time.Since(start)
+		c.tel.observeShard(s, walls[s])
+		if draining && !w.wantsDrain {
+			// Worker-initiated leave: the drain itself happens at the next
+			// boundary. Safe to set here — one goroutine owns a worker per
+			// round, and maintain reads it only after the fan-out joins.
+			w.wantsDrain = true
+			c.logf("shard: worker %q reports draining; migrating its shards at the next boundary", w.id)
+		}
+		return nil
+	})
+	if err != nil {
+		root.FinishErr(err)
+		return continuous.EpochStats{}, err
+	}
+
+	c.states = next
+	c.tel.commit(epoch)
+	if c.hook != nil {
+		inv, _ := MergeInventories(c.states)
+		c.hook(epoch, inv)
+	}
+	c.publishStatus()
 	root.Finish()
-	return MergeStats(stats), nil
+	return MergeStats(stats, walls), nil
 }
 
 // MergeStats folds per-shard epoch stats into one global summary: probe
 // and service counters sum, the freshness accounting folds component-wise.
-func MergeStats(stats []continuous.EpochStats) continuous.EpochStats {
+// Shards run concurrently, so their phase times do not add: the merged
+// Phases are those of the bounding shard — the one with the largest
+// measured epoch wall time (wall[i] is shard i's), named in Phases.Shard —
+// and so sum to no more than the epoch's own wall time.
+func MergeStats(stats []continuous.EpochStats, wall []time.Duration) continuous.EpochStats {
 	var m continuous.EpochStats
-	for _, s := range stats {
+	bound := 0
+	for i, s := range stats {
 		m.Epoch = s.Epoch // lockstep: identical across shards
 		m.ReverifyProbes += s.ReverifyProbes
 		m.DiscoveryProbes += s.DiscoveryProbes
@@ -185,12 +448,13 @@ func MergeStats(stats []continuous.EpochStats) continuous.EpochStats {
 		m.Freshness.Stale += s.Freshness.Stale
 		m.Freshness.Checked += s.Freshness.Checked
 		m.Freshness.Alive += s.Freshness.Alive
-		// Shards run concurrently, so these sums read as CPU-seconds of
-		// phase work, not wall time (see continuous.PhaseTimes).
-		m.Phases.Reverify += s.Phases.Reverify
-		m.Phases.Retrain += s.Phases.Retrain
-		m.Phases.Discover += s.Phases.Discover
-		m.Phases.Fold += s.Phases.Fold
+		if wall[i] > wall[bound] {
+			bound = i
+		}
+	}
+	if len(stats) > 0 {
+		m.Phases = stats[bound].Phases
+		m.Phases.Shard = bound
 	}
 	return m
 }
@@ -204,7 +468,7 @@ func MergeStats(stats []continuous.EpochStats) continuous.EpochStats {
 // FirstSeen); entries are copied, so mutating the result does not corrupt
 // shard state.
 func (c *Coordinator) Inventory() (map[netmodel.Key]*continuous.Entry, int) {
-	return MergeInventories(c.States())
+	return MergeInventories(c.states)
 }
 
 // MergeInventories implements Inventory over raw checkpoint states.

@@ -7,11 +7,56 @@ import (
 	"gps/internal/telemetry"
 )
 
+// Membership instruments, registered at package init: the names are
+// fixed, and a registration conflict should crash at startup, not
+// mid-epoch. The gps_rpc_* pair keeps the names it had when only a GPST
+// link could fail. Migrations are labeled by what triggered them — a
+// worker joining, a drain, or the EWMA rebalance policy — because the
+// three have very different operational meanings (growth, shrinkage,
+// hotspot healing).
+var (
+	workerFailures = telemetry.Default.Counter("gps_rpc_worker_failures_total",
+		"workers declared dead by the coordinator")
+	shardRequeues = telemetry.Default.Counter("gps_rpc_shard_requeues_total",
+		"shards re-queued from a dead worker to a survivor")
+
+	migrations = map[string]*telemetry.Counter{
+		"join":      newMigrationCounter("join"),
+		"drain":     newMigrationCounter("drain"),
+		"rebalance": newMigrationCounter("rebalance"),
+	}
+	migrationSeconds = telemetry.Default.Histogram("gps_shard_migration_seconds",
+		"duration of one live shard migration (placement through its ack)", nil)
+	migrationRejects = telemetry.Default.Counter("gps_shard_migration_rejects_total",
+		"live migrations refused or failed before the assignment re-pointed")
+	clusterJoins = telemetry.Default.Counter("gps_cluster_joins_total",
+		"workers admitted to a running coordinator via the join listener")
+	clusterDrains = telemetry.Default.Counter("gps_cluster_drains_total",
+		"workers drained out of a running coordinator")
+	clusterWorkersAlive = telemetry.Default.Gauge("gps_cluster_workers",
+		"fleet size by state", "state", "alive")
+	clusterWorkersDraining = telemetry.Default.Gauge("gps_cluster_workers",
+		"fleet size by state", "state", "draining")
+)
+
+func newMigrationCounter(reason string) *telemetry.Counter {
+	return telemetry.Default.Counter("gps_shard_migrations_total",
+		"live shard migrations completed, by trigger", "reason", reason)
+}
+
+// newWorkerShardsGauge registers the per-worker shard-count gauge once
+// per cluster membership; publishStatus then updates the cached handle
+// every epoch without re-entering the registry.
+func newWorkerShardsGauge(id string) *telemetry.Gauge {
+	return telemetry.Default.Gauge("gps_cluster_worker_shards",
+		"shards assigned to each worker", "worker", id)
+}
+
 // coordTelemetry holds the coordinator's pre-registered handles. The
-// per-shard epoch-latency histogram and its EWMA are the load signal
-// elastic shard membership (ROADMAP) will key off: a shard whose
-// smoothed epoch latency drifts above its peers is the one to split or
-// move.
+// per-shard epoch-latency histogram — measured around the executor call,
+// so over GPST it includes the round trip — and its EWMA are the load
+// signal the rebalance policy keys off: a shard whose smoothed epoch
+// latency drifts above its peers is the one to move.
 type coordTelemetry struct {
 	epochs   *telemetry.Counter
 	epoch    *telemetry.Gauge

@@ -35,6 +35,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 1, Cfg: cfg, WorldSpec: spec, State: []byte("blob")})),
 		frameBytes(f, msgEpoch, encodeEpochReq(3, 17, trace.SpanContext{TraceID: 7, SpanID: 9})),
 		frameBytes(f, msgEpochResult, encodeEpochResult(3, []byte("state"), true, []byte("spans"))),
+		frameBytes(f, msgEpochResult, appendEpochPhases(encodeEpochResult(3, []byte("state"), false, nil), false,
+			continuous.PhaseTimes{Reverify: 1, Retrain: 1 << 20, Discover: 1 << 40, Fold: 3})),
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: spec, State: []byte("blob"), Trace: trace.SpanContext{TraceID: 7, SpanID: 9}})),
 		frameBytes(f, msgJoin, encodeJoin(joinMsg{ID: "worker-a"})),
 		frameBytes(f, msgInitOK, encodeShardAck(5)),
@@ -67,6 +69,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		decodeInit(payload)
 		decodeEpochReq(payload)
 		decodeEpochResult(payload)
+		decodeEpochPhases(payload)
 		decodeShardAck(payload)
 		decodeError(payload)
 		decodeJoin(payload)

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gps/internal/continuous"
 	"gps/internal/features"
@@ -28,6 +29,10 @@ func goldenPayloads() []wiretest.Case {
 	spec := EncodeWorldSpec([]byte("world"), 300, []int{2, 130})
 	tc := trace.SpanContext{TraceID: 0xabcdef0123, SpanID: 0x77}
 	spans := []byte("an opaque span batch")
+	phases := continuous.PhaseTimes{
+		Reverify: 1500 * time.Microsecond, Retrain: 20 * time.Millisecond,
+		Discover: 3 * time.Second, Fold: 7 * time.Nanosecond,
+	}
 
 	payload := func(name string, optional int, b []byte, decode func([]byte) error) wiretest.Case {
 		return wiretest.Case{
@@ -62,6 +67,10 @@ func goldenPayloads() []wiretest.Case {
 		payload("epoch-result", 0, encodeEpochResult(130, []byte("state"), true, nil), tryEpochResult),
 		payload("epoch-result-traced", tail(encodeEpochResult(130, []byte("state"), false, spans), encodeEpochResult(130, []byte("state"), false, nil)),
 			encodeEpochResult(130, []byte("state"), false, spans), tryEpochResult),
+		// Phases with no span batch: the empty batch is written so the
+		// phases sit behind it, and both are the optional tail.
+		payload("epoch-result-phases", tail(appendEpochPhases(encodeEpochResult(130, []byte("state"), true, nil), false, phases), encodeEpochResult(130, []byte("state"), true, nil)),
+			appendEpochPhases(encodeEpochResult(130, []byte("state"), true, nil), false, phases), tryEpochResult),
 		payload("ack", 0, encodeShardAck(130), tryShardAck),
 		payload("join", 0, encodeJoin(joinMsg{ID: "worker-a"}), tryJoin),
 		payload("error", 0, encodeError("shard 130 is not mine"), tryError),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gps/internal/shard"
+	"gps/internal/telemetry"
 	"gps/internal/wire"
 )
 
@@ -43,7 +44,14 @@ func waitForWorker(t *testing.T, c *Coordinator, id, state string) {
 	t.Fatalf("worker %q never reached state %q; cluster: %+v", id, state, c.Status().Workers)
 }
 
-func findWorker(t *testing.T, c *Coordinator, id string) WorkerStatus {
+// migrationCount reads the coordinator's completed-migration counter for
+// one trigger. The instrument lives in internal/shard; registering the
+// same series again fetches its handle.
+func migrationCount(reason string) uint64 {
+	return telemetry.Default.Counter("gps_shard_migrations_total", "", "reason", reason).Value()
+}
+
+func findWorker(t *testing.T, c *Coordinator, id string) shard.WorkerStatus {
 	t.Helper()
 	for _, w := range c.Status().Workers {
 		if w.ID == id {
@@ -51,7 +59,7 @@ func findWorker(t *testing.T, c *Coordinator, id string) WorkerStatus {
 		}
 	}
 	t.Fatalf("worker %q not in cluster document", id)
-	return WorkerStatus{}
+	return shard.WorkerStatus{}
 }
 
 // TestMigrationJoinDrainLeaveCycle is the full elastic-membership
@@ -63,7 +71,7 @@ func findWorker(t *testing.T, c *Coordinator, id string) WorkerStatus {
 func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 	const worldSeed, n, epochs = 21, 4, 5
 
-	joinBase, drainBase := migrationsJoin.Value(), migrationsDrain.Value()
+	joinBase, drainBase := migrationCount("join"), migrationCount("drain")
 
 	w0, w1 := startWorker(t), startWorker(t)
 	c, err := Dial([]string{w0.addr(), w1.addr()}, testConfig(n), worldSpec(worldSeed), testOptions())
@@ -89,16 +97,16 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 	go func() {
 		joinDone <- Join(joinAddr, "w3", newSimWorld, &WorkerOptions{Draining: &leaving})
 	}()
-	waitForWorker(t, c, "w3", WorkerPending)
+	waitForWorker(t, c, "w3", shard.WorkerPending)
 
 	if _, err := c.Epoch(); err != nil {
 		t.Fatalf("epoch 2: %v", err)
 	}
 	w3 := findWorker(t, c, "w3")
-	if w3.State != WorkerAlive || !w3.Joined || w3.ShardCount == 0 {
+	if w3.State != shard.WorkerAlive || !w3.Joined || w3.ShardCount == 0 {
 		t.Fatalf("after admission w3 = %+v; want alive, joined, owning shards", w3)
 	}
-	if got := migrationsJoin.Value() - joinBase; got == 0 {
+	if got := migrationCount("join") - joinBase; got == 0 {
 		t.Error("join admission completed no migrations")
 	}
 
@@ -110,14 +118,14 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 	if _, err := c.Epoch(); err != nil {
 		t.Fatalf("epoch 3: %v", err)
 	}
-	if got := findWorker(t, c, w0.addr()); got.State != WorkerDrained {
+	if got := findWorker(t, c, w0.addr()); got.State != shard.WorkerDrained {
 		t.Fatalf("after drain %s = %+v; want drained", w0.addr(), got)
 	}
-	if got := migrationsDrain.Value() - drainBase; got == 0 {
+	if got := migrationCount("drain") - drainBase; got == 0 {
 		t.Error("drain completed no migrations")
 	}
 	for s, wi := range c.Assignment() {
-		if c.workers[wi].id == w0.addr() {
+		if c.Status().Workers[wi].ID == w0.addr() {
 			t.Errorf("shard %d still assigned to the drained worker", s)
 		}
 	}
@@ -132,7 +140,7 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 	if _, err := c.Epoch(); err != nil {
 		t.Fatalf("epoch 5: %v", err)
 	}
-	if got := findWorker(t, c, "w3"); got.State != WorkerDrained {
+	if got := findWorker(t, c, "w3"); got.State != shard.WorkerDrained {
 		t.Fatalf("after leave w3 = %+v; want drained", got)
 	}
 	select {
@@ -172,7 +180,7 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 // data.
 func TestMigrationPlacementRejected(t *testing.T) {
 	const worldSeed, n, epochs = 21, 2, 2
-	rejectBase := migrationRejects.Value()
+	rejectBase := telemetry.Default.Counter("gps_shard_migration_rejects_total", "").Value()
 
 	w0 := startWorker(t)
 	c, err := Dial([]string{w0.addr()}, testConfig(n), worldSpec(worldSeed), testOptions())
@@ -196,7 +204,7 @@ func TestMigrationPlacementRejected(t *testing.T) {
 			return nil, errors.New("will not simulate this world")
 		}, nil)
 	}()
-	waitForWorker(t, c, "refuser", WorkerPending)
+	waitForWorker(t, c, "refuser", shard.WorkerPending)
 
 	before := c.Assignment()
 	if _, err := c.Epoch(); err != nil {
@@ -208,12 +216,12 @@ func TestMigrationPlacementRejected(t *testing.T) {
 			t.Errorf("shard %d re-pointed %d → %d after a rejected placement", s, before[s], after[s])
 		}
 	}
-	if got := findWorker(t, c, "refuser"); got.ShardCount != 0 || got.State != WorkerAlive {
+	if got := findWorker(t, c, "refuser"); got.ShardCount != 0 || got.State != shard.WorkerAlive {
 		t.Errorf("refusing joiner = %+v; want alive (a rejection is not a link failure) and owning 0 shards", got)
 	}
 	// One boundary, one attempt: the balance pass stops at its first
 	// failure and retries at the next boundary.
-	if got := migrationRejects.Value() - rejectBase; got != 1 {
+	if got := telemetry.Default.Counter("gps_shard_migration_rejects_total", "").Value() - rejectBase; got != 1 {
 		t.Errorf("gps_shard_migration_rejects_total moved by %d; want 1", got)
 	}
 	ref := inProcessRun(t, worldSeed, n, epochs)
@@ -245,7 +253,7 @@ func joinByHand(t *testing.T, c *Coordinator, joinAddr, id string) net.Conn {
 	if typ, _, err := readFrame(conn); err != nil || typ != msgJoinOK {
 		t.Fatalf("join reply type %d err %v; want %d", typ, err, msgJoinOK)
 	}
-	waitForWorker(t, c, id, WorkerPending)
+	waitForWorker(t, c, id, shard.WorkerPending)
 	return conn
 }
 
@@ -296,12 +304,12 @@ func TestMigrationDeathMidTransfer(t *testing.T) {
 		t.Fatalf("epoch 2 after mid-transfer death: %v", err)
 	}
 	for s, wi := range c.Assignment() {
-		if c.workers[wi].id != w0.addr() {
+		if c.Status().Workers[wi].ID != w0.addr() {
 			t.Errorf("shard %d re-pointed off the donor despite the death", s)
 		}
 	}
-	if got := findWorker(t, c, "flaky"); got.State != WorkerDead {
-		t.Errorf("mid-transfer casualty state %q; want %q", got.State, WorkerDead)
+	if got := findWorker(t, c, "flaky"); got.State != shard.WorkerDead {
+		t.Errorf("mid-transfer casualty state %q; want %q", got.State, shard.WorkerDead)
 	}
 	// The fleet still works: another epoch on the donor.
 	if _, err := c.Epoch(); err != nil {
@@ -344,12 +352,12 @@ func TestMigrationAckNamesWrongShard(t *testing.T) {
 		t.Fatalf("epoch 1 with a lying joiner: %v", err)
 	}
 	for s, wi := range c.Assignment() {
-		if c.workers[wi].id != w0.addr() {
-			t.Errorf("shard %d re-pointed to %q on an ack for another shard", s, c.workers[wi].id)
+		if c.Status().Workers[wi].ID != w0.addr() {
+			t.Errorf("shard %d re-pointed to %q on an ack for another shard", s, c.Status().Workers[wi].ID)
 		}
 	}
-	if got := findWorker(t, c, "liar"); got.State != WorkerDead {
-		t.Errorf("lying joiner state %q; want %q", got.State, WorkerDead)
+	if got := findWorker(t, c, "liar"); got.State != shard.WorkerDead {
+		t.Errorf("lying joiner state %q; want %q", got.State, shard.WorkerDead)
 	}
 }
 
@@ -405,7 +413,7 @@ func TestMigrationVersionSkewRejected(t *testing.T) {
 	go func() {
 		joinDone <- Join(joinAddr, "postskew", newSimWorld, nil)
 	}()
-	waitForWorker(t, c, "postskew", WorkerPending)
+	waitForWorker(t, c, "postskew", shard.WorkerPending)
 
 	// New worker → old coordinator: a fake listener speaking version 1.
 	oldLis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -442,7 +450,7 @@ func TestMigrationVersionSkewRejected(t *testing.T) {
 // worker disconnected — not an error and not a stall.
 func TestClusterDrainZeroShardsNoop(t *testing.T) {
 	const worldSeed, n = 21, 2
-	drainBase := migrationsDrain.Value()
+	drainBase := migrationCount("drain")
 
 	// Three workers, two shards: round-robin leaves worker 2 idle.
 	w0, w1, w2 := startWorker(t), startWorker(t), startWorker(t)
@@ -469,10 +477,10 @@ func TestClusterDrainZeroShardsNoop(t *testing.T) {
 	if _, err := c.Epoch(); err != nil {
 		t.Fatalf("epoch 2: %v", err)
 	}
-	if got := findWorker(t, c, w2.addr()); got.State != WorkerDrained {
-		t.Fatalf("idle worker state %q after drain; want %q", got.State, WorkerDrained)
+	if got := findWorker(t, c, w2.addr()); got.State != shard.WorkerDrained {
+		t.Fatalf("idle worker state %q after drain; want %q", got.State, shard.WorkerDrained)
 	}
-	if got := migrationsDrain.Value() - drainBase; got != 0 {
+	if got := migrationCount("drain") - drainBase; got != 0 {
 		t.Errorf("drain of an idle worker performed %d migrations; want 0", got)
 	}
 	after := c.Assignment()

@@ -218,6 +218,11 @@ func TestTransportDistributedMatchesInProcess(t *testing.T) {
 		if stats.Epoch != e || c.EpochNumber() != e {
 			t.Errorf("epoch counters %d/%d; want %d", stats.Epoch, c.EpochNumber(), e)
 		}
+		// Phase times are not in the state blob: they reach the merged
+		// stats only by riding the result frame.
+		if p := stats.Phases; p.Reverify <= 0 || p.Retrain <= 0 || p.Discover <= 0 || p.Fold <= 0 || p.Shard < 0 || p.Shard >= n {
+			t.Errorf("epoch %d merged phases %+v; want the bounding shard's non-zero split", e, p)
+		}
 	}
 	if len(hookEpochs) != epochs || hookEpochs[0] != 1 || hookEpochs[epochs-1] != epochs {
 		t.Errorf("commit hook saw epochs %v; want 1..%d", hookEpochs, epochs)
@@ -675,7 +680,7 @@ func TestTransportInitAckNamesWrongShard(t *testing.T) {
 		t.Fatalf("epoch 1 on the survivor: %v", err)
 	}
 	for _, w := range c.Status().Workers {
-		if w.ID == liarAddr && (w.State != WorkerDead || w.ShardCount != 0) {
+		if w.ID == liarAddr && (w.State != shard.WorkerDead || w.ShardCount != 0) {
 			t.Errorf("lying worker = %+v; want dead, owning nothing", w)
 		}
 	}
@@ -696,9 +701,15 @@ func TestTransportSeedIsResume(t *testing.T) {
 		world := netmodel.Churn(u, netmodel.DefaultChurn(worldSeed+1))
 		for _, n := range []int{1, 2, 4, 8} {
 			cfg := testConfig(n)
-			c := &Coordinator{cfg: cfg, budgets: shard.SliceBudget(cfg.Continuous.Budget, n)}
+			budgets := shard.SliceBudget(cfg.Continuous.Budget, n)
+			shardCfg := func(s int) continuous.Config {
+				sc := cfg.Continuous
+				sc.Budget = budgets[s]
+				sc.ShardIndex, sc.ShardCount = s, n
+				return sc
+			}
 			for s := 0; s < n; s++ {
-				seeded := continuous.New(seedSet, c.shardCfg(s))
+				seeded := continuous.New(seedSet, shardCfg(s))
 				blob, err := shard.EncodeState(seeded.State())
 				if err != nil {
 					t.Fatal(err)
@@ -710,7 +721,7 @@ func TestTransportSeedIsResume(t *testing.T) {
 				if again, err := shard.EncodeState(st); err != nil || !bytes.Equal(again, blob) {
 					t.Fatalf("seed %d, shard %d/%d: seeded state is not canonical across the codec (%v)", worldSeed, s, n, err)
 				}
-				resumed := continuous.Resume(st, c.shardCfg(s))
+				resumed := continuous.Resume(st, shardCfg(s))
 				for _, r := range []*continuous.Runner{seeded, resumed} {
 					if _, err := r.Epoch(world); err != nil {
 						t.Fatalf("seed %d, shard %d/%d: epoch 1: %v", worldSeed, s, n, err)

@@ -1,16 +1,16 @@
 // Package transport runs the shard coordinator across process and host
-// boundaries. The in-process coordinator (internal/shard) proved the shard
-// boundary is serialization-friendly — pure-hash ownership, per-shard
-// checkpoint blobs — and this package puts a wire on it: a coordinator
-// dials N worker processes, seeds every shard's state locally, places
-// each shard on a worker (addresses map to shards via asndb.ShardOf;
-// shards map to workers round-robin), streams per-epoch shard results
-// back, and folds them through the same MergeStats/MergeInventories the
-// in-process coordinator uses. Because every shard epoch is a
+// boundaries. The coordinator itself is internal/shard's — one epoch loop,
+// one commit, one membership policy, in process and distributed alike —
+// and this package supplies the executor that puts a wire on the shard
+// boundary (pure-hash ownership and per-shard checkpoint blobs make it
+// serialization-friendly): Dial connects to N worker processes, the
+// coordinator places each shard's state on a worker (addresses map to
+// shards via asndb.ShardOf; shards map to workers round-robin) and
+// streams per-epoch shard results back. Because every shard epoch is a
 // deterministic function of (state, universe, config), and workers
 // replicate the universe deterministically from a world spec, the
 // distributed merged inventory is byte-identical to the in-process
-// coordinator's — the contract the CI gate diffs.
+// run's — the contract the CI gate diffs.
 //
 // The wire protocol is deliberately small: a 5-byte preamble ("GPST" plus
 // a version byte) in each direction, then length-prefixed frames of
@@ -97,6 +97,10 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("transport: frame type %d declares %d-byte payload, limit %d", e.Type, e.Size, e.Max)
 }
 
+// Refused: a payload too large for one worker is too large for all
+// (shard.Executor).
+func (e *FrameSizeError) Refused() bool { return true }
+
 // RemoteError carries a failure the worker reported over the wire (an
 // msgError frame): the connection is healthy, the request failed.
 type RemoteError struct {
@@ -104,6 +108,9 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return "transport: remote: " + e.Msg }
+
+// Refused: every other worker would answer the same (shard.Executor).
+func (e *RemoteError) Refused() bool { return true }
 
 // DisconnectError reports a connection that failed mid-conversation.
 type DisconnectError struct {
@@ -116,22 +123,6 @@ func (e *DisconnectError) Error() string {
 }
 
 func (e *DisconnectError) Unwrap() error { return e.Err }
-
-// WorkerError is the coordinator-level failure type: which worker failed,
-// which shard it was serving or being handed, and why. The coordinator
-// re-queues the shard to a surviving worker; Epoch returns a WorkerError
-// only when no worker is left to take it.
-type WorkerError struct {
-	Addr  string
-	Shard int
-	Err   error
-}
-
-func (e *WorkerError) Error() string {
-	return fmt.Sprintf("transport: worker %s (shard %d): %v", e.Addr, e.Shard, e.Err)
-}
-
-func (e *WorkerError) Unwrap() error { return e.Err }
 
 // openConn is how every GPST connection starts, on both ends of every
 // link (coordinator↔worker, join, feed): keepalive, because links idle
@@ -374,7 +365,8 @@ func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err
 // spans is the optional trailing span batch (trace.EncodeSpans): the
 // worker's phase spans for this epoch, shipped back so the
 // coordinator can stitch them into its own flight recorder. Only sent
-// when the request carried a trace context.
+// when the request carried a trace context. The epoch's phase split is a
+// second optional trailing field (appendEpochPhases).
 func encodeEpochResult(shard int, state []byte, draining bool, spans []byte) []byte {
 	var e wire.Enc
 	e.Varint(int64(shard))
@@ -395,6 +387,57 @@ func decodeEpochResult(payload []byte) (shard int, state []byte, draining bool, 
 		spans = d.Blob(maxFrame)
 	}
 	return shard, state, draining, spans, d.Err()
+}
+
+// appendEpochPhases adds msgEpochResult's second optional trailing field,
+// the epoch's phase split, behind the span batch: four uvarint nanosecond
+// counts. All-zero phases add nothing, so such a result is byte-identical
+// to the older frame; when phases do follow, the span batch is written
+// even if empty (hasSpans: result already ends in one).
+func appendEpochPhases(result []byte, hasSpans bool, p continuous.PhaseTimes) []byte {
+	if p.Reverify == 0 && p.Retrain == 0 && p.Discover == 0 && p.Fold == 0 {
+		return result
+	}
+	e := wire.Enc(result)
+	if !hasSpans {
+		e.Blob(nil)
+	}
+	for _, d := range [...]time.Duration{p.Reverify, p.Retrain, p.Discover, p.Fold} {
+		e.Uvarint(uint64(d))
+	}
+	return e
+}
+
+// decodeEpochPhases reads the phase split off a payload decodeEpochResult
+// accepted. Best-effort like decodeTraceCtx: a frame that ends after the
+// draining flag or the spans, or a garbled tail, yields zero phases.
+func decodeEpochPhases(payload []byte) continuous.PhaseTimes {
+	d := wire.NewDec(Magic, payload)
+	d.Varint()
+	d = skipBlob(d) // the state
+	d.Bool()
+	if !d.More() {
+		return continuous.PhaseTimes{}
+	}
+	d = skipBlob(d) // the spans
+	p := continuous.PhaseTimes{
+		Reverify: time.Duration(d.Uvarint()), Retrain: time.Duration(d.Uvarint()),
+		Discover: time.Duration(d.Uvarint()), Fold: time.Duration(d.Uvarint()),
+	}
+	if d.Err() != nil {
+		return continuous.PhaseTimes{}
+	}
+	return p
+}
+
+// skipBlob steps over a length-prefixed field without copying it (a state
+// blob is the bulk of an epoch result).
+func skipBlob(d *wire.Dec) *wire.Dec {
+	n, rest := d.Uvarint(), d.Rest()
+	if n > uint64(len(rest)) {
+		n = uint64(len(rest))
+	}
+	return wire.NewDec(Magic, rest[n:])
 }
 
 // encodeError frames a failure report for msgError; the receiver turns

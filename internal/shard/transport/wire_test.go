@@ -142,8 +142,8 @@ func TestWireMidStreamDisconnect(t *testing.T) {
 	if err := readHandshake(conn); err != nil {
 		t.Fatal(err)
 	}
-	w := &workerLink{addr: lis.Addr().String(), conn: conn, alive: true}
-	_, err = w.rpc(5*time.Second, msgEpoch, encodeEpochReq(0, 1, trace.SpanContext{}), msgEpochResult)
+	w := &workerLink{addr: lis.Addr().String(), conn: conn, timeout: 5 * time.Second}
+	_, err = w.rpc(msgEpoch, encodeEpochReq(0, 1, trace.SpanContext{}), msgEpochResult)
 	var de *DisconnectError
 	if !errors.As(err, &de) {
 		t.Fatalf("mid-stream disconnect returned %v; want *DisconnectError", err)
@@ -265,5 +265,33 @@ func TestWireWorldSpecEnvelopeRejects(t *testing.T) {
 	}
 	if _, _, _, err := DecodeWorldSpec([]byte("nope-not-a-spec")); !wire.IsKind(err, wire.BadMagic) {
 		t.Errorf("foreign bytes returned %v; want a bad-magic *wire.Error", err)
+	}
+}
+
+// TestWireEpochResultPhases: the phase split is msgEpochResult's second
+// optional trailing field. It round-trips with and without a span batch,
+// all-zero phases leave the older frame's bytes untouched, and a frame
+// that ends after the draining flag, after the spans, or inside the
+// phases still decodes — phases zero.
+func TestWireEpochResultPhases(t *testing.T) {
+	phases := continuous.PhaseTimes{Reverify: 3 * time.Millisecond, Retrain: time.Second, Discover: 42, Fold: 1 << 40}
+	for _, spans := range [][]byte{nil, []byte("a span batch")} {
+		plain := encodeEpochResult(2, []byte("state"), true, spans)
+		if got := appendEpochPhases(plain, len(spans) > 0, continuous.PhaseTimes{}); !bytes.Equal(got, plain) {
+			t.Errorf("spans=%q: zero phases changed the frame", spans)
+		}
+		full := appendEpochPhases(plain, len(spans) > 0, phases)
+		shard, state, draining, gotSpans, err := decodeEpochResult(full)
+		if err != nil || shard != 2 || string(state) != "state" || !draining || !bytes.Equal(gotSpans, spans) {
+			t.Fatalf("spans=%q: result with phases decoded to (%d, %q, %v, %q, %v)", spans, shard, state, draining, gotSpans, err)
+		}
+		if got := decodeEpochPhases(full); got != phases {
+			t.Errorf("spans=%q: phases decoded to %+v; want %+v", spans, got, phases)
+		}
+		for cut := len(plain); cut < len(full); cut++ {
+			if got := decodeEpochPhases(full[:cut]); got != (continuous.PhaseTimes{}) {
+				t.Errorf("spans=%q: frame cut at %d of %d decoded phases %+v; want zero", spans, cut, len(full), got)
+			}
+		}
 	}
 }

@@ -333,7 +333,7 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 		trace.Default.SetCurrentTrace(tc.TraceID)
 		r.SetTraceParent(tc)
 	}
-	_, eerr := r.Epoch(u)
+	stats, eerr := r.Epoch(u)
 	var spanBlob []byte
 	if tc.Valid() {
 		r.SetTraceParent(trace.SpanContext{})
@@ -350,5 +350,8 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 	}
 	// The draining flag rides every epoch result: it is how a worker
 	// asks the coordinator to migrate its shards away before it leaves.
-	return s.send(conn, msgEpochResult, encodeEpochResult(shard, blob, s.opts.draining(), spanBlob))
+	// The phase split follows the spans: checkpoints leave it out, so the
+	// state blob cannot carry it.
+	result := encodeEpochResult(shard, blob, s.opts.draining(), spanBlob)
+	return s.send(conn, msgEpochResult, appendEpochPhases(result, len(spanBlob) > 0, stats.Phases))
 }

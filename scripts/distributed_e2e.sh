@@ -280,21 +280,46 @@ if [ "$worker_epochs" -ne 12 ]; then
   echo "workers executed $worker_epochs shard epochs, want 4 shards x 3 epochs = 12" >&2
   exit 1
 fi
-# Epoch counters must agree across modes: the in-process coordinator
-# counts epochs directly; the distributed one's RPC histogram counts one
-# observation per shard epoch; both serve the same snapshot epoch.
-single_epochs=$(metric_value "$DIR/single.metricz" gps_coordinator_epochs_total)
-rpc_epochs=0
-for shard in 0 1 2 3; do
-  rpc_epochs=$((rpc_epochs + $(metric_value "$DIR/dist.metricz" "gps_rpc_shard_epoch_seconds_count{shard=\"$shard\"}")))
+# Both modes run the one coordinator, so both publish the same series
+# under the same names: epochs committed, and one latency observation per
+# shard epoch whichever executor ran it.
+for mode in single dist; do
+  mode_epochs=$(metric_value "$DIR/$mode.metricz" gps_coordinator_epochs_total)
+  shard_epochs=0
+  for shard in 0 1 2 3; do
+    shard_epochs=$((shard_epochs + $(metric_value "$DIR/$mode.metricz" "gps_shard_epoch_seconds_count{shard=\"$shard\"}")))
+  done
+  echo "$mode: coordinator epochs=$mode_epochs shard epochs(sum)=$shard_epochs"
+  if [ "$mode_epochs" -ne 3 ] || [ "$shard_epochs" -ne 12 ]; then
+    echo "$mode: want 3 coordinator epochs and 4 shards x 3 epochs = 12 shard epochs" >&2
+    exit 1
+  fi
+done
+# And print the same epoch line: same keys, the bounding shard named, its
+# four phases measured (they cross the wire beside the state) and fitting
+# inside the epoch's wall time.
+epoch_keys() { grep -o '"[a-z_]*":' <<<"$1" | tr -d '\n'; }
+single_line=$(grep '"event":"epoch"' "$DIR/single.log" | tail -1)
+dist_line=$(grep '"event":"epoch"' "$DIR/coordinator.log" | tail -1)
+if [ -z "$single_line" ] || [ "$(epoch_keys "$single_line")" != "$(epoch_keys "$dist_line")" ]; then
+  echo "epoch lines differ in shape across modes:" >&2
+  printf '%s\n%s\n' "$single_line" "$dist_line" >&2
+  exit 1
+fi
+for line in "$single_line" "$dist_line"; do
+  awk '
+    function field(k) { return match($0, "\"" k "\":[-+.e0-9]+") ? substr($0, RSTART + length(k) + 3, RLENGTH - length(k) - 3) + 0 : -1 }
+    {
+      r = field("reverify_sec"); t = field("retrain_sec"); d = field("discover_sec"); f = field("fold_sec")
+      e = field("epoch_sec"); b = field("bound_shard")
+      if (r <= 0 || t <= 0 || d <= 0 || f <= 0) { print "a phase reads zero: " $0 > "/dev/stderr"; exit 1 }
+      if (r + t + d + f > e * 1.02 + 0.001) { print "phases exceed epoch_sec: " $0 > "/dev/stderr"; exit 1 }
+      if (b < 0 || b > 3) { print "bound_shard out of range: " $0 > "/dev/stderr"; exit 1 }
+    }' <<<"$line"
 done
 single_snap=$(metric_value "$DIR/single.metricz" gps_snapshot_epoch)
 dist_snap=$(metric_value "$DIR/dist.metricz" gps_snapshot_epoch)
-echo "epochs: single=$single_epochs rpc(sum)=$rpc_epochs snapshots: single=$single_snap dist=$dist_snap"
-if [ "$single_epochs" -ne 3 ] || [ "$rpc_epochs" -ne 12 ]; then
-  echo "epoch counters diverge across modes" >&2
-  exit 1
-fi
+echo "snapshots: single=$single_snap dist=$dist_snap"
 if [ "$single_snap" -ne 3 ] || [ "$dist_snap" -ne 3 ]; then
   echo "served snapshot epochs diverge" >&2
   exit 1

@@ -79,6 +79,44 @@ func TestRootSurfaceIsSpelled(t *testing.T) {
 // sequence that has to keep the epoch invariant by hand: call
 // serve.Commit instead.
 func TestOneCommitSite(t *testing.T) {
+	sites := callSites(t, func(_, name string) bool { return name == "NewSnapshot" })
+	want := []string{"facade.go:NewInventorySnapshot", "internal/serve/feed.go:Commit"}
+	if strings.Join(sites, " ") != strings.Join(want, " ") {
+		t.Errorf("NewSnapshot is called from %v; want exactly %v", sites, want)
+	}
+}
+
+// TestOneCoordinator holds the shard coordinator to its rule: there is
+// one epoch loop, so per-shard stats are merged at one call site and a
+// commit hook is invoked from one function; and a shard's runner is a
+// cache of coordinator-owned state in exactly two places — the in-process
+// executor and the worker side of the placement RPC. A second site for
+// any of them is a second coordinator growing back.
+func TestOneCoordinator(t *testing.T) {
+	for _, c := range []struct {
+		what  string
+		match func(qual, name string) bool
+		want  string
+	}{
+		{"MergeStats is called", func(_, name string) bool { return name == "MergeStats" },
+			"internal/shard/coordinator.go:Epoch"},
+		{"a commit hook is invoked", func(_, name string) bool { return name == "hook" },
+			"internal/shard/coordinator.go:Epoch"},
+		{"continuous.Resume is called", func(qual, name string) bool { return qual == "continuous" && name == "Resume" },
+			"internal/shard/coordinator.go:Place internal/shard/transport/worker.go:handleInit"},
+	} {
+		if sites := strings.Join(callSites(t, c.match), " "); sites != c.want {
+			t.Errorf("%s from [%s]; want exactly [%s]", c.what, sites, c.want)
+		}
+	}
+}
+
+// callSites walks every non-test Go file outside the benchmark driver
+// and the examples and returns "path:function" for each call match
+// accepts, in walk order. name is the callee's own name; qual is the
+// package or receiver identifier it was selected from, if any.
+func callSites(t *testing.T, match func(qual, name string) bool) []string {
+	t.Helper()
 	fset := token.NewFileSet()
 	var sites []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -108,14 +146,17 @@ func TestOneCommitSite(t *testing.T) {
 				if !ok {
 					return true
 				}
-				name := ""
+				qual, name := "", ""
 				switch fn := call.Fun.(type) {
 				case *ast.Ident:
 					name = fn.Name
 				case *ast.SelectorExpr:
 					name = fn.Sel.Name
+					if x, ok := fn.X.(*ast.Ident); ok {
+						qual = x.Name
+					}
 				}
-				if name == "NewSnapshot" {
+				if match(qual, name) {
 					sites = append(sites, filepath.ToSlash(path)+":"+fd.Name.Name)
 				}
 				return true
@@ -126,8 +167,5 @@ func TestOneCommitSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"facade.go:NewInventorySnapshot", "internal/serve/feed.go:Commit"}
-	if strings.Join(sites, " ") != strings.Join(want, " ") {
-		t.Errorf("NewSnapshot is called from %v; want exactly %v", sites, want)
-	}
+	return sites
 }
