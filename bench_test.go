@@ -2,7 +2,8 @@ package gps_test
 
 // The micro-benchmarks perf PRs quote (ROADMAP's re-anchor table): the
 // model build and lookup, prediction throughput, one continuous and one
-// sharded epoch, and the serving layer's snapshot build and query path.
+// sharded epoch, the serving layer's snapshot build and query path, and
+// the commit path's snapshot, delta and clone-and-apply.
 // The paper's tables and figures are reproduced by cmd/gpseval; the
 // end-to-end epoch and query clocks are measured by cmd/gpsbench.
 //
@@ -10,6 +11,7 @@ package gps_test
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"gps"
 	"gps/internal/continuous"
 	"gps/internal/dataset"
 	"gps/internal/engine"
@@ -107,6 +110,73 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 		snap = serve.NewSnapshot(3, inv)
 	}
 	b.ReportMetric(float64(snap.NumServices()), "services")
+}
+
+// commitPathInventories is one replicate-churn commit (cmd/gpsbench):
+// every service of a 32-/16 world at 3% density, a tenth of it held
+// out, and one 9% churn step that adds a third of the churn from the
+// held-out tenth, removes a third and re-observes a third.
+func commitPathInventories() (base, next map[netmodel.Key]*continuous.Entry) {
+	u := netmodel.Generate(gps.DemoUniverseParams(1, 32, 0.03))
+	recs := dataset.SnapshotLZR(u, 1.0, 1^0x11).Records
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Key().Compare(recs[j].Key()) < 0 })
+	base = make(map[netmodel.Key]*continuous.Entry, len(recs))
+	var present []netmodel.Key
+	var held []dataset.Record
+	for i, rec := range recs {
+		rec.Feats = nil
+		if i%10 == 9 {
+			held = append(held, rec)
+			continue
+		}
+		base[rec.Key()] = &continuous.Entry{Rec: rec}
+		present = append(present, rec.Key())
+	}
+	next = shard.CloneInventory(base)
+	rng := rand.New(rand.NewSource(1))
+	n := len(present) * 9 / 100 / 3
+	rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
+	for i := 0; i < n; i++ {
+		rec := held[rng.Intn(len(held))]
+		next[rec.Key()] = &continuous.Entry{Rec: rec, FirstSeen: 1, LastSeen: 1}
+		delete(next, present[i])
+		next[present[n+i]].LastSeen = 1
+	}
+	return base, next
+}
+
+// BenchmarkCommitPath times the three canonical-order passes one
+// replicated commit pays on a ~130k-service inventory: the snapshot
+// build (origin and replica each run one), the origin's delta, and the
+// replica's clone-and-apply. They are the layers gpsbench's traced
+// replicate-churn op reports as serve.snapshot_build_ms,
+// shard.compute_delta_ms and shard.clone_inventory_ms +
+// shard.apply_delta_ms.
+func BenchmarkCommitPath(b *testing.B) {
+	base, next := commitPathInventories()
+	d := shard.ComputeDelta(base, next, 0, 1)
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serve.NewSnapshot(1, next)
+		}
+		b.ReportMetric(float64(len(next)), "services")
+	})
+	b.Run("delta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			shard.ComputeDelta(base, next, 0, 1)
+		}
+		b.ReportMetric(float64(d.Size()), "changes")
+	})
+	b.Run("clone_apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := shard.ApplyDelta(shard.CloneInventory(base), d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkServeQuery measures the read path under fire: query latency

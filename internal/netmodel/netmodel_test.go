@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -372,5 +374,55 @@ func TestKeyCompare(t *testing.T) {
 	}
 	if got := SortedKeys(set); !slices.Equal(got, ordered) {
 		t.Errorf("SortedKeys = %v; want %v", got, ordered)
+	}
+}
+
+// TestSortedPairs: the radix kernel returns exactly what a comparison
+// sort of the map's entries returns, with every value still beside its
+// key — on both sides of the small-n cutoff, at the ends of the key
+// space, and on key sets whose shared digits skip radix passes.
+func TestSortedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n int, ip func() uint32, port func() uint16) map[Key]uint64 {
+		m := make(map[Key]uint64, n)
+		for len(m) < n {
+			k := Key{IP: asndb.IP(ip()), Port: port()}
+			m[k] = k.bits() ^ 0x5a5a
+		}
+		return m
+	}
+	anyIP := func() uint32 { return rng.Uint32() }
+	anyPort := func() uint16 { return uint16(rng.Intn(1 << 16)) }
+	cases := map[string]map[Key]uint64{
+		"empty": {},
+		"one":   {{IP: 0xffffffff, Port: 65535}: 1},
+		"ends": {{IP: 0, Port: 0}: 1, {IP: 0, Port: 65535}: 2,
+			{IP: 0xffffffff, Port: 0}: 3, {IP: 0xffffffff, Port: 65535}: 4},
+	}
+	for _, n := range []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 20000} {
+		cases[fmt.Sprintf("random-%d", n)] = random(n, anyIP, anyPort)
+	}
+	// One /16 and a handful of ports: the top two IP bytes and the high
+	// port byte are shared, so three of the six passes are skipped.
+	cases["one-prefix"] = random(5000, func() uint32 { return 0x0a0b0000 | uint32(rng.Intn(1<<16)) },
+		func() uint16 { return uint16(rng.Intn(200)) })
+	// Every key on one port: only the IP bytes sort.
+	cases["one-port"] = random(3000, anyIP, func() uint16 { return 443 })
+	// Keys straddling the 0.0.0.0 and 255.255.255.255 ends and a /16
+	// boundary at once.
+	edge := func() uint32 {
+		return [...]uint32{0, 0xffffffff, 0x0a0bffff, 0x0a0c0000}[rng.Intn(4)] ^ uint32(rng.Intn(8))
+	}
+	cases["edges"] = random(4096, edge, anyPort)
+
+	for name, m := range cases {
+		want := make([]Pair[uint64], 0, len(m))
+		for k, v := range m {
+			want = append(want, Pair[uint64]{k, v})
+		}
+		slices.SortFunc(want, func(a, b Pair[uint64]) int { return a.Key.Compare(b.Key) })
+		if got := SortedPairs(m); !slices.Equal(got, want) {
+			t.Errorf("%s: SortedPairs differs from slices.SortFunc over %d entries", name, len(m))
+		}
 	}
 }

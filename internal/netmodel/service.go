@@ -66,8 +66,12 @@ func (k Key) String() string { return fmt.Sprintf("%s:%d", k.IP, k.Port) }
 func (k Key) Compare(o Key) int {
 	// One integer comparison with the IP as the high bits, small enough
 	// to inline into the sorts that call it a few million times an epoch.
-	return cmp.Compare(uint64(k.IP)<<16|uint64(k.Port), uint64(o.IP)<<16|uint64(o.Port))
+	return cmp.Compare(k.bits(), o.bits())
 }
+
+// bits is the key as the 48-bit integer IP<<16 | port, whose numeric
+// order is Compare order.
+func (k Key) bits() uint64 { return uint64(k.IP)<<16 | uint64(k.Port) }
 
 // SortedKeys returns the keys of m in Compare order.
 func SortedKeys[V any](m map[Key]V) []Key {
@@ -77,6 +81,73 @@ func SortedKeys[V any](m map[Key]V) []Key {
 	}
 	slices.SortFunc(keys, Key.Compare)
 	return keys
+}
+
+// Pair is one entry of a Key-indexed map.
+type Pair[V any] struct {
+	Key   Key
+	Value V
+}
+
+// SortedPairs returns the entries of m in Compare order: one map walk
+// collects them, then an LSD radix sort orders them on the 48-bit key.
+// Every canonical walk of an inventory — a snapshot build, a delta's
+// merge-join, a GPSV write — is this one call, with no lookup per key.
+func SortedPairs[V any](m map[Key]V) []Pair[V] {
+	ps := make([]Pair[V], 0, len(m))
+	for k, v := range m {
+		ps = append(ps, Pair[V]{k, v})
+	}
+	if len(ps) < radixCutoff {
+		slices.SortFunc(ps, func(a, b Pair[V]) int { return a.Key.Compare(b.Key) })
+		return ps
+	}
+	return radixSort(ps, make([]Pair[V], len(ps)))
+}
+
+const (
+	// radixCutoff is the size below which a comparison sort beats the
+	// radix passes and their scratch buffer.
+	radixCutoff = 1 << 10
+	// keyDigits is how many 8-bit digits a 48-bit key has. Byte digits
+	// keep every count array on the stack; wider ones would spill to the
+	// heap on each call.
+	keyDigits = 6
+)
+
+// radixSort sorts ps by key, least significant byte first, using scratch
+// (len(ps) long) as the other buffer, and returns whichever of the two
+// holds the result. Keys are unique, so stability is moot and the order
+// is exactly Compare order. One counting pass fills every digit's
+// histogram; a digit that every key shares (the high bytes of a universe
+// confined to a few networks, say) costs no pass.
+func radixSort[V any](ps, scratch []Pair[V]) []Pair[V] {
+	var counts [keyDigits][256]int
+	for i := range ps {
+		b := ps[i].Key.bits()
+		for d := range counts {
+			counts[d][byte(b>>(8*d))]++
+		}
+	}
+	src, dst := ps, scratch
+	for d := range counts {
+		shift := 8 * d
+		c := &counts[d]
+		if c[byte(src[0].Key.bits()>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, p := range src {
+			digit := byte(p.Key.bits() >> shift)
+			dst[c[digit]] = p
+			c[digit]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // Host is one responsive IPv4 address and everything it serves.

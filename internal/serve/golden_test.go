@@ -202,17 +202,17 @@ func TestListRenderMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
-	for ip, ids := range snap.byIP {
-		check("host "+ip.String(), ids)
+	for i, ip := range snap.byIP.keys {
+		check("host "+asndb.IP(ip).String(), snap.byIP.group(i))
 	}
-	for port, ids := range snap.byPort {
-		check(fmt.Sprintf("port %d", port), ids)
+	for i, port := range snap.byPort.keys {
+		check(fmt.Sprintf("port %d", port), snap.byPort.group(i))
 	}
-	for asn, ids := range snap.byASN {
-		check(fmt.Sprintf("asn AS%d", uint32(asn)), ids)
+	for i, asn := range snap.byASN.keys {
+		check(fmt.Sprintf("asn AS%d", asn), snap.byASN.group(i))
 	}
-	for pfx, ids := range snap.byPrefix {
-		check("prefix "+asndb.Subnet16(pfx), ids)
+	for i, pfx := range snap.byPrefix.keys {
+		check("prefix "+asndb.Subnet16(asndb.IP(pfx)), snap.byPrefix.group(i))
 	}
 	check("port 1", nil) // a query that matches nothing
 	if lists < 1000 {

@@ -474,7 +474,7 @@ func (s *Server) handleHost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q [24]byte
-	writeList(w, r, snap, appendIP(append(q[:0], "host "...), ip), snap.byIP[ip], 0, -1)
+	writeList(w, r, snap, appendIP(append(q[:0], "host "...), ip), snap.hostRows(ip), 0, -1)
 }
 
 func (s *Server) handlePort(w http.ResponseWriter, r *http.Request) {
@@ -495,7 +495,7 @@ func (s *Server) handlePort(w http.ResponseWriter, r *http.Request) {
 	// The canonical spelling, not the raw path segment: the body is a
 	// function of the parsed values ("0443" and "443" are one query).
 	var q [24]byte
-	writeList(w, r, snap, strconv.AppendUint(append(q[:0], "port "...), port, 10), snap.byPort[uint16(port)], offset, limit)
+	writeList(w, r, snap, strconv.AppendUint(append(q[:0], "port "...), port, 10), snap.portRows(uint16(port)), offset, limit)
 }
 
 func (s *Server) handleASN(w http.ResponseWriter, r *http.Request) {
@@ -514,7 +514,7 @@ func (s *Server) handleASN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var q [24]byte
-	writeList(w, r, snap, strconv.AppendUint(append(q[:0], "asn AS"...), asn, 10), snap.byASN[asndb.ASN(asn)], offset, limit)
+	writeList(w, r, snap, strconv.AppendUint(append(q[:0], "asn AS"...), asn, 10), snap.asnRows(asndb.ASN(asn)), offset, limit)
 }
 
 func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
@@ -534,5 +534,5 @@ func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
 	}
 	pfx := ip & asndb.Mask(16)
 	var q [24]byte
-	writeList(w, r, snap, append(appendIP(append(q[:0], "prefix "...), pfx), "/16"...), snap.byPrefix[pfx], offset, limit)
+	writeList(w, r, snap, append(appendIP(append(q[:0], "prefix "...), pfx), "/16"...), snap.prefixRows(pfx), offset, limit)
 }

@@ -8,13 +8,16 @@
 // merge, distributed transport), and this package *serves* it. The two
 // sides meet at exactly one point: at each epoch commit the producer
 // builds an immutable Snapshot — the merged inventory plus secondary
-// indexes by port, /16 prefix, and ASN, and precomputed freshness
+// indexes by host, port, /16 prefix, and ASN, and precomputed freshness
 // aggregates — and swaps it into a Publisher with a single atomic pointer
-// store. Readers load the pointer, query the immutable structure, and
-// never block the scan loop (and the scan loop never blocks them): there
-// is no lock anywhere on the read path. A request touches one atomic
-// load (the pointer), the snapshot it found there, a render buffer of
-// its own, and the atomic counters that account for it.
+// store. A snapshot is built in one sorted pass: the inventory in
+// canonical (IP, port) order becomes its service rows, and each index is
+// postings over row ids, runs of one shared array. Readers load the
+// pointer, query the immutable structure, and never block the scan loop
+// (and the scan loop never blocks them): there is no lock anywhere on
+// the read path. A request touches one atomic load (the pointer), the
+// snapshot it found there, a render buffer of its own, and the atomic
+// counters that account for it.
 //
 // Server wraps a Publisher in an HTTP API (/v1/host, /v1/port, /v1/asn,
 // /v1/prefix, /v1/ports, /v1/stats, /v1/healthz) with pagination and
@@ -27,7 +30,7 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"gps/internal/asndb"
@@ -80,10 +83,10 @@ type PortCount struct {
 type Snapshot struct {
 	epoch    int
 	services []Service // sorted by (IP, port): the canonical order
-	byIP     map[asndb.IP][]int32
-	byPort   map[uint16][]int32
-	byPrefix map[asndb.IP][]int32 // key: /16 network address
-	byASN    map[asndb.ASN][]int32
+	byIP     postings
+	byPort   postings
+	byPrefix postings // key: /16 network address
+	byASN    postings
 	ports    []PortCount // sorted by port
 	stats    Stats
 
@@ -115,30 +118,24 @@ func (l *lazy[T]) get(compute func() T) T {
 // of the given committed epoch. The input map is read, never retained:
 // the snapshot copies what it serves, so the producer may keep mutating
 // its inventory the moment this returns.
+//
+// The build is one sorted pass: netmodel.SortedPairs puts the inventory
+// in canonical order and the service rows are filled from it. Every
+// postings list is then a run over row ids. Rows are sorted by IP, so a
+// host's and a /16's rows are contiguous runs of the identity; the port
+// and ASN indexes regroup the row ids by key with a stable radix pass.
+// The build allocates a fixed number of arrays, not one per host.
 func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
-	keys := netmodel.SortedKeys(inv)
-	s := &Snapshot{
-		epoch:    epoch,
-		services: make([]Service, len(keys)),
-		byIP:     make(map[asndb.IP][]int32),
-		byPort:   make(map[uint16][]int32),
-		byPrefix: make(map[asndb.IP][]int32),
-		byASN:    make(map[asndb.ASN][]int32),
-	}
-	for i, k := range keys {
-		e := inv[k]
+	pairs := netmodel.SortedPairs(inv)
+	n := len(pairs)
+	s := &Snapshot{epoch: epoch, services: make([]Service, n)}
+	for i, p := range pairs {
+		e := p.Value
 		s.services[i] = Service{
-			IP: k.IP, Port: k.Port,
+			IP: p.Key.IP, Port: p.Key.Port,
 			Proto: e.Rec.Proto, ASN: e.Rec.ASN,
 			FirstSeen: e.FirstSeen, LastSeen: e.LastSeen, Stale: e.Stale,
 		}
-		id := int32(i)
-		s.byIP[k.IP] = append(s.byIP[k.IP], id)
-		s.byPort[k.Port] = append(s.byPort[k.Port], id)
-		pfx := k.IP & asndb.Mask(16)
-		s.byPrefix[pfx] = append(s.byPrefix[pfx], id)
-		s.byASN[e.Rec.ASN] = append(s.byASN[e.Rec.ASN], id)
-
 		if e.LastSeen == epoch {
 			s.stats.Freshness.Fresh++
 		}
@@ -146,20 +143,134 @@ func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
 			s.stats.Freshness.Stale++
 		}
 	}
-	s.stats.Epoch = epoch
-	s.stats.Services = len(s.services)
-	s.stats.Hosts = len(s.byIP)
-	s.stats.Ports = len(s.byPort)
-	s.stats.Prefixes = len(s.byPrefix)
-	s.stats.ASNs = len(s.byASN)
-	s.stats.Freshness.Known = len(s.services)
 
-	s.ports = make([]PortCount, 0, len(s.byPort))
-	for p, ids := range s.byPort {
-		s.ports = append(s.ports, PortCount{Port: p, Services: len(ids)})
+	// One array backs all four indexes' row ids: the identity (by IP and
+	// by /16), then the rows grouped by port, then by ASN. key holds each
+	// row's key for the index being built.
+	rows := make([]int32, 3*n)
+	all, byPort, byASN := rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
+	for i := range all {
+		all[i] = int32(i)
 	}
-	sort.Slice(s.ports, func(i, j int) bool { return s.ports[i].Port < s.ports[j].Port })
+	key, scratch := make([]uint32, n), make([]int32, n)
+	for i := range s.services {
+		key[i] = uint32(s.services[i].IP)
+	}
+	s.byIP = newPostings(all, key)
+	for i := range s.services {
+		key[i] = uint32(s.services[i].IP & asndb.Mask(16))
+	}
+	s.byPrefix = newPostings(all, key)
+	for i := range s.services {
+		key[i] = uint32(s.services[i].Port)
+	}
+	groupRows(key, byPort, scratch)
+	s.byPort = newPostings(byPort, key)
+	for i := range s.services {
+		key[i] = uint32(s.services[i].ASN)
+	}
+	groupRows(key, byASN, scratch)
+	s.byASN = newPostings(byASN, key)
+
+	s.ports = make([]PortCount, len(s.byPort.keys))
+	for i, p := range s.byPort.keys {
+		s.ports[i] = PortCount{Port: uint16(p), Services: len(s.byPort.group(i))}
+	}
+	s.stats.Epoch = epoch
+	s.stats.Services = n
+	s.stats.Hosts = len(s.byIP.keys)
+	s.stats.Ports = len(s.byPort.keys)
+	s.stats.Prefixes = len(s.byPrefix.keys)
+	s.stats.ASNs = len(s.byASN.keys)
+	s.stats.Freshness.Known = n
 	return s
+}
+
+// postings is one secondary index in compressed-row form: keys ascend,
+// and rows[offs[i]:offs[i+1]] are the ids of the rows whose key is
+// keys[i], in canonical order.
+type postings struct {
+	keys []uint32
+	offs []int32
+	rows []int32
+}
+
+// newPostings indexes rows, which are already grouped by ascending
+// key[row].
+func newPostings(rows []int32, key []uint32) postings {
+	runs := 0
+	for i, r := range rows {
+		if i == 0 || key[r] != key[rows[i-1]] {
+			runs++
+		}
+	}
+	p := postings{keys: make([]uint32, 0, runs), offs: make([]int32, 0, runs+1), rows: rows}
+	for i, r := range rows {
+		if i == 0 || key[r] != key[rows[i-1]] {
+			p.keys = append(p.keys, key[r])
+			p.offs = append(p.offs, int32(i))
+		}
+	}
+	p.offs = append(p.offs, int32(len(rows)))
+	return p
+}
+
+// group returns the row ids of the i-th key.
+func (p *postings) group(i int) []int32 { return p.rows[p.offs[i]:p.offs[i+1]:p.offs[i+1]] }
+
+// of returns the row ids whose key is k, nil when there are none.
+func (p *postings) of(k uint32) []int32 {
+	if i, ok := slices.BinarySearch(p.keys, k); ok {
+		return p.group(i)
+	}
+	return nil
+}
+
+// groupRows writes the row ids 0..len(key)-1 into dst ordered by
+// (key[row], row): an LSD radix sort on byte digits, stable, so each
+// key's rows keep canonical order. scratch is the second buffer. As in
+// netmodel.SortedPairs, a digit every key shares costs no pass; the
+// identity starts in whichever buffer makes the last pass land in dst.
+func groupRows(key []uint32, dst, scratch []int32) {
+	if len(key) == 0 {
+		return
+	}
+	var counts [4][256]int
+	for _, k := range key {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	shared := func(d int) bool { return counts[d][byte(key[0]>>(8*d))] == len(key) }
+	passes := 0
+	for d := range counts {
+		if !shared(d) {
+			passes++
+		}
+	}
+	src, tmp := dst, scratch
+	if passes%2 == 1 {
+		src, tmp = scratch, dst
+	}
+	for i := range src {
+		src[i] = int32(i)
+	}
+	for d := range counts {
+		if shared(d) {
+			continue
+		}
+		c := &counts[d]
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, r := range src {
+			digit := byte(key[r] >> (8 * d))
+			tmp[c[digit]] = r
+			c[digit]++
+		}
+		src, tmp = tmp, src
+	}
 }
 
 // Epoch returns the committed epoch the snapshot reflects.
@@ -181,8 +292,7 @@ func (s *Snapshot) Ports() []PortCount { return s.ports }
 
 // Host returns every service on one address, in port order.
 func (s *Snapshot) Host(ip asndb.IP) []Service {
-	ids := s.byIP[ip]
-	out, _ := s.page(ids, 0, -1)
+	out, _ := s.page(s.hostRows(ip), 0, -1)
 	return out
 }
 
@@ -190,23 +300,30 @@ func (s *Snapshot) Host(ip asndb.IP) []Service {
 // plus the unpaginated total. offset clamps into [0, total]; a negative
 // limit means "the rest".
 func (s *Snapshot) Port(port uint16, offset, limit int) ([]Service, int) {
-	return s.page(s.byPort[port], offset, limit)
+	return s.page(s.portRows(port), offset, limit)
 }
 
 // ASN returns one page of the services announced by an AS, plus the
 // total.
 func (s *Snapshot) ASN(asn asndb.ASN, offset, limit int) ([]Service, int) {
-	return s.page(s.byASN[asn], offset, limit)
+	return s.page(s.asnRows(asn), offset, limit)
 }
 
 // Prefix16 returns one page of the services inside ip's /16 subnetwork —
 // GPS's network feature (Table 1) — plus the total.
 func (s *Snapshot) Prefix16(ip asndb.IP, offset, limit int) ([]Service, int) {
-	return s.page(s.byPrefix[ip&asndb.Mask(16)], offset, limit)
+	return s.page(s.prefixRows(ip), offset, limit)
 }
 
+// The four postings lookups, typed by what each index is keyed on.
+func (s *Snapshot) hostRows(ip asndb.IP) []int32   { return s.byIP.of(uint32(ip)) }
+func (s *Snapshot) portRows(port uint16) []int32   { return s.byPort.of(uint32(port)) }
+func (s *Snapshot) asnRows(asn asndb.ASN) []int32  { return s.byASN.of(uint32(asn)) }
+func (s *Snapshot) prefixRows(ip asndb.IP) []int32 { return s.byPrefix.of(uint32(ip & asndb.Mask(16))) }
+
 // window clamps one page of a postings list: offset into [0, total], a
-// negative limit meaning "the rest".
+// negative limit meaning "the rest". The limit is compared against what
+// is left, never added to the offset, so any int is a valid limit.
 func window(ids []int32, offset, limit int) []int32 {
 	if offset < 0 {
 		offset = 0
@@ -215,7 +332,7 @@ func window(ids []int32, offset, limit int) []int32 {
 		offset = len(ids)
 	}
 	end := len(ids)
-	if limit >= 0 && offset+limit < end {
+	if limit >= 0 && limit < end-offset {
 		end = offset + limit
 	}
 	return ids[offset:end]

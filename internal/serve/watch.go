@@ -72,8 +72,8 @@ func toWatchDelta(d *shard.Delta) watchDeltaJSON {
 func toWatchSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) watchSnapshotJSON {
 	out := watchSnapshotJSON{Event: "snapshot", Epoch: epoch,
 		Services: make([]WatchEntry, 0, len(inv))}
-	for _, k := range netmodel.SortedKeys(inv) {
-		out.Services = append(out.Services, toWatchEntry(k, inv[k]))
+	for _, p := range netmodel.SortedPairs(inv) {
+		out.Services = append(out.Services, toWatchEntry(p.Key, p.Value))
 	}
 	return out
 }

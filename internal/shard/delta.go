@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"gps/internal/continuous"
 	"gps/internal/dataset"
@@ -81,31 +80,77 @@ func servedEntry(k netmodel.Key, e *continuous.Entry) continuous.Entry {
 
 // ComputeDelta diffs two merged inventories (the views MergeInventories
 // builds at consecutive epoch commits) into the canonical delta that
-// advances base to next. Neither input is retained or mutated.
+// advances base to next. Neither input is retained or mutated. It is a
+// merge-join of the two inventories in canonical order, so the adds,
+// updates and removes come out sorted as they are found. A first join
+// counts them, so the second fills lists of exactly their size: a real
+// epoch updates most of the inventory, and growing that list by appends
+// would allocate it several times over.
 func ComputeDelta(base, next map[netmodel.Key]*continuous.Entry, baseEpoch, epoch int) *Delta {
-	d := &Delta{BaseEpoch: baseEpoch, Epoch: epoch}
-	for k, e := range next {
-		old, ok := base[k]
+	b, n := netmodel.SortedPairs(base), netmodel.SortedPairs(next)
+	var adds, updates, removes int
+	mergeJoin(b, n, func(old, cur *inventoryPair) {
 		switch {
-		case !ok:
-			d.Adds = append(d.Adds, DeltaEntry{Key: k, Entry: servedEntry(k, e)})
-		case !servedEqual(old, e):
-			d.Updates = append(d.Updates, DeltaEntry{Key: k, Entry: servedEntry(k, e)})
+		case old == nil:
+			adds++
+		case cur == nil:
+			removes++
+		case !servedEqual(old.Value, cur.Value):
+			updates++
 		}
-	}
-	for k := range base {
-		if _, ok := next[k]; !ok {
-			d.Removes = append(d.Removes, k)
+	})
+	d := &Delta{BaseEpoch: baseEpoch, Epoch: epoch,
+		Adds: sized[DeltaEntry](adds), Updates: sized[DeltaEntry](updates), Removes: sized[netmodel.Key](removes)}
+	mergeJoin(b, n, func(old, cur *inventoryPair) {
+		switch {
+		case old == nil:
+			d.Adds = append(d.Adds, DeltaEntry{Key: cur.Key, Entry: servedEntry(cur.Key, cur.Value)})
+		case cur == nil:
+			d.Removes = append(d.Removes, old.Key)
+		case !servedEqual(old.Value, cur.Value):
+			d.Updates = append(d.Updates, DeltaEntry{Key: cur.Key, Entry: servedEntry(cur.Key, cur.Value)})
 		}
-	}
-	sortDeltaEntries(d.Adds)
-	sortDeltaEntries(d.Updates)
-	slices.SortFunc(d.Removes, netmodel.Key.Compare)
+	})
 	return d
 }
 
-func sortDeltaEntries(es []DeltaEntry) {
-	slices.SortFunc(es, func(a, b DeltaEntry) int { return a.Key.Compare(b.Key) })
+type inventoryPair = netmodel.Pair[*continuous.Entry]
+
+// mergeJoin walks two key-sorted runs in step and calls visit once per
+// key of either: with old nil for a key only cur's run holds, cur nil for
+// one only old's holds, both for a key they share.
+func mergeJoin(olds, curs []inventoryPair, visit func(old, cur *inventoryPair)) {
+	for len(olds) > 0 || len(curs) > 0 {
+		c := 0
+		switch {
+		case len(curs) == 0:
+			c = -1
+		case len(olds) == 0:
+			c = 1
+		default:
+			c = olds[0].Key.Compare(curs[0].Key)
+		}
+		switch {
+		case c < 0:
+			visit(&olds[0], nil)
+			olds = olds[1:]
+		case c > 0:
+			visit(nil, &curs[0])
+			curs = curs[1:]
+		default:
+			visit(&olds[0], &curs[0])
+			olds, curs = olds[1:], curs[1:]
+		}
+	}
+}
+
+// sized returns an empty list with room for n elements, nil for none —
+// what appending n elements to a nil list ends with, allocated once.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // ApplyDelta applies a delta to an inventory in place: adds must be new
@@ -113,21 +158,23 @@ func sortDeltaEntries(es []DeltaEntry) {
 // the delta was derived against a different base than inv and returns an
 // error with inv partially updated (apply to a CloneInventory copy when
 // the original must survive a failure). ApplyDelta(ComputeDelta(A, B), A)
-// reproduces B exactly on the GPSV serving fields.
+// reproduces B exactly on the GPSV serving fields. The entries it puts
+// in inv are copies, taken from one slab per call.
 func ApplyDelta(inv map[netmodel.Key]*continuous.Entry, d *Delta) error {
+	slab := make([]continuous.Entry, 0, len(d.Adds)+len(d.Updates))
 	for _, a := range d.Adds {
 		if _, ok := inv[a.Key]; ok {
 			return fmt.Errorf("shard: delta %d→%d adds %v, which the base already holds", d.BaseEpoch, d.Epoch, a.Key)
 		}
-		e := a.Entry
-		inv[a.Key] = &e
+		slab = append(slab, a.Entry)
+		inv[a.Key] = &slab[len(slab)-1]
 	}
 	for _, u := range d.Updates {
 		if _, ok := inv[u.Key]; !ok {
 			return fmt.Errorf("shard: delta %d→%d updates %v, which the base does not hold", d.BaseEpoch, d.Epoch, u.Key)
 		}
-		e := u.Entry
-		inv[u.Key] = &e
+		slab = append(slab, u.Entry)
+		inv[u.Key] = &slab[len(slab)-1]
 	}
 	for _, k := range d.Removes {
 		if _, ok := inv[k]; !ok {
@@ -140,11 +187,19 @@ func ApplyDelta(inv map[netmodel.Key]*continuous.Entry, d *Delta) error {
 
 // CloneInventory copies an inventory map and its entries: the copy can
 // be mutated (or handed to ApplyDelta) without touching the original.
+// The copy stays deep, entries and all, because callers edit a clone's
+// entries in place while the original lives on — a replica keeps every
+// map it has committed frozen, and a churned inventory is a clone with
+// some entries re-observed. The entries are copied into one slab rather
+// than allocated one by one.
 func CloneInventory(inv map[netmodel.Key]*continuous.Entry) map[netmodel.Key]*continuous.Entry {
 	out := make(map[netmodel.Key]*continuous.Entry, len(inv))
+	slab := make([]continuous.Entry, len(inv))
+	i := 0
 	for k, e := range inv {
-		cp := *e
-		out[k] = &cp
+		slab[i] = *e
+		out[k] = &slab[i]
+		i++
 	}
 	return out
 }
@@ -200,7 +255,9 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 func decodeDeltaEntries(d *wire.Dec, section string) []DeltaEntry {
 	d.At(section, -1)
 	n := d.Count(d.Uvarint(), maxInventoryEntries)
-	var out []DeltaEntry
+	// Sized from the header, but no further than a crafted count can cost
+	// before the bytes behind it are proven to exist.
+	out := sized[DeltaEntry](min(n, 1<<14))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At(section, i)
 		k, e := decodeServed(d)

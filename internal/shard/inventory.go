@@ -79,12 +79,12 @@ func decodeKey(d *wire.Dec) netmodel.Key {
 // byte-identical output whatever their shard layout or transport — the
 // determinism contract the distributed CI gate diffs.
 func WriteInventory(w io.Writer, inv map[netmodel.Key]*continuous.Entry) error {
-	keys := netmodel.SortedKeys(inv)
-	e := make(wire.Enc, 0, 13+servedSizeHint*len(keys))
+	pairs := netmodel.SortedPairs(inv)
+	e := make(wire.Enc, 0, 13+servedSizeHint*len(pairs))
 	e.Header(stateInventoryMagic, stateInventoryVersion)
-	e.U64(uint64(len(keys)))
-	for _, k := range keys {
-		encodeServed(&e, k, inv[k])
+	e.U64(uint64(len(pairs)))
+	for _, p := range pairs {
+		encodeServed(&e, p.Key, p.Value)
 	}
 	_, err := w.Write(e)
 	return err
@@ -107,12 +107,21 @@ func ReadInventory(r io.Reader) (map[netmodel.Key]*continuous.Entry, error) {
 	// 13-byte file may declare any count under the cap, and the bytes
 	// backing real entries are only proven to exist as the loop reads
 	// them — so a short file must fail with a truncation error, not an
-	// up-front multi-gigabyte allocation.
+	// up-front multi-gigabyte allocation. For the same reason the entries
+	// come from a slab that grows by doubling as entries are read, not
+	// from one sized by the header: a few allocations per call, not one
+	// per entry.
 	inv := make(map[netmodel.Key]*continuous.Entry, min(n, 1<<20))
+	var slab []continuous.Entry
 	for i := 0; i < n && d.Err() == nil; i++ {
+		if len(slab) == 0 {
+			slab = make([]continuous.Entry, min(n-i, max(i, 1<<10)))
+		}
 		d.At("entry", i)
 		k, e := decodeServed(d)
-		inv[k] = &e
+		slab[0] = e
+		inv[k] = &slab[0]
+		slab = slab[1:]
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
