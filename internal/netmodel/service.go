@@ -98,22 +98,16 @@ func SortedPairs[V any](m map[Key]V) []Pair[V] {
 	for k, v := range m {
 		ps = append(ps, Pair[V]{k, v})
 	}
-	if len(ps) < radixCutoff {
-		slices.SortFunc(ps, func(a, b Pair[V]) int { return a.Key.Compare(b.Key) })
+	if len(ps) == 0 {
 		return ps
 	}
 	return radixSort(ps, make([]Pair[V], len(ps)))
 }
 
-const (
-	// radixCutoff is the size below which a comparison sort beats the
-	// radix passes and their scratch buffer.
-	radixCutoff = 1 << 10
-	// keyDigits is how many 8-bit digits a 48-bit key has. Byte digits
-	// keep every count array on the stack; wider ones would spill to the
-	// heap on each call.
-	keyDigits = 6
-)
+// keyDigits is how many 8-bit digits a 48-bit key has. Byte digits keep
+// every count array on the stack; wider ones would spill to the heap on
+// each call.
+const keyDigits = 6
 
 // radixSort sorts ps by key, least significant byte first, using scratch
 // (len(ps) long) as the other buffer, and returns whichever of the two

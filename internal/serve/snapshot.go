@@ -123,8 +123,8 @@ func (l *lazy[T]) get(compute func() T) T {
 // in canonical order and the service rows are filled from it. Every
 // postings list is then a run over row ids. Rows are sorted by IP, so a
 // host's and a /16's rows are contiguous runs of the identity; the port
-// and ASN indexes regroup the row ids by key with a stable radix pass.
-// The build allocates a fixed number of arrays, not one per host.
+// and ASN indexes regroup the row ids by key with a counting sort.
+// The build makes a few dozen allocations, not one per host.
 func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
 	pairs := netmodel.SortedPairs(inv)
 	n := len(pairs)
@@ -148,7 +148,7 @@ func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
 	// by /16), then the rows grouped by port, then by ASN. key holds each
 	// row's key for the index being built.
 	rows := make([]int32, 3*n)
-	all, byPort, byASN := rows[:n:n], rows[n:2*n:2*n], rows[2*n:]
+	all := rows[:n:n]
 	for i := range all {
 		all[i] = int32(i)
 	}
@@ -164,13 +164,11 @@ func NewSnapshot(epoch int, inv map[netmodel.Key]*continuous.Entry) *Snapshot {
 	for i := range s.services {
 		key[i] = uint32(s.services[i].Port)
 	}
-	groupRows(key, byPort, scratch)
-	s.byPort = newPostings(byPort, key)
+	s.byPort = groupBy(key, rows[n:2*n:2*n], scratch)
 	for i := range s.services {
 		key[i] = uint32(s.services[i].ASN)
 	}
-	groupRows(key, byASN, scratch)
-	s.byASN = newPostings(byASN, key)
+	s.byASN = groupBy(key, rows[2*n:], scratch)
 
 	s.ports = make([]PortCount, len(s.byPort.keys))
 	for i, p := range s.byPort.keys {
@@ -226,51 +224,45 @@ func (p *postings) of(k uint32) []int32 {
 	return nil
 }
 
-// groupRows writes the row ids 0..len(key)-1 into dst ordered by
-// (key[row], row): an LSD radix sort on byte digits, stable, so each
-// key's rows keep canonical order. scratch is the second buffer. As in
-// netmodel.SortedPairs, a digit every key shares costs no pass; the
-// identity starts in whichever buffer makes the last pass land in dst.
-func groupRows(key []uint32, dst, scratch []int32) {
-	if len(key) == 0 {
-		return
-	}
-	var counts [4][256]int
-	for _, k := range key {
-		for d := range counts {
-			counts[d][byte(k>>(8*d))]++
+// groupBy indexes the rows 0..len(key)-1 by key[row] with one counting
+// sort over the distinct keys: the keys ascend, and each key's rows keep
+// canonical order. rows receives the grouped row ids; id is scratch, one
+// slot per row.
+func groupBy(key []uint32, rows, id []int32) postings {
+	first := make(map[uint32]int32) // distinct key → order of first appearance
+	var keys []uint32
+	for r, k := range key {
+		i, ok := first[k]
+		if !ok {
+			i = int32(len(keys))
+			first[k] = i
+			keys = append(keys, k)
 		}
+		id[r] = i
 	}
-	shared := func(d int) bool { return counts[d][byte(key[0]>>(8*d))] == len(key) }
-	passes := 0
-	for d := range counts {
-		if !shared(d) {
-			passes++
-		}
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	// at maps an order of first appearance to its key's ascending rank,
+	// then serves as each group's write cursor.
+	at := make([]int32, len(keys))
+	for i, k := range keys {
+		j, _ := slices.BinarySearch(sorted, k)
+		at[i] = int32(j)
 	}
-	src, tmp := dst, scratch
-	if passes%2 == 1 {
-		src, tmp = scratch, dst
+	offs := make([]int32, len(keys)+1)
+	for r := range id {
+		id[r] = at[id[r]]
+		offs[id[r]+1]++
 	}
-	for i := range src {
-		src[i] = int32(i)
+	for i := range keys {
+		offs[i+1] += offs[i]
 	}
-	for d := range counts {
-		if shared(d) {
-			continue
-		}
-		c := &counts[d]
-		sum := 0
-		for i, n := range c {
-			c[i], sum = sum, sum+n
-		}
-		for _, r := range src {
-			digit := byte(key[r] >> (8 * d))
-			tmp[c[digit]] = r
-			c[digit]++
-		}
-		src, tmp = tmp, src
+	copy(at, offs)
+	for r, i := range id {
+		rows[at[i]] = int32(r)
+		at[i]++
 	}
+	return postings{keys: sorted, offs: offs, rows: rows}
 }
 
 // Epoch returns the committed epoch the snapshot reflects.

@@ -158,23 +158,23 @@ func sized[T any](n int) []T {
 // the delta was derived against a different base than inv and returns an
 // error with inv partially updated (apply to a CloneInventory copy when
 // the original must survive a failure). ApplyDelta(ComputeDelta(A, B), A)
-// reproduces B exactly on the GPSV serving fields. The entries it puts
-// in inv are copies, taken from one slab per call.
+// reproduces B exactly on the GPSV serving fields. Each entry it puts in
+// inv is a copy of its own, so an in-place applier that keeps inv for
+// many epochs holds no more than the entries it still serves.
 func ApplyDelta(inv map[netmodel.Key]*continuous.Entry, d *Delta) error {
-	slab := make([]continuous.Entry, 0, len(d.Adds)+len(d.Updates))
 	for _, a := range d.Adds {
 		if _, ok := inv[a.Key]; ok {
 			return fmt.Errorf("shard: delta %d→%d adds %v, which the base already holds", d.BaseEpoch, d.Epoch, a.Key)
 		}
-		slab = append(slab, a.Entry)
-		inv[a.Key] = &slab[len(slab)-1]
+		e := a.Entry
+		inv[a.Key] = &e
 	}
 	for _, u := range d.Updates {
 		if _, ok := inv[u.Key]; !ok {
 			return fmt.Errorf("shard: delta %d→%d updates %v, which the base does not hold", d.BaseEpoch, d.Epoch, u.Key)
 		}
-		slab = append(slab, u.Entry)
-		inv[u.Key] = &slab[len(slab)-1]
+		e := u.Entry
+		inv[u.Key] = &e
 	}
 	for _, k := range d.Removes {
 		if _, ok := inv[k]; !ok {
@@ -255,9 +255,7 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 func decodeDeltaEntries(d *wire.Dec, section string) []DeltaEntry {
 	d.At(section, -1)
 	n := d.Count(d.Uvarint(), maxInventoryEntries)
-	// Sized from the header, but no further than a crafted count can cost
-	// before the bytes behind it are proven to exist.
-	out := sized[DeltaEntry](min(n, 1<<14))
+	var out []DeltaEntry
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At(section, i)
 		k, e := decodeServed(d)

@@ -110,10 +110,9 @@ func churnOf(rng *rand.Rand, base map[netmodel.Key]*continuous.Entry, adds int, 
 	return next
 }
 
-// TestComputeDeltaMatchesReference: on seeded random inventories on both
-// sides of the radix kernel's small-n cutoff, and on the edges of the
-// key space, the merge-join delta is the hash-join reference's, to the
-// byte.
+// TestComputeDeltaMatchesReference: on seeded random inventories, small
+// and large, and on the edges of the key space, the merge-join delta is
+// the hash-join reference's, to the byte.
 func TestComputeDeltaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	gen := func(n int, key func() netmodel.Key) map[netmodel.Key]*continuous.Entry {
@@ -145,7 +144,7 @@ func TestComputeDeltaMatchesReference(t *testing.T) {
 	add("one", 1, keyIn(func() asndb.IP { return 0 }, func() uint16 { return 0 }))
 	add("ends", 4, keyIn(func() asndb.IP { return asndb.IP(math.MaxUint32 * uint32(rng.Intn(2))) },
 		func() uint16 { return uint16(65535 * rng.Intn(2)) }))
-	for _, n := range []int{1023, 1024, 1025, 8000} {
+	for _, n := range []int{100, 8000} {
 		add(fmt.Sprintf("random-%d", n), n, keyIn(anyIP, anyPort))
 	}
 	add("straddle-16", 3000, keyIn(func() asndb.IP { return asndb.MustParseIP("10.12.0.0") - 4 + asndb.IP(rng.Intn(8)) }, anyPort))
@@ -172,8 +171,8 @@ func TestComputeDeltaMatchesReference(t *testing.T) {
 // Each 4-byte record [ip-hi, ip-lo, port, ctl] names a run of keys: ctl's
 // low two bits say which side holds it (base only, next only, both alike,
 // both with next's counters moved) and its high six bits how many
-// consecutive ports the run covers, so a few hundred bytes reach past the
-// radix kernel's small-n cutoff.
+// consecutive ports the run covers, so a few hundred bytes make an
+// inventory of thousands of keys.
 func FuzzComputeDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xfd})
