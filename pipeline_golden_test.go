@@ -25,7 +25,17 @@ import (
 var updatePipelineGolden = flag.Bool("update-pipeline-golden", false,
 	"rewrite testdata/golden/pipeline/index.tsv from this tree's gps.Run")
 
-const pipelineGoldenPath = "testdata/golden/pipeline/index.tsv"
+// updateAnchorsGolden rewrites testdata/golden/pipeline/anchors.tsv. The
+// checked-in file was written by the commit before the priors scan read
+// the universe's port-major responder index, when ResponsiveIn still
+// looked up every host of each scanned prefix.
+var updateAnchorsGolden = flag.Bool("update-anchors-golden", false,
+	"rewrite testdata/golden/pipeline/anchors.tsv from this tree's gps.Run")
+
+const (
+	pipelineGoldenPath = "testdata/golden/pipeline/index.tsv"
+	anchorsGoldenPath  = "testdata/golden/pipeline/anchors.tsv"
+)
 
 // pipelineGoldenWorlds are the seeds of the small universes replayed.
 var pipelineGoldenWorlds = []int64{100, 101, 102}
@@ -88,13 +98,34 @@ func pipelineDigest(res *Result) string {
 		res.PriorsProbes, res.PredictProbes, targets, preds, discs)
 }
 
+// anchorsDigest is one anchors golden row: what pipelineDigest leaves
+// out. It counts the middleboxes LZR discarded, the found set and the
+// anchors, and hashes every anchor's IP, port, protocol, ASN and TTL
+// together with its feature set in ascending key order.
+func anchorsDigest(res *Result) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, a := range res.Anchors {
+		for _, v := range []uint64{uint64(a.IP), uint64(a.Port), uint64(a.Proto), uint64(a.ASN), uint64(a.TTL), uint64(len(a.Feats))} {
+			binary.BigEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		for _, v := range a.Feats.Values() {
+			fmt.Fprintf(h, "%d=%q;", v.Key, v.Val)
+		}
+	}
+	return fmt.Sprintf("middleboxes=%d found=%d anchors=%d\t%s",
+		res.Middleboxes, len(res.Found), len(res.Anchors), hex.EncodeToString(h.Sum(nil)))
+}
+
 // TestPipelineGolden replays gps.Run over three seeded worlds and nine
 // configurations against rows written by the string-keyed model: the
 // priors targets, the predictions (float bits included), the discovery
 // log with its probe counters, and the model's NumConds, NumPairs and
-// Stats must all be bit-identical.
+// Stats must all be bit-identical. The same runs' anchors, middlebox
+// count and found-set size must match anchors.tsv.
 func TestPipelineGolden(t *testing.T) {
-	var lines []string
+	var lines, anchors []string
 	for _, world := range pipelineGoldenWorlds {
 		f := newFixture(t, world)
 		for _, c := range pipelineGoldenConfigs(f) {
@@ -103,9 +134,11 @@ func TestPipelineGolden(t *testing.T) {
 				t.Fatalf("world %d %s: %v", world, c.name, err)
 			}
 			lines = append(lines, fmt.Sprintf("%d\t%s\t%s", world, c.name, pipelineDigest(res)))
+			anchors = append(anchors, fmt.Sprintf("%d\t%s\t%s", world, c.name, anchorsDigest(res)))
 		}
 	}
 	checkGoldenRows(t, pipelineGoldenPath, *updatePipelineGolden, lines)
+	checkGoldenRows(t, anchorsGoldenPath, *updateAnchorsGolden, anchors)
 }
 
 // checkGoldenRows compares rows against the golden file at path line by
