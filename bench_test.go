@@ -288,3 +288,23 @@ func BenchmarkPredictionThroughput(b *testing.B) {
 		_ = predict.Predict(m, mpf, anchors, nil, engine.Config{})
 	}
 }
+
+// BenchmarkBatchPredict times one gps.Run on the world cmd/gpsbench's
+// batch-predict workload builds: 12 /16s at 3% host density, every
+// service observed, trained on a 10% seed split. It reports the last
+// run's priors-scan and predictions-list phases beside the allocations.
+func BenchmarkBatchPredict(b *testing.B) {
+	u := netmodel.Generate(gps.DemoUniverseParams(1, 12, 0.03))
+	seedSet, _ := experiments.SplitEval(dataset.SnapshotLZR(u, 1.0, 1^0x11), 0.1, true, 1)
+	var res *gps.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = gps.Run(u, seedSet, gps.Config{Seed: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Timings.PriorsScan.Microseconds())/1e3, "priors-scan-ms")
+	b.ReportMetric(float64(res.Timings.Predictions.Microseconds())/1e3, "predictions-ms")
+}

@@ -53,7 +53,7 @@ func Churn(u *Universe, p ChurnParams) *Universe {
 		// Walk services in sorted port order: ranging over the map here
 		// would consume the host rng's coin flips in a different order
 		// every run, making churn nondeterministic for a fixed seed.
-		for _, port := range h.Ports() {
+		for _, port := range h.ports {
 			svc := h.services[port]
 			loss := p.ServiceLoss
 			if svc.Forwarded {
@@ -73,15 +73,18 @@ func Churn(u *Universe, p ChurnParams) *Universe {
 		nh := NewHost(h.IP, h.ASN, h.Profile)
 		nh.Middlebox = h.Middlebox
 		nh.pseudoLo, nh.pseudoHi, nh.pseudoTmpl = h.pseudoLo, h.pseudoHi, h.pseudoTmpl
-		dropSet := make(map[uint16]bool, len(drop))
-		for _, d := range drop {
-			dropSet[d] = true
-		}
-		for port, svc := range h.services {
-			if !dropSet[port] {
-				nh.AddService(svc)
+		// drop is an ascending subsequence of h.ports, so one merge walk
+		// keeps the rest and leaves nh's port list already sorted.
+		kept := make([]uint16, 0, len(h.ports)-len(drop))
+		for _, port := range h.ports {
+			if len(drop) > 0 && drop[0] == port {
+				drop = drop[1:]
+				continue
 			}
+			nh.AddService(h.services[port])
+			kept = append(kept, port)
 		}
+		nh.ports = kept
 		out.insertHost(nh)
 	}
 	out.finalize()

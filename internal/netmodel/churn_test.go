@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -120,5 +121,26 @@ func TestChurnSharesUnchangedHosts(t *testing.T) {
 	}
 	if shared < copied {
 		t.Errorf("shared %d < copied %d; most hosts survive churn unchanged", shared, copied)
+	}
+}
+
+// TestConcurrentChurn: a Universe is safe for concurrent reads and Churn
+// only reads its input, so two goroutines may churn one universe at once
+// and must agree. Under -race this fails if reading a host writes to it.
+func TestConcurrentChurn(t *testing.T) {
+	u := testUniverse(t)
+	out := make([]*Universe, 2)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = Churn(u, DefaultChurn(9))
+		}(i)
+	}
+	wg.Wait()
+	if out[0].NumHosts() != out[1].NumHosts() || out[0].NumServices() != out[1].NumServices() {
+		t.Fatalf("concurrent churns disagree: %d/%d vs %d/%d hosts/services",
+			out[0].NumHosts(), out[0].NumServices(), out[1].NumHosts(), out[1].NumServices())
 	}
 }

@@ -131,27 +131,142 @@ func TestAddrAtIndexOfRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResponsiveInMatchesNaive(t *testing.T) {
-	u := testUniverse(t)
-	pfx := u.Prefixes()[0]
-	sub := asndb.Prefix{Addr: pfx.Addr, Bits: 20}
-	for _, port := range []uint16{80, 22, 7547} {
-		fast := u.ResponsiveIn(sub, port)
-		var naive []asndb.IP
-		for off := asndb.IP(0); off < asndb.IP(sub.Size()); off++ {
-			if u.Responsive(sub.Addr+off, port) {
-				naive = append(naive, sub.Addr+off)
-			}
-		}
-		if len(fast) != len(naive) {
-			t.Fatalf("port %d: fast %d vs naive %d", port, len(fast), len(naive))
-		}
-		for i := range fast {
-			if fast[i] != naive[i] {
-				t.Fatalf("port %d: order differs at %d", port, i)
-			}
+// naiveResponsiveIn is ResponsiveIn's oracle: probe every address of the
+// prefix one at a time.
+func naiveResponsiveIn(u *Universe, p asndb.Prefix, port uint16) []asndb.IP {
+	var out []asndb.IP
+	for off := uint64(0); off < p.Size(); off++ {
+		if ip := p.First() + asndb.IP(off); u.Responsive(ip, port) {
+			out = append(out, ip)
 		}
 	}
+	return out
+}
+
+// withEdgeHosts returns u plus hosts that answer outside their service
+// map in the awkward ways generation never produces: explicit services
+// inside and on the edges of their own pseudo block, blocks that start
+// at port 0 or end at 65535, and a middlebox with an explicit service.
+// They sit on consecutive free addresses of the first /16, so the merge
+// of the two index runs interleaves them.
+func withEdgeHosts(u *Universe) *Universe {
+	out := &Universe{ases: u.ases, routes: u.routes, prefixes: u.prefixes,
+		hosts: make(map[asndb.IP]*Host, len(u.hosts)+4), seed: u.seed, part: u.part}
+	for _, h := range u.hostList {
+		out.insertHost(h)
+	}
+	ip := u.prefixes[0].Addr
+	free := func() asndb.IP {
+		for u.hosts[ip] != nil || out.hosts[ip] != nil {
+			ip++
+		}
+		return ip
+	}
+	tmpl := &Service{Proto: features.ProtocolHTTP, Pseudo: true}
+	edge := func(lo, hi uint16, ports ...uint16) {
+		h := NewHost(free(), 1, "edge")
+		h.SetPseudoBlock(lo, hi, tmpl)
+		for _, p := range ports {
+			h.AddService(&Service{Port: p, Proto: features.ProtocolHTTP})
+		}
+		out.insertHost(h)
+	}
+	edge(1000, 2000, 0, 80, 1000, 1500, 2000, 2001)
+	edge(64000, 65535, 65535)
+	edge(0, 10, 5, 11)
+	mb := NewHost(free(), 1, "middlebox")
+	mb.Middlebox = true
+	mb.AddService(&Service{Port: 443, Proto: features.ProtocolHTTP})
+	out.insertHost(mb)
+	out.finalize()
+	return out
+}
+
+// TestResponsiveInMatchesNaive: the responder index answers exactly what
+// probing every address answers — over every announced /16 and seeded
+// random sub-prefixes from /16 to /32, on ports 0 and 65535, around each
+// middlebox and on both sides of each pseudo block's edges — in full,
+// partitioned, churned and merged universes and one holding hand-made
+// edge hosts.
+func TestResponsiveInMatchesNaive(t *testing.T) {
+	p := TestParams(5)
+	full := Generate(p)
+	gen := func(owned ...int) *Universe {
+		pp := p
+		pp.Partition = &Partition{Count: 4, Owned: owned}
+		return Generate(pp)
+	}
+	merged, err := Merge(gen(0), Churn(gen(3), DefaultChurn(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	universes := []struct {
+		name string
+		u    *Universe
+	}{
+		{"full", full},
+		{"partitioned", gen(1)},
+		{"churned", Churn(Churn(full, DefaultChurn(8)), DefaultChurn(9))},
+		{"merged", merged},
+		{"edge-hosts", withEdgeHosts(full)},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range universes {
+		u := c.u
+		check := func(pfx asndb.Prefix, port uint16) {
+			t.Helper()
+			if got, want := u.ResponsiveIn(pfx, port), naiveResponsiveIn(u, pfx, port); !slices.Equal(got, want) {
+				t.Fatalf("%s: ResponsiveIn(%v, %d) = %d addresses %v; probing each finds %d %v",
+					c.name, pfx, port, len(got), got, len(want), want)
+			}
+		}
+		for _, pfx := range u.Prefixes() {
+			for _, port := range []uint16{0, 80, 22, 7547, 65535} {
+				check(pfx, port)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			pfx := u.Prefixes()[rng.Intn(len(u.Prefixes()))]
+			bits := uint8(16 + rng.Intn(17))
+			sub := asndb.SubnetOf(pfx.Addr+asndb.IP(rng.Intn(1<<16)), bits)
+			check(sub, uint16(rng.Intn(1<<16)))
+		}
+		middleboxes, pseudo := 0, 0
+		for _, h := range u.Hosts() {
+			if h.Middlebox {
+				middleboxes++
+				check(asndb.SubnetOf(h.IP, 28), uint16(rng.Intn(1<<16)))
+			}
+			if lo, hi, ok := h.PseudoBlock(); ok {
+				pseudo++
+				for _, port := range []uint16{lo - 1, lo, hi, hi + 1} {
+					check(asndb.SubnetOf(h.IP, 24), port)
+				}
+			}
+		}
+		if middleboxes == 0 || pseudo == 0 {
+			t.Fatalf("%s: %d middleboxes and %d pseudo hosts; the oracle needs both", c.name, middleboxes, pseudo)
+		}
+	}
+}
+
+// FuzzResponsiveIn holds the responder index to the per-address walk on
+// prefixes and ports the fuzzer picks, over one small universe with
+// middleboxes, pseudo hosts and the hand-made edge hosts.
+func FuzzResponsiveIn(f *testing.F) {
+	p := TestParams(9)
+	p.NumPrefix16 = 2
+	u := withEdgeHosts(Generate(p))
+	f.Add(uint32(0), uint8(0), uint16(80))
+	f.Add(uint32(0), uint8(8), uint16(1500))
+	f.Add(uint32(0x1ffff), uint8(16), uint16(65535))
+	f.Fuzz(func(t *testing.T, addr uint32, bits uint8, port uint16) {
+		pfx := u.Prefixes()[int(addr>>16)%len(u.Prefixes())]
+		sub := asndb.SubnetOf(pfx.Addr|asndb.IP(addr&0xffff), 16+bits%17)
+		if got, want := u.ResponsiveIn(sub, port), naiveResponsiveIn(u, sub, port); !slices.Equal(got, want) {
+			t.Fatalf("ResponsiveIn(%v, %d) = %v; probing each finds %v", sub, port, got, want)
+		}
+	})
 }
 
 func TestAnnouncedWithin(t *testing.T) {

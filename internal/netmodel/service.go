@@ -101,32 +101,37 @@ func SortedPairs[V any](m map[Key]V) []Pair[V] {
 	if len(ps) == 0 {
 		return ps
 	}
-	return radixSort(ps, make([]Pair[V], len(ps)))
+	return radixSort(ps, make([]Pair[V], len(ps)), keyDigits)
 }
 
-// keyDigits is how many 8-bit digits a 48-bit key has. Byte digits keep
-// every count array on the stack; wider ones would spill to the heap on
-// each call.
-const keyDigits = 6
+// keyDigits is how many 8-bit digits a 48-bit key has; the low
+// portDigits of them are the port. Byte digits keep every count array on
+// the stack; wider ones would spill to the heap on each call.
+const (
+	keyDigits  = 6
+	portDigits = 2
+)
 
-// radixSort sorts ps by key, least significant byte first, using scratch
-// (len(ps) long) as the other buffer, and returns whichever of the two
-// holds the result. Keys are unique, so stability is moot and the order
-// is exactly Compare order. One counting pass fills every digit's
-// histogram; a digit that every key shares (the high bytes of a universe
-// confined to a few networks, say) costs no pass.
-func radixSort[V any](ps, scratch []Pair[V]) []Pair[V] {
+// radixSort sorts ps stably on the low digits bytes of the key, least
+// significant byte first, using scratch (len(ps) long) as the other
+// buffer, and returns whichever of the two holds the result. With every
+// digit (keyDigits) the order is exactly Compare order; with portDigits
+// it is port order, ties kept in input order. One counting pass fills
+// every digit's histogram; a digit that every key shares (the high bytes
+// of a universe confined to a few networks, say) costs no pass.
+func radixSort[V any](ps, scratch []Pair[V], digits int) []Pair[V] {
 	var counts [keyDigits][256]int
+	cs := counts[:digits]
 	for i := range ps {
 		b := ps[i].Key.bits()
-		for d := range counts {
-			counts[d][byte(b>>(8*d))]++
+		for d := range cs {
+			cs[d][byte(b>>(8*d))]++
 		}
 	}
 	src, dst := ps, scratch
-	for d := range counts {
+	for d := range cs {
 		shift := 8 * d
-		c := &counts[d]
+		c := &cs[d]
 		if c[byte(src[0].Key.bits()>>shift)] == len(src) {
 			continue
 		}
@@ -150,7 +155,10 @@ type Host struct {
 	ASN      asndb.ASN
 	Profile  string // generator profile name, for debugging and analysis
 	services map[uint16]*Service
-	ports    []uint16 // sorted port list, built on Finalize
+	// ports is the sorted list of the services' ports. The finalize of
+	// the first universe holding the host builds it, and from then on it
+	// is only read; nil means not built yet.
+	ports []uint16
 
 	// pseudoLo/pseudoHi bound a contiguous block of pseudo-service
 	// ports (inclusive); pseudoTmpl is the shared response. Hosts
@@ -194,13 +202,23 @@ func (h *Host) ServiceAt(port uint16) (*Service, bool) {
 	if s, ok := h.services[port]; ok {
 		return s, true
 	}
-	if h.pseudoTmpl != nil && port >= h.pseudoLo && port <= h.pseudoHi {
+	if h.inPseudoBlock(port) {
 		s := *h.pseudoTmpl
 		s.Port = port
 		return &s, true
 	}
 	return nil, false
 }
+
+// inPseudoBlock reports whether the host's pseudo block covers port.
+func (h *Host) inPseudoBlock(port uint16) bool {
+	return h.pseudoTmpl != nil && port >= h.pseudoLo && port <= h.pseudoHi
+}
+
+// answersOutsideServices reports whether the host may acknowledge a port
+// its service map lacks: middleboxes answer every port, pseudo hosts
+// their block.
+func (h *Host) answersOutsideServices() bool { return h.Middlebox || h.pseudoTmpl != nil }
 
 // Responsive reports whether a SYN to the port would be answered.
 // Middleboxes acknowledge everything.
@@ -213,16 +231,26 @@ func (h *Host) Responsive(port uint16) bool {
 }
 
 // Ports returns the host's real (non-pseudo-block) service ports in
-// ascending order. The slice is cached; callers must not modify it.
+// ascending order; callers must not modify the slice. A host in a
+// universe returns the list the universe built, so Ports only reads and
+// is safe for concurrent use; a host outside any universe sorts a fresh
+// list on every call.
 func (h *Host) Ports() []uint16 {
-	if h.ports == nil {
-		h.ports = make([]uint16, 0, len(h.services))
-		for p := range h.services {
-			h.ports = append(h.ports, p)
-		}
-		sortPorts(h.ports)
+	if h.ports != nil {
+		return h.ports
 	}
-	return h.ports
+	return h.sortedPorts()
+}
+
+// sortedPorts collects and sorts the service map's ports. The result is
+// never nil, so a built empty list is told apart from an unbuilt one.
+func (h *Host) sortedPorts() []uint16 {
+	ps := make([]uint16, 0, len(h.services))
+	for p := range h.services {
+		ps = append(ps, p)
+	}
+	sortPorts(ps)
+	return ps
 }
 
 // NumServices counts the host's services including any pseudo block.

@@ -1,7 +1,9 @@
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gps/internal/asndb"
@@ -46,8 +48,10 @@ func (t ASType) String() string {
 // routing table, and a population of hosts. It doubles as the scan target:
 // the scanner substrate probes it one (IP, port) at a time.
 //
-// A Universe is immutable after generation except through Churn, and is
-// safe for concurrent reads.
+// A Universe is immutable once Generate, Churn or Merge returns it, and
+// is safe for concurrent reads: finalize builds every index it has,
+// including the port-major responder index ResponsiveIn reads, before
+// the universe is handed out, and nothing is built lazily.
 //
 // A partitioned universe (generated with Params.Partition) carries the
 // full global structure — ASes, routes, prefixes, space size — but holds
@@ -61,6 +65,22 @@ type Universe struct {
 	hostList []*Host // sorted by IP
 	seed     int64
 	part     *Partition // nil = full universe
+
+	// The responder index. respIPs holds the IP of every explicit
+	// service, port-major: the IPs serving portRuns[0].port in ascending
+	// order, then those serving portRuns[1].port, and so on. wild lists,
+	// by IP, the hosts that also answer ports outside their service map
+	// (middleboxes and pseudo-block hosts).
+	respIPs  []asndb.IP
+	portRuns []portRun // ascending by port
+	wild     []*Host
+}
+
+// portRun is one port's run in the responder index: respIPs[prev.end:end]
+// serve port, where prev is the run before it.
+type portRun struct {
+	port uint16
+	end  uint32
 }
 
 // Seed returns the generator seed that produced this universe.
@@ -130,18 +150,58 @@ func (u *Universe) IndexOf(ip asndb.IP) (uint64, bool) {
 
 // ResponsiveIn returns every address inside prefix that would acknowledge
 // a SYN on port, in ascending order. It is semantically identical to
-// probing each address in the prefix but runs in time proportional to the
-// hosts present, which lets large prefix scans execute quickly; callers
-// must account the full prefix size as probe bandwidth.
+// probing each address in the prefix, but reads the responder index: a
+// binary search finds the port's run, two more bound the prefix inside
+// it and inside the hosts that answer outside their service map, and one
+// merge joins the two. It runs in O(log n + hits) however many hosts the
+// prefix holds; callers must account the full prefix size as probe
+// bandwidth.
 func (u *Universe) ResponsiveIn(p asndb.Prefix, port uint16) []asndb.IP {
-	lo := sort.Search(len(u.hostList), func(i int) bool { return u.hostList[i].IP >= p.First() })
-	var out []asndb.IP
-	for i := lo; i < len(u.hostList) && u.hostList[i].IP <= p.Last(); i++ {
-		if u.hostList[i].Responsive(port) {
-			out = append(out, u.hostList[i].IP)
+	first, last := p.First(), p.Last()
+	var hits []asndb.IP
+	if r, ok := slices.BinarySearchFunc(u.portRuns, port, func(r portRun, port uint16) int {
+		return cmp.Compare(r.port, port)
+	}); ok {
+		start := uint32(0)
+		if r > 0 {
+			start = u.portRuns[r-1].end
 		}
+		run := u.respIPs[start:u.portRuns[r].end]
+		lo, _ := slices.BinarySearch(run, first)
+		hi, _ := slices.BinarySearchFunc(run, last, func(ip, last asndb.IP) int { return afterLast(ip, last) })
+		hits = run[lo:hi]
 	}
-	return out
+	lo, _ := slices.BinarySearchFunc(u.wild, first, func(h *Host, first asndb.IP) int { return cmp.Compare(h.IP, first) })
+	hi, _ := slices.BinarySearchFunc(u.wild, last, func(h *Host, last asndb.IP) int { return afterLast(h.IP, last) })
+	wild := u.wild[lo:hi]
+	if len(hits)+len(wild) == 0 {
+		return nil
+	}
+	out := make([]asndb.IP, 0, len(hits)+len(wild))
+	i := 0
+	for _, h := range wild {
+		if !h.Middlebox && !h.inPseudoBlock(port) {
+			continue
+		}
+		for ; i < len(hits) && hits[i] < h.IP; i++ {
+			out = append(out, hits[i])
+		}
+		if i < len(hits) && hits[i] == h.IP {
+			i++ // an explicit service inside the host's own pseudo block
+		}
+		out = append(out, h.IP)
+	}
+	return append(out, hits[i:]...)
+}
+
+// afterLast orders ip against the upper bound last so that a binary
+// search finds the first address past it, with no overflow at
+// 255.255.255.255.
+func afterLast(ip, last asndb.IP) int {
+	if ip <= last {
+		return -1
+	}
+	return 1
 }
 
 // AnnouncedWithin intersects a prefix with the announced address space,
@@ -185,10 +245,10 @@ func (u *Universe) NumServices() int {
 // "real services" filtering of Appendix B.
 func (u *Universe) PortPopulation() []int {
 	pop := make([]int, NumPorts)
-	for _, h := range u.hostList {
-		for p := range h.services {
-			pop[p]++
-		}
+	start := uint32(0)
+	for _, r := range u.portRuns {
+		pop[r.port] = int(r.end - start)
+		start = r.end
 	}
 	return pop
 }
@@ -246,8 +306,49 @@ func (u *Universe) insertHost(h *Host) {
 	u.hostList = append(u.hostList, h)
 }
 
-// finalize sorts internal indexes after generation or churn.
+// finalize sorts the host and prefix lists after generation, churn or a
+// merge, gives every host its sorted port list and builds the responder
+// index. Hosts shared with an earlier universe already have their lists,
+// so finalize only reads them.
 func (u *Universe) finalize() {
 	sort.Slice(u.hostList, func(i, j int) bool { return u.hostList[i].IP < u.hostList[j].IP })
 	sort.Slice(u.prefixes, func(i, j int) bool { return u.prefixes[i].Addr < u.prefixes[j].Addr })
+	n := 0
+	for _, h := range u.hostList {
+		if h.ports == nil {
+			h.ports = h.sortedPorts()
+		}
+		n += len(h.ports)
+	}
+	u.indexResponders(n)
+}
+
+// indexResponders builds the responder index over the n explicit
+// services. Walking the IP-sorted host list and each host's ascending
+// ports emits the services in (IP, port) order, so one stable radix pass
+// on the port's two bytes leaves them port-major with IPs ascending:
+// linear in the services, with no comparison sort.
+func (u *Universe) indexResponders(n int) {
+	keys := make([]Pair[struct{}], 0, n)
+	u.wild = nil
+	for _, h := range u.hostList {
+		for _, port := range h.ports {
+			keys = append(keys, Pair[struct{}]{Key: Key{IP: h.IP, Port: port}})
+		}
+		if h.answersOutsideServices() {
+			u.wild = append(u.wild, h)
+		}
+	}
+	u.respIPs = make([]asndb.IP, n)
+	u.portRuns = nil
+	if n == 0 {
+		return
+	}
+	keys = radixSort(keys, make([]Pair[struct{}], n), portDigits)
+	for i, k := range keys {
+		u.respIPs[i] = k.Key.IP
+		if i+1 == n || keys[i+1].Key.Port != k.Key.Port {
+			u.portRuns = append(u.portRuns, portRun{port: k.Key.Port, end: uint32(i + 1)})
+		}
+	}
 }

@@ -184,10 +184,7 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 		return nil, fmt.Errorf("gps: shard index %d out of range [0, %d)", cfg.ShardIndex, cfg.ShardCount)
 	}
 	eng := cfg.engine()
-	res := &Result{
-		Found:      make(map[netmodel.Key]bool),
-		SeedProbes: seedSet.CollectionProbes,
-	}
+	res := &Result{SeedProbes: seedSet.CollectionProbes}
 	hosts := seedSet.ByHost()
 
 	// Phase 2: the probabilistic model.
@@ -216,23 +213,47 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 	// Phase 3b: execute the priors scan, fingerprint, and grab features.
 	// A sharded run probes only the addresses its partition owns; the
 	// scanner enforces the split and accounts the proportional bandwidth.
+	//
+	// Two passes. The first probes every target in order under the
+	// budget and keeps each target's responders and the cumulative probe
+	// count after it. The second fingerprints and grabs every responder
+	// into Found, Anchors and Discoveries, all sized to the responder
+	// total up front: grown by append, each would allocate several times
+	// its final size and feed the collector. A target's discoveries carry
+	// the count recorded after its scan, as they did when fingerprinting
+	// followed each scan directly, so the log is unchanged.
 	start = time.Now()
 	sc := scanner.NewSharded(u, cfg.ShardIndex, cfg.ShardCount)
 	sc.SetExactShardCounts(cfg.ExactShardCounts)
-	fp := lzr.New(u)
-	gr := zgrab.New(u)
+	type scanned struct {
+		port   uint16
+		end    int    // responders[prev.end:end] answered this target
+		probes uint64 // cumulative probes after the target's scan
+	}
+	var (
+		responders []asndb.IP
+		scans      []scanned
+	)
 	for _, tgt := range res.PriorsList.Targets {
 		if cfg.Budget > 0 && sc.Probes() >= cfg.Budget {
 			break
 		}
 		// Clamp the step to announced space: a /0 step means "scan the
 		// whole announced Internet on this port", not all 2^32.
-		var responders []asndb.IP
 		for _, sub := range u.AnnouncedWithin(tgt.Subnet) {
 			responders = append(responders, sc.ScanPrefixFast(sub, tgt.Port, cfg.Seed)...)
 		}
-		for _, ip := range responders {
-			r := fp.Fingerprint(ip, tgt.Port)
+		scans = append(scans, scanned{port: tgt.Port, end: len(responders), probes: sc.Probes()})
+	}
+	fp := lzr.New(u)
+	gr := zgrab.New(u)
+	res.Found = make(map[netmodel.Key]bool, len(responders))
+	res.Anchors = make([]dataset.Record, 0, len(responders))
+	res.Discoveries = make([]Discovery, 0, len(responders))
+	begin := 0
+	for _, s := range scans {
+		for _, ip := range responders[begin:s.end] {
+			r := fp.Fingerprint(ip, s.port)
 			if r.Status == lzr.StatusMiddlebox {
 				res.Middleboxes++
 				continue
@@ -240,24 +261,25 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 			if r.Status != lzr.StatusService {
 				continue
 			}
-			g, ok := gr.Grab(ip, tgt.Port)
+			g, ok := gr.Grab(ip, s.port)
 			if !ok {
 				continue
 			}
-			k := netmodel.Key{IP: ip, Port: tgt.Port}
+			k := netmodel.Key{IP: ip, Port: s.port}
 			if res.Found[k] {
 				continue
 			}
 			res.Found[k] = true
 			asn, _ := u.ASNOf(ip)
 			res.Anchors = append(res.Anchors, dataset.Record{
-				IP: ip, Port: tgt.Port, Proto: g.Proto, Feats: g.Feats,
+				IP: ip, Port: s.port, Proto: g.Proto, Feats: g.Feats,
 				ASN: asn, TTL: g.TTL,
 			})
 			res.Discoveries = append(res.Discoveries, Discovery{
-				Key: k, Phase: PhasePriors, Probes: sc.Probes(),
+				Key: k, Phase: PhasePriors, Probes: s.probes,
 			})
 		}
+		begin = s.end
 	}
 	res.PriorsProbes = sc.Probes()
 	res.Timings.PriorsScan = time.Since(start)
