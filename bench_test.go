@@ -1,9 +1,10 @@
 package gps_test
 
 // The micro-benchmarks perf PRs quote (ROADMAP's re-anchor table): the
-// model build and lookup, prediction throughput, one continuous and one
-// sharded epoch, the serving layer's snapshot build and query path, and
-// the commit path's snapshot, delta and clone-and-apply.
+// model build and lookup, prediction throughput, one batch gps.Run, one
+// continuous and one sharded epoch, the serving layer's snapshot build
+// and query path, and the commit path's snapshot, delta and
+// clone-and-apply.
 // The paper's tables and figures are reproduced by cmd/gpseval; the
 // end-to-end epoch and query clocks are measured by cmd/gpsbench.
 //

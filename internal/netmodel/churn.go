@@ -74,17 +74,14 @@ func Churn(u *Universe, p ChurnParams) *Universe {
 		nh.Middlebox = h.Middlebox
 		nh.pseudoLo, nh.pseudoHi, nh.pseudoTmpl = h.pseudoLo, h.pseudoHi, h.pseudoTmpl
 		// drop is an ascending subsequence of h.ports, so one merge walk
-		// keeps the rest and leaves nh's port list already sorted.
-		kept := make([]uint16, 0, len(h.ports)-len(drop))
+		// keeps the rest.
 		for _, port := range h.ports {
 			if len(drop) > 0 && drop[0] == port {
 				drop = drop[1:]
 				continue
 			}
 			nh.AddService(h.services[port])
-			kept = append(kept, port)
 		}
-		nh.ports = kept
 		out.insertHost(nh)
 	}
 	out.finalize()

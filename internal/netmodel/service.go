@@ -155,9 +155,8 @@ type Host struct {
 	ASN      asndb.ASN
 	Profile  string // generator profile name, for debugging and analysis
 	services map[uint16]*Service
-	// ports is the sorted list of the services' ports. The finalize of
-	// the first universe holding the host builds it, and from then on it
-	// is only read; nil means not built yet.
+	// ports lists the services' ports in ascending order. AddService
+	// keeps it sorted as services arrive, so reading it never writes.
 	ports []uint16
 
 	// pseudoLo/pseudoHi bound a contiguous block of pseudo-service
@@ -181,8 +180,11 @@ func NewHost(ip asndb.IP, asn asndb.ASN, profile string) *Host {
 // AddService attaches a service; a second service on the same port
 // overwrites the first.
 func (h *Host) AddService(s *Service) {
+	if _, dup := h.services[s.Port]; !dup {
+		i, _ := slices.BinarySearch(h.ports, s.Port)
+		h.ports = slices.Insert(h.ports, i, s.Port)
+	}
 	h.services[s.Port] = s
-	h.ports = nil
 }
 
 // SetPseudoBlock makes the host serve the same pseudo service on every
@@ -215,11 +217,6 @@ func (h *Host) inPseudoBlock(port uint16) bool {
 	return h.pseudoTmpl != nil && port >= h.pseudoLo && port <= h.pseudoHi
 }
 
-// answersOutsideServices reports whether the host may acknowledge a port
-// its service map lacks: middleboxes answer every port, pseudo hosts
-// their block.
-func (h *Host) answersOutsideServices() bool { return h.Middlebox || h.pseudoTmpl != nil }
-
 // Responsive reports whether a SYN to the port would be answered.
 // Middleboxes acknowledge everything.
 func (h *Host) Responsive(port uint16) bool {
@@ -231,27 +228,9 @@ func (h *Host) Responsive(port uint16) bool {
 }
 
 // Ports returns the host's real (non-pseudo-block) service ports in
-// ascending order; callers must not modify the slice. A host in a
-// universe returns the list the universe built, so Ports only reads and
-// is safe for concurrent use; a host outside any universe sorts a fresh
-// list on every call.
-func (h *Host) Ports() []uint16 {
-	if h.ports != nil {
-		return h.ports
-	}
-	return h.sortedPorts()
-}
-
-// sortedPorts collects and sorts the service map's ports. The result is
-// never nil, so a built empty list is told apart from an unbuilt one.
-func (h *Host) sortedPorts() []uint16 {
-	ps := make([]uint16, 0, len(h.services))
-	for p := range h.services {
-		ps = append(ps, p)
-	}
-	sortPorts(ps)
-	return ps
-}
+// ascending order. It only reads, so it is safe for concurrent use;
+// callers must not modify the slice.
+func (h *Host) Ports() []uint16 { return h.ports }
 
 // NumServices counts the host's services including any pseudo block.
 func (h *Host) NumServices() int {
@@ -265,13 +244,3 @@ func (h *Host) NumServices() int {
 // Services returns the host's explicit services keyed by port. Callers
 // must not modify the map.
 func (h *Host) Services() map[uint16]*Service { return h.services }
-
-func sortPorts(p []uint16) {
-	// Insertion sort: hosts have a handful of ports, so this beats the
-	// allocation and indirection of sort.Slice on the hot path.
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j-1] > p[j]; j-- {
-			p[j-1], p[j] = p[j], p[j-1]
-		}
-	}
-}

@@ -174,9 +174,6 @@ func (u *Universe) ResponsiveIn(p asndb.Prefix, port uint16) []asndb.IP {
 	lo, _ := slices.BinarySearchFunc(u.wild, first, func(h *Host, first asndb.IP) int { return cmp.Compare(h.IP, first) })
 	hi, _ := slices.BinarySearchFunc(u.wild, last, func(h *Host, last asndb.IP) int { return afterLast(h.IP, last) })
 	wild := u.wild[lo:hi]
-	if len(hits)+len(wild) == 0 {
-		return nil
-	}
 	out := make([]asndb.IP, 0, len(hits)+len(wild))
 	i := 0
 	for _, h := range wild {
@@ -307,40 +304,33 @@ func (u *Universe) insertHost(h *Host) {
 }
 
 // finalize sorts the host and prefix lists after generation, churn or a
-// merge, gives every host its sorted port list and builds the responder
-// index. Hosts shared with an earlier universe already have their lists,
-// so finalize only reads them.
+// merge and builds the responder index.
 func (u *Universe) finalize() {
 	sort.Slice(u.hostList, func(i, j int) bool { return u.hostList[i].IP < u.hostList[j].IP })
 	sort.Slice(u.prefixes, func(i, j int) bool { return u.prefixes[i].Addr < u.prefixes[j].Addr })
-	n := 0
-	for _, h := range u.hostList {
-		if h.ports == nil {
-			h.ports = h.sortedPorts()
-		}
-		n += len(h.ports)
-	}
-	u.indexResponders(n)
+	u.indexResponders()
 }
 
-// indexResponders builds the responder index over the n explicit
-// services. Walking the IP-sorted host list and each host's ascending
-// ports emits the services in (IP, port) order, so one stable radix pass
-// on the port's two bytes leaves them port-major with IPs ascending:
-// linear in the services, with no comparison sort.
-func (u *Universe) indexResponders(n int) {
+// indexResponders builds the responder index. Walking the IP-sorted host
+// list and each host's ascending ports emits the services in (IP, port)
+// order, so one stable radix pass on the port's two bytes leaves them
+// port-major with IPs ascending: linear in the services, with no
+// comparison sort.
+func (u *Universe) indexResponders() {
+	n := 0
+	for _, h := range u.hostList {
+		n += len(h.ports)
+	}
 	keys := make([]Pair[struct{}], 0, n)
-	u.wild = nil
 	for _, h := range u.hostList {
 		for _, port := range h.ports {
 			keys = append(keys, Pair[struct{}]{Key: Key{IP: h.IP, Port: port}})
 		}
-		if h.answersOutsideServices() {
+		if h.Middlebox || h.pseudoTmpl != nil {
 			u.wild = append(u.wild, h)
 		}
 	}
 	u.respIPs = make([]asndb.IP, n)
-	u.portRuns = nil
 	if n == 0 {
 		return
 	}

@@ -219,9 +219,9 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 	// count after it. The second fingerprints and grabs every responder
 	// into Found, Anchors and Discoveries, all sized to the responder
 	// total up front: grown by append, each would allocate several times
-	// its final size and feed the collector. A target's discoveries carry
-	// the count recorded after its scan, as they did when fingerprinting
-	// followed each scan directly, so the log is unchanged.
+	// its final size and feed the collector. Fingerprints and grabs are
+	// not scan probes, so the count recorded after a target's scan is
+	// the Probes of each of its discoveries.
 	start = time.Now()
 	sc := scanner.NewSharded(u, cfg.ShardIndex, cfg.ShardCount)
 	sc.SetExactShardCounts(cfg.ExactShardCounts)
