@@ -9,9 +9,12 @@ import (
 	"testing"
 
 	"gps/internal/continuous"
+	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/shard"
+	"gps/internal/store"
+	"gps/internal/wire"
 )
 
 // updateEpochGolden rewrites testdata/golden/epochs/index.tsv from the
@@ -40,9 +43,32 @@ func sha256Of(t *testing.T, write func(io.Writer) error) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// knownSetDigest writes what a shard knows independent of any checkpoint
+// layout: its known records as a GPSD dataset in (IP, port) order, then
+// each entry's FirstSeen, LastSeen and Stale as uvarints in that order.
+func knownSetDigest(known map[netmodel.Key]*continuous.Entry) func(io.Writer) error {
+	return func(w io.Writer) error {
+		keys := netmodel.SortedKeys(known)
+		d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(keys))}
+		var counters wire.Enc
+		for i, k := range keys {
+			d.Records[i] = known[k].Rec
+			counters.Uvarint(uint64(known[k].FirstSeen))
+			counters.Uvarint(uint64(known[k].LastSeen))
+			counters.Uvarint(uint64(known[k].Stale))
+		}
+		if _, err := store.WriteDatasetBinary(w, d); err != nil {
+			return err
+		}
+		_, err := w.Write(counters)
+		return err
+	}
+}
+
 // epochDigest is one golden row: the sizes in clear, then the sha256 of
 // the merged GPSV inventory and of every shard's GPSC checkpoint, which
-// embeds each known record's full feature set.
+// embeds each known record's full feature set, then the epoch's remaining
+// counters in clear and the sha256 of every shard's known set.
 func epochDigest(t *testing.T, c *shard.Coordinator, stats continuous.EpochStats) string {
 	t.Helper()
 	inv, _ := c.Inventory()
@@ -51,6 +77,12 @@ func epochDigest(t *testing.T, c *shard.Coordinator, stats continuous.EpochStats
 		sha256Of(t, func(w io.Writer) error { return shard.WriteInventory(w, inv) }))
 	for _, st := range c.States() {
 		row += "\t" + sha256Of(t, func(w io.Writer) error { return continuous.WriteCheckpoint(w, st) })
+	}
+	f := stats.Freshness
+	row += fmt.Sprintf("\ttrain=%d known_size=%d fresh_known=%d fresh=%d stale=%d checked=%d alive=%d",
+		stats.TrainSize, stats.KnownSize, f.Known, f.Fresh, f.Stale, f.Checked, f.Alive)
+	for _, st := range c.States() {
+		row += "\t" + sha256Of(t, knownSetDigest(st.Known))
 	}
 	return row
 }
