@@ -98,14 +98,23 @@ func TestSubcommandAliasEquivalence(t *testing.T) {
 func TestParseArgsClusterFlags(t *testing.T) {
 	var errBuf bytes.Buffer
 	f, err := parseArgs([]string{
-		"coordinator", "-workers", "a:1", "-cluster", "127.0.0.1:7700",
-		"-admin", "-rebalance-factor", "2.5",
+		"coordinator", "-workers", "a:1", "-cluster", "127.0.0.1:7700", "-admin",
 	}, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.coordinator || f.cluster != "127.0.0.1:7700" || !f.admin || f.rebalFactor != 2.5 {
+	if !f.coordinator || f.cluster != "127.0.0.1:7700" || !f.admin {
 		t.Errorf("cluster flags: %+v", f)
+	}
+	// The latency rebalancer is gone; its flag is an unknown-flag error
+	// like the other retired spellings.
+	const unknown = "flag provided but not defined: -rebalance-factor"
+	errBuf.Reset()
+	if _, err := parseArgs([]string{"coordinator", "-workers", "a:1", "-rebalance-factor", "2.5"}, &errBuf); err == nil || err.Error() != unknown {
+		t.Errorf("-rebalance-factor: err = %v; want %q", err, unknown)
+	}
+	if !strings.Contains(errBuf.String(), unknown) {
+		t.Errorf("-rebalance-factor printed %q; want it to name the flag", errBuf.String())
 	}
 
 	f, err = parseArgs([]string{"worker", "-join", "127.0.0.1:7700", "-name", "w4", "-leave"}, &errBuf)

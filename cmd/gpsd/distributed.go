@@ -31,8 +31,7 @@ func runCoordinator(f daemonFlags) int {
 	world := f.world()
 	clusterLog := trace.NewLogger("cluster")
 	opts := &transport.Options{
-		Timeout:         f.rpcTimeout,
-		RebalanceFactor: f.rebalFactor,
+		Timeout: f.rpcTimeout,
 		Logf: func(format string, args ...any) {
 			clusterLog.Infof(format, args...)
 		},

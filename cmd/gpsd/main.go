@@ -53,8 +53,7 @@
 // coordinator, which live-migrates shards (checkpointed state plus the
 // partitioned world spec) onto the newcomer at the next epoch boundary.
 // The same machinery runs in reverse for -leave (the worker drains its
-// shards back into the fleet before exiting) and for the optional
-// latency rebalancer (-rebalance-factor). GET /v1/cluster on the
+// shards back into the fleet before exiting). GET /v1/cluster on the
 // coordinator's -serve API reports membership, per-shard latency, and
 // every migration; POST /v1/cluster/workers/{id}/drain (behind -admin)
 // drains a worker remotely.
@@ -69,7 +68,7 @@
 //	gpsd worker -join ADDR [-name ID] [-leave]
 //	gpsd coordinator -workers ADDR,ADDR,... [flags as above]
 //	     [-rpc-timeout DUR] [-shard-checkpoints DIR]
-//	     [-cluster ADDR] [-admin] [-rebalance-factor F]
+//	     [-cluster ADDR] [-admin]
 //	gpsd rebalance split|join -checkpoint FILE
 //	gpsd serve FILE -serve ADDR
 //	gpsd [flags] -serve ADDR [-feed ADDR] [-feed-history N]
@@ -132,7 +131,6 @@ type daemonFlags struct {
 	workers     string
 	cluster     string
 	admin       bool
-	rebalFactor float64
 	rpcTimeout  time.Duration
 	shardCkpts  string
 	rebalance   string
@@ -173,7 +171,6 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 	fs.StringVar(&f.workers, "workers", "", "coordinator mode: comma-separated worker addresses")
 	fs.StringVar(&f.cluster, "cluster", "", "coordinator mode: accept joining workers on this address (gpsd worker -join)")
 	fs.BoolVar(&f.admin, "admin", false, "enable mutating /v1/cluster endpoints on -serve (default: read-only)")
-	fs.Float64Var(&f.rebalFactor, "rebalance-factor", 0, "coordinator mode: migrate a shard off a worker whose epoch-latency EWMA exceeds the cluster median by this factor (0 = off)")
 	fs.DurationVar(&f.rpcTimeout, "rpc-timeout", 2*time.Minute, "coordinator mode: per-RPC deadline (turns a wedged worker into an error)")
 	fs.StringVar(&f.shardCkpts, "shard-checkpoints", "", "coordinator mode: also write per-shard checkpoints into this directory each epoch")
 	fs.StringVar(&f.serve, "serve", "", "serve the inventory query API on this address (e.g. 127.0.0.1:7080) alongside the daemon")

@@ -14,7 +14,6 @@ import (
 	"gps/internal/continuous"
 	"gps/internal/dataset"
 	"gps/internal/features"
-	"gps/internal/metrics"
 	"gps/internal/netmodel"
 	"gps/internal/shard"
 	"gps/internal/shard/transport"
@@ -64,14 +63,6 @@ func goldenDataset(seed int64, n int) *dataset.Dataset {
 func goldenState(seed int64, n int) *continuous.State {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	st := &continuous.State{Epoch: 7, Known: make(map[netmodel.Key]*continuous.Entry)}
-	for e := 1; e <= 3; e++ {
-		st.History = append(st.History, continuous.EpochStats{
-			Epoch: e, ReverifyProbes: uint64(1000 * e), DiscoveryProbes: uint64(1 << (10 * e)),
-			Verified: 40 + e, Lost: e, Evicted: e / 2, NewFound: 3 * e, Refreshed: 2 * e,
-			TrainSize: 300 + e, KnownSize: 40 + 3*e,
-			Freshness: metrics.Freshness{Known: 50, Fresh: 40, Stale: 10, Checked: 45, Alive: 44 - e},
-		})
-	}
 	for _, rec := range goldenDataset(seed, n).Records {
 		first := rng.Intn(5)
 		st.Known[rec.Key()] = &continuous.Entry{

@@ -110,9 +110,9 @@ type EpochStats struct {
 	KnownSize int
 	// Freshness is the staleness accounting of the known set.
 	Freshness metrics.Freshness
-	// Phases is the epoch's wall-clock phase split. Observability only:
-	// it is not checkpointed (see PhaseTimes), so resumed history reads
-	// zero here.
+	// Phases is the epoch's wall-clock phase split. Observability only
+	// (see PhaseTimes): it reaches the caller with the epoch's result,
+	// never a checkpoint.
 	Phases PhaseTimes
 }
 
@@ -120,14 +120,13 @@ type EpochStats struct {
 func (s EpochStats) Probes() uint64 { return s.ReverifyProbes + s.DiscoveryProbes }
 
 // State is everything the continuous scanner knows between epochs; it is
-// the unit of checkpointing.
+// the unit of checkpointing. An epoch's EpochStats are returned by Epoch
+// and kept by no state, so a state's size follows the inventory alone.
 type State struct {
 	// Epoch is the last completed epoch (0 = only seeded).
 	Epoch int
 	// Known is the live service inventory.
 	Known map[netmodel.Key]*Entry
-	// History holds one EpochStats per completed epoch.
-	History []EpochStats
 }
 
 // Runner drives the continuous scan. It is not safe for concurrent use.
@@ -339,7 +338,6 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			stats.Freshness.Stale++
 		}
 	}
-	r.st.History = append(r.st.History, stats)
 	r.tel.record(stats)
 	ownSpan.SetAttr(trace.Int("known", stats.KnownSize))
 	ownSpan.Finish()

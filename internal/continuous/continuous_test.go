@@ -2,12 +2,15 @@ package continuous
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"reflect"
 	"testing"
 
 	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
+	"gps/internal/wire"
 )
 
 // testWorld builds a small universe plus a seed split for fast tests.
@@ -38,6 +41,7 @@ func TestEpochTracksChurn(t *testing.T) {
 	}
 
 	world := u
+	var lost int
 	for e := 1; e <= 3; e++ {
 		world = churned(world, 100, e)
 		stats, err := r.Epoch(world)
@@ -66,16 +70,10 @@ func TestEpochTracksChurn(t *testing.T) {
 				t.Fatalf("entry %v marked fresh but unresponsive", k)
 			}
 		}
-	}
-	if len(r.State().History) != 3 {
-		t.Errorf("history length = %d; want 3", len(r.State().History))
+		lost += stats.Lost
 	}
 	// The paper's churn means some of the original inventory must have
 	// died and been evicted or marked stale along the way.
-	var lost int
-	for _, h := range r.State().History {
-		lost += h.Lost
-	}
 	if lost == 0 {
 		t.Error("three churn epochs lost no services; churn model broken?")
 	}
@@ -235,17 +233,8 @@ func TestResumeIdentical(t *testing.T) {
 }
 
 func statesEqual(a, b *State) bool {
-	if a.Epoch != b.Epoch || len(a.Known) != len(b.Known) || len(a.History) != len(b.History) {
+	if a.Epoch != b.Epoch || len(a.Known) != len(b.Known) {
 		return false
-	}
-	for i := range a.History {
-		// Phases is wall-clock observability, deliberately excluded from
-		// checkpoints — nondeterministic, so not part of state identity.
-		ha, hb := a.History[i], b.History[i]
-		ha.Phases, hb.Phases = PhaseTimes{}, PhaseTimes{}
-		if ha != hb {
-			return false
-		}
 	}
 	for k, ea := range a.Known {
 		eb, ok := b.Known[k]
@@ -254,4 +243,19 @@ func statesEqual(a, b *State) bool {
 		}
 	}
 	return true
+}
+
+// TestCheckpointRefusesVersion1: a checkpoint written before epoch
+// counters left the state (testdata/golden/v1) fails loudly as a GPSC
+// bad-version error; there is no version-1 reader.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	old, err := os.ReadFile("../../testdata/golden/v1/GPSC.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadCheckpoint(bytes.NewReader(old))
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
+		t.Fatalf("version-1 checkpoint returned %v; want a GPSC bad-version *wire.Error", err)
+	}
 }

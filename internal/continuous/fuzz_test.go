@@ -21,7 +21,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(golden[:len(golden)/2])                 // cut inside the known set
 	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
 	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
-	f.Add([]byte("GPSC\x01\x07\xff\xff\xff\x07")) // 2^24-1 history entries, none present
+	f.Add([]byte("GPSC\x02\x07\xff\xff\xff\x7f")) // a 256 MiB known set, none present
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.FuzzCanonical(t, data, "GPSC GPSD", ReadCheckpoint, WriteCheckpoint)

@@ -13,8 +13,7 @@ import (
 // Membership. Workers die (their shards re-queue to survivors,
 // liveWorker), join after the run began (Admit), and drain — asked by an
 // operator (RequestDrain) or by the worker itself (the draining flag on an
-// epoch result). Joins, drains and the rebalance policy are *applied* in
-// exactly one place — maintain(), at the top of every Epoch — so the
+// epoch result). Joins and drains are *applied* in exactly one place — maintain(), at the top of every Epoch — so the
 // assignment only ever changes at an epoch boundary. Between boundaries
 // the cluster document (Status) is the only thing other goroutines may
 // touch.
@@ -61,8 +60,7 @@ type WorkerStatus struct {
 	Shards     []int `json:"shards,omitempty"`
 
 	// LoadEWMASeconds sums the EWMA epoch latencies of the worker's
-	// shards — the load signal the rebalance policy compares against
-	// the cluster median.
+	// shards. It is reported for operators; no policy acts on it.
 	LoadEWMASeconds float64 `json:"load_ewma_seconds"`
 }
 
@@ -81,7 +79,7 @@ type MigrationStatus struct {
 	Shard   int     `json:"shard"`
 	From    string  `json:"from"`
 	To      string  `json:"to"`
-	Reason  string  `json:"reason"` // join | drain | rebalance
+	Reason  string  `json:"reason"` // join | drain
 	Epoch   int     `json:"epoch"`  // last committed epoch when it ran
 	Seconds float64 `json:"seconds"`
 }
@@ -90,9 +88,8 @@ type MigrationStatus struct {
 // GET /v1/cluster serves. Every membership event (admission, migration,
 // drain, death) rebuilds it.
 type ClusterStatus struct {
-	Epoch           int     `json:"epoch"`
-	Shards          int     `json:"shards"`
-	RebalanceFactor float64 `json:"rebalance_factor"`
+	Epoch  int `json:"epoch"`
+	Shards int `json:"shards"`
 
 	Workers        []WorkerStatus    `json:"workers"`
 	ShardLatencies []ShardStatus     `json:"shard_latencies"`
@@ -268,9 +265,8 @@ func (c *Coordinator) workerFailed(s int, w *worker, err error) {
 }
 
 // maintain applies every membership change queued since the last epoch
-// boundary: admit joiners, drain workers that asked (via the API or
-// their epoch-result draining flag), and run the rebalance policy. It
-// runs on the epoch-loop thread at the top of Epoch — the one place
+// boundary: admit joiners and drain workers that asked (via the API or
+// their epoch-result draining flag). It runs on the epoch-loop thread at the top of Epoch — the one place
 // assignments may change — and never fails the epoch: a migration that
 // cannot complete leaves its shard on the donor and is retried at the
 // next boundary.
@@ -288,7 +284,6 @@ func (c *Coordinator) maintain() {
 		c.balanceCounts("join")
 	}
 	c.drainAll()
-	c.rebalanceOnce()
 	c.publishStatus()
 }
 
@@ -422,61 +417,6 @@ func (c *Coordinator) balanceCounts(reason string) {
 	}
 }
 
-// rebalanceOnce is the telemetry-driven policy: when the hottest
-// worker's load (the sum of its shards' EWMA epoch latencies) exceeds
-// the cluster median by the rebalance factor, its slowest shard
-// migrates to the least-loaded worker. At most one migration per
-// boundary — the EWMAs need an epoch on the new layout before the
-// signal means anything again. Factor 0 disables the policy.
-func (c *Coordinator) rebalanceOnce() {
-	if c.factor <= 0 {
-		return
-	}
-	loads := make(map[int]float64)
-	var eligible []int
-	for wi, w := range c.workers {
-		if w.eligible() {
-			eligible = append(eligible, wi)
-			loads[wi] = 0
-		}
-	}
-	if len(eligible) < 2 {
-		return
-	}
-	for s, wi := range c.assign {
-		if _, ok := loads[wi]; ok {
-			loads[wi] += c.tel.shardEw[s].Value()
-		}
-	}
-	sort.Slice(eligible, func(a, b int) bool { return loads[eligible[a]] < loads[eligible[b]] })
-	median := loads[eligible[len(eligible)/2]]
-	hot, cold := eligible[len(eligible)-1], eligible[0]
-	if median <= 0 || loads[hot] <= c.factor*median || hot == cold {
-		return
-	}
-	// Move the hot worker's slowest shard — but only if it keeps at
-	// least one (moving a 1-shard worker's only shard just relocates
-	// the hotspot).
-	slowest, slowLat, owned := -1, 0.0, 0
-	for s, wi := range c.assign {
-		if wi != hot {
-			continue
-		}
-		owned++
-		if lat := c.tel.shardEw[s].Value(); slowest == -1 || lat > slowLat {
-			slowest, slowLat = s, lat
-		}
-	}
-	if owned < 2 || slowest == -1 {
-		return
-	}
-	c.logf("shard: rebalance: worker %q load %.3fs > %.1f× median %.3fs; migrating shard %d to %q",
-		c.workers[hot].id, loads[hot], c.factor, median, slowest, c.workers[cold].id)
-	if err := c.migrate(slowest, cold, "rebalance"); err != nil {
-		c.logf("shard: rebalance: %v", err)
-	}
-}
-
 // migrate live-migrates shard s to worker index `to`: place it there,
 // and re-point the assignment only after the placement lands. Every
 // failure path leaves the shard on its donor: a refusal is counted and
@@ -543,11 +483,7 @@ func (c *Coordinator) recordMigration(m MigrationStatus) {
 // runs on the epoch-loop thread (the only writer of workers/assign)
 // and swaps the document under the mutex for concurrent readers.
 func (c *Coordinator) publishStatus() {
-	doc := ClusterStatus{
-		Epoch:           c.EpochNumber(),
-		Shards:          c.cfg.Shards,
-		RebalanceFactor: c.factor,
-	}
+	doc := ClusterStatus{Epoch: c.EpochNumber(), Shards: c.cfg.Shards}
 	alive, draining := 0, 0
 	for wi, w := range c.workers {
 		ws := WorkerStatus{ID: w.id, Addr: w.addr, Joined: w.joined, State: w.state}

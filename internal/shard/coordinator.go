@@ -100,7 +100,6 @@ func (x *localExecutor) Epoch(s, _ int, u *netmodel.Universe, parent trace.SpanC
 type Coordinator struct {
 	cfg     Config
 	budgets []uint64
-	factor  float64 // rebalance policy threshold; 0 disables it
 	logf    func(format string, args ...any)
 	tel     *coordTelemetry
 	hook    CommitHook
@@ -131,16 +130,14 @@ type Coordinator struct {
 type CommitHook func(epoch int, inv map[netmodel.Key]*continuous.Entry)
 
 // NewFleetCoordinator creates a coordinator with no workers and no shard
-// states: Admit the starting fleet, then Seed or Resume. rebalanceFactor
-// arms the latency rebalance policy (0 disables it; see rebalanceOnce);
-// logf receives one line per membership event.
-func NewFleetCoordinator(cfg Config, rebalanceFactor float64, logf func(format string, args ...any)) *Coordinator {
+// states: Admit the starting fleet, then Seed or Resume. logf receives one
+// line per membership event.
+func NewFleetCoordinator(cfg Config, logf func(format string, args ...any)) *Coordinator {
 	n := max(cfg.Shards, 1)
 	cfg.Shards = n
 	return &Coordinator{
 		cfg:      cfg,
 		budgets:  SliceBudget(cfg.Continuous.Budget, n),
-		factor:   rebalanceFactor,
 		logf:     logf,
 		tel:      newCoordTelemetry(n),
 		assign:   make([]int, n),
@@ -152,7 +149,7 @@ func NewFleetCoordinator(cfg Config, rebalanceFactor float64, logf func(format s
 // newLocalCoordinator is a coordinator over in-process executors, one
 // worker per shard so the shards' epochs run concurrently.
 func newLocalCoordinator(cfg Config) *Coordinator {
-	c := NewFleetCoordinator(cfg, 0, func(string, ...any) {})
+	c := NewFleetCoordinator(cfg, func(string, ...any) {})
 	for i := range c.assign {
 		c.Admit(fmt.Sprintf("local/%d", i), "", &localExecutor{runners: make(map[int]*continuous.Runner)})
 	}

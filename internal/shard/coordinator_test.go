@@ -2,6 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,6 +12,8 @@ import (
 	"gps/internal/continuous"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
+	"gps/internal/trace"
+	"gps/internal/wire"
 )
 
 func coordConfig(n int) Config {
@@ -18,10 +23,32 @@ func coordConfig(n int) Config {
 	}
 }
 
+// statsExec is an in-process executor that keeps the stats each shard's
+// last epoch returned, so a test can hold the coordinator's merge to
+// what the executors reported.
+type statsExec struct {
+	localExecutor
+	last map[int]continuous.EpochStats
+}
+
+func (x *statsExec) Epoch(s, epoch int, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
+	st, stats, draining, err := x.localExecutor.Epoch(s, epoch, u, parent)
+	x.last[s] = stats
+	return st, stats, draining, err
+}
+
 func TestCoordinatorEpochLockstep(t *testing.T) {
 	u, seedSet := testWorld(t, 11)
 	const n = 3
-	c := NewCoordinator(seedSet, coordConfig(n))
+	c := NewFleetCoordinator(coordConfig(n), t.Logf)
+	execs := make([]*statsExec, n)
+	for i := range execs {
+		execs[i] = &statsExec{localExecutor{runners: make(map[int]*continuous.Runner)}, make(map[int]continuous.EpochStats)}
+		c.Admit(fmt.Sprintf("local/%d", i), "", execs[i])
+	}
+	if err := c.Seed(seedSet); err != nil {
+		t.Fatal(err)
+	}
 	if len(c.States()) != n {
 		t.Fatalf("%d shard states; want %d", len(c.States()), n)
 	}
@@ -50,14 +77,19 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 		if stats.Epoch != e || c.EpochNumber() != e {
 			t.Errorf("epoch counters %d/%d; want %d", stats.Epoch, c.EpochNumber(), e)
 		}
-		// Merged stats must equal the sum of the per-shard histories.
-		var wantKnown, wantVerified int
-		for _, st := range c.States() {
-			h := st.History[len(st.History)-1]
+		// Merged stats must equal the sum of what the shards' executors
+		// returned, and the known size what the states hold.
+		var wantKnown, wantVerified, stateKnown int
+		for s, st := range c.States() {
+			h := execs[c.Assignment()[s]].last[s]
+			if h.Epoch != e {
+				t.Fatalf("shard %d returned stats for epoch %d; want %d", s, h.Epoch, e)
+			}
 			wantKnown += h.KnownSize
 			wantVerified += h.Verified
+			stateKnown += len(st.Known)
 		}
-		if stats.KnownSize != wantKnown || stats.Verified != wantVerified {
+		if stats.KnownSize != wantKnown || stats.Verified != wantVerified || stateKnown != wantKnown {
 			t.Errorf("epoch %d merged known=%d verified=%d; shard sums %d/%d",
 				e, stats.KnownSize, stats.Verified, wantKnown, wantVerified)
 		}
@@ -195,6 +227,21 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 		if _, err := ReadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncated checkpoint (%d of %d bytes) accepted", cut, len(data))
 		}
+	}
+}
+
+// TestReadCheckpointRefusesVersion1: a GPSS written before epoch counters
+// left the state (testdata/golden/v1) is refused by its first shard's
+// nested GPSC bad-version error.
+func TestReadCheckpointRefusesVersion1(t *testing.T) {
+	old, err := os.ReadFile("../../testdata/golden/v1/GPSS.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadCheckpoint(bytes.NewReader(old))
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
+		t.Fatalf("version-1 sharded checkpoint returned %v; want a nested GPSC bad-version *wire.Error", err)
 	}
 }
 

@@ -118,7 +118,6 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	rec := dataset.Record{IP: asndb.IP(s<<16 | epoch), Port: 80}
 	next.Known[rec.Key()] = &continuous.Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch}
 	stats := continuous.EpochStats{Epoch: epoch, NewFound: 1, KnownSize: len(next.Known)}
-	next.History = append(next.History, stats)
 	x.cache[s] = next
 	x.fleet.mu.Lock()
 	x.fleet.ran[x.id] = append(x.fleet.ran[x.id], epoch)
@@ -144,7 +143,7 @@ type harness struct {
 func newHarness(t *testing.T, shards, workers int, faults map[at]fault) *harness {
 	h := &harness{
 		t:     t,
-		c:     NewFleetCoordinator(Config{Shards: shards}, 0, t.Logf),
+		c:     NewFleetCoordinator(Config{Shards: shards}, t.Logf),
 		fleet: &fakeFleet{faults: faults, tries: make(map[at]int), ran: make(map[string][]int)},
 		execs: make(map[string]*fakeExec),
 	}

@@ -20,11 +20,8 @@ import (
 // SplitStates doubles the shard count: state i of an n-way split is
 // partitioned into states i (the lower half) and i+n (the upper half) of
 // a 2n-way split, by re-hashing each inventory entry under the doubled
-// count. Entries are copied, so mutating the result does not corrupt the
-// input. The parent's epoch history stays with the lower half — it
-// describes epochs the shards ran as one — and the upper half starts with
-// an empty history at the same epoch, so JoinStates can reverse the split
-// byte-identically.
+// count. Both halves keep the parent's epoch. Entries are copied, so
+// mutating the result does not corrupt the input.
 //
 // An entry that hashes to neither successor is a foreign entry (the input
 // was not a hash-split layout) and aborts the split: re-balancing such a
@@ -36,15 +33,8 @@ func SplitStates(states []*continuous.State) ([]*continuous.State, error) {
 	}
 	out := make([]*continuous.State, 2*n)
 	for i, st := range states {
-		lo := &continuous.State{
-			Epoch:   st.Epoch,
-			Known:   make(map[netmodel.Key]*continuous.Entry),
-			History: st.History,
-		}
-		hi := &continuous.State{
-			Epoch: st.Epoch,
-			Known: make(map[netmodel.Key]*continuous.Entry),
-		}
+		lo := &continuous.State{Epoch: st.Epoch, Known: make(map[netmodel.Key]*continuous.Entry)}
+		hi := &continuous.State{Epoch: st.Epoch, Known: make(map[netmodel.Key]*continuous.Entry)}
 		for k, e := range st.Known {
 			cp := *e
 			switch asndb.ShardOf(k.IP, 2*n) {
@@ -65,13 +55,10 @@ func SplitStates(states []*continuous.State) ([]*continuous.State, error) {
 
 // JoinStates halves the shard count, inverting SplitStates: states i and
 // i+n/2 of an n-way split merge into state i of an n/2-way split. The
-// halves must be at the same epoch (joining shards that ran different
-// numbers of epochs has no consistent merged history), own only addresses
-// that hash to the merged shard, and not both claim the same service —
-// violations mean the input is not two halves of one hash-split layout.
-// Histories concatenate lower-then-upper; after a pure split the upper
-// history is empty, so split followed by join reproduces the input
-// byte-for-byte.
+// halves must be at the same epoch, own only addresses that hash to the
+// merged shard, and not both claim the same service — violations mean the
+// input is not two halves of one hash-split layout. Split followed by join
+// reproduces the input byte-for-byte.
 func JoinStates(states []*continuous.State) ([]*continuous.State, error) {
 	n := len(states)
 	if n == 0 || n%2 != 0 {
@@ -86,9 +73,8 @@ func JoinStates(states []*continuous.State) ([]*continuous.State, error) {
 				i, lo.Epoch, i+h, hi.Epoch)
 		}
 		m := &continuous.State{
-			Epoch:   lo.Epoch,
-			Known:   make(map[netmodel.Key]*continuous.Entry, len(lo.Known)+len(hi.Known)),
-			History: append(lo.History[:len(lo.History):len(lo.History)], hi.History...),
+			Epoch: lo.Epoch,
+			Known: make(map[netmodel.Key]*continuous.Entry, len(lo.Known)+len(hi.Known)),
 		}
 		for _, half := range []*continuous.State{lo, hi} {
 			for k, e := range half.Known {

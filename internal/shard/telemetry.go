@@ -11,9 +11,7 @@ import (
 // fixed, and a registration conflict should crash at startup, not
 // mid-epoch. The gps_rpc_* pair keeps the names it had when only a GPST
 // link could fail. Migrations are labeled by what triggered them — a
-// worker joining, a drain, or the EWMA rebalance policy — because the
-// three have very different operational meanings (growth, shrinkage,
-// hotspot healing).
+// worker joining or a drain — because the two mean growth and shrinkage.
 var (
 	workerFailures = telemetry.Default.Counter("gps_rpc_worker_failures_total",
 		"workers declared dead by the coordinator")
@@ -21,9 +19,8 @@ var (
 		"shards re-queued from a dead worker to a survivor")
 
 	migrations = map[string]*telemetry.Counter{
-		"join":      newMigrationCounter("join"),
-		"drain":     newMigrationCounter("drain"),
-		"rebalance": newMigrationCounter("rebalance"),
+		"join":  newMigrationCounter("join"),
+		"drain": newMigrationCounter("drain"),
 	}
 	migrationSeconds = telemetry.Default.Histogram("gps_shard_migration_seconds",
 		"duration of one live shard migration (placement through its ack)", nil)
@@ -54,9 +51,9 @@ func newWorkerShardsGauge(id string) *telemetry.Gauge {
 
 // coordTelemetry holds the coordinator's pre-registered handles. The
 // per-shard epoch-latency histogram — measured around the executor call,
-// so over GPST it includes the round trip — and its EWMA are the load
-// signal the rebalance policy keys off: a shard whose smoothed epoch
-// latency drifts above its peers is the one to move.
+// so over GPST it includes the round trip — and its EWMA are reported
+// load: /v1/metricz and the cluster document show them, and no policy
+// moves shards on them.
 type coordTelemetry struct {
 	epochs   *telemetry.Counter
 	epoch    *telemetry.Gauge
@@ -84,7 +81,7 @@ func newCoordTelemetry(shards int) *coordTelemetry {
 			"wall-clock time of one shard's epoch",
 			nil, "shard", shard)
 		t.shardEw[i] = r.EWMA("gps_shard_epoch_ewma_seconds",
-			"exponentially smoothed shard epoch latency (membership signal)",
+			"exponentially smoothed shard epoch latency (reported load)",
 			ewmaAlpha, "shard", shard)
 	}
 	return t

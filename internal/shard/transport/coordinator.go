@@ -23,12 +23,6 @@ type Options struct {
 	// listening (it retries with backoff, so workers may be launched
 	// concurrently with the coordinator); 0 selects 15 seconds.
 	DialTimeout time.Duration
-	// RebalanceFactor arms the telemetry-driven migration policy: when
-	// the hottest worker's summed per-shard EWMA epoch latency exceeds
-	// the cluster median by this factor, its slowest shard migrates to
-	// the least-loaded worker at the next epoch boundary. 0 (the
-	// default) disables the policy; joins and drains still migrate.
-	RebalanceFactor float64
 	// Logf receives one line per coordinator event; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -45,13 +39,6 @@ func (o *Options) dialTimeout() time.Duration {
 		return 15 * time.Second
 	}
 	return o.DialTimeout
-}
-
-func (o *Options) rebalanceFactor() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.RebalanceFactor
 }
 
 func (o *Options) logf(format string, args ...any) {
@@ -160,29 +147,24 @@ func (w *workerLink) Epoch(s, epoch int, _ *netmodel.Universe, parent trace.Span
 	if err != nil {
 		return nil, stats, false, err
 	}
-	gotShard, blob, draining, remoteSpans, err := decodeEpochResult(resp)
-	if len(remoteSpans) > 0 {
-		if recs, derr := trace.DecodeSpans(remoteSpans); derr == nil {
+	res, err := decodeEpochResult(resp)
+	if len(res.Spans) > 0 {
+		if recs, derr := trace.DecodeSpans(res.Spans); derr == nil {
 			trace.Default.Import(recs)
 		}
 	}
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, stats, false, err
+	case res.Shard != s:
+		return nil, stats, false, fmt.Errorf("worker answered for shard %d, asked about %d", res.Shard, s)
+	case res.Stats.Epoch != epoch:
+		return nil, stats, false, fmt.Errorf("shard %d: worker reported epoch %d, asked for %d", s, res.Stats.Epoch, epoch)
 	}
-	if gotShard != s {
-		return nil, stats, false, fmt.Errorf("worker answered for shard %d, asked about %d", gotShard, s)
-	}
-	if st, err = shard.DecodeState(blob); err != nil {
+	if st, err = shard.DecodeState(res.State); err != nil {
 		return nil, stats, false, fmt.Errorf("shard %d: %w", s, err)
 	}
-	// The counters still ride the state blob's history row; only the
-	// phases, which checkpoints leave out, are a field of the frame.
-	if len(st.History) == 0 {
-		return nil, stats, false, fmt.Errorf("shard %d state returned without its epoch's stats", s)
-	}
-	stats = st.History[len(st.History)-1]
-	stats.Phases = decodeEpochPhases(resp)
-	return st, stats, draining, nil
+	return st, res.Stats, res.Draining, nil
 }
 
 // Close releases the link: a best-effort shutdown frame, so the worker's
@@ -230,7 +212,7 @@ func Dial(addrs []string, cfg shard.Config, worldSpec []byte, opts *Options) (*C
 		return nil, fmt.Errorf("transport: no worker addresses")
 	}
 	c := &Coordinator{
-		Coordinator: shard.NewFleetCoordinator(cfg, opts.rebalanceFactor(), opts.logf),
+		Coordinator: shard.NewFleetCoordinator(cfg, opts.logf),
 		worldSpec:   worldSpec,
 		opts:        opts,
 	}

@@ -31,12 +31,15 @@ func frameBytes(tb testing.TB, typ uint8, payload []byte) []byte {
 func FuzzDecodeFrame(f *testing.F) {
 	cfg := continuous.Config{Budget: 64, ShardCount: 4}
 	spec := EncodeWorldSpec([]byte("world"), 4, []int{0, 2})
+	stats := continuous.EpochStats{
+		Epoch: 17, ReverifyProbes: 1 << 20, DiscoveryProbes: 1 << 40, Verified: 5, Lost: 1, KnownSize: 6,
+		Phases: continuous.PhaseTimes{Reverify: 1, Retrain: 1 << 20, Discover: 1 << 40, Fold: 3},
+	}
 	seeds := [][]byte{
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 1, Cfg: cfg, WorldSpec: spec, State: []byte("blob")})),
 		frameBytes(f, msgEpoch, encodeEpochReq(3, 17, trace.SpanContext{TraceID: 7, SpanID: 9})),
-		frameBytes(f, msgEpochResult, encodeEpochResult(3, []byte("state"), true, []byte("spans"))),
-		frameBytes(f, msgEpochResult, appendEpochPhases(encodeEpochResult(3, []byte("state"), false, nil), false,
-			continuous.PhaseTimes{Reverify: 1, Retrain: 1 << 20, Discover: 1 << 40, Fold: 3})),
+		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, State: []byte("state"), Draining: true, Stats: stats, Spans: []byte("spans")})),
+		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, State: []byte("state"), Stats: stats})),
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: spec, State: []byte("blob"), Trace: trace.SpanContext{TraceID: 7, SpanID: 9}})),
 		frameBytes(f, msgJoin, encodeJoin(joinMsg{ID: "worker-a"})),
 		frameBytes(f, msgInitOK, encodeShardAck(5)),
@@ -69,7 +72,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		decodeInit(payload)
 		decodeEpochReq(payload)
 		decodeEpochResult(payload)
-		decodeEpochPhases(payload)
 		decodeShardAck(payload)
 		decodeError(payload)
 		decodeJoin(payload)

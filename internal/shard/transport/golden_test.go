@@ -8,6 +8,7 @@ import (
 
 	"gps/internal/continuous"
 	"gps/internal/features"
+	"gps/internal/metrics"
 	"gps/internal/pipeline"
 	"gps/internal/trace"
 	"gps/internal/wire/wiretest"
@@ -29,10 +30,21 @@ func goldenPayloads() []wiretest.Case {
 	spec := EncodeWorldSpec([]byte("world"), 300, []int{2, 130})
 	tc := trace.SpanContext{TraceID: 0xabcdef0123, SpanID: 0x77}
 	spans := []byte("an opaque span batch")
-	phases := continuous.PhaseTimes{
-		Reverify: 1500 * time.Microsecond, Retrain: 20 * time.Millisecond,
-		Discover: 3 * time.Second, Fold: 7 * time.Nanosecond,
+	stats := continuous.EpochStats{
+		Epoch: 9000, ReverifyProbes: 1 << 33, DiscoveryProbes: 12345678,
+		Verified: 4100, Lost: 210, Evicted: 17, NewFound: 333, Refreshed: 3900,
+		TrainSize: 4400, KnownSize: 4416,
+		Freshness: metrics.Freshness{Known: 4416, Fresh: 4233, Stale: 183, Checked: 4310, Alive: 4100},
+		Phases: continuous.PhaseTimes{
+			Reverify: 1500 * time.Microsecond, Retrain: 20 * time.Millisecond,
+			Discover: 3 * time.Second, Fold: 7 * time.Nanosecond,
+		},
 	}
+	result := epochResult{Shard: 130, State: []byte("state"), Draining: true, Stats: stats}
+	tracedResult := result
+	tracedResult.Draining, tracedResult.Spans = false, spans
+	untracedResult := tracedResult
+	untracedResult.Spans = nil
 
 	payload := func(name string, optional int, b []byte, decode func([]byte) error) wiretest.Case {
 		return wiretest.Case{
@@ -47,7 +59,7 @@ func goldenPayloads() []wiretest.Case {
 
 	tryInit := func(b []byte) error { _, err := decodeInit(b); return err }
 	tryEpochReq := func(b []byte) error { _, _, _, err := decodeEpochReq(b); return err }
-	tryEpochResult := func(b []byte) error { _, _, _, _, err := decodeEpochResult(b); return err }
+	tryEpochResult := func(b []byte) error { _, err := decodeEpochResult(b); return err }
 	tryShardAck := func(b []byte) error { _, err := decodeShardAck(b); return err }
 	tryJoin := func(b []byte) error { _, err := decodeJoin(b); return err }
 	tryError := func(b []byte) error { _, err := decodeError(b); return err }
@@ -64,13 +76,9 @@ func goldenPayloads() []wiretest.Case {
 		payload("epoch", 0, encodeEpochReq(130, 9000, trace.SpanContext{}), tryEpochReq),
 		payload("epoch-traced", tail(encodeEpochReq(130, 9000, tc), encodeEpochReq(130, 9000, trace.SpanContext{})),
 			encodeEpochReq(130, 9000, tc), tryEpochReq),
-		payload("epoch-result", 0, encodeEpochResult(130, []byte("state"), true, nil), tryEpochResult),
-		payload("epoch-result-traced", tail(encodeEpochResult(130, []byte("state"), false, spans), encodeEpochResult(130, []byte("state"), false, nil)),
-			encodeEpochResult(130, []byte("state"), false, spans), tryEpochResult),
-		// Phases with no span batch: the empty batch is written so the
-		// phases sit behind it, and both are the optional tail.
-		payload("epoch-result-phases", tail(appendEpochPhases(encodeEpochResult(130, []byte("state"), true, nil), false, phases), encodeEpochResult(130, []byte("state"), true, nil)),
-			appendEpochPhases(encodeEpochResult(130, []byte("state"), true, nil), false, phases), tryEpochResult),
+		payload("epoch-result", 0, encodeEpochResult(result), tryEpochResult),
+		payload("epoch-result-traced", tail(encodeEpochResult(tracedResult), encodeEpochResult(untracedResult)),
+			encodeEpochResult(tracedResult), tryEpochResult),
 		payload("ack", 0, encodeShardAck(130), tryShardAck),
 		payload("join", 0, encodeJoin(joinMsg{ID: "worker-a"}), tryJoin),
 		payload("error", 0, encodeError("shard 130 is not mine"), tryError),

@@ -154,7 +154,7 @@ func TestMigrationJoinDrainLeaveCycle(t *testing.T) {
 
 	// Every shard ended on w1, and the run is byte-identical to the
 	// in-process reference despite two live migrations per shard path.
-	ref := inProcessRun(t, worldSeed, n, epochs)
+	ref, _ := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(stateBytes(t, c.States()), stateBytes(t, ref)) {
 		t.Error("post-churn shard states differ from the in-process run")
 	}
@@ -224,7 +224,7 @@ func TestMigrationPlacementRejected(t *testing.T) {
 	if got := telemetry.Default.Counter("gps_shard_migration_rejects_total", "").Value() - rejectBase; got != 1 {
 		t.Errorf("gps_shard_migration_rejects_total moved by %d; want 1", got)
 	}
-	ref := inProcessRun(t, worldSeed, n, epochs)
+	ref, _ := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("inventory diverged after a rejected migration")
 	}
@@ -315,7 +315,7 @@ func TestMigrationDeathMidTransfer(t *testing.T) {
 	if _, err := c.Epoch(); err != nil {
 		t.Fatalf("epoch 3: %v", err)
 	}
-	ref := inProcessRun(t, worldSeed, n, 3)
+	ref, _ := inProcessRun(t, worldSeed, n, 3)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("inventory diverged after a mid-transfer death")
 	}

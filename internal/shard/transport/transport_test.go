@@ -141,19 +141,22 @@ func testConfig(n int) shard.Config {
 }
 
 // inProcessRun drives the reference in-process coordinator for the given
-// epochs and returns its states.
-func inProcessRun(t *testing.T, worldSeed int64, n, epochs int) []*continuous.State {
+// epochs and returns its states and each epoch's merged stats.
+func inProcessRun(t *testing.T, worldSeed int64, n, epochs int) ([]*continuous.State, []continuous.EpochStats) {
 	t.Helper()
 	u, seedSet := testSeed(worldSeed)
 	c := shard.NewCoordinator(seedSet, testConfig(n))
 	world := u
+	var stats []continuous.EpochStats
 	for e := 1; e <= epochs; e++ {
 		world = netmodel.Churn(world, netmodel.DefaultChurn(worldSeed+int64(e)))
-		if _, err := c.Epoch(world); err != nil {
+		st, err := c.Epoch(world)
+		if err != nil {
 			t.Fatalf("in-process epoch %d: %v", e, err)
 		}
+		stats = append(stats, st)
 	}
-	return c.States()
+	return c.States(), stats
 }
 
 func stateBytes(t *testing.T, states []*continuous.State) []byte {
@@ -209,7 +212,7 @@ func TestTransportDistributedMatchesInProcess(t *testing.T) {
 	if err := c.Seed(seedSet); err != nil {
 		t.Fatal(err)
 	}
-	ref := inProcessRun(t, worldSeed, n, epochs)
+	ref, refStats := inProcessRun(t, worldSeed, n, epochs)
 	for e := 1; e <= epochs; e++ {
 		stats, err := c.Epoch()
 		if err != nil {
@@ -218,10 +221,16 @@ func TestTransportDistributedMatchesInProcess(t *testing.T) {
 		if stats.Epoch != e || c.EpochNumber() != e {
 			t.Errorf("epoch counters %d/%d; want %d", stats.Epoch, c.EpochNumber(), e)
 		}
-		// Phase times are not in the state blob: they reach the merged
-		// stats only by riding the result frame.
+		// An epoch's stats reach the coordinator only on its result
+		// frame: phases from the bounding shard, and every counter equal
+		// to the in-process run's (phases are wall clock, so left out).
 		if p := stats.Phases; p.Reverify <= 0 || p.Retrain <= 0 || p.Discover <= 0 || p.Fold <= 0 || p.Shard < 0 || p.Shard >= n {
 			t.Errorf("epoch %d merged phases %+v; want the bounding shard's non-zero split", e, p)
+		}
+		got, want := stats, refStats[e-1]
+		got.Phases, want.Phases = continuous.PhaseTimes{}, continuous.PhaseTimes{}
+		if got != want {
+			t.Errorf("epoch %d merged counters differ from the in-process run:\n got %+v\nwant %+v", e, got, want)
 		}
 	}
 	if len(hookEpochs) != epochs || hookEpochs[0] != 1 || hookEpochs[epochs-1] != epochs {
@@ -291,7 +300,7 @@ func TestTransportWorkerFailureRequeues(t *testing.T) {
 		}
 	}
 
-	ref := inProcessRun(t, worldSeed, n, epochs)
+	ref, _ := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("post-failover inventory differs from the in-process run")
 	}
@@ -365,6 +374,80 @@ func TestTransportRemoteRejectionDoesNotCascade(t *testing.T) {
 	}
 	if c.AliveWorkers() != 1 {
 		t.Errorf("AliveWorkers = %d after a request-level rejection; the healthy worker was torn down", c.AliveWorkers())
+	}
+}
+
+// flakyWorld is a World whose UniverseAt fails the first time any of its
+// instances is asked for epoch failAt.
+type flakyWorld struct {
+	World
+	failAt int
+	failed *atomic.Bool
+}
+
+func (w flakyWorld) UniverseAt(e int) (*netmodel.Universe, error) {
+	if e == w.failAt && w.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("universe unavailable")
+	}
+	return w.World.UniverseAt(e)
+}
+
+// TestTransportEpochRefusalOverTheWire: a worker that refuses an epoch
+// (its world fails to advance) aborts it with the remote cause. The
+// coordinator's states stay byte-identical, no worker is declared dead,
+// and the retried epoch ends where the in-process run does.
+func TestTransportEpochRefusalOverTheWire(t *testing.T) {
+	const worldSeed, n = 21, 4
+	failed := new(atomic.Bool)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Serve(lis, func(spec []byte) (World, error) {
+			w, err := newSimWorld(spec)
+			return flakyWorld{World: w, failAt: 2, failed: failed}, err
+		}, nil)
+	}()
+	defer func() {
+		lis.Close()
+		<-done
+	}()
+
+	c, err := Dial([]string{startWorker(t).addr(), lis.Addr().String()}, testConfig(n), worldSpec(worldSeed), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, seedSet := testSeed(worldSeed)
+	if err := c.Seed(seedSet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Epoch(); err != nil {
+		t.Fatalf("epoch 1: %v", err)
+	}
+	before := stateBytes(t, c.States())
+
+	_, err = c.Epoch()
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("epoch 2 with a refusing worker returned %v; want a *RemoteError cause", err)
+	}
+	if !bytes.Equal(stateBytes(t, c.States()), before) {
+		t.Error("a refused epoch moved the coordinator's states")
+	}
+	if c.AliveWorkers() != 2 || len(c.Failures()) != 0 {
+		t.Errorf("after a refusal: %d alive workers, failures %v; want 2 and none", c.AliveWorkers(), c.Failures())
+	}
+
+	if _, err := c.Epoch(); err != nil {
+		t.Fatalf("retried epoch 2: %v", err)
+	}
+	ref, _ := inProcessRun(t, worldSeed, n, 2)
+	if !bytes.Equal(stateBytes(t, c.States()), stateBytes(t, ref)) {
+		t.Error("retried epoch's states differ from the in-process run")
 	}
 }
 
@@ -537,7 +620,7 @@ func TestTransportRequeueExtendsWorld(t *testing.T) {
 	if extends.Load() == 0 {
 		t.Error("re-queued shards never extended the survivor's world")
 	}
-	ref := inProcessRun(t, worldSeed, n, epochs)
+	ref, _ := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("post-extend inventory differs from the in-process run")
 	}
@@ -562,7 +645,7 @@ func TestTransportResume(t *testing.T) {
 	const worldSeed, n = 21, 2
 
 	// Uninterrupted reference.
-	ref := inProcessRun(t, worldSeed, n, 2)
+	ref, _ := inProcessRun(t, worldSeed, n, 2)
 
 	// Distributed: one epoch, checkpoint, new coordinator + fleet, resume.
 	w := startWorker(t)
@@ -684,7 +767,7 @@ func TestTransportInitAckNamesWrongShard(t *testing.T) {
 			t.Errorf("lying worker = %+v; want dead, owning nothing", w)
 		}
 	}
-	ref := inProcessRun(t, worldSeed, n, 1)
+	ref, _ := inProcessRun(t, worldSeed, n, 1)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
 		t.Error("inventory after re-queueing off the lying worker differs from the in-process run")
 	}

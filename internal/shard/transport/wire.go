@@ -36,6 +36,7 @@ import (
 
 	"gps/internal/continuous"
 	"gps/internal/features"
+	"gps/internal/metrics"
 	"gps/internal/probmodel"
 	"gps/internal/trace"
 	"gps/internal/wire"
@@ -49,11 +50,13 @@ const (
 	// (msgJoin/msgJoinOK) and the draining flag on epoch results.
 	// Version 3 made msgInit the only way a shard reaches a worker — it
 	// always carries the shard's state — and retired the seed broadcast
-	// and the two-leg migration frames. A skewed peer on either listener
-	// gets a typed bad-version *wire.Error on both sides — the listener
-	// logs and keeps accepting, the worker reports and exits — never a
-	// misparse.
-	Version = 3
+	// and the two-leg migration frames. Version 4 put the epoch's
+	// counters and phases in msgEpochResult's fixed layout, beside a
+	// shard state (GPSC version 2) that no longer holds them. A skewed
+	// peer on either listener gets a typed bad-version *wire.Error on
+	// both sides — the listener logs and keeps accepting, the worker
+	// reports and exits — never a misparse.
+	Version = 4
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
@@ -65,7 +68,7 @@ const (
 	msgInit        = 1 // coordinator → worker: adopt a shard at the carried state
 	msgInitOK      = 2 // worker → coordinator: shard adopted (names the shard)
 	msgEpoch       = 3 // coordinator → worker: run one epoch on a shard
-	msgEpochResult = 4 // worker → coordinator: post-epoch shard state
+	msgEpochResult = 4 // worker → coordinator: post-epoch shard state and stats
 	msgShutdown    = 5 // coordinator → worker: close the session cleanly
 	msgError       = 6 // worker → coordinator: request failed remotely
 
@@ -357,87 +360,91 @@ func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err
 	return shard, epoch, tc, d.Err()
 }
 
-// encodeEpochResult carries a shard's post-epoch state back to the
-// coordinator. The trailing draining flag (wire v2) is how a worker
-// asks to leave: set once the process has been told to drain, it makes
-// the coordinator migrate the worker's shards away at the next epoch
-// boundary instead of waiting for the connection to die.
-// spans is the optional trailing span batch (trace.EncodeSpans): the
-// worker's phase spans for this epoch, shipped back so the
-// coordinator can stitch them into its own flight recorder. Only sent
-// when the request carried a trace context. The epoch's phase split is a
-// second optional trailing field (appendEpochPhases).
-func encodeEpochResult(shard int, state []byte, draining bool, spans []byte) []byte {
+// epochResult is the decoded form of an msgEpochResult payload: the
+// shard's post-epoch state and the epoch's stats, which no state keeps.
+type epochResult struct {
+	Shard int
+	State []byte // shard.EncodeState blob
+	// Draining is how a worker asks to leave: set once the process has
+	// been told to drain, it makes the coordinator migrate the worker's
+	// shards away at the next epoch boundary instead of waiting for the
+	// connection to die.
+	Draining bool
+	// Stats are the epoch's counters and phase split, as the worker's
+	// runner returned them.
+	Stats continuous.EpochStats
+	// Spans is the optional trailing span batch (trace.EncodeSpans): the
+	// worker's phase spans for this epoch, shipped back so the
+	// coordinator can stitch them into its own flight recorder. Only sent
+	// when the request carried a trace context.
+	Spans []byte
+}
+
+// encodeEpochResult lays out shard | state | draining | the epoch's stats
+// (statsCounters), then the span batch when there is one.
+func encodeEpochResult(r epochResult) []byte {
 	var e wire.Enc
-	e.Varint(int64(shard))
-	e.Blob(state)
-	e.Bool(draining)
-	if len(spans) > 0 {
-		e.Blob(spans)
+	e.Varint(int64(r.Shard))
+	e.Blob(r.State)
+	e.Bool(r.Draining)
+	for _, v := range statsCounters(r.Stats) {
+		e.Uvarint(v)
+	}
+	if len(r.Spans) > 0 {
+		e.Blob(r.Spans)
 	}
 	return e
 }
 
-func decodeEpochResult(payload []byte) (shard int, state []byte, draining bool, spans []byte, err error) {
+func decodeEpochResult(payload []byte) (epochResult, error) {
 	d := wire.NewDec(Magic, payload)
-	shard = int(d.Varint())
-	state = d.Blob(maxFrame)
-	draining = d.Bool()
-	if d.More() { // optional trailing field: absent from a pre-trace peer
-		spans = d.Blob(maxFrame)
+	var r epochResult
+	r.Shard = int(d.Varint())
+	r.State = d.Blob(maxFrame)
+	r.Draining = d.Bool()
+	var vals [19]uint64
+	for i := range vals {
+		vals[i] = d.Uvarint()
 	}
-	return shard, state, draining, spans, d.Err()
+	r.Stats = statsFromCounters(vals)
+	if d.More() { // optional trailing field: absent when untraced
+		r.Spans = d.Blob(maxFrame)
+	}
+	return r, d.Err()
 }
 
-// appendEpochPhases adds msgEpochResult's second optional trailing field,
-// the epoch's phase split, behind the span batch: four uvarint nanosecond
-// counts. All-zero phases add nothing, so such a result is byte-identical
-// to the older frame; when phases do follow, the span batch is written
-// even if empty (hasSpans: result already ends in one).
-func appendEpochPhases(result []byte, hasSpans bool, p continuous.PhaseTimes) []byte {
-	if p.Reverify == 0 && p.Retrain == 0 && p.Discover == 0 && p.Fold == 0 {
-		return result
+// statsCounters flattens EpochStats for the wire: the 15 counters, then
+// the four phase durations in nanoseconds. statsFromCounters is its
+// inverse. Order matters and is frozen by Version.
+func statsCounters(h continuous.EpochStats) [19]uint64 {
+	return [19]uint64{
+		uint64(h.Epoch), h.ReverifyProbes, h.DiscoveryProbes,
+		uint64(h.Verified), uint64(h.Lost), uint64(h.Evicted),
+		uint64(h.NewFound), uint64(h.Refreshed),
+		uint64(h.TrainSize), uint64(h.KnownSize),
+		uint64(h.Freshness.Known), uint64(h.Freshness.Fresh),
+		uint64(h.Freshness.Stale), uint64(h.Freshness.Checked),
+		uint64(h.Freshness.Alive),
+		uint64(h.Phases.Reverify), uint64(h.Phases.Retrain),
+		uint64(h.Phases.Discover), uint64(h.Phases.Fold),
 	}
-	e := wire.Enc(result)
-	if !hasSpans {
-		e.Blob(nil)
-	}
-	for _, d := range [...]time.Duration{p.Reverify, p.Retrain, p.Discover, p.Fold} {
-		e.Uvarint(uint64(d))
-	}
-	return e
 }
 
-// decodeEpochPhases reads the phase split off a payload decodeEpochResult
-// accepted. Best-effort like decodeTraceCtx: a frame that ends after the
-// draining flag or the spans, or a garbled tail, yields zero phases.
-func decodeEpochPhases(payload []byte) continuous.PhaseTimes {
-	d := wire.NewDec(Magic, payload)
-	d.Varint()
-	d = skipBlob(d) // the state
-	d.Bool()
-	if !d.More() {
-		return continuous.PhaseTimes{}
+func statsFromCounters(v [19]uint64) continuous.EpochStats {
+	return continuous.EpochStats{
+		Epoch: int(v[0]), ReverifyProbes: v[1], DiscoveryProbes: v[2],
+		Verified: int(v[3]), Lost: int(v[4]), Evicted: int(v[5]),
+		NewFound: int(v[6]), Refreshed: int(v[7]),
+		TrainSize: int(v[8]), KnownSize: int(v[9]),
+		Freshness: metrics.Freshness{
+			Known: int(v[10]), Fresh: int(v[11]), Stale: int(v[12]),
+			Checked: int(v[13]), Alive: int(v[14]),
+		},
+		Phases: continuous.PhaseTimes{
+			Reverify: time.Duration(v[15]), Retrain: time.Duration(v[16]),
+			Discover: time.Duration(v[17]), Fold: time.Duration(v[18]),
+		},
 	}
-	d = skipBlob(d) // the spans
-	p := continuous.PhaseTimes{
-		Reverify: time.Duration(d.Uvarint()), Retrain: time.Duration(d.Uvarint()),
-		Discover: time.Duration(d.Uvarint()), Fold: time.Duration(d.Uvarint()),
-	}
-	if d.Err() != nil {
-		return continuous.PhaseTimes{}
-	}
-	return p
-}
-
-// skipBlob steps over a length-prefixed field without copying it (a state
-// blob is the bulk of an epoch result).
-func skipBlob(d *wire.Dec) *wire.Dec {
-	n, rest := d.Uvarint(), d.Rest()
-	if n > uint64(len(rest)) {
-		n = uint64(len(rest))
-	}
-	return wire.NewDec(Magic, rest[n:])
 }
 
 // encodeError frames a failure report for msgError; the receiver turns

@@ -13,7 +13,9 @@ import (
 
 	"gps/internal/continuous"
 	"gps/internal/features"
+	"gps/internal/metrics"
 	"gps/internal/pipeline"
+	"gps/internal/shard"
 	"gps/internal/trace"
 	"gps/internal/wire"
 )
@@ -153,6 +155,45 @@ func TestWireMidStreamDisconnect(t *testing.T) {
 	}
 }
 
+// TestWireEpochResultMustMatchRequest: workerLink.Epoch accepts a result
+// only for the shard and the epoch it asked about; a worker answering
+// for either other one has broken protocol.
+func TestWireEpochResultMustMatchRequest(t *testing.T) {
+	blob, err := shard.EncodeState(&continuous.State{Epoch: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		shard, epoch int
+		want         string
+	}{
+		{"right", 1, 3, ""},
+		{"wrong shard", 2, 3, "answered for shard 2"},
+		{"wrong epoch", 1, 4, "reported epoch 4"},
+	} {
+		coordEnd, workerEnd := net.Pipe()
+		go func() {
+			defer workerEnd.Close()
+			if _, _, err := readFrame(workerEnd); err != nil {
+				return
+			}
+			res := epochResult{Shard: tc.shard, State: blob}
+			res.Stats.Epoch = tc.epoch
+			writeFrame(workerEnd, msgEpochResult, encodeEpochResult(res))
+		}()
+		w := &workerLink{addr: "pipe", conn: coordEnd, timeout: 5 * time.Second}
+		_, stats, _, err := w.Epoch(1, 3, nil, trace.SpanContext{})
+		coordEnd.Close()
+		switch {
+		case tc.want == "" && (err != nil || stats.Epoch != 3):
+			t.Errorf("%s: Epoch = (%+v, %v); want epoch 3's stats", tc.name, stats, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Epoch error %v; want it to say %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestWireConfigRoundTrip(t *testing.T) {
 	in := continuous.Config{
 		Budget:           12345,
@@ -268,30 +309,31 @@ func TestWireWorldSpecEnvelopeRejects(t *testing.T) {
 	}
 }
 
-// TestWireEpochResultPhases: the phase split is msgEpochResult's second
-// optional trailing field. It round-trips with and without a span batch,
-// all-zero phases leave the older frame's bytes untouched, and a frame
-// that ends after the draining flag, after the spans, or inside the
-// phases still decodes — phases zero.
+// TestWireEpochResultPhases: the epoch's counters and phase split are
+// fixed fields of msgEpochResult. Every one round-trips, with and without
+// a span batch behind them, and a frame cut anywhere short of the span
+// batch is a truncation, not zero stats.
 func TestWireEpochResultPhases(t *testing.T) {
-	phases := continuous.PhaseTimes{Reverify: 3 * time.Millisecond, Retrain: time.Second, Discover: 42, Fold: 1 << 40}
+	stats := continuous.EpochStats{
+		Epoch: 1, ReverifyProbes: 2, DiscoveryProbes: 3, Verified: 4, Lost: 5, Evicted: 6,
+		NewFound: 7, Refreshed: 8, TrainSize: 9, KnownSize: 10,
+		Freshness: metrics.Freshness{Known: 11, Fresh: 12, Stale: 13, Checked: 14, Alive: 15},
+		Phases:    continuous.PhaseTimes{Reverify: 3 * time.Millisecond, Retrain: time.Second, Discover: 42, Fold: 1 << 40},
+	}
+	fixed := encodeEpochResult(epochResult{Shard: 2, State: []byte("state"), Draining: true, Stats: stats})
 	for _, spans := range [][]byte{nil, []byte("a span batch")} {
-		plain := encodeEpochResult(2, []byte("state"), true, spans)
-		if got := appendEpochPhases(plain, len(spans) > 0, continuous.PhaseTimes{}); !bytes.Equal(got, plain) {
-			t.Errorf("spans=%q: zero phases changed the frame", spans)
+		full := encodeEpochResult(epochResult{Shard: 2, State: []byte("state"), Draining: true, Stats: stats, Spans: spans})
+		got, err := decodeEpochResult(full)
+		if err != nil || got.Shard != 2 || string(got.State) != "state" || !got.Draining || !bytes.Equal(got.Spans, spans) {
+			t.Fatalf("spans=%q: result decoded to (%+v, %v)", spans, got, err)
 		}
-		full := appendEpochPhases(plain, len(spans) > 0, phases)
-		shard, state, draining, gotSpans, err := decodeEpochResult(full)
-		if err != nil || shard != 2 || string(state) != "state" || !draining || !bytes.Equal(gotSpans, spans) {
-			t.Fatalf("spans=%q: result with phases decoded to (%d, %q, %v, %q, %v)", spans, shard, state, draining, gotSpans, err)
+		if got.Stats != stats {
+			t.Errorf("spans=%q: stats decoded to %+v; want %+v", spans, got.Stats, stats)
 		}
-		if got := decodeEpochPhases(full); got != phases {
-			t.Errorf("spans=%q: phases decoded to %+v; want %+v", spans, got, phases)
-		}
-		for cut := len(plain); cut < len(full); cut++ {
-			if got := decodeEpochPhases(full[:cut]); got != (continuous.PhaseTimes{}) {
-				t.Errorf("spans=%q: frame cut at %d of %d decoded phases %+v; want zero", spans, cut, len(full), got)
-			}
+	}
+	for cut := 0; cut < len(fixed); cut++ {
+		if _, err := decodeEpochResult(fixed[:cut]); !wire.IsKind(err, wire.Truncated) {
+			t.Fatalf("result cut at %d of %d: %v; want a truncated *wire.Error", cut, len(fixed), err)
 		}
 	}
 }

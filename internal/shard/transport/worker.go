@@ -348,10 +348,7 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 	if err != nil {
 		return s.reject(conn, fmt.Errorf("encoding shard %d state: %w", shard, err))
 	}
-	// The draining flag rides every epoch result: it is how a worker
-	// asks the coordinator to migrate its shards away before it leaves.
-	// The phase split follows the spans: checkpoints leave it out, so the
-	// state blob cannot carry it.
-	result := encodeEpochResult(shard, blob, s.opts.draining(), spanBlob)
-	return s.send(conn, msgEpochResult, appendEpochPhases(result, len(spanBlob) > 0, stats.Phases))
+	return s.send(conn, msgEpochResult, encodeEpochResult(epochResult{
+		Shard: shard, State: blob, Draining: s.opts.draining(), Stats: stats, Spans: spanBlob,
+	}))
 }
