@@ -11,8 +11,9 @@ import (
 // PhaseTimes is the wall-clock split of one epoch across its phases, as
 // measured by the runner that ran it. It rides on EpochStats for the
 // structured epoch log — across the shard transport too, on the frame
-// that reports the epoch — and is never checkpointed. Concurrent shards' phases do not add, so shard.MergeStats reports the
-// bounding shard's. The authoritative long-term record is the
+// that reports the epoch — and is never checkpointed. Concurrent
+// shards' phases do not add, so shard.MergeStats reports the bounding
+// shard's. The authoritative long-term record is the
 // gps_epoch_phase_seconds histogram on the process that ran the phase.
 type PhaseTimes struct {
 	Reverify time.Duration // re-probing the known set

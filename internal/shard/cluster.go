@@ -13,10 +13,10 @@ import (
 // Membership. Workers die (their shards re-queue to survivors,
 // liveWorker), join after the run began (Admit), and drain — asked by an
 // operator (RequestDrain) or by the worker itself (the draining flag on an
-// epoch result). Joins and drains are *applied* in exactly one place — maintain(), at the top of every Epoch — so the
-// assignment only ever changes at an epoch boundary. Between boundaries
-// the cluster document (Status) is the only thing other goroutines may
-// touch.
+// epoch result). Joins and drains are *applied* in exactly one place —
+// maintain(), at the top of every Epoch — so the assignment only ever
+// changes at an epoch boundary. Between boundaries the cluster document
+// (Status) is the only thing other goroutines may touch.
 //
 // A migration is one placement (place in coordinator.go) — what a seeded,
 // resumed or failed-over shard gets — and the assignment re-points after
@@ -266,10 +266,10 @@ func (c *Coordinator) workerFailed(s int, w *worker, err error) {
 
 // maintain applies every membership change queued since the last epoch
 // boundary: admit joiners and drain workers that asked (via the API or
-// their epoch-result draining flag). It runs on the epoch-loop thread at the top of Epoch — the one place
-// assignments may change — and never fails the epoch: a migration that
-// cannot complete leaves its shard on the donor and is retried at the
-// next boundary.
+// their epoch-result draining flag). It runs on the epoch-loop thread at
+// the top of Epoch — the one place assignments may change — and never
+// fails the epoch: a migration that cannot complete leaves its shard on
+// the donor and is retried at the next boundary.
 func (c *Coordinator) maintain() {
 	admitted := c.admitted
 	c.admitted = nil
