@@ -122,21 +122,6 @@ func TestTransportTraceContextSkew(t *testing.T) {
 		t.Error("trace context must trail the epoch-request fields")
 	}
 
-	// Untraced worker -> coordinator: the result ends after its fixed
-	// fields and the span batch comes back nil; a traced result keeps
-	// those fields as a prefix.
-	res := epochResult{Shard: 1, State: []byte("state"), Draining: true}
-	res.Stats.Epoch, res.Stats.KnownSize = 9, 4
-	untraced := encodeEpochResult(res)
-	got, err := decodeEpochResult(untraced)
-	if err != nil || got.Shard != 1 || string(got.State) != "state" || !got.Draining || got.Stats != res.Stats || got.Spans != nil {
-		t.Fatalf("untraced epoch result decoded to (%+v, %v)", got, err)
-	}
-	res.Spans = []byte("a span batch")
-	if !bytes.HasPrefix(encodeEpochResult(res), untraced) {
-		t.Error("span batch must trail the epoch-result fields")
-	}
-
 	// Placement: an init from an encoder that never appends a context
 	// still decodes, to a zero context, and a zero-context encode is
 	// exactly those bytes.
