@@ -2,15 +2,16 @@ package gps_test
 
 // The micro-benchmarks perf PRs quote (ROADMAP's re-anchor table): the
 // model build and lookup, prediction throughput, one batch gps.Run, one
-// continuous and one sharded epoch, the serving layer's snapshot build
-// and query path, and the commit path's snapshot, delta and
-// clone-and-apply.
+// continuous and one sharded epoch from the seed, one continuous epoch at
+// steady state, the serving layer's snapshot build and query path, and
+// the commit path's snapshot, delta and clone-and-apply.
 // The paper's tables and figures are reproduced by cmd/gpseval; the
 // end-to-end epoch and query clocks are measured by cmd/gpsbench.
 //
 //	go test -run '^$' -bench . -benchmem .
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -58,6 +59,46 @@ func BenchmarkContinuousEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := continuous.New(seedSet, cfg)
 		var err error
+		if stats, err = r.Epoch(world); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stats.KnownSize), "known-services")
+	b.ReportMetric(stats.Freshness.AliveFrac(), "alive-frac")
+}
+
+// BenchmarkContinuousEpochSteady times the epoch a long-running daemon
+// actually runs: epoch 4, resumed from the state three churned epochs
+// left. The three epochs and each iteration's decode of their checkpoint
+// run off the clock, so only epoch 4 and its allocations are measured.
+func BenchmarkContinuousEpochSteady(b *testing.B) {
+	s := setupBench(b)
+	seedSet, _ := experiments.SplitEval(s.LZR, s.Scale.SeedMid, true, 91)
+	cfg := continuous.Config{Budget: 20 * s.Universe.SpaceSize()}
+	world := s.Universe
+	r := continuous.New(seedSet, cfg)
+	for e := 1; e <= 3; e++ {
+		world = netmodel.Churn(world, netmodel.DefaultChurn(90+int64(e)))
+		if _, err := r.Epoch(world); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var ck bytes.Buffer
+	if err := continuous.WriteCheckpoint(&ck, r.State()); err != nil {
+		b.Fatal(err)
+	}
+	world = netmodel.Churn(world, netmodel.DefaultChurn(94))
+	var stats continuous.EpochStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := continuous.ReadCheckpoint(bytes.NewReader(ck.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := continuous.Resume(st, cfg)
+		b.StartTimer()
 		if stats, err = r.Epoch(world); err != nil {
 			b.Fatal(err)
 		}
