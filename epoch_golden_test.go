@@ -46,16 +46,15 @@ func sha256Of(t *testing.T, write func(io.Writer) error) string {
 // knownSetDigest writes what a shard knows independent of any checkpoint
 // layout: its known records as a GPSD dataset in (IP, port) order, then
 // each entry's FirstSeen, LastSeen and Stale as uvarints in that order.
-func knownSetDigest(known map[netmodel.Key]*continuous.Entry) func(io.Writer) error {
+func knownSetDigest(known []continuous.Entry) func(io.Writer) error {
 	return func(w io.Writer) error {
-		keys := netmodel.SortedKeys(known)
-		d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(keys))}
+		d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(known))}
 		var counters wire.Enc
-		for i, k := range keys {
-			d.Records[i] = known[k].Rec
-			counters.Uvarint(uint64(known[k].FirstSeen))
-			counters.Uvarint(uint64(known[k].LastSeen))
-			counters.Uvarint(uint64(known[k].Stale))
+		for i, e := range known {
+			d.Records[i] = e.Rec
+			counters.Uvarint(uint64(e.FirstSeen))
+			counters.Uvarint(uint64(e.LastSeen))
+			counters.Uvarint(uint64(e.Stale))
 		}
 		if _, err := store.WriteDatasetBinary(w, d); err != nil {
 			return err

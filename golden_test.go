@@ -62,12 +62,16 @@ func goldenDataset(seed int64, n int) *dataset.Dataset {
 // goldenState is one shard's continuous state over goldenDataset.
 func goldenState(seed int64, n int) *continuous.State {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-	st := &continuous.State{Epoch: 7, Known: make(map[netmodel.Key]*continuous.Entry)}
+	known := make(map[netmodel.Key]continuous.Entry)
 	for _, rec := range goldenDataset(seed, n).Records {
 		first := rng.Intn(5)
-		st.Known[rec.Key()] = &continuous.Entry{
+		known[rec.Key()] = continuous.Entry{
 			Rec: rec, FirstSeen: first, LastSeen: first + rng.Intn(3), Stale: rng.Intn(3),
 		}
+	}
+	st := &continuous.State{Epoch: 7}
+	for _, p := range netmodel.SortedPairs(known) {
+		st.Known = append(st.Known, p.Value)
 	}
 	return st
 }
@@ -75,7 +79,7 @@ func goldenState(seed int64, n int) *continuous.State {
 // goldenInventory is a merged inventory at one of two consecutive
 // epochs: the second drops, adds and ages services relative to the first.
 func goldenInventory(next bool) map[netmodel.Key]*continuous.Entry {
-	inv := shard.CloneInventory(goldenState(11, 48).Known)
+	inv, _ := shard.MergeInventories([]*continuous.State{goldenState(11, 48)})
 	if !next {
 		return inv
 	}
@@ -95,7 +99,8 @@ func goldenInventory(next bool) map[netmodel.Key]*continuous.Entry {
 			inv[k].Stale = 0
 		}
 	}
-	for k, e := range goldenState(12, 6).Known {
+	added, _ := shard.MergeInventories([]*continuous.State{goldenState(12, 6)})
+	for k, e := range added {
 		inv[k] = e
 	}
 	return inv

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"gps/internal/dataset"
-	"gps/internal/netmodel"
 	"gps/internal/store"
 	"gps/internal/wire"
 )
@@ -16,13 +15,14 @@ import (
 //	magic "GPSC" | version u8
 //	epoch uvarint
 //	known set: uvarint byte length + a store binary dataset holding the
-//	  known records sorted by (IP, port)
+//	  known records in strictly increasing (IP, port) order
 //	per record, in dataset order: firstSeen, lastSeen, stale uvarints
 //
 // The known records reuse internal/store's compact dataset encoding
 // (string-table interning of feature values), so checkpoints stay small
 // no matter how many fleet hosts share identical banners. The dataset
 // blob is length-prefixed so the surrounding reader keeps its position.
+// The reader refuses keys out of strict order and lastSeen past the epoch.
 // Version 1 also carried every completed epoch's counters; a version-1
 // checkpoint is refused as a bad-version *wire.Error, not migrated.
 
@@ -39,11 +39,9 @@ func WriteCheckpoint(w io.Writer, st *State) error {
 	e.Header(checkpointMagic, checkpointVersion)
 	e.Uvarint(uint64(st.Epoch))
 
-	// The known set as a store binary dataset, deterministically ordered.
-	keys := netmodel.SortedKeys(st.Known)
-	d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(keys))}
-	for i, k := range keys {
-		d.Records[i] = st.Known[k].Rec
+	d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(st.Known))}
+	for i := range st.Known {
+		d.Records[i] = st.Known[i].Rec
 	}
 	var blob bytes.Buffer
 	if _, err := store.WriteDatasetBinary(&blob, d); err != nil {
@@ -51,8 +49,7 @@ func WriteCheckpoint(w io.Writer, st *State) error {
 	}
 	e.Blob(blob.Bytes())
 
-	for _, k := range keys {
-		known := st.Known[k]
+	for _, known := range st.Known {
 		e.Uvarint(uint64(known.FirstSeen))
 		e.Uvarint(uint64(known.LastSeen))
 		e.Uvarint(uint64(known.Stale))
@@ -68,8 +65,7 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 	d := wire.NewReader(checkpointMagic, r)
 	d.At("header", -1)
 	d.Header(checkpointMagic, checkpointVersion)
-	st := &State{Known: make(map[netmodel.Key]*Entry)}
-	st.Epoch = int(d.Uvarint())
+	st := &State{Epoch: int(d.Uvarint())}
 
 	d.At("known set", -1)
 	blob := d.Blob(maxKnownSet)
@@ -80,10 +76,12 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("continuous: decoding known set: %w", err)
 	}
+	st.Known = make([]Entry, len(known.Records))
 	for i, rec := range known.Records {
 		d.At("entry", i)
-		st.Known[rec.Key()] = &Entry{
-			Rec: rec, FirstSeen: int(d.Uvarint()), LastSeen: int(d.Uvarint()), Stale: int(d.Uvarint()),
+		st.Known[i] = Entry{Rec: rec, FirstSeen: int(d.Uvarint()), LastSeen: int(d.Uvarint()), Stale: int(d.Uvarint())}
+		if ls := st.Known[i].LastSeen; i > 0 && st.Known[i-1].Rec.Key().Compare(rec.Key()) >= 0 || ls < 0 || ls > st.Epoch {
+			d.Fail(wire.Implausible, fmt.Errorf("%v out of key order or last seen at epoch %d of %d", rec.Key(), ls, st.Epoch))
 		}
 	}
 	if err := d.Done(); err != nil {

@@ -18,7 +18,7 @@ package continuous
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"gps/internal/asndb"
@@ -122,11 +122,13 @@ func (s EpochStats) Probes() uint64 { return s.ReverifyProbes + s.DiscoveryProbe
 // State is everything the continuous scanner knows between epochs; it is
 // the unit of checkpointing. An epoch's EpochStats are returned by Epoch
 // and kept by no state, so a state's size follows the inventory alone.
+// A state is never written once built: Epoch builds the next one.
 type State struct {
 	// Epoch is the last completed epoch (0 = only seeded).
 	Epoch int
-	// Known is the live service inventory.
-	Known map[netmodel.Key]*Entry
+	// Known is the live service inventory, one entry per service in
+	// strictly increasing Rec.Key() order.
+	Known []Entry
 }
 
 // Runner drives the continuous scan. It is not safe for concurrent use.
@@ -151,29 +153,24 @@ func New(seed *dataset.Dataset, cfg Config) *Runner {
 // shard owns become the inventory and first training set. A coordinator
 // that only places states on executors needs no runner of its own.
 func SeedState(seed *dataset.Dataset, cfg Config) *State {
-	st := &State{Known: make(map[netmodel.Key]*Entry, seed.NumServices())}
+	known := make([]Entry, 0, seed.NumServices())
 	for _, r := range seed.Records {
-		if !cfg.owns(r.IP) {
-			continue // another shard's runner tracks this host
-		}
-		k := r.Key()
-		if _, ok := st.Known[k]; !ok {
-			st.Known[k] = &Entry{Rec: r}
+		if cfg.owns(r.IP) { // another shard's runner tracks the rest
+			known = append(known, Entry{Rec: r})
 		}
 	}
-	return st
+	// Stable, so compacting keeps a key's first record in seed order.
+	slices.SortStableFunc(known, func(a, b Entry) int { return a.Rec.Key().Compare(b.Rec.Key()) })
+	return &State{Known: slices.CompactFunc(known, func(a, b Entry) bool { return a.Rec.Key() == b.Rec.Key() })}
 }
 
 // Resume creates a runner continuing from a checkpointed state.
 func Resume(st *State, cfg Config) *Runner {
-	if st.Known == nil {
-		st.Known = make(map[netmodel.Key]*Entry)
-	}
 	return &Runner{cfg: cfg, st: st, tel: newRunnerTelemetry(cfg)}
 }
 
-// State exposes the runner's state (shared, not copied): read it for
-// reporting, checkpoint it with WriteCheckpoint.
+// State returns the state the last successful Epoch built (or resumed
+// from). No runner writes a state, so it may be kept and checkpointed.
 func (r *Runner) State() *State { return r.st }
 
 // SetTraceParent sets the span context the next Epoch's phase spans
@@ -189,41 +186,47 @@ func (r *Runner) SetTraceParent(ctx trace.SpanContext) { r.tparent = ctx }
 // re-verification order (least recently seen first, ties by (IP, port)).
 // This is the set the next epoch's model re-trains on — the live
 // population as currently believed, not the original seed.
-func (r *Runner) TrainingSet() *dataset.Dataset {
-	d := &dataset.Dataset{Name: fmt.Sprintf("continuous-epoch%d", r.st.Epoch)}
-	for _, k := range r.sortedKeys() {
-		e := r.st.Known[k]
-		if e.Stale == 0 {
-			d.Records = append(d.Records, e.Rec)
+func (r *Runner) TrainingSet() *dataset.Dataset { return trainingSet(r.st.Epoch, r.st.Known) }
+
+func trainingSet(epoch int, known []Entry) *dataset.Dataset {
+	d := &dataset.Dataset{Name: fmt.Sprintf("continuous-epoch%d", epoch)}
+	for _, i := range byLastSeen(known) {
+		if known[i].Stale == 0 {
+			d.Records = append(d.Records, known[i].Rec)
 		}
 	}
 	return d
 }
 
-// sortedKeys returns the known keys ordered for re-verification: least
-// recently seen first (they are the most at risk of having churned), ties
-// broken by (IP, port) so epochs are deterministic.
-func (r *Runner) sortedKeys() []netmodel.Key {
-	keys := make([]netmodel.Key, 0, len(r.st.Known))
-	for k := range r.st.Known {
-		keys = append(keys, k)
+// byLastSeen returns a run's indexes in re-verification order by one
+// stable counting pass over LastSeen: least recently seen first (they are
+// the most at risk of having churned), ties in the run's (IP, port) order.
+func byLastSeen(known []Entry) []int {
+	hi := 0
+	for _, e := range known {
+		hi = max(hi, e.LastSeen)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := r.st.Known[keys[i]], r.st.Known[keys[j]]
-		if a.LastSeen != b.LastSeen {
-			return a.LastSeen < b.LastSeen
-		}
-		return keys[i].Compare(keys[j]) < 0
-	})
-	return keys
+	next := make([]int, hi+2) // next[s]: where the next entry seen at epoch s goes
+	for _, e := range known {
+		next[e.LastSeen+1]++
+	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	order := make([]int, len(known))
+	for i, e := range known {
+		order[next[e.LastSeen]] = i
+		next[e.LastSeen]++
+	}
+	return order
 }
 
 // Epoch runs one full epoch against the universe: re-verify, re-train,
 // discover, fold back. The universe is whatever the world looks like now;
-// callers advance it (e.g. netmodel.Churn) between epochs.
+// callers advance it (e.g. netmodel.Churn) between epochs. It builds a
+// new state and never writes the last, so a failed epoch changes nothing.
 func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
-	r.st.Epoch++
-	e := r.st.Epoch
+	e := r.st.Epoch + 1
 	stats := EpochStats{Epoch: e}
 	// Phase spans attach under the coordinator-provided parent when one
 	// is set (so a distributed trace shows them beneath the per-shard
@@ -253,14 +256,15 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			reverifyBudget = 1
 		}
 	}
-	for _, k := range r.sortedKeys() {
+	known := slices.Clone(r.st.Known)
+	for _, i := range byLastSeen(known) {
 		if reverifyBudget > 0 && sc.Probes() >= reverifyBudget {
 			break
 		}
-		ent := r.st.Known[k]
+		ent := &known[i]
 		alive := false
-		if sc.Probe(k.IP, k.Port) {
-			alive = fp.Fingerprint(k.IP, k.Port).Status == lzr.StatusService
+		if sc.Probe(ent.Rec.IP, ent.Rec.Port) {
+			alive = fp.Fingerprint(ent.Rec.IP, ent.Rec.Port).Status == lzr.StatusService
 		}
 		stats.Freshness.Checked++
 		if alive {
@@ -273,10 +277,11 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 		ent.Stale++
 		stats.Lost++
 		if ent.Stale >= r.cfg.maxStale() {
-			delete(r.st.Known, k)
 			stats.Evicted++
 		}
 	}
+	// Only this epoch's failed checks bring an entry to MaxStale.
+	known = slices.DeleteFunc(known, func(ent Entry) bool { return ent.Stale >= r.cfg.maxStale() })
 	stats.ReverifyProbes = sc.Probes()
 	stats.Phases.Reverify = time.Since(phaseStart)
 	phaseSpan.SetAttr(trace.Int64("probes", int64(stats.ReverifyProbes)),
@@ -287,7 +292,7 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 	// remaining budget on discovery through the regular pipeline.
 	phaseStart = time.Now()
 	phaseSpan = trace.StartSpan(tparent, "retrain")
-	train := r.TrainingSet()
+	train := trainingSet(e, known)
 	stats.TrainSize = train.NumServices()
 	stats.Phases.Retrain = time.Since(phaseStart)
 	phaseSpan.SetAttr(trace.Int("train_size", stats.TrainSize))
@@ -321,16 +326,16 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 		phaseSpan.Finish()
 		phaseStart = time.Now()
 		phaseSpan = trace.StartSpan(tparent, "fold")
-		r.fold(u, res, e, &stats)
+		known = fold(u, res, e, known, &stats)
 		stats.Phases.Fold = time.Since(phaseStart)
 		phaseSpan.SetAttr(trace.Int("new_found", stats.NewFound),
 			trace.Int("refreshed", stats.Refreshed))
 		phaseSpan.Finish()
 	}
 
-	stats.KnownSize = len(r.st.Known)
-	stats.Freshness.Known = len(r.st.Known)
-	for _, ent := range r.st.Known {
+	stats.KnownSize = len(known)
+	stats.Freshness.Known = len(known)
+	for _, ent := range known {
 		if ent.LastSeen == e {
 			stats.Freshness.Fresh++
 		}
@@ -338,22 +343,31 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			stats.Freshness.Stale++
 		}
 	}
+	r.st = &State{Epoch: e, Known: known}
 	r.tel.record(stats)
 	ownSpan.SetAttr(trace.Int("known", stats.KnownSize))
 	ownSpan.Finish()
 	return stats, nil
 }
 
-// fold merges a discovery run into the inventory. Priors-phase anchors
-// carry full records already; predict-phase discoveries are grabbed for
-// their application-layer features so they can train the next model.
-func (r *Runner) fold(u *netmodel.Universe, res *pipeline.Result, epoch int, stats *EpochStats) {
+// fold merges a discovery run into the run known and returns the new run,
+// in one forward merge-join over the discoveries, which it sorts by key
+// (the pipeline dedups them). Priors-phase anchors carry full records
+// already; predict-phase discoveries are grabbed for their
+// application-layer features so they can train the next model.
+func fold(u *netmodel.Universe, res *pipeline.Result, epoch int, known []Entry, stats *EpochStats) []Entry {
 	anchorRec := make(map[netmodel.Key]dataset.Record, len(res.Anchors))
 	for _, a := range res.Anchors {
 		anchorRec[a.Key()] = a
 	}
+	slices.SortFunc(res.Discoveries, func(a, b pipeline.Discovery) int { return a.Key.Compare(b.Key) })
 	gr := zgrab.New(u)
+	out := make([]Entry, 0, len(known)+len(res.Discoveries))
+	i := 0
 	for _, d := range res.Discoveries {
+		for ; i < len(known) && known[i].Rec.Key().Compare(d.Key) < 0; i++ {
+			out = append(out, known[i])
+		}
 		rec, ok := anchorRec[d.Key]
 		if !ok {
 			g, okG := gr.Grab(d.Key.IP, d.Key.Port)
@@ -366,16 +380,17 @@ func (r *Runner) fold(u *netmodel.Universe, res *pipeline.Result, epoch int, sta
 				Feats: g.Feats, ASN: asn, TTL: g.TTL,
 			}
 		}
-		if ent, known := r.st.Known[d.Key]; known {
-			// Rediscovered: refresh the record (features may have
-			// changed) and clear any stale mark.
-			ent.Rec = rec
-			ent.LastSeen = epoch
-			ent.Stale = 0
+		ent := Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch}
+		if i < len(known) && known[i].Rec.Key() == d.Key {
+			// Rediscovered: the new record (features may have changed),
+			// no stale mark, the first sighting kept.
+			ent.FirstSeen = known[i].FirstSeen
+			i++
 			stats.Refreshed++
-			continue
+		} else {
+			stats.NewFound++
 		}
-		r.st.Known[d.Key] = &Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch}
-		stats.NewFound++
+		out = append(out, ent)
 	}
+	return append(out, known[i:]...)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gps/internal/dataset"
@@ -65,9 +66,9 @@ func TestEpochTracksChurn(t *testing.T) {
 		}
 		// Every known entry must actually exist in the current world or
 		// carry a stale mark from a failed check.
-		for k, ent := range r.State().Known {
-			if ent.LastSeen == e && !world.Responsive(k.IP, k.Port) {
-				t.Fatalf("entry %v marked fresh but unresponsive", k)
+		for _, ent := range r.State().Known {
+			if ent.LastSeen == e && !world.Responsive(ent.Rec.IP, ent.Rec.Port) {
+				t.Fatalf("entry %v marked fresh but unresponsive", ent.Rec.Key())
 			}
 		}
 		lost += stats.Lost
@@ -122,27 +123,30 @@ func TestStaleEviction(t *testing.T) {
 	u, seedSet := testWorld(t, 7)
 	cfg := testConfig()
 	cfg.MaxStale = 1 // evict on first miss
-	r := New(seedSet, cfg)
 	// A fake entry that never existed in the universe must be evicted on
 	// the first epoch.
 	fake := netmodel.Key{IP: 1, Port: 1}
-	r.State().Known[fake] = &Entry{Rec: dataset.Record{IP: 1, Port: 1}}
+	withFake := func(cfg Config) *Runner {
+		st := SeedState(seedSet, cfg)
+		i, _ := find(st, fake)
+		st.Known = slices.Insert(st.Known, i, Entry{Rec: dataset.Record{IP: 1, Port: 1}})
+		return Resume(st, cfg)
+	}
+	r := withFake(cfg)
 	if _, err := r.Epoch(u); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.State().Known[fake]; ok {
+	if _, ok := find(r.State(), fake); ok {
 		t.Error("dead entry survived MaxStale=1 eviction")
 	}
 
 	// With MaxStale=2 a dead entry survives one miss with a stale mark.
-	r2 := New(seedSet, testConfig())
-	r2.State().Known[fake] = &Entry{Rec: dataset.Record{IP: 1, Port: 1}}
+	r2 := withFake(testConfig())
 	if _, err := r2.Epoch(u); err != nil {
 		t.Fatal(err)
 	}
-	ent, ok := r2.State().Known[fake]
-	if !ok || ent.Stale != 1 {
-		t.Errorf("dead entry: present=%v stale=%v; want retained with stale=1", ok, ent)
+	if i, ok := find(r2.State(), fake); !ok || r2.State().Known[i].Stale != 1 {
+		t.Errorf("dead entry: present=%v; want retained with stale=1", ok)
 	}
 	// Stale entries must not train the model.
 	for _, rec := range r2.TrainingSet().Records {
@@ -233,16 +237,13 @@ func TestResumeIdentical(t *testing.T) {
 }
 
 func statesEqual(a, b *State) bool {
-	if a.Epoch != b.Epoch || len(a.Known) != len(b.Known) {
-		return false
-	}
-	for k, ea := range a.Known {
-		eb, ok := b.Known[k]
-		if !ok || !reflect.DeepEqual(ea, eb) {
-			return false
-		}
-	}
-	return true
+	return a.Epoch == b.Epoch && slices.EqualFunc(a.Known, b.Known, func(x, y Entry) bool { return reflect.DeepEqual(x, y) })
+}
+
+// find returns the index of k's entry in the state's run, or where it
+// would go, and whether it is there.
+func find(st *State, k netmodel.Key) (int, bool) {
+	return slices.BinarySearchFunc(st.Known, k, func(e Entry, k netmodel.Key) int { return e.Rec.Key().Compare(k) })
 }
 
 // TestCheckpointRefusesVersion1: a checkpoint written before epoch

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"gps/internal/continuous"
 	"gps/internal/dataset"
@@ -63,9 +64,10 @@ func Continuous(s *Setup, epochs int) *ContinuousResult {
 			panic(err)
 		}
 		truth := dataset.SnapshotCensys(world, s.Scale.CensysPorts)
-		found := 0
+		found, known := 0, r.State().Known
 		for _, rec := range truth.Records {
-			if ent, ok := r.State().Known[rec.Key()]; ok && ent.Stale == 0 {
+			i, ok := slices.BinarySearchFunc(known, rec.Key(), func(e continuous.Entry, k netmodel.Key) int { return e.Rec.Key().Compare(k) })
+			if ok && known[i].Stale == 0 {
 				found++
 			}
 		}

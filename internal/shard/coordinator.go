@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,9 +66,9 @@ func refused(err error) bool {
 }
 
 // localExecutor skips the wire: runners resumed on the coordinator's own
-// states, which an epoch advances in place — no copy, no encode/decode.
-// (So a refused epoch leaves its shard part-advanced; only a fleet, whose
-// workers run on decoded copies, retries from an untouched state.)
+// states — no encode/decode. An epoch builds the next state and never
+// writes the last one, so a refused epoch leaves the coordinator's states
+// as they were, as a fleet's does.
 type localExecutor struct{ runners map[int]*continuous.Runner }
 
 func (x *localExecutor) Place(s int, cfg continuous.Config, st *continuous.State, _ []int, _ trace.SpanContext) error {
@@ -473,16 +474,17 @@ func MergeInventories(states []*continuous.State) (map[netmodel.Key]*continuous.
 	merged := make(map[netmodel.Key]*continuous.Entry)
 	conflicts := 0
 	for _, st := range states {
-		for k, e := range st.Known {
-			cp := *e
+		known := slices.Clone(st.Known) // the merged entries, one allocation per state
+		for i := range known {
+			e, k := &known[i], known[i].Rec.Key()
 			old, ok := merged[k]
 			if !ok {
-				merged[k] = &cp
+				merged[k] = e
 				continue
 			}
 			conflicts++
-			if betterEntry(&cp, old) {
-				merged[k] = &cp
+			if betterEntry(e, old) {
+				merged[k] = e
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
+	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/trace"
@@ -98,9 +99,9 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 	// Every entry lands in the shard that owns its IP, and the merge is
 	// conflict-free.
 	for i, st := range c.States() {
-		for k := range st.Known {
-			if asndb.ShardOf(k.IP, n) != i {
-				t.Errorf("shard %d tracks %v owned by shard %d", i, k, asndb.ShardOf(k.IP, n))
+		for _, e := range st.Known {
+			if asndb.ShardOf(e.Rec.IP, n) != i {
+				t.Errorf("shard %d tracks %v owned by shard %d", i, e.Rec.Key(), asndb.ShardOf(e.Rec.IP, n))
 			}
 		}
 	}
@@ -130,12 +131,9 @@ func TestCoordinatorBudgetSlices(t *testing.T) {
 
 func TestMergeInventoriesConflictResolution(t *testing.T) {
 	k := netmodel.Key{IP: asndb.MustParseIP("10.0.0.1"), Port: 443}
-	stale := &continuous.State{Known: map[netmodel.Key]*continuous.Entry{
-		k: {LastSeen: 3, Stale: 2, FirstSeen: 1},
-	}}
-	fresh := &continuous.State{Known: map[netmodel.Key]*continuous.Entry{
-		k: {LastSeen: 5, Stale: 0, FirstSeen: 2},
-	}}
+	rec := dataset.Record{IP: k.IP, Port: k.Port}
+	stale := &continuous.State{Known: []continuous.Entry{{Rec: rec, LastSeen: 3, Stale: 2, FirstSeen: 1}}}
+	fresh := &continuous.State{Known: []continuous.Entry{{Rec: rec, LastSeen: 5, Stale: 0, FirstSeen: 2}}}
 	merged, conflicts := MergeInventories([]*continuous.State{stale, fresh})
 	if conflicts != 1 {
 		t.Errorf("conflicts = %d; want 1", conflicts)
@@ -150,7 +148,7 @@ func TestMergeInventoriesConflictResolution(t *testing.T) {
 	}
 	// Mutating the merged entry must not corrupt shard state.
 	merged[k].Stale = 99
-	if fresh.Known[k].Stale == 99 {
+	if fresh.Known[0].Stale == 99 {
 		t.Error("merged inventory aliases shard state")
 	}
 }

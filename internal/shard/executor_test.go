@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,6 +68,9 @@ type fakeExec struct {
 	closed bool
 }
 
+// errLinkDown is every scripted link failure.
+var errLinkDown = errors.New("connection reset")
+
 type refusedError struct{ msg string }
 
 func (e refusedError) Error() string { return e.msg }
@@ -87,7 +91,7 @@ func cloneState(st *continuous.State) *continuous.State {
 func (x *fakeExec) Place(s int, _ continuous.Config, st *continuous.State, owned []int, _ trace.SpanContext) error {
 	switch x.fleet.next("place", s, st.Epoch) {
 	case failLink:
-		return errors.New("connection reset")
+		return errLinkDown
 	case refuse:
 		return refusedError{"world spec rejected"}
 	case wrongShard:
@@ -105,7 +109,7 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	f := x.fleet.next("epoch", s, epoch)
 	switch f {
 	case failLink:
-		return nil, none, false, errors.New("connection reset")
+		return nil, none, false, errLinkDown
 	case refuse:
 		return nil, none, false, refusedError{"epoch failed"}
 	}
@@ -116,7 +120,8 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	next := cloneState(st)
 	next.Epoch = epoch
 	rec := dataset.Record{IP: asndb.IP(s<<16 | epoch), Port: 80}
-	next.Known[rec.Key()] = &continuous.Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch}
+	i, _ := slices.BinarySearchFunc(next.Known, rec.Key(), func(e continuous.Entry, k netmodel.Key) int { return e.Rec.Key().Compare(k) })
+	next.Known = slices.Insert(next.Known, i, continuous.Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch})
 	stats := continuous.EpochStats{Epoch: epoch, NewFound: 1, KnownSize: len(next.Known)}
 	x.cache[s] = next
 	x.fleet.mu.Lock()
@@ -153,7 +158,7 @@ func newHarness(t *testing.T, shards, workers int, faults map[at]fault) *harness
 	h.c.SetCommitHook(func(epoch int, _ map[netmodel.Key]*continuous.Entry) { h.hooked = append(h.hooked, epoch) })
 	states := make([]*continuous.State, shards)
 	for s := range states {
-		states[s] = &continuous.State{Known: make(map[netmodel.Key]*continuous.Entry)}
+		states[s] = &continuous.State{}
 	}
 	if err := h.c.Resume(states); err != nil {
 		t.Fatalf("resume: %v", err)
@@ -348,6 +353,9 @@ func TestCoordinatorScriptedFaults(t *testing.T) {
 				if !errors.As(err, &we) {
 					t.Fatalf("epoch with no survivors returned %v; want *WorkerError", err)
 				}
+				if !errors.Is(err, errLinkDown) {
+					t.Errorf("WorkerError %v does not unwrap to the link failure", we)
+				}
 				if h.c.EpochNumber() != 1 || !reflect.DeepEqual(h.hooked, []int{1}) {
 					t.Errorf("a failed epoch committed: epoch %d, hook saw %v", h.c.EpochNumber(), h.hooked)
 				}
@@ -414,6 +422,88 @@ func TestCoordinatorScriptedFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, newHarness(t, shards, tc.workers, tc.faults))
 		})
+	}
+}
+
+// TestCoordinatorInProcessRefusal: an in-process epoch builds new states
+// and never writes the placed ones, so a refused epoch leaves every
+// coordinator state as it was, beside a fleet worker as much as alone,
+// and a retry lands where an all-local run does.
+func TestCoordinatorInProcessRefusal(t *testing.T) {
+	u, seedSet := testWorld(t, 19)
+	world := netmodel.Churn(u, netmodel.DefaultChurn(101))
+	cfg := coordConfig(2)
+	states := func(c *Coordinator) [][]byte {
+		var out [][]byte
+		for s, st := range c.States() {
+			blob, err := EncodeState(st)
+			if err != nil {
+				t.Fatalf("shard %d: %v", s, err)
+			}
+			out = append(out, blob)
+		}
+		return out
+	}
+
+	// Shard 0 runs in process, shard 1 on a fake worker that refuses it.
+	c := NewFleetCoordinator(cfg, t.Logf)
+	c.Admit("local", "", &localExecutor{runners: make(map[int]*continuous.Runner)})
+	fleet := &fakeFleet{faults: map[at]fault{{op: "epoch", shard: 1, epoch: 1}: refuse},
+		tries: make(map[at]int), ran: make(map[string][]int)}
+	c.Admit("fake", "fake:7600", &fakeExec{fleet: fleet, id: "fake", cache: make(map[int]*continuous.State)})
+	if err := c.Seed(seedSet); err != nil {
+		t.Fatal(err)
+	}
+	before := states(c)
+	if _, err := c.Epoch(world); !refused(err) {
+		t.Fatalf("epoch 1 returned %v; want the fake worker's refusal", err)
+	}
+	for s, blob := range states(c) {
+		if !bytes.Equal(blob, before[s]) {
+			t.Errorf("shard %d state changed by a refused epoch (epoch 1)", s)
+		}
+	}
+
+	// Drain the fake worker, so the retry runs every shard in process.
+	if err := c.RequestDrain("fake"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Epoch(world); err != nil {
+		t.Fatalf("retried epoch 1: %v", err)
+	}
+	local := NewCoordinator(seedSet, cfg)
+	if _, err := local.Epoch(world); err != nil {
+		t.Fatal(err)
+	}
+	want := states(local)
+	for s, blob := range states(c) {
+		if !bytes.Equal(blob, want[s]) {
+			t.Errorf("shard %d after the retry differs from the all-local run", s)
+		}
+	}
+}
+
+// TestLocalExecutorRefusal: a local epoch that errors (here a shard index
+// the pipeline rejects) is a refusal, which unwraps to the epoch's error.
+func TestLocalExecutorRefusal(t *testing.T) {
+	u, seedSet := testWorld(t, 19)
+	x := &localExecutor{runners: make(map[int]*continuous.Runner)}
+	cfg := coordConfig(2).Continuous
+	st := continuous.SeedState(seedSet, cfg) // unsharded: a non-empty state
+	cfg.ShardIndex, cfg.ShardCount = 2, 2
+	if err := x.Place(2, cfg, st, []int{2}, trace.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := x.Epoch(2, 1, u, trace.SpanContext{})
+	var r refusal
+	if !errors.As(err, &r) || !r.Refused() || !refused(err) {
+		t.Fatalf("local epoch returned %v; want a refusal", err)
+	}
+	if inner := errors.Unwrap(r); inner == nil || !strings.Contains(inner.Error(), "shard index 2 out of range") {
+		t.Errorf("refusal unwraps to %v; want the pipeline's shard-index error", inner)
+	}
+	if x.runners[2].State() != st {
+		t.Error("a refused local epoch moved its runner off the placed state")
 	}
 }
 

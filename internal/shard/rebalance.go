@@ -2,10 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
-	"gps/internal/netmodel"
 )
 
 // Re-balancing splits a checkpointed shard in two (or rejoins two halves)
@@ -20,8 +20,8 @@ import (
 // SplitStates doubles the shard count: state i of an n-way split is
 // partitioned into states i (the lower half) and i+n (the upper half) of
 // a 2n-way split, by re-hashing each inventory entry under the doubled
-// count. Both halves keep the parent's epoch. Entries are copied, so
-// mutating the result does not corrupt the input.
+// count. Both halves keep the parent's epoch and the run's key order.
+// Entries are copied, so mutating the result does not corrupt the input.
 //
 // An entry that hashes to neither successor is a foreign entry (the input
 // was not a hash-split layout) and aborts the split: re-balancing such a
@@ -33,19 +33,18 @@ func SplitStates(states []*continuous.State) ([]*continuous.State, error) {
 	}
 	out := make([]*continuous.State, 2*n)
 	for i, st := range states {
-		lo := &continuous.State{Epoch: st.Epoch, Known: make(map[netmodel.Key]*continuous.Entry)}
-		hi := &continuous.State{Epoch: st.Epoch, Known: make(map[netmodel.Key]*continuous.Entry)}
-		for k, e := range st.Known {
-			cp := *e
-			switch asndb.ShardOf(k.IP, 2*n) {
+		lo := &continuous.State{Epoch: st.Epoch}
+		hi := &continuous.State{Epoch: st.Epoch}
+		for _, e := range st.Known {
+			switch got := asndb.ShardOf(e.Rec.IP, 2*n); got {
 			case i:
-				lo.Known[k] = &cp
+				lo.Known = append(lo.Known, e)
 			case i + n:
-				hi.Known[k] = &cp
+				hi.Known = append(hi.Known, e)
 			default:
 				return nil, fmt.Errorf(
 					"shard: entry %v in shard %d/%d hashes to shard %d under the doubled layout; not a hash-split checkpoint",
-					k, i, n, asndb.ShardOf(k.IP, 2*n))
+					e.Rec.Key(), i, n, got)
 			}
 		}
 		out[i], out[i+n] = lo, hi
@@ -72,25 +71,19 @@ func JoinStates(states []*continuous.State) ([]*continuous.State, error) {
 			return nil, fmt.Errorf("shard: joining shards %d (epoch %d) and %d (epoch %d): epochs differ",
 				i, lo.Epoch, i+h, hi.Epoch)
 		}
-		m := &continuous.State{
-			Epoch: lo.Epoch,
-			Known: make(map[netmodel.Key]*continuous.Entry, len(lo.Known)+len(hi.Known)),
-		}
-		for _, half := range []*continuous.State{lo, hi} {
-			for k, e := range half.Known {
-				if got := asndb.ShardOf(k.IP, h); got != i {
-					return nil, fmt.Errorf(
-						"shard: entry %v in shard %d/%d hashes to shard %d under the halved layout; not a hash-split checkpoint",
-						k, i, n, got)
-				}
-				if _, dup := m.Known[k]; dup {
-					return nil, fmt.Errorf("shard: shards %d and %d both track %v; halves overlap", i, i+h, k)
-				}
-				cp := *e
-				m.Known[k] = &cp
+		known := append(append(make([]continuous.Entry, 0, len(lo.Known)+len(hi.Known)), lo.Known...), hi.Known...)
+		slices.SortFunc(known, func(a, b continuous.Entry) int { return a.Rec.Key().Compare(b.Rec.Key()) })
+		for j, e := range known {
+			if got := asndb.ShardOf(e.Rec.IP, h); got != i {
+				return nil, fmt.Errorf(
+					"shard: entry %v in shard %d/%d hashes to shard %d under the halved layout; not a hash-split checkpoint",
+					e.Rec.Key(), i, n, got)
+			}
+			if j > 0 && e.Rec.Key() == known[j-1].Rec.Key() {
+				return nil, fmt.Errorf("shard: shards %d and %d both track %v; halves overlap", i, i+h, e.Rec.Key())
 			}
 		}
-		out[i] = m
+		out[i] = &continuous.State{Epoch: lo.Epoch, Known: known}
 	}
 	return out, nil
 }

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
+	"gps/internal/dataset"
 	"gps/internal/netmodel"
 )
 
@@ -54,9 +56,9 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if st.Epoch != states[i%n].Epoch {
 			t.Errorf("split shard %d at epoch %d; parent at %d", i, st.Epoch, states[i%n].Epoch)
 		}
-		for k := range st.Known {
-			if got := asndb.ShardOf(k.IP, 2*n); got != i {
-				t.Errorf("split shard %d tracks %v owned by shard %d", i, k, got)
+		for _, e := range st.Known {
+			if got := asndb.ShardOf(e.Rec.IP, 2*n); got != i {
+				t.Errorf("split shard %d tracks %v owned by shard %d", i, e.Rec.Key(), got)
 			}
 		}
 		total += len(st.Known)
@@ -130,14 +132,16 @@ func TestJoinRejectsBadInput(t *testing.T) {
 	split[2].Epoch--
 
 	// A foreign entry (wrong hash partition) must abort both directions.
-	var foreign netmodel.Key
+	// A run holds no key apart from its record, so the entry carries it.
+	var foreign continuous.Entry
 	for ip := asndb.IP(0x0a000000); ; ip++ {
 		if asndb.ShardOf(ip, 4) == 3 {
-			foreign = netmodel.Key{IP: ip, Port: 80}
+			foreign.Rec = dataset.Record{IP: ip, Port: 80}
 			break
 		}
 	}
-	split[0].Known[foreign] = &continuous.Entry{}
+	i, _ := slices.BinarySearchFunc(split[0].Known, foreign, func(a, b continuous.Entry) int { return a.Rec.Key().Compare(b.Rec.Key()) })
+	split[0].Known = slices.Insert(split[0].Known, i, foreign)
 	if _, err := JoinStates(split); err == nil {
 		t.Error("join accepted a foreign entry")
 	}
