@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,6 +43,7 @@ func TestCommitOrder(t *testing.T) {
 					t.Errorf("feed.Head()=%d < pub.Current().Epoch()=%d", head, published)
 				}
 				reads.Add(1)
+				runtime.Gosched()
 			}
 		}()
 	}
@@ -49,6 +51,12 @@ func TestCommitOrder(t *testing.T) {
 	prev := testInventory(5, 0)
 	Commit(&pub, feed, 0, prev, nil, nil)
 	for e := 1; e <= epochs && !t.Failed(); e++ {
+		// Yield until a reader has observed the last commit: on one core
+		// the producer could otherwise commit every epoch before either
+		// reader is scheduled.
+		for seen := reads.Load(); reads.Load() == seen && !t.Failed(); {
+			runtime.Gosched()
+		}
 		next := testInventory(5+e%7, e)
 		if e%2 == 0 {
 			Commit(&pub, feed, e, next, nil, nil)

@@ -74,6 +74,15 @@ func TestWireOversizedLengthPrefix(t *testing.T) {
 	if fse.Size != maxFrame+1 || fse.Max != maxFrame || fse.Type != msgEpochResult {
 		t.Errorf("FrameSizeError = %+v; want size %d max %d type %d", fse, maxFrame+1, maxFrame, msgEpochResult)
 	}
+	if !fse.Refused() {
+		t.Error("an oversized frame is not a refusal; every worker would send it again")
+	}
+	msg := fse.Error()
+	for _, want := range []string{fmt.Sprintf("frame type %d", msgEpochResult), fmt.Sprint(maxFrame + 1), fmt.Sprintf("limit %d", maxFrame)} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("FrameSizeError says %q; want it to name %q", msg, want)
+		}
+	}
 }
 
 // An oversized payload must be refused at the sender, before any bytes
