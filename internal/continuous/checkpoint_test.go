@@ -13,16 +13,18 @@ import (
 	"gps/internal/wire/wiretest"
 )
 
-// unorderedStates break the run's strictly increasing key order: two
-// records swapped, and one key listed twice. WriteCheckpoint writes
-// State.Known as it is, so they encode to the GPSC files a reader must
-// refuse.
+// unorderedStates break a run's invariants: two records swapped, one key
+// listed twice, and an entry last seen after the state's epoch (the
+// re-verification order's counting pass is sized by LastSeen).
+// WriteCheckpoint writes State.Known as it is, so they encode to the GPSC
+// files a reader must refuse.
 func unorderedStates() map[string]*continuous.State {
 	lo := continuous.Entry{Rec: dataset.Record{IP: 10, Port: 80}, LastSeen: 1}
 	hi := continuous.Entry{Rec: dataset.Record{IP: 10, Port: 443}, LastSeen: 1}
 	return map[string]*continuous.State{
 		"swapped":  {Epoch: 1, Known: []continuous.Entry{hi, lo}},
 		"repeated": {Epoch: 1, Known: []continuous.Entry{lo, lo}},
+		"late":     {Epoch: 0, Known: []continuous.Entry{lo, hi}},
 	}
 }
 
@@ -37,8 +39,9 @@ func encode(t testing.TB, write func(*bytes.Buffer) error) []byte {
 
 // TestCheckpointRefusesUnorderedKnownSet: the known set's order is the
 // state's invariant and arrives from outside the program, so the GPSC
-// reader refuses a set out of key order or with a repeated key, and the
-// refusal surfaces unchanged through a GPSS that embeds the state.
+// reader refuses a set out of key order, with a repeated key or seen
+// after its epoch, and the refusal surfaces unchanged through a GPSS
+// that embeds the state.
 func TestCheckpointRefusesUnorderedKnownSet(t *testing.T) {
 	for name, st := range unorderedStates() {
 		gpsc := encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) })
@@ -72,7 +75,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
 	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
 	f.Add([]byte("GPSC\x02\x07\xff\xff\xff\x7f")) // a 256 MiB known set, none present
-	for _, name := range []string{"swapped", "repeated"} {
+	for _, name := range []string{"swapped", "repeated", "late"} {
 		st := unorderedStates()[name]
 		f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) }))
 	}
