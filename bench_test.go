@@ -88,7 +88,10 @@ func BenchmarkContinuousEpochSteady(b *testing.B) {
 		b.Fatal(err)
 	}
 	world = netmodel.Churn(world, netmodel.DefaultChurn(94))
-	var stats continuous.EpochStats
+	var (
+		stats  continuous.EpochStats
+		phases continuous.PhaseTimes
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,13 +105,38 @@ func BenchmarkContinuousEpochSteady(b *testing.B) {
 		if stats, err = r.Epoch(world); err != nil {
 			b.Fatal(err)
 		}
+		addPhases(&phases, stats.Phases)
 	}
 	b.ReportMetric(float64(stats.KnownSize), "known-services")
 	b.ReportMetric(stats.Freshness.AliveFrac(), "alive-frac")
+	reportPhases(b, phases)
+}
+
+// addPhases accumulates one epoch's phase split into sum.
+func addPhases(sum *continuous.PhaseTimes, p continuous.PhaseTimes) {
+	sum.Reverify += p.Reverify
+	sum.Retrain += p.Retrain
+	sum.Discover += p.Discover
+	sum.Fold += p.Fold
+}
+
+// reportPhases reports the mean per-iteration phase split of the epochs
+// summed into sum, in milliseconds.
+func reportPhases(b *testing.B, sum continuous.PhaseTimes) {
+	for _, ph := range []struct {
+		d    time.Duration
+		unit string
+	}{
+		{sum.Reverify, "reverify-ms"}, {sum.Retrain, "retrain-ms"},
+		{sum.Discover, "discover-ms"}, {sum.Fold, "fold-ms"},
+	} {
+		b.ReportMetric(float64(ph.d.Microseconds())/1e3/float64(b.N), ph.unit)
+	}
 }
 
 // BenchmarkShardEpoch times one sharded continuous epoch: N runners
 // re-verifying and discovering concurrently, each on its own partition.
+// Its phase metrics are the bounding shard's (shard.MergeStats).
 func BenchmarkShardEpoch(b *testing.B) {
 	s := setupBench(b)
 	seedSet, _ := experiments.SplitEval(s.LZR, s.Scale.SeedMid, true, 91)
@@ -117,7 +145,10 @@ func BenchmarkShardEpoch(b *testing.B) {
 		Shards:     4,
 		Continuous: continuous.Config{Budget: 20 * s.Universe.SpaceSize()},
 	}
-	var stats continuous.EpochStats
+	var (
+		stats  continuous.EpochStats
+		phases continuous.PhaseTimes
+	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := shard.NewCoordinator(seedSet, cfg)
@@ -125,8 +156,10 @@ func BenchmarkShardEpoch(b *testing.B) {
 		if stats, err = c.Epoch(world); err != nil {
 			b.Fatal(err)
 		}
+		addPhases(&phases, stats.Phases)
 	}
 	b.ReportMetric(float64(stats.KnownSize), "known-services")
+	reportPhases(b, phases)
 }
 
 // benchInventory builds a merged-inventory view of the LZR snapshot: the
