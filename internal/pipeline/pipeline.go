@@ -129,7 +129,7 @@ type Discovery struct {
 
 // Timings records wall time per pipeline stage (Table 2's rows).
 type Timings struct {
-	Model       time.Duration // building conditional probabilities
+	Model       time.Duration // building conditional probabilities and every seed service's best condition
 	PriorsList  time.Duration // computing the priors scan list
 	PriorsScan  time.Duration // executing the priors scan (simulated)
 	MPF         time.Duration // building the most-predictive-features list

@@ -51,33 +51,26 @@ type MPF struct {
 	rules  []rule
 }
 
-// BuildMPF runs §5.4 step 1 over the seed hosts: for each seed service
-// (IP, PortA) on a multi-service host, find the feature tuple with maximum
-// P(PortA) and record (tuple → PortA). Probabilities below the model's
-// floor were already discarded by the model. Because *every* seed service
-// contributes its best rule, every predictable pattern seen in the seed is
-// guaranteed representation — the property §5.4 calls crucial.
-func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, cfg engine.Config) *MPF {
+// BuildMPF runs §5.4 step 1 over the seed hosts the model was built from
+// (it panics on any other host, see probmodel.Model.SeedBest): for each
+// seed service (IP, PortA) on a multi-service host, take the feature tuple
+// with maximum P(PortA), which the model computed once for this list and
+// the priors list, and record (tuple → PortA). Probabilities below the
+// model's floor were already discarded by the model. Because *every* seed
+// service contributes its best rule, every predictable pattern seen in the
+// seed is guaranteed representation — the property §5.4 calls crucial.
+// Collecting the rules is one sequential pass that needs no engine.
+func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, _ engine.Config) *MPF {
 	// A rule packs into one integer, condition above port. Its
 	// probability is a pure function of that pair, so it is looked up
 	// once per distinct rule after the duplicates are gone.
 	var pairs []uint64
-	for _, part := range engine.Chunks(cfg, len(hosts), func(lo, hi int) []uint64 {
-		var out []uint64
-		var scratch probmodel.Scratch
-		for _, h := range hosts[lo:hi] {
-			if len(h.Records) < 2 {
-				continue
-			}
-			for i, best := range m.HostBest(h, &scratch) {
-				if best.Cond != probmodel.NoCond {
-					out = append(out, uint64(best.Cond)<<16|uint64(h.Records[i].Port))
-				}
+	for i, h := range hosts {
+		for a, best := range m.SeedBest(i, h) {
+			if best.Cond != probmodel.NoCond {
+				pairs = append(pairs, uint64(best.Cond)<<16|uint64(h.Records[a].Port))
 			}
 		}
-		return out
-	}) {
-		pairs = append(pairs, part...)
 	}
 	slices.Sort(pairs)
 	pairs = slices.Compact(pairs)

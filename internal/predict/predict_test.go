@@ -174,3 +174,24 @@ func TestPredictionKey(t *testing.T) {
 		t.Error("Key() wrong")
 	}
 }
+
+// TestBuildMPFPanicsOnOtherHosts: the list keeps the best conditions the
+// model stored for its own seed hosts, so hosts it was not built from are
+// a caller's bug, as an MPF list from another model is to Predict.
+func TestBuildMPFPanicsOnOtherHosts(t *testing.T) {
+	m, hosts := buildModel(t)
+	for name, other := range map[string][]dataset.HostGroup{
+		"reordered": {hosts[1], hosts[0]},
+		"longer":    append(append([]dataset.HostGroup(nil), hosts...), hosts[0]),
+		"another":   fleetHosts()[3:],
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: BuildMPF over hosts the model was not built from did not panic", name)
+				}
+			}()
+			BuildMPF(m, other, engine.Config{Workers: 1})
+		}()
+	}
+}

@@ -41,46 +41,33 @@ type tupleKey struct {
 	subnet asndb.Prefix
 }
 
-// Build runs the §5.3 algorithm over the seed hosts:
+// Build runs the §5.3 algorithm over the seed hosts the model was built
+// from (it panics on any other host, see probmodel.Model.SeedBest):
 //
 //  1. Hosts with one service contribute (their port, their subnet).
 //  2. Hosts with several services contribute, for every service A, the
 //     port B whose condition maximizes P(A) — the anchor service.
 //  3. Tuples are grouped and ranked by the number of seed services they
 //     help predict.
-func Build(m *probmodel.Model, hosts []dataset.HostGroup, stepBits uint8, cfg engine.Config) List {
-	locals := engine.Chunks(cfg, len(hosts), func(lo, hi int) map[tupleKey]int {
-		counts := make(map[tupleKey]int)
-		var scratch probmodel.Scratch
-		for _, h := range hosts[lo:hi] {
-			subnet := asndb.SubnetOf(h.IP, stepBits)
-			if len(h.Records) == 1 {
-				// The sole service is the first and only service
-				// that must be found (§5.3 step 1).
-				counts[tupleKey{port: h.Records[0].Port, subnet: subnet}]++
-				continue
+//
+// Step 2's best conditions are the model's own (SeedBest), so Build only
+// groups them, in one sequential pass that needs no engine.
+func Build(m *probmodel.Model, hosts []dataset.HostGroup, stepBits uint8, _ engine.Config) List {
+	counts := make(map[tupleKey]int)
+	for i, h := range hosts {
+		subnet := asndb.SubnetOf(h.IP, stepBits)
+		for a, best := range m.SeedBest(i, h) {
+			// A service no pattern predicts — a host's sole service
+			// among them (step 1) — must anchor itself.
+			port := h.Records[a].Port
+			if best.Cond != probmodel.NoCond {
+				port = m.Port(best.Cond)
 			}
-			for i, best := range m.HostBest(h, &scratch) {
-				// When no pattern reaches the floor the service
-				// must anchor itself.
-				port := h.Records[i].Port
-				if best.Cond != probmodel.NoCond {
-					port = m.Port(best.Cond)
-				}
-				counts[tupleKey{port: port, subnet: subnet}]++
-			}
-		}
-		return counts
-	})
-
-	merged := make(map[tupleKey]int)
-	for _, lm := range locals {
-		for k, v := range lm {
-			merged[k] += v
+			counts[tupleKey{port: port, subnet: subnet}]++
 		}
 	}
-	targets := make([]Target, 0, len(merged))
-	for k, v := range merged {
+	targets := make([]Target, 0, len(counts))
+	for k, v := range counts {
 		targets = append(targets, Target{Port: k.port, Subnet: k.subnet, Coverage: v})
 	}
 	sort.Slice(targets, func(i, j int) bool {

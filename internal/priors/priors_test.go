@@ -164,3 +164,28 @@ func itoa(v uint16) string {
 	}
 	return string(buf[i:])
 }
+
+// TestBuildPanicsOnOtherHosts: the list groups the best conditions the
+// model stored for its own seed hosts, so hosts the model was not built
+// from — another order, one host more, a host with a record less — are a
+// caller's bug, not a list.
+func TestBuildPanicsOnOtherHosts(t *testing.T) {
+	hosts := scenario()
+	m := probmodel.Build(probmodel.Config{Floor: -1, MinSupport: -1}, hosts)
+	short := append([]dataset.HostGroup(nil), hosts...)
+	short[0].Records = short[0].Records[:1]
+	for name, other := range map[string][]dataset.HostGroup{
+		"reordered": {hosts[1], hosts[0]},
+		"longer":    append(append([]dataset.HostGroup(nil), hosts...), hosts[0]),
+		"shorter":   short,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Build over hosts the model was not built from did not panic", name)
+				}
+			}()
+			Build(m, other, 16, engine.Config{Workers: 1})
+		}()
+	}
+}

@@ -106,6 +106,9 @@ type Model struct {
 	rowOff     []uint32              // CondID → start of its row; len(keys)+1
 	pairPort   []uint16              // other open ports, ascending within a row
 	pairHosts  []uint32              // hosts exhibiting the condition AND that port
+	seedIP     []asndb.IP            // Build's input hosts' addresses
+	hostFirst  []int                 // host i's records are seedBest[hostFirst[i]:hostFirst[i+1]]
+	seedBest   []Best                // Build's input records → best condition on the host
 	stats      engine.Stats
 }
 
@@ -116,10 +119,12 @@ type netSlot struct {
 	asn  bool
 }
 
-// Build trains the model over seed hosts. One sequential pass interns
-// every condition and counts the hosts exhibiting it; the (condition,
-// other open port) co-occurrences are then emitted in parallel as packed
-// integers, sorted per worker and merged into the CSR rows.
+// Build trains the model over seed hosts in three passes. Pass 1 interns
+// every condition and counts the hosts exhibiting it; pass 2 counts the
+// (condition, other open port) co-occurrences by a counting sort over
+// condition ids into the CSR rows; pass 3 finds every seed service's best
+// condition (SeedBest), which the priors and MPF lists both read. Each
+// seed record's conditions are compiled once, in pass 1.
 func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 	cfg = cfg.withDefaults()
 	m := &Model{
@@ -142,8 +147,8 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 
 	// Pass 1: count hosts per condition. A condition is counted once per
 	// record that exhibits it; ids[recStart[i]:recStart[i+1]] keeps the
-	// conditions of the i-th record overall for pass 2, and hostFirst[h] is
-	// the overall index of host h's first record.
+	// conditions of the i-th record overall for passes 2 and 3, and
+	// hostFirst[h] is the overall index of host h's first record.
 	nrec := 0
 	for _, h := range hosts {
 		nrec += len(h.Records)
@@ -152,10 +157,11 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 		s         Scratch
 		ids       = make([]CondID, 0, 8*nrec) // a guess; append corrects it
 		recStart  = make([]uint32, 0, nrec+1)
-		hostFirst = make([]int, len(hosts))
+		hostFirst = make([]int, len(hosts)+1)
 	)
+	m.seedIP = make([]asndb.IP, len(hosts))
 	for i, h := range hosts {
-		hostFirst[i] = len(recStart)
+		hostFirst[i], m.seedIP[i] = len(recStart), h.IP
 		for _, r := range h.Records {
 			start := len(ids)
 			recStart = append(recStart, uint32(start))
@@ -166,89 +172,94 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 		}
 	}
 	recStart = append(recStart, uint32(len(ids)))
-
-	// Pass 2: count hosts per (condition, other open port). Only hosts
-	// with at least two services contribute pairs. A pair packs into one
-	// integer, condition above port, so sorting groups a row together.
-	runs := engine.Chunks(cfg.Engine, len(hosts), func(lo, hi int) []uint64 {
-		var out []uint64
-		for i := lo; i < hi; i++ {
-			recs := hosts[i].Records
-			if len(recs) < 2 {
-				continue
-			}
-			for b, rb := range recs {
-				rec := hostFirst[i] + b
-				conds := ids[recStart[rec]:recStart[rec+1]]
-				for _, ra := range recs {
-					if ra.Port == rb.Port {
-						continue
-					}
-					for _, c := range conds {
-						out = append(out, uint64(c)<<16|uint64(ra.Port))
-					}
+	hostFirst[len(hosts)] = nrec
+	// pairsOf calls f for every ordered pair (b, a) of host i's records
+	// on different ports, with b's condition ids.
+	pairsOf := func(i int, f func(conds []CondID, a int)) {
+		recs := hosts[i].Records
+		for b, rb := range recs {
+			rec := hostFirst[i] + b
+			conds := ids[recStart[rec]:recStart[rec+1]]
+			for a, ra := range recs {
+				if ra.Port != rb.Port {
+					f(conds, a)
 				}
 			}
 		}
-		slices.Sort(out)
-		return out
-	})
-	emitted := len(ids)
-	for _, run := range runs {
-		emitted += len(run)
 	}
-	m.mergePairs(runs)
+
+	// Pass 2: count hosts per (condition, other open port). Pass 1's ids
+	// size every condition's bucket exactly; each pair's port is placed
+	// into its condition's bucket (pos[c] ends up at the bucket's start,
+	// pos[c+1] at its end), and each bucket is sorted and run-length
+	// counted into its CSR row.
+	pos := make([]int, len(m.keys)+1)
+	for i := range hosts {
+		pairsOf(i, func(conds []CondID, _ int) {
+			for _, c := range conds {
+				pos[c]++
+			}
+		})
+	}
+	for c := 1; c < len(pos); c++ {
+		pos[c] += pos[c-1]
+	}
+	ports := make([]uint16, pos[len(m.keys)])
+	for i, h := range hosts {
+		pairsOf(i, func(conds []CondID, a int) {
+			for _, c := range conds {
+				pos[c]--
+				ports[pos[c]] = h.Records[a].Port
+			}
+		})
+	}
+	m.rowOff = make([]uint32, len(m.keys)+1)
+	for c := range m.keys {
+		row := ports[pos[c]:pos[c+1]]
+		slices.Sort(row)
+		for j := 0; j < len(row); {
+			k := j + 1
+			for k < len(row) && row[k] == row[j] {
+				k++
+			}
+			m.pairPort = append(m.pairPort, row[j])
+			m.pairHosts = append(m.pairHosts, uint32(k-j))
+			j = k
+		}
+		m.rowOff[c+1] = uint32(len(m.pairPort))
+	}
+
+	// Pass 3: every seed record's best condition on its host's other
+	// records, from the ids pass 1 kept.
+	m.hostFirst, m.seedBest = hostFirst, make([]Best, nrec)
+	engine.ParallelFor(cfg.Engine, len(hosts), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			recs, best := hosts[i].Records, m.seedBest[hostFirst[i]:hostFirst[i+1]]
+			for a := range best {
+				best[a].Cond = NoCond
+			}
+			pairsOf(i, func(conds []CondID, a int) {
+				for _, c := range conds {
+					if q := m.ProbID(c, recs[a].Port); q > best[a].P {
+						best[a] = Best{Cond: c, P: q}
+					}
+				}
+			})
+		}
+	})
 	if len(hosts) > 0 {
-		m.stats.RecordsIn.Add(2 * uint64(len(hosts))) // each pass reads every host
-		m.stats.PairsEmitted.Add(uint64(emitted))
+		m.stats.RecordsIn.Add(2 * uint64(len(hosts))) // the two counting passes
+		m.stats.PairsEmitted.Add(uint64(len(ids) + len(ports)))
 	}
 	return m
 }
 
-// mergePairs merges the workers' sorted runs of packed (condition, port)
-// pairs into the CSR rows, counting how often each pair occurs.
-func (m *Model) mergePairs(runs [][]uint64) {
-	m.rowOff = make([]uint32, len(m.keys)+1)
-	pos := make([]int, len(runs))
-	row := 0 // rows up to and including this one have their offset set
-	for {
-		least, found := uint64(0), false
-		for i, run := range runs {
-			if pos[i] < len(run) && (!found || run[pos[i]] < least) {
-				least, found = run[pos[i]], true
-			}
-		}
-		if !found {
-			break
-		}
-		var n uint32
-		for i, run := range runs {
-			for pos[i] < len(run) && run[pos[i]] == least {
-				pos[i]++
-				n++
-			}
-		}
-		for cond := int(least >> 16); row < cond; {
-			row++
-			m.rowOff[row] = uint32(len(m.pairPort))
-		}
-		m.pairPort = append(m.pairPort, uint16(least))
-		m.pairHosts = append(m.pairHosts, n)
-	}
-	for row < len(m.keys) {
-		row++
-		m.rowOff[row] = uint32(len(m.pairPort))
-	}
-}
-
-// Scratch is one goroutine's reusable working memory for HostBest and
-// Resolve. The zero value is ready; slices returned from a call that took
-// a Scratch are valid until the next call that takes the same one.
+// Scratch is one goroutine's reusable working memory for Resolve. The
+// zero value is ready; a slice returned from a call that took a Scratch is
+// valid until the next call that takes the same one.
 type Scratch struct {
-	apps   [features.NumKeys]appSlot
-	ids    []CondID
-	starts []int
-	best   []Best
+	apps [features.NumKeys]appSlot
+	ids  []CondID
 }
 
 // appSlot is one application feature of the record being compiled.
@@ -352,34 +363,18 @@ type Best struct {
 	P    float64
 }
 
-// HostBest returns, for every record of the host in order, the condition
-// on the host's other services that maximizes the probability of that
-// record's port — the inner step of both the priors algorithm (§5.3) and
-// the prediction algorithm (§5.4), for the whole host at once: each
-// record's condition list is compiled once, not once per service it might
-// predict. Ties keep the earlier record, then the earlier condition in
-// CondsOf's order, so simpler families win.
-func (m *Model) HostBest(h dataset.HostGroup, s *Scratch) []Best {
-	s.ids, s.starts, s.best = s.ids[:0], s.starts[:0], s.best[:0]
-	for _, r := range h.Records {
-		s.starts = append(s.starts, len(s.ids))
-		s.ids = m.appendConds(s.ids, r, s, false)
-		s.best = append(s.best, Best{Cond: NoCond})
+// SeedBest returns, for every record of host i of Build's input in order,
+// the condition on the host's other services that maximizes the
+// probability of that record's port: the inner step of both the priors
+// algorithm (§5.3) and the prediction algorithm (§5.4), computed once by
+// Build for both. Ties keep the earlier record, then the earlier condition
+// in CondsOf's order, so simpler families win. The slice is the model's
+// and read-only. It panics when h is not host i of Build's input.
+func (m *Model) SeedBest(i int, h dataset.HostGroup) []Best {
+	if i < 0 || i >= len(m.seedIP) || h.IP != m.seedIP[i] || len(h.Records) != m.hostFirst[i+1]-m.hostFirst[i] {
+		panic("probmodel: best conditions asked for a host the model was not built from")
 	}
-	s.starts = append(s.starts, len(s.ids))
-	for b, rb := range h.Records {
-		for _, c := range s.ids[s.starts[b]:s.starts[b+1]] {
-			for a, ra := range h.Records {
-				if ra.Port == rb.Port {
-					continue
-				}
-				if q := m.ProbID(c, ra.Port); q > s.best[a].P {
-					s.best[a] = Best{Cond: c, P: q}
-				}
-			}
-		}
-	}
-	return s.best
+	return m.seedBest[m.hostFirst[i]:m.hostFirst[i+1]:m.hostFirst[i+1]]
 }
 
 // CondsOf enumerates the condition tuples a record contributes under this
@@ -494,8 +489,8 @@ func (m *Model) Prob(c Cond, portA uint16) float64 {
 }
 
 // BestCondForHost scans every other service on the host and returns the
-// condition most predictive of portA, in display form. Callers that want
-// every service of the host should use HostBest.
+// condition most predictive of portA, in display form. A seed host's
+// every service has it precomputed: SeedBest.
 func (m *Model) BestCondForHost(h dataset.HostGroup, portA uint16) (best Cond, p float64, ok bool) {
 	var s Scratch
 	id := NoCond

@@ -3,6 +3,7 @@ package probmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -91,6 +92,61 @@ func (o *oracle) bestCondForHost(h dataset.HostGroup, portA uint16) (best Cond, 
 	return best, p, ok
 }
 
+// checkCounts holds m's condition and pair tables and Stats to the
+// oracle's, probing every condition's row at ports.
+func checkCounts(t *testing.T, name string, m *Model, o *oracle, nhosts int, ports []uint16) {
+	t.Helper()
+	if m.NumConds() != len(o.condHosts) || m.NumPairs() != len(o.pairHosts) {
+		t.Fatalf("%s: %d conds %d pairs; oracle %d and %d", name,
+			m.NumConds(), m.NumPairs(), len(o.condHosts), len(o.pairHosts))
+	}
+	if in, out := m.Stats(); in != 2*uint64(nhosts) || out != o.emitted {
+		t.Errorf("%s: Stats() = %d, %d; oracle %d, %d", name, in, out, 2*nhosts, o.emitted)
+	}
+	for c, n := range o.condHosts {
+		if got := m.CondHosts(c); got != n {
+			t.Fatalf("%s: CondHosts(%v) = %d; oracle %d", name, c, got, n)
+		}
+		id, ok := m.Lookup(c)
+		if !ok || m.Cond(id) != c {
+			t.Fatalf("%s: %v does not round-trip through its id", name, c)
+		}
+		for i, port := range ports {
+			want := o.prob(c, port)
+			if got := m.ProbID(id, port); got != want || (i == 0 && m.Prob(c, port) != want) {
+				t.Fatalf("%s: P(%d | %v) = %v; oracle %v", name, port, c, got, want)
+			}
+		}
+	}
+	for p, n := range o.pairHosts {
+		id, _ := m.Lookup(p.cond)
+		lo, hi := m.rowOff[id], m.rowOff[id+1]
+		i, ok := slices.BinarySearch(m.pairPort[lo:hi], p.port)
+		if !ok || m.pairHosts[int(lo)+i] != uint32(n) {
+			t.Fatalf("%s: pair (%v, %d) not counted %d times", name, p.cond, p.port, n)
+		}
+	}
+}
+
+// checkSeedBest holds the best condition Build stored for every record of
+// its input to the oracle's, winner and probability.
+func checkSeedBest(t *testing.T, name string, m *Model, o *oracle, hosts []dataset.HostGroup) {
+	t.Helper()
+	for i, h := range hosts {
+		all := m.SeedBest(i, h)
+		if len(all) != len(h.Records) {
+			t.Fatalf("%s: SeedBest(%d) has %d entries for %d records", name, i, len(all), len(h.Records))
+		}
+		for a, ra := range h.Records {
+			want, wantP, wantOK := o.bestCondForHost(h, ra.Port)
+			if (all[a].Cond != NoCond) != wantOK || all[a].P != wantP ||
+				(wantOK && m.Cond(all[a].Cond) != want) {
+				t.Fatalf("%s: SeedBest(%v)[%d] = %+v; oracle %v %v %v", name, h.IP, a, all[a], want, wantP, wantOK)
+			}
+		}
+	}
+}
+
 // oracleConfigs spans every FamilySet, both AppKeys settings, both network
 // key sets and the floor and support ablations.
 func oracleConfigs() []Config {
@@ -107,13 +163,41 @@ func oracleConfigs() []Config {
 	)
 }
 
+// withRepeatedPorts returns hosts with three kinds of host a GPSD seed
+// file can hold beside them: one whose port appears twice (the repeated
+// record carries other features), one serving a single port twice, and
+// one whose ports are not in ascending order.
+func withRepeatedPorts(hosts []dataset.HostGroup) []dataset.HostGroup {
+	out := append([]dataset.HostGroup(nil), hosts...)
+	for i, h := range out {
+		if len(h.Records) < 3 {
+			continue
+		}
+		recs := append([]dataset.Record(nil), h.Records...)
+		dup := recs[1]
+		dup.Feats = features.Set{features.KeyProtocol: "repeated"}
+		out[i].Records = append(recs[:2:2], append([]dataset.Record{dup}, recs[2:]...)...)
+		break
+	}
+	last := out[len(out)-1]
+	r := last.Records[0]
+	r.IP += 1 << 12
+	out = append(out, dataset.HostGroup{IP: r.IP, Records: []dataset.Record{r, r}})
+	recs := append([]dataset.Record(nil), out[0].Records...)
+	slices.Reverse(recs)
+	out[0].Records = recs
+	return out
+}
+
 // TestModelMatchesOracle: on random populations, under every
 // configuration and for 1, 2 and 8 workers, the interned model counts,
 // divides and breaks ties exactly as the string-keyed oracle does —
-// including for hosts whose feature values the seed never showed.
+// on seed hosts with a repeated port and for hosts whose feature values
+// the seed never showed included — and stores every seed service's best
+// condition as the oracle finds it.
 func TestModelMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	hosts := modeltest.Hosts(rng, 300)
+	hosts := withRepeatedPorts(modeltest.Hosts(rng, 300))
 	strangers := modeltest.Anchors(rng, 60)
 	ports := append(append([]uint16(nil), modeltest.Ports...), 1, 9999)
 	for ci, cfg := range oracleConfigs() {
@@ -122,49 +206,22 @@ func TestModelMatchesOracle(t *testing.T) {
 			cfg.Engine = engineCfg(workers)
 			m := Build(cfg, hosts)
 			name := fmt.Sprintf("config %d workers %d", ci, workers)
+			checkCounts(t, name, m, o, len(hosts), ports)
 
-			if m.NumConds() != len(o.condHosts) || m.NumPairs() != len(o.pairHosts) {
-				t.Fatalf("%s: %d conds %d pairs; oracle %d and %d", name,
-					m.NumConds(), m.NumPairs(), len(o.condHosts), len(o.pairHosts))
-			}
-			if in, out := m.Stats(); in != 2*uint64(len(hosts)) || out != o.emitted {
-				t.Errorf("%s: Stats() = %d, %d; oracle %d, %d", name, in, out, 2*len(hosts), o.emitted)
-			}
-			for c, n := range o.condHosts {
-				if got := m.CondHosts(c); got != n {
-					t.Fatalf("%s: CondHosts(%v) = %d; oracle %d", name, c, got, n)
-				}
-				id, ok := m.Lookup(c)
-				if !ok || m.Cond(id) != c {
-					t.Fatalf("%s: %v does not round-trip through its id", name, c)
-				}
-				for i, port := range ports {
-					want := o.prob(c, port)
-					if got := m.ProbID(id, port); got != want || (i == 0 && m.Prob(c, port) != want) {
-						t.Fatalf("%s: P(%d | %v) = %v; oracle %v", name, port, c, got, want)
-					}
-				}
-			}
-
-			var s Scratch
 			check := func(h dataset.HostGroup) {
-				all := m.HostBest(h, &s)
-				for i, ra := range h.Records {
+				for _, ra := range h.Records {
 					want, wantP, wantOK := o.bestCondForHost(h, ra.Port)
 					got, gotP, gotOK := m.BestCondForHost(h, ra.Port)
 					if got != want || gotP != wantP || gotOK != wantOK {
 						t.Fatalf("%s: BestCondForHost(%v, %d) = %v %v %v; oracle %v %v %v", name,
 							h.IP, ra.Port, got, gotP, gotOK, want, wantP, wantOK)
 					}
-					if (all[i].Cond != NoCond) != wantOK || all[i].P != wantP ||
-						(wantOK && m.Cond(all[i].Cond) != want) {
-						t.Fatalf("%s: HostBest(%v)[%d] = %+v; oracle %v %v %v", name, h.IP, i, all[i], want, wantP, wantOK)
-					}
 				}
 			}
 			for _, h := range hosts {
 				check(h)
 			}
+			checkSeedBest(t, name, m, o, hosts)
 			// Hosts outside the seed: a pair of strangers on one address.
 			for i := 0; i+1 < len(strangers); i += 2 {
 				a, b := strangers[i], strangers[i+1]
@@ -174,6 +231,7 @@ func TestModelMatchesOracle(t *testing.T) {
 				b.IP, b.ASN = a.IP, a.ASN
 				check(dataset.HostGroup{IP: a.IP, Records: []dataset.Record{a, b}})
 			}
+			var s Scratch
 			// Resolve keeps exactly the conditions the seed exhibited, in
 			// CondsOf's order.
 			for _, r := range strangers {
@@ -222,22 +280,22 @@ func TestLookupRejectsOtherSpellings(t *testing.T) {
 }
 
 // TestQueriesAllocateNothing: in steady state the per-host best-condition
-// call, Resolve and ProbID touch only the model's tables and the caller's
+// read, Resolve and ProbID touch only the model's tables and the caller's
 // scratch.
 func TestQueriesAllocateNothing(t *testing.T) {
 	hosts := modeltest.Hosts(rand.New(rand.NewSource(16)), 400)
 	m := Build(Config{}, hosts)
 	var s Scratch
 	for _, h := range hosts { // let the scratch reach its size
-		m.HostBest(h, &s)
+		m.Resolve(h.Records[0], &s)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		for _, h := range hosts {
-			m.HostBest(h, &s)
+		for i, h := range hosts {
+			m.SeedBest(i, h)
 			m.Resolve(h.Records[0], &s)
 		}
 	}); n != 0 {
-		t.Errorf("HostBest + Resolve allocate %v times per pass over the hosts", n)
+		t.Errorf("SeedBest + Resolve allocate %v times per pass over the hosts", n)
 	}
 	id, _ := m.Lookup(Cond{Port: 80})
 	if n := testing.AllocsPerRun(100, func() { m.ProbID(id, 443) }); n != 0 {
@@ -265,7 +323,7 @@ func TestConcurrentQueries(t *testing.T) {
 			var s Scratch
 			for i := g; i < len(hosts); i += 2 {
 				h := hosts[i]
-				best := m.HostBest(h, &s)
+				best := m.SeedBest(i, h)
 				for a, ra := range h.Records {
 					c, p, ok := m.BestCondForHost(h, ra.Port)
 					if p != best[a].P || ok != (best[a].Cond != NoCond) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"gps/internal/shard"
@@ -100,16 +101,17 @@ func (c *Coordinator) handleJoin(conn net.Conn) {
 	c.opts.logf("transport: worker %q (%s) joined; admitting at the next epoch boundary", m.ID, addr)
 }
 
-// removePending drops a registration that failed before admission.
+// removePending drops a registration that failed before admission, from
+// the pending set and from the links Close would shut down. Both slices
+// are rebuilt, not edited in place: Close and Epoch walk the ones they
+// took under the lock after releasing it.
 func (c *Coordinator) removePending(w *workerLink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, p := range c.pending {
-		if p == w {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
+	keep := func(s []*workerLink) []*workerLink {
+		return slices.DeleteFunc(slices.Clone(s), func(p *workerLink) bool { return p == w })
 	}
+	c.pending, c.links = keep(c.pending), keep(c.links)
 	clusterWorkersPending.Set(float64(len(c.pending)))
 }
 

@@ -498,3 +498,78 @@ func TestClusterDrainZeroShardsNoop(t *testing.T) {
 		t.Error("RequestDrain accepted an unknown worker id")
 	}
 }
+
+// failAfterHandshake passes a connection's first write (the stream
+// preamble) through and fails every later one, as a joiner that hung up
+// right after registering looks to the coordinator.
+type failAfterHandshake struct {
+	net.Conn
+	writes int
+}
+
+func (c *failAfterHandshake) Write(b []byte) (int, error) {
+	if c.writes++; c.writes > 1 {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestClusterFailedJoinLeavesNoLink: a joiner whose msgJoinOK cannot be
+// written is dropped from the pending set and from the coordinator's
+// links, so the cluster document does not list it, no closed link waits
+// for Close, and the same id can join again.
+func TestClusterFailedJoinLeavesNoLink(t *testing.T) {
+	w0 := startWorker(t)
+	c, err := Dial([]string{w0.addr()}, testConfig(1), worldSpec(21), testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	client, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The joiner's whole side fits the socket buffers, so it is written
+	// before the coordinator reads it.
+	if err := writeHandshake(client); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(client, msgJoin, encodeJoin(joinMsg{ID: "flaky"})); err != nil {
+		t.Fatal(err)
+	}
+	c.handleJoin(&failAfterHandshake{Conn: server})
+
+	for _, w := range c.Status().Workers {
+		if w.ID == "flaky" {
+			t.Fatalf("failed joiner still listed: %+v", w)
+		}
+	}
+	c.mu.Lock()
+	links, pending := len(c.links), len(c.pending)
+	c.mu.Unlock()
+	if links != 1 || pending != 0 {
+		t.Fatalf("after a failed join: %d links, %d pending; want the dialed worker's 1 and 0", links, pending)
+	}
+
+	joinAddr := startJoinListener(t, c)
+	joinDone := make(chan error, 1)
+	go func() {
+		joinDone <- Join(joinAddr, "flaky", newSimWorld, nil)
+	}()
+	waitForWorker(t, c, "flaky", shard.WorkerPending)
+	c.Close()
+	if err := <-joinDone; err != nil {
+		t.Errorf("re-join: %v", err)
+	}
+}
