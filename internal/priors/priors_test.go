@@ -115,9 +115,9 @@ func TestDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesPerServiceCalls: the list built from one HostBest call
-// per host is the list the per-service BestCondForHost calls gave, on a
-// random population and for 1, 2 and 8 workers.
+// TestBuildMatchesPerServiceCalls: the list built from the model's stored
+// best conditions is the list the per-service BestCondForHost calls give,
+// on a random population and for 1, 2 and 8 workers.
 func TestBuildMatchesPerServiceCalls(t *testing.T) {
 	hosts := modeltest.Hosts(rand.New(rand.NewSource(35)), 300)
 	for _, cfg := range []probmodel.Config{{}, {Floor: -1, MinSupport: -1}, {Floor: 0.5, MinSupport: 4}} {

@@ -19,10 +19,12 @@
 // order of first appearance over the hosts, their records (T, then TA by
 // feature key, then TN by configured network key, then TAN) in one
 // sequential pass, so they depend on the input alone and not on how many
-// workers count the pairs afterwards. Hosts per condition and hosts per
-// (condition, other open port) are flat arrays indexed by CondID; priors
-// and predict ask for conditions by id (HostBest, Resolve, ProbID) and
-// never see a string.
+// workers share the later passes. Hosts per condition and hosts per
+// (condition, other open port) are flat arrays indexed by CondID. Build
+// is the one place a seed record is compiled to ids: it also stores each
+// seed service's most predictive condition on its host, the step the
+// priors list and the MPF list share. priors and predict read conditions
+// by id (SeedBest, Resolve, ProbID) and never see a string.
 //
 // Strings live at the edges: Cond is the display form of a condition, with
 // the banner, "10.0.0.0/16" and "AS7" spelled out, for tables, tests and

@@ -91,9 +91,10 @@ type condKey struct {
 // number of seed hosts exhibiting the condition; the hosts that also had
 // another port open are one CSR row per condition — rowOff[id] to
 // rowOff[id+1] in pairPort (ascending) and pairHosts — which Prob binary
-// searches. Ids depend only on the order of hosts, records and feature
-// keys in Build's input, never on Config.Engine, so every table is
-// identical for any worker count.
+// searches. seedBest holds every input record's best condition, one flat
+// slice aligned with Build's input. Ids depend only on the order of hosts,
+// records and feature keys in Build's input, never on Config.Engine, so
+// every table is identical for any worker count.
 type Model struct {
 	cfg        Config
 	enabledKey map[features.Key]bool // nil = all
@@ -389,9 +390,11 @@ func (m *Model) NumConds() int { return len(m.keys) }
 // NumPairs returns the number of distinct (condition, port) pairs.
 func (m *Model) NumPairs() int { return len(m.pairPort) }
 
-// Stats exposes the work counters accumulated during Build: hosts read
-// (once per pass) and condition and pair observations counted — the
-// analogue of Table 2's "data processed / shuffled".
+// Stats exposes the work counters accumulated during Build — the analogue
+// of Table 2's "data processed / shuffled". recordsIn counts every host
+// twice, once per counting pass (conditions, then pairs); the
+// best-condition pass reads only what those built and is not counted.
+// pairsEmitted is the condition and pair observations counted.
 func (m *Model) Stats() (recordsIn, pairsEmitted uint64) {
 	return m.stats.RecordsIn.Load(), m.stats.PairsEmitted.Load()
 }
