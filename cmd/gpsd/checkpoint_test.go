@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -349,29 +350,31 @@ func TestGoldenCheckpoint(t *testing.T) {
 }
 
 // TestResumeRefusesVersion1Checkpoint: gpsd resuming from a GPS4 file
-// whose shard states predate GPSC version 2 (testdata/golden/v1) exits
-// non-zero, and the error it logs names the GPSC version it found.
+// whose shard states predate GPSC version 3 (testdata/golden/v1 and v2)
+// exits non-zero, and the error it logs names the GPSC version it found.
 func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
-	old, err := os.ReadFile("../../testdata/golden/v1/GPS4.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The golden's world header: -seed -77 -prefixes 16 -density 0.03, 3 shards.
-	f, err := parseArgs([]string{"-checkpoint", path, "-seed", "-77", "-prefixes", "16",
-		"-density", "0.03", "-shards", "3", "-epochs", "1", "-parallelism", "1"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var code int
-	_, errw := captureStd(t, func() { code = runDaemon(f) })
-	if code == 0 {
-		t.Fatal("resume from a version-1 checkpoint exited 0")
-	}
-	if !strings.Contains(errw, "GPSC") || !strings.Contains(errw, "found version 1") {
-		t.Errorf("resume error %q does not name GPSC version 1", errw)
+	for i, v := range []string{"v1", "v2"} {
+		old, err := os.ReadFile("../../testdata/golden/" + v + "/GPS4.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "gpsd.ckpt")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The golden's world header: -seed -77 -prefixes 16 -density 0.03, 3 shards.
+		f, err := parseArgs([]string{"-checkpoint", path, "-seed", "-77", "-prefixes", "16",
+			"-density", "0.03", "-shards", "3", "-epochs", "1", "-parallelism", "1"}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code int
+		_, errw := captureStd(t, func() { code = runDaemon(f) })
+		if code == 0 {
+			t.Fatalf("resume from a %s checkpoint exited 0", v)
+		}
+		if want := fmt.Sprintf("found version %d", i+1); !strings.Contains(errw, "GPSC") || !strings.Contains(errw, want) {
+			t.Errorf("resume error %q does not name GPSC version %d", errw, i+1)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"gps/internal/shard/transport"
 	"gps/internal/store"
 	"gps/internal/trace"
+	"gps/internal/wire"
 	"gps/internal/wire/wiretest"
 )
 
@@ -185,6 +187,32 @@ func TestGoldenFormats(t *testing.T) {
 		// GPST-* are internal/shard/transport's TestGoldenPayloads rows.
 		if !checked[name] && !strings.HasPrefix(name, "GPST-") {
 			t.Errorf("%s has no goldenCases row", f)
+		}
+	}
+
+	// An old-version golden (testdata/golden/v*/) pins a refusal: its GPSC
+	// or GPSS reader must reject it as a bad version, or it has rotted
+	// unread. The GPS4 ones are gpsd's TestResumeRefusesVersion1Checkpoint
+	// inputs.
+	decode := map[string]func([]byte) error{}
+	for _, c := range cases {
+		decode[c.Name] = c.Decode
+	}
+	old, err := filepath.Glob("testdata/golden/v*/*.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range old {
+		name := strings.TrimSuffix(filepath.Base(f), ".bin")
+		if name == "GPS4" {
+			continue
+		}
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "GPSC" && name != "GPSS" || !wire.IsKind(decode[name](b), wire.BadVersion) {
+			t.Errorf("%s is not refused as a bad version by its reader", f)
 		}
 	}
 }

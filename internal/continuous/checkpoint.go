@@ -1,88 +1,113 @@
 package continuous
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
+	"gps/internal/asndb"
 	"gps/internal/dataset"
+	"gps/internal/features"
+	"gps/internal/netmodel"
 	"gps/internal/store"
 	"gps/internal/wire"
 )
 
-// Checkpoint format (version 2):
+// Checkpoint format (version 3):
 //
 //	magic "GPSC" | version u8
 //	epoch uvarint
-//	known set: uvarint byte length + a store binary dataset holding the
-//	  known records in strictly increasing (IP, port) order
-//	per record, in dataset order: firstSeen, lastSeen, stale uvarints
+//	string table, entry count uvarint, then per entry in strictly
+//	  increasing (IP, port) order: the served fields (EncodeServed) and
+//	  the interned feature set (store.AppendInterned)
 //
-// The known records reuse internal/store's compact dataset encoding
-// (string-table interning of feature values), so checkpoints stay small
-// no matter how many fleet hosts share identical banners. The dataset
-// blob is length-prefixed so the surrounding reader keeps its position.
-// The reader refuses keys out of strict order and lastSeen past the epoch.
-// Version 1 also carried every completed epoch's counters; a version-1
-// checkpoint is refused as a bad-version *wire.Error, not migrated.
+// The reader refuses keys out of strict order, an entry first seen after
+// it was last seen or last seen past the epoch, and a stale count past
+// the int range. Version 1 also carried every completed epoch's
+// counters; version 2 nested the known records as a whole GPSD dataset.
+// Both are refused as a bad-version *wire.Error, not migrated.
 
 const (
 	checkpointMagic   = "GPSC"
-	checkpointVersion = 2
+	checkpointVersion = 3
 
-	maxKnownSet = 1 << 28
+	maxEntries = 1 << 28
 )
+
+// EncodeServed writes one service as GPSC, GPSV and GPSE all carry it:
+//
+//	IP u32 | port u16 (big-endian)
+//	proto, asn, ttl, firstSeen, lastSeen, stale uvarints
+func EncodeServed(w *wire.Enc, k netmodel.Key, e *Entry) {
+	EncodeKey(w, k)
+	w.Uvarint(uint64(e.Rec.Proto))
+	w.Uvarint(uint64(e.Rec.ASN))
+	w.Uvarint(uint64(e.Rec.TTL))
+	w.Uvarint(uint64(e.FirstSeen))
+	w.Uvarint(uint64(e.LastSeen))
+	w.Uvarint(uint64(e.Stale))
+}
+
+// DecodeServed reads EncodeServed output.
+func DecodeServed(d *wire.Dec) (netmodel.Key, Entry) {
+	k := DecodeKey(d)
+	return k, Entry{
+		Rec: dataset.Record{
+			IP: k.IP, Port: k.Port,
+			Proto: features.Protocol(d.Uvarint()),
+			ASN:   asndb.ASN(d.Uvarint()),
+			TTL:   uint8(d.Uvarint()),
+		},
+		FirstSeen: int(d.Uvarint()),
+		LastSeen:  int(d.Uvarint()),
+		Stale:     int(d.Uvarint()),
+	}
+}
+
+// EncodeKey writes a service key as IP u32 | port u16 (big-endian).
+func EncodeKey(w *wire.Enc, k netmodel.Key) {
+	w.U32(uint32(k.IP))
+	w.U16(k.Port)
+}
+
+// DecodeKey reads EncodeKey output.
+func DecodeKey(d *wire.Dec) netmodel.Key {
+	return netmodel.Key{IP: asndb.IP(d.U32()), Port: d.U16()}
+}
 
 // WriteCheckpoint serializes the state.
 func WriteCheckpoint(w io.Writer, st *State) error {
 	var e wire.Enc
 	e.Header(checkpointMagic, checkpointVersion)
 	e.Uvarint(uint64(st.Epoch))
-
-	d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(st.Known))}
-	for i := range st.Known {
-		d.Records[i] = st.Known[i].Rec
-	}
-	var blob bytes.Buffer
-	if _, err := store.WriteDatasetBinary(&blob, d); err != nil {
-		return fmt.Errorf("continuous: encoding known set: %w", err)
-	}
-	e.Blob(blob.Bytes())
-
-	for _, known := range st.Known {
-		e.Uvarint(uint64(known.FirstSeen))
-		e.Uvarint(uint64(known.LastSeen))
-		e.Uvarint(uint64(known.Stale))
-	}
+	store.AppendInterned(&e, len(st.Known), func(w *wire.Enc, i int) features.Set {
+		EncodeServed(w, st.Known[i].Rec.Key(), &st.Known[i])
+		return st.Known[i].Rec.Feats
+	})
 	_, err := w.Write(e)
 	return err
 }
 
 // ReadCheckpoint parses WriteCheckpoint output. Malformed input is a
-// *wire.Error with Format "GPSC", or "GPSD" when the damage is inside
-// the embedded known set.
+// *wire.Error with Format "GPSC".
 func ReadCheckpoint(r io.Reader) (*State, error) {
 	d := wire.NewReader(checkpointMagic, r)
 	d.At("header", -1)
 	d.Header(checkpointMagic, checkpointVersion)
 	st := &State{Epoch: int(d.Uvarint())}
+	table := store.ReadStringTable(d)
 
 	d.At("known set", -1)
-	blob := d.Blob(maxKnownSet)
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	known, err := store.ReadDatasetBinary(bytes.NewReader(blob))
-	if err != nil {
-		return nil, fmt.Errorf("continuous: decoding known set: %w", err)
-	}
-	st.Known = make([]Entry, len(known.Records))
-	for i, rec := range known.Records {
+	n := d.Count(d.Uvarint(), maxEntries)
+	st.Known = make([]Entry, 0, min(n, 1<<16))
+	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("entry", i)
-		st.Known[i] = Entry{Rec: rec, FirstSeen: int(d.Uvarint()), LastSeen: int(d.Uvarint()), Stale: int(d.Uvarint())}
-		if ls := st.Known[i].LastSeen; i > 0 && st.Known[i-1].Rec.Key().Compare(rec.Key()) >= 0 || ls < 0 || ls > st.Epoch {
-			d.Fail(wire.Implausible, fmt.Errorf("%v out of key order or last seen at epoch %d of %d", rec.Key(), ls, st.Epoch))
+		k, e := DecodeServed(d)
+		e.Rec.Feats = table.Feats(d)
+		if i > 0 && st.Known[i-1].Rec.Key().Compare(k) >= 0 || e.FirstSeen < 0 || e.FirstSeen > e.LastSeen || e.LastSeen > st.Epoch || e.Stale < 0 {
+			d.Fail(wire.Implausible, fmt.Errorf("%v out of key order, or seen at epochs %d to %d of %d with stale count %d",
+				k, e.FirstSeen, e.LastSeen, st.Epoch, e.Stale))
 		}
+		st.Known = append(st.Known, e)
 	}
 	if err := d.Done(); err != nil {
 		return nil, err

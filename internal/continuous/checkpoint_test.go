@@ -6,25 +6,34 @@ import (
 	"os"
 	"testing"
 
+	"gps/internal/asndb"
 	"gps/internal/continuous"
 	"gps/internal/dataset"
+	"gps/internal/features"
 	"gps/internal/shard"
 	"gps/internal/wire"
 	"gps/internal/wire/wiretest"
 )
 
 // unorderedStates break a run's invariants: two records swapped, one key
-// listed twice, and an entry last seen after the state's epoch (the
-// re-verification order's counting pass is sized by LastSeen).
-// WriteCheckpoint writes State.Known as it is, so they encode to the GPSC
-// files a reader must refuse.
+// listed twice, an entry last seen after the state's epoch (the
+// re-verification order's counting pass is sized by LastSeen), one first
+// seen after it was last seen, and a stale count of 2⁶⁴-1, which an int
+// reads as negative (eviction would never reach it). WriteCheckpoint
+// writes State.Known as it is, so they encode to the GPSC files a reader
+// must refuse.
 func unorderedStates() map[string]*continuous.State {
 	lo := continuous.Entry{Rec: dataset.Record{IP: 10, Port: 80}, LastSeen: 1}
 	hi := continuous.Entry{Rec: dataset.Record{IP: 10, Port: 443}, LastSeen: 1}
+	reborn, undying := hi, hi
+	reborn.FirstSeen = 2
+	undying.Stale = -1
 	return map[string]*continuous.State{
 		"swapped":  {Epoch: 1, Known: []continuous.Entry{hi, lo}},
 		"repeated": {Epoch: 1, Known: []continuous.Entry{lo, lo}},
 		"late":     {Epoch: 0, Known: []continuous.Entry{lo, hi}},
+		"reborn":   {Epoch: 2, Known: []continuous.Entry{lo, reborn}},
+		"undying":  {Epoch: 1, Known: []continuous.Entry{lo, undying}},
 	}
 }
 
@@ -37,11 +46,10 @@ func encode(t testing.TB, write func(*bytes.Buffer) error) []byte {
 	return buf.Bytes()
 }
 
-// TestCheckpointRefusesUnorderedKnownSet: the known set's order is the
-// state's invariant and arrives from outside the program, so the GPSC
-// reader refuses a set out of key order, with a repeated key or seen
-// after its epoch, and the refusal surfaces unchanged through a GPSS
-// that embeds the state.
+// TestCheckpointRefusesUnorderedKnownSet: the known set's order and
+// counters are the state's invariants and arrive from outside the
+// program, so the GPSC reader refuses every unorderedStates case, and the
+// refusal surfaces unchanged through a GPSS that embeds the state.
 func TestCheckpointRefusesUnorderedKnownSet(t *testing.T) {
 	for name, st := range unorderedStates() {
 		gpsc := encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) })
@@ -60,27 +68,42 @@ func TestCheckpointRefusesUnorderedKnownSet(t *testing.T) {
 	}
 }
 
-// FuzzReadCheckpoint drives arbitrary bytes through the GPSC reader (and,
-// through its known-set blob, the GPSD one). No input may panic or size
-// an allocation from an unproven count; every refusal is a *wire.Error
-// naming the format that broke; and an accepted state is canonical after
-// one write: write → read → write reproduces the bytes.
+// TestCheckpointInternsFeatureValues: a banner every entry shares is
+// written once, in the string table, whatever the entry count.
+func TestCheckpointInternsFeatureValues(t *testing.T) {
+	const banner = "SSH-2.0-OpenSSH_8.2p1 Ubuntu-4ubuntu0.5"
+	st := &continuous.State{Epoch: 1}
+	for i := 0; i < 100; i++ {
+		rec := dataset.Record{IP: asndb.IP(i), Port: 22, Feats: features.Set{features.KeySSHBanner: banner}}
+		st.Known = append(st.Known, continuous.Entry{Rec: rec, LastSeen: 1})
+	}
+	gpsc := encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) })
+	if n := bytes.Count(gpsc, []byte(banner)); n != 1 {
+		t.Errorf("the shared banner appears %d times in a %d-entry checkpoint; want 1", n, len(st.Known))
+	}
+}
+
+// FuzzReadCheckpoint drives arbitrary bytes through the GPSC reader. No
+// input may panic or size an allocation from an unproven count; every
+// refusal is a *wire.Error naming GPSC; and an accepted state is
+// canonical after one write: write → read → write reproduces the bytes.
 func FuzzReadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile("../../testdata/golden/GPSC.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(golden)
-	f.Add(golden[:len(golden)/2])                 // cut inside the known set
-	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
-	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
-	f.Add([]byte("GPSC\x02\x07\xff\xff\xff\x7f")) // a 256 MiB known set, none present
-	for _, name := range []string{"swapped", "repeated", "late"} {
-		st := unorderedStates()[name]
+	f.Add(golden[:len(golden)/2])                     // cut inside the known set
+	f.Add(append(append([]byte{}, golden...), 0))     // trailing byte
+	f.Add([]byte("GPSX\x01junk"))                     // foreign magic
+	f.Add([]byte("GPSC\x03\x07\x80\x80\x80\x80\x01")) // a 2²⁸-string table, no strings present
+	// One string, and one entry whose feature names string 1.
+	f.Add([]byte("GPSC\x03\x01\x01\x01a\x01\x0a\x00\x00\x01\x00\x16\x00\x00\x00\x00\x01\x00\x01\x0a\x01"))
+	for _, st := range unorderedStates() {
 		f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) }))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wiretest.FuzzCanonical(t, data, "GPSC GPSD", continuous.ReadCheckpoint, continuous.WriteCheckpoint)
+		wiretest.FuzzCanonical(t, data, "GPSC", continuous.ReadCheckpoint, continuous.WriteCheckpoint)
 	})
 }

@@ -12,8 +12,7 @@
 // The subsystem is deliberately universe-agnostic: callers advance the
 // world (netmodel.Churn for simulation, wall-clock time in a real
 // deployment) and hand each epoch the universe to scan. State checkpoints
-// through internal/store's binary dataset format so a daemon (cmd/gpsd)
-// can stop and resume mid-run.
+// as GPSC (checkpoint.go) so a daemon (cmd/gpsd) can stop and resume mid-run.
 package continuous
 
 import (

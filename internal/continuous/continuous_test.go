@@ -247,16 +247,19 @@ func find(st *State, k netmodel.Key) (int, bool) {
 }
 
 // TestCheckpointRefusesVersion1: a checkpoint written before epoch
-// counters left the state (testdata/golden/v1) fails loudly as a GPSC
-// bad-version error; there is no version-1 reader.
+// counters left the state (testdata/golden/v1), or while it still nested
+// a GPSD dataset (testdata/golden/v2), fails loudly as a GPSC bad-version
+// error; there is no reader for either.
 func TestCheckpointRefusesVersion1(t *testing.T) {
-	old, err := os.ReadFile("../../testdata/golden/v1/GPSC.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadCheckpoint(bytes.NewReader(old))
-	var werr *wire.Error
-	if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
-		t.Fatalf("version-1 checkpoint returned %v; want a GPSC bad-version *wire.Error", err)
+	for _, v := range []string{"v1", "v2"} {
+		old, err := os.ReadFile("../../testdata/golden/" + v + "/GPSC.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadCheckpoint(bytes.NewReader(old))
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
+			t.Fatalf("%s checkpoint returned %v; want a GPSC bad-version *wire.Error", v, err)
+		}
 	}
 }

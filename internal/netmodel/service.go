@@ -73,16 +73,6 @@ func (k Key) Compare(o Key) int {
 // order is Compare order.
 func (k Key) bits() uint64 { return uint64(k.IP)<<16 | uint64(k.Port) }
 
-// SortedKeys returns the keys of m in Compare order.
-func SortedKeys[V any](m map[Key]V) []Key {
-	keys := make([]Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, Key.Compare)
-	return keys
-}
-
 // Pair is one entry of a Key-indexed map.
 type Pair[V any] struct {
 	Key   Key

@@ -23,8 +23,8 @@ import (
 const (
 	checkpointMagic   = "GPSS"
 	checkpointVersion = 1
-	// maxShardBlob bounds one shard's state blob; matches the
-	// implausibility guard inside the continuous checkpoint reader.
+	// maxShardBlob bounds one shard's state blob, as the transport's
+	// maxFrame bounds the frame that carries one.
 	maxShardBlob = 1 << 28
 	// maxShards bounds the shard count a checkpoint may declare.
 	maxShards = 1 << 16

@@ -229,17 +229,20 @@ func TestReadCheckpointCorrupt(t *testing.T) {
 }
 
 // TestReadCheckpointRefusesVersion1: a GPSS written before epoch counters
-// left the state (testdata/golden/v1) is refused by its first shard's
+// left the state (testdata/golden/v1), or while a state still nested a
+// GPSD dataset (testdata/golden/v2), is refused by its first shard's
 // nested GPSC bad-version error.
 func TestReadCheckpointRefusesVersion1(t *testing.T) {
-	old, err := os.ReadFile("../../testdata/golden/v1/GPSS.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReadCheckpoint(bytes.NewReader(old))
-	var werr *wire.Error
-	if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
-		t.Fatalf("version-1 sharded checkpoint returned %v; want a nested GPSC bad-version *wire.Error", err)
+	for _, v := range []string{"v1", "v2"} {
+		old, err := os.ReadFile("../../testdata/golden/" + v + "/GPSS.bin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadCheckpoint(bytes.NewReader(old))
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
+			t.Fatalf("%s sharded checkpoint returned %v; want a nested GPSC bad-version *wire.Error", v, err)
+		}
 	}
 }
 

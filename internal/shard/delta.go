@@ -17,11 +17,8 @@ import (
 //	addCount uvarint    | adds    (sorted by (IP, port))
 //	updateCount uvarint | updates (sorted by (IP, port))
 //	removeCount uvarint | removes (sorted by (IP, port))
-//	per add/update entry:
-//	  IP u32 | port u16 (big-endian)
-//	  proto, asn, ttl, firstSeen, lastSeen, stale uvarints
-//	per remove:
-//	  IP u32 | port u16 (big-endian)
+//	per add/update entry: continuous.EncodeServed's fields
+//	per remove: continuous.EncodeKey's IP u32 | port u16 (big-endian)
 //
 // A delta carries exactly the GPSV serving fields, so a chain of deltas
 // applied to a GPSV bootstrap reconstructs the origin's inventory
@@ -215,12 +212,12 @@ func WriteDelta(w io.Writer, d *Delta) error {
 	for _, entries := range [][]DeltaEntry{d.Adds, d.Updates} {
 		e.Uvarint(uint64(len(entries)))
 		for i := range entries {
-			encodeServed(&e, entries[i].Key, &entries[i].Entry)
+			continuous.EncodeServed(&e, entries[i].Key, &entries[i].Entry)
 		}
 	}
 	e.Uvarint(uint64(len(d.Removes)))
 	for _, k := range d.Removes {
-		encodeKey(&e, k)
+		continuous.EncodeKey(&e, k)
 	}
 	_, err := w.Write(e)
 	return err
@@ -244,7 +241,7 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	n := d.Count(d.Uvarint(), maxInventoryEntries)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("remove", i)
-		out.Removes = append(out.Removes, decodeKey(d))
+		out.Removes = append(out.Removes, continuous.DecodeKey(d))
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -258,7 +255,7 @@ func decodeDeltaEntries(d *wire.Dec, section string) []DeltaEntry {
 	var out []DeltaEntry
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At(section, i)
-		k, e := decodeServed(d)
+		k, e := continuous.DecodeServed(d)
 		out = append(out, DeltaEntry{Key: k, Entry: e})
 	}
 	return out

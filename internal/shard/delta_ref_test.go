@@ -78,7 +78,12 @@ func checkDeltaMatchesReference(t *testing.T, name string, base, next map[netmod
 // key added.
 func churnOf(rng *rand.Rand, base map[netmodel.Key]*continuous.Entry, adds int, key func() netmodel.Key) map[netmodel.Key]*continuous.Entry {
 	next := CloneInventory(base)
-	for _, k := range netmodel.SortedKeys(base) {
+	keys := make([]netmodel.Key, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, netmodel.Key.Compare)
+	for _, k := range keys {
 		e := next[k]
 		switch rng.Intn(12) {
 		case 0:

@@ -165,9 +165,9 @@ func diffInventories(t *testing.T, a, b map[netmodel.Key]*continuous.Entry) {
 }
 
 // FuzzReadCheckpoint drives arbitrary bytes through the GPSS reader and
-// the GPSC/GPSD readers nested in each shard blob. No input may panic;
-// every refusal is a *wire.Error naming the format that broke; and an
-// accepted layout is canonical after one write.
+// the GPSC reader nested in each shard blob. No input may panic; every
+// refusal is a *wire.Error naming the format that broke; and an accepted
+// layout is canonical after one write.
 func FuzzReadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile("../../testdata/golden/GPSS.bin")
 	if err != nil {
@@ -178,8 +178,17 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
 	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
 	f.Add([]byte("GPSS\x01\x00"))                 // zero shards
+	// A shard whose entry was first seen after it was last seen, and one
+	// whose stale count overflows an int.
+	for _, e := range []continuous.Entry{{FirstSeen: 2, LastSeen: 1}, {Stale: -1}} {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, []*continuous.State{{Epoch: 2, Known: []continuous.Entry{e}}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wiretest.FuzzCanonical(t, data, "GPSS GPSC GPSD", ReadCheckpoint, WriteCheckpoint)
+		wiretest.FuzzCanonical(t, data, "GPSS GPSC", ReadCheckpoint, WriteCheckpoint)
 	})
 }

@@ -3,10 +3,7 @@ package shard
 import (
 	"io"
 
-	"gps/internal/asndb"
 	"gps/internal/continuous"
-	"gps/internal/dataset"
-	"gps/internal/features"
 	"gps/internal/netmodel"
 	"gps/internal/wire"
 )
@@ -15,10 +12,7 @@ import (
 //
 //	magic "GPSV" | version u8
 //	entry count u64 big-endian
-//	per entry, sorted by (IP, port):
-//	  IP u32 | port u16 (big-endian)
-//	  proto, asn, ttl uvarints
-//	  firstSeen, lastSeen, stale uvarints
+//	per entry, sorted by (IP, port): continuous.EncodeServed's fields
 //
 // Version 1 had no version byte and carried only the observation
 // counters; version 2 adds the record fields the serving layer indexes on
@@ -36,42 +30,6 @@ const (
 	servedSizeHint = 16
 )
 
-// encodeServed writes one service as GPSV and GPSE both carry it: the
-// (IP, port) key and the serving fields.
-func encodeServed(w *wire.Enc, k netmodel.Key, e *continuous.Entry) {
-	encodeKey(w, k)
-	w.Uvarint(uint64(e.Rec.Proto))
-	w.Uvarint(uint64(e.Rec.ASN))
-	w.Uvarint(uint64(e.Rec.TTL))
-	w.Uvarint(uint64(e.FirstSeen))
-	w.Uvarint(uint64(e.LastSeen))
-	w.Uvarint(uint64(e.Stale))
-}
-
-func decodeServed(d *wire.Dec) (netmodel.Key, continuous.Entry) {
-	k := decodeKey(d)
-	return k, continuous.Entry{
-		Rec: dataset.Record{
-			IP: k.IP, Port: k.Port,
-			Proto: features.Protocol(d.Uvarint()),
-			ASN:   asndb.ASN(d.Uvarint()),
-			TTL:   uint8(d.Uvarint()),
-		},
-		FirstSeen: int(d.Uvarint()),
-		LastSeen:  int(d.Uvarint()),
-		Stale:     int(d.Uvarint()),
-	}
-}
-
-func encodeKey(w *wire.Enc, k netmodel.Key) {
-	w.U32(uint32(k.IP))
-	w.U16(k.Port)
-}
-
-func decodeKey(d *wire.Dec) netmodel.Key {
-	return netmodel.Key{IP: asndb.IP(d.U32()), Port: d.U16()}
-}
-
 // WriteInventory serializes a merged continuous inventory canonically:
 // the sorted (IP, port) key set, each key followed by its entry's record
 // fields and FirstSeen/LastSeen/Stale counters. Two coordinators that
@@ -84,7 +42,7 @@ func WriteInventory(w io.Writer, inv map[netmodel.Key]*continuous.Entry) error {
 	e.Header(stateInventoryMagic, stateInventoryVersion)
 	e.U64(uint64(len(pairs)))
 	for _, p := range pairs {
-		encodeServed(&e, p.Key, p.Value)
+		continuous.EncodeServed(&e, p.Key, p.Value)
 	}
 	_, err := w.Write(e)
 	return err
@@ -118,7 +76,7 @@ func ReadInventory(r io.Reader) (map[netmodel.Key]*continuous.Entry, error) {
 			slab = make([]continuous.Entry, min(n-i, max(i, 1<<10)))
 		}
 		d.At("entry", i)
-		k, e := decodeServed(d)
+		k, e := continuous.DecodeServed(d)
 		slab[0] = e
 		inv[k] = &slab[0]
 		slab = slab[1:]

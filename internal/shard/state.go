@@ -15,7 +15,8 @@ import (
 // blob (exactly one continuous checkpoint), DecodeState parses it back.
 // The transport's placement RPC (msgInit — seeding, resume, failover and
 // migration alike) and epoch results all ship this blob, so a migrated
-// shard's state is byte-compatible with a checkpointed one.
+// shard's state is byte-compatible with a checkpointed one (and a new
+// GPSC version is a new transport.Version).
 
 // EncodeState serializes one shard's continuous state as a standalone
 // blob — the unit of live migration and of per-shard resume.

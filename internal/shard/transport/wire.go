@@ -18,9 +18,9 @@
 //	type u8 | payload length u32 big-endian | payload
 //
 // Payloads are uvarint/zigzag scalars plus length-prefixed blobs that
-// reuse the existing on-disk encodings (continuous checkpoints for shard
-// state, GPSV/GPSE for the feed), so the transport inherits their
-// compactness and their compatibility story. Every malformed input
+// reuse the existing on-disk encodings (GPSC checkpoints for shard state,
+// GPSV/GPSE for the feed), so the transport inherits their compactness,
+// and a version change in one of them bumps Version. Every malformed input
 // maps to a typed error — a *wire.Error with Format "GPST" (bad magic,
 // bad version, truncated, implausible) or a FrameSizeError — never a
 // silent misparse or a hang.
@@ -52,11 +52,12 @@ const (
 	// always carries the shard's state — and retired the seed broadcast
 	// and the two-leg migration frames. Version 4 put the epoch's
 	// counters and phases in msgEpochResult's fixed layout, beside a
-	// shard state (GPSC version 2) that no longer holds them. A skewed
-	// peer on either listener gets a typed bad-version *wire.Error on
-	// both sides — the listener logs and keeps accepting, the worker
-	// reports and exits — never a misparse.
-	Version = 4
+	// shard state (GPSC version 2) that no longer holds them. Version 5
+	// ships GPSC 3 states, so a mixed fleet is refused at the preamble,
+	// not at every placement. A skewed peer on either listener gets a
+	// typed bad-version *wire.Error on both sides — the listener logs
+	// and keeps accepting, the worker reports and exits — never a misparse.
+	Version = 5
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28

@@ -100,15 +100,18 @@ func TestWireOversizedWriteRefused(t *testing.T) {
 	}
 }
 
+// TestWireVersionMismatch: a peer one version behind (whose shard states
+// are the previous GPSC) or one ahead is refused at the preamble.
 func TestWireVersionMismatch(t *testing.T) {
-	preamble := append([]byte(Magic), Version+1)
-	err := readHandshake(bytes.NewReader(preamble))
-	var werr *wire.Error
-	if !errors.As(err, &werr) || werr.Format != Magic || werr.Kind != wire.BadVersion {
-		t.Fatalf("future-version preamble returned %v; want a bad-version GPST *wire.Error", err)
-	}
-	if want := fmt.Sprintf("found version %d, want %d", Version+1, Version); !strings.Contains(err.Error(), want) {
-		t.Errorf("bad-version error %q does not say %q", err, want)
+	for _, v := range []byte{Version - 1, Version + 1} {
+		err := readHandshake(bytes.NewReader(append([]byte(Magic), v)))
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Format != Magic || werr.Kind != wire.BadVersion {
+			t.Fatalf("version-%d preamble returned %v; want a bad-version GPST *wire.Error", v, err)
+		}
+		if want := fmt.Sprintf("found version %d, want %d", v, Version); !strings.Contains(err.Error(), want) {
+			t.Errorf("bad-version error %q does not say %q", err, want)
+		}
 	}
 }
 

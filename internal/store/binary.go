@@ -55,33 +55,15 @@ func WriteDatasetBinary(w io.Writer, d *dataset.Dataset) (uint64, error) {
 		prev = uint64(p)
 	}
 
-	// The string table goes first on the wire but is only known once
-	// every record's features are interned, so the records are encoded
-	// to the side and appended after it.
-	index := make(map[string]uint64)
-	var table, recs wire.Enc
-	recs.Uvarint(uint64(len(d.Records)))
-	for _, r := range d.Records {
-		recs.U32(uint32(r.IP))
-		recs.U16(r.Port)
-		recs.U8(uint8(r.Proto))
-		recs.Uvarint(uint64(r.ASN))
-		recs.U8(r.TTL)
-		feats := r.Feats.Values()
-		recs.U8(uint8(len(feats)))
-		for _, v := range feats {
-			id, ok := index[v.Val]
-			if !ok {
-				id = uint64(len(index))
-				index[v.Val] = id
-				table.Str(v.Val)
-			}
-			recs.U8(uint8(v.Key))
-			recs.Uvarint(id)
-		}
-	}
-	e.Uvarint(uint64(len(index)))
-	e = append(append(e, table...), recs...)
+	AppendInterned(&e, len(d.Records), func(w *wire.Enc, i int) features.Set {
+		r := &d.Records[i]
+		w.U32(uint32(r.IP))
+		w.U16(r.Port)
+		w.U8(uint8(r.Proto))
+		w.Uvarint(uint64(r.ASN))
+		w.U8(r.TTL)
+		return r.Feats
+	})
 
 	n, err := w.Write(e)
 	return uint64(n), err
@@ -111,40 +93,94 @@ func ReadDatasetBinary(r io.Reader) (*dataset.Dataset, error) {
 
 	// Counts size nothing up front: a few hostile bytes may declare any
 	// count under the cap, so slices grow as elements prove to exist.
-	dec.At("string table", -1)
-	var table []string
-	for i, n := 0, dec.Count(dec.Uvarint(), maxStrings); i < n && dec.Err() == nil; i++ {
-		dec.At("string", i)
-		table = append(table, dec.Str(maxString))
-	}
+	table := ReadStringTable(dec)
 
 	dec.At("records", -1)
 	nRecords := dec.Count(dec.Uvarint(), maxRecords)
 	d.Records = make([]dataset.Record, 0, min(nRecords, 1<<16))
 	for i := 0; i < nRecords && dec.Err() == nil; i++ {
 		dec.At("record", i)
-		rec := dataset.Record{
+		d.Records = append(d.Records, dataset.Record{
 			IP:    asndb.IP(dec.U32()),
 			Port:  dec.U16(),
 			Proto: features.Protocol(dec.U8()),
 			ASN:   asndb.ASN(dec.Uvarint()),
 			TTL:   dec.U8(),
-		}
-		if nf := int(dec.U8()); nf > 0 {
-			rec.Feats = make(features.Set, nf)
-			for j := 0; j < nf && dec.Err() == nil; j++ {
-				key, id := features.Key(dec.U8()), dec.Uvarint()
-				if id >= uint64(len(table)) {
-					dec.Fail(wire.Implausible, fmt.Errorf("string index %d of %d", id, len(table)))
-					break
-				}
-				rec.Feats[key] = table[id]
-			}
-		}
-		d.Records = append(d.Records, rec)
+			Feats: table.Feats(dec),
+		})
 	}
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// AppendInterned appends a string table and then n records, each as
+// record writes it followed by its feature set, nfeats u8 + (key u8,
+// string-table index uvarint)* in ascending key order. It is the one
+// interning implementation behind GPSD and GPSC, and what makes both
+// compact: fleet-scoped banner values appear once no matter how many
+// thousands of hosts share them. The table goes first on the wire but is
+// only known once every set is interned, so the records are encoded to
+// the side and appended after it.
+func AppendInterned(e *wire.Enc, n int, record func(w *wire.Enc, i int) features.Set) {
+	index := make(map[string]uint64)
+	var table, recs wire.Enc
+	recs.Uvarint(uint64(n))
+	for i := 0; i < n; i++ {
+		s := record(&recs, i)
+		at, nf := len(recs), 0
+		recs.U8(0)
+		for k := features.KeyProtocol; nf < len(s) && int(k) <= features.NumKeys; k++ {
+			v, ok := s[k]
+			if !ok {
+				continue
+			}
+			id, ok := index[v]
+			if !ok {
+				id = uint64(len(index))
+				index[v] = id
+				table.Str(v)
+			}
+			nf++
+			recs.U8(uint8(k))
+			recs.Uvarint(id)
+		}
+		recs[at] = uint8(nf)
+	}
+	e.Uvarint(uint64(len(index)))
+	*e = append(append(*e, table...), recs...)
+}
+
+// StringTable is an AppendInterned table as read back.
+type StringTable []string
+
+// ReadStringTable reads an AppendInterned table.
+func ReadStringTable(d *wire.Dec) StringTable {
+	d.At("string table", -1)
+	var table StringTable
+	for i, n := 0, d.Count(d.Uvarint(), maxStrings); i < n && d.Err() == nil; i++ {
+		d.At("string", i)
+		table = append(table, d.Str(maxString))
+	}
+	return table
+}
+
+// Feats reads one AppendInterned feature set; an index past the table
+// is Implausible.
+func (t StringTable) Feats(d *wire.Dec) features.Set {
+	nf := int(d.U8())
+	if nf == 0 {
+		return nil
+	}
+	s := make(features.Set, nf)
+	for j := 0; j < nf && d.Err() == nil; j++ {
+		key, id := features.Key(d.U8()), d.Uvarint()
+		if id >= uint64(len(t)) {
+			d.Fail(wire.Implausible, fmt.Errorf("string index %d of %d", id, len(t)))
+			break
+		}
+		s[key] = t[id]
+	}
+	return s
 }
