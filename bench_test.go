@@ -91,6 +91,7 @@ func BenchmarkContinuousEpochSteady(b *testing.B) {
 	var (
 		stats  continuous.EpochStats
 		phases continuous.PhaseTimes
+		wall   time.Duration
 	)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -102,14 +103,16 @@ func BenchmarkContinuousEpochSteady(b *testing.B) {
 		}
 		r := continuous.Resume(st, cfg)
 		b.StartTimer()
+		start := time.Now()
 		if stats, err = r.Epoch(world); err != nil {
 			b.Fatal(err)
 		}
+		wall += time.Since(start)
 		addPhases(&phases, stats.Phases)
 	}
 	b.ReportMetric(float64(stats.KnownSize), "known-services")
 	b.ReportMetric(stats.Freshness.AliveFrac(), "alive-frac")
-	reportPhases(b, phases)
+	reportPhases(b, phases, wall)
 }
 
 // addPhases accumulates one epoch's phase split into sum.
@@ -121,14 +124,16 @@ func addPhases(sum *continuous.PhaseTimes, p continuous.PhaseTimes) {
 }
 
 // reportPhases reports the mean per-iteration phase split of the epochs
-// summed into sum, in milliseconds.
-func reportPhases(b *testing.B, sum continuous.PhaseTimes) {
+// summed into sum, in milliseconds, and as other-ms the part of their
+// summed wall time no phase timed.
+func reportPhases(b *testing.B, sum continuous.PhaseTimes, wall time.Duration) {
 	for _, ph := range []struct {
 		d    time.Duration
 		unit string
 	}{
 		{sum.Reverify, "reverify-ms"}, {sum.Retrain, "retrain-ms"},
 		{sum.Discover, "discover-ms"}, {sum.Fold, "fold-ms"},
+		{wall - sum.Reverify - sum.Retrain - sum.Discover - sum.Fold, "other-ms"},
 	} {
 		b.ReportMetric(float64(ph.d.Microseconds())/1e3/float64(b.N), ph.unit)
 	}
@@ -136,7 +141,9 @@ func reportPhases(b *testing.B, sum continuous.PhaseTimes) {
 
 // BenchmarkShardEpoch times one sharded continuous epoch: N runners
 // re-verifying and discovering concurrently, each on its own partition.
-// Its phase metrics are the bounding shard's (shard.MergeStats).
+// Its phase metrics are the bounding shard's (shard.MergeStats), and its
+// other-ms is the epoch call's wall time beyond them (the coordinator's
+// fan-out, merge and commit).
 func BenchmarkShardEpoch(b *testing.B) {
 	s := setupBench(b)
 	seedSet, _ := experiments.SplitEval(s.LZR, s.Scale.SeedMid, true, 91)
@@ -148,18 +155,21 @@ func BenchmarkShardEpoch(b *testing.B) {
 	var (
 		stats  continuous.EpochStats
 		phases continuous.PhaseTimes
+		wall   time.Duration
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := shard.NewCoordinator(seedSet, cfg)
+		start := time.Now()
 		var err error
 		if stats, err = c.Epoch(world); err != nil {
 			b.Fatal(err)
 		}
+		wall += time.Since(start)
 		addPhases(&phases, stats.Phases)
 	}
 	b.ReportMetric(float64(stats.KnownSize), "known-services")
-	reportPhases(b, phases)
+	reportPhases(b, phases, wall)
 }
 
 // benchInventory builds a merged-inventory view of the LZR snapshot: the

@@ -33,7 +33,7 @@ recorder, so the epoch it timed silently vanishes from /v1/tracez
 (PR 9).
 
 Calls that register metrics (Registry.Counter/Gauge/GaugeFunc/
-Histogram/EWMA) may only run in package-level var initializers, init
+Histogram) may only run in package-level var initializers, init
 functions, or new* constructors: the registry promises conflicts panic
 at init (PR 6), which is only true if registration happens at init.`,
 	Run: runSpanfinish,
@@ -199,7 +199,7 @@ func checkRegistrationSites(pass *Pass) {
 				return true
 			}
 			switch fn.Name() {
-			case "Counter", "Gauge", "GaugeFunc", "Histogram", "EWMA":
+			case "Counter", "Gauge", "GaugeFunc", "Histogram":
 				pass.Reportf(call.Pos(),
 					"telemetry registration (Registry.%s) in %s: register in an init func, a new* constructor, or a package-level var so conflicts panic at startup, not mid-serve",
 					fn.Name(), decl.Name.Name)

@@ -20,17 +20,22 @@ import (
 //	  increasing (IP, port) order: the served fields (EncodeServed) and
 //	  the interned feature set (store.AppendInterned)
 //
-// The reader refuses keys out of strict order, an entry first seen after
-// it was last seen or last seen past the epoch, and a stale count past
-// the int range. Version 1 also carried every completed epoch's
-// counters; version 2 nested the known records as a whole GPSD dataset.
-// Both are refused as a bad-version *wire.Error, not migrated.
+// The reader refuses an epoch past maxEpoch, keys out of strict order,
+// an entry first seen after it was last seen or last seen past the
+// epoch, and a stale count past the int range. Version 1 also carried
+// every completed epoch's counters; version 2 nested the known records
+// as a whole GPSD dataset. Both are refused as a bad-version
+// *wire.Error, not migrated.
 
 const (
 	checkpointMagic   = "GPSC"
 	checkpointVersion = 3
 
 	maxEntries = 1 << 28
+	// maxEpoch bounds a state's epoch, and so every LastSeen: the next
+	// epoch's re-verification order sizes an array by it, 128 MiB at
+	// this bound. 2²⁴ one-second epochs are 194 days.
+	maxEpoch = 1 << 24
 )
 
 // EncodeServed writes one service as GPSC, GPSV and GPSE all carry it:
@@ -93,7 +98,11 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 	d := wire.NewReader(checkpointMagic, r)
 	d.At("header", -1)
 	d.Header(checkpointMagic, checkpointVersion)
-	st := &State{Epoch: int(d.Uvarint())}
+	epoch := d.Uvarint()
+	if epoch > maxEpoch {
+		d.Fail(wire.Implausible, fmt.Errorf("epoch %d, limit %d", epoch, maxEpoch))
+	}
+	st := &State{Epoch: int(epoch)}
 	table := store.ReadStringTable(d)
 
 	d.At("known set", -1)

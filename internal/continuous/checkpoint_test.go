@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"gps/internal/asndb"
@@ -68,6 +69,41 @@ func TestCheckpointRefusesUnorderedKnownSet(t *testing.T) {
 	}
 }
 
+// ageless is a state at epoch 2⁴⁰ with an entry last seen there: every
+// invariant of its known set holds, but the next epoch's re-verification
+// order would size a 2⁴⁰-slot array by its LastSeen.
+func ageless() *continuous.State {
+	const epoch = 1 << 40
+	return &continuous.State{Epoch: epoch, Known: []continuous.Entry{
+		{Rec: dataset.Record{IP: 10, Port: 80}, FirstSeen: epoch, LastSeen: epoch},
+	}}
+}
+
+// TestCheckpointRefusesImplausibleEpoch: a state epoch past 2²⁴ is an
+// implausible GPSC header, refused the same way through a GPSS and a
+// placement blob, while 2²⁴ itself still reads back.
+func TestCheckpointRefusesImplausibleEpoch(t *testing.T) {
+	gpsc := encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, ageless()) })
+	_, err := continuous.ReadCheckpoint(bytes.NewReader(gpsc))
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Kind != wire.Implausible || werr.Format != "GPSC" || werr.Section != "header" {
+		t.Fatalf("epoch 2⁴⁰ returned %v; want a GPSC implausible *wire.Error in header", err)
+	}
+	if _, err := shard.DecodeState(gpsc); !errors.As(err, new(*wire.Error)) || !strings.Contains(err.Error(), werr.Error()) {
+		t.Errorf("epoch 2⁴⁰ as a placement returned %v; want the nested %v", err, werr)
+	}
+	gpss := encode(t, func(w *bytes.Buffer) error { return shard.WriteCheckpoint(w, []*continuous.State{ageless()}) })
+	if _, err := shard.ReadCheckpoint(bytes.NewReader(gpss)); !errors.As(err, new(*wire.Error)) || !strings.Contains(err.Error(), werr.Error()) {
+		t.Errorf("epoch 2⁴⁰ inside a GPSS returned %v; want the nested %v", err, werr)
+	}
+
+	last := &continuous.State{Epoch: 1 << 24}
+	gpsc = encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, last) })
+	if st, err := continuous.ReadCheckpoint(bytes.NewReader(gpsc)); err != nil || st.Epoch != last.Epoch {
+		t.Errorf("epoch 2²⁴ read back as %+v, %v", st, err)
+	}
+}
+
 // TestCheckpointInternsFeatureValues: a banner every entry shares is
 // written once, in the string table, whatever the entry count.
 func TestCheckpointInternsFeatureValues(t *testing.T) {
@@ -102,6 +138,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	for _, st := range unorderedStates() {
 		f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) }))
 	}
+	f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, ageless()) }))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.FuzzCanonical(t, data, "GPSC", continuous.ReadCheckpoint, continuous.WriteCheckpoint)

@@ -66,8 +66,10 @@ func (c Config) owns(ip asndb.IP) bool {
 	return asndb.ShardOwns(ip, c.ShardIndex, c.ShardCount)
 }
 
+// reverifyFraction resolves ReverifyFraction, written so NaN, which
+// fails every comparison, also falls back to the default.
 func (c Config) reverifyFraction() float64 {
-	if c.ReverifyFraction <= 0 || c.ReverifyFraction > 1 {
+	if !(c.ReverifyFraction > 0 && c.ReverifyFraction <= 1) {
 		return 0.25
 	}
 	return c.ReverifyFraction
@@ -237,8 +239,16 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			trace.Int("epoch", e), trace.Int("shard", r.cfg.ShardIndex))
 		tparent = ownSpan.Context()
 	}
-	phaseStart := time.Now()
-	phaseSpan := trace.StartSpan(tparent, "reverify", trace.Int("epoch", e))
+	// Each phase ends at the clock read that starts the next, and that
+	// one duration is its Phases field, its histogram sample (record)
+	// and its span.
+	start := time.Now()
+	endPhase := func(name string, d *time.Duration, attrs ...trace.Attr) {
+		now := time.Now()
+		*d = now.Sub(start)
+		trace.Record(tparent, name, start, *d, attrs...)
+		start = now
+	}
 
 	// Phase 1: re-verify the known set, least recently seen first. One
 	// SYN per known service is the cheapest bandwidth GPS can spend —
@@ -282,21 +292,14 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 	// Only this epoch's failed checks bring an entry to MaxStale.
 	known = slices.DeleteFunc(known, func(ent Entry) bool { return ent.Stale >= r.cfg.maxStale() })
 	stats.ReverifyProbes = sc.Probes()
-	stats.Phases.Reverify = time.Since(phaseStart)
-	phaseSpan.SetAttr(trace.Int64("probes", int64(stats.ReverifyProbes)),
-		trace.Int("checked", stats.Freshness.Checked))
-	phaseSpan.Finish()
+	endPhase("reverify", &stats.Phases.Reverify, trace.Int("epoch", e),
+		trace.Int64("probes", int64(stats.ReverifyProbes)), trace.Int("checked", stats.Freshness.Checked))
 
-	// Phase 2: re-train on the believed-live population and spend the
+	// Phase 2: re-train on the believed-live population, then spend the
 	// remaining budget on discovery through the regular pipeline.
-	phaseStart = time.Now()
-	phaseSpan = trace.StartSpan(tparent, "retrain")
 	train := trainingSet(e, known)
 	stats.TrainSize = train.NumServices()
-	stats.Phases.Retrain = time.Since(phaseStart)
-	phaseSpan.SetAttr(trace.Int("train_size", stats.TrainSize))
-	phaseSpan.Finish()
-	discover := train.NumServices() > 0
+	discover := stats.TrainSize > 0
 	pcfg := r.cfg.Pipeline
 	pcfg.ShardIndex, pcfg.ShardCount = r.cfg.ShardIndex, r.cfg.ShardCount
 	if r.cfg.Budget > 0 {
@@ -306,30 +309,28 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			pcfg.Budget = r.cfg.Budget - stats.ReverifyProbes
 		}
 	}
+	var (
+		res *pipeline.Result
+		err error
+	)
 	if discover {
-		phaseStart = time.Now()
-		phaseSpan = trace.StartSpan(tparent, "discover")
-		res, err := pipeline.Run(u, train, pcfg)
+		res, err = pipeline.Train(train, pcfg)
+	}
+	endPhase("retrain", &stats.Phases.Retrain, trace.Int("train_size", stats.TrainSize))
+	if discover {
+		if err == nil {
+			err = pipeline.Scan(u, res, pcfg)
+		}
 		if err != nil {
-			phaseSpan.FinishErr(err)
+			endPhase("discover", &stats.Phases.Discover, trace.String("error", err.Error()))
 			ownSpan.FinishErr(err)
 			return stats, fmt.Errorf("continuous: epoch %d discovery: %w", e, err)
 		}
-		// The pipeline re-builds the model internally; that slice of its
-		// wall time is retraining, the rest is discovery proper.
-		stats.Phases.Retrain += res.Timings.Model
-		stats.Phases.Discover = time.Since(phaseStart) - res.Timings.Model
 		stats.DiscoveryProbes = res.TotalScanProbes()
-		phaseSpan.SetAttr(trace.Int64("probes", int64(stats.DiscoveryProbes)),
-			trace.Int64("model_us", res.Timings.Model.Microseconds()))
-		phaseSpan.Finish()
-		phaseStart = time.Now()
-		phaseSpan = trace.StartSpan(tparent, "fold")
+		endPhase("discover", &stats.Phases.Discover, trace.Int64("probes", int64(stats.DiscoveryProbes)))
 		known = fold(u, res, e, known, &stats)
-		stats.Phases.Fold = time.Since(phaseStart)
-		phaseSpan.SetAttr(trace.Int("new_found", stats.NewFound),
-			trace.Int("refreshed", stats.Refreshed))
-		phaseSpan.Finish()
+		endPhase("fold", &stats.Phases.Fold,
+			trace.Int("new_found", stats.NewFound), trace.Int("refreshed", stats.Refreshed))
 	}
 
 	stats.KnownSize = len(known)

@@ -3,6 +3,7 @@ package continuous
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"slices"
@@ -116,6 +117,24 @@ func TestEpochBudgetSplit(t *testing.T) {
 		// Budget checks are per priors target, so one /16 of overshoot
 		// is the documented granularity.
 		t.Errorf("tiny budget: epoch spent %d probes against budget %d", tstats.Probes(), tiny.Budget)
+	}
+
+	// A NaN fraction (gpsd -reverify NaN, or one carried by a placement)
+	// falls back to the default share; uint64(NaN*budget) would not be a
+	// cap at all.
+	nan := testConfig()
+	nan.Budget = 100
+	nan.ReverifyFraction = math.NaN()
+	rn := New(seedSet, nan)
+	if n := len(rn.State().Known); n <= 25 {
+		t.Fatalf("%d known services cannot overrun a 25-probe share", n)
+	}
+	nstats, err := rn.Epoch(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nstats.ReverifyProbes > 25 {
+		t.Errorf("NaN fraction: reverify spent %d probes of a 100-probe budget; want at most the default 25", nstats.ReverifyProbes)
 	}
 }
 

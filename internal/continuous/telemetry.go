@@ -9,16 +9,17 @@ import (
 )
 
 // PhaseTimes is the wall-clock split of one epoch across its phases, as
-// measured by the runner that ran it. It rides on EpochStats for the
-// structured epoch log — across the shard transport too, on the frame
-// that reports the epoch — and is never checkpointed. Concurrent
+// measured by the runner that ran it: one clock read per boundary, so
+// the phases abut, and each duration is also the phase's
+// gps_epoch_phase_seconds sample and its span. It rides on EpochStats
+// for the structured epoch log — across the shard transport too, on the
+// frame that reports the epoch — and is never checkpointed. Concurrent
 // shards' phases do not add, so shard.MergeStats reports the bounding
-// shard's. The authoritative long-term record is the
-// gps_epoch_phase_seconds histogram on the process that ran the phase.
+// shard's.
 type PhaseTimes struct {
 	Reverify time.Duration // re-probing the known set
-	Retrain  time.Duration // rebuilding the probability model
-	Discover time.Duration // priors + prediction scans (pipeline minus retrain)
+	Retrain  time.Duration // assembling the training set and building the model (pipeline.Train)
+	Discover time.Duration // the priors and prediction scans only (pipeline.Scan)
 	Fold     time.Duration // merging discoveries back into the inventory
 	// Shard names whose clock this is in merged stats (shard.MergeStats):
 	// the shard that bounded the epoch. A runner leaves it zero.

@@ -157,6 +157,11 @@ type Result struct {
 	PredictProbes uint64 // bandwidth of the prediction scan
 	Middleboxes   int    // responses LZR discarded as middleboxes
 	Timings       Timings
+
+	// hosts are the seed host groups Model was built from, held from
+	// Train to Scan: the priors and MPF lists read them through
+	// Model.SeedBest.
+	hosts []dataset.HostGroup
 }
 
 // TotalScanProbes returns priors + prediction scan bandwidth.
@@ -172,34 +177,54 @@ func CollectSeed(u *netmodel.Universe, fraction float64, seed int64) *dataset.Da
 }
 
 // Run executes phases 2-4 of GPS against the universe, training on
-// seedSet. The seed set is typically either CollectSeed output or the seed
-// half of a dataset split (§6.1).
+// seedSet: Train, then Scan. The seed set is typically either
+// CollectSeed output or the seed half of a dataset split (§6.1).
 func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, error) {
+	res, err := Train(seedSet, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := Scan(u, res, cfg); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Train runs phase 2: it groups the seed set by host and builds the
+// probabilistic model. The result is ready for Scan and holds nothing
+// else yet.
+func Train(seedSet *dataset.Dataset, cfg Config) (*Result, error) {
 	if seedSet.NumServices() == 0 {
 		return nil, fmt.Errorf("gps: empty seed set")
 	}
-	if cfg.sharded() && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
-		// An out-of-range index owns nothing: the run would spend its
-		// probe share and silently find zero services.
-		return nil, fmt.Errorf("gps: shard index %d out of range [0, %d)", cfg.ShardIndex, cfg.ShardCount)
-	}
-	eng := cfg.engine()
-	res := &Result{SeedProbes: seedSet.CollectionProbes}
-	hosts := seedSet.ByHost()
-
-	// Phase 2: the probabilistic model.
+	res := &Result{SeedProbes: seedSet.CollectionProbes, hosts: seedSet.ByHost()}
 	start := time.Now()
 	res.Model = probmodel.Build(probmodel.Config{
 		Families:   cfg.Families,
 		Floor:      cfg.Floor,
 		AppKeys:    cfg.AppKeys,
 		MinSupport: cfg.MinSupport,
-		Engine:     eng,
-	}, hosts)
+		Engine:     cfg.engine(),
+	}, res.hosts)
 	res.Timings.Model = time.Since(start)
+	return res, nil
+}
+
+// Scan runs phases 3-4 on a Train result: the priors scan, then the
+// prediction scan. It fills in the rest of res and drops the seed host
+// groups, so it runs once per Train.
+func Scan(u *netmodel.Universe, res *Result, cfg Config) error {
+	if cfg.sharded() && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount) {
+		// An out-of-range index owns nothing: the run would spend its
+		// probe share and silently find zero services.
+		return fmt.Errorf("gps: shard index %d out of range [0, %d)", cfg.ShardIndex, cfg.ShardCount)
+	}
+	eng := cfg.engine()
+	hosts := res.hosts
+	res.hosts = nil
 
 	// Phase 3a: the priors scan list.
-	start = time.Now()
+	start := time.Now()
 	res.PriorsList = priors.Build(res.Model, hosts, cfg.EffectiveStep(), eng)
 	if cfg.RandomPriorsOrder {
 		rng := rand.New(rand.NewSource(cfg.Seed))
@@ -329,5 +354,5 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 	}
 	res.PredictProbes = sc.Probes() - res.PriorsProbes
 	res.Timings.PredictScan = time.Since(start)
-	return res, nil
+	return nil
 }

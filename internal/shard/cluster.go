@@ -58,20 +58,15 @@ type WorkerStatus struct {
 
 	ShardCount int   `json:"shard_count"`
 	Shards     []int `json:"shards,omitempty"`
-
-	// LoadEWMASeconds sums the EWMA epoch latencies of the worker's
-	// shards. It is reported for operators; no policy acts on it.
-	LoadEWMASeconds float64 `json:"load_ewma_seconds"`
 }
 
 // ShardStatus is one shard's epoch-latency summary.
 type ShardStatus struct {
-	Shard       int     `json:"shard"`
-	Worker      string  `json:"worker"`
-	Epochs      uint64  `json:"epochs"`
-	EWMASeconds float64 `json:"ewma_seconds"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
+	Shard      int     `json:"shard"`
+	Worker     string  `json:"worker"`
+	Epochs     uint64  `json:"epochs"`
+	P50Seconds float64 `json:"p50_seconds"`
+	P99Seconds float64 `json:"p99_seconds"`
 }
 
 // MigrationStatus describes one live migration, completed or in flight.
@@ -499,21 +494,17 @@ func (c *Coordinator) publishStatus() {
 		if w.alive() {
 			ws.Shards = c.ownedBy(wi)
 			ws.ShardCount = len(ws.Shards)
-			for _, s := range ws.Shards {
-				ws.LoadEWMASeconds += c.tel.shardEw[s].Value()
-			}
 		}
 		w.shardsGauge.Set(float64(ws.ShardCount))
 		doc.Workers = append(doc.Workers, ws)
 	}
 	for s := 0; s < c.cfg.Shards; s++ {
 		doc.ShardLatencies = append(doc.ShardLatencies, ShardStatus{
-			Shard:       s,
-			Worker:      c.workers[c.assign[s]].id,
-			Epochs:      c.tel.shardLat[s].Count(),
-			EWMASeconds: c.tel.shardEw[s].Value(),
-			P50Seconds:  c.tel.shardLat[s].P50(),
-			P99Seconds:  c.tel.shardLat[s].P99(),
+			Shard:      s,
+			Worker:     c.workers[c.assign[s]].id,
+			Epochs:     c.tel.shardLat[s].Count(),
+			P50Seconds: c.tel.shardLat[s].P50(),
+			P99Seconds: c.tel.shardLat[s].P99(),
 		})
 	}
 	clusterWorkersAlive.Set(float64(alive))

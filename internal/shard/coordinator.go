@@ -395,7 +395,7 @@ func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error)
 			return fmt.Errorf("shard %d state returned at epoch %d, want %d", s, st.Epoch, epoch)
 		}
 		next[s], stats[s], walls[s] = st, shardStats, time.Since(start)
-		c.tel.observeShard(s, walls[s])
+		c.tel.shardLat[s].Observe(walls[s].Seconds())
 		if draining && !w.wantsDrain {
 			// Worker-initiated leave: the drain itself happens at the next
 			// boundary. Safe to set here — one goroutine owns a worker per

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -292,6 +294,64 @@ func TestCoordinatorCommitHook(t *testing.T) {
 		if !ok || g.FirstSeen != e.FirstSeen || g.LastSeen != e.LastSeen ||
 			g.Stale != e.Stale || g.Rec.Key() != e.Rec.Key() {
 			t.Fatalf("hook inventory disagrees with Inventory() at %v", k)
+		}
+	}
+}
+
+// TestClusterShardLatencies: after K in-process epochs the cluster
+// document holds one latency row per shard, each counting K more epochs
+// than before them, with a positive median, and its worker and latency
+// rows carry exactly their documented JSON keys. The gps_shard_epoch_seconds histograms are
+// process-wide, so the rows are read against the document before the
+// epochs.
+func TestClusterShardLatencies(t *testing.T) {
+	u, seedSet := testWorld(t, 19)
+	const n, k = 3, 2
+	c := NewCoordinator(seedSet, coordConfig(n))
+	before := c.Status().ShardLatencies
+	world := u
+	for e := 1; e <= k; e++ {
+		world = netmodel.Churn(world, netmodel.DefaultChurn(500+int64(e)))
+		if _, err := c.Epoch(world); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc := c.Status()
+	if len(doc.ShardLatencies) != n || len(before) != n {
+		t.Fatalf("%d latency rows before the epochs and %d after; want %d", len(before), len(doc.ShardLatencies), n)
+	}
+	for s, row := range doc.ShardLatencies {
+		if row.Shard != s || row.Epochs != before[s].Epochs+k || !(row.P50Seconds > 0) {
+			t.Errorf("shard %d row %+v; want shard %d, %d epochs, p50 > 0", s, row, s, before[s].Epochs+k)
+		}
+	}
+	body, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows struct {
+		Workers        []map[string]any `json:"workers"`
+		ShardLatencies []map[string]any `json:"shard_latencies"`
+	}
+	if err := json.Unmarshal(body, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rows []map[string]any
+		keys string
+	}{
+		{rows.Workers, "addr id joined shard_count shards state"},
+		{rows.ShardLatencies, "epochs p50_seconds p99_seconds shard worker"},
+	} {
+		for _, row := range tc.rows {
+			var keys []string
+			for k := range row {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			if got := strings.Join(keys, " "); got != tc.keys {
+				t.Errorf("cluster row keys %q; want %q", got, tc.keys)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"strconv"
-	"time"
 
 	"gps/internal/telemetry"
 )
@@ -51,19 +50,14 @@ func newWorkerShardsGauge(id string) *telemetry.Gauge {
 
 // coordTelemetry holds the coordinator's pre-registered handles. The
 // per-shard epoch-latency histogram — measured around the executor call,
-// so over GPST it includes the round trip — and its EWMA are reported
-// load: /v1/metricz and the cluster document show them, and no policy
-// moves shards on them.
+// so over GPST it includes the round trip — is reported load:
+// /v1/metricz and the cluster document show it, and no policy moves
+// shards on it.
 type coordTelemetry struct {
 	epochs   *telemetry.Counter
 	epoch    *telemetry.Gauge
 	shardLat []*telemetry.Histogram
-	shardEw  []*telemetry.EWMA
 }
-
-// ewmaAlpha smooths per-shard epoch latency: ~0.3 weights the last few
-// epochs without whiplashing on one slow scan.
-const ewmaAlpha = 0.3
 
 func newCoordTelemetry(shards int) *coordTelemetry {
 	r := telemetry.Default
@@ -73,24 +67,13 @@ func newCoordTelemetry(shards int) *coordTelemetry {
 		epoch: r.Gauge("gps_coordinator_epoch",
 			"last committed coordinator epoch"),
 		shardLat: make([]*telemetry.Histogram, shards),
-		shardEw:  make([]*telemetry.EWMA, shards),
 	}
 	for i := range t.shardLat {
-		shard := strconv.Itoa(i)
 		t.shardLat[i] = r.Histogram("gps_shard_epoch_seconds",
 			"wall-clock time of one shard's epoch",
-			nil, "shard", shard)
-		t.shardEw[i] = r.EWMA("gps_shard_epoch_ewma_seconds",
-			"exponentially smoothed shard epoch latency (reported load)",
-			ewmaAlpha, "shard", shard)
+			nil, "shard", strconv.Itoa(i))
 	}
 	return t
-}
-
-// observeShard records one shard's epoch wall time.
-func (t *coordTelemetry) observeShard(i int, d time.Duration) {
-	t.shardLat[i].Observe(d.Seconds())
-	t.shardEw[i].Update(d.Seconds())
 }
 
 // commit records a completed coordinator epoch.

@@ -33,12 +33,10 @@ func TestTelemetryHammer(t *testing.T) {
 			c := r.Counter("hammer_ops_total", "ops", "writer", lbl)
 			g := r.Gauge("hammer_depth", "depth", "writer", lbl)
 			h := r.Histogram("hammer_lat_seconds", "lat", nil, "writer", lbl)
-			e := r.EWMA("hammer_ewma", "ewma", 0.3, "writer", lbl)
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%100) / 1000)
-				e.Update(float64(i % 10))
 			}
 		}(w)
 	}

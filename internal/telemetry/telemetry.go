@@ -1,7 +1,7 @@
 // Package telemetry is the runtime metrics substrate every long-lived
 // GPS process reports through: a dependency-free registry of atomic
-// counters, gauges, fixed-bucket latency histograms, and EWMA trackers,
-// exposed in Prometheus text format on /v1/metricz.
+// counters, gauges and fixed-bucket latency histograms, exposed in
+// Prometheus text format on /v1/metricz.
 //
 // The package exists because the paper's continuous-scanning claim
 // (§5.5, §6) is an operations claim: GPS only beats exhaustive scanning
@@ -392,50 +392,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // P50 and P99 are the dashboard quantiles the epoch summary logs.
 func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
-
-// --- EWMA --------------------------------------------------------------------
-
-// EWMA tracks an exponentially weighted moving average and exposes it
-// as a gauge: the smoothed per-shard epoch latency the elastic-
-// membership planner reads to spot sustained hotspots without reacting
-// to one slow epoch. Update is lock-free (CAS on the float bits).
-type EWMA struct {
-	r     *Registry
-	m     *metric
-	alpha float64
-	seen  atomic.Bool
-}
-
-// EWMA registers (or fetches) an EWMA gauge; alpha in (0, 1] is the
-// weight of each new sample (0 selects 0.3). Note re-fetching returns a
-// NEW accumulator over the same exposed gauge — hold the handle.
-func (r *Registry) EWMA(name, help string, alpha float64, labels ...string) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	return &EWMA{r: r, m: r.register(KindGauge, name, help, nil, labels), alpha: alpha}
-}
-
-// Update folds a sample into the average; the first sample seeds it.
-func (e *EWMA) Update(sample float64) {
-	if !e.r.on() {
-		return
-	}
-	if e.seen.CompareAndSwap(false, true) {
-		e.m.bits.Store(math.Float64bits(sample))
-		return
-	}
-	for {
-		old := e.m.bits.Load()
-		nv := math.Float64bits(e.alpha*sample + (1-e.alpha)*math.Float64frombits(old))
-		if e.m.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current average.
-func (e *EWMA) Value() float64 { return math.Float64frombits(e.m.bits.Load()) }
 
 // sortedFamilies snapshots the family list in name order for exposition.
 func (r *Registry) sortedFamilies() []*family {

@@ -107,19 +107,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	r := NewRegistry()
-	e := r.EWMA("t_ewma_seconds", "smoothed", 0.5)
-	e.Update(10)
-	if e.Value() != 10 {
-		t.Fatalf("first sample should seed: %v", e.Value())
-	}
-	e.Update(20)
-	if got := e.Value(); math.Abs(got-15) > 1e-9 {
-		t.Fatalf("ewma = %v, want 15", got)
-	}
-}
-
 func TestSetEnabled(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("t_ops_total", "")

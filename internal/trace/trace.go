@@ -257,6 +257,27 @@ func (s *Span) Finish() {
 	}
 }
 
+// Record stores a finished child of parent that the caller timed
+// itself: it began at start and lasted d. A site that has already read
+// the clock for a duration records the span from that same reading
+// rather than a second one. With tracing disabled or a zero parent it
+// records nothing.
+func (t *Tracer) Record(parent SpanContext, name string, start time.Time, d time.Duration, attrs ...Attr) {
+	if t.disabled.Load() || !parent.Valid() {
+		return
+	}
+	t.record(SpanRecord{
+		TraceID:  parent.TraceID,
+		SpanID:   t.newID(),
+		Parent:   parent.SpanID,
+		Name:     name,
+		Proc:     t.Process(),
+		Start:    start,
+		Duration: d,
+		Attrs:    attrs,
+	})
+}
+
 func (t *Tracer) record(rec SpanRecord) {
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
@@ -435,4 +456,9 @@ func (t *Tracer) TraceSpans(traceID uint64) []SpanRecord {
 // StartSpan begins a span on the Default tracer.
 func StartSpan(parent SpanContext, name string, attrs ...Attr) *Span {
 	return Default.StartSpan(parent, name, attrs...)
+}
+
+// Record stores a caller-timed span on the Default tracer.
+func Record(parent SpanContext, name string, start time.Time, d time.Duration, attrs ...Attr) {
+	Default.Record(parent, name, start, d, attrs...)
 }

@@ -114,6 +114,47 @@ func TestCollector(t *testing.T) {
 	}
 }
 
+// TestRecord: a caller-timed span is stored with exactly the parent,
+// start and duration it was given, and reaches an active collector like
+// a finished span; a disabled tracer or a zero parent records nothing.
+func TestRecord(t *testing.T) {
+	tr := NewTracer(64)
+	root := tr.StartSpan(SpanContext{}, "epoch")
+	start := time.Now()
+	const d = 1234567 * time.Nanosecond
+
+	tr.Record(SpanContext{}, "orphan", start, d)
+	tr.SetEnabled(false)
+	tr.Record(root.Context(), "dark", start, d)
+	tr.SetEnabled(true)
+	if n := len(tr.Snapshot()); n != 0 {
+		t.Fatalf("a zero parent or a disabled tracer recorded %d spans", n)
+	}
+
+	tr.SetProcess("worker-a")
+	col := tr.Collect(root.Context().TraceID)
+	tr.Record(root.Context(), "reverify", start, d, Int("probes", 9))
+	recs := col.Stop()
+	got := tr.Snapshot()
+	if len(got) != 1 || len(recs) != 1 {
+		t.Fatalf("recorded %d spans and collected %d; want 1 each", len(got), len(recs))
+	}
+	rec := got[0]
+	if rec.TraceID != root.Context().TraceID || rec.Parent != root.Context().SpanID ||
+		rec.SpanID == 0 || rec.SpanID == root.Context().SpanID {
+		t.Errorf("span ids (trace %x, span %x, parent %x); want a new child of %+v",
+			rec.TraceID, rec.SpanID, rec.Parent, root.Context())
+	}
+	if rec.Name != "reverify" || rec.Proc != "worker-a" || rec.Start != start || rec.Duration != d ||
+		len(rec.Attrs) != 1 || rec.Attrs[0] != (Attr{"probes", "9"}) {
+		t.Errorf("recorded %+v; want reverify on worker-a from the given start, lasting %v, probes=9", rec, d)
+	}
+	if recs[0].SpanID != rec.SpanID {
+		t.Errorf("collector got span %x; want the recorded %x", recs[0].SpanID, rec.SpanID)
+	}
+	root.Finish()
+}
+
 // TestCollectorStopWhileRecording: two shard sessions of one worker
 // collect the same epoch trace, and one stops while the other's spans
 // are still finishing. Stop used to shift the shared collector slice in
