@@ -101,21 +101,7 @@ func main() {
 	fmt.Printf("  normalized coverage:  %.1f%%\n", 100*point.FracNorm)
 	fmt.Printf("  precision:            %.4f services/probe\n", point.Precision)
 	fmt.Printf("  bandwidth:            %.2f 100%%-scan units (%.0fx less than exhaustive)\n",
-		point.ScansUnits, float64(exhaustiveProbes)/float64(max64(res.TotalScanProbes(), 1)))
+		point.ScansUnits, float64(exhaustiveProbes)/float64(max(res.TotalScanProbes(), 1)))
 	rate := gps.Rate{Gbps: 1}
 	fmt.Printf("  est. scan wall-time:  %v at 1 Gb/s\n", rate.Duration(res.TotalScanProbes()).Round(time.Second))
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,30 +13,31 @@ import (
 	"gps/internal/wire"
 )
 
-// worldID pins a checkpoint to the flags that generated its universe and
-// its shard layout. Resuming is only meaningful against the exact same
-// deterministic world split the same way: a universe mismatch would
-// silently evict the whole inventory against a world it never scanned, and
-// a shard-count mismatch would strand hosts in partitions nothing scans.
+// worldID pins a checkpoint to the flags that generated its universe.
+// Resuming is only meaningful against the exact same deterministic world:
+// a universe mismatch would silently evict the whole inventory against a
+// world it never scanned. The shard count is not part of it: the
+// checkpoint holds one merged run, which a resume partitions for whatever
+// -shards it is given (shard.Partition).
 //
-// The same 36 bytes double as the transport's world spec: every msgInit
-// that places a shard on a worker carries header(), from which the worker
-// rebuilds the identical universe (parseWorldHeader).
+// The same 28 bytes double as the transport's world spec: every msgInit
+// that places a shard on a worker carries header() inside the GPSP
+// envelope, which carries the shard count, and the worker rebuilds the
+// identical universe from it (parseWorldHeader).
 type worldID struct {
 	Seed     int64
 	Prefixes int
 	Density  float64
-	Shards   int
 }
 
-// checkpointMagic versions the daemon's checkpoint preamble. "GPSD" was
-// the original single-runner format; "GPS2" added the shard count and the
-// multi-state body; "GPS3" added the worker-topology record for
-// distributed runs; "GPS4" marks the per-entity sub-seeded universe
-// generator — the same seed now realizes a different (partitionable)
-// host population, so a GPS3 checkpoint's inventory describes a world a
-// GPS4 binary can no longer reproduce.
-const checkpointMagic = "GPS4"
+// checkpointMagic versions the daemon's checkpoint file:
+//
+//	world header: magic "GPS5" | seed, prefixes, density bits (u64 each)
+//	worker count uvarint
+//	one GPSC state: the merged key-sorted run of every shard
+//
+// The checkpoint ends at the GPSC state; it is the rest of the file.
+const checkpointMagic = "GPS5"
 
 // magicHints names the checkpoint formats gpsd has ever written, so a
 // stale-format failure is self-diagnosing.
@@ -44,17 +45,16 @@ var magicHints = map[string]string{
 	"GPSD": "the pre-shard single-runner format",
 	"GPS2": "the sharded format without the worker-topology record",
 	"GPS3": "the format preceding the sub-seeded universe generator; its world cannot be regenerated by this binary",
+	"GPS4": "the per-shard format, one state per shard under a fixed shard count",
 }
 
-// header renders the fixed-size checkpoint preamble gpsd writes before
-// the topology record and the per-shard states.
+// header renders the fixed-size world header gpsd writes first.
 func (w worldID) header() []byte {
 	var e wire.Enc
 	e.Magic(checkpointMagic)
 	e.U64(uint64(w.Seed))
 	e.U64(uint64(w.Prefixes))
 	e.U64(math.Float64bits(w.Density))
-	e.U64(uint64(w.Shards))
 	return e
 }
 
@@ -74,7 +74,6 @@ func decodeWorld(d *wire.Dec) worldID {
 		Seed:     int64(d.U64()),
 		Prefixes: int(d.U64()),
 		Density:  math.Float64frombits(d.U64()),
-		Shards:   int(d.U64()),
 	}
 }
 
@@ -86,132 +85,72 @@ func parseWorldHeader(hdr []byte) (worldID, error) {
 	return w, d.Done()
 }
 
-// topology records which worker owned each shard when the checkpoint was
-// written: the worker-fleet size plus one worker index per shard, with -1
-// marking a shard not assigned to any worker (an in-process run, or a
-// freshly re-balanced layout). Purely advisory on resume — the
-// coordinator re-homes shards round-robin over whatever fleet it dials —
-// but it makes checkpoints self-describing and survives split/join.
-type topology struct {
-	Workers int
-	Assign  []int
-}
-
-// localTopology is the in-process daemon's topology: no workers.
-func localTopology(shards int) topology {
-	t := topology{Assign: make([]int, shards)}
-	for i := range t.Assign {
-		t.Assign[i] = -1
-	}
-	return t
-}
-
-const unassigned = ^uint32(0)
-
-// encode renders the topology record; the shard count comes from the
-// world header, so only the worker count and assignments are written.
-func (t topology) encode() []byte {
-	var e wire.Enc
-	e.U32(uint32(t.Workers))
-	for _, w := range t.Assign {
-		if w < 0 {
-			e.U32(unassigned)
-		} else {
-			e.U32(uint32(w))
-		}
-	}
-	return e
-}
-
-func decodeTopology(d *wire.Dec, shards int) topology {
-	d.At("topology", -1)
-	t := topology{Workers: int(d.U32()), Assign: make([]int, shards)}
-	for i := range t.Assign {
-		if v := d.U32(); v == unassigned {
-			t.Assign[i] = -1
-		} else {
-			t.Assign[i] = int(v)
-		}
-	}
-	return t
-}
-
 // errNoCheckpoint distinguishes "no file yet" (fresh start) from a
 // corrupt or mismatched checkpoint (fatal).
 var errNoCheckpoint = os.ErrNotExist
 
-// maxCheckpointShards bounds the shard count a world header may declare.
-const maxCheckpointShards = 1 << 16
+// maxWorkers bounds the worker count a checkpoint may record.
+const maxWorkers = 1 << 16
 
-// readCheckpointFile reads a checkpoint without validating the world —
-// the re-balance subcommand operates on whatever layout the file holds.
-// It returns errNoCheckpoint when the file does not exist.
-func readCheckpointFile(path string) (worldID, topology, []*continuous.State, error) {
+// encodeCheckpoint renders a whole checkpoint file. workers is the fleet
+// that wrote it, 0 in process: resume reports it and reads nothing else
+// from it.
+func encodeCheckpoint(world worldID, workers int, run *continuous.State) ([]byte, error) {
+	e := wire.Enc(world.header())
+	e.Uvarint(uint64(workers))
+	buf := bytes.NewBuffer(e)
+	err := continuous.WriteCheckpoint(buf, run)
+	return buf.Bytes(), err
+}
+
+// decodeCheckpoint reads encodeCheckpoint output. Malformed input is a
+// *wire.Error naming GPS5, or GPSC when the damage is inside the run.
+func decodeCheckpoint(data []byte) (worldID, int, *continuous.State, error) {
+	d := wire.NewDec(checkpointMagic, data)
+	world := decodeWorld(d)
+	d.At("worker count", -1)
+	workers := d.Count(d.Uvarint(), maxWorkers)
+	if err := d.Err(); err != nil {
+		return world, 0, nil, err
+	}
+	run, err := continuous.ReadCheckpoint(bytes.NewReader(d.Rest()))
+	return world, workers, run, err
+}
+
+// loadCheckpoint reads a checkpoint file and returns the merged run plus
+// the worker count that wrote it. It returns errNoCheckpoint when the
+// file does not exist; any other error means the checkpoint is corrupt or
+// was written for a different world and must not be silently discarded.
+func loadCheckpoint(path string, want worldID) (*continuous.State, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = errNoCheckpoint
 		}
-		return worldID{}, topology{}, nil, err
+		return nil, 0, err
 	}
-	world, topo, states, err := decodeCheckpoint(data)
+	got, workers, run, err := decodeCheckpoint(data)
 	if err != nil {
-		err = fmt.Errorf("corrupt checkpoint %s: %w", path, err)
-	}
-	return world, topo, states, err
-}
-
-// encodeCheckpoint renders a whole checkpoint file: the world header,
-// the topology record, then the per-shard states as one GPSS blob.
-func encodeCheckpoint(world worldID, topo topology, states []*continuous.State) ([]byte, error) {
-	buf := bytes.NewBuffer(append(world.header(), topo.encode()...))
-	err := shard.WriteCheckpoint(buf, states)
-	return buf.Bytes(), err
-}
-
-func decodeCheckpoint(data []byte) (worldID, topology, []*continuous.State, error) {
-	d := wire.NewDec(checkpointMagic, data)
-	world := decodeWorld(d)
-	if world.Shards < 1 || world.Shards > maxCheckpointShards {
-		d.Fail(wire.Implausible, fmt.Errorf("shard count %d", world.Shards))
-	}
-	if err := d.Err(); err != nil {
-		return world, topology{}, nil, err
-	}
-	topo := decodeTopology(d, world.Shards)
-	if err := d.Err(); err != nil {
-		return world, topo, nil, err
-	}
-	states, err := shard.ReadCheckpoint(bytes.NewReader(d.Rest()))
-	if err == nil && len(states) != world.Shards {
-		err = fmt.Errorf("%d shard states; header says %d", len(states), world.Shards)
-	}
-	return world, topo, states, err
-}
-
-// loadCheckpoint reads a checkpoint file and returns the per-shard
-// states in shard order plus the recorded worker topology. It returns
-// errNoCheckpoint when the file does not exist; any other error means the
-// checkpoint is corrupt or was written for a different world and must not
-// be silently discarded.
-func loadCheckpoint(path string, want worldID) ([]*continuous.State, topology, error) {
-	got, topo, states, err := readCheckpointFile(path)
-	if err != nil {
-		return nil, topo, err
+		return nil, 0, fmt.Errorf("corrupt checkpoint %s: %w", path, err)
 	}
 	if got != want {
-		return nil, topo, fmt.Errorf(
-			"checkpoint %s was written for -seed %d -prefixes %d -density %g -shards %d; current flags say -seed %d -prefixes %d -density %g -shards %d",
-			path, got.Seed, got.Prefixes, got.Density, got.Shards,
-			want.Seed, want.Prefixes, want.Density, want.Shards)
+		return nil, 0, fmt.Errorf(
+			"checkpoint %s was written for -seed %d -prefixes %d -density %g; current flags say -seed %d -prefixes %d -density %g",
+			path, got.Seed, got.Prefixes, got.Density, want.Seed, want.Prefixes, want.Density)
 	}
-	return states, topo, nil
+	return run, workers, nil
 }
 
-// saveCheckpoint writes the topology and per-shard states in place of
-// the previous checkpoint, atomically.
-func saveCheckpoint(path string, world worldID, topo topology, states []*continuous.State) error {
-	data, err := encodeCheckpoint(world, topo, states)
+// saveCheckpoint merges the per-shard states into one run and writes it
+// in place of the previous checkpoint, atomically. workers is the live
+// fleet (Coordinator.WorkerAddrs, which grows with every admitted -join,
+// not the -workers list); an in-process coordinator has none.
+func saveCheckpoint(path string, world worldID, workers int, states []*continuous.State) error {
+	run, err := shard.Merge(states)
+	if err != nil {
+		return err
+	}
+	data, err := encodeCheckpoint(world, workers, run)
 	if err != nil {
 		return err
 	}

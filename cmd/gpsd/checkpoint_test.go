@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -35,34 +36,29 @@ func testStates(t *testing.T, shards int) []*continuous.State {
 	return coord.States()
 }
 
-func testWorldID(shards int) worldID {
-	return worldID{Seed: 3, Prefixes: 16, Density: 0.03, Shards: shards}
+func testWorldID() worldID {
+	return worldID{Seed: 3, Prefixes: 16, Density: 0.03}
 }
 
 func TestCheckpointRoundtrip(t *testing.T) {
 	states := testStates(t, 2)
 	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-	world := testWorldID(2)
-	topo := topology{Workers: 3, Assign: []int{0, 2}}
-	if err := saveCheckpoint(path, world, topo, states); err != nil {
+	world := testWorldID()
+	if err := saveCheckpoint(path, world, 3, states); err != nil {
 		t.Fatal(err)
 	}
-	got, gotTopo, err := loadCheckpoint(path, world)
+	run, workers, err := loadCheckpoint(path, world)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(states) {
-		t.Fatalf("loaded %d shard states; want %d", len(got), len(states))
-	}
-	for i := range got {
-		if got[i].Epoch != states[i].Epoch || len(got[i].Known) != len(states[i].Known) {
+	for i, got := range shard.Partition(run, len(states)) {
+		if got.Epoch != states[i].Epoch || len(got.Known) != len(states[i].Known) {
 			t.Errorf("shard %d: epoch %d/%d known %d/%d",
-				i, got[i].Epoch, states[i].Epoch, len(got[i].Known), len(states[i].Known))
+				i, got.Epoch, states[i].Epoch, len(got.Known), len(states[i].Known))
 		}
 	}
-	if gotTopo.Workers != topo.Workers || len(gotTopo.Assign) != 2 ||
-		gotTopo.Assign[0] != 0 || gotTopo.Assign[1] != 2 {
-		t.Errorf("topology did not round-trip: %+v", gotTopo)
+	if workers != 3 {
+		t.Errorf("worker count read back as %d; want 3", workers)
 	}
 	// No leftover temp files after a successful save.
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -72,16 +68,28 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if len(entries) != 1 {
 		t.Errorf("checkpoint dir holds %d files; want 1", len(entries))
 	}
+
+	// Shards at different epochs are not one commit: the save is
+	// refused and the previous checkpoint stays.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := []*continuous.State{states[0], {Epoch: states[1].Epoch + 1, Known: states[1].Known}}
+	if err := saveCheckpoint(path, world, 3, skewed); err == nil || !strings.Contains(err.Error(), "epochs differ") {
+		t.Errorf("saving shards at different epochs returned %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("refused save changed the checkpoint (%v)", err)
+	}
 }
 
-// An in-process checkpoint records no workers; every shard is unassigned
-// and stays that way through a load.
+// An in-process checkpoint records no workers, and its exit line names
+// no fleet.
 func TestCheckpointLocalTopology(t *testing.T) {
 	states := testStates(t, 2)
 	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-	world := testWorldID(2)
-	// An in-process coordinator's executors are not workers: the topology
-	// read off it is the local one, and its exit line names no fleet.
+	world := testWorldID()
 	coord, err := shard.ResumeCoordinator(states, shard.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -89,40 +97,50 @@ func TestCheckpointLocalTopology(t *testing.T) {
 	if got := exitSuffix(coord); got != "" {
 		t.Errorf("in-process exit suffix %q; want none", got)
 	}
-	if err := saveCheckpoint(path, world, topologyOf(coord), states); err != nil {
+	if err := saveCheckpoint(path, world, len(coord.WorkerAddrs()), states); err != nil {
 		t.Fatal(err)
 	}
-	_, topo, err := loadCheckpoint(path, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.Workers != 0 || topo.Assign[0] != -1 || topo.Assign[1] != -1 {
-		t.Errorf("local topology did not round-trip: %+v", topo)
+	if _, workers, err := loadCheckpoint(path, world); err != nil || workers != 0 {
+		t.Errorf("local checkpoint read back %d workers, %v; want 0", workers, err)
 	}
 }
 
 func TestCheckpointMissingIsFreshStart(t *testing.T) {
-	_, _, err := loadCheckpoint(filepath.Join(t.TempDir(), "absent"), testWorldID(1))
+	_, _, err := loadCheckpoint(filepath.Join(t.TempDir(), "absent"), testWorldID())
 	if !errors.Is(err, errNoCheckpoint) {
 		t.Errorf("missing checkpoint returned %v; want errNoCheckpoint", err)
 	}
 }
 
+// TestCheckpointWorldMismatch: a checkpoint resumes only against the
+// universe it was written for. The shard layout is not part of that: a
+// 2-shard checkpoint loads as one run that a 3-shard resume partitions.
 func TestCheckpointWorldMismatch(t *testing.T) {
 	states := testStates(t, 2)
 	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-	if err := saveCheckpoint(path, testWorldID(2), localTopology(2), states); err != nil {
+	if err := saveCheckpoint(path, testWorldID(), 0, states); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []worldID{
-		{Seed: 4, Prefixes: 16, Density: 0.03, Shards: 2},  // different universe
-		{Seed: 3, Prefixes: 16, Density: 0.03, Shards: 3},  // different shard layout
-		{Seed: 3, Prefixes: 32, Density: 0.03, Shards: 2},  // different space
-		{Seed: 3, Prefixes: 16, Density: 0.025, Shards: 2}, // different density
+		{Seed: 4, Prefixes: 16, Density: 0.03},  // different universe
+		{Seed: 3, Prefixes: 32, Density: 0.03},  // different space
+		{Seed: 3, Prefixes: 16, Density: 0.025}, // different density
 	} {
 		if _, _, err := loadCheckpoint(path, want); err == nil || errors.Is(err, errNoCheckpoint) {
-			t.Errorf("world %+v accepted a checkpoint for %+v", want, testWorldID(2))
+			t.Errorf("world %+v accepted a checkpoint for %+v", want, testWorldID())
 		}
+	}
+
+	run, _, err := loadCheckpoint(path, testWorldID())
+	if err != nil {
+		t.Fatalf("a different shard layout refused the checkpoint: %v", err)
+	}
+	known := 0
+	for _, part := range shard.Partition(run, 3) {
+		known += len(part.Known)
+	}
+	if want := len(states[0].Known) + len(states[1].Known); known != want {
+		t.Errorf("3-shard layout holds %d services; the 2-shard one held %d", known, want)
 	}
 }
 
@@ -131,13 +149,13 @@ func TestCheckpointWorldMismatch(t *testing.T) {
 // self-diagnosing.
 func TestCheckpointStaleMagicHint(t *testing.T) {
 	dir := t.TempDir()
-	for _, stale := range []string{"GPSD", "GPS2", "GPS3"} {
+	for _, stale := range []string{"GPSD", "GPS2", "GPS3", "GPS4"} {
 		path := filepath.Join(dir, stale+".ckpt")
 		data := append([]byte(stale), make([]byte, 64)...)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := loadCheckpoint(path, testWorldID(1))
+		_, _, err := loadCheckpoint(path, testWorldID())
 		if err == nil {
 			t.Fatalf("stale %s checkpoint loaded without error", stale)
 		}
@@ -153,7 +171,7 @@ func TestCheckpointStaleMagicHint(t *testing.T) {
 	if err := os.WriteFile(path, append([]byte("ELF\x7f"), make([]byte, 64)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := loadCheckpoint(path, testWorldID(1))
+	_, _, err := loadCheckpoint(path, testWorldID())
 	if err == nil || !strings.Contains(err.Error(), checkpointMagic) {
 		t.Errorf("garbage-file error %q does not name expected magic %q", err, checkpointMagic)
 	}
@@ -167,8 +185,8 @@ func TestCheckpointTornWrite(t *testing.T) {
 	states := testStates(t, 2)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gpsd.ckpt")
-	world := testWorldID(2)
-	if err := saveCheckpoint(path, world, localTopology(2), states); err != nil {
+	world := testWorldID()
+	if err := saveCheckpoint(path, world, 0, states); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -194,8 +212,8 @@ func TestCheckpointStaleTmpIgnored(t *testing.T) {
 	states := testStates(t, 1)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gpsd.ckpt")
-	world := testWorldID(1)
-	if err := saveCheckpoint(path, world, localTopology(1), states); err != nil {
+	world := testWorldID()
+	if err := saveCheckpoint(path, world, 0, states); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path+".tmp12345", []byte("torn partial write"), 0o644); err != nil {
@@ -205,15 +223,15 @@ func TestCheckpointStaleTmpIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("good checkpoint unreadable next to stale tmp: %v", err)
 	}
-	if len(got) != 1 || got[0].Epoch != states[0].Epoch {
+	if got.Epoch != states[0].Epoch || len(got.Known) != len(states[0].Known) {
 		t.Error("stale tmp file corrupted the resumed state")
 	}
 }
 
 // TestAtomicWriteFileFailedWrite: a writer that errors midway must leave
 // the previous file byte-identical under the final name and no temp file
-// behind — the contract the checkpoint, the per-shard checkpoints and
-// the -inventory file all get from atomicWriteFile.
+// behind — the contract the checkpoint and the -inventory file both get
+// from atomicWriteFile.
 func TestAtomicWriteFileFailedWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "gpsd.inv")
@@ -279,102 +297,168 @@ func TestWriteInventoryFileReplaces(t *testing.T) {
 	}
 }
 
-// TestRebalanceCheckpointRoundTrip drives the `gpsd rebalance` machinery at
-// the file level: split doubles the recorded shard count, join restores
-// it, and the final bytes equal the original — the "no rescan" contract.
-func TestRebalanceCheckpointRoundTrip(t *testing.T) {
-	states := testStates(t, 2)
-	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-	world := testWorldID(2)
-	topo := topology{Workers: 2, Assign: []int{0, 1}}
-	if err := saveCheckpoint(path, world, topo, states); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	f := daemonFlags{checkpoint: path, rebalance: "split"}
-	if code := runRebalance(f); code != 0 {
-		t.Fatalf("split exited %d", code)
-	}
-	w2, topo2, split, err := readCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Shards != 4 || len(split) != 4 {
-		t.Fatalf("split checkpoint holds %d shards (header %d); want 4", len(split), w2.Shards)
-	}
-	// Successors inherit the parent's worker.
-	if topo2.Assign[0] != 0 || topo2.Assign[1] != 1 || topo2.Assign[2] != 0 || topo2.Assign[3] != 1 {
-		t.Errorf("split topology = %+v; successors should keep the parent's worker", topo2)
-	}
-
-	f.rebalance = "join"
-	if code := runRebalance(f); code != 0 {
-		t.Fatalf("join exited %d", code)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Error("split+join did not round-trip the checkpoint file byte-identically")
-	}
-}
-
-// TestGoldenCheckpoint holds the GPS4 checkpoint file — world header,
-// topology record, GPSS states — to the bytes gpsd wrote before its
-// codec moved onto internal/wire, and to a typed truncation error at
-// every cut. The states are the ones the GPSS golden decodes to, so the
-// fixture is the file next door rather than a second copy of it.
-func TestGoldenCheckpoint(t *testing.T) {
-	const dir = "../../testdata/golden"
-	gpss, err := os.Open(filepath.Join(dir, "GPSS.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gpss.Close()
-	states, err := shard.ReadCheckpoint(gpss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	world := worldID{Seed: -77, Prefixes: 16, Density: 0.03, Shards: len(states)}
-	topo := topology{Workers: 2, Assign: []int{1, -1, 0}}
-	wiretest.Run(t, dir, []wiretest.Case{{
-		Name:   "GPS4",
-		Encode: func() ([]byte, error) { return encodeCheckpoint(world, topo, states) },
-		Decode: func(b []byte) error { _, _, _, err := decodeCheckpoint(b); return err },
-	}})
-}
-
-// TestResumeRefusesVersion1Checkpoint: gpsd resuming from a GPS4 file
-// whose shard states predate GPSC version 3 (testdata/golden/v1 and v2)
-// exits non-zero, and the error it logs names the GPSC version it found.
-func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
-	for i, v := range []string{"v1", "v2"} {
-		old, err := os.ReadFile("../../testdata/golden/" + v + "/GPS4.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "gpsd.ckpt")
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The golden's world header: -seed -77 -prefixes 16 -density 0.03, 3 shards.
-		f, err := parseArgs([]string{"-checkpoint", path, "-seed", "-77", "-prefixes", "16",
-			"-density", "0.03", "-shards", "3", "-epochs", "1", "-parallelism", "1"}, io.Discard)
+// TestCheckpointReshard: the checkpoint is one merged run, so a 4-shard
+// checkpoint resumed at 1, 2, 3 and 8 shards rewrites byte-identical
+// checkpoint and -inventory files, and the 3-shard layout keeps running.
+// Only the resume boundary is byte-identical: each shard trains its own
+// model on its own budget slice, so later epochs depend on the count.
+func TestCheckpointReshard(t *testing.T) {
+	dir := t.TempDir()
+	daemon := func(shards, epochs int, name string) (ckpt, inv []byte) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		f, err := parseArgs([]string{"-seed", "5", "-prefixes", "2", "-density", "0.02",
+			"-seed-fraction", "0.05", "-parallelism", "1",
+			"-shards", fmt.Sprint(shards), "-epochs", fmt.Sprint(epochs),
+			"-checkpoint", path + ".ckpt", "-inventory", path + ".inv"}, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var code int
 		_, errw := captureStd(t, func() { code = runDaemon(f) })
-		if code == 0 {
-			t.Fatalf("resume from a %s checkpoint exited 0", v)
+		if code != 0 {
+			t.Fatalf("-shards %d -epochs %d exited %d: %s", shards, epochs, code, errw)
 		}
-		if want := fmt.Sprintf("found version %d", i+1); !strings.Contains(errw, "GPSC") || !strings.Contains(errw, want) {
-			t.Errorf("resume error %q does not name GPSC version %d", errw, i+1)
+		if ckpt, err = os.ReadFile(path + ".ckpt"); err != nil {
+			t.Fatal(err)
+		}
+		if inv, err = os.ReadFile(path + ".inv"); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt, inv
+	}
+
+	wantCkpt, wantInv := daemon(4, 2, "four")
+	if inv, err := shard.ReadInventory(bytes.NewReader(wantInv)); err != nil || len(inv) == 0 {
+		t.Fatalf("4-shard inventory holds %d services, %v; want some", len(inv), err)
+	}
+	for _, n := range []int{1, 2, 3, 8} {
+		name := fmt.Sprintf("resumed-%d", n)
+		if err := os.WriteFile(filepath.Join(dir, name+".ckpt"), wantCkpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ckpt, inv := daemon(n, 2, name)
+		if !bytes.Equal(ckpt, wantCkpt) {
+			t.Errorf("resumed at %d shards: checkpoint differs from the 4-shard one", n)
+		}
+		if !bytes.Equal(inv, wantInv) {
+			t.Errorf("resumed at %d shards: inventory differs from the 4-shard one", n)
 		}
 	}
+
+	ckpt, _ := daemon(3, 3, "resumed-3")
+	if _, _, run, err := decodeCheckpoint(ckpt); err != nil || run.Epoch != 3 {
+		t.Errorf("3-shard continuation checkpoint: %v; want epoch 3", err)
+	}
+}
+
+// TestGoldenCheckpoint holds the GPS5 checkpoint file — world header,
+// worker count, one GPSC run — to its golden bytes, and to a typed
+// truncation error at every cut. The run is the one the GPSC golden
+// decodes to, so the fixture is the file next door rather than a second
+// copy of it.
+func TestGoldenCheckpoint(t *testing.T) {
+	const dir = "../../testdata/golden"
+	gpsc, err := os.ReadFile(filepath.Join(dir, "GPSC.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := continuous.ReadCheckpoint(bytes.NewReader(gpsc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := worldID{Seed: -77, Prefixes: 16, Density: 0.03}
+	wiretest.Run(t, dir, []wiretest.Case{{
+		Name:   "GPS5",
+		Encode: func() ([]byte, error) { return encodeCheckpoint(world, 2, run) },
+		Decode: func(b []byte) error { _, _, _, err := decodeCheckpoint(b); return err },
+	}})
+}
+
+// TestResumeRefusesGPS4Checkpoint: gpsd resuming from the last GPS4 file
+// (testdata/golden/v3), which framed one GPSC per shard, exits non-zero,
+// and the error it logs names the magic it found and the one it wants.
+func TestResumeRefusesGPS4Checkpoint(t *testing.T) {
+	old, err := os.ReadFile("../../testdata/golden/v3/GPS4.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gpsd.ckpt")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The golden's world header: -seed -77 -prefixes 16 -density 0.03, 3 shards.
+	f, err := parseArgs([]string{"-checkpoint", path, "-seed", "-77", "-prefixes", "16",
+		"-density", "0.03", "-shards", "3", "-epochs", "1", "-parallelism", "1"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	_, errw := captureStd(t, func() { code = runDaemon(f) })
+	if code == 0 {
+		t.Fatal("resume from a GPS4 checkpoint exited 0")
+	}
+	if !strings.Contains(errw, "GPS4") || !strings.Contains(errw, checkpointMagic) {
+		t.Errorf("resume error %q does not name GPS4 and %s", errw, checkpointMagic)
+	}
+}
+
+// checkpointFile is one decoded GPS5 file, for the fuzz body.
+type checkpointFile struct {
+	world   worldID
+	workers int
+	run     *continuous.State
+}
+
+func readCheckpointFile(r io.Reader) (checkpointFile, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return checkpointFile{}, err
+	}
+	var c checkpointFile
+	c.world, c.workers, c.run, err = decodeCheckpoint(data)
+	return c, err
+}
+
+func writeCheckpointFile(w io.Writer, c checkpointFile) error {
+	data, err := encodeCheckpoint(c.world, c.workers, c.run)
+	if err == nil {
+		_, err = w.Write(data)
+	}
+	return err
+}
+
+// FuzzDecodeCheckpoint drives arbitrary bytes through the GPS5 reader and
+// the GPSC reader behind its header. No input may panic; every refusal is
+// a *wire.Error naming the format that broke; and an accepted file is
+// canonical after one write.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	golden, err := os.ReadFile("../../testdata/golden/GPS5.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	old, err := os.ReadFile("../../testdata/golden/v3/GPS4.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	hdr := len(testWorldID().header()) + 1 // world header and a 1-byte worker count
+	f.Add(golden)
+	f.Add(golden[:(hdr+len(golden))/2]) // cut inside the GPSC blob
+	f.Add(old)
+	huge := binary.AppendUvarint(testWorldID().header(), 1<<40)
+	f.Add(append(huge, golden[hdr:]...))          // a worker count past the limit
+	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
+	// A run whose entry was first seen after it was last seen, and one
+	// whose stale count overflows an int.
+	for _, e := range []continuous.Entry{{FirstSeen: 2, LastSeen: 1}, {Stale: -1}} {
+		bad, err := encodeCheckpoint(testWorldID(), 0, &continuous.State{Epoch: 2, Known: []continuous.Entry{e}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.FuzzCanonical(t, data, "GPS5 GPSC", readCheckpointFile, writeCheckpointFile)
+	})
 }

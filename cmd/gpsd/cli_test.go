@@ -10,10 +10,10 @@ import (
 
 // TestSubcommandAliasEquivalence pins the end of the CLI migration. The
 // pre-subcommand mode flags (-worker, -coordinator, -replica, -watch,
-// -serve-file, -rebalance) are gone: each old spelling is an unknown-flag
-// error, reported on the writer parseArgs was given. Each subcommand
-// still parses, silently, to exactly the configuration its alias used to
-// select — the defaults plus the fields listed here.
+// -serve-file) are gone: each old spelling is an unknown-flag error,
+// reported on the writer parseArgs was given. Each subcommand still
+// parses, silently, to exactly the configuration its alias used to select
+// — the defaults plus the fields listed here.
 func TestSubcommandAliasEquivalence(t *testing.T) {
 	defaults, err := parseArgs(nil, io.Discard)
 	if err != nil {
@@ -61,12 +61,6 @@ func TestSubcommandAliasEquivalence(t *testing.T) {
 			[]string{"-serve-file", "inv.gpsv", "-serve", "127.0.0.1:0"}, "-serve-file",
 			[]string{"serve", "inv.gpsv", "-serve", "127.0.0.1:0"},
 			func(f *daemonFlags) { f.serveFile, f.serve = "inv.gpsv", "127.0.0.1:0" },
-		},
-		{
-			"rebalance",
-			[]string{"-rebalance", "split", "-checkpoint", "c.ckpt"}, "-rebalance",
-			[]string{"rebalance", "split", "-checkpoint", "c.ckpt"},
-			func(f *daemonFlags) { f.rebalance, f.checkpoint = "split", "c.ckpt" },
 		},
 	}
 	for _, tc := range cases {
@@ -134,8 +128,10 @@ func TestParseArgsErrors(t *testing.T) {
 	if _, err := parseArgs([]string{"watch"}, &errBuf); err == nil {
 		t.Error("watch without URL accepted")
 	}
-	if _, err := parseArgs([]string{"rebalance"}, &errBuf); err == nil {
-		t.Error("rebalance without mode accepted")
+	// A checkpoint re-shards by resuming with another -shards; the
+	// offline split/join subcommand is gone.
+	if _, err := parseArgs([]string{"rebalance", "split", "-checkpoint", "c.ckpt"}, &errBuf); err == nil || !strings.Contains(err.Error(), `unknown subcommand "rebalance"`) {
+		t.Errorf("rebalance subcommand: err = %v; want an unknown subcommand", err)
 	}
 	if _, err := parseArgs([]string{"-no-such-flag"}, &errBuf); err == nil {
 		t.Error("unknown flag accepted")

@@ -31,7 +31,7 @@ func serveTestWorker(t *testing.T) string {
 }
 
 // TestFleetTopologyCountsJoinedWorkers: Assignment indexes the live
-// fleet, which grows with every admitted -join, so the topology a
+// fleet, which grows with every admitted -join, so the worker count a
 // checkpoint records and the exit line's denominator must count the
 // fleet, not the -workers list the run was started with.
 func TestFleetTopologyCountsJoinedWorkers(t *testing.T) {
@@ -66,21 +66,21 @@ func TestFleetTopologyCountsJoinedWorkers(t *testing.T) {
 	if _, err := coord.Epoch(); err != nil {
 		t.Fatal(err)
 	}
-	topo := topologyOf(coord.Coordinator)
-	if topo.Workers != 3 {
-		t.Errorf("topology records %d workers; the fleet is 3 after the join", topo.Workers)
+	workers := len(coord.WorkerAddrs())
+	if workers != 3 {
+		t.Errorf("checkpoint records %d workers; the fleet is 3 after the join", workers)
 	}
 	onJoiner := 0
-	for s, w := range topo.Assign {
-		if w >= topo.Workers {
-			t.Errorf("shard %d assigned to worker %d of a %d-worker topology", s, w, topo.Workers)
+	for s, w := range coord.Assignment() {
+		if w >= workers {
+			t.Errorf("shard %d assigned to worker %d of a %d-worker fleet", s, w, workers)
 		}
 		if w == 2 {
 			onJoiner++
 		}
 	}
 	if onJoiner == 0 {
-		t.Errorf("no shard migrated onto the joiner: %v", topo.Assign)
+		t.Errorf("no shard migrated onto the joiner: %v", coord.Assignment())
 	}
 	if got, want := exitSuffix(coord.Coordinator), " across 3/3 workers"; got != want {
 		t.Errorf("exit suffix %q; want %q", got, want)

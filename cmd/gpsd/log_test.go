@@ -52,7 +52,7 @@ func TestLogRouting(t *testing.T) {
 		}
 	}
 
-	out, w := captureStd(t, func() { warnEmptyShards([]int{2, 5}, false) })
+	out, w := captureStd(t, func() { warnEmptyShards([]int{2, 5}) })
 	if out != "" {
 		t.Errorf("empty-shard warning leaked to stdout: %q", out)
 	}
@@ -68,7 +68,7 @@ func TestLogJSONFlag(t *testing.T) {
 	if _, err := parseArgs([]string{"worker", "-log-json", "-listen", "127.0.0.1:0"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	_, errw := captureStd(t, func() { warnEmptyShards([]int{2}, false) })
+	_, errw := captureStd(t, func() { warnEmptyShards([]int{2}) })
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(errw), &obj); err != nil {
 		t.Fatalf("warning is not JSON under -log-json: %q (%v)", errw, err)

@@ -17,8 +17,6 @@
 // dials the fleet, places each shard's seeded state and world spec on a
 // worker round-robin, and folds the streamed per-epoch results into the same
 // merged view — byte-identical to the in-process run, which CI enforces.
-// gpsd rebalance split|join doubles or halves a checkpoint's shard count
-// without a rescan, so a fleet can grow or shrink between runs.
 //
 // Each epoch the daemon advances the synthetic universe one churn step
 // (deterministically derived from -seed and the epoch number), runs one
@@ -26,7 +24,8 @@
 // persists its state (fsync before rename, so a crash mid-write can never
 // leave a truncated checkpoint). Restarting with the same flags resumes
 // from the checkpoint at exactly the state the previous process would
-// have had.
+// have had. The checkpoint holds the shards' merged state, not their
+// layout, so a restart may pass any -shards: re-sharding is a resume.
 //
 // With -serve ADDR the daemon additionally mounts the inventory query
 // API (internal/serve) on ADDR, in both single-process and coordinator
@@ -67,9 +66,7 @@
 //	gpsd worker -listen ADDR
 //	gpsd worker -join ADDR [-name ID] [-leave]
 //	gpsd coordinator -workers ADDR,ADDR,... [flags as above]
-//	     [-rpc-timeout DUR] [-shard-checkpoints DIR]
-//	     [-cluster ADDR] [-admin]
-//	gpsd rebalance split|join -checkpoint FILE
+//	     [-rpc-timeout DUR] [-cluster ADDR] [-admin]
 //	gpsd serve FILE -serve ADDR
 //	gpsd [flags] -serve ADDR [-feed ADDR] [-feed-history N]
 //	gpsd replica -upstream ADDR -serve ADDR [-feed ADDR]
@@ -132,8 +129,6 @@ type daemonFlags struct {
 	cluster     string
 	admin       bool
 	rpcTimeout  time.Duration
-	shardCkpts  string
-	rebalance   string
 	serve       string
 	serveFile   string
 	debugAddr   string
@@ -172,7 +167,6 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 	fs.StringVar(&f.cluster, "cluster", "", "coordinator mode: accept joining workers on this address (gpsd worker -join)")
 	fs.BoolVar(&f.admin, "admin", false, "enable mutating /v1/cluster endpoints on -serve (default: read-only)")
 	fs.DurationVar(&f.rpcTimeout, "rpc-timeout", 2*time.Minute, "coordinator mode: per-RPC deadline (turns a wedged worker into an error)")
-	fs.StringVar(&f.shardCkpts, "shard-checkpoints", "", "coordinator mode: also write per-shard checkpoints into this directory each epoch")
 	fs.StringVar(&f.serve, "serve", "", "serve the inventory query API on this address (e.g. 127.0.0.1:7080) alongside the daemon")
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve /v1/metricz, /v1/healthz, and /debug/pprof on this address, in every mode")
 
@@ -189,7 +183,7 @@ var mainLog = trace.NewLogger("gpsd")
 
 // parseArgs turns a gpsd command line into a daemonFlags. The first
 // argument may be a subcommand (worker, coordinator, replica, watch,
-// serve, rebalance); watch/serve/rebalance take one positional operand,
+// serve); watch and serve take one positional operand,
 // accepted either right after the subcommand or after the flags.
 // Everything else parses through the shared flag set.
 func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
@@ -203,12 +197,12 @@ func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
 		sub, args = args[0], args[1:]
 	}
 	switch sub {
-	case "", "worker", "coordinator", "replica", "watch", "serve", "rebalance":
+	case "", "worker", "coordinator", "replica", "watch", "serve":
 	default:
-		return f, fmt.Errorf("unknown subcommand %q (worker|coordinator|replica|watch|serve|rebalance)", sub)
+		return f, fmt.Errorf("unknown subcommand %q (worker|coordinator|replica|watch|serve)", sub)
 	}
 	operand := ""
-	wantsOperand := sub == "watch" || sub == "serve" || sub == "rebalance"
+	wantsOperand := sub == "watch" || sub == "serve"
 	if wantsOperand && len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		operand, args = args[0], args[1:]
 	}
@@ -231,8 +225,6 @@ func parseArgs(args []string, stderr io.Writer) (daemonFlags, error) {
 		f.watchURL = operand
 	case "serve":
 		f.serveFile = operand
-	case "rebalance":
-		f.rebalance = operand
 	}
 	// Structured logging is live from this point on: the JSON switch is
 	// applied before the first line so a log shipper never sees a mixed
@@ -263,8 +255,6 @@ func main() {
 	switch f.role() {
 	case "worker":
 		os.Exit(runWorker(f))
-	case "rebalance":
-		os.Exit(runRebalance(f))
 	case "watch":
 		os.Exit(runWatch(f))
 	case "replica":
@@ -295,8 +285,6 @@ func (f daemonFlags) role() string {
 	switch {
 	case f.workerMode:
 		return "worker"
-	case f.rebalance != "":
-		return "rebalance"
 	case f.watchURL != "":
 		return "watch"
 	case f.replicaMode:
@@ -311,7 +299,7 @@ func (f daemonFlags) role() string {
 
 // world derives the checkpoint/world-spec identity from the flags.
 func (f daemonFlags) world() worldID {
-	return worldID{Seed: f.seed, Prefixes: f.prefixes, Density: f.density, Shards: f.shards}
+	return worldID{Seed: f.seed, Prefixes: f.prefixes, Density: f.density}
 }
 
 // shardConfig derives the coordinator configuration both the in-process
@@ -421,20 +409,15 @@ func writeInventoryFile(path string, inv map[netmodel.Key]*continuous.Entry) err
 	return atomicWriteFile(path, func(w io.Writer) error { return shard.WriteInventory(w, inv) })
 }
 
-// warnEmptyShards reports partitions that own no services.
-func warnEmptyShards(empty []int, resumed bool) {
+// warnEmptyShards reports partitions that own no services. A restart
+// re-partitions the checkpoint for any -shards, so lowering it works on
+// resume too.
+func warnEmptyShards(empty []int) {
 	if len(empty) == 0 {
 		return
 	}
-	// The shard count is pinned in the checkpoint header, so on resume
-	// the only way out is a re-seed; only a fresh start can adjust the
-	// flags.
-	remedy := "lower -shards or enlarge -seed-fraction"
-	if resumed {
-		remedy = "restart without -checkpoint (or with a new file) to re-seed under a different layout"
-	}
-	mainLog.Warnf("shards %v own no services — their partitions will never be scanned; %s",
-		empty, remedy)
+	mainLog.Warnf("shards %v own no services — their partitions will never be scanned; lower -shards (or, starting fresh, enlarge -seed-fraction)",
+		empty)
 }
 
 // notifySignals returns the channel the epoch loops poll between epochs.
@@ -448,57 +431,40 @@ func notifySignals() chan os.Signal {
 // from -checkpoint when it holds one — any failure but a missing file is
 // fatal, a corrupt or mismatched checkpoint must not be silently
 // discarded — and otherwise collect a fresh seed sample from the epoch-0
-// universe, which only a fresh start needs. resume and seed are how the
-// mode's coordinator takes either; fleet is the worker count it dialed (0
-// in process), reported against the topology the checkpoint recorded. A
-// non-zero code is the process exit code.
+// universe, which only a fresh start needs. A checkpoint's merged run is
+// partitioned for -shards, whatever count wrote it. resume and seed are
+// how the mode's coordinator takes either; fleet is the worker count it
+// dialed (0 in process), reported against the one the checkpoint
+// recorded. A non-zero return is the process exit code.
 func seedOrResume(f daemonFlags, world worldID, fleet int, universe func() (*netmodel.Universe, error),
-	resume func([]*continuous.State) error, seed func(*gps.Dataset) error) (resumed bool, code int) {
-	var states []*continuous.State
-	var topo topology
+	resume func([]*continuous.State) error, seed func(*gps.Dataset) error) int {
+	var run *continuous.State
+	var workers int
 	err := errNoCheckpoint
 	if f.checkpoint != "" {
-		states, topo, err = loadCheckpoint(f.checkpoint, world)
+		run, workers, err = loadCheckpoint(f.checkpoint, world)
 	}
 	switch {
 	case err == nil:
-		// Partitions are disjoint under the hash split, so the global
-		// inventory size is just the sum — no need to merge-copy every
-		// entry for a log line.
-		known := 0
-		for _, st := range states {
-			known += len(st.Known)
-		}
 		mainLog.Infof("resuming from %s at epoch %d (%d known services across %d shards)",
-			f.checkpoint, states[0].Epoch, known, len(states))
-		if fleet > 0 && topo.Workers > 0 && topo.Workers != fleet {
+			f.checkpoint, run.Epoch, len(run.Known), f.shards)
+		if fleet > 0 && workers > 0 && workers != fleet {
 			mainLog.Infof("checkpoint was written by a %d-worker fleet; re-homing shards over %d workers",
-				topo.Workers, fleet)
+				workers, fleet)
 		}
-		err = resume(states)
+		err = resume(shard.Partition(run, f.shards))
 	case errors.Is(err, errNoCheckpoint):
 		var u *netmodel.Universe
 		if u, err = universe(); err != nil {
-			return false, 2
+			return 2
 		}
 		err = seed(collectSeedSet(u, f))
 	}
 	if err != nil {
 		mainLog.Errorf("%v", err)
-		return false, 1
+		return 1
 	}
-	return states != nil, 0
-}
-
-// topologyOf is the fleet a checkpoint records: the live workers —
-// WorkerAddrs, not the -workers list, because Assignment indexes a fleet
-// that grows with every admitted -join. An in-process coordinator's
-// executors are goroutines, not workers: it records none.
-func topologyOf(coord *shard.Coordinator) topology {
-	if workers := len(coord.WorkerAddrs()); workers > 0 {
-		return topology{Workers: workers, Assign: coord.Assignment()}
-	}
-	return localTopology(len(coord.States()))
+	return 0
 }
 
 // exitSuffix is a fleet's share of the exit line: living workers over the
@@ -532,7 +498,7 @@ func runDaemon(f daemonFlags) int {
 	mainLog.Infof("%s", worldLine)
 
 	var coord *shard.Coordinator
-	resumed, code := seedOrResume(f, world, 0,
+	code := seedOrResume(f, world, 0,
 		func() (*netmodel.Universe, error) { return u, nil },
 		func(states []*continuous.State) (err error) {
 			coord, err = shard.ResumeCoordinator(states, f.shardConfig())
@@ -545,7 +511,7 @@ func runDaemon(f daemonFlags) int {
 	if code != 0 {
 		return code
 	}
-	warnEmptyShards(coord.EmptyShards(), resumed)
+	warnEmptyShards(coord.EmptyShards())
 
 	api, err := startServing(f, coord, nil)
 	if err != nil {
@@ -569,7 +535,7 @@ func runDaemon(f daemonFlags) int {
 // runEpochs is the epoch loop both daemon modes share: poll for a
 // signal, run one epoch (epoch is where the modes differ: which universe,
 // if any, the coordinator's executors are handed), report it and the
-// worker failures it survived, persist the checkpoint(s), pause -interval
+// worker failures it survived, persist the checkpoint, pause -interval
 // — until -epochs is reached or a signal arrives; a daemon that is
 // serving then keeps answering queries at the final epoch until
 // signalled. A non-zero return is the process exit code.
@@ -603,18 +569,12 @@ func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
 		var ckpt time.Duration
 		if f.checkpoint != "" {
 			ckptStart := time.Now()
-			if err := saveCheckpoint(f.checkpoint, world, topologyOf(coord), coord.States()); err != nil {
+			if err := saveCheckpoint(f.checkpoint, world, len(coord.WorkerAddrs()), coord.States()); err != nil {
 				mainLog.Errorf("checkpoint: %v", err)
 				return 1
 			}
 			ckpt = time.Since(ckptStart)
 			checkpointSeconds.Observe(ckpt.Seconds())
-		}
-		if f.shardCkpts != "" {
-			if err := saveShardCheckpoints(f.shardCkpts, coord.States()); err != nil {
-				mainLog.Errorf("shard checkpoints: %v", err)
-				return 1
-			}
 		}
 		logEpochJSON(stats, elapsed, ckpt)
 		if f.interval > 0 {
@@ -638,7 +598,7 @@ func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
 // process exits.
 func finishDaemon(f daemonFlags, world worldID, coord *shard.Coordinator, api *inventoryServer) int {
 	if f.checkpoint != "" {
-		if err := saveCheckpoint(f.checkpoint, world, topologyOf(coord), coord.States()); err != nil {
+		if err := saveCheckpoint(f.checkpoint, world, len(coord.WorkerAddrs()), coord.States()); err != nil {
 			mainLog.Errorf("final checkpoint: %v", err)
 			return 1
 		}

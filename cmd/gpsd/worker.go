@@ -22,7 +22,7 @@ import (
 var workerLog = trace.NewLogger("worker")
 
 // demoWorld is the worker-side replica of gpsd's simulated universe.
-// Each placement (msgInit) carries the coordinator's 36-byte world
+// Each placement (msgInit) carries the coordinator's 28-byte world
 // header wrapped in the transport's partition envelope (the total shard
 // count plus this worker's owned shards); the worker rebuilds only the
 // owned partition of the deterministic universe — ~owned/N of the
@@ -40,8 +40,8 @@ type demoWorld struct {
 	gens  int // universe generations performed, observed by tests
 }
 
-// parseWorkerSpec unwraps the partition envelope and the world header,
-// cross-checking the two shard counts.
+// parseWorkerSpec unwraps the partition envelope, which carries the shard
+// count, and the world header inside it.
 func parseWorkerSpec(spec []byte) (worldID, *netmodel.Partition, error) {
 	base, shards, owned, err := transport.DecodeWorldSpec(spec)
 	if err != nil {
@@ -50,9 +50,6 @@ func parseWorkerSpec(spec []byte) (worldID, *netmodel.Partition, error) {
 	id, err := parseWorldHeader(base)
 	if err != nil {
 		return worldID{}, nil, fmt.Errorf("world spec: %v", err)
-	}
-	if shards != id.Shards {
-		return worldID{}, nil, fmt.Errorf("world spec: envelope says %d shards, header says %d", shards, id.Shards)
 	}
 	return id, &netmodel.Partition{Count: shards, Owned: owned}, nil
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // testWorkerSpec builds the enveloped spec a coordinator would deliver
-// to a worker owning the given shards of testWorldID(n)'s world.
+// to a worker owning the given shards of an n-way split of testWorldID()'s
+// world.
 func testWorkerSpec(t *testing.T, shards int, owned ...int) []byte {
 	t.Helper()
-	return transport.EncodeWorldSpec(testWorldID(shards).header(), shards, owned)
+	return transport.EncodeWorldSpec(testWorldID().header(), shards, owned)
 }
 
 func buildDemoWorld(t *testing.T, shards int, owned ...int) *demoWorld {
@@ -118,7 +119,7 @@ func TestDemoWorldExtend(t *testing.T) {
 	if err := w.Extend(testWorkerSpec(t, 4, 0)); err == nil {
 		t.Error("Extend accepted a shrunk owned-shard set")
 	}
-	other := transport.EncodeWorldSpec(worldID{Seed: 99, Prefixes: 16, Density: 0.03, Shards: 4}.header(), 4, []int{0, 1})
+	other := transport.EncodeWorldSpec(worldID{Seed: 99, Prefixes: 16, Density: 0.03}.header(), 4, []int{0, 1})
 	if err := w.Extend(other); err == nil {
 		t.Error("Extend accepted a different world's spec")
 	}
@@ -128,9 +129,9 @@ func TestDemoWorldExtend(t *testing.T) {
 // back as an error (which the transport turns into a `world spec
 // rejected` frame), never a panic that kills the worker process.
 func TestNewDemoWorldRejectsBadSpecs(t *testing.T) {
-	nanDensity := testWorldID(2)
+	nanDensity := testWorldID()
 	nanDensity.Density = math.NaN()
-	hugePrefixes := testWorldID(2)
+	hugePrefixes := testWorldID()
 	hugePrefixes.Prefixes = 1 << 30
 
 	cases := []struct {
@@ -139,11 +140,10 @@ func TestNewDemoWorldRejectsBadSpecs(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"garbage", []byte("not a spec at all")},
-		{"raw header without envelope", testWorldID(2).header()},
+		{"raw header without envelope", testWorldID().header()},
 		{"truncated envelope", testWorkerSpec(t, 2, 0)[:6]},
-		{"stale header magic", transport.EncodeWorldSpec(append([]byte("GPS3"), testWorldID(2).header()[4:]...), 2, []int{0})},
-		{"shard count mismatch", transport.EncodeWorldSpec(testWorldID(3).header(), 2, []int{0})},
-		{"owned shard out of range", transport.EncodeWorldSpec(testWorldID(2).header(), 2, []int{5})},
+		{"stale header magic", transport.EncodeWorldSpec(append([]byte("GPS3"), testWorldID().header()[4:]...), 2, []int{0})},
+		{"owned shard out of range", transport.EncodeWorldSpec(testWorldID().header(), 2, []int{5})},
 		{"NaN density", transport.EncodeWorldSpec(nanDensity.header(), 2, []int{0})},
 		{"implausible prefix count", transport.EncodeWorldSpec(hugePrefixes.header(), 2, []int{0})},
 	}
@@ -162,8 +162,8 @@ func TestWorkerSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != testWorldID(4) {
-		t.Errorf("world id = %+v; want %+v", id, testWorldID(4))
+	if id != testWorldID() {
+		t.Errorf("world id = %+v; want %+v", id, testWorldID())
 	}
 	if part.Count != 4 || len(part.Owned) != 2 || part.Owned[0] != 0 || part.Owned[1] != 2 {
 		t.Errorf("partition = %+v; want {Count: 4, Owned: [0 2]} (canonicalized ascending)", part)

@@ -32,7 +32,7 @@ func main() {
 
 	p := netmodel.DefaultParams(*seed)
 	p.NumPrefix16 = *prefixes
-	p.NumASes = maxInt(4, *prefixes/2)
+	p.NumASes = max(4, *prefixes/2)
 	p.HostDensity = *density
 	p.NumVendorModels = *vendors
 	u, err := netmodel.GenerateChecked(p)
@@ -67,7 +67,7 @@ func main() {
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i].count > ports[j].count })
 	fmt.Printf("\nport population: %d distinct open ports\n", openPorts)
-	n := minInt(*top, len(ports))
+	n := min(*top, len(ports))
 	for i := 0; i < n; i++ {
 		fmt.Printf("  %5d: %d hosts\n", ports[i].port, ports[i].count)
 	}
@@ -104,18 +104,4 @@ func main() {
 		fmt.Printf("\nafter 10-day churn: %d hosts remain, %d services lost\n",
 			after.NumHosts(), lost)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

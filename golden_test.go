@@ -28,7 +28,7 @@ import (
 // fixed seed (math/rand's seeded sequence is frozen by the Go 1 promise),
 // so the fixture the goldens were generated from is the fixture the test
 // re-encodes. The GPST payload goldens are checked beside their
-// unexported encoders in internal/shard/transport, GPS4 in cmd/gpsd.
+// unexported encoders in internal/shard/transport, GPS5 in cmd/gpsd.
 
 // goldenDataset is a seed-scan dataset: a few dozen services, some
 // sharing banner values (the string table must intern them), some bare.
@@ -137,12 +137,6 @@ func goldenCases() []wiretest.Case {
 				return writeTo(func(b *bytes.Buffer) error { return continuous.WriteCheckpoint(b, goldenState(2, 40)) })
 			},
 			Decode: func(b []byte) error { _, err := continuous.ReadCheckpoint(bytes.NewReader(b)); return err }},
-		{Name: "GPSS",
-			Encode: func() ([]byte, error) {
-				states := []*continuous.State{goldenState(3, 24), goldenState(4, 0), goldenState(5, 16)}
-				return writeTo(func(b *bytes.Buffer) error { return shard.WriteCheckpoint(b, states) })
-			},
-			Decode: func(b []byte) error { _, err := shard.ReadCheckpoint(bytes.NewReader(b)); return err }},
 		{Name: "GPSV",
 			Encode: func() ([]byte, error) {
 				return writeTo(func(b *bytes.Buffer) error { return shard.WriteInventory(b, goldenInventory(false)) })
@@ -174,7 +168,7 @@ func TestGoldenFormats(t *testing.T) {
 
 	// A golden with no row pins nothing: a format that was deleted must
 	// take its .bin with it.
-	checked := map[string]bool{"GPS4": true} // cmd/gpsd's TestGoldenCheckpoint
+	checked := map[string]bool{"GPS5": true} // cmd/gpsd's TestGoldenCheckpoint
 	for _, c := range cases {
 		checked[c.Name] = true
 	}
@@ -190,14 +184,9 @@ func TestGoldenFormats(t *testing.T) {
 		}
 	}
 
-	// An old-version golden (testdata/golden/v*/) pins a refusal: its GPSC
-	// or GPSS reader must reject it as a bad version, or it has rotted
-	// unread. The GPS4 ones are gpsd's TestResumeRefusesVersion1Checkpoint
-	// inputs.
-	decode := map[string]func([]byte) error{}
-	for _, c := range cases {
-		decode[c.Name] = c.Decode
-	}
+	// An old-version golden (testdata/golden/v*/) pins a refusal: the GPSC
+	// reader must reject it as a bad version, or it has rotted unread.
+	// v3/GPS4.bin is gpsd's TestResumeRefusesGPS4Checkpoint input.
 	old, err := filepath.Glob("testdata/golden/v*/*.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +200,8 @@ func TestGoldenFormats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name != "GPSC" && name != "GPSS" || !wire.IsKind(decode[name](b), wire.BadVersion) {
+		_, err = continuous.ReadCheckpoint(bytes.NewReader(b))
+		if name != "GPSC" || !wire.IsKind(err, wire.BadVersion) {
 			t.Errorf("%s is not refused as a bad version by its reader", f)
 		}
 	}

@@ -288,10 +288,3 @@ func Table4(s *Setup) Table {
 	}
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

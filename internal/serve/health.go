@@ -13,7 +13,7 @@ import (
 type HealthInfo struct {
 	// Role names what this process is in the deployment: "origin",
 	// "coordinator", "worker", "replica", or "file" (gpsd's one-shot
-	// tools report their own names, "watch" and "rebalance").
+	// tool reports its own name, "watch").
 	Role string
 	// ShardsOwned is the number of shards this process currently
 	// computes (coordinator: total; worker: its session's share).

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"gps/internal/asndb"
 	"gps/internal/continuous"
 	"gps/internal/dataset"
 	"gps/internal/netmodel"
@@ -195,6 +196,45 @@ func (c *Coordinator) Seed(seed *dataset.Dataset) error {
 		states[s] = continuous.SeedState(seed, c.shardConfig(s))
 	}
 	return c.Resume(states)
+}
+
+// Partition splits one key-sorted run into the states of an n-way split
+// (n >= 1), by the hash Seed's ShardOwns filter tests: every key lands in
+// exactly one part, each part keeps the run's order and epoch. Parts
+// share the run's entries, which no one writes.
+func Partition(st *continuous.State, n int) []*continuous.State {
+	parts := make([]*continuous.State, n)
+	for s := range parts {
+		parts[s] = &continuous.State{Epoch: st.Epoch}
+	}
+	for _, e := range st.Known {
+		part := parts[asndb.ShardOf(e.Rec.IP, n)]
+		part.Known = append(part.Known, e)
+	}
+	return parts
+}
+
+// Merge is Partition's inverse: the shards' disjoint runs as one
+// key-sorted run. States at different epochs, or two tracking the same
+// service, are not one commit of one coordinator and are refused.
+func Merge(states []*continuous.State) (*continuous.State, error) {
+	if len(states) == 0 {
+		return nil, errors.New("shard: merge of zero states")
+	}
+	out := &continuous.State{Epoch: states[0].Epoch}
+	for s, st := range states {
+		if st.Epoch != out.Epoch {
+			return nil, fmt.Errorf("shard: merging shard %d (epoch %d) with shard 0 (epoch %d): epochs differ", s, st.Epoch, out.Epoch)
+		}
+		out.Known = append(out.Known, st.Known...)
+	}
+	slices.SortFunc(out.Known, func(a, b continuous.Entry) int { return a.Rec.Key().Compare(b.Rec.Key()) })
+	for i := 1; i < len(out.Known); i++ {
+		if k := out.Known[i].Rec.Key(); k == out.Known[i-1].Rec.Key() {
+			return nil, fmt.Errorf("shard: two shards track %v; states overlap", k)
+		}
+	}
+	return out, nil
 }
 
 // Resume initializes every shard from the given states, one per shard in

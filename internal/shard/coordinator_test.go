@@ -1,11 +1,8 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -16,7 +13,6 @@ import (
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/trace"
-	"gps/internal/wire"
 )
 
 func coordConfig(n int) Config {
@@ -164,14 +160,16 @@ func TestShardedCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, c.States()); err != nil {
-		t.Fatal(err)
-	}
-	states, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	// The checkpoint is the merged run; a resume re-partitions it.
+	run, err := Merge(c.States())
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, err = DecodeState(stateBytes(t, run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := Partition(run, n)
 	resumed, err := ResumeCoordinator(states, coordConfig(n))
 	if err != nil {
 		t.Fatal(err)
@@ -204,47 +202,6 @@ func TestShardedCheckpointResume(t *testing.T) {
 	// Shard-count mismatch is an error, not a silent re-shard.
 	if _, err := ResumeCoordinator(states, coordConfig(n+1)); err == nil {
 		t.Error("resuming 3 shard states under 4 shards succeeded")
-	}
-}
-
-func TestReadCheckpointCorrupt(t *testing.T) {
-	if _, err := ReadCheckpoint(strings.NewReader("not a checkpoint")); err == nil {
-		t.Error("garbage accepted as sharded checkpoint")
-	}
-	u, seedSet := testWorld(t, 19)
-	_ = u
-	c := NewCoordinator(seedSet, coordConfig(2))
-	var buf bytes.Buffer
-	if err := WriteCheckpoint(&buf, c.States()); err != nil {
-		t.Fatal(err)
-	}
-	// Every truncation point must fail loudly, never return partial state.
-	data := buf.Bytes()
-	for _, cut := range []int{3, 5, 8, len(data) / 2, len(data) - 1} {
-		if cut >= len(data) {
-			continue
-		}
-		if _, err := ReadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("truncated checkpoint (%d of %d bytes) accepted", cut, len(data))
-		}
-	}
-}
-
-// TestReadCheckpointRefusesVersion1: a GPSS written before epoch counters
-// left the state (testdata/golden/v1), or while a state still nested a
-// GPSD dataset (testdata/golden/v2), is refused by its first shard's
-// nested GPSC bad-version error.
-func TestReadCheckpointRefusesVersion1(t *testing.T) {
-	for _, v := range []string{"v1", "v2"} {
-		old, err := os.ReadFile("../../testdata/golden/" + v + "/GPSS.bin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = ReadCheckpoint(bytes.NewReader(old))
-		var werr *wire.Error
-		if !errors.As(err, &werr) || werr.Kind != wire.BadVersion || werr.Format != "GPSC" {
-			t.Fatalf("%s sharded checkpoint returned %v; want a nested GPSC bad-version *wire.Error", v, err)
-		}
 	}
 }
 

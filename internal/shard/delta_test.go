@@ -149,7 +149,7 @@ func TestCloneInventory(t *testing.T) {
 // TestDeltaWireRoundTrip pins the GPSE write→read contract and its
 // canonical-bytes property, mirroring the GPSV round trip.
 func TestDeltaWireRoundTrip(t *testing.T) {
-	states := rebalanceStates(t, 2)
+	states := epochStates(t, 2)
 	inv, _ := MergeInventories(states)
 	next := CloneInventory(inv)
 	// Manufacture all three change kinds against a real inventory.

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 	"gps/internal/features"
 	"gps/internal/netmodel"
 	"gps/internal/wire"
-	"gps/internal/wire/wiretest"
 )
 
 // fuzzEntry builds a serving-field entry for key k, the only fields the
@@ -162,33 +160,4 @@ func diffInventories(t *testing.T, a, b map[netmodel.Key]*continuous.Entry) {
 			t.Fatalf("inventories diverge at %v: %+v vs %+v", k, ea, eb)
 		}
 	}
-}
-
-// FuzzReadCheckpoint drives arbitrary bytes through the GPSS reader and
-// the GPSC reader nested in each shard blob. No input may panic; every
-// refusal is a *wire.Error naming the format that broke; and an accepted
-// layout is canonical after one write.
-func FuzzReadCheckpoint(f *testing.F) {
-	golden, err := os.ReadFile("../../testdata/golden/GPSS.bin")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden)
-	f.Add(golden[:len(golden)/2])                 // cut inside a shard blob
-	f.Add(append(append([]byte{}, golden...), 0)) // trailing byte
-	f.Add([]byte("GPSX\x01junk"))                 // foreign magic
-	f.Add([]byte("GPSS\x01\x00"))                 // zero shards
-	// A shard whose entry was first seen after it was last seen, and one
-	// whose stale count overflows an int.
-	for _, e := range []continuous.Entry{{FirstSeen: 2, LastSeen: 1}, {Stale: -1}} {
-		var buf bytes.Buffer
-		if err := WriteCheckpoint(&buf, []*continuous.State{{Epoch: 2, Known: []continuous.Entry{e}}}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		wiretest.FuzzCanonical(t, data, "GPSS GPSC", ReadCheckpoint, WriteCheckpoint)
-	})
 }

@@ -21,7 +21,7 @@ import (
 // input bytes — so a served file is as authoritative as the run that
 // wrote it.
 func TestInventoryRoundTrip(t *testing.T) {
-	states := rebalanceStates(t, 2)
+	states := epochStates(t, 2)
 	inv, _ := MergeInventories(states)
 	if len(inv) == 0 {
 		t.Fatal("empty test inventory")

@@ -13,9 +13,8 @@
 // the scan in different places than the single global ordering would.
 //
 // The split is a pure hash of the IP (asndb.ShardOf): stable across
-// processes and churn, so checkpoints resume without hosts migrating
-// between shards, and so re-sharding is an explicit operation rather than
-// an accident of iteration order.
+// processes and churn, so a checkpoint stores one merged run (Merge) and
+// a resume at any shard count re-derives the partitions (Partition).
 //
 // Two coordinators are provided: Run fans one batch pipeline.Run out over
 // N shards (the scale-out analogue of Table 2), and Coordinator drives N

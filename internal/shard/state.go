@@ -7,19 +7,16 @@ import (
 	"gps/internal/continuous"
 )
 
-// Per-shard state extraction. A single shard's continuous state has
-// always been serializable — the whole-file checkpoint (WriteCheckpoint)
-// is a sequence of them — but until live migration there was no reason
-// to move one shard's state on its own. These helpers make the single
-// shard the unit of serialization: EncodeState produces a standalone
-// blob (exactly one continuous checkpoint), DecodeState parses it back.
-// The transport's placement RPC (msgInit — seeding, resume, failover and
-// migration alike) and epoch results all ship this blob, so a migrated
-// shard's state is byte-compatible with a checkpointed one (and a new
-// GPSC version is a new transport.Version).
+// Per-shard state extraction: EncodeState produces one shard's state as
+// a standalone blob (exactly one continuous checkpoint), DecodeState
+// parses it back. The transport's placement RPC (msgInit — seeding,
+// resume, failover and migration alike) and epoch results all ship this
+// blob, and gpsd's checkpoint holds one over the merged run (Merge), so a
+// migrated shard's state is byte-compatible with a checkpointed one (and
+// a new GPSC version is a new transport.Version).
 
 // EncodeState serializes one shard's continuous state as a standalone
-// blob — the unit of live migration and of per-shard resume.
+// blob — the unit of live migration.
 func EncodeState(st *continuous.State) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := continuous.WriteCheckpoint(&buf, st); err != nil {

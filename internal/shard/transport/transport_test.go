@@ -161,11 +161,15 @@ func inProcessRun(t *testing.T, worldSeed int64, n, epochs int) ([]*continuous.S
 
 func stateBytes(t *testing.T, states []*continuous.State) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := shard.WriteCheckpoint(&buf, states); err != nil {
-		t.Fatal(err)
+	var out []byte
+	for _, st := range states {
+		blob, err := shard.EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, blob...)
 	}
-	return buf.Bytes()
+	return out
 }
 
 func inventoryBytes(t *testing.T, states []*continuous.State) []byte {
@@ -638,8 +642,8 @@ func TestTransportEpochBeforeSeed(t *testing.T) {
 	}
 }
 
-// TestTransportResume round-trips a distributed run through checkpointed
-// states: resuming a fresh fleet from epoch-1 states and running epoch 2
+// TestTransportResume round-trips a distributed run through a checkpointed
+// merged run: resuming a fresh fleet from epoch-1 states and running epoch 2
 // must equal the uninterrupted two-epoch run.
 func TestTransportResume(t *testing.T) {
 	const worldSeed, n = 21, 2
@@ -660,13 +664,20 @@ func TestTransportResume(t *testing.T) {
 	if _, err := c.Epoch(); err != nil {
 		t.Fatal(err)
 	}
-	mid := stateBytes(t, c.States())
-	c.Close()
-
-	states, err := shard.ReadCheckpoint(bytes.NewReader(mid))
+	run, err := shard.Merge(c.States())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Close()
+
+	mid, err := shard.EncodeState(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run, err = shard.DecodeState(mid); err != nil {
+		t.Fatal(err)
+	}
+	states := shard.Partition(run, n)
 	w2 := startWorker(t)
 	c2, err := Dial([]string{w2.addr()}, testConfig(n), worldSpec(worldSeed), testOptions())
 	if err != nil {

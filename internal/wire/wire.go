@@ -1,5 +1,5 @@
 // Package wire is the one binary codec under every GPS format: the file
-// formats (GPSC, GPSS, GPS4, GPSV, GPSE, GPSD), the GPST frame
+// formats (GPSC, GPS5, GPSV, GPSE, GPSD), the GPST frame
 // payloads with their GPSP envelope, and the trace span batch. A format
 // is a sequence of Enc calls mirrored by the same sequence of Dec calls;
 // the byte layouts themselves stay with their owners.

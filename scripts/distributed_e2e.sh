@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Distributed end-to-end gate: a 1-coordinator + 3-worker gpsd fleet over
 # a small universe must produce a merged inventory byte-identical to the
-# single-process 4-shard run, a split+join re-balance of the distributed
-# checkpoint must round-trip byte-identically (no rescan), and the
-# inventory query API must serve identical answers from the single
-# process, the distributed coordinator, and a standalone GPSV file —
-# totals matching the merged inventory exactly.
+# single-process 4-shard run, the single-process checkpoint resumed at 1,
+# 2, 3 and 8 shards must rewrite byte-identical checkpoint and inventory
+# files (re-sharding is a resume, no rescan), and the inventory query API
+# must serve identical answers from the single process, the distributed
+# coordinator, and a standalone GPSV file — totals matching the merged
+# inventory exactly.
 #
 # The coordinator also exports its replication feed: two read replicas
 # subscribe and must serve /v1 responses byte-identical to the origin's
@@ -127,7 +128,7 @@ echo "== distributed run (coordinator + 3 workers, 4 shards, serving on :7472, f
 # time).
 workers=$(IFS=,; echo "${ports[*]/#/127.0.0.1:}")
 "$BIN" coordinator "${COMMON[@]}" -workers "$workers" \
-    -checkpoint "$DIR/dist.ckpt" -shard-checkpoints "$DIR/shards" \
+    -checkpoint "$DIR/dist.ckpt" \
     -inventory "$DIR/dist.inv" -serve 127.0.0.1:7472 \
     -feed 127.0.0.1:7480 -interval 2s > "$DIR/coordinator.log" 2>&1 &
 coord_pid=$!
@@ -362,11 +363,23 @@ if [ -z "$live_totals" ] || [ "$live_totals" != "$file_totals" ]; then
   exit 1
 fi
 
-echo "== re-balance round trip (4 -> 8 -> 4 shards, no rescan)"
-cp "$DIR/dist.ckpt" "$DIR/rebalance.ckpt"
-"$BIN" rebalance split -checkpoint "$DIR/rebalance.ckpt" >> "$DIR/coordinator.log"
-"$BIN" rebalance join  -checkpoint "$DIR/rebalance.ckpt" >> "$DIR/coordinator.log"
-cmp "$DIR/dist.ckpt" "$DIR/rebalance.ckpt"
+echo "== re-shard by resuming (4 -> 1, 2, 3, 8 shards, no rescan)"
+# The checkpoint is one merged run that a resume partitions for any
+# -shards (the later flag wins over COMMON's). With all 3 epochs done,
+# each resume must write back the very checkpoint and inventory bytes.
+# Later epochs may differ by count (each shard trains its own model on
+# its own budget slice), so the 3-shard layout only has to keep running.
+for n in 1 2 3 8; do
+  cp "$DIR/single.ckpt" "$DIR/reshard-$n.ckpt"
+  "$BIN" "${COMMON[@]}" -shards "$n" -checkpoint "$DIR/reshard-$n.ckpt" \
+      -inventory "$DIR/reshard-$n.inv" > "$DIR/reshard-$n.log" 2>&1
+  cmp "$DIR/single.ckpt" "$DIR/reshard-$n.ckpt"
+  cmp "$DIR/single.inv" "$DIR/reshard-$n.inv"
+  echo "   resumed at $n shards: checkpoint and inventory byte-identical"
+done
+"$BIN" "${COMMON[@]}" -shards 3 -epochs 4 -checkpoint "$DIR/reshard-3.ckpt" \
+    -inventory "$DIR/reshard-3.inv" >> "$DIR/reshard-3.log" 2>&1
+echo "   3-shard layout ran epoch 4"
 
 echo "== cluster churn: join a 4th worker mid-run, drain one, leave cleanly"
 # A fresh fleet on fresh ports runs 10 paced epochs while membership
@@ -518,4 +531,4 @@ fi
 cmp "$DIR/churn-single.inv" "$DIR/churn-dist.inv"
 echo "   churned fleet inventory byte-identical to single-process run"
 
-echo "PASS: distributed inventory byte-identical to single-process; served queries identical across single, distributed, and file modes; first- and second-tier replicas byte-identical to the origin; telemetry consistent across modes; re-balance round-trips; cluster churn (join + drain + leave) preserves byte-identity"
+echo "PASS: distributed inventory byte-identical to single-process; served queries identical across single, distributed, and file modes; first- and second-tier replicas byte-identical to the origin; telemetry consistent across modes; re-shard by resume byte-identical at 1, 2, 3 and 8 shards; cluster churn (join + drain + leave) preserves byte-identity"
