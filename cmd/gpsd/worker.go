@@ -35,9 +35,7 @@ type demoWorld struct {
 	id    worldID
 	part  *netmodel.Partition
 	epoch int
-	base  *netmodel.Universe // epoch-0 universe, cached so rewinds replay churn only
 	u     *netmodel.Universe
-	gens  int // universe generations performed, observed by tests
 }
 
 // parseWorkerSpec unwraps the partition envelope, which carries the shard
@@ -68,7 +66,7 @@ func newDemoWorld(spec []byte) (transport.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.logBuilt("built")
+	w.logBuilt()
 	return w, nil
 }
 
@@ -76,12 +74,7 @@ func newDemoWorld(spec []byte) (transport.World, error) {
 // nil partition is the whole world.
 func generateDemoWorld(id worldID, part *netmodel.Partition) (*demoWorld, error) {
 	w := &demoWorld{id: id, part: part}
-	base, err := w.generate(part)
-	if err != nil {
-		return nil, err
-	}
-	w.base, w.u = base, base
-	return w, nil
+	return w, w.regenerate()
 }
 
 // fullDemoWorld is the whole world, as the in-process daemon scans it and
@@ -99,12 +92,16 @@ func fullDemoWorld(f daemonFlags, why string) (*demoWorld, error) {
 	return w, nil
 }
 
-// generate materializes one partition of the world at epoch 0.
-func (w *demoWorld) generate(part *netmodel.Partition) (*netmodel.Universe, error) {
-	w.gens++
+// regenerate resets the world to its epoch-0 universe.
+func (w *demoWorld) regenerate() error {
 	p := gps.DemoUniverseParams(w.id.Seed, w.id.Prefixes, w.id.Density)
-	p.Partition = part
-	return netmodel.GenerateChecked(p)
+	p.Partition = w.part
+	u, err := netmodel.GenerateChecked(p)
+	if err != nil {
+		return err
+	}
+	w.u, w.epoch = u, 0
+	return nil
 }
 
 // logBuilt reports the world the worker now holds and publishes the
@@ -113,16 +110,16 @@ func (w *demoWorld) generate(part *netmodel.Partition) (*netmodel.Universe, erro
 // scripts/distributed_e2e.sh now asserts the per-worker partition sizes
 // against the coordinator's total via /v1/metricz instead of grepping
 // this line.
-func (w *demoWorld) logBuilt(how string) {
+func (w *demoWorld) logBuilt() {
 	setWorldGauges(w.u.NumHosts(), len(w.part.Owned), w.part.Count)
-	workerLog.Infof("%s universe (seed=%d, %d /16s, density %.1f%%): owns %d/%d shards, %d hosts",
-		how, w.id.Seed, w.id.Prefixes, 100*w.id.Density,
+	workerLog.Infof("built universe (seed=%d, %d /16s, density %.1f%%): owns %d/%d shards, %d hosts",
+		w.id.Seed, w.id.Prefixes, 100*w.id.Density,
 		len(w.part.Owned), w.part.Count, w.u.NumHosts())
 }
 
 // World gauges, resolved once at startup: setWorldGauges runs on every
-// world (re)build — including re-queue extensions and migrations — and
-// must not re-enter the telemetry registry each time.
+// world build — including the rebuilds a failover or migration causes —
+// and must not re-enter the telemetry registry each time.
 var (
 	worldHostsGauge = telemetry.Default.Gauge("gps_world_hosts",
 		"hosts materialized in this process's universe partition")
@@ -143,72 +140,19 @@ func setWorldGauges(hosts, ownedShards, totalShards int) {
 }
 
 // UniverseAt returns the universe as of the given epoch. Epochs normally
-// only move forward; a re-queued shard may rewind, in which case churn
-// replays from the cached epoch-0 base — the generator never runs again
-// for a world the worker already built.
+// only move forward; a rewind (a placed shard behind the world's epoch)
+// regenerates epoch 0 and replays churn.
 func (w *demoWorld) UniverseAt(e int) (*netmodel.Universe, error) {
 	if e < w.epoch {
-		w.u, w.epoch = w.base, 0
+		if err := w.regenerate(); err != nil {
+			return nil, err
+		}
 	}
 	for w.epoch < e {
 		w.epoch++
 		w.u = netmodel.Churn(w.u, netmodel.DefaultChurn(w.id.Seed+int64(w.epoch)))
 	}
 	return w.u, nil
-}
-
-// Extend adopts a revised spec in place: same world, a grown owned-shard
-// set — the shape a re-queued shard from a dead peer arrives in. Only
-// the newly owned shards are generated (at epoch 0) and churn-replayed
-// to the current epoch, then merged into the held universes; the
-// partition the worker already holds is never regenerated. Any other
-// revision (different world, shrunk ownership) returns an error and the
-// transport falls back to a fresh factory build.
-func (w *demoWorld) Extend(spec []byte) error {
-	id, part, err := parseWorkerSpec(spec)
-	if err != nil {
-		return err
-	}
-	if id != w.id || part.Count != w.part.Count {
-		return fmt.Errorf("world spec describes a different world (%+v, %d shards); holding (%+v, %d shards)",
-			id, part.Count, w.id, w.part.Count)
-	}
-	var delta []int
-	for _, s := range part.Owned {
-		if !w.part.Contains(s) {
-			delta = append(delta, s)
-		}
-	}
-	if len(part.Owned) != len(w.part.Owned)+len(delta) {
-		return fmt.Errorf("world spec shrinks the owned-shard set %v to %v", w.part.Owned, part.Owned)
-	}
-	if len(delta) == 0 {
-		w.part = part
-		return nil
-	}
-	dbase, err := w.generate(&netmodel.Partition{Count: part.Count, Owned: delta})
-	if err != nil {
-		return err
-	}
-	base, err := netmodel.Merge(w.base, dbase)
-	if err != nil {
-		return err
-	}
-	// Churn is partition-stable, so replaying the delta partition alone
-	// lands on exactly the hosts the full replay would.
-	du := dbase
-	for e := 1; e <= w.epoch; e++ {
-		du = netmodel.Churn(du, netmodel.DefaultChurn(w.id.Seed+int64(e)))
-	}
-	u := base
-	if w.epoch > 0 {
-		if u, err = netmodel.Merge(w.u, du); err != nil {
-			return err
-		}
-	}
-	w.base, w.u, w.part = base, u, part
-	w.logBuilt(fmt.Sprintf("extended (+%d shards)", len(delta)))
-	return nil
 }
 
 // runWorker serves shard epochs until SIGINT/SIGTERM. The world comes

@@ -26,14 +26,11 @@ func buildDemoWorld(t *testing.T, shards int, owned ...int) *demoWorld {
 	return w.(*demoWorld)
 }
 
-// TestDemoWorldRewindUsesCachedBase: a re-queued shard may ask for an
-// epoch the world already stepped past; the rewind must replay churn
-// from the cached base, not regenerate the universe.
-func TestDemoWorldRewindUsesCachedBase(t *testing.T) {
+// TestDemoWorldRewind: a shard placed behind the world's epoch asks for
+// an epoch the world already stepped past; the rewind must land on
+// exactly the universe a fresh build reaches at that epoch.
+func TestDemoWorldRewind(t *testing.T) {
 	w := buildDemoWorld(t, 2, 0)
-	if w.gens != 1 {
-		t.Fatalf("world build ran the generator %d times; want 1", w.gens)
-	}
 	u3, err := w.UniverseAt(3)
 	if err != nil {
 		t.Fatal(err)
@@ -42,15 +39,25 @@ func TestDemoWorldRewindUsesCachedBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.gens != 1 {
-		t.Fatalf("rewinding ran the generator again (%d invocations); want churn replay only", w.gens)
+	want1, err := buildDemoWorld(t, 2, 0).UniverseAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u1.NumHosts() != want1.NumHosts() || u1.NumServices() != want1.NumServices() {
+		t.Fatalf("rewound epoch 1 holds %d hosts / %d services; a fresh build holds %d / %d",
+			u1.NumHosts(), u1.NumServices(), want1.NumHosts(), want1.NumServices())
+	}
+	for _, h := range want1.Hosts() {
+		if rh, ok := u1.HostAt(h.IP); !ok || rh.NumServices() != h.NumServices() {
+			t.Fatalf("rewound epoch 1 differs from a fresh build at host %v", h.IP)
+		}
+	}
+	if u1.NumHosts() <= u3.NumHosts() {
+		t.Errorf("churn did not shrink hosts: epoch 1 %d, epoch 3 %d", u1.NumHosts(), u3.NumHosts())
 	}
 	u3b, err := w.UniverseAt(3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if u1.NumHosts() <= u3.NumHosts() {
-		t.Errorf("churn did not shrink hosts: epoch 1 %d, epoch 3 %d", u1.NumHosts(), u3.NumHosts())
 	}
 	if u3b.NumHosts() != u3.NumHosts() || u3b.NumServices() != u3.NumServices() {
 		t.Errorf("replayed epoch 3 differs: %d/%d hosts, %d/%d services",
@@ -71,57 +78,6 @@ func TestDemoWorldPartitioned(t *testing.T) {
 		if !ok || fh.NumServices() != h.NumServices() {
 			t.Fatalf("partitioned host %v differs from full world", h.IP)
 		}
-	}
-}
-
-// TestDemoWorldExtend: a grown owned-shard set (a re-queued shard from a
-// dead peer) must extend the held partition in place — generating only
-// the delta — and land on exactly the world a fresh build of the grown
-// set would hold, at the current epoch.
-func TestDemoWorldExtend(t *testing.T) {
-	w := buildDemoWorld(t, 4, 0)
-	if _, err := w.UniverseAt(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Extend(testWorkerSpec(t, 4, 0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if w.gens != 2 {
-		t.Errorf("extend ran the generator %d times total; want 2 (base + delta only)", w.gens)
-	}
-
-	want := buildDemoWorld(t, 4, 0, 2)
-	wantU, err := want.UniverseAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.u.NumHosts() != wantU.NumHosts() || w.u.NumServices() != wantU.NumServices() {
-		t.Fatalf("extended world holds %d hosts / %d services at epoch 2; fresh {0,2} build holds %d / %d",
-			w.u.NumHosts(), w.u.NumServices(), wantU.NumHosts(), wantU.NumServices())
-	}
-	for _, h := range wantU.Hosts() {
-		if _, ok := w.u.HostAt(h.IP); !ok {
-			t.Fatalf("extended world missing host %v", h.IP)
-		}
-	}
-	// The rewind cache must cover the extension too.
-	u1, err := w.UniverseAt(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want1, _ := want.UniverseAt(1)
-	if w.gens != 2 || u1.NumHosts() != want1.NumHosts() {
-		t.Errorf("post-extend rewind: gens %d (want 2), hosts %d (want %d)", w.gens, u1.NumHosts(), want1.NumHosts())
-	}
-
-	// Revisions Extend cannot adopt in place must error (the transport
-	// then rebuilds via the factory).
-	if err := w.Extend(testWorkerSpec(t, 4, 0)); err == nil {
-		t.Error("Extend accepted a shrunk owned-shard set")
-	}
-	other := transport.EncodeWorldSpec(worldID{Seed: 99, Prefixes: 16, Density: 0.03}.header(), 4, []int{0, 1})
-	if err := w.Extend(other); err == nil {
-		t.Error("Extend accepted a different world's spec")
 	}
 }
 

@@ -114,6 +114,36 @@ func TestCheckpointInternsFeatureValues(t *testing.T) {
 	}
 }
 
+// badFeatSetCheckpoints are one-entry GPSC files whose entry carries a
+// feature set the writer never emits: descending keys, a repeated key,
+// KeyNone, a key past Table 1.
+func badFeatSetCheckpoints(tb testing.TB) [][]byte {
+	tb.Helper()
+	one := &continuous.State{Epoch: 1, Known: []continuous.Entry{{LastSeen: 1,
+		Rec: dataset.Record{IP: 10, Port: 80, Feats: features.Set{features.KeyProtocol: "a"}}}}}
+	gpsc := encode(tb, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, one) })
+	tail := []byte{1, uint8(features.KeyProtocol), 0}
+	if !bytes.HasSuffix(gpsc, tail) {
+		tb.Fatalf("GPSC entry does not end in its feature set %v: % x", tail, gpsc)
+	}
+	head := gpsc[: len(gpsc)-len(tail) : len(gpsc)-len(tail)]
+	var out [][]byte
+	for _, set := range [][]byte{{2, 11, 0, 10, 0}, {2, 10, 0, 10, 0}, {1, 0, 0}, {1, 40, 0}} {
+		out = append(out, append(head, set...))
+	}
+	return out
+}
+
+// TestCheckpointRefusesNonCanonicalFeatureSet: an entry's feature set
+// must hold strictly ascending Table-1 keys, as the writer emits them.
+func TestCheckpointRefusesNonCanonicalFeatureSet(t *testing.T) {
+	for i, gpsc := range badFeatSetCheckpoints(t) {
+		if _, err := continuous.ReadCheckpoint(bytes.NewReader(gpsc)); !wire.IsKind(err, wire.Implausible) {
+			t.Errorf("feature set %d returned %v; want a GPSC implausible *wire.Error", i, err)
+		}
+	}
+}
+
 // FuzzReadCheckpoint drives arbitrary bytes through the GPSC reader. No
 // input may panic or size an allocation from an unproven count; every
 // refusal is a *wire.Error naming GPSC; and an accepted state is
@@ -134,6 +164,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) }))
 	}
 	f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, ageless()) }))
+	for _, gpsc := range badFeatSetCheckpoints(f) {
+		f.Add(gpsc)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.FuzzCanonical(t, data, "GPSC", continuous.ReadCheckpoint, continuous.WriteCheckpoint)

@@ -93,27 +93,6 @@ func (p *Partition) clone() *Partition {
 	return &Partition{Count: p.Count, Owned: owned}
 }
 
-// union merges two partitions of the same split into one owning both
-// owned sets. Either side being full makes the union full (nil).
-func (p *Partition) union(q *Partition) (*Partition, error) {
-	if p.Full() || q.Full() {
-		return nil, nil
-	}
-	if p.Count != q.Count {
-		return nil, fmt.Errorf("netmodel: partitions of %d- and %d-way splits cannot merge", p.Count, q.Count)
-	}
-	seen := make(map[int]bool, len(p.Owned)+len(q.Owned))
-	var owned []int
-	for _, o := range append(append([]int{}, p.Owned...), q.Owned...) {
-		if !seen[o] {
-			seen[o] = true
-			owned = append(owned, o)
-		}
-	}
-	sort.Ints(owned)
-	return &Partition{Count: p.Count, Owned: owned}, nil
-}
-
 // subSeed derives an independent 64-bit seed for one generation entity
 // from the universe seed, a domain label, and the entity's identity, via
 // FNV-64a. Every random decision the generator and churn make draws from

@@ -99,58 +99,62 @@ func TestPartitionedEqualsFullRestricted(t *testing.T) {
 	}
 }
 
-// TestPartitionMultiShardAndMerge: a partition owning {0, 2} equals the
-// merge of the {0} and {2} partitions, and both equal the full universe
-// restricted.
+// requireUnion asserts whole holds exactly the hosts of parts, which
+// own disjoint shard sets: every host of whole is in one part and equal
+// there, and the host counts add up.
+func requireUnion(t *testing.T, whole *Universe, parts ...*Universe) {
+	t.Helper()
+	sum := 0
+	for _, u := range parts {
+		sum += u.NumHosts()
+	}
+	if whole.NumHosts() != sum {
+		t.Fatalf("universe holds %d hosts; its parts hold %d together", whole.NumHosts(), sum)
+	}
+	for _, h := range whole.Hosts() {
+		in := 0
+		for _, u := range parts {
+			if ph, ok := u.HostAt(h.IP); ok {
+				in++
+				if !hostsEqual(t, h, ph) {
+					t.Fatalf("host %v differs between the universe and its part", h.IP)
+				}
+			}
+		}
+		if in != 1 {
+			t.Fatalf("host %v is in %d parts; want 1", h.IP, in)
+		}
+	}
+}
+
+// genOwned generates the partition of an n-way split owning owned.
+func genOwned(p Params, n int, owned ...int) *Universe {
+	p.Partition = &Partition{Count: n, Owned: owned}
+	return Generate(p)
+}
+
+// TestPartitionMultiShardAndMerge: a partition owning {0, 2} of a 4-way
+// split — the shape a worker's world takes once a second shard lands on
+// it — equals the full universe restricted to {0, 2} and the union of
+// the {0} and {2} partitions, and records the sorted owned set.
 func TestPartitionMultiShardAndMerge(t *testing.T) {
 	const n = 4
 	p := TestParams(11)
 	full := Generate(p)
 
-	both := p
-	both.Partition = &Partition{Count: n, Owned: []int{0, 2}}
-	direct := Generate(both)
-	requireRestriction(t, full, direct, both.Partition)
-
-	gen := func(owned ...int) *Universe {
-		pp := p
-		pp.Partition = &Partition{Count: n, Owned: owned}
-		return Generate(pp)
-	}
-	merged, err := Merge(gen(0), gen(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.NumHosts() != direct.NumHosts() || merged.NumServices() != direct.NumServices() {
-		t.Fatalf("merged {0}+{2} holds %d hosts / %d services; direct {0,2} holds %d / %d",
-			merged.NumHosts(), merged.NumServices(), direct.NumHosts(), direct.NumServices())
-	}
-	for _, h := range direct.Hosts() {
-		mh, ok := merged.HostAt(h.IP)
-		if !ok || !hostsEqual(t, h, mh) {
-			t.Fatalf("host %v differs between direct and merged generation", h.IP)
-		}
-	}
-	if part := merged.part; part == nil || part.Count != n || len(part.Owned) != 2 ||
-		part.Owned[0] != 0 || part.Owned[1] != 2 {
-		t.Errorf("merged partition = %+v; want {Count: 4, Owned: [0 2]}", merged.part)
-	}
-
-	// Merging overlapping partitions must refuse.
-	if _, err := Merge(gen(0), gen(0, 2)); err == nil {
-		t.Error("merging overlapping partitions succeeded")
-	}
-	// Merging different worlds must refuse.
-	q := TestParams(12)
-	q.Partition = &Partition{Count: n, Owned: []int{1}}
-	if _, err := Merge(gen(0), Generate(q)); err == nil {
-		t.Error("merging universes from different seeds succeeded")
+	both := genOwned(p, n, 2, 0)
+	requireRestriction(t, full, both, &Partition{Count: n, Owned: []int{0, 2}})
+	requireUnion(t, both, genOwned(p, n, 0), genOwned(p, n, 2))
+	if sp := both.part; sp == nil || sp.Count != n || len(sp.Owned) != 2 || sp.Owned[0] != 0 || sp.Owned[1] != 2 {
+		t.Errorf("partition = %+v; want {Count: 4, Owned: [0 2]}", both.part)
 	}
 }
 
-// TestPartitionMergeAfterChurn models the worker extend path: a {0}
-// partition churned two epochs, merged with a {1} partition churned the
-// same two epochs, equals the {0,1} partition churned two epochs.
+// TestPartitionMergeAfterChurn: the {0, 1} partition churned two epochs
+// equals the full universe churned the same two epochs and restricted to
+// {0, 1}, and the union of the {0} and {1} partitions each churned the
+// same two epochs — so a worker that rebuilds a grown partition reaches
+// the world its shards would have reached apart.
 func TestPartitionMergeAfterChurn(t *testing.T) {
 	const n = 4
 	p := TestParams(21)
@@ -160,26 +164,9 @@ func TestPartitionMergeAfterChurn(t *testing.T) {
 		}
 		return u
 	}
-	gen := func(owned ...int) *Universe {
-		pp := p
-		pp.Partition = &Partition{Count: n, Owned: owned}
-		return Generate(pp)
-	}
-	merged, err := Merge(churn2(gen(0)), churn2(gen(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := churn2(gen(0, 1))
-	if merged.NumHosts() != want.NumHosts() || merged.NumServices() != want.NumServices() {
-		t.Fatalf("churned merge holds %d hosts / %d services; want %d / %d",
-			merged.NumHosts(), merged.NumServices(), want.NumHosts(), want.NumServices())
-	}
-	for _, h := range want.Hosts() {
-		mh, ok := merged.HostAt(h.IP)
-		if !ok || !hostsEqual(t, h, mh) {
-			t.Fatalf("host %v differs between churn-then-merge and merge-then-churn", h.IP)
-		}
-	}
+	both := churn2(genOwned(p, n, 0, 1))
+	requireRestriction(t, churn2(Generate(p)), both, &Partition{Count: n, Owned: []int{0, 1}})
+	requireUnion(t, both, churn2(genOwned(p, n, 0)), churn2(genOwned(p, n, 1)))
 }
 
 // TestGenerateCheckedRejects: parameters that cross a trust boundary

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -48,7 +47,7 @@ func (t ASType) String() string {
 // routing table, and a population of hosts. It doubles as the scan target:
 // the scanner substrate probes it one (IP, port) at a time.
 //
-// A Universe is immutable once Generate, Churn or Merge returns it, and
+// A Universe is immutable once Generate or Churn returns it, and
 // is safe for concurrent reads: finalize builds every index it has,
 // including the port-major responder index ResponsiveIn reads, before
 // the universe is handed out, and nothing is built lazily.
@@ -250,61 +249,14 @@ func (u *Universe) PortPopulation() []int {
 	return pop
 }
 
-// Merge combines two partitioned universes generated (and churned)
-// identically except for disjoint owned-shard sets into one universe
-// owning the union: the hosts are pooled, the shared global structure is
-// taken from a. Both universes must come from the same Params (same
-// seed, same prefix census) and the same churn history — Merge validates
-// what it can (seed, prefix census, partition compatibility, host
-// disjointness) and trusts the caller for the rest. Inputs are not
-// modified; hosts are shared with the inputs.
-func Merge(a, b *Universe) (*Universe, error) {
-	if a.seed != b.seed {
-		return nil, fmt.Errorf("netmodel: merging universes from different seeds (%d vs %d)", a.seed, b.seed)
-	}
-	if len(a.prefixes) != len(b.prefixes) {
-		return nil, fmt.Errorf("netmodel: merging universes with different prefix censuses (%d vs %d /16s)",
-			len(a.prefixes), len(b.prefixes))
-	}
-	for i := range a.prefixes {
-		if a.prefixes[i] != b.prefixes[i] {
-			return nil, fmt.Errorf("netmodel: merging universes with different prefix censuses (%v vs %v)",
-				a.prefixes[i], b.prefixes[i])
-		}
-	}
-	part, err := a.part.union(b.part)
-	if err != nil {
-		return nil, err
-	}
-	out := &Universe{
-		ases:     a.ases,
-		routes:   a.routes,
-		prefixes: a.prefixes,
-		hosts:    make(map[asndb.IP]*Host, len(a.hosts)+len(b.hosts)),
-		seed:     a.seed,
-		part:     part,
-	}
-	for _, h := range a.hostList {
-		out.insertHost(h)
-	}
-	for _, h := range b.hostList {
-		if _, dup := out.hosts[h.IP]; dup {
-			return nil, fmt.Errorf("netmodel: host %v exists in both universes being merged; partitions must be disjoint", h.IP)
-		}
-		out.insertHost(h)
-	}
-	out.finalize()
-	return out, nil
-}
-
 // insertHost registers a host; used by the generator and churn.
 func (u *Universe) insertHost(h *Host) {
 	u.hosts[h.IP] = h
 	u.hostList = append(u.hostList, h)
 }
 
-// finalize sorts the host and prefix lists after generation, churn or a
-// merge and builds the responder index.
+// finalize sorts the host and prefix lists after generation or churn
+// and builds the responder index.
 func (u *Universe) finalize() {
 	sort.Slice(u.hostList, func(i, j int) bool { return u.hostList[i].IP < u.hostList[j].IP })
 	sort.Slice(u.prefixes, func(i, j int) bool { return u.prefixes[i].Addr < u.prefixes[j].Addr })

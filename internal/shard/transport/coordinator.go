@@ -105,12 +105,12 @@ func (w *workerLink) rpc(typ uint8, payload []byte, want uint8) ([]byte, error) 
 
 // Place is the one placement RPC (msgInit). The world spec is the base
 // spec wrapped with the owned-shard set, so the worker notices the new
-// bytes and builds, extends or rebuilds its partition to cover the shard
-// before it acks. The shard counts as placed only once the worker's ack
-// names it; an ack for any other shard poisons the link like any protocol
-// violation (*DisconnectError, so the coordinator fails over). A
-// RemoteError means the healthy worker refused deterministically (bad
-// world spec, undecodable state).
+// bytes and builds its partition to cover the shard before it acks. The
+// shard counts as placed only once the worker's ack names it; an ack for
+// any other shard poisons the link like any protocol violation
+// (*DisconnectError, so the coordinator fails over). A RemoteError means
+// the healthy worker refused deterministically (bad world spec,
+// undecodable state).
 func (w *workerLink) Place(s int, cfg continuous.Config, st *continuous.State, owned []int, tc trace.SpanContext) error {
 	blob, err := shard.EncodeState(st)
 	if err != nil {

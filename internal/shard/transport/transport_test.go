@@ -26,9 +26,8 @@ import (
 // byte-identical gates below also prove partitioned == full-restricted
 // end to end.
 type simWorld struct {
-	seed  int64
+	p     netmodel.Params
 	epoch int
-	base  *netmodel.Universe // epoch-0 universe, cached for rewinds
 	u     *netmodel.Universe
 }
 
@@ -47,16 +46,16 @@ func newSimWorld(spec []byte) (World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simWorld{seed: seed, base: u, u: u}, nil
+	return &simWorld{p: p, u: u}, nil
 }
 
 func (w *simWorld) UniverseAt(e int) (*netmodel.Universe, error) {
 	if e < w.epoch {
-		w.u, w.epoch = w.base, 0
+		w.u, w.epoch = netmodel.Generate(w.p), 0
 	}
 	for w.epoch < e {
 		w.epoch++
-		w.u = netmodel.Churn(w.u, netmodel.DefaultChurn(w.seed+int64(w.epoch)))
+		w.u = netmodel.Churn(w.u, netmodel.DefaultChurn(w.p.Seed+int64(w.epoch)))
 	}
 	return w.u, nil
 }
@@ -543,48 +542,17 @@ func TestTransportFactoryPanicContained(t *testing.T) {
 	}
 }
 
-// extSimWorld is a simWorld that adopts grown specs in place, counting
-// how it was asked to change.
-type extSimWorld struct {
-	*simWorld
-	extends *atomic.Int32
-}
-
-func (w *extSimWorld) Extend(spec []byte) error {
-	base, shards, owned, err := DecodeWorldSpec(spec)
-	if err != nil {
-		return err
-	}
-	if len(base) != 8 || int64(binary.BigEndian.Uint64(base)) != w.seed {
-		return errors.New("different world")
-	}
-	p := netmodel.TestParams(w.seed)
-	p.Partition = &netmodel.Partition{Count: shards, Owned: owned}
-	u, err := netmodel.GenerateChecked(p)
-	if err != nil {
-		return err
-	}
-	w.base, w.u, w.epoch = u, u, 0
-	w.extends.Add(1)
-	return nil
-}
-
-// TestTransportRequeueExtendsWorld: when a dead worker's shards land on
-// a survivor, the survivor's session sees a grown spec; a world
-// implementing ExtendableWorld must be extended in place — the factory
-// runs once per session, not once per re-queue — and the result must
-// still match the in-process run byte for byte.
-func TestTransportRequeueExtendsWorld(t *testing.T) {
+// TestTransportRequeueRebuildsWorld: when a dead worker's shards land on
+// a survivor, the survivor's session sees a grown spec and rebuilds its
+// world through the factory — two session builds plus one for the grown
+// spec — and the result still matches the in-process run byte for byte.
+func TestTransportRequeueRebuildsWorld(t *testing.T) {
 	const worldSeed, n, epochs = 21, 4, 2
 
-	var builds, extends atomic.Int32
+	var builds atomic.Int32
 	factory := func(spec []byte) (World, error) {
-		w, err := newSimWorld(spec)
-		if err != nil {
-			return nil, err
-		}
 		builds.Add(1)
-		return &extSimWorld{simWorld: w.(*simWorld), extends: &extends}, nil
+		return newSimWorld(spec)
 	}
 	start := func() *testWorker {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -618,15 +586,12 @@ func TestTransportRequeueExtendsWorld(t *testing.T) {
 		t.Fatalf("epoch 2 after worker death: %v", err)
 	}
 
-	if got := builds.Load(); got != 2 {
-		t.Errorf("factory built %d worlds; want 2 (one per worker session, re-queues extend instead)", got)
-	}
-	if extends.Load() == 0 {
-		t.Error("re-queued shards never extended the survivor's world")
+	if got := builds.Load(); got != 3 {
+		t.Errorf("factory built %d worlds; want 3 (one per worker session, one for the survivor's grown spec)", got)
 	}
 	ref, _ := inProcessRun(t, worldSeed, n, epochs)
 	if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
-		t.Error("post-extend inventory differs from the in-process run")
+		t.Error("post-rebuild inventory differs from the in-process run")
 	}
 }
 

@@ -308,8 +308,9 @@ func decodeConfig(d *wire.Dec) continuous.Config {
 // initMsg is the decoded form of an msgInit payload — the one placement
 // RPC. Seeding, resume, failover and live migration all send it: the
 // shard index, its runner config, the recipient's world spec (its owned
-// partition including this shard, which it builds or extends before
-// acking) and the shard's current state as the coordinator holds it.
+// partition including this shard, which it builds before acking when
+// the spec changed) and the shard's current state as the coordinator
+// holds it.
 type initMsg struct {
 	Shard     int
 	Cfg       continuous.Config
@@ -500,9 +501,9 @@ func decodeJoin(payload []byte) (joinMsg, error) {
 // set ("GPSP" + shard count + owned shard indexes + the base spec), so
 // a worker can build only the partition of the world its shards scan —
 // ~1/N of the full-world memory — instead of replicating the entire
-// universe. The owned set is per worker and grows when a re-queued
-// shard lands (the worker sees a changed spec and extends its world;
-// see ExtendableWorld in worker.go).
+// universe. The owned set is per worker and grows when a re-queued or
+// migrated shard lands: the worker sees a changed spec and rebuilds its
+// partition through its WorldFactory.
 const specMagic = "GPSP"
 
 // maxSpecShards bounds the envelope's shard count against corrupt or

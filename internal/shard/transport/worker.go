@@ -17,12 +17,12 @@ import (
 
 // World is a worker's deterministic replica of the scanned universe.
 // UniverseAt returns the world as of the given epoch (all churn through
-// that epoch applied). It is called with non-decreasing epochs within one
-// session, except after a shard is re-queued from a failed worker, when
-// the new owner may be asked for an epoch it has already stepped past —
-// implementations must support rewinding (regenerating from the base
-// parameters is always correct, since the whole world is a pure function
-// of spec and epoch).
+// that epoch applied). A changed spec always builds a new world through
+// the WorldFactory, so epochs decrease only when a shard is placed again,
+// under an unchanged spec, at a state older than the world's epoch;
+// implementations must support that rewind. Regenerating epoch 0 and
+// replaying churn is always correct: the world is a pure function of
+// spec and epoch.
 type World interface {
 	UniverseAt(epoch int) (*netmodel.Universe, error)
 }
@@ -39,18 +39,6 @@ type World interface {
 // the same way, so a corrupt spec can never take the worker process
 // down.
 type WorldFactory func(spec []byte) (World, error)
-
-// ExtendableWorld is an optional World extension for partitioned
-// worlds: when a session's spec changes — typically because a shard
-// re-queued off a dead worker landed here and the owned-shard set grew —
-// the session first offers the new spec to the existing world's Extend.
-// A nil return adopts the spec in place (the world materializes just the
-// newly owned partition instead of being rebuilt from scratch); an error
-// falls back to a fresh factory build.
-type ExtendableWorld interface {
-	World
-	Extend(spec []byte) error
-}
 
 // WorkerOptions tunes Serve and Join.
 type WorkerOptions struct {
@@ -244,34 +232,21 @@ func (s *session) reject(conn net.Conn, cause error) error {
 	return s.send(conn, msgError, encodeError(cause.Error()))
 }
 
-// buildWorld resolves a changed world spec: an existing extendable world
-// gets first refusal (the cheap path — a re-queued shard only grows the
-// owned partition), then the factory builds fresh. Both paths contain
-// panics: a crafted or corrupt spec must surface as a reject frame, not
-// kill the worker process.
+// buildWorld runs the factory on a changed world spec. A crafted or
+// corrupt spec must surface as a reject frame, not kill the worker
+// process, so a panic is contained.
 func (s *session) buildWorld(spec []byte) (w World, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			w, err = nil, fmt.Errorf("world build panicked: %v", r)
 		}
 	}()
-	if ew, ok := s.world.(ExtendableWorld); ok {
-		extErr := ew.Extend(spec)
-		if extErr == nil {
-			return ew, nil
-		}
-		// The world could not adopt the spec in place (different base
-		// world, shrunk ownership): rebuild from scratch below. An
-		// unexpected refusal here means paying a full-world rebuild the
-		// extend path exists to avoid, so the reason must not vanish.
-		s.opts.logf("transport: world declined to extend (%v); rebuilding via factory", extErr)
-	}
 	return s.factory(spec)
 }
 
-// handleInit is the worker half of the one placement RPC: build or
-// extend the world partition the spec names (the expensive, rejectable
-// part), resume a runner on the carried state, and ack with the shard.
+// handleInit is the worker half of the one placement RPC: build the
+// world partition a changed spec names (the expensive, rejectable part),
+// resume a runner on the carried state, and ack with the shard.
 // The worker cannot tell a first seeding from a resume, a failover or a
 // live migration, and does not need to: whatever runner it held for the
 // shard was a cache of the coordinator's state and is replaced. A

@@ -166,16 +166,24 @@ func ReadStringTable(d *wire.Dec) StringTable {
 	return table
 }
 
-// Feats reads one AppendInterned feature set; an index past the table
-// is Implausible.
+// Feats reads one AppendInterned feature set. A key that is not a
+// Table-1 key above the one before it (so never KeyNone, a repeat or a
+// descent, each of which AppendInterned cannot write) and an index past
+// the table are Implausible.
 func (t StringTable) Feats(d *wire.Dec) features.Set {
 	nf := int(d.U8())
 	if nf == 0 {
 		return nil
 	}
 	s := make(features.Set, nf)
+	prev := features.KeyNone
 	for j := 0; j < nf && d.Err() == nil; j++ {
 		key, id := features.Key(d.U8()), d.Uvarint()
+		if key <= prev || int(key) > features.NumKeys {
+			d.Fail(wire.Implausible, fmt.Errorf("feature key %d after %d; want strictly ascending Table-1 keys", key, prev))
+			break
+		}
+		prev = key
 		if id >= uint64(len(t)) {
 			d.Fail(wire.Implausible, fmt.Errorf("string index %d of %d", id, len(t)))
 			break

@@ -23,6 +23,9 @@ func FuzzReadDatasetBinary(f *testing.F) {
 	f.Add(append(append([]byte{}, golden...), 0))                                                           // trailing byte
 	f.Add([]byte("GPSX\x01junk"))                                                                           // foreign magic
 	f.Add([]byte("GPSD\x01\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x00\xff\xff\xff\xff\x0f")) // huge string count
+	for _, c := range badFeatSets {
+		f.Add(gpsdWithFeatSet(f, c.set))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wiretest.FuzzCanonical(t, data, "GPSD", ReadDatasetBinary,

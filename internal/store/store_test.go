@@ -10,6 +10,7 @@ import (
 	"gps/internal/metrics"
 	"gps/internal/netmodel"
 	"gps/internal/predict"
+	"gps/internal/wire"
 )
 
 func sampleDataset(t *testing.T) *dataset.Dataset {
@@ -138,6 +139,56 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	for _, cut := range []int{5, 20, buf.Len() / 2} {
 		if _, err := ReadDatasetBinary(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// badFeatSets are interned feature sets AppendInterned never writes, each
+// as nfeats u8 + (key u8, string index uvarint)* over a one-string table.
+var badFeatSets = []struct {
+	name string
+	set  []byte
+}{
+	{"descending keys", []byte{2, 11, 0, 10, 0}},
+	{"duplicate key", []byte{2, 10, 0, 10, 0}},
+	{"KeyNone", []byte{1, 0, 0}},
+	{"key past Table 1", []byte{1, 40, 0}},
+}
+
+// gpsdWithFeatSet is a one-record GPSD file whose record carries the
+// given interned feature set.
+func gpsdWithFeatSet(tb testing.TB, set []byte) []byte {
+	tb.Helper()
+	d := &dataset.Dataset{Records: []dataset.Record{{IP: 1, Port: 80,
+		Feats: features.Set{features.KeyProtocol: "a"}}}}
+	var buf bytes.Buffer
+	if _, err := WriteDatasetBinary(&buf, d); err != nil {
+		tb.Fatal(err)
+	}
+	b := buf.Bytes()
+	tail := []byte{1, uint8(features.KeyProtocol), 0}
+	if !bytes.HasSuffix(b, tail) {
+		tb.Fatalf("GPSD record does not end in its feature set %v: % x", tail, b)
+	}
+	return append(b[:len(b)-len(tail):len(b)-len(tail)], set...)
+}
+
+// TestFeatsRefusesNonCanonicalSets: the feature-set reader GPSD and GPSC
+// share accepts only strictly ascending Table-1 keys, so an accepted set
+// re-encodes to the bytes it was read from.
+func TestFeatsRefusesNonCanonicalSets(t *testing.T) {
+	ok := []byte{2, uint8(features.KeyProtocol), 0, uint8(features.NumKeys), 0}
+	if _, err := ReadDatasetBinary(bytes.NewReader(gpsdWithFeatSet(t, ok))); err != nil {
+		t.Fatalf("ascending Table-1 keys refused: %v", err)
+	}
+	for _, c := range badFeatSets {
+		d := wire.NewDec("GPSD", c.set)
+		StringTable{"a"}.Feats(d)
+		if !wire.IsKind(d.Err(), wire.Implausible) {
+			t.Errorf("%s: Feats error %v; want Implausible", c.name, d.Err())
+		}
+		if _, err := ReadDatasetBinary(bytes.NewReader(gpsdWithFeatSet(t, c.set))); !wire.IsKind(err, wire.Implausible) {
+			t.Errorf("%s: ReadDatasetBinary error %v; want Implausible", c.name, err)
 		}
 	}
 }
