@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gps/internal/experiments"
 	"gps/internal/metrics"
@@ -44,43 +45,59 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
+	ids := flag.Args()
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = experimentIDs
+	}
+	for _, id := range ids {
+		if !slices.Contains(experimentIDs, id) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
+			os.Exit(2)
+		}
+	}
+
 	fmt.Printf("building %s-scale universe (seed %d)...\n", sc.Name, *seed)
 	s := experiments.NewSetup(sc)
 	fmt.Printf("universe: %d hosts, %d addresses; censys snapshot %d services, all-port snapshot %d services\n\n",
 		s.Universe.NumHosts(), s.Universe.SpaceSize(), s.Censys.NumServices(), s.LZR.NumServices())
-
-	ids := flag.Args()
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = []string{"table1", "table2", "table3", "table4",
-			"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "fig5", "fig6",
-			"tga", "recsys", "appb", "limits", "churn", "props", "continuous", "shards"}
-	}
 	for _, id := range ids {
 		run(s, id, *out)
 	}
 }
 
-// writeSeries exports one curve as CSV under dir.
+// experimentIDs are the experiments run accepts, in the order "all" runs
+// them.
+var experimentIDs = []string{"table1", "table2", "table3", "table4",
+	"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "fig5", "fig6",
+	"tga", "recsys", "appb", "limits", "churn", "props", "continuous", "shards"}
+
+// writeSeries exports one curve as CSV under dir. A series that cannot
+// be written ends the run with exit status 1.
 func writeSeries(dir, file, name string, c metrics.Curve) {
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "gpseval:", err)
-		return
-	}
 	path := filepath.Join(dir, file)
-	f, err := os.Create(path)
-	if err != nil {
+	if err := writeCurveFile(path, name, c); err != nil {
 		fmt.Fprintln(os.Stderr, "gpseval:", err)
-		return
-	}
-	defer f.Close()
-	if err := store.WriteCurveCSV(f, name, c); err != nil {
-		fmt.Fprintln(os.Stderr, "gpseval:", err)
-		return
+		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", path)
+}
+
+func writeCurveFile(path, name string, c metrics.Curve) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := store.WriteCurveCSV(f, name, c); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func run(s *experiments.Setup, id string, out string) {
@@ -143,6 +160,6 @@ func run(s *experiments.Setup, id string, out string) {
 	case "shards":
 		fmt.Println(experiments.ShardsExperiment(s, nil).Table().Render())
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
+		panic("gpseval: experimentIDs names " + id + ", which run has no case for")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"gps/internal/continuous"
-	"gps/internal/dataset"
+	"gps/internal/features"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/shard"
@@ -44,22 +44,35 @@ func sha256Of(t *testing.T, write func(io.Writer) error) string {
 }
 
 // knownSetDigest writes what a shard knows independent of any checkpoint
-// layout: its known records as a GPSD dataset in (IP, port) order, then
-// each entry's FirstSeen, LastSeen and Stale as uvarints in that order.
+// layout: its known records in (IP, port) order as the retired GPSD
+// dataset format wrote them, which the golden's digests were taken over
+// (header and name, zero metadata, no port list, then the interned
+// records), then each entry's FirstSeen, LastSeen and Stale as uvarints
+// in that order.
 func knownSetDigest(known []continuous.Entry) func(io.Writer) error {
 	return func(w io.Writer) error {
-		d := &dataset.Dataset{Name: "continuous-checkpoint", Records: make([]dataset.Record, len(known))}
-		var counters wire.Enc
-		for i, e := range known {
-			d.Records[i] = e.Rec
-			counters.Uvarint(uint64(e.FirstSeen))
-			counters.Uvarint(uint64(e.LastSeen))
-			counters.Uvarint(uint64(e.Stale))
+		var e, counters wire.Enc
+		e.Header("GPSD", 1)
+		e.Str("continuous-checkpoint")
+		e.Uvarint(0) // space size
+		e.Uvarint(0) // collection probes
+		e.U64(0)     // sample fraction
+		e.Uvarint(0) // ports
+		store.AppendInterned(&e, len(known), func(w *wire.Enc, i int) features.Set {
+			r := &known[i].Rec
+			w.U32(uint32(r.IP))
+			w.U16(r.Port)
+			w.U8(uint8(r.Proto))
+			w.Uvarint(uint64(r.ASN))
+			w.U8(r.TTL)
+			return r.Feats
+		})
+		for _, k := range known {
+			counters.Uvarint(uint64(k.FirstSeen))
+			counters.Uvarint(uint64(k.LastSeen))
+			counters.Uvarint(uint64(k.Stale))
 		}
-		if _, err := store.WriteDatasetBinary(w, d); err != nil {
-			return err
-		}
-		_, err := w.Write(counters)
+		_, err := w.Write(append(e, counters...))
 		return err
 	}
 }

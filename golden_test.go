@@ -2,7 +2,6 @@ package gps_test
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +17,6 @@ import (
 	"gps/internal/netmodel"
 	"gps/internal/shard"
 	"gps/internal/shard/transport"
-	"gps/internal/store"
 	"gps/internal/trace"
 	"gps/internal/wire"
 	"gps/internal/wire/wiretest"
@@ -30,22 +28,17 @@ import (
 // re-encodes. The GPST payload goldens are checked beside their
 // unexported encoders in internal/shard/transport, GPS5 in cmd/gpsd.
 
-// goldenDataset is a seed-scan dataset: a few dozen services, some
+// goldenRecords are a seed scan's records: a few dozen services, some
 // sharing banner values (the string table must intern them), some bare.
-func goldenDataset(seed int64, n int) *dataset.Dataset {
+func goldenRecords(seed int64, n int) []dataset.Record {
 	rng := rand.New(rand.NewSource(seed))
-	d := &dataset.Dataset{
-		Name:             fmt.Sprintf("golden-%d", seed),
-		SpaceSize:        1 << 20,
-		SampleFraction:   0.015625,
-		Ports:            []uint16{22, 80, 443, 7547, 8080, 65535},
-		CollectionProbes: 123456789,
-	}
+	ports := []uint16{22, 80, 443, 7547, 8080, 65535}
 	banners := []string{"nginx", "Apache/2.4.41 (Ubuntu)", "SSH-2.0-OpenSSH_8.2p1", "", "RomPager/4.07 UPnP/1.0"}
+	var recs []dataset.Record
 	for i := 0; i < n; i++ {
 		rec := dataset.Record{
 			IP:    asndb.IP(0x0a000000 + uint32(rng.Intn(1<<16))),
-			Port:  d.Ports[rng.Intn(len(d.Ports))],
+			Port:  ports[rng.Intn(len(ports))],
 			Proto: features.Protocol(rng.Intn(6)),
 			ASN:   asndb.ASN(64500 + rng.Intn(300)),
 			TTL:   uint8(32 + rng.Intn(200)),
@@ -56,16 +49,16 @@ func goldenDataset(seed int64, n int) *dataset.Dataset {
 				rec.Feats[features.Key(1+rng.Intn(20))] = banners[rng.Intn(len(banners))]
 			}
 		}
-		d.Records = append(d.Records, rec)
+		recs = append(recs, rec)
 	}
-	return d
+	return recs
 }
 
-// goldenState is one shard's continuous state over goldenDataset.
+// goldenState is one shard's continuous state over goldenRecords.
 func goldenState(seed int64, n int) *continuous.State {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	known := make(map[netmodel.Key]continuous.Entry)
-	for _, rec := range goldenDataset(seed, n).Records {
+	for _, rec := range goldenRecords(seed, n) {
 		first := rng.Intn(5)
 		known[rec.Key()] = continuous.Entry{
 			Rec: rec, FirstSeen: first, LastSeen: first + rng.Intn(3), Stale: rng.Intn(3),
@@ -127,11 +120,6 @@ func writeTo(write func(*bytes.Buffer) error) ([]byte, error) {
 
 func goldenCases() []wiretest.Case {
 	return []wiretest.Case{
-		{Name: "GPSD",
-			Encode: func() ([]byte, error) {
-				return writeTo(func(b *bytes.Buffer) error { _, err := store.WriteDatasetBinary(b, goldenDataset(1, 40)); return err })
-			},
-			Decode: func(b []byte) error { _, err := store.ReadDatasetBinary(bytes.NewReader(b)); return err }},
 		{Name: "GPSC",
 			Encode: func() ([]byte, error) {
 				return writeTo(func(b *bytes.Buffer) error { return continuous.WriteCheckpoint(b, goldenState(2, 40)) })

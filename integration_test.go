@@ -9,12 +9,12 @@ import (
 	"testing"
 
 	"gps"
+	"gps/internal/continuous"
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/lzr"
 	"gps/internal/netmodel"
 	"gps/internal/scanner"
-	"gps/internal/store"
 	"gps/internal/zgrab"
 )
 
@@ -71,9 +71,9 @@ func TestIntegrationWireDiscovery(t *testing.T) {
 	}
 }
 
-// TestIntegrationPersistedPipeline runs GPS on a dataset that has been
-// round-tripped through the binary store, verifying persistence preserves
-// everything training needs.
+// TestIntegrationPersistedPipeline runs GPS on a seed that has been
+// round-tripped through a GPSC checkpoint, the one format that keeps
+// records, verifying persistence preserves everything training needs.
 func TestIntegrationPersistedPipeline(t *testing.T) {
 	u := gps.GenerateUniverse(gps.SmallUniverseParams(202))
 	full := gps.SnapshotAllPorts(u, 0.4, 203)
@@ -82,14 +82,22 @@ func TestIntegrationPersistedPipeline(t *testing.T) {
 	seedSet = seedSet.FilterPorts(eligible)
 	testSet = testSet.FilterPorts(eligible)
 
-	// Round-trip the seed through the binary format.
+	// Round-trip the seed through the checkpoint format.
 	var buf bytes.Buffer
-	if _, err := store.WriteDatasetBinary(&buf, seedSet); err != nil {
+	if err := continuous.WriteCheckpoint(&buf, continuous.SeedState(seedSet, continuous.Config{})); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := store.ReadDatasetBinary(&buf)
+	st, err := continuous.ReadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	restored := &dataset.Dataset{Name: seedSet.Name, SpaceSize: seedSet.SpaceSize,
+		SampleFraction: seedSet.SampleFraction, Ports: seedSet.Ports, CollectionProbes: seedSet.CollectionProbes}
+	for _, e := range st.Known {
+		restored.Records = append(restored.Records, e.Rec)
+	}
+	if restored.NumServices() != seedSet.NumServices() {
+		t.Fatalf("checkpoint kept %d of %d seed services", restored.NumServices(), seedSet.NumServices())
 	}
 
 	direct, err := gps.Run(u, seedSet, gps.Config{StepBits: 16, Seed: 205})
@@ -135,31 +143,6 @@ func TestIntegrationChurnDegradesPredictions(t *testing.T) {
 	if pStale.FracAll >= pFresh.FracAll {
 		t.Errorf("stale scan coverage %.3f not below fresh %.3f; churn should cost coverage",
 			pStale.FracAll, pFresh.FracAll)
-	}
-}
-
-// TestIntegrationBlocklistedOperatorIsInvisible verifies the ethics
-// mechanism end to end: a network that blocks the GPS fingerprint appears
-// in no phase of the pipeline output.
-func TestIntegrationBlocklistedOperatorIsInvisible(t *testing.T) {
-	u := netmodel.Generate(netmodel.TestParams(211))
-	blocked := u.Prefixes()[0]
-
-	sc := scanner.New(u)
-	sc.Blocklist().Add(blocked)
-	found := sc.ScanPrefixFast(blocked, 80, 1)
-	if len(found) != 0 {
-		t.Fatalf("blocklisted prefix yielded %d responders", len(found))
-	}
-	if sc.Probes() != 0 {
-		t.Error("probes were sent into blocklisted space")
-	}
-
-	// The same prefix scanned without the blocklist has hosts, proving
-	// the blocklist (not emptiness) hid them.
-	sc2 := scanner.New(u)
-	if len(sc2.ScanPrefixFast(blocked, 80, 1)) == 0 {
-		t.Skip("prefix happens to be empty on port 80")
 	}
 }
 

@@ -144,6 +144,29 @@ func TestCheckpointRefusesNonCanonicalFeatureSet(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesNonMinimalVarint: the GPSC golden with its epoch
+// (7, one byte) re-encoded in two bytes reads the same value, but is not
+// what the writer emits, so the reader refuses it.
+func TestCheckpointRefusesNonMinimalVarint(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/golden/GPSC.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = len("GPSC") + 1 // the epoch follows the magic and version
+	if golden[at] != 7 {
+		t.Fatalf("golden epoch byte %#x; want 0x07", golden[at])
+	}
+	long := append(append(append([]byte{}, golden[:at]...), 0x87, 0x00), golden[at+1:]...)
+	if _, err := continuous.ReadCheckpoint(bytes.NewReader(golden)); err != nil {
+		t.Fatalf("golden refused: %v", err)
+	}
+	_, err = continuous.ReadCheckpoint(bytes.NewReader(long))
+	var werr *wire.Error
+	if !errors.As(err, &werr) || werr.Kind != wire.Implausible || werr.Section != "header" {
+		t.Errorf("two-byte epoch returned %v; want a GPSC implausible *wire.Error in header", err)
+	}
+}
+
 // FuzzReadCheckpoint drives arbitrary bytes through the GPSC reader. No
 // input may panic or size an allocation from an unproven count; every
 // refusal is a *wire.Error naming GPSC; and an accepted state is

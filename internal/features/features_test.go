@@ -86,17 +86,19 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestProtocolRoundTrip: every named protocol has its own name, never
+// "unknown", so a protocol column (the dataset CSV's) names the protocol
+// it was written from.
 func TestProtocolRoundTrip(t *testing.T) {
 	if NumProtocols != 15 {
 		t.Fatalf("NumProtocols = %d; the paper names 15 banner protocols", NumProtocols)
 	}
+	seen := map[string]Protocol{ProtocolUnknown.String(): ProtocolUnknown}
 	for p := ProtocolHTTP; int(p) <= NumProtocols; p++ {
-		if ParseProtocol(p.String()) != p {
-			t.Errorf("ParseProtocol(%q) != %v", p.String(), p)
+		if q, dup := seen[p.String()]; dup {
+			t.Errorf("protocols %d and %d are both named %q", q, p, p.String())
 		}
-	}
-	if ParseProtocol("nosuch") != ProtocolUnknown {
-		t.Error("unknown protocol must parse to Unknown")
+		seen[p.String()] = p
 	}
 	if Protocol(99).String() != "unknown" {
 		t.Error("out-of-range protocol must be unknown")

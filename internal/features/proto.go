@@ -56,14 +56,3 @@ func (p Protocol) String() string {
 	}
 	return "unknown"
 }
-
-// ParseProtocol maps a name back to a Protocol; unknown names return
-// ProtocolUnknown.
-func ParseProtocol(name string) Protocol {
-	for p, n := range protoNames {
-		if n == name {
-			return Protocol(p)
-		}
-	}
-	return ProtocolUnknown
-}

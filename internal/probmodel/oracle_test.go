@@ -163,8 +163,8 @@ func oracleConfigs() []Config {
 	)
 }
 
-// withRepeatedPorts returns hosts with three kinds of host a GPSD seed
-// file can hold beside them: one whose port appears twice (the repeated
+// withRepeatedPorts returns hosts with three kinds of host a seed
+// dataset can hold beside them: one whose port appears twice (the repeated
 // record carries other features), one serving a single port twice, and
 // one whose ports are not in ascending order.
 func withRepeatedPorts(hosts []dataset.HostGroup) []dataset.HostGroup {

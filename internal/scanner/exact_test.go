@@ -56,30 +56,6 @@ func TestExactShardCounts(t *testing.T) {
 	}
 }
 
-func TestExactShardCountsBlocklist(t *testing.T) {
-	net := fakeNetFast{testNet()}
-	pfx := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 20)
-	blocked := asndb.MustPrefix(asndb.MustParseIP("10.0.8.0"), 21)
-	const n = 4
-
-	var sum uint64
-	for i := 0; i < n; i++ {
-		sc := NewSharded(net, i, n)
-		sc.SetExactShardCounts(true)
-		sc.Blocklist().Add(blocked)
-		sc.ScanPrefixFast(pfx, 80, 1)
-		// Per shard: exactly the owned, unblocked addresses.
-		want := bruteOwned(pfx, i, n) - bruteOwned(blocked, i, n)
-		if sc.Probes() != want {
-			t.Errorf("shard %d accounted %d probes with blocklist; want %d", i, sc.Probes(), want)
-		}
-		sum += sc.Probes()
-	}
-	if want := pfx.Size() - blocked.Size(); sum != want {
-		t.Errorf("blocked shard sums = %d; want %d", sum, want)
-	}
-}
-
 // Exact mode on an unsharded scanner is a no-op: the share already is the
 // full prefix.
 func TestExactShardCountsUnsharded(t *testing.T) {

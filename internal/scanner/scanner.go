@@ -17,34 +17,11 @@ type Responder interface {
 	Responsive(ip asndb.IP, port uint16) bool
 }
 
-// Blocklist excludes prefixes from scanning, honoring operators who have
-// blocked the GPS fingerprint. Probes to blocked space are never sent (and
-// never counted). Membership checks run against a binary trie, so Blocked
-// costs O(32) bit steps regardless of how many operators have opted out —
-// it sits on the per-probe hot path.
-type Blocklist struct {
-	prefixes []asndb.Prefix
-	trie     asndb.Table
-}
-
-// Add appends a prefix to the blocklist.
-func (b *Blocklist) Add(p asndb.Prefix) {
-	b.prefixes = append(b.prefixes, p)
-	b.trie.Insert(p, 0)
-}
-
-// Blocked reports whether ip falls in any blocked prefix.
-func (b *Blocklist) Blocked(ip asndb.IP) bool {
-	_, blocked := b.trie.Lookup(ip)
-	return blocked
-}
-
 // Scanner is the probe engine. It is safe for concurrent use: probe
 // accounting is atomic, and the Responder contract requires concurrent
 // reads to be safe.
 type Scanner struct {
 	target Responder
-	block  *Blocklist
 	probes atomic.Uint64
 	// shardIdx/shardCnt restrict prefix scans to the addresses this
 	// scanner's shard owns (asndb.ShardOf); shardCnt <= 1 disables it.
@@ -60,7 +37,7 @@ type Scanner struct {
 
 // New creates a scanner against the given responder.
 func New(target Responder) *Scanner {
-	return &Scanner{target: target, block: &Blocklist{}}
+	return &Scanner{target: target}
 }
 
 // NewSharded creates a scanner that owns one partition of an n-way
@@ -139,29 +116,8 @@ func (s *Scanner) ownedInPrefix(p asndb.Prefix) uint64 {
 	return n
 }
 
-// ownedUnblocked returns the exact number of addresses in p this
-// scanner's shard owns that are not blocklisted. Not memoized: the
-// blocklist is mutable, so a cached count could go stale.
-func (s *Scanner) ownedUnblocked(p asndb.Prefix) uint64 {
-	var n uint64
-	for off := uint64(0); off < p.Size(); off++ {
-		ip := p.First() + asndb.IP(off)
-		if s.owns(ip) && !s.block.Blocked(ip) {
-			n++
-		}
-	}
-	return n
-}
-
-// Blocklist returns the scanner's mutable blocklist.
-func (s *Scanner) Blocklist() *Blocklist { return s.block }
-
 // Probe sends one SYN to (ip, port) and reports whether it was ACKed.
-// Probes to blocklisted space return false without being sent.
 func (s *Scanner) Probe(ip asndb.IP, port uint16) bool {
-	if s.block.Blocked(ip) {
-		return false
-	}
 	s.probes.Add(1)
 	return s.target.Responsive(ip, port)
 }
@@ -205,8 +161,7 @@ type PrefixResponder interface {
 // ScanPrefixFast scans a prefix on one port like ScanPrefix, but uses the
 // responder's PrefixResponder fast path when available. The probe counter
 // still advances by the full prefix size — the bandwidth is identical, only
-// the simulation is cheaper. Blocklisted addresses are removed from both
-// the results and the accounting. A sharded scanner returns only the
+// the simulation is cheaper. A sharded scanner returns only the
 // responders its shard owns and accounts the ideal 1/count share of the
 // prefix — or, with SetExactShardCounts, the exact owned count (memoized
 // per prefix, so the hashing cost is paid once; without it the hash split
@@ -216,43 +171,16 @@ func (s *Scanner) ScanPrefixFast(p asndb.Prefix, port uint16, seed int64) []asnd
 	if !ok {
 		return s.ScanPrefix(p, port, seed)
 	}
-	if len(s.block.prefixes) == 0 {
-		if s.exact {
-			s.probes.Add(s.ownedInPrefix(p))
-		} else {
-			s.probes.Add(s.shardShare(p.Size()))
-		}
-		hits := pr.ResponsiveIn(p, port)
-		if s.shardCnt > 1 {
-			hits = s.filterOwned(hits)
-		}
-		return hits
-	}
-	// With a blocklist, count the unblocked fraction precisely.
 	if s.exact {
-		s.probes.Add(s.ownedUnblocked(p))
+		s.probes.Add(s.ownedInPrefix(p))
 	} else {
-		var blocked uint64
-		for _, b := range s.block.prefixes {
-			if b.Bits >= p.Bits && p.Contains(b.First()) {
-				blocked += b.Size()
-			} else if b.Contains(p.First()) {
-				blocked = p.Size()
-				break
-			}
-		}
-		if blocked > p.Size() {
-			blocked = p.Size()
-		}
-		s.probes.Add(s.shardShare(p.Size() - blocked))
+		s.probes.Add(s.shardShare(p.Size()))
 	}
-	var out []asndb.IP
-	for _, ip := range pr.ResponsiveIn(p, port) {
-		if !s.block.Blocked(ip) && s.owns(ip) {
-			out = append(out, ip)
-		}
+	hits := pr.ResponsiveIn(p, port)
+	if s.shardCnt > 1 {
+		hits = s.filterOwned(hits)
 	}
-	return out
+	return hits
 }
 
 // filterOwned returns the addresses this scanner's shard owns. The input

@@ -56,20 +56,6 @@ func TestProbeCounting(t *testing.T) {
 	}
 }
 
-func TestBlocklist(t *testing.T) {
-	s := New(testNet())
-	s.Blocklist().Add(asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 24))
-	if s.Probe(asndb.MustParseIP("10.0.0.1"), 80) {
-		t.Error("probe to blocked space succeeded")
-	}
-	if s.Probes() != 0 {
-		t.Error("blocked probe was counted as sent")
-	}
-	if !s.Probe(asndb.MustParseIP("10.0.1.1"), 443) {
-		t.Error("probe outside blocklist failed")
-	}
-}
-
 func TestScanPrefix(t *testing.T) {
 	s := New(testNet())
 	p := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 24)
@@ -100,20 +86,6 @@ func TestScanPrefixFastEquivalence(t *testing.T) {
 	}
 	if slow.Probes() != fast.Probes() {
 		t.Errorf("probe accounting differs: %d vs %d", slow.Probes(), fast.Probes())
-	}
-}
-
-func TestScanPrefixFastBlocklist(t *testing.T) {
-	fast := New(fakeNetFast{testNet()})
-	fast.Blocklist().Add(asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 24))
-	p := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 23)
-	got := fast.ScanPrefixFast(p, 80, 3)
-	if len(got) != 0 {
-		t.Errorf("blocked /24 still returned %d responders", len(got))
-	}
-	// Only the unblocked half of the /23 is counted.
-	if fast.Probes() != 256 {
-		t.Errorf("probes = %d; want 256", fast.Probes())
 	}
 }
 
@@ -182,22 +154,6 @@ func TestShardedPrefixScan(t *testing.T) {
 	// count <= 1 must behave exactly like an unsharded scanner.
 	if got := NewSharded(net, 0, 1).ScanPrefixFast(pfx, 80, 1); len(got) != len(full) {
 		t.Errorf("NewSharded(_, 0, 1) filtered responders: %d != %d", len(got), len(full))
-	}
-}
-
-func TestShardedBlocklistAccounting(t *testing.T) {
-	net := fakeNetFast{testNet()}
-	pfx := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 16)
-	const n = 4
-	var probes uint64
-	for i := 0; i < n; i++ {
-		sc := NewSharded(net, i, n)
-		sc.Blocklist().Add(asndb.MustPrefix(asndb.MustParseIP("10.0.128.0"), 17))
-		sc.ScanPrefixFast(pfx, 80, 1)
-		probes += sc.Probes()
-	}
-	if want := pfx.Size() / 2; probes != want {
-		t.Errorf("blocked shard shares sum to %d; want %d", probes, want)
 	}
 }
 

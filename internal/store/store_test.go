@@ -8,57 +8,15 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/metrics"
-	"gps/internal/netmodel"
 	"gps/internal/predict"
 	"gps/internal/wire"
 )
 
-func sampleDataset(t *testing.T) *dataset.Dataset {
-	t.Helper()
-	u := netmodel.Generate(netmodel.TestParams(55))
-	d := dataset.SnapshotCensys(u, 40)
-	sortRecords(d.Records)
-	return d
-}
-
-func recordsEqual(t *testing.T, a, b []dataset.Record) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		ra, rb := a[i], b[i]
-		if ra.IP != rb.IP || ra.Port != rb.Port || ra.Proto != rb.Proto ||
-			ra.ASN != rb.ASN || ra.TTL != rb.TTL {
-			t.Fatalf("record %d differs: %+v vs %+v", i, ra, rb)
-		}
-		if len(ra.Feats) != len(rb.Feats) {
-			t.Fatalf("record %d feature counts differ", i)
-		}
-		for k, v := range ra.Feats {
-			if rb.Feats[k] != v {
-				t.Fatalf("record %d feature %v differs: %q vs %q", i, k, v, rb.Feats[k])
-			}
-		}
-	}
-}
-
-func TestDatasetCSVRoundTrip(t *testing.T) {
-	d := sampleDataset(t)
-	var buf bytes.Buffer
-	if err := WriteDatasetCSV(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDatasetCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, d.Records, back.Records)
-}
-
+// TestFeatureEscaping pins a dataset row: keys in Table-1 order, and
+// the separators and the escape character escaped inside a value.
 func TestFeatureEscaping(t *testing.T) {
 	d := &dataset.Dataset{Records: []dataset.Record{{
-		IP: 1, Port: 80, Proto: features.ProtocolHTTP,
+		IP: 0x01020304, Port: 80, Proto: features.ProtocolHTTP, ASN: 64500, TTL: 57,
 		Feats: features.Set{
 			features.KeyHTTPTitle:  "a|b=c%d",
 			features.KeyHTTPServer: "plain",
@@ -68,78 +26,10 @@ func TestFeatureEscaping(t *testing.T) {
 	if err := WriteDatasetCSV(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDatasetCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, d.Records, back.Records)
-}
-
-func TestDatasetBinaryRoundTrip(t *testing.T) {
-	d := sampleDataset(t)
-	var buf bytes.Buffer
-	n, err := WriteDatasetBinary(&buf, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uint64(buf.Len()) {
-		t.Errorf("byte count %d != buffer %d", n, buf.Len())
-	}
-	back, err := ReadDatasetBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, d.Records, back.Records)
-	if back.Name != d.Name || back.SpaceSize != d.SpaceSize ||
-		back.SampleFraction != d.SampleFraction ||
-		back.CollectionProbes != d.CollectionProbes {
-		t.Error("metadata lost in binary round trip")
-	}
-	if len(back.Ports) != len(d.Ports) {
-		t.Fatalf("port list lost: %d vs %d", len(back.Ports), len(d.Ports))
-	}
-	for i := range d.Ports {
-		if back.Ports[i] != d.Ports[i] {
-			t.Fatal("port list corrupted")
-		}
-	}
-}
-
-func TestBinarySmallerThanCSV(t *testing.T) {
-	d := sampleDataset(t)
-	var csvBuf, binBuf bytes.Buffer
-	if err := WriteDatasetCSV(&csvBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteDatasetBinary(&binBuf, d); err != nil {
-		t.Fatal(err)
-	}
-	if binBuf.Len() >= csvBuf.Len() {
-		t.Errorf("binary (%d B) not smaller than CSV (%d B); string interning broken?",
-			binBuf.Len(), csvBuf.Len())
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("GPS"),
-		[]byte("NOPE....."),
-		append([]byte("GPSD"), 99), // bad version
-	}
-	for _, c := range cases {
-		if _, err := ReadDatasetBinary(bytes.NewReader(c)); err == nil {
-			t.Errorf("garbage %q accepted", c)
-		}
-	}
-	// Truncation mid-stream must error, not panic.
-	d := sampleDataset(t)
-	var buf bytes.Buffer
-	WriteDatasetBinary(&buf, d)
-	for _, cut := range []int{5, 20, buf.Len() / 2} {
-		if _, err := ReadDatasetBinary(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
+	const want = "ip,port,protocol,asn,ttl,features\n" +
+		"1.2.3.4,80,http,64500,57,5=a%7Cb%3Dc%25d|7=plain\n"
+	if got := buf.String(); got != want {
+		t.Errorf("dataset CSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -155,45 +45,27 @@ var badFeatSets = []struct {
 	{"key past Table 1", []byte{1, 40, 0}},
 }
 
-// gpsdWithFeatSet is a one-record GPSD file whose record carries the
-// given interned feature set.
-func gpsdWithFeatSet(tb testing.TB, set []byte) []byte {
-	tb.Helper()
-	d := &dataset.Dataset{Records: []dataset.Record{{IP: 1, Port: 80,
-		Feats: features.Set{features.KeyProtocol: "a"}}}}
-	var buf bytes.Buffer
-	if _, err := WriteDatasetBinary(&buf, d); err != nil {
-		tb.Fatal(err)
-	}
-	b := buf.Bytes()
-	tail := []byte{1, uint8(features.KeyProtocol), 0}
-	if !bytes.HasSuffix(b, tail) {
-		tb.Fatalf("GPSD record does not end in its feature set %v: % x", tail, b)
-	}
-	return append(b[:len(b)-len(tail):len(b)-len(tail)], set...)
-}
-
-// TestFeatsRefusesNonCanonicalSets: the feature-set reader GPSD and GPSC
-// share accepts only strictly ascending Table-1 keys, so an accepted set
-// re-encodes to the bytes it was read from.
+// TestFeatsRefusesNonCanonicalSets: the GPSC feature-set reader accepts
+// only strictly ascending Table-1 keys, so an accepted set re-encodes to
+// the bytes it was read from.
 func TestFeatsRefusesNonCanonicalSets(t *testing.T) {
 	ok := []byte{2, uint8(features.KeyProtocol), 0, uint8(features.NumKeys), 0}
-	if _, err := ReadDatasetBinary(bytes.NewReader(gpsdWithFeatSet(t, ok))); err != nil {
-		t.Fatalf("ascending Table-1 keys refused: %v", err)
+	d := wire.NewDec("GPSC", ok)
+	if s := (StringTable{"a"}).Feats(d); d.Done() != nil || len(s) != 2 {
+		t.Fatalf("ascending Table-1 keys refused: %v", d.Err())
 	}
 	for _, c := range badFeatSets {
-		d := wire.NewDec("GPSD", c.set)
+		d := wire.NewDec("GPSC", c.set)
 		StringTable{"a"}.Feats(d)
 		if !wire.IsKind(d.Err(), wire.Implausible) {
 			t.Errorf("%s: Feats error %v; want Implausible", c.name, d.Err())
 		}
-		if _, err := ReadDatasetBinary(bytes.NewReader(gpsdWithFeatSet(t, c.set))); !wire.IsKind(err, wire.Implausible) {
-			t.Errorf("%s: ReadDatasetBinary error %v; want Implausible", c.name, err)
-		}
 	}
 }
 
-func TestPredictionsCSVRoundTrip(t *testing.T) {
+// TestPredictionsCSVBytes pins the predictions list: shortest
+// round-tripping float text, exponent form for small probabilities.
+func TestPredictionsCSVBytes(t *testing.T) {
 	preds := []predict.Prediction{
 		{IP: 0x01020304, Port: 80, P: 0.75},
 		{IP: 0x05060708, Port: 8443, P: 1e-5},
@@ -202,17 +74,9 @@ func TestPredictionsCSVRoundTrip(t *testing.T) {
 	if err := WritePredictionsCSV(&buf, preds); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPredictionsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(preds) {
-		t.Fatalf("count %d", len(back))
-	}
-	for i := range preds {
-		if back[i] != preds[i] {
-			t.Errorf("prediction %d: %+v vs %+v", i, back[i], preds[i])
-		}
+	const want = "ip,port,probability\n1.2.3.4,80,0.75\n5.6.7.8,8443,1e-05\n"
+	if got := buf.String(); got != want {
+		t.Errorf("predictions CSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package wire is the one binary codec under every GPS format: the file
-// formats (GPSC, GPS5, GPSV, GPSE, GPSD), the GPST frame
-// payloads with their GPSP envelope, and the trace span batch. A format
+// formats (GPSC, GPS5, GPSV, GPSE), the GPST frame payloads with their
+// GPSP envelope, and the trace span batch. A format
 // is a sequence of Enc calls mirrored by the same sequence of Dec calls;
 // the byte layouts themselves stay with their owners.
 //
@@ -198,6 +198,9 @@ func (d *Dec) U32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
 func (d *Dec) U64() uint64 { return binary.BigEndian.Uint64(d.take(8)) }
 func (d *Dec) Bool() bool  { return d.U8() != 0 }
 
+// Uvarint reads a varint as Enc.Uvarint writes it: in its fewest bytes,
+// so a longer encoding of the same value (a last byte of 0x00) is
+// Implausible and every accepted input re-encodes to itself.
 func (d *Dec) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
@@ -208,6 +211,9 @@ func (d *Dec) Uvarint() uint64 {
 		d.truncated()
 	} else if n < 0 {
 		d.Fail(Implausible, errors.New("varint overflows 64 bits"))
+		return 0
+	} else if n > 1 && d.buf[d.off+n-1] == 0 {
+		d.Fail(Implausible, fmt.Errorf("%d-byte varint of %d is not minimal", n, v))
 		return 0
 	}
 	d.off += n

@@ -199,6 +199,33 @@ func TestImplausible(t *testing.T) {
 	}
 }
 
+// TestUvarintMinimal: a varint reads only in the fewest bytes that
+// carry its value, the encoding Enc.Uvarint writes.
+func TestUvarintMinimal(t *testing.T) {
+	for _, tc := range []struct {
+		in   []byte
+		want uint64
+		ok   bool
+	}{
+		{[]byte{0x00}, 0, true},
+		{[]byte{0x7f}, 127, true},
+		{[]byte{0x80, 0x01}, 128, true},
+		{[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, math.MaxUint64, true},
+		{[]byte{0x80, 0x00}, 0, false},
+		{[]byte{0xff, 0x00}, 0, false},
+		{[]byte{0x81, 0x80, 0x00}, 0, false},
+	} {
+		d := NewDec("TEST", tc.in)
+		got := d.Uvarint()
+		if tc.ok && (got != tc.want || d.Done() != nil) {
+			t.Errorf("% x: %d, %v; want %d", tc.in, got, d.Err(), tc.want)
+		}
+		if !tc.ok && (got != 0 || !IsKind(d.Err(), Implausible)) {
+			t.Errorf("% x: %d, %v; want 0 and an implausible error", tc.in, got, d.Err())
+		}
+	}
+}
+
 // TestTrailingPolicy: the same leftover byte is an error to Done and
 // invisible to Err, and Rest/More expose an optional trailing field.
 func TestTrailingPolicy(t *testing.T) {
