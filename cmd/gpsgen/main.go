@@ -95,8 +95,8 @@ func main() {
 		after := netmodel.Churn(u, netmodel.DefaultChurn(*seed^0x10))
 		lost := 0
 		for _, h := range u.Hosts() {
-			for port := range h.Services() {
-				if !after.Responsive(h.IP, port) {
+			for _, svc := range h.Services() {
+				if !after.Responsive(h.IP, svc.Port) {
 					lost++
 				}
 			}

@@ -44,10 +44,12 @@ func goldenRecords(seed int64, n int) []dataset.Record {
 			TTL:   uint8(32 + rng.Intn(200)),
 		}
 		if nf := rng.Intn(4); nf > 0 {
-			rec.Feats = make(features.Set, nf)
-			for j := 0; j < nf; j++ {
-				rec.Feats[features.Key(1+rng.Intn(20))] = banners[rng.Intn(len(banners))]
+			vals := make([]features.Value, nf)
+			for j := range vals {
+				vals[j].Key = features.Key(1 + rng.Intn(20))
+				vals[j].Val = banners[rng.Intn(len(banners))]
 			}
+			rec.Feats = features.NewSet(vals...) // a repeated key keeps its last value
 		}
 		recs = append(recs, rec)
 	}

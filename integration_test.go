@@ -6,6 +6,7 @@ package gps_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"gps"
@@ -35,9 +36,9 @@ func TestIntegrationWireDiscovery(t *testing.T) {
 		if h.Middlebox {
 			continue
 		}
-		for p, svc := range h.Services() {
+		for _, svc := range h.Services() {
 			if svc.Proto != features.ProtocolUnknown && len(svc.Feats) > 1 {
-				target, port = h, p
+				target, port = h, svc.Port
 				break
 			}
 		}
@@ -64,10 +65,8 @@ func TestIntegrationWireDiscovery(t *testing.T) {
 	if !ok {
 		t.Fatal("grab failed")
 	}
-	for k, v := range svc.Feats {
-		if g.Feats[k] != v {
-			t.Errorf("grab lost feature %v", k)
-		}
+	if !slices.Equal(g.Feats, svc.Feats) {
+		t.Errorf("grab features %v; service has %v", g.Feats, svc.Feats)
 	}
 }
 

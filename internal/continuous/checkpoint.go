@@ -3,6 +3,7 @@ package continuous
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"gps/internal/asndb"
 	"gps/internal/dataset"
@@ -22,9 +23,11 @@ import (
 //
 // The reader refuses an epoch past maxEpoch, keys out of strict order,
 // an entry first seen after it was last seen or last seen past the
-// epoch, and a stale count past the int range. Version 1 also carried
-// every completed epoch's counters; version 2 nested the known records
-// as a whole GPSD dataset. Both are refused as a bad-version
+// epoch, a stale count past the int range, a served field out of its
+// range (DecodeServed) and a string table numbered otherwise than
+// AppendInterned numbers it (store.StringTable.Feats). Version 1 also
+// carried every completed epoch's counters; version 2 nested the known
+// records as a whole GPSD dataset. Both are refused as a bad-version
 // *wire.Error, not migrated.
 
 const (
@@ -52,20 +55,32 @@ func EncodeServed(w *wire.Enc, k netmodel.Key, e *Entry) {
 	w.Uvarint(uint64(e.Stale))
 }
 
-// DecodeServed reads EncodeServed output.
+// DecodeServed reads EncodeServed output. A proto past the protocol
+// table, an ASN past 32 bits and a TTL past 8 bits are Implausible,
+// named by field: EncodeServed writes none of them.
 func DecodeServed(d *wire.Dec) (netmodel.Key, Entry) {
 	k := DecodeKey(d)
 	return k, Entry{
 		Rec: dataset.Record{
 			IP: k.IP, Port: k.Port,
-			Proto: features.Protocol(d.Uvarint()),
-			ASN:   asndb.ASN(d.Uvarint()),
-			TTL:   uint8(d.Uvarint()),
+			Proto: features.Protocol(uvarintTo(d, "proto", uint64(features.NumProtocols))),
+			ASN:   asndb.ASN(uvarintTo(d, "asn", math.MaxUint32)),
+			TTL:   uint8(uvarintTo(d, "ttl", math.MaxUint8)),
 		},
 		FirstSeen: int(d.Uvarint()),
 		LastSeen:  int(d.Uvarint()),
 		Stale:     int(d.Uvarint()),
 	}
+}
+
+// uvarintTo reads a uvarint that must not exceed max, naming field if
+// it does.
+func uvarintTo(d *wire.Dec, field string, max uint64) uint64 {
+	v := d.Uvarint()
+	if v > max {
+		d.Fail(wire.Implausible, fmt.Errorf("%s %d, limit %d", field, v, max))
+	}
+	return v
 }
 
 // EncodeKey writes a service key as IP u32 | port u16 (big-endian).
@@ -103,10 +118,7 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 		d.Fail(wire.Implausible, fmt.Errorf("epoch %d, limit %d", epoch, maxEpoch))
 	}
 	st := &State{Epoch: int(epoch)}
-	table := store.ReadStringTable(d)
-
-	d.At("known set", -1)
-	n := d.Count(d.Uvarint(), maxEntries)
+	table, n := store.ReadStringTable(d, maxEntries)
 	st.Known = make([]Entry, 0, min(n, 1<<16))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("entry", i)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"gps/internal/continuous"
 	"gps/internal/dataset"
 	"gps/internal/features"
+	"gps/internal/netmodel"
 	"gps/internal/shard"
 	"gps/internal/wire"
 	"gps/internal/wire/wiretest"
@@ -105,7 +107,8 @@ func TestCheckpointInternsFeatureValues(t *testing.T) {
 	const banner = "SSH-2.0-OpenSSH_8.2p1 Ubuntu-4ubuntu0.5"
 	st := &continuous.State{Epoch: 1}
 	for i := 0; i < 100; i++ {
-		rec := dataset.Record{IP: asndb.IP(i), Port: 22, Feats: features.Set{features.KeySSHBanner: banner}}
+		feats := features.NewSet(features.Value{Key: features.KeySSHBanner, Val: banner})
+		rec := dataset.Record{IP: asndb.IP(i), Port: 22, Feats: feats}
 		st.Known = append(st.Known, continuous.Entry{Rec: rec, LastSeen: 1})
 	}
 	gpsc := encode(t, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, st) })
@@ -120,7 +123,7 @@ func TestCheckpointInternsFeatureValues(t *testing.T) {
 func badFeatSetCheckpoints(tb testing.TB) [][]byte {
 	tb.Helper()
 	one := &continuous.State{Epoch: 1, Known: []continuous.Entry{{LastSeen: 1,
-		Rec: dataset.Record{IP: 10, Port: 80, Feats: features.Set{features.KeyProtocol: "a"}}}}}
+		Rec: dataset.Record{IP: 10, Port: 80, Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "a"})}}}}
 	gpsc := encode(tb, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, one) })
 	tail := []byte{1, uint8(features.KeyProtocol), 0}
 	if !bytes.HasSuffix(gpsc, tail) {
@@ -141,6 +144,34 @@ func TestCheckpointRefusesNonCanonicalFeatureSet(t *testing.T) {
 		if _, err := continuous.ReadCheckpoint(bytes.NewReader(gpsc)); !wire.IsKind(err, wire.Implausible) {
 			t.Errorf("feature set %d returned %v; want a GPSC implausible *wire.Error", i, err)
 		}
+	}
+}
+
+// TestCheckpointSetsAscend: every feature set the GPSC golden reads back
+// as is strictly key-ascending, the order the model and the codecs read.
+func TestCheckpointSetsAscend(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/golden/GPSC.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := continuous.ReadCheckpoint(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := 0
+	for _, e := range st.Known {
+		s := e.Rec.Feats
+		for j := 1; j < len(s); j++ {
+			if s[j-1].Key >= s[j].Key {
+				t.Fatalf("%v: set %v not key-ascending", e.Rec.Key(), s)
+			}
+		}
+		if len(s) > 1 {
+			multi++
+		}
+	}
+	if multi == 0 {
+		t.Fatal("the golden holds no set of two or more features")
 	}
 }
 
@@ -167,6 +198,66 @@ func TestCheckpointRefusesNonMinimalVarint(t *testing.T) {
 	}
 }
 
+// handGPSC is a one-entry GPSC file at epoch 1: strs as its string
+// table, then 10.0.0.1:80 first seen at 0 and last at 1, with the given
+// proto, ASN and TTL and the interned set bytes.
+func handGPSC(strs []string, proto, asn, ttl uint64, set ...byte) []byte {
+	var e wire.Enc
+	e.Header("GPSC", 3)
+	e.Uvarint(1)
+	e.Uvarint(uint64(len(strs)))
+	for _, s := range strs {
+		e.Str(s)
+	}
+	e.Uvarint(1)
+	continuous.EncodeKey(&e, netmodel.Key{IP: 0x0a000001, Port: 80})
+	for _, v := range []uint64{proto, asn, ttl, 0, 1, 0} {
+		e.Uvarint(v)
+	}
+	return append(e, set...)
+}
+
+// refusedGPSC are hand-built GPSC files no writer emits, each refused by
+// one check: a served field past its range (proto past the protocol
+// table, ASN past 32 bits, TTL past 8 bits), a string first used out of
+// turn, a duplicated string no set uses, and all of these at once in 31
+// bytes that a reader once accepted and re-encoded to 21.
+var refusedGPSC = []struct {
+	name string
+	gpsc []byte
+}{
+	{"proto", handGPSC(nil, 16, 64500, 60, 0)},
+	{"asn", handGPSC(nil, 1, 1<<32, 60, 0)},
+	{"ttl", handGPSC(nil, 1, 64500, 256, 0)},
+	{"string out of turn", handGPSC([]string{"a", "b"}, 1, 64500, 60, 1, uint8(features.KeyProtocol), 1)},
+	{"unused duplicate", handGPSC([]string{"a", "a"}, 1, 64500, 60, 1, uint8(features.KeyProtocol), 0)},
+	{"31 bytes, all of it", handGPSC([]string{"a", "a"}, 257, 1<<33, 263, 0)},
+}
+
+// TestCheckpointRefusesHandBuiltFiles: every refusedGPSC file is an
+// implausible *wire.Error, while the same entry with in-range fields and
+// a table its set uses in turn reads back, its set key-ascending.
+func TestCheckpointRefusesHandBuiltFiles(t *testing.T) {
+	for _, c := range refusedGPSC {
+		if _, err := continuous.ReadCheckpoint(bytes.NewReader(c.gpsc)); !wire.IsKind(err, wire.Implausible) {
+			t.Errorf("%s: ReadCheckpoint returned %v; want an implausible *wire.Error", c.name, err)
+		}
+	}
+	if all := refusedGPSC[len(refusedGPSC)-1]; len(all.gpsc) != 31 {
+		t.Errorf("%q is %d bytes; want 31", all.name, len(all.gpsc))
+	}
+	good := handGPSC([]string{"a", "b"}, 1, 64500, 60, 2, uint8(features.KeyProtocol), 0, uint8(features.KeyHTTPServer), 1)
+	st, err := continuous.ReadCheckpoint(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := features.NewSet(features.Value{Key: features.KeyHTTPServer, Val: "b"},
+		features.Value{Key: features.KeyProtocol, Val: "a"})
+	if got := st.Known[0].Rec.Feats; !slices.Equal(got, want) {
+		t.Errorf("set read back as %v; want %v", got, want)
+	}
+}
+
 // FuzzReadCheckpoint drives arbitrary bytes through the GPSC reader. No
 // input may panic or size an allocation from an unproven count; every
 // refusal is a *wire.Error naming GPSC; and an accepted state is
@@ -189,6 +280,9 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(encode(f, func(w *bytes.Buffer) error { return continuous.WriteCheckpoint(w, ageless()) }))
 	for _, gpsc := range badFeatSetCheckpoints(f) {
 		f.Add(gpsc)
+	}
+	for _, c := range refusedGPSC {
+		f.Add(c.gpsc)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

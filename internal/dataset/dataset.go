@@ -97,20 +97,19 @@ func hostRecords(h *netmodel.Host, ports map[uint16]bool) []Record {
 		return nil
 	}
 	var out []Record
-	for _, port := range h.Ports() {
-		svc, _ := h.ServiceAt(port)
-		if ports != nil && !ports[port] {
+	for i := range h.Services() {
+		svc := &h.Services()[i]
+		if ports != nil && !ports[svc.Port] || svc.Pseudo {
 			continue
 		}
-		if svc == nil || svc.Pseudo {
-			continue
-		}
-		out = append(out, Record{
-			IP: h.IP, Port: port, Proto: svc.Proto,
-			Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL,
-		})
+		out = append(out, serviceRecord(h, svc))
 	}
 	return out
+}
+
+// serviceRecord is the record of one of h's services.
+func serviceRecord(h *netmodel.Host, svc *netmodel.Service) Record {
+	return Record{IP: h.IP, Port: svc.Port, Proto: svc.Proto, Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL}
 }
 
 // TopPorts returns the k most populated ports of the universe in
@@ -201,24 +200,14 @@ func SnapshotLZROpts(u *netmodel.Universe, fraction float64, seed int64, applyFi
 // a representative slice so datasets stay bounded.
 func hostRecordsUnfiltered(h *netmodel.Host) []Record {
 	var out []Record
-	for _, port := range h.Ports() {
-		svc, _ := h.ServiceAt(port)
-		if svc == nil {
-			continue
-		}
-		out = append(out, Record{
-			IP: h.IP, Port: port, Proto: svc.Proto,
-			Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL,
-		})
+	for i := range h.Services() {
+		out = append(out, serviceRecord(h, &h.Services()[i]))
 	}
 	if lo, hi, ok := h.PseudoBlock(); ok {
 		const keep = 64 // representative slice of the block
 		for p := int(lo); p <= int(hi) && p < int(lo)+keep; p++ {
 			svc, _ := h.ServiceAt(uint16(p))
-			out = append(out, Record{
-				IP: h.IP, Port: uint16(p), Proto: svc.Proto,
-				Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL,
-			})
+			out = append(out, serviceRecord(h, svc))
 		}
 	}
 	return out

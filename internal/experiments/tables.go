@@ -25,8 +25,8 @@ func Table1(s *Setup) Table {
 		uniq[k] = make(map[string]bool)
 	}
 	for _, r := range s.Censys.Records {
-		for k, v := range r.Feats {
-			uniq[k][v] = true
+		for _, v := range r.Feats {
+			uniq[v.Key][v.Val] = true
 		}
 		uniq[features.KeySubnet16][asndb.Subnet16(r.IP)] = true
 		uniq[features.KeyASN][r.ASN.String()] = true

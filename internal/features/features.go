@@ -9,7 +9,11 @@
 // stable small integers so they can be embedded in map keys cheaply.
 package features
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Key identifies one of GPS's feature families.
 type Key uint8
@@ -151,25 +155,30 @@ type Value struct {
 // String renders the value as "Key=Val".
 func (v Value) String() string { return v.Key.String() + "=" + v.Val }
 
-// Set is an immutable collection of feature values attached to one service
-// or host, at most one value per key. A service's set is shared, not
-// copied, by every record and grab that observes the service, so a Set
-// must not be mutated once attached.
-type Set map[Key]string
+// Set is the feature values attached to one service or host, ascending
+// by key with at most one value per key: the order every model, codec and
+// table reads them in. A service's set is shared, not copied, by every
+// record and grab that observes the service, so a Set must not be
+// mutated once attached.
+type Set []Value
+
+// NewSet makes vals a Set: sorted by key, keeping the last value of a
+// repeated key, as assigning them to a map in order would. It reorders
+// vals in place and returns a prefix of it.
+func NewSet(vals ...Value) Set {
+	// Reversed, a stable sort puts the last of a repeated key first,
+	// which is the one Compact keeps.
+	slices.Reverse(vals)
+	slices.SortStableFunc(vals, func(a, b Value) int { return cmp.Compare(a.Key, b.Key) })
+	return slices.CompactFunc(vals, func(a, b Value) bool { return a.Key == b.Key })
+}
 
 // Get returns the value for key k and whether it is present.
 func (s Set) Get(k Key) (string, bool) {
-	v, ok := s[k]
-	return v, ok
-}
-
-// Values returns the set's contents as a slice in ascending key order.
-func (s Set) Values() []Value {
-	out := make([]Value, 0, len(s))
-	for k := KeyProtocol; k < numKeys; k++ {
-		if v, ok := s[k]; ok {
-			out = append(out, Value{Key: k, Val: v})
+	for _, v := range s {
+		if v.Key == k {
+			return v.Val, true
 		}
 	}
-	return out
+	return "", false
 }

@@ -1,6 +1,9 @@
 package features
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestAllKeysCount(t *testing.T) {
 	keys := AllKeys()
@@ -60,22 +63,23 @@ func TestKeyNames(t *testing.T) {
 	}
 }
 
-func TestSetValuesOrderedAndCloned(t *testing.T) {
-	s := Set{KeySSHBanner: "b", KeyProtocol: "ssh", KeyHTTPServer: "n"}
-	vals := s.Values()
-	if len(vals) != 3 {
-		t.Fatalf("Values() = %d entries", len(vals))
-	}
-	for i := 1; i < len(vals); i++ {
-		if vals[i-1].Key >= vals[i].Key {
-			t.Error("Values() not sorted by key")
-		}
+// TestNewSetSortsAndKeepsLast: NewSet orders values by key and keeps
+// the last value of a repeated key, as map assignment in order would.
+func TestNewSetSortsAndKeepsLast(t *testing.T) {
+	s := NewSet(Value{Key: KeySSHBanner, Val: "b"}, Value{Key: KeyProtocol, Val: "http"},
+		Value{Key: KeyHTTPServer, Val: "n"}, Value{Key: KeyProtocol, Val: "ssh"})
+	want := Set{{Key: KeyProtocol, Val: "ssh"}, {Key: KeyHTTPServer, Val: "n"}, {Key: KeySSHBanner, Val: "b"}}
+	if !slices.Equal(s, want) {
+		t.Fatalf("NewSet = %v; want %v", s, want)
 	}
 	if v, ok := s.Get(KeyProtocol); !ok || v != "ssh" {
 		t.Error("Get failed")
 	}
 	if _, ok := s.Get(KeyVNCDesktopName); ok {
 		t.Error("Get returned absent key")
+	}
+	if NewSet() != nil {
+		t.Error("NewSet of nothing is not the empty set")
 	}
 }
 

@@ -22,11 +22,11 @@ func newHandSource() *handSource {
 	s := &handSource{hosts: make(map[asndb.IP]*netmodel.Host)}
 
 	web := netmodel.NewHost(asndb.MustParseIP("10.0.0.1"), 1, "web")
-	web.AddService(&netmodel.Service{Port: 80, Proto: features.ProtocolHTTP,
-		Feats: features.Set{features.KeyProtocol: "http"}})
-	web.AddService(&netmodel.Service{Port: 4444, Proto: features.ProtocolSSH,
-		Feats: features.Set{features.KeyProtocol: "ssh"}})
-	web.AddService(&netmodel.Service{Port: 5555, Proto: features.ProtocolUnknown})
+	web.AddService(netmodel.Service{Port: 80, Proto: features.ProtocolHTTP,
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})})
+	web.AddService(netmodel.Service{Port: 4444, Proto: features.ProtocolSSH,
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"})})
+	web.AddService(netmodel.Service{Port: 5555, Proto: features.ProtocolUnknown})
 	s.hosts[web.IP] = web
 
 	mb := netmodel.NewHost(asndb.MustParseIP("10.0.0.2"), 1, "middlebox")
@@ -36,7 +36,7 @@ func newHandSource() *handSource {
 	pseudo := netmodel.NewHost(asndb.MustParseIP("10.0.0.3"), 1, "pseudo")
 	pseudo.SetPseudoBlock(1000, 3000, &netmodel.Service{
 		Proto: features.ProtocolHTTP, Pseudo: true,
-		Feats: features.Set{features.KeyProtocol: "http"},
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"}),
 	})
 	s.hosts[pseudo.IP] = pseudo
 	return s
@@ -115,12 +115,12 @@ func TestIsPseudoHost(t *testing.T) {
 	// Exactly at the threshold: not filtered; one above: filtered.
 	h := netmodel.NewHost(1, 1, "t")
 	for p := uint16(1); p <= MaxRealServicesPerHost; p++ {
-		h.AddService(&netmodel.Service{Port: p})
+		h.AddService(netmodel.Service{Port: p})
 	}
 	if IsPseudoHost(h) {
 		t.Error("host at threshold filtered")
 	}
-	h.AddService(&netmodel.Service{Port: 9999})
+	h.AddService(netmodel.Service{Port: 9999})
 	if !IsPseudoHost(h) {
 		t.Error("host above threshold not filtered")
 	}
@@ -146,12 +146,12 @@ func TestUniverseFingerprintAccuracy(t *testing.T) {
 		if h.Middlebox {
 			continue
 		}
-		for port, svc := range h.Services() {
+		for _, svc := range h.Services() {
 			if svc.Proto == features.ProtocolUnknown {
 				continue
 			}
 			checked++
-			r := f.Fingerprint(h.IP, port)
+			r := f.Fingerprint(h.IP, svc.Port)
 			if r.Status != StatusService || r.Proto != svc.Proto {
 				wrong++
 			}

@@ -49,40 +49,37 @@ func Churn(u *Universe, p ChurnParams) *Universe {
 		if rng.Float64() < p.HostLoss {
 			continue
 		}
-		var drop []uint16
-		// Walk services in sorted port order: ranging over the map here
-		// would consume the host rng's coin flips in a different order
-		// every run, making churn nondeterministic for a fixed seed.
-		for _, port := range h.ports {
-			svc := h.services[port]
+		// Walk services in port order, so the host rng's coin flips fall
+		// on the same services every run. The kept services are copied
+		// only once one is lost.
+		var kept []Service
+		lost := 0
+		for i := range h.services {
+			svc := &h.services[i]
 			loss := p.ServiceLoss
 			if svc.Forwarded {
 				loss = p.ForwardedLoss
 			}
-			if rng.Float64() < loss {
-				drop = append(drop, port)
+			switch {
+			case rng.Float64() < loss:
+				if lost == 0 {
+					kept = append(make([]Service, 0, len(h.services)-1), h.services[:i]...)
+				}
+				lost++
+			case lost > 0:
+				kept = append(kept, *svc)
 			}
 		}
-		if len(drop) == 0 {
+		if lost == 0 {
 			out.insertHost(h)
 			continue
 		}
-		if len(drop) == len(h.services) && h.pseudoTmpl == nil {
+		if len(kept) == 0 && h.pseudoTmpl == nil {
 			continue // every service lost: host is gone
 		}
-		nh := NewHost(h.IP, h.ASN, h.Profile)
-		nh.Middlebox = h.Middlebox
-		nh.pseudoLo, nh.pseudoHi, nh.pseudoTmpl = h.pseudoLo, h.pseudoHi, h.pseudoTmpl
-		// drop is an ascending subsequence of h.ports, so one merge walk
-		// keeps the rest.
-		for _, port := range h.ports {
-			if len(drop) > 0 && drop[0] == port {
-				drop = drop[1:]
-				continue
-			}
-			nh.AddService(h.services[port])
-		}
-		out.insertHost(nh)
+		nh := *h
+		nh.services = kept
+		out.insertHost(&nh)
 	}
 	out.finalize()
 	return out

@@ -26,9 +26,9 @@ func TestChurnDeterministic(t *testing.T) {
 		if len(ha.Services()) != len(hb.Services()) {
 			t.Fatalf("host %v: %d vs %d services", ha.IP, len(ha.Services()), len(hb.Services()))
 		}
-		for port := range ha.Services() {
-			if _, ok := hb.ServiceAt(port); !ok {
-				t.Fatalf("service %v:%d only survived in one run", ha.IP, port)
+		for _, svc := range ha.Services() {
+			if _, ok := hb.ServiceAt(svc.Port); !ok {
+				t.Fatalf("service %v:%d only survived in one run", ha.IP, svc.Port)
 			}
 		}
 	}
@@ -50,8 +50,8 @@ func TestChurnLossRates(t *testing.T) {
 
 	var normTotal, normLost, fwdTotal, fwdLost float64
 	for _, h := range u.Hosts() {
-		for port, svc := range h.Services() {
-			_, alive := after.ServiceAt(h.IP, port)
+		for _, svc := range h.Services() {
+			_, alive := after.ServiceAt(h.IP, svc.Port)
 			if svc.Forwarded {
 				fwdTotal++
 				if !alive {

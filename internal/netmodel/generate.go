@@ -436,7 +436,7 @@ func (g *generator) populateHost(h *Host, pr Profile, rng *rng) {
 			ports = st.Ports
 		}
 		for _, pt := range ports {
-			svc := &Service{
+			svc := Service{
 				Port:      pt,
 				Proto:     st.Proto,
 				TTL:       baseTTL,
@@ -446,18 +446,17 @@ func (g *generator) populateHost(h *Host, pr Profile, rng *rng) {
 				// A forwarded service traverses the NAT hop.
 				svc.TTL = baseTTL - 1 - uint8(rng.Intn(3))
 			}
-			if len(st.Feats) > 0 {
-				svc.Feats = make(features.Set, len(st.Feats)+1)
-				for _, ft := range st.Feats {
-					svc.Feats[ft.Key] = g.featureValue(ft, h, hostVariant)
-				}
+			var vals []features.Value
+			if len(st.Feats) > 0 || svc.Proto != features.ProtocolUnknown {
+				vals = make([]features.Value, 0, len(st.Feats)+1)
+			}
+			for _, ft := range st.Feats {
+				vals = append(vals, features.Value{Key: ft.Key, Val: g.featureValue(ft, h, hostVariant)})
 			}
 			if svc.Proto != features.ProtocolUnknown {
-				if svc.Feats == nil {
-					svc.Feats = make(features.Set, 1)
-				}
-				svc.Feats[features.KeyProtocol] = svc.Proto.String()
+				vals = append(vals, features.Value{Key: features.KeyProtocol, Val: svc.Proto.String()})
 			}
+			svc.Feats = features.NewSet(vals...)
 			h.AddService(svc)
 		}
 	}
@@ -511,24 +510,21 @@ func (g *generator) injectPseudoHosts() {
 		if hi < lo { // wrapped
 			hi = 65535
 		}
+		frontend := func(body string) features.Set {
+			return features.NewSet(
+				features.Value{Key: features.KeyProtocol, Val: features.ProtocolHTTP.String()},
+				features.Value{Key: features.KeyHTTPServer, Val: "pseudo-frontend"},
+				features.Value{Key: features.KeyHTTPBodyHash, Val: body})
+		}
 		tmpl := &Service{
-			Proto: features.ProtocolHTTP,
-			Feats: features.Set{
-				features.KeyProtocol:     features.ProtocolHTTP.String(),
-				features.KeyHTTPServer:   "pseudo-frontend",
-				features.KeyHTTPBodyHash: "no-service-here",
-			},
+			Proto:  features.ProtocolHTTP,
+			Feats:  frontend("no-service-here"),
 			TTL:    uint8(40 + rng.Intn(25)),
 			Pseudo: true,
 		}
 		h.SetPseudoBlock(lo, hi, tmpl)
 		// Pseudo hosts usually also run the real frontend on 80/443.
-		h.AddService(&Service{Port: 80, Proto: features.ProtocolHTTP, TTL: tmpl.TTL,
-			Feats: features.Set{
-				features.KeyProtocol:     features.ProtocolHTTP.String(),
-				features.KeyHTTPServer:   "pseudo-frontend",
-				features.KeyHTTPBodyHash: "frontend-body",
-			}})
+		h.AddService(Service{Port: 80, Proto: features.ProtocolHTTP, TTL: tmpl.TTL, Feats: frontend("frontend-body")})
 		g.u.insertHost(h)
 	}
 }

@@ -28,12 +28,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		if ha[i].IP != hb[i].IP || ha[i].Profile != hb[i].Profile {
 			t.Fatalf("host %d differs: %v/%s vs %v/%s", i, ha[i].IP, ha[i].Profile, hb[i].IP, hb[i].Profile)
 		}
-		pa, pb := ha[i].Ports(), hb[i].Ports()
+		pa, pb := ha[i].Services(), hb[i].Services()
 		if len(pa) != len(pb) {
 			t.Fatalf("host %v port count differs", ha[i].IP)
 		}
 		for j := range pa {
-			if pa[j] != pb[j] {
+			if pa[j].Port != pb[j].Port {
 				t.Fatalf("host %v ports differ", ha[i].IP)
 			}
 		}
@@ -95,7 +95,7 @@ func TestResponsiveQueries(t *testing.T) {
 	if sample == nil {
 		t.Fatal("no regular host found")
 	}
-	port := sample.Ports()[0]
+	port := sample.Services()[0].Port
 	if !u.Responsive(sample.IP, port) {
 		t.Error("host not responsive on its own port")
 	}
@@ -167,7 +167,7 @@ func withEdgeHosts(u *Universe) *Universe {
 		h := NewHost(free(), 1, "edge")
 		h.SetPseudoBlock(lo, hi, tmpl)
 		for _, p := range ports {
-			h.AddService(&Service{Port: p, Proto: features.ProtocolHTTP})
+			h.AddService(Service{Port: p, Proto: features.ProtocolHTTP})
 		}
 		out.insertHost(h)
 	}
@@ -176,7 +176,7 @@ func withEdgeHosts(u *Universe) *Universe {
 	edge(0, 10, 5, 11)
 	mb := NewHost(free(), 1, "middlebox")
 	mb.Middlebox = true
-	mb.AddService(&Service{Port: 443, Proto: features.ProtocolHTTP})
+	mb.AddService(Service{Port: 443, Proto: features.ProtocolHTTP})
 	out.insertHost(mb)
 	out.finalize()
 	return out
@@ -330,13 +330,32 @@ func TestMiddleboxes(t *testing.T) {
 	}
 }
 
+// TestHostPortsSorted: in every universe Generate and Churn return, full
+// or partitioned, each host's services are strictly port-ascending and
+// each feature set, the pseudo template's too, strictly key-ascending.
 func TestHostPortsSorted(t *testing.T) {
-	u := testUniverse(t)
-	for _, h := range u.Hosts()[:200] {
-		ports := h.Ports()
-		for i := 1; i < len(ports); i++ {
-			if ports[i-1] >= ports[i] {
-				t.Fatalf("host %v ports not sorted: %v", h.IP, ports)
+	full := testUniverse(t)
+	pp := TestParams(5)
+	pp.Partition = &Partition{Count: 3, Owned: []int{0, 2}}
+	part := Generate(pp)
+	churn := DefaultChurn(9)
+	keyAscending := func(h *Host, s features.Set) {
+		for j := 1; j < len(s); j++ {
+			if s[j-1].Key >= s[j].Key {
+				t.Fatalf("host %v feature set %v not key-ascending", h.IP, s)
+			}
+		}
+	}
+	for _, u := range []*Universe{full, part, Churn(full, churn), Churn(part, churn)} {
+		for _, h := range u.Hosts() {
+			if h.pseudoTmpl != nil {
+				keyAscending(h, h.pseudoTmpl.Feats)
+			}
+			for i, svc := range h.Services() {
+				if i > 0 && h.Services()[i-1].Port >= svc.Port {
+					t.Fatalf("host %v services not port-ascending at %d", h.IP, svc.Port)
+				}
+				keyAscending(h, svc.Feats)
 			}
 		}
 	}
@@ -344,10 +363,19 @@ func TestHostPortsSorted(t *testing.T) {
 
 func TestHostAddRemoveService(t *testing.T) {
 	h := NewHost(1, 1, "test")
-	h.AddService(&Service{Port: 80, Proto: features.ProtocolHTTP})
-	h.AddService(&Service{Port: 22, Proto: features.ProtocolSSH})
-	if len(h.Ports()) != 2 || h.Ports()[0] != 22 {
-		t.Errorf("ports = %v", h.Ports())
+	h.AddService(Service{Port: 80, Proto: features.ProtocolHTTP})
+	h.AddService(Service{Port: 22, Proto: features.ProtocolSSH})
+	h.AddService(Service{Port: 443, Proto: features.ProtocolTLS})
+	h.AddService(Service{Port: 80, Proto: features.ProtocolSSH})
+	var ports []uint16
+	for _, svc := range h.Services() {
+		ports = append(ports, svc.Port)
+	}
+	if !slices.Equal(ports, []uint16{22, 80, 443}) {
+		t.Errorf("ports = %v", ports)
+	}
+	if svc, ok := h.ServiceAt(80); !ok || svc.Proto != features.ProtocolSSH {
+		t.Errorf("port 80 after a second AddService = %+v; want the second service", svc)
 	}
 	if !h.Responsive(22) || h.Responsive(23) {
 		t.Error("Responsive disagrees with the services added")
@@ -385,9 +413,9 @@ func TestChurnShape(t *testing.T) {
 		if !ok {
 			t.Fatalf("churn invented host %v", h.IP)
 		}
-		for port := range h.Services() {
-			if _, had := orig.ServiceAt(port); !had {
-				t.Fatalf("churn invented service %v:%d", h.IP, port)
+		for _, svc := range h.Services() {
+			if _, had := orig.ServiceAt(svc.Port); !had {
+				t.Fatalf("churn invented service %v:%d", h.IP, svc.Port)
 			}
 		}
 	}
@@ -418,10 +446,12 @@ func TestFeatureScopes(t *testing.T) {
 			continue
 		}
 		if svc, ok := h.ServiceAt(80); ok {
-			servers[svc.Feats[features.KeyHTTPServer]]++
+			v, _ := svc.Feats.Get(features.KeyHTTPServer)
+			servers[v]++
 		}
 		if svc, ok := h.ServiceAt(443); ok {
-			certs[svc.Feats[features.KeyTLSCertHash]]++
+			v, _ := svc.Feats.Get(features.KeyTLSCertHash)
+			certs[v]++
 		}
 	}
 	if len(servers) != 1 {
@@ -442,7 +472,8 @@ func TestForwardedServiceTTL(t *testing.T) {
 	u := Generate(TestParams(77))
 	for _, h := range u.Hosts() {
 		var fwd, reg *Service
-		for _, svc := range h.Services() {
+		for i := range h.Services() {
+			svc := &h.Services()[i]
 			if svc.Forwarded {
 				fwd = svc
 			} else {

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"slices"
 	"testing"
 
 	"gps/internal/asndb"
@@ -17,27 +18,10 @@ func hostsEqual(t *testing.T, a, b *Host) bool {
 		(a.pseudoTmpl == nil) != (b.pseudoTmpl == nil) {
 		return false
 	}
-	if len(a.services) != len(b.services) {
-		return false
-	}
-	for port, sa := range a.services {
-		sb, ok := b.services[port]
-		if !ok {
-			return false
-		}
-		if sa.Proto != sb.Proto || sa.TTL != sb.TTL || sa.Forwarded != sb.Forwarded || sa.Pseudo != sb.Pseudo {
-			return false
-		}
-		if len(sa.Feats) != len(sb.Feats) {
-			return false
-		}
-		for k, v := range sa.Feats {
-			if sb.Feats[k] != v {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a.services, b.services, func(sa, sb Service) bool {
+		return sa.Port == sb.Port && sa.Proto == sb.Proto && sa.TTL == sb.TTL &&
+			sa.Forwarded == sb.Forwarded && sa.Pseudo == sb.Pseudo && slices.Equal(sa.Feats, sb.Feats)
+	})
 }
 
 // requireRestriction asserts sub == full restricted to the addresses
@@ -235,14 +219,14 @@ func TestPartitionedFeatureScopes(t *testing.T) {
 		if !ok {
 			t.Fatalf("partitioned host %v missing from full universe", h.IP)
 		}
-		for port, svc := range h.Services() {
-			fsvc, ok := fh.ServiceAt(port)
+		for _, svc := range h.Services() {
+			fsvc, ok := fh.ServiceAt(svc.Port)
 			if !ok {
-				t.Fatalf("partitioned service %v:%d missing from full universe", h.IP, port)
+				t.Fatalf("partitioned service %v:%d missing from full universe", h.IP, svc.Port)
 			}
-			for k, v := range svc.Feats {
-				if fsvc.Feats[k] != v {
-					t.Fatalf("feature %v of %v:%d = %q partitioned, %q full", k, h.IP, port, v, fsvc.Feats[k])
+			for _, v := range svc.Feats {
+				if fv, _ := fsvc.Feats.Get(v.Key); fv != v.Val {
+					t.Fatalf("feature %v of %v:%d = %q partitioned, %q full", v.Key, h.IP, svc.Port, v.Val, fv)
 				}
 				checked++
 			}

@@ -143,11 +143,8 @@ func radixSort[V any](ps, scratch []Pair[V], digits int) []Pair[V] {
 type Host struct {
 	IP       asndb.IP
 	ASN      asndb.ASN
-	Profile  string // generator profile name, for debugging and analysis
-	services map[uint16]*Service
-	// ports lists the services' ports in ascending order. AddService
-	// keeps it sorted as services arrive, so reading it never writes.
-	ports []uint16
+	Profile  string    // generator profile name, for debugging and analysis
+	services []Service // ascending by port, at most one per port
 
 	// pseudoLo/pseudoHi bound a contiguous block of pseudo-service
 	// ports (inclusive); pseudoTmpl is the shared response. Hosts
@@ -164,17 +161,24 @@ type Host struct {
 
 // NewHost creates an empty host.
 func NewHost(ip asndb.IP, asn asndb.ASN, profile string) *Host {
-	return &Host{IP: ip, ASN: asn, Profile: profile, services: make(map[uint16]*Service)}
+	return &Host{IP: ip, ASN: asn, Profile: profile}
 }
 
 // AddService attaches a service; a second service on the same port
-// overwrites the first.
-func (h *Host) AddService(s *Service) {
-	if _, dup := h.services[s.Port]; !dup {
-		i, _ := slices.BinarySearch(h.ports, s.Port)
-		h.ports = slices.Insert(h.ports, i, s.Port)
+// replaces the first.
+func (h *Host) AddService(s Service) {
+	if i, found := h.find(s.Port); found {
+		h.services[i] = s
+	} else {
+		h.services = slices.Insert(h.services, i, s)
 	}
-	h.services[s.Port] = s
+}
+
+// find binary-searches the services for port.
+func (h *Host) find(port uint16) (int, bool) {
+	return slices.BinarySearchFunc(h.services, port, func(s Service, port uint16) int {
+		return cmp.Compare(s.Port, port)
+	})
 }
 
 // SetPseudoBlock makes the host serve the same pseudo service on every
@@ -190,9 +194,10 @@ func (h *Host) PseudoBlock() (lo, hi uint16, ok bool) {
 
 // ServiceAt returns the service on a port. Pseudo blocks synthesize a
 // service on demand so that a block of 1,000+ ports costs one template.
+// Callers must not modify the service.
 func (h *Host) ServiceAt(port uint16) (*Service, bool) {
-	if s, ok := h.services[port]; ok {
-		return s, true
+	if i, ok := h.find(port); ok {
+		return &h.services[i], true
 	}
 	if h.inPseudoBlock(port) {
 		s := *h.pseudoTmpl
@@ -217,11 +222,6 @@ func (h *Host) Responsive(port uint16) bool {
 	return ok
 }
 
-// Ports returns the host's real (non-pseudo-block) service ports in
-// ascending order. It only reads, so it is safe for concurrent use;
-// callers must not modify the slice.
-func (h *Host) Ports() []uint16 { return h.ports }
-
 // NumServices counts the host's services including any pseudo block.
 func (h *Host) NumServices() int {
 	n := len(h.services)
@@ -231,6 +231,7 @@ func (h *Host) NumServices() int {
 	return n
 }
 
-// Services returns the host's explicit services keyed by port. Callers
-// must not modify the map.
-func (h *Host) Services() map[uint16]*Service { return h.services }
+// Services returns the host's explicit (non-pseudo-block) services in
+// ascending port order. It only reads, so it is safe for concurrent use;
+// callers must not modify the slice.
+func (h *Host) Services() []Service { return h.services }

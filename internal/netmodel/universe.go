@@ -68,7 +68,7 @@ type Universe struct {
 	// The responder index. respIPs holds the IP of every explicit
 	// service, port-major: the IPs serving portRuns[0].port in ascending
 	// order, then those serving portRuns[1].port, and so on. wild lists,
-	// by IP, the hosts that also answer ports outside their service map
+	// by IP, the hosts that also answer ports outside their services
 	// (middleboxes and pseudo-block hosts).
 	respIPs  []asndb.IP
 	portRuns []portRun // ascending by port
@@ -151,7 +151,7 @@ func (u *Universe) IndexOf(ip asndb.IP) (uint64, bool) {
 // a SYN on port, in ascending order. It is semantically identical to
 // probing each address in the prefix, but reads the responder index: a
 // binary search finds the port's run, two more bound the prefix inside
-// it and inside the hosts that answer outside their service map, and one
+// it and inside the hosts that answer outside their services, and one
 // merge joins the two. It runs in O(log n + hits) however many hosts the
 // prefix holds; callers must account the full prefix size as probe
 // bandwidth.
@@ -271,12 +271,12 @@ func (u *Universe) finalize() {
 func (u *Universe) indexResponders() {
 	n := 0
 	for _, h := range u.hostList {
-		n += len(h.ports)
+		n += len(h.services)
 	}
 	keys := make([]Pair[struct{}], 0, n)
 	for _, h := range u.hostList {
-		for _, port := range h.ports {
-			keys = append(keys, Pair[struct{}]{Key: Key{IP: h.IP, Port: port}})
+		for i := range h.services {
+			keys = append(keys, Pair[struct{}]{Key: Key{IP: h.IP, Port: h.services[i].Port}})
 		}
 		if h.Middlebox || h.pseudoTmpl != nil {
 			u.wild = append(u.wild, h)

@@ -24,13 +24,14 @@ func fleetHosts() []dataset.HostGroup {
 		hosts = append(hosts, dataset.HostGroup{IP: ip, Records: recs})
 	}
 	web := dataset.Record{Port: 80, Proto: features.ProtocolHTTP,
-		Feats: features.Set{features.KeyProtocol: "http"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})}
 	alt := dataset.Record{Port: 8443, Proto: features.ProtocolTLS,
-		Feats: features.Set{features.KeyProtocol: "tls"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "tls"})}
 	ssh := dataset.Record{Port: 222, Proto: features.ProtocolSSH,
-		Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "vendor"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+			features.Value{Key: features.KeySSHBanner, Val: "vendor"})}
 	tls := dataset.Record{Port: 443, Proto: features.ProtocolTLS,
-		Feats: features.Set{features.KeyProtocol: "tls"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "tls"})}
 	mk("10.0.1.1", web, alt, ssh)
 	mk("10.0.1.2", web, alt, ssh)
 	mk("10.0.1.3", web, alt, ssh)
@@ -86,7 +87,8 @@ func TestPredictFromAnchor(t *testing.T) {
 	anchor := dataset.Record{
 		IP: asndb.MustParseIP("10.0.9.9"), Port: 222, ASN: 1,
 		Proto: features.ProtocolSSH,
-		Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "vendor"},
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+			features.Value{Key: features.KeySSHBanner, Val: "vendor"}),
 	}
 	preds := Predict(m, mpf, []dataset.Record{anchor}, nil, engine.Config{})
 	want := map[uint16]bool{80: true, 8443: true}
@@ -112,7 +114,8 @@ func TestPredictKnownFilter(t *testing.T) {
 	mpf := BuildMPF(m, hosts, engine.Config{})
 	anchor := dataset.Record{
 		IP: asndb.MustParseIP("10.0.9.9"), Port: 222, ASN: 1,
-		Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "vendor"},
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+			features.Value{Key: features.KeySSHBanner, Val: "vendor"}),
 	}
 	known := func(k netmodel.Key) bool { return k.Port == 80 }
 	preds := Predict(m, mpf, []dataset.Record{anchor}, known, engine.Config{})
@@ -130,9 +133,10 @@ func TestPredictOrderingAndDedup(t *testing.T) {
 	ip := asndb.MustParseIP("10.0.9.9")
 	anchors := []dataset.Record{
 		{IP: ip, Port: 222, ASN: 1,
-			Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "vendor"}},
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+				features.Value{Key: features.KeySSHBanner, Val: "vendor"})},
 		{IP: ip, Port: 80, ASN: 1,
-			Feats: features.Set{features.KeyProtocol: "http"}},
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})},
 	}
 	preds := Predict(m, mpf, anchors, nil, engine.Config{})
 	seen := map[netmodel.Key]int{}

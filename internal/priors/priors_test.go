@@ -25,11 +25,12 @@ func scenario() []dataset.HostGroup {
 		hosts = append(hosts, dataset.HostGroup{IP: ip, Records: recs})
 	}
 	web := dataset.Record{Port: 80, Proto: features.ProtocolHTTP,
-		Feats: features.Set{features.KeyProtocol: "http"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})}
 	ssh := dataset.Record{Port: 222, Proto: features.ProtocolSSH,
-		Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "vendor"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+			features.Value{Key: features.KeySSHBanner, Val: "vendor"})}
 	cwmp := dataset.Record{Port: 7547, Proto: features.ProtocolCWMP,
-		Feats: features.Set{features.KeyProtocol: "cwmp"}}
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "cwmp"})}
 
 	// Fleet: every 222 host also has 80; many extra hosts have 80 only,
 	// so P(80|222)=1 while P(222|80) is low. The most predictive anchor

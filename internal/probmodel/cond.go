@@ -167,15 +167,11 @@ func NetFeatures(r dataset.Record, netKeys []features.Key) []features.Value {
 // enabledKeys may be nil to allow all application features; nets carries
 // the precomputed network-layer values for the record's address.
 func CondsOf(r dataset.Record, fams FamilySet, enabledKeys map[features.Key]bool, nets []features.Value) []Cond {
-	apps := r.Feats.Values()
-	if enabledKeys != nil {
-		kept := apps[:0]
-		for _, v := range apps {
-			if enabledKeys[v.Key] {
-				kept = append(kept, v)
-			}
+	apps := make([]features.Value, 0, len(r.Feats))
+	for _, v := range r.Feats {
+		if enabledKeys == nil || enabledKeys[v.Key] {
+			apps = append(apps, v)
 		}
-		apps = kept
 	}
 	out := make([]Cond, 0, (1+len(apps))*(1+len(nets)))
 	if fams.Has(FamilyT) {

@@ -40,14 +40,16 @@ func fuzzHosts(data []byte) (Config, []dataset.HostGroup) {
 		}
 		r := dataset.Record{
 			IP: ip, Port: fuzzPorts[int(sel&7)%len(fuzzPorts)],
-			ASN: asndb.ASN(64500 + uint32(ip>>17)%2), Feats: features.Set{},
+			ASN: asndb.ASN(64500 + uint32(ip>>17)%2),
 		}
+		var set []features.Value
 		if v := int(feat & 3); v < len(vals) {
-			r.Feats[features.KeyProtocol] = vals[v]
+			set = append(set, features.Value{Key: features.KeyProtocol, Val: vals[v]})
 		}
 		if v := int(feat>>2) & 3; v < len(vals) {
-			r.Feats[features.KeySSHBanner] = vals[v]
+			set = append(set, features.Value{Key: features.KeySSHBanner, Val: vals[v]})
 		}
+		r.Feats = features.NewSet(set...)
 		h := &hosts[len(hosts)-1]
 		h.Records = append(h.Records, r)
 	}

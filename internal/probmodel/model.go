@@ -266,8 +266,7 @@ type Scratch struct {
 // appSlot is one application feature of the record being compiled.
 type appSlot struct {
 	key features.Key
-	str string // the value as the record carries it
-	val uint32 // its index in Model.strs
+	val uint32 // the value's index in Model.strs
 }
 
 // appendConds appends the ids of the conditions r exhibits, in CondsOf's
@@ -275,33 +274,21 @@ type appSlot struct {
 // intern set (Build only) an unknown value or condition is added to the
 // dictionary; otherwise it is left out, since it has no counts.
 func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern bool) []CondID {
-	// The record's enabled application features, ascending by key — the
-	// order features.Set.Values walks them in — and only then their value
-	// ids, so that interning never sees the map's iteration order.
-	napps := 0
-	for k, v := range r.Feats {
-		if k < features.KeyProtocol || int(k) > features.NumKeys || (m.enabledKey != nil && !m.enabledKey[k]) {
+	apps := s.apps[:0]
+	for _, v := range r.Feats {
+		if m.enabledKey != nil && !m.enabledKey[v.Key] {
 			continue
 		}
-		i := napps
-		for ; i > 0 && s.apps[i-1].key > k; i-- {
-			s.apps[i] = s.apps[i-1]
-		}
-		s.apps[i] = appSlot{key: k, str: v}
-		napps++
-	}
-	apps := s.apps[:0]
-	for _, a := range s.apps[:napps] {
-		id, ok := m.strID[a.str]
+		id, ok := m.strID[v.Val]
 		if !ok {
 			if !intern {
 				continue
 			}
 			id = uint32(len(m.strs))
-			m.strs = append(m.strs, a.str)
-			m.strID[a.str] = id
+			m.strs = append(m.strs, v.Val)
+			m.strID[v.Val] = id
 		}
-		apps = append(apps, appSlot{key: a.key, val: id})
+		apps = append(apps, appSlot{key: v.Key, val: id})
 	}
 
 	add := func(k condKey) {

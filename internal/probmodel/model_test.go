@@ -29,19 +29,21 @@ func handHosts() []dataset.HostGroup {
 	}
 	web := func(port uint16) dataset.Record {
 		return dataset.Record{Port: port, Proto: features.ProtocolHTTP,
-			Feats: features.Set{features.KeyProtocol: "http", features.KeyHTTPServer: "fleetA"}}
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"},
+				features.Value{Key: features.KeyHTTPServer, Val: "fleetA"})}
 	}
 	tls := func() dataset.Record {
 		return dataset.Record{Port: 443, Proto: features.ProtocolTLS,
-			Feats: features.Set{features.KeyProtocol: "tls"}}
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "tls"})}
 	}
 	ssh := func() dataset.Record {
 		return dataset.Record{Port: 22, Proto: features.ProtocolSSH,
-			Feats: features.Set{features.KeyProtocol: "ssh", features.KeySSHBanner: "fleetB"}}
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "ssh"},
+				features.Value{Key: features.KeySSHBanner, Val: "fleetB"})}
 	}
 	alt := func() dataset.Record {
 		return dataset.Record{Port: 8080, Proto: features.ProtocolHTTP,
-			Feats: features.Set{features.KeyProtocol: "http"}}
+			Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})}
 	}
 	mk("10.0.0.1", 1, web(80), tls())
 	mk("10.0.0.2", 1, web(80), tls())
@@ -106,9 +108,9 @@ func TestMinSupport(t *testing.T) {
 		IP: asndb.MustParseIP("12.0.0.1"),
 		Records: []dataset.Record{
 			{IP: asndb.MustParseIP("12.0.0.1"), Port: 7777, ASN: 3,
-				Feats: features.Set{features.KeyProtocol: "http"}},
+				Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})},
 			{IP: asndb.MustParseIP("12.0.0.1"), Port: 8888, ASN: 3,
-				Feats: features.Set{features.KeyProtocol: "http"}},
+				Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})},
 		},
 	})
 	m := Build(Config{Floor: -1}, hosts) // default MinSupport 2
@@ -165,7 +167,8 @@ func TestBestCondForHost(t *testing.T) {
 func TestCondsOfFamiliesAndCounts(t *testing.T) {
 	r := dataset.Record{
 		IP: asndb.MustParseIP("10.0.0.1"), Port: 80, ASN: 7,
-		Feats: features.Set{features.KeyProtocol: "http", features.KeyHTTPServer: "x"},
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"},
+			features.Value{Key: features.KeyHTTPServer, Val: "x"}),
 	}
 	nets := NetFeatures(r, DefaultNetKeys())
 	conds := CondsOf(r, AllFamilies, nil, nets)

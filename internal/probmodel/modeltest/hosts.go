@@ -64,18 +64,17 @@ func Anchors(rng *rand.Rand, n int) []dataset.Record {
 func records(rng *rand.Rand, ip asndb.IP, nports int, tag string) []dataset.Record {
 	recs := make([]dataset.Record, 0, nports)
 	for _, pi := range rng.Perm(len(Ports))[:nports] {
-		r := dataset.Record{
-			IP: ip, Port: Ports[pi], ASN: asndb.ASN(64500 + uint32(ip>>16)%3),
-			Feats: features.Set{},
-		}
+		r := dataset.Record{IP: ip, Port: Ports[pi], ASN: asndb.ASN(64500 + uint32(ip>>16)%3)}
+		var vals []features.Value
 		for _, k := range appKeys {
 			switch rng.Intn(5) {
 			case 0, 1: // shared: a fleet value, sometimes the empty string
-				r.Feats[k] = []string{"", "fleetA", "fleetB", "nginx"}[rng.Intn(4)]
+				vals = append(vals, features.Value{Key: k, Val: []string{"", "fleetA", "fleetB", "nginx"}[rng.Intn(4)]})
 			case 2: // unique to this service
-				r.Feats[k] = fmt.Sprintf("%s-%v-%d-%d", tag, ip, r.Port, k)
+				vals = append(vals, features.Value{Key: k, Val: fmt.Sprintf("%s-%v-%d-%d", tag, ip, r.Port, k)})
 			}
 		}
+		r.Feats = features.NewSet(vals...)
 		recs = append(recs, r)
 	}
 	// Ascending by port, as ByHost leaves a host's records.

@@ -175,7 +175,7 @@ func withRepeatedPorts(hosts []dataset.HostGroup) []dataset.HostGroup {
 		}
 		recs := append([]dataset.Record(nil), h.Records...)
 		dup := recs[1]
-		dup.Feats = features.Set{features.KeyProtocol: "repeated"}
+		dup.Feats = features.NewSet(features.Value{Key: features.KeyProtocol, Val: "repeated"})
 		out[i].Records = append(recs[:2:2], append([]dataset.Record{dup}, recs[2:]...)...)
 		break
 	}

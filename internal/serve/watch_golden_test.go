@@ -39,12 +39,12 @@ func watchGoldenInventories() []map[netmodel.Key]*continuous.Entry {
 			if h.IP%160 != 0 {
 				continue
 			}
-			for _, port := range h.Ports() {
+			for _, svc := range h.Services() {
+				port := svc.Port
 				found := int(uint32(h.IP)/160+uint32(port)) % 4
 				if found > epoch {
 					continue
 				}
-				svc := h.Services()[port]
 				inv[netmodel.Key{IP: h.IP, Port: port}] = &continuous.Entry{
 					Rec:       dataset.Record{IP: h.IP, Port: port, Proto: svc.Proto, ASN: h.ASN, TTL: svc.TTL},
 					FirstSeen: found, LastSeen: epoch,

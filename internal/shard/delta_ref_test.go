@@ -103,7 +103,7 @@ func churnOf(rng *rand.Rand, base map[netmodel.Key]*continuous.Entry, adds int, 
 		case 7:
 			// Application-layer features never cross the formats: not an
 			// update.
-			e.Rec.Feats = features.Set{features.KeyHTTPTitle: "changed"}
+			e.Rec.Feats = features.NewSet(features.Value{Key: features.KeyHTTPTitle, Val: "changed"})
 		}
 	}
 	for i := 0; i < adds; i++ {

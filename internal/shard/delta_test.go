@@ -104,7 +104,7 @@ func TestDeltaIgnoresFeatures(t *testing.T) {
 		FirstSeen: 1, LastSeen: 3,
 	}}
 	next := CloneInventory(base)
-	next[k].Rec.Feats = features.Set{features.KeyProtocol: "https"}
+	next[k].Rec.Feats = features.NewSet(features.Value{Key: features.KeyProtocol, Val: "https"})
 	if d := ComputeDelta(base, next, 1, 2); d.Size() != 0 {
 		t.Fatalf("feature-only change produced %d delta entries; want 0", d.Size())
 	}

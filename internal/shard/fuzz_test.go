@@ -49,6 +49,73 @@ func typedShardError(err error, format string) bool {
 	return strings.HasPrefix(err.Error(), "shard:")
 }
 
+// outOfRangeFields are served fields past their ranges, one case per
+// field DecodeServed bounds: a proto past the protocol table, an ASN past
+// 32 bits and a TTL past 8 bits.
+var outOfRangeFields = []struct {
+	field           string
+	proto, asn, ttl uint64
+}{
+	{"proto", uint64(features.NumProtocols) + 1, 64500, 60},
+	{"asn", 1, 1 << 32, 60},
+	{"ttl", 1, 64500, 256},
+}
+
+// withServed returns data, which holds k and e's served fields as
+// EncodeServed writes them, with proto, asn and ttl in their place.
+func withServed(tb testing.TB, data []byte, k netmodel.Key, e *continuous.Entry, proto, asn, ttl uint64) []byte {
+	tb.Helper()
+	var good, bad wire.Enc
+	continuous.EncodeServed(&good, k, e)
+	continuous.EncodeKey(&bad, k)
+	for _, v := range []uint64{proto, asn, ttl, uint64(e.FirstSeen), uint64(e.LastSeen), uint64(e.Stale)} {
+		bad.Uvarint(v)
+	}
+	if !bytes.Contains(data, good) {
+		tb.Fatalf("% x does not hold %v's served fields % x", data, k, good)
+	}
+	return bytes.Replace(data, good, bad, 1)
+}
+
+// TestReadersRefuseOutOfRangeServedFields: GPSC, GPSV and GPSE all read
+// an entry's served fields through DecodeServed, so each refuses a field
+// past its range as Implausible, naming the field, instead of narrowing
+// it (TTL 256 read as 0).
+func TestReadersRefuseOutOfRangeServedFields(t *testing.T) {
+	k := netmodel.Key{IP: 0x0a000001, Port: 80}
+	e := fuzzEntry(k, 1, 64500, 60, 0, 1, 0)
+	readers := []struct {
+		format string
+		write  func(*bytes.Buffer) error
+		read   func([]byte) error
+	}{
+		{"GPSC", func(w *bytes.Buffer) error {
+			return continuous.WriteCheckpoint(w, &continuous.State{Epoch: 1, Known: []continuous.Entry{*e}})
+		}, func(b []byte) error { _, err := continuous.ReadCheckpoint(bytes.NewReader(b)); return err }},
+		{"GPSV", func(w *bytes.Buffer) error {
+			return WriteInventory(w, map[netmodel.Key]*continuous.Entry{k: e})
+		}, func(b []byte) error { _, err := ReadInventory(bytes.NewReader(b)); return err }},
+		{"GPSE", func(w *bytes.Buffer) error {
+			return WriteDelta(w, &Delta{Epoch: 1, Adds: []DeltaEntry{{Key: k, Entry: *e}}})
+		}, func(b []byte) error { _, err := ReadDelta(bytes.NewReader(b)); return err }},
+	}
+	for _, c := range outOfRangeFields {
+		t.Run(c.field, func(t *testing.T) {
+			for _, r := range readers {
+				var buf bytes.Buffer
+				if err := r.write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				err := r.read(withServed(t, buf.Bytes(), k, e, c.proto, c.asn, c.ttl))
+				var werr *wire.Error
+				if !errors.As(err, &werr) || werr.Kind != wire.Implausible || werr.Format != r.format || !strings.Contains(werr.Err.Error(), c.field) {
+					t.Errorf("%s with %s out of range returned %v; want an implausible *wire.Error naming %s", r.format, c.field, err, c.field)
+				}
+			}
+		})
+	}
+}
+
 // FuzzReadInventory drives arbitrary bytes through the GPSV reader. No
 // input may panic; failures must be the documented typed errors; and an
 // accepted inventory must survive a canonical write/read round trip.
@@ -67,6 +134,10 @@ func FuzzReadInventory(f *testing.F) {
 	f.Add(ok.Bytes()[:7])          // cut mid-header
 	f.Add([]byte("GPSX\x02junk"))  // foreign magic
 	f.Add(append(ok.Bytes(), 0x0)) // trailing byte
+	k := netmodel.SortedPairs(base)[0].Key
+	for _, c := range outOfRangeFields {
+		f.Add(withServed(f, ok.Bytes(), k, base[k], c.proto, c.asn, c.ttl))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inv, err := ReadInventory(bytes.NewReader(data))
@@ -117,6 +188,9 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(empty.Bytes())
 	f.Add(ok.Bytes()[:6])         // cut mid-header
 	f.Add([]byte("GPSX\x01junk")) // foreign magic
+	for _, c := range outOfRangeFields {
+		f.Add(withServed(f, ok.Bytes(), addKey, next[addKey], c.proto, c.asn, c.ttl))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDelta(bytes.NewReader(data))

@@ -25,53 +25,57 @@ func AppendInterned(e *wire.Enc, n int, record func(w *wire.Enc, i int) features
 	recs.Uvarint(uint64(n))
 	for i := 0; i < n; i++ {
 		s := record(&recs, i)
-		at, nf := len(recs), 0
-		recs.U8(0)
-		for k := features.KeyProtocol; nf < len(s) && int(k) <= features.NumKeys; k++ {
-			v, ok := s[k]
-			if !ok {
-				continue
-			}
-			id, ok := index[v]
+		recs.U8(uint8(len(s)))
+		for _, v := range s {
+			id, ok := index[v.Val]
 			if !ok {
 				id = uint64(len(index))
-				index[v] = id
-				table.Str(v)
+				index[v.Val] = id
+				table.Str(v.Val)
 			}
-			nf++
-			recs.U8(uint8(k))
+			recs.U8(uint8(v.Key))
 			recs.Uvarint(id)
 		}
-		recs[at] = uint8(nf)
 	}
 	e.Uvarint(uint64(len(index)))
 	*e = append(append(*e, table...), recs...)
 }
 
-// StringTable is an AppendInterned table as read back.
-type StringTable []string
+// StringTable is an AppendInterned table as read back. used counts the
+// strings the sets read so far have named, always a prefix of strs under
+// AppendInterned's numbering, and left the sets still to read.
+type StringTable struct {
+	strs       []string
+	used, left int
+}
 
-// ReadStringTable reads an AppendInterned table.
-func ReadStringTable(d *wire.Dec) StringTable {
+// ReadStringTable reads an AppendInterned table and the record count
+// after it, at most maxRecords, which it returns: Feats must then read
+// each record's set.
+func ReadStringTable(d *wire.Dec, maxRecords uint64) (*StringTable, int) {
 	d.At("string table", -1)
-	var table StringTable
+	t := &StringTable{}
 	for i, n := 0, d.Count(d.Uvarint(), maxStrings); i < n && d.Err() == nil; i++ {
 		d.At("string", i)
-		table = append(table, d.Str(maxString))
+		t.strs = append(t.strs, d.Str(maxString))
 	}
-	return table
+	d.At("string table", -1)
+	t.left = d.Count(d.Uvarint(), maxRecords)
+	t.checkUsed(d)
+	return t, t.left
 }
 
 // Feats reads one AppendInterned feature set. A key that is not a
 // Table-1 key above the one before it (so never KeyNone, a repeat or a
-// descent, each of which AppendInterned cannot write) and an index past
-// the table are Implausible.
-func (t StringTable) Feats(d *wire.Dec) features.Set {
+// descent), an index past the strings used so far other than the next
+// one, and, once the last set is read, a string no set used are
+// Implausible: AppendInterned writes none of them.
+func (t *StringTable) Feats(d *wire.Dec) features.Set {
 	nf := int(d.U8())
-	if nf == 0 {
-		return nil
+	var s features.Set
+	if nf > 0 {
+		s = make([]features.Value, 0, nf)
 	}
-	s := make(features.Set, nf)
 	prev := features.KeyNone
 	for j := 0; j < nf && d.Err() == nil; j++ {
 		key, id := features.Key(d.U8()), d.Uvarint()
@@ -80,11 +84,24 @@ func (t StringTable) Feats(d *wire.Dec) features.Set {
 			break
 		}
 		prev = key
-		if id >= uint64(len(t)) {
-			d.Fail(wire.Implausible, fmt.Errorf("string index %d of %d", id, len(t)))
+		if id > uint64(t.used) || id >= uint64(len(t.strs)) {
+			d.Fail(wire.Implausible, fmt.Errorf("string index %d of %d, %d used before it", id, len(t.strs), t.used))
 			break
 		}
-		s[key] = t[id]
+		if id == uint64(t.used) {
+			t.used++
+		}
+		s = append(s, features.Value{Key: key, Val: t.strs[id]})
 	}
+	t.left--
+	t.checkUsed(d)
 	return s
+}
+
+// checkUsed refuses a table some string of which no set used, once no
+// set is left to read.
+func (t *StringTable) checkUsed(d *wire.Dec) {
+	if t.left == 0 && t.used < len(t.strs) {
+		d.Fail(wire.Implausible, fmt.Errorf("string %d of %d used by no set", t.used, len(t.strs)))
+	}
 }

@@ -49,12 +49,8 @@ func WriteDatasetCSV(w io.Writer, d *dataset.Dataset) error {
 }
 
 func encodeFeats(s features.Set) string {
-	if len(s) == 0 {
-		return ""
-	}
-	vals := s.Values()
-	parts := make([]string, len(vals))
-	for i, v := range vals {
+	parts := make([]string, len(s))
+	for i, v := range s {
 		parts[i] = fmt.Sprintf("%d=%s", uint8(v.Key), escapeFeat(v.Val))
 	}
 	return strings.Join(parts, "|")

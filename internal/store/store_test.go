@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,10 +18,8 @@ import (
 func TestFeatureEscaping(t *testing.T) {
 	d := &dataset.Dataset{Records: []dataset.Record{{
 		IP: 0x01020304, Port: 80, Proto: features.ProtocolHTTP, ASN: 64500, TTL: 57,
-		Feats: features.Set{
-			features.KeyHTTPTitle:  "a|b=c%d",
-			features.KeyHTTPServer: "plain",
-		},
+		Feats: features.NewSet(features.Value{Key: features.KeyHTTPTitle, Val: "a|b=c%d"},
+			features.Value{Key: features.KeyHTTPServer, Val: "plain"}),
 	}}}
 	var buf bytes.Buffer
 	if err := WriteDatasetCSV(&buf, d); err != nil {
@@ -51,14 +50,64 @@ var badFeatSets = []struct {
 func TestFeatsRefusesNonCanonicalSets(t *testing.T) {
 	ok := []byte{2, uint8(features.KeyProtocol), 0, uint8(features.NumKeys), 0}
 	d := wire.NewDec("GPSC", ok)
-	if s := (StringTable{"a"}).Feats(d); d.Done() != nil || len(s) != 2 {
+	if s := (&StringTable{strs: []string{"a"}, left: 1}).Feats(d); d.Done() != nil || len(s) != 2 {
 		t.Fatalf("ascending Table-1 keys refused: %v", d.Err())
 	}
 	for _, c := range badFeatSets {
 		d := wire.NewDec("GPSC", c.set)
-		StringTable{"a"}.Feats(d)
+		(&StringTable{strs: []string{"a"}, left: 1}).Feats(d)
 		if !wire.IsKind(d.Err(), wire.Implausible) {
 			t.Errorf("%s: Feats error %v; want Implausible", c.name, d.Err())
+		}
+	}
+}
+
+// TestStringTableNumbering: a table reads back only as AppendInterned
+// numbers it. Each string is first named by the next unused index, and
+// every string is named by some set, so a skipped-ahead index, a
+// duplicated unused string and a table with no set to name it are
+// Implausible.
+func TestStringTableNumbering(t *testing.T) {
+	sets := []features.Set{
+		features.NewSet(features.Value{Key: features.KeyProtocol, Val: "a"}),
+		features.NewSet(features.Value{Key: features.KeyProtocol, Val: "b"},
+			features.Value{Key: features.KeyTLSCertHash, Val: "a"}),
+		nil,
+	}
+	var canonical wire.Enc
+	AppendInterned(&canonical, len(sets), func(_ *wire.Enc, i int) features.Set { return sets[i] })
+	table := func(n int, strs ...string) wire.Enc {
+		var e wire.Enc
+		e.Uvarint(uint64(len(strs)))
+		for _, s := range strs {
+			e.Str(s)
+		}
+		e.Uvarint(uint64(n))
+		return e
+	}
+	cases := []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"AppendInterned's", canonical, true},
+		{"skipped-ahead index", append(table(2, "a", "b"), 1, 1, 1, 1, 1, 0), false},
+		{"duplicated unused string", append(table(1, "a", "a"), 1, 1, 0), false},
+		{"no set", table(0, "a"), false},
+	}
+	for _, c := range cases {
+		d := wire.NewDec("GPSC", c.data)
+		st, n := ReadStringTable(d, 8)
+		var got []features.Set
+		for i := 0; i < n && d.Err() == nil; i++ {
+			got = append(got, st.Feats(d))
+		}
+		err := d.Done()
+		if c.ok && (err != nil || !reflect.DeepEqual(got, sets)) {
+			t.Errorf("%s table read back as %v, %v; want %v", c.name, got, err, sets)
+		}
+		if !c.ok && !wire.IsKind(err, wire.Implausible) {
+			t.Errorf("%s: error %v; want Implausible", c.name, err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package zgrab
 
 import (
-	"maps"
+	"slices"
 	"testing"
 
 	"gps/internal/asndb"
@@ -23,12 +23,10 @@ func (s handSource) ServiceAt(ip asndb.IP, port uint16) (*netmodel.Service, bool
 func TestGrab(t *testing.T) {
 	ip := asndb.MustParseIP("10.0.0.1")
 	h := netmodel.NewHost(ip, 1, "t")
-	h.AddService(&netmodel.Service{
+	h.AddService(netmodel.Service{
 		Port: 80, Proto: features.ProtocolHTTP, TTL: 55,
-		Feats: features.Set{
-			features.KeyProtocol:   "http",
-			features.KeyHTTPServer: "nginx",
-		},
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"},
+			features.Value{Key: features.KeyHTTPServer, Val: "nginx"}),
 	})
 	g := New(handSource{ip: h})
 
@@ -54,8 +52,8 @@ func TestGrab(t *testing.T) {
 func TestGrabAllocatesNothing(t *testing.T) {
 	ip := asndb.MustParseIP("10.0.0.1")
 	h := netmodel.NewHost(ip, 1, "t")
-	h.AddService(&netmodel.Service{Port: 80, Proto: features.ProtocolHTTP,
-		Feats: features.Set{features.KeyProtocol: "http"}})
+	h.AddService(netmodel.Service{Port: 80, Proto: features.ProtocolHTTP,
+		Feats: features.NewSet(features.Value{Key: features.KeyProtocol, Val: "http"})})
 	g := New(handSource{ip: h})
 	if n := testing.AllocsPerRun(100, func() { g.Grab(ip, 80) }); n != 0 {
 		t.Errorf("Grab allocates %v objects per call; want 0", n)
@@ -89,7 +87,7 @@ func TestUniverseGrabRoundTrip(t *testing.T) {
 				Feats: grab.Feats, ASN: asn, TTL: grab.TTL,
 			}
 			if got.Proto != want.Proto || got.ASN != want.ASN || got.TTL != want.TTL ||
-				!maps.Equal(got.Feats, want.Feats) {
+				!slices.Equal(got.Feats, want.Feats) {
 				t.Fatalf("step %d %v:%d: discovery records %+v; seed records %+v",
 					step, want.IP, want.Port, got, want)
 			}

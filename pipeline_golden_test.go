@@ -110,7 +110,7 @@ func anchorsDigest(res *Result) string {
 			binary.BigEndian.PutUint64(b[:], v)
 			h.Write(b[:])
 		}
-		for _, v := range a.Feats.Values() {
+		for _, v := range a.Feats {
 			fmt.Fprintf(h, "%d=%q;", v.Key, v.Val)
 		}
 	}
