@@ -351,10 +351,10 @@ func BenchmarkProbLookup(b *testing.B) {
 	seedSet, _ := experiments.SplitEval(s.LZR, s.Scale.SeedMid, true, 81)
 	hosts := seedSet.ByHost()
 	m := probmodel.Build(probmodel.Config{}, hosts)
-	c := probmodel.Cond{Port: 80}
+	id := m.Resolve(dataset.Record{Port: 80}, new(probmodel.Scratch))[0] // the condition (80)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Prob(c, 443)
+		_ = m.ProbID(id, 443)
 	}
 }
 

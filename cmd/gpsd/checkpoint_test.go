@@ -263,7 +263,7 @@ func TestAtomicWriteFileFailedWrite(t *testing.T) {
 // file renamed into place, not a truncate-and-stream of the old one.
 func TestWriteInventoryFileReplaces(t *testing.T) {
 	states := testStates(t, 1)
-	inv, _ := shard.MergeInventories(states)
+	inv := shard.MergeInventories(states)
 	path := filepath.Join(t.TempDir(), "gpsd.inv")
 	if err := writeInventoryFile(path, inv); err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func serveTestWorker(t *testing.T) *testWorker {
 // inventoryBytes is the merged inventory as -inventory writes it.
 func inventoryBytes(t *testing.T, states []*continuous.State) []byte {
 	t.Helper()
-	inv, _ := shard.MergeInventories(states)
+	inv := shard.MergeInventories(states)
 	var buf bytes.Buffer
 	if err := shard.WriteInventory(&buf, inv); err != nil {
 		t.Fatal(err)

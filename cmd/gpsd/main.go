@@ -603,7 +603,7 @@ func finishDaemon(f daemonFlags, world worldID, coord *shard.Coordinator, api *i
 			return 1
 		}
 	}
-	known, conflicts := coord.Inventory()
+	known, epoch := coord.Inventory()
 	if f.inventory != "" {
 		if err := writeInventoryFile(f.inventory, known); err != nil {
 			mainLog.Errorf("inventory: %v", err)
@@ -611,10 +611,6 @@ func finishDaemon(f daemonFlags, world worldID, coord *shard.Coordinator, api *i
 		}
 	}
 	api.shutdown()
-	done := fmt.Sprintf("done after epoch %d; %d services known%s", coord.EpochNumber(), len(known), exitSuffix(coord))
-	if conflicts > 0 {
-		done += fmt.Sprintf(" (%d cross-shard conflicts resolved)", conflicts)
-	}
-	mainLog.Infof("%s", done)
+	mainLog.Infof("done after epoch %d; %d services known%s", epoch, len(known), exitSuffix(coord))
 	return 0
 }

@@ -136,8 +136,8 @@ func startServing(f daemonFlags, coord *shard.Coordinator, configure func(*serve
 	}
 	serveLog.Infof("serving inventory API on http://%s/v1/", api.addr)
 	coord.SetCommitHook(api.publish)
-	inv, _ := coord.Inventory()
-	api.publish(coord.EpochNumber(), inv)
+	inv, epoch := coord.Inventory()
+	api.publish(epoch, inv)
 	if f.feedAddr != "" {
 		addr, err := api.exportFeed(f.feedAddr)
 		if err != nil {

@@ -76,7 +76,7 @@ func goldenState(seed int64, n int) *continuous.State {
 // goldenInventory is a merged inventory at one of two consecutive
 // epochs: the second drops, adds and ages services relative to the first.
 func goldenInventory(next bool) map[netmodel.Key]*continuous.Entry {
-	inv, _ := shard.MergeInventories([]*continuous.State{goldenState(11, 48)})
+	inv := shard.MergeInventories([]*continuous.State{goldenState(11, 48)})
 	if !next {
 		return inv
 	}
@@ -96,7 +96,7 @@ func goldenInventory(next bool) map[netmodel.Key]*continuous.Entry {
 			inv[k].Stale = 0
 		}
 	}
-	added, _ := shard.MergeInventories([]*continuous.State{goldenState(12, 6)})
+	added := shard.MergeInventories([]*continuous.State{goldenState(12, 6)})
 	for k, e := range added {
 		inv[k] = e
 	}

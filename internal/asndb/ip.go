@@ -79,23 +79,6 @@ func MustPrefix(addr IP, bits uint8) Prefix {
 	return p
 }
 
-// ParsePrefix parses "a.b.c.d/len" notation.
-func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Prefix{}, fmt.Errorf("asndb: missing / in prefix %q", s)
-	}
-	ip, err := ParseIP(s[:slash])
-	if err != nil {
-		return Prefix{}, err
-	}
-	bits, err := strconv.ParseUint(s[slash+1:], 10, 8)
-	if err != nil || bits > 32 {
-		return Prefix{}, fmt.Errorf("asndb: invalid prefix length in %q", s)
-	}
-	return NewPrefix(ip, uint8(bits))
-}
-
 // Mask returns the netmask for a prefix length.
 func Mask(bits uint8) IP {
 	if bits == 0 {

@@ -106,21 +106,6 @@ func TestPrefixEdgeCases(t *testing.T) {
 	}
 }
 
-func TestParsePrefix(t *testing.T) {
-	p, err := ParsePrefix("192.168.4.0/22")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Bits != 22 || p.Addr != MustParseIP("192.168.4.0") {
-		t.Errorf("ParsePrefix wrong: %v", p)
-	}
-	for _, s := range []string{"1.2.3.4", "1.2.3.4/33", "x/16", "1.2.3.4/"} {
-		if _, err := ParsePrefix(s); err == nil {
-			t.Errorf("ParsePrefix(%q) succeeded", s)
-		}
-	}
-}
-
 // TestSubnetOfQuick property: an IP is always inside its own subnet, and
 // the subnet of any IP in that subnet is the same subnet.
 func TestSubnetOfQuick(t *testing.T) {

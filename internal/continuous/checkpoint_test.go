@@ -217,11 +217,33 @@ func handGPSC(strs []string, proto, asn, ttl uint64, set ...byte) []byte {
 	return append(e, set...)
 }
 
+// dupInTurnGPSC holds "a" twice in its table, each copy first used in turn
+// by one of two entries: the numbering holds, and a reader once accepted
+// its 46 bytes and re-encoded them to 44.
+func dupInTurnGPSC() []byte {
+	var e wire.Enc
+	e.Header("GPSC", 3)
+	e.Uvarint(1)
+	e.Uvarint(2)
+	e.Str("a")
+	e.Str("a")
+	e.Uvarint(2)
+	for i, port := range []uint16{80, 443} {
+		continuous.EncodeKey(&e, netmodel.Key{IP: 0x0a000001, Port: port})
+		for _, v := range []uint64{1, 64500, 60, 0, 1, 0} {
+			e.Uvarint(v)
+		}
+		e = append(e, 1, uint8(features.KeyProtocol), byte(i))
+	}
+	return e
+}
+
 // refusedGPSC are hand-built GPSC files no writer emits, each refused by
 // one check: a served field past its range (proto past the protocol
 // table, ASN past 32 bits, TTL past 8 bits), a string first used out of
-// turn, a duplicated string no set uses, and all of these at once in 31
-// bytes that a reader once accepted and re-encoded to 21.
+// turn, a duplicated string no set uses, a duplicated string sets use in
+// turn, and the range faults with an unused duplicate at once in 31 bytes
+// that a reader once accepted and re-encoded to 21.
 var refusedGPSC = []struct {
 	name string
 	gpsc []byte
@@ -231,6 +253,7 @@ var refusedGPSC = []struct {
 	{"ttl", handGPSC(nil, 1, 64500, 256, 0)},
 	{"string out of turn", handGPSC([]string{"a", "b"}, 1, 64500, 60, 1, uint8(features.KeyProtocol), 1)},
 	{"unused duplicate", handGPSC([]string{"a", "a"}, 1, 64500, 60, 1, uint8(features.KeyProtocol), 0)},
+	{"duplicate used in turn", dupInTurnGPSC()},
 	{"31 bytes, all of it", handGPSC([]string{"a", "a"}, 257, 1<<33, 263, 0)},
 }
 
@@ -245,6 +268,9 @@ func TestCheckpointRefusesHandBuiltFiles(t *testing.T) {
 	}
 	if all := refusedGPSC[len(refusedGPSC)-1]; len(all.gpsc) != 31 {
 		t.Errorf("%q is %d bytes; want 31", all.name, len(all.gpsc))
+	}
+	if n := len(dupInTurnGPSC()); n != 46 {
+		t.Errorf("the duplicate used in turn is %d bytes; want 46", n)
 	}
 	good := handGPSC([]string{"a", "b"}, 1, 64500, 60, 2, uint8(features.KeyProtocol), 0, uint8(features.KeyHTTPServer), 1)
 	st, err := continuous.ReadCheckpoint(bytes.NewReader(good))

@@ -190,7 +190,7 @@ func (r *Runner) SetTraceParent(ctx trace.SpanContext) { r.tparent = ctx }
 func (r *Runner) TrainingSet() *dataset.Dataset { return trainingSet(r.st.Epoch, r.st.Known) }
 
 func trainingSet(epoch int, known []Entry) *dataset.Dataset {
-	d := &dataset.Dataset{Name: fmt.Sprintf("continuous-epoch%d", epoch)}
+	d := &dataset.Dataset{Name: fmt.Sprintf("continuous-epoch%d", epoch), Records: make([]dataset.Record, 0, len(known))}
 	for _, i := range byLastSeen(known) {
 		if known[i].Stale == 0 {
 			d.Records = append(d.Records, known[i].Rec)

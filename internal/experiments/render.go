@@ -104,7 +104,6 @@ func (f Figure) Render() string {
 	return b.String()
 }
 
-func fmtF(v float64) string { return fmt.Sprintf("%.4g", v) }
 func fmtPct(v float64) string {
 	return fmt.Sprintf("%.1f%%", 100*v)
 }

@@ -172,13 +172,3 @@ func NewSet(vals ...Value) Set {
 	slices.SortStableFunc(vals, func(a, b Value) int { return cmp.Compare(a.Key, b.Key) })
 	return slices.CompactFunc(vals, func(a, b Value) bool { return a.Key == b.Key })
 }
-
-// Get returns the value for key k and whether it is present.
-func (s Set) Get(k Key) (string, bool) {
-	for _, v := range s {
-		if v.Key == k {
-			return v.Val, true
-		}
-	}
-	return "", false
-}

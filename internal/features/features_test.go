@@ -72,12 +72,6 @@ func TestNewSetSortsAndKeepsLast(t *testing.T) {
 	if !slices.Equal(s, want) {
 		t.Fatalf("NewSet = %v; want %v", s, want)
 	}
-	if v, ok := s.Get(KeyProtocol); !ok || v != "ssh" {
-		t.Error("Get failed")
-	}
-	if _, ok := s.Get(KeyVNCDesktopName); ok {
-		t.Error("Get returned absent key")
-	}
 	if NewSet() != nil {
 		t.Error("NewSet of nothing is not the empty set")
 	}

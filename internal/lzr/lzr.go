@@ -31,16 +31,6 @@ const (
 	StatusUnresponsive
 )
 
-var statusNames = [...]string{"service", "middlebox", "unresponsive"}
-
-// String names the status.
-func (s Status) String() string {
-	if int(s) < len(statusNames) {
-		return statusNames[s]
-	}
-	return "unknown"
-}
-
 // Result is LZR's verdict on one (IP, port).
 type Result struct {
 	IP     asndb.IP

@@ -8,6 +8,16 @@ import (
 	"gps/internal/netmodel"
 )
 
+var statusNames = [...]string{"service", "middlebox", "unresponsive"}
+
+// String names the status in failure messages.
+func (s Status) String() string {
+	if int(s) < len(statusNames) {
+		return statusNames[s]
+	}
+	return "unknown"
+}
+
 // buildSource creates a universe-like source by hand.
 type handSource struct {
 	hosts map[asndb.IP]*netmodel.Host

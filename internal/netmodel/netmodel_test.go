@@ -435,6 +435,16 @@ func TestGenerateBadParams(t *testing.T) {
 	Generate(Params{})
 }
 
+// featVal is the value s holds for k, or "" when it holds none.
+func featVal(s features.Set, k features.Key) string {
+	for _, v := range s {
+		if v.Key == k {
+			return v.Val
+		}
+	}
+	return ""
+}
+
 func TestFeatureScopes(t *testing.T) {
 	u := testUniverse(t)
 	// Fleet-scoped values repeat across hosts; per-host values are
@@ -446,12 +456,10 @@ func TestFeatureScopes(t *testing.T) {
 			continue
 		}
 		if svc, ok := h.ServiceAt(80); ok {
-			v, _ := svc.Feats.Get(features.KeyHTTPServer)
-			servers[v]++
+			servers[featVal(svc.Feats, features.KeyHTTPServer)]++
 		}
 		if svc, ok := h.ServiceAt(443); ok {
-			v, _ := svc.Feats.Get(features.KeyTLSCertHash)
-			certs[v]++
+			certs[featVal(svc.Feats, features.KeyTLSCertHash)]++
 		}
 	}
 	if len(servers) != 1 {

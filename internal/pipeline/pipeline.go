@@ -7,7 +7,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"gps/internal/asndb"
@@ -54,10 +53,6 @@ type Config struct {
 	Budget uint64
 	// Seed drives scan-order randomization.
 	Seed int64
-	// RandomPriorsOrder shuffles the priors scan list instead of
-	// visiting it in maximal-coverage order. Ablation only: it isolates
-	// how much of GPS's early precision comes from the §5.3 ordering.
-	RandomPriorsOrder bool
 	// ShardIndex/ShardCount restrict the scan phases to one partition of
 	// an n-way hash split of the address space (asndb.ShardOf): the run
 	// probes, fingerprints, and predicts only the addresses its shard
@@ -226,13 +221,6 @@ func Scan(u *netmodel.Universe, res *Result, cfg Config) error {
 	// Phase 3a: the priors scan list.
 	start := time.Now()
 	res.PriorsList = priors.Build(res.Model, hosts, cfg.EffectiveStep(), eng)
-	if cfg.RandomPriorsOrder {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		rng.Shuffle(len(res.PriorsList.Targets), func(i, j int) {
-			res.PriorsList.Targets[i], res.PriorsList.Targets[j] =
-				res.PriorsList.Targets[j], res.PriorsList.Targets[i]
-		})
-	}
 	res.Timings.PriorsList = time.Since(start)
 
 	// Phase 3b: execute the priors scan, fingerprint, and grab features.

@@ -1,8 +1,10 @@
 package predict
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -14,6 +16,57 @@ import (
 	"gps/internal/probmodel"
 	"gps/internal/probmodel/modeltest"
 )
+
+// Entry is one MPF rule in display form: when a discovered service matches
+// Cond, predict Port on the same host with probability P.
+type Entry struct {
+	Cond probmodel.Cond
+	Port uint16
+	P    float64
+}
+
+// compareEntries orders rules by descending probability, then ascending
+// port, then condition field by field.
+func compareEntries(a, b Entry) int {
+	if a.P != b.P {
+		return cmp.Compare(b.P, a.P)
+	}
+	if a.Port != b.Port {
+		return cmp.Compare(a.Port, b.Port)
+	}
+	x, y := a.Cond, b.Cond
+	if x.Port != y.Port {
+		return cmp.Compare(x.Port, y.Port)
+	}
+	if x.AppKey != y.AppKey {
+		return cmp.Compare(x.AppKey, y.AppKey)
+	}
+	if x.AppVal != y.AppVal {
+		return cmp.Compare(x.AppVal, y.AppVal)
+	}
+	if x.NetKey != y.NetKey {
+		return cmp.Compare(x.NetKey, y.NetKey)
+	}
+	return cmp.Compare(x.NetVal, y.NetVal)
+}
+
+// Entries returns every rule of the list in display form, ordered by
+// compareEntries: the list as the oracle holds it.
+func (m *MPF) Entries() []Entry {
+	var out []Entry
+	for id := 0; id+1 < len(m.rowOff); id++ {
+		rules := m.rulesOf(probmodel.CondID(id))
+		if len(rules) == 0 {
+			continue
+		}
+		c := m.model.Cond(probmodel.CondID(id))
+		for _, r := range rules {
+			out = append(out, Entry{Cond: c, Port: r.port, P: r.p})
+		}
+	}
+	slices.SortFunc(out, compareEntries)
+	return out
+}
 
 // oracleMPF is the list as it was before it was indexed by CondID: a map
 // keyed by the display-form condition, strings included, filled through
@@ -60,23 +113,20 @@ func (o *oracleMPF) entries() []Entry {
 	for _, es := range o.byCond {
 		out = append(out, es...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
-		}
-		if out[i].Port != out[j].Port {
-			return out[i].Port < out[j].Port
-		}
-		return out[i].Cond.String() < out[j].Cond.String()
-	})
+	slices.SortFunc(out, compareEntries)
 	return out
 }
 
+// predict maps each anchor through the rules keyed on its conditions.
+// Only a condition the seed exhibited can key a rule, so the conditions
+// are Resolve's, which probmodel's oracle holds to the display-form
+// enumeration.
 func (o *oracleMPF) predict(m *probmodel.Model, anchors []dataset.Record, known func(netmodel.Key) bool) []Prediction {
 	preds := map[netmodel.Key]float64{}
+	var s probmodel.Scratch
 	for _, r := range anchors {
-		for _, c := range m.CondsOf(r) {
-			for _, e := range o.byCond[c] {
+		for _, id := range m.Resolve(r, &s) {
+			for _, e := range o.byCond[m.Cond(id)] {
 				k := netmodel.Key{IP: r.IP, Port: e.Port}
 				if e.Port == r.Port || (known != nil && known(k)) {
 					continue

@@ -9,8 +9,7 @@
 // the list is one row of rules per id, and an anchor is resolved to the ids
 // of the conditions the seed exhibited before any rule is looked up. An
 // anchor value the seed never showed has no id and so no rule; it is
-// skipped, and the model is never written after Build. Conditions become
-// strings again only in MPF.Entries.
+// skipped, and the model is never written after Build.
 package predict
 
 import (
@@ -24,15 +23,9 @@ import (
 	"gps/internal/probmodel"
 )
 
-// Entry is one MPF rule in display form: when a discovered service matches
-// Cond, predict Port on the same host with probability P.
-type Entry struct {
-	Cond probmodel.Cond
-	Port uint16
-	P    float64
-}
-
-// rule is an Entry as the list stores it; the condition is the row.
+// rule is one MPF rule as the list stores it: when a discovered service
+// matches the row's condition, predict port on the same host with
+// probability p.
 type rule struct {
 	port uint16
 	p    float64
@@ -43,8 +36,7 @@ type rule struct {
 // keyed on condition id are rules[rowOff[id]:rowOff[id+1]], by descending
 // probability then ascending port. The ids are those of the model the
 // list was built from and mean nothing to another one. Immutable after
-// BuildMPF and safe for concurrent use; conditions turn back into strings
-// only in Entries.
+// BuildMPF and safe for concurrent use.
 type MPF struct {
 	model  *probmodel.Model
 	rowOff []uint32
@@ -99,43 +91,6 @@ func (m *MPF) Len() int { return len(m.rules) }
 // rulesOf returns the rules keyed on a condition of the list's model.
 func (m *MPF) rulesOf(id probmodel.CondID) []rule {
 	return m.rules[m.rowOff[id]:m.rowOff[id+1]]
-}
-
-// Entries returns every rule, ordered by descending probability. Used by
-// the Table 3 analysis of which features predict the most services.
-func (m *MPF) Entries() []Entry {
-	// Each rule's condition is rendered once, here, and not inside the
-	// comparator.
-	type rendered struct {
-		Entry
-		cond string
-	}
-	all := make([]rendered, 0, len(m.rules))
-	for id := 0; id+1 < len(m.rowOff); id++ {
-		rules := m.rulesOf(probmodel.CondID(id))
-		if len(rules) == 0 {
-			continue
-		}
-		c := m.model.Cond(probmodel.CondID(id))
-		str := c.String()
-		for _, r := range rules {
-			all = append(all, rendered{Entry{Cond: c, Port: r.port, P: r.p}, str})
-		}
-	}
-	slices.SortFunc(all, func(a, b rendered) int {
-		if a.P != b.P {
-			return cmp.Compare(b.P, a.P)
-		}
-		if a.Port != b.Port {
-			return cmp.Compare(a.Port, b.Port)
-		}
-		return cmp.Compare(a.cond, b.cond)
-	})
-	out := make([]Entry, len(all))
-	for i, r := range all {
-		out[i] = r.Entry
-	}
-	return out
 }
 
 // Prediction is one (IP, port) pair GPS will probe, with the probability

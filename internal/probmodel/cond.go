@@ -28,16 +28,13 @@
 //
 // Strings live at the edges: Cond is the display form of a condition, with
 // the banner, "10.0.0.0/16" and "AS7" spelled out, for tables, tests and
-// experiments. Model.Cond renders an id into one and Model.Lookup parses
-// one back; Prob, CondHosts, BestCond and BestCondForHost take and return
-// the display form and go through the same dictionary.
+// experiments. Model.Cond renders an id into one, and BestCondForHost
+// returns one.
 package probmodel
 
 import (
 	"fmt"
 
-	"gps/internal/asndb"
-	"gps/internal/dataset"
 	"gps/internal/features"
 )
 
@@ -52,16 +49,6 @@ const (
 	FamilyTAN               // Expression 7: port + application + network
 	numFamilies
 )
-
-var familyNames = [...]string{"T", "TA", "TN", "TAN"}
-
-// String names the family.
-func (f Family) String() string {
-	if int(f) < len(familyNames) {
-		return familyNames[f]
-	}
-	return "invalid"
-}
 
 // FamilySet is a bitmask of enabled families.
 type FamilySet uint8
@@ -85,34 +72,6 @@ type Cond struct {
 	AppVal string
 	NetKey features.Key // KeyNone when the family has no network slot
 	NetVal string
-}
-
-// Family derives the family from which slots are filled.
-func (c Cond) Family() Family {
-	switch {
-	case c.AppKey != features.KeyNone && c.NetKey != features.KeyNone:
-		return FamilyTAN
-	case c.AppKey != features.KeyNone:
-		return FamilyTA
-	case c.NetKey != features.KeyNone:
-		return FamilyTN
-	default:
-		return FamilyT
-	}
-}
-
-// String renders the condition in the paper's tuple notation.
-func (c Cond) String() string {
-	switch c.Family() {
-	case FamilyTA:
-		return fmt.Sprintf("(%d, %s=%s)", c.Port, c.AppKey, c.AppVal)
-	case FamilyTN:
-		return fmt.Sprintf("(%d, %s=%s)", c.Port, c.NetKey, c.NetVal)
-	case FamilyTAN:
-		return fmt.Sprintf("(%d, %s=%s, %s=%s)", c.Port, c.AppKey, c.AppVal, c.NetKey, c.NetVal)
-	default:
-		return fmt.Sprintf("(%d)", c.Port)
-	}
 }
 
 // TupleKind identifies the feature-key shape of a condition without its
@@ -144,56 +103,4 @@ func (k TupleKind) String() string {
 // the /16 subnetwork and the ASN most predictive and drops the rest.
 func DefaultNetKeys() []features.Key {
 	return []features.Key{features.KeySubnet16, features.KeyASN}
-}
-
-// NetFeatures computes the requested network-layer feature values for a
-// record's address, formatted for display. The model keeps the same values
-// as integers.
-func NetFeatures(r dataset.Record, netKeys []features.Key) []features.Value {
-	out := make([]features.Value, 0, len(netKeys))
-	for _, k := range netKeys {
-		if bits, ok := k.SubnetBits(); ok {
-			out = append(out, features.Value{Key: k, Val: asndb.SubnetOf(r.IP, bits).String()})
-		} else if k == features.KeyASN {
-			out = append(out, features.Value{Key: k, Val: r.ASN.String()})
-		}
-	}
-	return out
-}
-
-// CondsOf enumerates every condition tuple a record contributes, in
-// display form, filtered to the enabled families and feature keys. Its
-// order is the order the model assigns ids and breaks ties in.
-// enabledKeys may be nil to allow all application features; nets carries
-// the precomputed network-layer values for the record's address.
-func CondsOf(r dataset.Record, fams FamilySet, enabledKeys map[features.Key]bool, nets []features.Value) []Cond {
-	apps := make([]features.Value, 0, len(r.Feats))
-	for _, v := range r.Feats {
-		if enabledKeys == nil || enabledKeys[v.Key] {
-			apps = append(apps, v)
-		}
-	}
-	out := make([]Cond, 0, (1+len(apps))*(1+len(nets)))
-	if fams.Has(FamilyT) {
-		out = append(out, Cond{Port: r.Port})
-	}
-	if fams.Has(FamilyTA) {
-		for _, a := range apps {
-			out = append(out, Cond{Port: r.Port, AppKey: a.Key, AppVal: a.Val})
-		}
-	}
-	if fams.Has(FamilyTN) {
-		for _, n := range nets {
-			out = append(out, Cond{Port: r.Port, NetKey: n.Key, NetVal: n.Val})
-		}
-	}
-	if fams.Has(FamilyTAN) {
-		for _, a := range apps {
-			for _, n := range nets {
-				out = append(out, Cond{Port: r.Port, AppKey: a.Key, AppVal: a.Val,
-					NetKey: n.Key, NetVal: n.Val})
-			}
-		}
-	}
-	return out
 }

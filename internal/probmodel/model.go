@@ -2,8 +2,6 @@ package probmodel
 
 import (
 	"slices"
-	"strconv"
-	"strings"
 
 	"gps/internal/asndb"
 	"gps/internal/dataset"
@@ -90,8 +88,8 @@ type condKey struct {
 // Counts live in flat arrays indexed by CondID. condHosts[id] is the
 // number of seed hosts exhibiting the condition; the hosts that also had
 // another port open are one CSR row per condition — rowOff[id] to
-// rowOff[id+1] in pairPort (ascending) and pairHosts — which Prob binary
-// searches. seedBest holds every input record's best condition, one flat
+// rowOff[id+1] in pairPort (ascending) and pairHosts — which ProbID
+// binary searches. seedBest holds every input record's best condition, one flat
 // slice aligned with Build's input. Ids depend only on the order of hosts,
 // records and feature keys in Build's input, never on Config.Engine, so
 // every table is identical for any worker count.
@@ -269,8 +267,8 @@ type appSlot struct {
 	val uint32 // the value's index in Model.strs
 }
 
-// appendConds appends the ids of the conditions r exhibits, in CondsOf's
-// order (T, TA by key, TN by configured net key, TAN app-major). With
+// appendConds appends the ids of the conditions r exhibits, in the
+// families' order (T, TA by key, TN by configured net key, TAN app-major). With
 // intern set (Build only) an unknown value or condition is added to the
 // dictionary; otherwise it is left out, since it has no counts.
 func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern bool) []CondID {
@@ -335,7 +333,7 @@ func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern b
 }
 
 // Resolve returns the ids of the conditions r exhibits that the model has
-// counts for, in CondsOf's order. A condition the seed never showed — a
+// counts for, in appendConds' order. A condition the seed never showed — a
 // banner, subnet or AS first met on an anchor — has no id, no counts and
 // no rules, so it is left out rather than interned: resolving reads the
 // model and never writes it.
@@ -356,19 +354,13 @@ type Best struct {
 // probability of that record's port: the inner step of both the priors
 // algorithm (§5.3) and the prediction algorithm (§5.4), computed once by
 // Build for both. Ties keep the earlier record, then the earlier condition
-// in CondsOf's order, so simpler families win. The slice is the model's
+// in Resolve's order, so simpler families win. The slice is the model's
 // and read-only. It panics when h is not host i of Build's input.
 func (m *Model) SeedBest(i int, h dataset.HostGroup) []Best {
 	if i < 0 || i >= len(m.seedIP) || h.IP != m.seedIP[i] || len(h.Records) != m.hostFirst[i+1]-m.hostFirst[i] {
 		panic("probmodel: best conditions asked for a host the model was not built from")
 	}
 	return m.seedBest[m.hostFirst[i]:m.hostFirst[i+1]:m.hostFirst[i+1]]
-}
-
-// CondsOf enumerates the condition tuples a record contributes under this
-// model's configuration.
-func (m *Model) CondsOf(r dataset.Record) []Cond {
-	return CondsOf(r, m.cfg.Families, m.enabledKey, NetFeatures(r, m.cfg.NetKeys))
 }
 
 // NumConds returns the number of distinct conditions observed.
@@ -406,47 +398,6 @@ func (m *Model) Cond(id CondID) Cond {
 	return c
 }
 
-// Lookup returns the id of a condition given in display form; ok is false
-// when the seed never exhibited it. The network value is parsed back into
-// the integer the dictionary is keyed on, and a spelling other than the
-// one Cond renders ("AS07", a prefix with host bits) is not found, as it
-// never was.
-func (m *Model) Lookup(c Cond) (id CondID, ok bool) {
-	k := condKey{port: c.Port, appKey: c.AppKey, netKey: c.NetKey}
-	if c.AppKey != features.KeyNone {
-		if k.appVal, ok = m.strID[c.AppVal]; !ok {
-			return NoCond, false
-		}
-	}
-	if _, subnet := c.NetKey.SubnetBits(); subnet {
-		p, err := asndb.ParsePrefix(c.NetVal)
-		if err != nil {
-			return NoCond, false
-		}
-		k.netVal = uint32(p.Addr)
-	} else if c.NetKey == features.KeyASN {
-		digits, _ := strings.CutPrefix(c.NetVal, "AS")
-		n, err := strconv.ParseUint(digits, 10, 32)
-		if err != nil {
-			return NoCond, false
-		}
-		k.netVal = uint32(n)
-	}
-	if id, ok = m.dict[k]; !ok || m.Cond(id) != c {
-		return NoCond, false
-	}
-	return id, true
-}
-
-// CondHosts returns how many seed hosts exhibited the condition.
-func (m *Model) CondHosts(c Cond) uint64 {
-	id, ok := m.Lookup(c)
-	if !ok {
-		return 0
-	}
-	return uint64(m.condHosts[id])
-}
-
 // ProbID returns P(portA open | cond), applying the configured floor and
 // minimum support: a condition under the support, or a probability below
 // the floor, returns 0 because GPS treats it as no better than random
@@ -466,16 +417,6 @@ func (m *Model) ProbID(id CondID, portA uint16) float64 {
 		return 0
 	}
 	return p
-}
-
-// Prob is ProbID for a condition in display form; a condition the seed
-// never exhibited has probability 0.
-func (m *Model) Prob(c Cond, portA uint16) float64 {
-	id, ok := m.Lookup(c)
-	if !ok {
-		return 0
-	}
-	return m.ProbID(id, portA)
 }
 
 // BestCondForHost scans every other service on the host and returns the

@@ -336,7 +336,7 @@ func TestConcurrentQueries(t *testing.T) {
 			}
 			for _, r := range strangers {
 				m.Resolve(r, &s)
-				for _, c := range m.CondsOf(r) {
+				for _, c := range o.condsOf(r) {
 					if m.Prob(c, 80) != o.prob(c, 80) {
 						t.Errorf("stranger %v: %v disagrees with the oracle", r.IP, c)
 					}

@@ -45,10 +45,6 @@ type Merged struct {
 	MaxShardProbes uint64
 	// Middleboxes sums the responses LZR discarded across shards.
 	Middleboxes int
-	// Conflicts counts keys reported by more than one shard. Zero under
-	// the hash split; non-zero means overlapping custom filters, and the
-	// first (lowest-index) shard's observation won.
-	Conflicts int
 	// MergeTime is how long the cross-shard fold took.
 	MergeTime time.Duration
 }
@@ -98,9 +94,9 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg pipeline.Config, n 
 }
 
 // MergeResults folds per-shard pipeline results into one global view.
-// Shards are visited in index order, so conflict resolution (a key
-// reported by more than one shard) deterministically keeps the
-// lowest-index shard's observation.
+// The results must come from disjoint partitions, as Run's do: each
+// shard's run scans only the addresses asndb.ShardOf gives it, so no key
+// is reported twice and the fold is a concatenation.
 func MergeResults(results []*pipeline.Result) *Merged {
 	start := time.Now()
 	m := &Merged{
@@ -108,8 +104,6 @@ func MergeResults(results []*pipeline.Result) *Merged {
 		Results: results,
 		Found:   make(map[netmodel.Key]bool),
 	}
-	seenAnchor := make(map[netmodel.Key]bool)
-	seenDisc := make(map[netmodel.Key]bool)
 	for _, r := range results {
 		if r.SeedProbes > m.SeedProbes {
 			m.SeedProbes = r.SeedProbes
@@ -121,24 +115,10 @@ func MergeResults(results []*pipeline.Result) *Merged {
 			m.MaxShardProbes = scan
 		}
 		for k := range r.Found {
-			if m.Found[k] {
-				m.Conflicts++
-				continue
-			}
 			m.Found[k] = true
 		}
-		for _, a := range r.Anchors {
-			if k := a.Key(); !seenAnchor[k] {
-				seenAnchor[k] = true
-				m.Anchors = append(m.Anchors, a)
-			}
-		}
-		for _, d := range r.Discoveries {
-			if !seenDisc[d.Key] {
-				seenDisc[d.Key] = true
-				m.Discoveries = append(m.Discoveries, d)
-			}
-		}
+		m.Anchors = append(m.Anchors, r.Anchors...)
+		m.Discoveries = append(m.Discoveries, r.Discoveries...)
 	}
 	sort.Slice(m.Anchors, func(i, j int) bool { return m.Anchors[i].Key().Compare(m.Anchors[j].Key()) < 0 })
 	sort.Slice(m.Discoveries, func(i, j int) bool { return m.Discoveries[i].Key.Compare(m.Discoveries[j].Key) < 0 })

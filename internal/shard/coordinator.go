@@ -95,7 +95,8 @@ func (x *localExecutor) Epoch(s, _ int, u *netmodel.Universe, parent trace.SpanC
 // states, the shard → worker assignment, the budget slices, the epoch loop
 // with its failover and all-or-nothing commit, the merged view and the
 // membership policy (cluster.go). Each shard owns one partition
-// exclusively (asndb.ShardOf, enforced by its runner's shard filter): its
+// exclusively (asndb.ShardOf, enforced by its runner's shard filter and
+// checked wherever a state enters the coordinator): its
 // model retrains on its own inventory, its discovery scans only its
 // addresses, and its probe budget is a 1/N slice of the epoch budget.
 // Apart from Status and RequestDrain it is not safe for concurrent use.
@@ -241,7 +242,8 @@ func Merge(states []*continuous.State) (*continuous.State, error) {
 // shard order, placing each on its worker (with the epoch loop's failover
 // and refusal rules, see fanOut). The state count must match cfg.Shards —
 // resuming under a different shard count would strand every host in a
-// partition that no longer scans it.
+// partition that no longer scans it — and state s may hold only keys
+// shard s owns, as Partition's part s does.
 func (c *Coordinator) Resume(states []*continuous.State) error {
 	if len(states) != c.cfg.Shards {
 		return fmt.Errorf("shard: checkpoint holds %d shard states; config says %d shards", len(states), c.cfg.Shards)
@@ -249,8 +251,26 @@ func (c *Coordinator) Resume(states []*continuous.State) error {
 	if len(c.workers) == 0 {
 		return fmt.Errorf("shard: no workers admitted")
 	}
+	for s, st := range states {
+		if err := c.checkOwned(s, st); err != nil {
+			return fmt.Errorf("shard: resume: %w", err)
+		}
+	}
 	c.states = states
 	return c.fanOut("init", func(wi, s int) error { return c.place(s, wi, trace.SpanContext{}) })
+}
+
+// checkOwned refuses a state for shard s that holds a key another shard
+// owns. The hash split (asndb.ShardOf) makes the shards' states
+// key-disjoint by construction; checking it wherever a state enters the
+// coordinator is what lets every merge of them skip conflict handling.
+func (c *Coordinator) checkOwned(s int, st *continuous.State) error {
+	for _, e := range st.Known {
+		if owner := asndb.ShardOf(e.Rec.IP, c.cfg.Shards); owner != s {
+			return fmt.Errorf("shard %d state holds %v, which shard %d owns", s, e.Rec.Key(), owner)
+		}
+	}
+	return nil
 }
 
 // place puts shard s on worker wi at the coordinator's current state for
@@ -402,6 +422,8 @@ func (c *Coordinator) fanOut(what string, op func(wi, s int) error) error {
 // shard finished the epoch, so after an error a fleet coordinator still
 // holds the consistent pre-epoch layout (checkpointable, retryable), and
 // the commit hook only ever observes a fully consistent post-epoch one.
+// A returned state at another epoch, or holding a key its shard does not
+// own, fails the call like a broken link.
 func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error) {
 	if c.states == nil {
 		return continuous.EpochStats{}, fmt.Errorf("shard: Epoch before Seed or Resume")
@@ -434,6 +456,9 @@ func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error)
 		if st.Epoch != epoch {
 			return fmt.Errorf("shard %d state returned at epoch %d, want %d", s, st.Epoch, epoch)
 		}
+		if err := c.checkOwned(s, st); err != nil {
+			return err
+		}
 		next[s], stats[s], walls[s] = st, shardStats, time.Since(start)
 		c.tel.shardLat[s].Observe(walls[s].Seconds())
 		if draining && !w.wantsDrain {
@@ -453,8 +478,7 @@ func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error)
 	c.states = next
 	c.tel.commit(epoch)
 	if c.hook != nil {
-		inv, _ := MergeInventories(c.states)
-		c.hook(epoch, inv)
+		c.hook(epoch, MergeInventories(c.states))
 	}
 	c.publishStatus()
 	root.Finish()
@@ -497,47 +521,22 @@ func MergeStats(stats []continuous.EpochStats, wall []time.Duration) continuous.
 	return m
 }
 
-// Inventory returns the merged global inventory with cross-shard conflict
-// resolution, plus how many conflicts were resolved. Under the hash split
-// partitions are disjoint and conflicts are zero; they arise when resumed
-// states overlap (e.g. hand-assembled checkpoints). Resolution prefers
-// the shard that saw the host most recently (larger LastSeen), then the
-// fresher entry (smaller Stale), then the longer-tracked one (smaller
-// FirstSeen); entries are copied, so mutating the result does not corrupt
-// shard state.
+// Inventory returns the merged global inventory and the epoch it is as
+// of. Entries are copied, so mutating the result does not corrupt shard
+// state.
 func (c *Coordinator) Inventory() (map[netmodel.Key]*continuous.Entry, int) {
-	return MergeInventories(c.states)
+	return MergeInventories(c.states), c.EpochNumber()
 }
 
-// MergeInventories implements Inventory over raw checkpoint states.
-func MergeInventories(states []*continuous.State) (map[netmodel.Key]*continuous.Entry, int) {
+// MergeInventories is Inventory over raw states, which must be
+// key-disjoint, as every coordinator's are (see checkOwned).
+func MergeInventories(states []*continuous.State) map[netmodel.Key]*continuous.Entry {
 	merged := make(map[netmodel.Key]*continuous.Entry)
-	conflicts := 0
 	for _, st := range states {
 		known := slices.Clone(st.Known) // the merged entries, one allocation per state
 		for i := range known {
-			e, k := &known[i], known[i].Rec.Key()
-			old, ok := merged[k]
-			if !ok {
-				merged[k] = e
-				continue
-			}
-			conflicts++
-			if betterEntry(e, old) {
-				merged[k] = e
-			}
+			merged[known[i].Rec.Key()] = &known[i]
 		}
 	}
-	return merged, conflicts
-}
-
-// betterEntry reports whether a should replace b in a merged inventory.
-func betterEntry(a, b *continuous.Entry) bool {
-	if a.LastSeen != b.LastSeen {
-		return a.LastSeen > b.LastSeen
-	}
-	if a.Stale != b.Stale {
-		return a.Stale < b.Stale
-	}
-	return a.FirstSeen < b.FirstSeen
+	return merged
 }

@@ -9,7 +9,6 @@ import (
 
 	"gps/internal/asndb"
 	"gps/internal/continuous"
-	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/trace"
@@ -54,16 +53,20 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 
 	// Seeding partitions the seed set: the merged inventory is exactly
 	// the seeded services, disjoint across shards.
-	inv, conflicts := c.Inventory()
-	if conflicts != 0 {
-		t.Errorf("seeded inventory has %d conflicts; want 0", conflicts)
-	}
+	checkDisjoint(t, c.States())
+	inv, _ := c.Inventory()
 	seeded := make(map[netmodel.Key]bool)
 	for _, r := range seedSet.Records {
 		seeded[r.Key()] = true
 	}
 	if len(inv) != len(seeded) {
 		t.Errorf("merged seeded inventory holds %d services; seed set had %d distinct", len(inv), len(seeded))
+	}
+	// The merged entries are copies: writing one leaves shard state alone.
+	first := &c.States()[0].Known[0]
+	inv[first.Rec.Key()].Stale = 99
+	if first.Stale == 99 {
+		t.Error("merged inventory aliases shard state")
 	}
 
 	world := u
@@ -94,8 +97,8 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 		}
 	}
 
-	// Every entry lands in the shard that owns its IP, and the merge is
-	// conflict-free.
+	// Every entry lands in the shard that owns its IP, so the shards are
+	// disjoint.
 	for i, st := range c.States() {
 		for _, e := range st.Known {
 			if asndb.ShardOf(e.Rec.IP, n) != i {
@@ -103,8 +106,19 @@ func TestCoordinatorEpochLockstep(t *testing.T) {
 			}
 		}
 	}
-	if _, conflicts := c.Inventory(); conflicts != 0 {
-		t.Errorf("inventory conflicts = %d; want 0 under hash split", conflicts)
+	checkDisjoint(t, c.States())
+}
+
+// checkDisjoint fails t unless no key is in two of the states: their
+// sizes sum to the size of their merged inventory.
+func checkDisjoint(t *testing.T, states []*continuous.State) {
+	t.Helper()
+	sum := 0
+	for _, st := range states {
+		sum += len(st.Known)
+	}
+	if n := len(MergeInventories(states)); n != sum {
+		t.Errorf("shard states hold %d entries but merge to %d services; want disjoint states", sum, n)
 	}
 }
 
@@ -124,30 +138,6 @@ func TestCoordinatorBudgetSlices(t *testing.T) {
 	// (or marginally over, from the final in-flight target) the budget.
 	if got := stats.Probes(); got > budget+budget/10 {
 		t.Errorf("epoch spent %d probes against a global budget of %d", got, budget)
-	}
-}
-
-func TestMergeInventoriesConflictResolution(t *testing.T) {
-	k := netmodel.Key{IP: asndb.MustParseIP("10.0.0.1"), Port: 443}
-	rec := dataset.Record{IP: k.IP, Port: k.Port}
-	stale := &continuous.State{Known: []continuous.Entry{{Rec: rec, LastSeen: 3, Stale: 2, FirstSeen: 1}}}
-	fresh := &continuous.State{Known: []continuous.Entry{{Rec: rec, LastSeen: 5, Stale: 0, FirstSeen: 2}}}
-	merged, conflicts := MergeInventories([]*continuous.State{stale, fresh})
-	if conflicts != 1 {
-		t.Errorf("conflicts = %d; want 1", conflicts)
-	}
-	if got := merged[k]; got.LastSeen != 5 || got.Stale != 0 {
-		t.Errorf("conflict kept %+v; want the fresher observation", *got)
-	}
-	// Order independence: the same winner whichever shard is visited first.
-	merged2, _ := MergeInventories([]*continuous.State{fresh, stale})
-	if merged2[k].LastSeen != 5 {
-		t.Error("conflict resolution depends on shard order")
-	}
-	// Mutating the merged entry must not corrupt shard state.
-	merged[k].Stale = 99
-	if fresh.Known[0].Stale == 99 {
-		t.Error("merged inventory aliases shard state")
 	}
 }
 
@@ -202,6 +192,24 @@ func TestShardedCheckpointResume(t *testing.T) {
 	// Shard-count mismatch is an error, not a silent re-shard.
 	if _, err := ResumeCoordinator(states, coordConfig(n+1)); err == nil {
 		t.Error("resuming 3 shard states under 4 shards succeeded")
+	}
+}
+
+// TestResumeRefusesForeignKeys: state s may hold only keys shard s owns.
+// Seeded states in the wrong order are refused, naming the owner, and the
+// coordinator is left holding no state.
+func TestResumeRefusesForeignKeys(t *testing.T) {
+	_, seedSet := testWorld(t, 17)
+	st := NewCoordinator(seedSet, coordConfig(2)).States()
+	if len(st[0].Known) == 0 || len(st[1].Known) == 0 {
+		t.Fatal("a shard was seeded empty")
+	}
+	c, err := ResumeCoordinator([]*continuous.State{st[1], st[0]}, coordConfig(2))
+	if err == nil || !strings.Contains(err.Error(), "which shard 1 owns") {
+		t.Fatalf("resume of swapped states returned %v; want a refusal naming the owner", err)
+	}
+	if c.States() != nil {
+		t.Error("a refused resume left states in the coordinator")
 	}
 }
 

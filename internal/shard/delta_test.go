@@ -150,7 +150,7 @@ func TestCloneInventory(t *testing.T) {
 // canonical-bytes property, mirroring the GPSV round trip.
 func TestDeltaWireRoundTrip(t *testing.T) {
 	states := epochStates(t, 2)
-	inv, _ := MergeInventories(states)
+	inv := MergeInventories(states)
 	next := CloneInventory(inv)
 	// Manufacture all three change kinds against a real inventory.
 	var removed, updated netmodel.Key

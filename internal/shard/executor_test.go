@@ -32,6 +32,7 @@ const (
 	refuse                      // the call is refused deterministically
 	wrongShard                  // a placement is acknowledged for another shard
 	askDrain                    // the epoch succeeds and reports draining
+	foreignKey                  // the epoch's new service is one another shard owns
 )
 
 // at names one call: the attempt-th time op ("place" or "epoch") is
@@ -44,6 +45,7 @@ type at struct {
 // fakeFleet is the script and the log its executors share; they run
 // concurrently, one goroutine per worker.
 type fakeFleet struct {
+	shards int
 	mu     sync.Mutex
 	faults map[at]fault
 	tries  map[at]int       // calls so far, keyed with attempt 0
@@ -119,7 +121,11 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	}
 	next := cloneState(st)
 	next.Epoch = epoch
-	rec := dataset.Record{IP: asndb.IP(s<<16 | epoch), Port: 80}
+	owner := s
+	if f == foreignKey {
+		owner = (s + 1) % x.fleet.shards
+	}
+	rec := dataset.Record{IP: ownedIP(owner, epoch, x.fleet.shards), Port: 80}
 	i, _ := slices.BinarySearchFunc(next.Known, rec.Key(), func(e continuous.Entry, k netmodel.Key) int { return e.Rec.Key().Compare(k) })
 	next.Known = slices.Insert(next.Known, i, continuous.Entry{Rec: rec, FirstSeen: epoch, LastSeen: epoch})
 	stats := continuous.EpochStats{Epoch: epoch, NewFound: 1, KnownSize: len(next.Known)}
@@ -128,6 +134,16 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	x.fleet.ran[x.id] = append(x.fleet.ran[x.id], epoch)
 	x.fleet.mu.Unlock()
 	return next, stats, f == askDrain, nil
+}
+
+// ownedIP is an address shard s of an n-way split owns, distinct for every
+// (s, epoch): where a scripted epoch finds its one new service.
+func ownedIP(s, epoch, n int) asndb.IP {
+	ip := asndb.IP(s<<16 | epoch)
+	for asndb.ShardOf(ip, n) != s {
+		ip += 1 << 24
+	}
+	return ip
 }
 
 func (x *fakeExec) Close() error {
@@ -149,7 +165,7 @@ func newHarness(t *testing.T, shards, workers int, faults map[at]fault) *harness
 	h := &harness{
 		t:     t,
 		c:     NewFleetCoordinator(Config{Shards: shards}, t.Logf),
-		fleet: &fakeFleet{faults: faults, tries: make(map[at]int), ran: make(map[string][]int)},
+		fleet: &fakeFleet{shards: shards, faults: faults, tries: make(map[at]int), ran: make(map[string][]int)},
 		execs: make(map[string]*fakeExec),
 	}
 	for i := 0; i < workers; i++ {
@@ -220,10 +236,11 @@ func (h *harness) mustEpoch() {
 
 func (h *harness) inventory() []byte {
 	h.t.Helper()
-	inv, conflicts := h.c.Inventory()
+	checkDisjoint(h.t, h.c.States())
+	inv, _ := h.c.Inventory()
 	var buf bytes.Buffer
-	if err := WriteInventory(&buf, inv); err != nil || conflicts != 0 {
-		h.t.Fatalf("merged inventory: %v, %d conflicts", err, conflicts)
+	if err := WriteInventory(&buf, inv); err != nil {
+		h.t.Fatalf("merged inventory: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -425,6 +442,22 @@ func TestCoordinatorScriptedFaults(t *testing.T) {
 	}
 }
 
+// TestEpochRefusesForeignKeys: a worker's state is outside input, and one
+// holding a key its shard does not own fails the call like a broken link.
+// With no other worker to retry on, the epoch errors, naming the owner,
+// and nothing is committed: the coordinator keeps its pre-epoch states.
+func TestEpochRefusesForeignKeys(t *testing.T) {
+	h := newHarness(t, 2, 1, map[at]fault{{op: "epoch", shard: 1, epoch: 1}: foreignKey})
+	before := slices.Clone(h.c.States())
+	_, err := h.c.Epoch(nil)
+	if err == nil || !strings.Contains(err.Error(), "which shard 0 owns") {
+		t.Fatalf("epoch returned %v; want a refusal of shard 1's foreign key", err)
+	}
+	if !slices.Equal(h.c.States(), before) || h.c.EpochNumber() != 0 || len(h.hooked) != 0 {
+		t.Errorf("a refused epoch moved the coordinator to epoch %d (hook saw %v)", h.c.EpochNumber(), h.hooked)
+	}
+}
+
 // TestCoordinatorInProcessRefusal: an in-process epoch builds new states
 // and never writes the placed ones, so a refused epoch leaves every
 // coordinator state as it was, beside a fleet worker as much as alone,
@@ -448,7 +481,7 @@ func TestCoordinatorInProcessRefusal(t *testing.T) {
 	// Shard 0 runs in process, shard 1 on a fake worker that refuses it.
 	c := NewFleetCoordinator(cfg, t.Logf)
 	c.Admit("local", "", &localExecutor{runners: make(map[int]*continuous.Runner)})
-	fleet := &fakeFleet{faults: map[at]fault{{op: "epoch", shard: 1, epoch: 1}: refuse},
+	fleet := &fakeFleet{shards: 2, faults: map[at]fault{{op: "epoch", shard: 1, epoch: 1}: refuse},
 		tries: make(map[at]int), ran: make(map[string][]int)}
 	c.Admit("fake", "fake:7600", &fakeExec{fleet: fleet, id: "fake", cache: make(map[int]*continuous.State)})
 	if err := c.Seed(seedSet); err != nil {

@@ -22,7 +22,7 @@ import (
 // wrote it.
 func TestInventoryRoundTrip(t *testing.T) {
 	states := epochStates(t, 2)
-	inv, _ := MergeInventories(states)
+	inv := MergeInventories(states)
 	if len(inv) == 0 {
 		t.Fatal("empty test inventory")
 	}

@@ -83,7 +83,7 @@ func TestPartitionMergeRoundTrip(t *testing.T) {
 
 // TestPartitionResumeAndRun: a run re-partitioned at another count keeps
 // scanning — the coordinator resumes on the new layout and runs an epoch
-// with no cross-shard conflict.
+// that leaves the shards disjoint.
 func TestPartitionResumeAndRun(t *testing.T) {
 	run, err := Merge(epochStates(t, 2))
 	if err != nil {
@@ -101,9 +101,7 @@ func TestPartitionResumeAndRun(t *testing.T) {
 	if _, err := c.Epoch(world); err != nil {
 		t.Fatalf("re-partitioned epoch: %v", err)
 	}
-	if _, conflicts := c.Inventory(); conflicts != 0 {
-		t.Errorf("re-partitioned inventory has %d conflicts; want 0", conflicts)
-	}
+	checkDisjoint(t, c.States())
 }
 
 // TestMergeRejectsBadInput: states that are not one commit of one
@@ -129,7 +127,7 @@ func TestMergeRejectsBadInput(t *testing.T) {
 
 func TestWriteInventoryCanonical(t *testing.T) {
 	states := epochStates(t, 2)
-	inv, _ := MergeInventories(states)
+	inv := MergeInventories(states)
 
 	var a, b bytes.Buffer
 	if err := WriteInventory(&a, inv); err != nil {
@@ -151,10 +149,9 @@ func TestWriteInventoryCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherInv, conflicts := MergeInventories(Partition(run, 3))
-	if conflicts != 0 {
-		t.Fatalf("3-way inventory has %d conflicts", conflicts)
-	}
+	parts := Partition(run, 3)
+	checkDisjoint(t, parts)
+	otherInv := MergeInventories(parts)
 	var c bytes.Buffer
 	if err := WriteInventory(&c, otherInv); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"testing"
 
-	"gps/internal/asndb"
 	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
@@ -68,8 +67,12 @@ func TestMergedInventoryByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: %v", n, err)
 		}
-		if merged.Conflicts != 0 {
-			t.Errorf("%d shards: %d conflicts; hash split must be disjoint", n, merged.Conflicts)
+		sum := 0
+		for _, r := range merged.Results {
+			sum += len(r.Found)
+		}
+		if sum != len(merged.Found) {
+			t.Errorf("%d shards found %d services between them but merge to %d; hash split must be disjoint", n, sum, len(merged.Found))
 		}
 		if !maps.Equal(merged.Found, single.Found) {
 			t.Errorf("%d-shard merged inventory differs from the 1-shard run (%d vs %d services)",
@@ -114,27 +117,6 @@ func TestShardWorkScalesDown(t *testing.T) {
 	ideal := single.TotalScanProbes() / n
 	if merged.MaxShardProbes > ideal+ideal/2 {
 		t.Errorf("bottleneck shard spent %d probes; ideal 1/%d share is %d", merged.MaxShardProbes, n, ideal)
-	}
-}
-
-func TestMergeResultsConflict(t *testing.T) {
-	// Two hand-built results reporting the same key: the merge must keep
-	// one copy and count the conflict.
-	k := netmodel.Key{IP: asndb.MustParseIP("10.0.0.1"), Port: 80}
-	mk := func() *pipeline.Result {
-		return &pipeline.Result{
-			Found:       map[netmodel.Key]bool{k: true},
-			Anchors:     []dataset.Record{{IP: k.IP, Port: k.Port}},
-			Discoveries: []pipeline.Discovery{{Key: k}},
-		}
-	}
-	m := MergeResults([]*pipeline.Result{mk(), mk()})
-	if m.Conflicts != 1 {
-		t.Errorf("conflicts = %d; want 1", m.Conflicts)
-	}
-	if len(m.Found) != 1 || len(m.Anchors) != 1 || len(m.Discoveries) != 1 {
-		t.Errorf("merged sizes found=%d anchors=%d discoveries=%d; want 1/1/1",
-			len(m.Found), len(m.Anchors), len(m.Discoveries))
 	}
 }
 

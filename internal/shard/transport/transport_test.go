@@ -173,7 +173,7 @@ func stateBytes(t *testing.T, states []*continuous.State) []byte {
 
 func inventoryBytes(t *testing.T, states []*continuous.State) []byte {
 	t.Helper()
-	inv, _ := shard.MergeInventories(states)
+	inv := shard.MergeInventories(states)
 	var buf bytes.Buffer
 	if err := shard.WriteInventory(&buf, inv); err != nil {
 		t.Fatal(err)

@@ -54,10 +54,11 @@ const (
 	// counters and phases in msgEpochResult's fixed layout, beside a
 	// shard state (GPSC version 2) that no longer holds them. Version 5
 	// ships GPSC 3 states, so a mixed fleet is refused at the preamble,
-	// not at every placement. A skewed peer on either listener gets a
+	// not at every placement. Version 6 dropped the runner config's
+	// random-priors-order flag. A skewed peer on either listener gets a
 	// typed bad-version *wire.Error on both sides — the listener logs
 	// and keeps accepting, the worker reports and exits — never a misparse.
-	Version = 5
+	Version = 6
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
@@ -275,7 +276,6 @@ func encodeConfig(e *wire.Enc, c continuous.Config) {
 	e.Blob(keys)
 	e.Uvarint(p.Budget)
 	e.Varint(p.Seed)
-	e.Bool(p.RandomPriorsOrder)
 	e.Bool(p.ExactShardCounts)
 }
 
@@ -300,7 +300,6 @@ func decodeConfig(d *wire.Dec) continuous.Config {
 	}
 	c.Pipeline.Budget = d.Uvarint()
 	c.Pipeline.Seed = d.Varint()
-	c.Pipeline.RandomPriorsOrder = d.Bool()
 	c.Pipeline.ExactShardCounts = d.Bool()
 	return c
 }

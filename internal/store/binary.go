@@ -51,13 +51,22 @@ type StringTable struct {
 
 // ReadStringTable reads an AppendInterned table and the record count
 // after it, at most maxRecords, which it returns: Feats must then read
-// each record's set.
+// each record's set. A string equal to an earlier one is Implausible:
+// AppendInterned writes each distinct string once.
 func ReadStringTable(d *wire.Dec, maxRecords uint64) (*StringTable, int) {
 	d.At("string table", -1)
 	t := &StringTable{}
-	for i, n := 0, d.Count(d.Uvarint(), maxStrings); i < n && d.Err() == nil; i++ {
+	n := d.Count(d.Uvarint(), maxStrings)
+	seen := make(map[string]bool, min(n, 1<<16)) // n is not yet proven
+	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("string", i)
-		t.strs = append(t.strs, d.Str(maxString))
+		s := d.Str(maxString)
+		if seen[s] {
+			d.Fail(wire.Implausible, fmt.Errorf("string %q repeats an earlier one", s))
+			break
+		}
+		seen[s] = true
+		t.strs = append(t.strs, s)
 	}
 	d.At("string table", -1)
 	t.left = d.Count(d.Uvarint(), maxRecords)

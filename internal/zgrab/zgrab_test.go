@@ -37,8 +37,8 @@ func TestGrab(t *testing.T) {
 	if grab.Proto != features.ProtocolHTTP || grab.TTL != 55 {
 		t.Errorf("grab = %+v", grab)
 	}
-	if v, _ := grab.Feats.Get(features.KeyHTTPServer); v != "nginx" {
-		t.Errorf("server feature = %q", v)
+	if !slices.Contains(grab.Feats, features.Value{Key: features.KeyHTTPServer, Val: "nginx"}) {
+		t.Errorf("grabbed features %v; want server nginx", grab.Feats)
 	}
 	if _, ok := g.Grab(ip, 81); ok {
 		t.Error("grab on closed port succeeded")
