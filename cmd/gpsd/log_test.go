@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -41,12 +42,13 @@ func captureStd(t *testing.T, fn func()) (out, errw string) {
 // component and level fields.
 func TestLogRouting(t *testing.T) {
 	line, errw := captureStd(t, func() {
-		logEpoch(continuous.EpochStats{Epoch: 3, KnownSize: 1200, Verified: 1100}, 42*time.Millisecond)
+		logEpoch(continuous.EpochStats{Epoch: 3, KnownSize: 1200, Verified: 1100}, 42*time.Millisecond, time.Millisecond)
 	})
 	if errw != "" {
 		t.Errorf("epoch progress leaked to stderr: %q", errw)
 	}
-	for _, want := range []string{"level=info", "component=gpsd", "epoch=3", "known=1200", `msg="epoch complete"`} {
+	for _, want := range []string{"level=info", "component=gpsd", "event=epoch", "epoch=3", "known=1200",
+		"epoch_sec=0.042", `msg="epoch complete"`} {
 		if !strings.Contains(line, want) {
 			t.Errorf("epoch line missing %q: %q", want, line)
 		}
@@ -77,11 +79,68 @@ func TestLogJSONFlag(t *testing.T) {
 		t.Errorf("warning JSON fields = %v", obj)
 	}
 
-	out, _ := captureStd(t, func() { logEpoch(continuous.EpochStats{Epoch: 7}, time.Millisecond) })
+	out, _ := captureStd(t, func() { logEpoch(continuous.EpochStats{Epoch: 7}, time.Millisecond, 0) })
+	obj = nil
 	if err := json.Unmarshal([]byte(out), &obj); err != nil {
 		t.Fatalf("epoch line is not JSON under -log-json: %q (%v)", out, err)
 	}
-	if obj["epoch"] != "7" && obj["epoch"] != float64(7) {
-		t.Errorf("epoch JSON fields = %v", obj)
+	if obj["event"] != "epoch" || obj["epoch"] != float64(7) || obj["epoch_sec"] != 0.001 {
+		t.Errorf("epoch JSON fields = %v; want event epoch, epoch 7 and epoch_sec 0.001 as numbers", obj)
+	}
+}
+
+// TestOneEpochRecord runs the daemon for two epochs in each log mode and
+// counts its epoch records: one per epoch, from the one logger. Under
+// -log-json every stdout line is that logger's JSON, and the record's
+// counts and seconds are JSON numbers.
+func TestOneEpochRecord(t *testing.T) {
+	defer trace.SetLogJSON(false)
+	for _, mode := range []string{"text", "json"} {
+		args := []string{"-seed", "5", "-prefixes", "2", "-density", "0.02",
+			"-seed-fraction", "0.05", "-parallelism", "1", "-shards", "2", "-epochs", "2"}
+		if mode == "json" {
+			args = append(args, "-log-json")
+		}
+		f, err := parseArgs(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var code int
+		out, errw := captureStd(t, func() { code = runDaemon(f) })
+		if code != 0 {
+			t.Fatalf("%s: daemon exited %d: %s", mode, code, errw)
+		}
+		var records []string
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+			if strings.Contains(line, "epoch complete") || strings.Contains(line, `"event":"epoch"`) {
+				records = append(records, line)
+			}
+			if mode == "json" && !json.Valid([]byte(line)) {
+				t.Errorf("json: stdout line is not JSON: %q", line)
+			}
+		}
+		if len(records) != 2 {
+			t.Fatalf("%s: %d epoch records for 2 epochs:\n%s", mode, len(records), strings.Join(records, "\n"))
+		}
+		for i, line := range records {
+			if mode == "text" {
+				if !strings.Contains(line, fmt.Sprintf("event=epoch epoch=%d ", i+1)) || !strings.Contains(line, " epoch_sec=") {
+					t.Errorf("text: record %d = %q; want event=epoch epoch=%d and epoch_sec", i, line, i+1)
+				}
+				continue
+			}
+			var obj map[string]any
+			if err := json.Unmarshal([]byte(line), &obj); err != nil {
+				t.Fatal(err)
+			}
+			if obj["event"] != "epoch" || obj["epoch"] != float64(i+1) {
+				t.Errorf("json: record %d = %v; want event epoch, epoch %d", i, obj, i+1)
+			}
+			for _, k := range []string{"epoch", "known", "reverify_probes", "alive_frac", "reverify_sec", "epoch_sec"} {
+				if _, ok := obj[k].(float64); !ok {
+					t.Errorf("json: record %d: %s = %#v; want a JSON number", i, k, obj[k])
+				}
+			}
+		}
 	}
 }

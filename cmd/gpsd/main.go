@@ -62,7 +62,7 @@
 //	gpsd [-seed N] [-prefixes N] [-density F] [-seed-fraction F]
 //	     [-epochs N] [-budget N] [-reverify F] [-max-stale N] [-shards N]
 //	     [-checkpoint FILE] [-inventory FILE] [-interval DUR]
-//	     [-parallelism N] [-exact-counts] [-serve ADDR]
+//	     [-parallelism N] [-serve ADDR]
 //	gpsd worker -listen ADDR
 //	gpsd worker -join ADDR [-name ID] [-leave]
 //	gpsd coordinator -workers ADDR,ADDR,... [flags as above]
@@ -81,7 +81,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -116,7 +115,6 @@ type daemonFlags struct {
 	inventory  string
 	interval   time.Duration
 	parallel   int
-	exact      bool
 
 	logJSON     bool
 	workerMode  bool
@@ -156,7 +154,6 @@ func registerFlags(fs *flag.FlagSet, f *daemonFlags) {
 	fs.StringVar(&f.inventory, "inventory", "", "write the final merged inventory (canonical bytes) to this file")
 	fs.DurationVar(&f.interval, "interval", 0, "wall-clock pause between epochs")
 	fs.IntVar(&f.parallel, "parallelism", 0, "per-shard compute parallelism (0 = all cores; 1 = fully deterministic)")
-	fs.BoolVar(&f.exact, "exact-counts", false, "account exact per-shard prefix-scan probe counts instead of the ideal 1/N share")
 
 	fs.BoolVar(&f.logJSON, "log-json", false, "emit every log line as one JSON object instead of key=value text")
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:7600", "worker mode: address to listen on")
@@ -312,9 +309,8 @@ func (f daemonFlags) shardConfig() shard.Config {
 			ReverifyFraction: f.reverify,
 			MaxStale:         f.maxStale,
 			Pipeline: gps.Config{
-				Workers:          f.parallel,
-				Seed:             f.seed,
-				ExactShardCounts: f.exact,
+				Workers: f.parallel,
+				Seed:    f.seed,
 			},
 		},
 	}
@@ -329,77 +325,39 @@ func collectSeedSet(u *netmodel.Universe, f daemonFlags) *gps.Dataset {
 	return seedSet
 }
 
-// logEpoch emits the per-epoch progress report through the structured
-// logger: the human-readable summary is the msg, the figures ride as
-// fields so both text and -log-json modes stay greppable.
-func logEpoch(stats continuous.EpochStats, elapsed time.Duration) {
+// logEpoch emits the epoch's one record, after its checkpoint: the
+// epoch's counters, its freshness, and its seconds. Shards run
+// concurrently, so the phase seconds are those of bound_shard, the shard
+// whose epoch took longest (shard.MergeStats): they sum to no more than
+// epoch_sec, the coordinator's wall time.
+func logEpoch(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
 	mainLog.Log(trace.LevelInfo, "epoch complete",
+		trace.String("event", "epoch"),
 		trace.Int("epoch", stats.Epoch),
 		trace.Int("known", stats.KnownSize),
 		trace.Int("verified", stats.Verified),
 		trace.Int("lost", stats.Lost),
 		trace.Int("evicted", stats.Evicted),
 		trace.Int("new", stats.NewFound),
-		trace.String("alive", fmt.Sprintf("%.1f%%", 100*stats.Freshness.AliveFrac())),
-		trace.String("stale", fmt.Sprintf("%.1f%%", 100*stats.Freshness.StaleRate())),
-		trace.String("probes", fmt.Sprintf("%d", stats.Probes())),
-		trace.String("took", elapsed.Round(time.Millisecond).String()))
+		trace.Int("refreshed", stats.Refreshed),
+		trace.Int("train_size", stats.TrainSize),
+		trace.Int64("reverify_probes", int64(stats.ReverifyProbes)),
+		trace.Int64("discovery_probes", int64(stats.DiscoveryProbes)),
+		trace.Float("alive_frac", stats.Freshness.AliveFrac()),
+		trace.Float("stale_rate", stats.Freshness.StaleRate()),
+		trace.Float("reverify_sec", stats.Phases.Reverify.Seconds()),
+		trace.Float("retrain_sec", stats.Phases.Retrain.Seconds()),
+		trace.Float("discover_sec", stats.Phases.Discover.Seconds()),
+		trace.Float("fold_sec", stats.Phases.Fold.Seconds()),
+		trace.Int("bound_shard", stats.Phases.Shard),
+		trace.Float("checkpoint_sec", ckpt.Seconds()),
+		trace.Float("epoch_sec", elapsed.Seconds()))
 }
 
 // checkpointSeconds times the atomic checkpoint save, the one epoch cost
 // the phase histograms inside the scan layers cannot see.
 var checkpointSeconds = telemetry.Default.Histogram("gps_checkpoint_seconds",
 	"time to persist the epoch checkpoint (fsync + rename)", nil)
-
-// epochSummaryJSON is the machine-readable twin of logEpoch: one JSON
-// object per line, stable field order, durations in seconds. Log
-// shippers parse this; humans read the line above.
-type epochSummaryJSON struct {
-	Event           string  `json:"event"`
-	Epoch           int     `json:"epoch"`
-	Known           int     `json:"known"`
-	Verified        int     `json:"verified"`
-	Lost            int     `json:"lost"`
-	Evicted         int     `json:"evicted"`
-	New             int     `json:"new"`
-	Refreshed       int     `json:"refreshed"`
-	TrainSize       int     `json:"train_size"`
-	ReverifyProbes  uint64  `json:"reverify_probes"`
-	DiscoveryProbes uint64  `json:"discovery_probes"`
-	AliveFrac       float64 `json:"alive_frac"`
-	StaleRate       float64 `json:"stale_rate"`
-	ReverifySec     float64 `json:"reverify_sec"`
-	RetrainSec      float64 `json:"retrain_sec"`
-	DiscoverSec     float64 `json:"discover_sec"`
-	FoldSec         float64 `json:"fold_sec"`
-	BoundShard      int     `json:"bound_shard"`
-	CheckpointSec   float64 `json:"checkpoint_sec"`
-	EpochSec        float64 `json:"epoch_sec"`
-}
-
-// logEpochJSON emits the structured per-epoch summary. Shards run
-// concurrently, so the phase seconds are those of bound_shard, the shard
-// whose epoch took longest (shard.MergeStats): they sum to no more than
-// epoch_sec, the coordinator's wall time.
-func logEpochJSON(stats continuous.EpochStats, elapsed, ckpt time.Duration) {
-	body, err := json.Marshal(epochSummaryJSON{
-		Event: "epoch", Epoch: stats.Epoch, Known: stats.KnownSize,
-		Verified: stats.Verified, Lost: stats.Lost, Evicted: stats.Evicted,
-		New: stats.NewFound, Refreshed: stats.Refreshed, TrainSize: stats.TrainSize,
-		ReverifyProbes: stats.ReverifyProbes, DiscoveryProbes: stats.DiscoveryProbes,
-		AliveFrac: stats.Freshness.AliveFrac(), StaleRate: stats.Freshness.StaleRate(),
-		ReverifySec:   stats.Phases.Reverify.Seconds(),
-		RetrainSec:    stats.Phases.Retrain.Seconds(),
-		DiscoverSec:   stats.Phases.Discover.Seconds(),
-		FoldSec:       stats.Phases.Fold.Seconds(),
-		BoundShard:    stats.Phases.Shard,
-		CheckpointSec: ckpt.Seconds(), EpochSec: elapsed.Seconds(),
-	})
-	if err != nil {
-		return
-	}
-	fmt.Println(string(body))
-}
 
 // writeInventoryFile dumps the merged inventory in its canonical byte
 // encoding: the artifact the distributed CI gate diffs against the
@@ -534,11 +492,11 @@ func runDaemon(f daemonFlags) int {
 
 // runEpochs is the epoch loop both daemon modes share: poll for a
 // signal, run one epoch (epoch is where the modes differ: which universe,
-// if any, the coordinator's executors are handed), report it and the
-// worker failures it survived, persist the checkpoint, pause -interval
-// — until -epochs is reached or a signal arrives; a daemon that is
-// serving then keeps answering queries at the final epoch until
-// signalled. A non-zero return is the process exit code.
+// if any, the coordinator's executors are handed), report the worker
+// failures it survived, persist the checkpoint, log the epoch's record,
+// pause -interval — until -epochs is reached or a signal arrives; a
+// daemon that is serving then keeps answering queries at the final epoch
+// until signalled. A non-zero return is the process exit code.
 func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
 	epoch func() (continuous.EpochStats, error), api *inventoryServer) int {
 	sig := notifySignals()
@@ -564,7 +522,6 @@ func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
 			return 1
 		}
 		elapsed := time.Since(start)
-		logEpoch(stats, elapsed)
 
 		var ckpt time.Duration
 		if f.checkpoint != "" {
@@ -576,7 +533,7 @@ func runEpochs(f daemonFlags, world worldID, coord *shard.Coordinator,
 			ckpt = time.Since(ckptStart)
 			checkpointSeconds.Observe(ckpt.Seconds())
 		}
-		logEpochJSON(stats, elapsed, ckpt)
+		logEpoch(stats, elapsed, ckpt)
 		if f.interval > 0 {
 			select {
 			case s := <-sig:

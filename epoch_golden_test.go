@@ -111,7 +111,7 @@ func TestEpochGolden(t *testing.T) {
 				Shards: shards,
 				Continuous: continuous.Config{
 					Budget:   20 * base.SpaceSize(),
-					Pipeline: pipeline.Config{Workers: 1, Seed: 7, ExactShardCounts: shards > 1},
+					Pipeline: pipeline.Config{Workers: 1, Seed: 7},
 				},
 			})
 			lines = append(lines, fmt.Sprintf("%d\t%d\t0\t%s", world, shards, epochDigest(t, c, continuous.EpochStats{})))

@@ -62,10 +62,11 @@ type Config struct {
 	// disables sharding.
 	ShardIndex int
 	ShardCount int
-	// ExactShardCounts makes a sharded run's prefix scans account the
-	// exact number of addresses the shard owns instead of the ideal
-	// 1/ShardCount share, so per-shard probe counters sum exactly to the
-	// unsharded run's. Costs one hash pass per distinct prefix (memoized).
+	// ExactShardCounts is ignored: a sharded run's prefix scans always
+	// account the addresses the shard owns, so per-shard probe counters
+	// sum exactly to the unsharded run's. The field stays only because
+	// cmd/gpsbench/epochdist.go assigns it, and goes when a benchmark PR
+	// drops that assignment.
 	ExactShardCounts bool
 }
 
@@ -237,7 +238,6 @@ func Scan(u *netmodel.Universe, res *Result, cfg Config) error {
 	// the Probes of each of its discoveries.
 	start = time.Now()
 	sc := scanner.NewSharded(u, cfg.ShardIndex, cfg.ShardCount)
-	sc.SetExactShardCounts(cfg.ExactShardCounts)
 	type scanned struct {
 		port   uint16
 		end    int    // responders[prev.end:end] answered this target

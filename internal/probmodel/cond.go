@@ -47,7 +47,6 @@ const (
 	FamilyTA                // Expression 5: port + application feature
 	FamilyTN                // Expression 6: port + network feature
 	FamilyTAN               // Expression 7: port + application + network
-	numFamilies
 )
 
 // FamilySet is a bitmask of enabled families.

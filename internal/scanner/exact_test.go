@@ -1,13 +1,15 @@
 package scanner
 
 import (
+	"slices"
 	"testing"
 
 	"gps/internal/asndb"
 )
 
 // bruteOwned counts the addresses of p that shard (index, count) owns by
-// hashing every address — the ground truth exact accounting must match.
+// hashing every address — the ground truth prefix-scan accounting must
+// match.
 func bruteOwned(p asndb.Prefix, index, count int) uint64 {
 	var n uint64
 	for off := uint64(0); off < p.Size(); off++ {
@@ -18,35 +20,39 @@ func bruteOwned(p asndb.Prefix, index, count int) uint64 {
 	return n
 }
 
+// TestExactShardCounts: for every shard of a /20, unsharded included,
+// the fast path accounts and returns exactly what ScanPrefix's
+// per-address walk probes and finds — the owned-address count — and
+// the shards' counts sum to the prefix size. Under a power-of-two count
+// the hash split owns exactly 1/count of every aligned block; three
+// shards own uneven slices, so only the owned count holds there.
 func TestExactShardCounts(t *testing.T) {
 	net := fakeNetFast{testNet()}
 	pfx := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 20)
-	const n = 4
 
-	var exactSum, idealSum uint64
-	for i := 0; i < n; i++ {
-		exact := NewSharded(net, i, n)
-		exact.SetExactShardCounts(true)
-		exact.ScanPrefixFast(pfx, 80, 1)
-		if want := bruteOwned(pfx, i, n); exact.Probes() != want {
-			t.Errorf("shard %d exact accounting = %d probes; brute-force owned count = %d",
-				i, exact.Probes(), want)
+	for _, n := range []int{1, 3, 4} {
+		var sum uint64
+		for i := 0; i < n; i++ {
+			fast, slow := NewSharded(net, i, n), NewSharded(net, i, n)
+			got := fast.ScanPrefixFast(pfx, 80, 1)
+			want := slow.ScanPrefix(pfx, 80, 1)
+			sortIPs(want)
+			if fast.Probes() != slow.Probes() || fast.Probes() != bruteOwned(pfx, i, n) {
+				t.Errorf("shard %d/%d: fast path accounted %d probes, ScanPrefix %d; owned count = %d",
+					i, n, fast.Probes(), slow.Probes(), bruteOwned(pfx, i, n))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("shard %d/%d: fast path found %v, ScanPrefix %v", i, n, got, want)
+			}
+			sum += fast.Probes()
 		}
-		exactSum += exact.Probes()
-
-		ideal := NewSharded(net, i, n)
-		ideal.ScanPrefixFast(pfx, 80, 1)
-		idealSum += ideal.Probes()
-	}
-	// Both modes sum exactly to the prefix size across shards; only exact
-	// mode also matches per shard.
-	if exactSum != pfx.Size() || idealSum != pfx.Size() {
-		t.Errorf("shard sums exact=%d ideal=%d; want %d", exactSum, idealSum, pfx.Size())
+		if sum != pfx.Size() {
+			t.Errorf("%d shards accounted %d probes; want the prefix's %d", n, sum, pfx.Size())
+		}
 	}
 
 	// The memoized census must return the same count on a second scan.
-	sc := NewSharded(net, 1, n)
-	sc.SetExactShardCounts(true)
+	sc := NewSharded(net, 1, 4)
 	sc.ScanPrefixFast(pfx, 80, 1)
 	first := sc.Probes()
 	sc.ScanPrefixFast(pfx, 80, 1)
@@ -56,15 +62,14 @@ func TestExactShardCounts(t *testing.T) {
 	}
 }
 
-// Exact mode on an unsharded scanner is a no-op: the share already is the
-// full prefix.
+// An unsharded scanner's share is the full prefix: the fast path accounts
+// every address of it.
 func TestExactShardCountsUnsharded(t *testing.T) {
 	net := fakeNetFast{testNet()}
 	pfx := asndb.MustPrefix(asndb.MustParseIP("10.0.0.0"), 20)
 	sc := New(net)
-	sc.SetExactShardCounts(true)
 	sc.ScanPrefixFast(pfx, 80, 1)
 	if sc.Probes() != pfx.Size() {
-		t.Errorf("unsharded exact mode accounted %d probes; want %d", sc.Probes(), pfx.Size())
+		t.Errorf("unsharded scan accounted %d probes; want %d", sc.Probes(), pfx.Size())
 	}
 }

@@ -27,10 +27,8 @@ type Scanner struct {
 	// scanner's shard owns (asndb.ShardOf); shardCnt <= 1 disables it.
 	shardIdx, shardCnt int
 
-	// exact switches prefix-scan fast paths from the ideal 1/count probe
-	// share to the exact owned-address count; census memoizes the count
-	// per prefix so each prefix is hashed at most once.
-	exact    bool
+	// census memoizes a sharded scanner's owned-address count per
+	// prefix, so each prefix is hashed at most once.
 	censusMu sync.Mutex
 	census   map[asndb.Prefix]uint64
 }
@@ -61,35 +59,6 @@ func NewSharded(target Responder, index, count int) *Scanner {
 // owns reports whether ip belongs to this scanner's shard.
 func (s *Scanner) owns(ip asndb.IP) bool {
 	return asndb.ShardOwns(ip, s.shardIdx, s.shardCnt)
-}
-
-// shardShare returns the slice of n probes this shard accounts for a
-// prefix scan: the ideal 1/count share with the remainder spread over the
-// low shard indexes, so shares sum exactly to n across all shards. The
-// hash split owns approximately this many addresses; accounting the ideal
-// share keeps per-shard bandwidth deterministic without hashing every
-// address in the prefix.
-func (s *Scanner) shardShare(n uint64) uint64 {
-	if s.shardCnt <= 1 {
-		return n
-	}
-	share := n / uint64(s.shardCnt)
-	if uint64(s.shardIdx) < n%uint64(s.shardCnt) {
-		share++
-	}
-	return share
-}
-
-// SetExactShardCounts switches a sharded scanner's prefix-scan fast path
-// from accounting the ideal 1/count probe share to the exact number of
-// addresses its shard owns. The ideal share differs from the owned count
-// only by hash-split sampling noise, but that noise is what keeps the sum
-// of per-shard probe counters from matching the unsharded run exactly;
-// exact mode removes it at the cost of hashing every address of each
-// distinct prefix once (the count is memoized per prefix). A no-op on
-// unsharded scanners, where the share already is the prefix size.
-func (s *Scanner) SetExactShardCounts(on bool) {
-	s.exact = on && s.shardCnt > 1
 }
 
 // ownedInPrefix returns the exact number of addresses in p this scanner's
@@ -160,27 +129,22 @@ type PrefixResponder interface {
 
 // ScanPrefixFast scans a prefix on one port like ScanPrefix, but uses the
 // responder's PrefixResponder fast path when available. The probe counter
-// still advances by the full prefix size — the bandwidth is identical, only
-// the simulation is cheaper. A sharded scanner returns only the
-// responders its shard owns and accounts the ideal 1/count share of the
-// prefix — or, with SetExactShardCounts, the exact owned count (memoized
-// per prefix, so the hashing cost is paid once; without it the hash split
-// makes the two agree only to within sampling noise).
+// still advances by what ScanPrefix would probe — the bandwidth is
+// identical, only the simulation is cheaper: the full prefix, or for a
+// sharded scanner the addresses its shard owns (memoized per prefix, so
+// the hashing cost is paid once), whose responders alone it returns.
 func (s *Scanner) ScanPrefixFast(p asndb.Prefix, port uint16, seed int64) []asndb.IP {
 	pr, ok := s.target.(PrefixResponder)
 	if !ok {
 		return s.ScanPrefix(p, port, seed)
 	}
-	if s.exact {
-		s.probes.Add(s.ownedInPrefix(p))
-	} else {
-		s.probes.Add(s.shardShare(p.Size()))
-	}
 	hits := pr.ResponsiveIn(p, port)
-	if s.shardCnt > 1 {
-		hits = s.filterOwned(hits)
+	if s.shardCnt <= 1 {
+		s.probes.Add(p.Size())
+		return hits
 	}
-	return hits
+	s.probes.Add(s.ownedInPrefix(p))
+	return s.filterOwned(hits)
 }
 
 // filterOwned returns the addresses this scanner's shard owns. The input

@@ -23,7 +23,7 @@ func goldenPayloads() []wiretest.Case {
 		Budget: 1 << 40, ReverifyFraction: 0.375, MaxStale: 3, ShardIndex: 2, ShardCount: 300,
 		Pipeline: pipeline.Config{
 			StepBits: 24, StepZero: true, Workers: 1, Families: 5, Floor: -1, MinSupport: -1,
-			AppKeys: []features.Key{1, 3, 7}, Budget: 999, Seed: -42, ExactShardCounts: true,
+			AppKeys: []features.Key{1, 3, 7}, Budget: 999, Seed: -42,
 		},
 	}
 	spec := EncodeWorldSpec([]byte("world"), 300, []int{2, 130})

@@ -134,7 +134,7 @@ func testConfig(n int) shard.Config {
 		Shards: n,
 		Continuous: continuous.Config{
 			Budget:   50000,
-			Pipeline: pipeline.Config{Workers: 1, Seed: 7, ExactShardCounts: true},
+			Pipeline: pipeline.Config{Workers: 1, Seed: 7},
 		},
 	}
 }

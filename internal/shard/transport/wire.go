@@ -55,10 +55,11 @@ const (
 	// shard state (GPSC version 2) that no longer holds them. Version 5
 	// ships GPSC 3 states, so a mixed fleet is refused at the preamble,
 	// not at every placement. Version 6 dropped the runner config's
-	// random-priors-order flag. A skewed peer on either listener gets a
-	// typed bad-version *wire.Error on both sides — the listener logs
-	// and keeps accepting, the worker reports and exits — never a misparse.
-	Version = 6
+	// random-priors-order flag, version 7 its exact-shard-counts flag. A
+	// skewed peer on either listener gets a typed bad-version *wire.Error
+	// on both sides — the listener logs and keeps accepting, the worker
+	// reports and exits — never a misparse.
+	Version = 7
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
@@ -276,7 +277,6 @@ func encodeConfig(e *wire.Enc, c continuous.Config) {
 	e.Blob(keys)
 	e.Uvarint(p.Budget)
 	e.Varint(p.Seed)
-	e.Bool(p.ExactShardCounts)
 }
 
 func decodeConfig(d *wire.Dec) continuous.Config {
@@ -300,7 +300,6 @@ func decodeConfig(d *wire.Dec) continuous.Config {
 	}
 	c.Pipeline.Budget = d.Uvarint()
 	c.Pipeline.Seed = d.Varint()
-	c.Pipeline.ExactShardCounts = d.Bool()
 	return c
 }
 

@@ -214,16 +214,15 @@ func TestWireConfigRoundTrip(t *testing.T) {
 		ShardIndex:       2,
 		ShardCount:       4,
 		Pipeline: pipeline.Config{
-			StepBits:         24,
-			StepZero:         true,
-			Workers:          1,
-			Families:         5,
-			Floor:            -1,
-			MinSupport:       -1,
-			AppKeys:          []features.Key{1, 3, 7},
-			Budget:           999,
-			Seed:             -42,
-			ExactShardCounts: true,
+			StepBits:   24,
+			StepZero:   true,
+			Workers:    1,
+			Families:   5,
+			Floor:      -1,
+			MinSupport: -1,
+			AppKeys:    []features.Key{1, 3, 7},
+			Budget:     999,
+			Seed:       -42,
 		},
 	}
 	var e wire.Enc
@@ -241,7 +240,7 @@ func TestWireConfigRoundTrip(t *testing.T) {
 	op, ip := out.Pipeline, in.Pipeline
 	if op.StepBits != ip.StepBits || op.StepZero != ip.StepZero || op.Workers != ip.Workers ||
 		op.Families != ip.Families || op.Floor != ip.Floor || op.MinSupport != ip.MinSupport ||
-		op.Budget != ip.Budget || op.Seed != ip.Seed || op.ExactShardCounts != ip.ExactShardCounts {
+		op.Budget != ip.Budget || op.Seed != ip.Seed {
 		t.Errorf("pipeline fields did not round-trip: %+v", op)
 	}
 	if len(op.AppKeys) != len(ip.AppKeys) {

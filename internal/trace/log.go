@@ -11,8 +11,8 @@ import (
 )
 
 // Structured logging that joins log lines to the flight recorder:
-// every line carries component/shard/... fields plus the trace id of
-// the epoch in flight (Tracer.CurrentTrace), so a slow line in the log
+// every line carries its component and fields plus the trace id of the
+// epoch in flight (Default.CurrentTrace), so a slow line in the log
 // can be looked up as a waterfall in /v1/tracez.
 //
 // Routing contract (pinned by a cmd/gpsd test): Info goes to os.Stdout,
@@ -25,8 +25,7 @@ type Level int8
 
 // Severity levels, in increasing order.
 const (
-	LevelDebug Level = iota
-	LevelInfo
+	LevelInfo Level = iota
 	LevelWarn
 	LevelError
 )
@@ -34,8 +33,6 @@ const (
 // String returns the lowercase level name used in the level= field.
 func (l Level) String() string {
 	switch l {
-	case LevelDebug:
-		return "debug"
 	case LevelWarn:
 		return "warn"
 	case LevelError:
@@ -58,18 +55,15 @@ func SetLogJSON(on bool) {
 	logMu.Unlock()
 }
 
-// Logger emits leveled structured lines tagged with a component and a
-// fixed field set.
+// Logger emits leveled structured lines tagged with a component.
 type Logger struct {
 	component string
-	fields    []Attr
-	tr        *Tracer
 }
 
 // NewLogger builds a logger for one component ("gpsd", "transport",
-// "cluster", ...) with optional fixed fields.
-func NewLogger(component string, fields ...Attr) *Logger {
-	return &Logger{component: component, fields: fields, tr: Default}
+// "cluster", ...).
+func NewLogger(component string) *Logger {
+	return &Logger{component: component}
 }
 
 // Infof logs at info level (stdout).
@@ -81,8 +75,9 @@ func (l *Logger) Warnf(format string, args ...any) { l.logf(LevelWarn, format, a
 // Errorf logs at error level (stderr).
 func (l *Logger) Errorf(format string, args ...any) { l.logf(LevelError, format, args...) }
 
-// Log emits a message with per-line fields appended after the fixed
-// ones.
+// Log emits a message with per-line fields. Under SetLogJSON(true) a
+// field built by Int, Int64 or Float is a JSON number, any other a JSON
+// string.
 func (l *Logger) Log(level Level, msg string, fields ...Attr) {
 	l.emit(level, msg, fields)
 }
@@ -100,12 +95,8 @@ func TraceID(id uint64) string {
 	return fmt.Sprintf("%016x", id)
 }
 
-func (l *Logger) emit(level Level, msg string, extra []Attr) {
-	tr := l.tr
-	if tr == nil {
-		tr = Default
-	}
-	traceID := TraceID(tr.CurrentTrace())
+func (l *Logger) emit(level Level, msg string, fields []Attr) {
+	traceID := TraceID(Default.CurrentTrace())
 	now := time.Now().UTC().Format(time.RFC3339Nano)
 
 	logMu.Lock()
@@ -115,12 +106,13 @@ func (l *Logger) emit(level Level, msg string, extra []Attr) {
 		w = os.Stderr
 	}
 	if logJSON {
-		obj := make(map[string]any, len(l.fields)+len(extra)+5)
-		for _, a := range l.fields {
-			obj[a.Key] = a.Value
-		}
-		for _, a := range extra {
-			obj[a.Key] = a.Value
+		obj := make(map[string]any, len(fields)+5)
+		for _, a := range fields {
+			if a.num {
+				obj[a.Key] = json.Number(a.Value)
+			} else {
+				obj[a.Key] = a.Value
+			}
 		}
 		obj["ts"] = now
 		obj["level"] = level.String()
@@ -147,10 +139,7 @@ func (l *Logger) emit(level Level, msg string, extra []Attr) {
 		b.WriteString(" trace=")
 		b.WriteString(traceID)
 	}
-	for _, a := range l.fields {
-		writeField(&b, a)
-	}
-	for _, a := range extra {
+	for _, a := range fields {
 		writeField(&b, a)
 	}
 	b.WriteString(" msg=")

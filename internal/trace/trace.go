@@ -37,21 +37,28 @@ type SpanContext struct {
 // Valid reports whether the context names a real trace.
 func (c SpanContext) Valid() bool { return c.TraceID != 0 && c.SpanID != 0 }
 
-// Attr is one key=value annotation on a span. Values are strings;
-// helpers below convert the common cases.
+// Attr is one key=value annotation on a span or a log line. Values are
+// strings; helpers below convert the common cases. The numeric helpers
+// mark their Attr so the logger's JSON mode writes the value as a JSON
+// number; spans, their wire codec and /v1/tracez ignore the mark.
 type Attr struct {
 	Key   string
 	Value string
+	num   bool
 }
 
 // String builds a string attribute.
-func String(k, v string) Attr { return Attr{k, v} }
+func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 
 // Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{k, strconv.Itoa(v)} }
+func Int(k string, v int) Attr { return Attr{k, strconv.Itoa(v), true} }
 
 // Int64 builds an int64 attribute.
-func Int64(k string, v int64) Attr { return Attr{k, strconv.FormatInt(v, 10)} }
+func Int64(k string, v int64) Attr { return Attr{k, strconv.FormatInt(v, 10), true} }
+
+// Float builds a float attribute in the shortest form that reads back
+// to v.
+func Float(k string, v float64) Attr { return Attr{k, strconv.FormatFloat(v, 'g', -1, 64), true} }
 
 // SpanRecord is a finished span as stored in the flight recorder and
 // as shipped between processes. Proc names the process that recorded

@@ -41,7 +41,7 @@ func TestSpanTreeRecording(t *testing.T) {
 	if spans[1].Parent != root.Context().SpanID {
 		t.Fatalf("child parent = %x, want %x", spans[1].Parent, root.Context().SpanID)
 	}
-	if len(spans[0].Attrs) != 1 || spans[0].Attrs[0] != (Attr{"epoch", "7"}) {
+	if len(spans[0].Attrs) != 1 || spans[0].Attrs[0] != Int("epoch", 7) {
 		t.Fatalf("root attrs wrong: %+v", spans[0].Attrs)
 	}
 }
@@ -146,7 +146,7 @@ func TestRecord(t *testing.T) {
 			rec.TraceID, rec.SpanID, rec.Parent, root.Context())
 	}
 	if rec.Name != "reverify" || rec.Proc != "worker-a" || rec.Start != start || rec.Duration != d ||
-		len(rec.Attrs) != 1 || rec.Attrs[0] != (Attr{"probes", "9"}) {
+		len(rec.Attrs) != 1 || rec.Attrs[0] != Int("probes", 9) {
 		t.Errorf("recorded %+v; want reverify on worker-a from the given start, lasting %v, probes=9", rec, d)
 	}
 	if recs[0].SpanID != rec.SpanID {
@@ -198,7 +198,7 @@ func TestWireSpansRoundtrip(t *testing.T) {
 	in := []SpanRecord{
 		{TraceID: 9, SpanID: 1, Name: "epoch", Proc: "worker:w1",
 			Start: start, Duration: 250 * time.Millisecond,
-			Attrs: []Attr{{"epoch", "3"}, {"shard", "1"}}},
+			Attrs: []Attr{String("epoch", "3"), String("shard", "1")}},
 		{TraceID: 9, SpanID: 2, Parent: 1, Name: "reverify",
 			Start: start.Add(time.Millisecond), Duration: time.Millisecond},
 	}
@@ -365,7 +365,7 @@ func captureStd(t *testing.T, fn func()) (out, errw string) {
 }
 
 func TestLoggerRouting(t *testing.T) {
-	l := NewLogger("gpsd", String("mode", "test"))
+	l := NewLogger("gpsd")
 	out, errw := captureStd(t, func() {
 		l.Infof("epoch %d done", 3)
 		l.Warnf("deprecated flag")
@@ -374,8 +374,7 @@ func TestLoggerRouting(t *testing.T) {
 
 	if !strings.Contains(out, "level=info") ||
 		!strings.Contains(out, `msg="epoch 3 done"`) ||
-		!strings.Contains(out, "component=gpsd") ||
-		!strings.Contains(out, "mode=test") {
+		!strings.Contains(out, "component=gpsd") {
 		t.Fatalf("stdout line wrong: %q", out)
 	}
 	if strings.Contains(out, "deprecated") || strings.Contains(out, "boom") {
@@ -411,8 +410,11 @@ func TestLoggerTraceField(t *testing.T) {
 func TestLoggerJSON(t *testing.T) {
 	SetLogJSON(true)
 	defer SetLogJSON(false)
-	l := NewLogger("cluster", String("shard", "2"))
-	out, _ := captureStd(t, func() { l.Log(LevelInfo, "migrated", String("to", "w4")) })
+	l := NewLogger("cluster")
+	out, _ := captureStd(t, func() {
+		l.Log(LevelInfo, "migrated", String("shard", "2"), String("to", "w4"),
+			Int("moved", 3), Int64("bytes", 1<<40), Float("sec", 0.25))
+	})
 	var obj map[string]any
 	if err := json.Unmarshal([]byte(out), &obj); err != nil {
 		t.Fatalf("not JSON: %q (%v)", out, err)
@@ -420,6 +422,11 @@ func TestLoggerJSON(t *testing.T) {
 	if obj["level"] != "info" || obj["component"] != "cluster" ||
 		obj["msg"] != "migrated" || obj["shard"] != "2" || obj["to"] != "w4" {
 		t.Fatalf("JSON fields wrong: %v", obj)
+	}
+	// Only the numeric helpers' values are JSON numbers: a string that
+	// happens to read as a number stays a string.
+	if obj["moved"] != float64(3) || obj["bytes"] != float64(1<<40) || obj["sec"] != 0.25 {
+		t.Fatalf("numeric fields not JSON numbers: %v", obj)
 	}
 	if _, ok := obj["ts"]; !ok {
 		t.Fatal("missing ts")

@@ -57,7 +57,7 @@ func pipelineGoldenConfigs(f *fixture) []pipelineGoldenConfig {
 		{"stepzero-transport", Config{Seed: 13, StepZero: true, Families: probmodel.FamilySet(0).With(probmodel.FamilyT)}},
 		{"nofloor-nosupport", Config{Seed: 14, Floor: -1, MinSupport: -1}},
 		{"appkeys", Config{Seed: 15, AppKeys: []features.Key{features.KeyProtocol, features.KeyHTTPServer, features.KeySSHBanner}}},
-		{"shard1of4-exact", Config{Seed: 16, ShardIndex: 1, ShardCount: 4, ExactShardCounts: true}},
+		{"shard1of4-exact", Config{Seed: 16, ShardIndex: 1, ShardCount: 4}},
 		{"tn-tan", Config{Seed: 17, Families: probmodel.FamilySet(0).With(probmodel.FamilyTN).With(probmodel.FamilyTAN)}},
 	}
 }

@@ -30,7 +30,7 @@ mkdir -p "$DIR"
 # -parallelism 1 pins the per-shard compute order so budget cutoffs are
 # deterministic; the finite budget makes the slicing path load-bearing.
 COMMON=(-seed 7 -prefixes 8 -density 0.02 -seed-fraction 0.05
-        -epochs 3 -budget 60000 -shards 4 -parallelism 1 -exact-counts)
+        -epochs 3 -budget 60000 -shards 4 -parallelism 1)
 
 pids=()
 cleanup() { kill "${pids[@]}" 2>/dev/null || true; }
@@ -101,7 +101,7 @@ snapshot_queries() {
 }
 
 echo "== single-process reference (4 in-process shards, serving on :7471)"
-"$BIN" "${COMMON[@]}" -checkpoint "$DIR/single.ckpt" -inventory "$DIR/single.inv" \
+"$BIN" "${COMMON[@]}" -log-json -checkpoint "$DIR/single.ckpt" -inventory "$DIR/single.inv" \
     -serve 127.0.0.1:7471 > "$DIR/single.log" 2>&1 &
 single_pid=$!
 pids+=($single_pid)
@@ -127,7 +127,7 @@ echo "== distributed run (coordinator + 3 workers, 4 shards, serving on :7472, f
 # one; determinism is untouched (churn derives from seed+epoch, not wall
 # time).
 workers=$(IFS=,; echo "${ports[*]/#/127.0.0.1:}")
-"$BIN" coordinator "${COMMON[@]}" -workers "$workers" \
+"$BIN" coordinator "${COMMON[@]}" -log-json -workers "$workers" \
     -checkpoint "$DIR/dist.ckpt" \
     -inventory "$DIR/dist.inv" -serve 127.0.0.1:7472 \
     -feed 127.0.0.1:7480 -interval 2s > "$DIR/coordinator.log" 2>&1 &
@@ -390,7 +390,7 @@ echo "== cluster churn: join a 4th worker mid-run, drain one, leave cleanly"
 # they execute, so the merged inventory must stay byte-identical to a
 # single-process run of the same 10 epochs.
 CHURN_COMMON=(-seed 7 -prefixes 8 -density 0.02 -seed-fraction 0.05
-              -epochs 10 -budget 60000 -shards 4 -parallelism 1 -exact-counts)
+              -epochs 10 -budget 60000 -shards 4 -parallelism 1)
 CO=http://127.0.0.1:7476
 
 "$BIN" "${CHURN_COMMON[@]}" -inventory "$DIR/churn-single.inv" > "$DIR/churn-single.log" 2>&1

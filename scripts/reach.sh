@@ -12,8 +12,13 @@
 # finds in each package's non-test files. A library function counts as
 # linked if any binary holds it; a `package main` function only if its
 # own binary does. cmd/gpsbench is a link root only: its own main package
-# is not checked. It prints every unlinked function with its position and
-# length, and exits 1 if there is any.
+# is not checked. The same walk names every unexported package-level
+# const, var and type that no non-test file of its package mentions
+# beyond its declaration. An exported name only tests use is out of its
+# reach: another package may spell it, and the linker keeps no symbol for
+# a type or a constant. It prints every unlinked function with its
+# position and length, and every unmentioned name with its position, and
+# exits 1 if there is any.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -58,7 +63,8 @@ done | sort -u >"$tmp/linked"
 
 # The declared functions, `<binary or -> <symbol> <file>:<line> <lines>`,
 # in the symbol spelling the linker uses: pkg.F, pkg.T.M, pkg.(*T).M, with
-# type parameters dropped and `main` for a main package's path.
+# type parameters dropped and `main` for a main package's path; and the
+# unmentioned names, `! <pkg>.<name> <file>:<line> <const|var|type>`.
 cat >"$tmp/decls.go" <<'EOF'
 package main
 
@@ -83,6 +89,11 @@ func main() {
 		if f[1] == "main" {
 			path, bin = "main", filepath.Base(f[2])
 		}
+		// Every identifier of the package's files, counted, against its
+		// unexported package-level names: a name met once is met only
+		// where it is declared.
+		seen := map[string]int{}
+		var names [][3]string // name, position, const|var|type
 		for _, name := range strings.Split(f[3], ",") {
 			file := filepath.Join(f[2], name)
 			af, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
@@ -90,7 +101,31 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
+			rel, _ := filepath.Rel(os.Args[1], file)
+			ast.Inspect(af, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					seen[id.Name]++
+				}
+				return true
+			})
 			for _, d := range af.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, sp := range gd.Specs {
+						var ids []*ast.Ident
+						switch sp := sp.(type) {
+						case *ast.ValueSpec:
+							ids = sp.Names
+						case *ast.TypeSpec:
+							ids = []*ast.Ident{sp.Name}
+						}
+						for _, id := range ids {
+							if id.Name != "_" && !id.IsExported() {
+								pos := fmt.Sprintf("%s:%d", rel, fset.Position(id.Pos()).Line)
+								names = append(names, [3]string{id.Name, pos, gd.Tok.String()})
+							}
+						}
+					}
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
 					continue
@@ -100,8 +135,16 @@ func main() {
 					sym = path + "." + recv(fd.Recv.List[0].Type) + "." + fd.Name.Name
 				}
 				from, to := fset.Position(fd.Pos()), fset.Position(fd.End())
-				rel, _ := filepath.Rel(os.Args[1], file)
 				fmt.Println(bin, sym, fmt.Sprintf("%s:%d", rel, from.Line), to.Line-from.Line+1)
+			}
+		}
+		for _, n := range names {
+			if seen[n[0]] == 1 {
+				sym := path + "." + n[0]
+				if bin != "-" {
+					sym = bin + ":" + sym
+				}
+				fmt.Println("!", sym, n[1], n[2])
 			}
 		}
 	}
@@ -140,13 +183,14 @@ unlinked=$(awk -v exempt="${exempt_funcs[*]:-}" '
 	FILENAME == ARGV[2] { any[$1] = 1; next }
 	BEGIN { n = split(exempt, e, " "); for (i = 1; i <= n; i++) skip[e[i]] = 1 }
 	skip[$2] { next }
+	$1 == "!" { print $2, $3, "(" $4 ", unmentioned)"; next }
 	$1 == "-" && !any[$2] { print $2, $3, "(" $4 " lines)" }
 	$1 != "-" && !own[$1 " " $2] { print $1 ":" $2, $3, "(" $4 " lines)" }
 ' "$tmp/linked" "$tmp/anylinked" "$tmp/decls")
 
 if [ -n "$unlinked" ]; then
-	echo "functions no binary links (delete them, or move them to the tests):" >&2
+	echo "functions no binary links and names no code mentions (delete them, or move them to the tests):" >&2
 	echo "$unlinked" >&2
 	exit 1
 fi
-echo "reach: every non-test function is linked"
+echo "reach: every non-test function is linked and every unexported name mentioned"
