@@ -1,8 +1,10 @@
 package gps
 
 import (
+	"slices"
 	"testing"
 
+	"gps/internal/dataset"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 )
@@ -31,6 +33,23 @@ func TestRunEmptySeedErrors(t *testing.T) {
 	f := newFixture(t, 100)
 	if _, err := Run(f.u, &Dataset{}, Config{}); err == nil {
 		t.Error("empty seed accepted")
+	}
+}
+
+// TestRunRefusesSeedSetNotARun: the model's host groups are slices of
+// the seed set, so Run refuses a hand-built set that is not a strict
+// (IP, port) run (two records swapped, or one key twice) as it refuses
+// an empty one, instead of training on split or doubled hosts.
+func TestRunRefusesSeedSetNotARun(t *testing.T) {
+	f := newFixture(t, 100)
+	recs := f.seedSet.Records
+	swapped := slices.Clone(recs)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	repeated := slices.Insert(slices.Clone(recs), 1, recs[0])
+	for name, records := range map[string][]dataset.Record{"empty": nil, "swapped": swapped, "repeated": repeated} {
+		if _, err := Run(f.u, &Dataset{Records: records}, Config{}); err == nil {
+			t.Errorf("%s seed set accepted", name)
+		}
 	}
 }
 

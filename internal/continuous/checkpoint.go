@@ -94,6 +94,17 @@ func DecodeKey(d *wire.Dec) netmodel.Key {
 	return netmodel.Key{IP: asndb.IP(d.U32()), Port: d.U16()}
 }
 
+// KeyAfter refuses k, the i-th key of a keyed section, as Implausible
+// unless it is the section's first or follows prev, the key before it,
+// in strict (IP, port) order. Every keyed section of GPSC, GPSV and GPSE
+// is written as a strict run; the error names the section and index the
+// decoder is at.
+func KeyAfter(d *wire.Dec, i int, prev, k netmodel.Key) {
+	if i > 0 && prev.Compare(k) >= 0 {
+		d.Fail(wire.Implausible, fmt.Errorf("key %v at or before its predecessor %v", k, prev))
+	}
+}
+
 // WriteCheckpoint serializes the state.
 func WriteCheckpoint(w io.Writer, st *State) error {
 	var e wire.Enc
@@ -120,12 +131,15 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 	st := &State{Epoch: int(epoch)}
 	table, n := store.ReadStringTable(d, maxEntries)
 	st.Known = make([]Entry, 0, min(n, 1<<16))
+	var prev netmodel.Key
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("entry", i)
 		k, e := DecodeServed(d)
 		e.Rec.Feats = table.Feats(d)
-		if i > 0 && st.Known[i-1].Rec.Key().Compare(k) >= 0 || e.FirstSeen < 0 || e.FirstSeen > e.LastSeen || e.LastSeen > st.Epoch || e.Stale < 0 {
-			d.Fail(wire.Implausible, fmt.Errorf("%v out of key order, or seen at epochs %d to %d of %d with stale count %d",
+		KeyAfter(d, i, prev, k)
+		prev = k
+		if e.FirstSeen < 0 || e.FirstSeen > e.LastSeen || e.LastSeen > st.Epoch || e.Stale < 0 {
+			d.Fail(wire.Implausible, fmt.Errorf("%v seen at epochs %d to %d of %d with stale count %d",
 				k, e.FirstSeen, e.LastSeen, st.Epoch, e.Stale))
 		}
 		st.Known = append(st.Known, e)

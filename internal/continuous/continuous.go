@@ -183,15 +183,15 @@ func (r *Runner) State() *State { return r.st }
 func (r *Runner) SetTraceParent(ctx trace.SpanContext) { r.tparent = ctx }
 
 // TrainingSet assembles the current training data: the records of every
-// known service not carrying a stale mark, in the deterministic
-// re-verification order (least recently seen first, ties by (IP, port)).
-// This is the set the next epoch's model re-trains on — the live
-// population as currently believed, not the original seed.
+// known service not carrying a stale mark, in the known run's strict
+// (IP, port) order, so the dataset is a run and its host groups are
+// slices of it. This is the set the next epoch's model re-trains on —
+// the live population as currently believed, not the original seed.
 func (r *Runner) TrainingSet() *dataset.Dataset { return trainingSet(r.st.Epoch, r.st.Known) }
 
 func trainingSet(epoch int, known []Entry) *dataset.Dataset {
 	d := &dataset.Dataset{Name: fmt.Sprintf("continuous-epoch%d", epoch), Records: make([]dataset.Record, 0, len(known))}
-	for _, i := range byLastSeen(known) {
+	for i := range known {
 		if known[i].Stale == 0 {
 			d.Records = append(d.Records, known[i].Rec)
 		}
@@ -351,27 +351,29 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 }
 
 // fold merges a discovery run into the run known and returns the new run,
-// in one forward merge-join over the discoveries, which it sorts by key
-// (the pipeline dedups them). Priors-phase anchors carry full records
-// already; predict-phase discoveries are grabbed for their
-// application-layer features so they can train the next model.
+// in one forward merge-join over the discoveries and the priors-phase
+// anchors, which it sorts by key (the pipeline dedups both). Anchors
+// carry full records already; predict-phase discoveries are grabbed for
+// their application-layer features so they can train the next model.
 func fold(u *netmodel.Universe, res *pipeline.Result, epoch int, known []Entry, stats *EpochStats) []Entry {
-	anchorRec := make(map[netmodel.Key]dataset.Record, len(res.Anchors))
-	for _, a := range res.Anchors {
-		anchorRec[a.Key()] = a
-	}
+	slices.SortFunc(res.Anchors, func(a, b dataset.Record) int { return a.Key().Compare(b.Key()) })
 	slices.SortFunc(res.Discoveries, func(a, b pipeline.Discovery) int { return a.Key.Compare(b.Key) })
 	gr := zgrab.New(u)
 	out := make([]Entry, 0, len(known)+len(res.Discoveries))
-	i := 0
+	i, a := 0, 0
 	for _, d := range res.Discoveries {
 		for ; i < len(known) && known[i].Rec.Key().Compare(d.Key) < 0; i++ {
 			out = append(out, known[i])
 		}
-		rec, ok := anchorRec[d.Key]
-		if !ok {
-			g, okG := gr.Grab(d.Key.IP, d.Key.Port)
-			if !okG {
+		for a < len(res.Anchors) && res.Anchors[a].Key().Compare(d.Key) < 0 {
+			a++
+		}
+		var rec dataset.Record
+		if a < len(res.Anchors) && res.Anchors[a].Key() == d.Key {
+			rec = res.Anchors[a]
+		} else {
+			g, ok := gr.Grab(d.Key.IP, d.Key.Port)
+			if !ok {
 				continue // vanished between scan and grab
 			}
 			asn, _ := u.ASNOf(d.Key.IP)

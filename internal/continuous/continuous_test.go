@@ -175,6 +175,75 @@ func TestStaleEviction(t *testing.T) {
 	}
 }
 
+// strictRun fails the test unless the keys of s ascend strictly in
+// (IP, port) order.
+func strictRun[T any](t *testing.T, name string, s []T, key func(T) netmodel.Key) {
+	t.Helper()
+	if len(s) == 0 {
+		t.Errorf("%s is empty; the check proves nothing", name)
+	}
+	for i := 1; i < len(s); i++ {
+		if key(s[i-1]).Compare(key(s[i])) >= 0 {
+			t.Errorf("%s: key %d %v is at or before %v", name, i, key(s[i]), key(s[i-1]))
+			return
+		}
+	}
+}
+
+// TestEveryDatasetIsARun: a dataset's records are a strict (IP, port)
+// run by construction, which ByHost slices and pipeline.Train requires.
+// Every constructor is checked: both snapshots, both halves of a split,
+// a port filter, a runner's training set after churned epochs that left
+// stale entries, and SeedState, which sorts and compacts a seed set that
+// is no run.
+func TestEveryDatasetIsARun(t *testing.T) {
+	u := netmodel.Generate(netmodel.TestParams(5))
+	lzr := dataset.SnapshotLZR(u, 0.3, 17)
+	seedSet, testSet := lzr.Split(0.1, 19)
+	for name, d := range map[string]*dataset.Dataset{
+		"SnapshotCensys": dataset.SnapshotCensys(u, 50),
+		"SnapshotLZR":    lzr,
+		"Split seed":     seedSet,
+		"Split test":     testSet,
+		"FilterPorts":    lzr.FilterPorts(lzr.EligiblePorts(2)),
+	} {
+		strictRun(t, name, d.Records, dataset.Record.Key)
+	}
+
+	// Each epoch re-verifies half the known set, so the training set
+	// mixes entries last seen at different epochs with stale ones.
+	train := seedSet.FilterPorts(seedSet.EligiblePorts(2))
+	cfg := testConfig()
+	cfg.Budget = uint64(2 * train.NumServices())
+	r := New(train, cfg)
+	world, stale, unchecked := u, 0, 0
+	for e := 1; e <= 4; e++ {
+		world = churned(world, 500, e)
+		if _, err := r.Epoch(world); err != nil {
+			t.Fatal(err)
+		}
+		strictRun(t, "TrainingSet", r.TrainingSet().Records, dataset.Record.Key)
+		for _, ent := range r.State().Known {
+			if ent.Stale > 0 {
+				stale++
+			} else if ent.LastSeen < e {
+				unchecked++
+			}
+		}
+	}
+	if stale == 0 || unchecked == 0 {
+		t.Errorf("%d stale and %d unchecked entries; want both, or the training set order is untested", stale, unchecked)
+	}
+
+	shuffled := slices.Clone(seedSet.Records)
+	slices.Reverse(shuffled)
+	shuffled = append(shuffled, shuffled[:len(shuffled)/2]...)
+	for shard := 0; shard < 2; shard++ {
+		st := SeedState(&dataset.Dataset{Records: shuffled}, Config{ShardIndex: shard, ShardCount: 2})
+		strictRun(t, "SeedState", st.Known, func(e Entry) netmodel.Key { return e.Rec.Key() })
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	u, seedSet := testWorld(t, 11)
 	r := New(seedSet, testConfig())

@@ -1,10 +1,6 @@
 package dataset
 
-import (
-	"sort"
-
-	"gps/internal/asndb"
-)
+import "gps/internal/asndb"
 
 // HostGroup is one host's records: the unit the probabilistic model trains
 // over, since every conditional probability in §5.2 is a statement about
@@ -14,22 +10,21 @@ type HostGroup struct {
 	Records []Record
 }
 
-// ByHost groups the dataset's records per IP, sorted by IP and, within a
-// host, by port. The result is deterministic for a given dataset. ByHost
-// deliberately avoids the dataset's lazy index — it groups into a local
-// map — so it is a pure read: sharded runs hand one broadcast seed set to
-// N concurrent pipelines, all of which start here.
+// ByHost returns the dataset's host runs in IP order, each group's
+// records in port order. Records is a strict (IP, port) run, so a group
+// is a sub-slice of it: read-only, with its capacity clipped at the
+// host's end so an append copies instead of writing into the next host.
+// ByHost writes nothing, so sharded runs may call it concurrently on one
+// broadcast seed set.
 func (d *Dataset) ByHost() []HostGroup {
-	groups := make(map[asndb.IP][]Record)
-	for _, r := range d.Records {
-		groups[r.IP] = append(groups[r.IP], r)
+	var out []HostGroup
+	for i := 0; i < len(d.Records); {
+		j := i + 1
+		for j < len(d.Records) && d.Records[j].IP == d.Records[i].IP {
+			j++
+		}
+		out = append(out, HostGroup{IP: d.Records[i].IP, Records: d.Records[i:j:j]})
+		i = j
 	}
-	out := make([]HostGroup, 0, len(groups))
-	for ip, recs := range groups {
-		g := HostGroup{IP: ip, Records: recs}
-		sort.Slice(g.Records, func(i, j int) bool { return g.Records[i].Port < g.Records[j].Port })
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].IP < out[j].IP })
 	return out
 }

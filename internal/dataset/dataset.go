@@ -32,7 +32,11 @@ type Record struct {
 func (r Record) Key() netmodel.Key { return netmodel.Key{IP: r.IP, Port: r.Port} }
 
 // Dataset is a named collection of service records plus the metadata
-// needed to interpret bandwidth figures against it.
+// needed to interpret bandwidth figures against it. Records is a strict
+// run, ascending by (IP, port) with no key twice: every constructor here
+// emits that order, so a host's records are one slice of it, and
+// gps.Run refuses a hand-built set that is not a run. Methods only read
+// it, so goroutines may share a dataset.
 type Dataset struct {
 	Name    string
 	Records []Record
@@ -47,13 +51,6 @@ type Dataset struct {
 	// CollectionProbes is the bandwidth a real scan would have spent
 	// collecting this snapshot.
 	CollectionProbes uint64
-
-	// byIP holds record indexes per IP, built lazily. The lazy build is
-	// NOT safe for concurrent first use: methods that call index()
-	// (IPs, Split) must not race on a fresh
-	// dataset. ByHost — the one accessor sharded pipelines call
-	// concurrently on a shared seed set — deliberately does not use it.
-	byIP map[asndb.IP][]int
 }
 
 // NumServices returns the record count.
@@ -61,12 +58,11 @@ func (d *Dataset) NumServices() int { return len(d.Records) }
 
 // IPs returns the distinct responsive addresses in the dataset, sorted.
 func (d *Dataset) IPs() []asndb.IP {
-	d.index()
-	out := make([]asndb.IP, 0, len(d.byIP))
-	for ip := range d.byIP {
-		out = append(out, ip)
+	hosts := d.ByHost()
+	out := make([]asndb.IP, len(hosts))
+	for i, h := range hosts {
+		out[i] = h.IP
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -79,37 +75,20 @@ func (d *Dataset) PortPopulation() []int {
 	return pop
 }
 
-func (d *Dataset) index() {
-	if d.byIP != nil {
-		return
-	}
-	d.byIP = make(map[asndb.IP][]int)
-	for i, r := range d.Records {
-		d.byIP[r.IP] = append(d.byIP[r.IP], i)
-	}
-}
-
-// hostRecords converts one universe host into records, applying the
-// Appendix B pseudo-service rule: hosts serving more than 10 services are
-// dropped entirely, as are middleboxes. It returns nil for filtered hosts.
-func hostRecords(h *netmodel.Host, ports map[uint16]bool) []Record {
+// appendHost appends one universe host's records to out in port order,
+// applying the Appendix B pseudo-service rule: hosts serving more than 10
+// services are dropped entirely, as are middleboxes.
+func appendHost(out []Record, h *netmodel.Host, ports map[uint16]bool) []Record {
 	if h.Middlebox || lzr.IsPseudoHost(h) {
-		return nil
+		return out
 	}
-	var out []Record
-	for i := range h.Services() {
-		svc := &h.Services()[i]
+	for _, svc := range h.Services() {
 		if ports != nil && !ports[svc.Port] || svc.Pseudo {
 			continue
 		}
-		out = append(out, serviceRecord(h, svc))
+		out = append(out, Record{IP: h.IP, Port: svc.Port, Proto: svc.Proto, Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL})
 	}
 	return out
-}
-
-// serviceRecord is the record of one of h's services.
-func serviceRecord(h *netmodel.Host, svc *netmodel.Service) Record {
-	return Record{IP: h.IP, Port: svc.Port, Proto: svc.Proto, Feats: svc.Feats, ASN: h.ASN, TTL: svc.TTL}
 }
 
 // TopPorts returns the k most populated ports of the universe in
@@ -159,22 +138,15 @@ func SnapshotCensys(u *netmodel.Universe, k int) *Dataset {
 		CollectionProbes: u.SpaceSize() * uint64(len(ports)),
 	}
 	for _, h := range u.Hosts() {
-		d.Records = append(d.Records, hostRecords(h, portSet)...)
+		d.Records = appendHost(d.Records, h, portSet)
 	}
 	return d
 }
 
 // SnapshotLZR captures an LZR-style dataset: a uniform random sample of
-// the address space scanned across all 65K ports.
+// the address space scanned across all 65K ports, with Appendix B
+// filtering applied.
 func SnapshotLZR(u *netmodel.Universe, fraction float64, seed int64) *Dataset {
-	return SnapshotLZROpts(u, fraction, seed, true)
-}
-
-// SnapshotLZROpts is SnapshotLZR with the Appendix B pseudo-service filter
-// optional. Disabling the filter (applyFilter=false) exists for the
-// ablation study: it shows what GPS learns when pseudo services pollute
-// the seed set.
-func SnapshotLZROpts(u *netmodel.Universe, fraction float64, seed int64, applyFilter bool) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	d := &Dataset{
 		Name:             "lzr",
@@ -183,34 +155,11 @@ func SnapshotLZROpts(u *netmodel.Universe, fraction float64, seed int64, applyFi
 		CollectionProbes: uint64(float64(u.SpaceSize()) * fraction * netmodel.NumPorts),
 	}
 	for _, h := range u.Hosts() {
-		if rng.Float64() >= fraction {
-			continue
+		if rng.Float64() < fraction {
+			d.Records = appendHost(d.Records, h, nil)
 		}
-		if applyFilter {
-			d.Records = append(d.Records, hostRecords(h, nil)...)
-			continue
-		}
-		d.Records = append(d.Records, hostRecordsUnfiltered(h)...)
 	}
 	return d
-}
-
-// hostRecordsUnfiltered keeps middleboxes out (they serve nothing to
-// record) but admits pseudo-service hosts, truncating each pseudo block to
-// a representative slice so datasets stay bounded.
-func hostRecordsUnfiltered(h *netmodel.Host) []Record {
-	var out []Record
-	for i := range h.Services() {
-		out = append(out, serviceRecord(h, &h.Services()[i]))
-	}
-	if lo, hi, ok := h.PseudoBlock(); ok {
-		const keep = 64 // representative slice of the block
-		for p := int(lo); p <= int(hi) && p < int(lo)+keep; p++ {
-			svc, _ := h.ServiceAt(uint16(p))
-			out = append(out, serviceRecord(h, svc))
-		}
-	}
-	return out
 }
 
 // Split partitions the dataset by IP address into a seed set covering
@@ -224,21 +173,17 @@ func (d *Dataset) Split(seedFraction float64, seed int64) (seedSet, testSet *Dat
 		p = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	d.index()
-	ips := d.IPs()
 	seedSet = &Dataset{Name: d.Name + "-seed", SpaceSize: d.SpaceSize,
 		SampleFraction: seedFraction, Ports: d.Ports,
 		CollectionProbes: uint64(float64(d.CollectionProbes) * p)}
 	testSet = &Dataset{Name: d.Name + "-test", SpaceSize: d.SpaceSize,
 		SampleFraction: d.SampleFraction - seedFraction, Ports: d.Ports}
-	for _, ip := range ips {
+	for _, h := range d.ByHost() { // one draw per IP, ascending
 		dst := testSet
 		if rng.Float64() < p {
 			dst = seedSet
 		}
-		for _, idx := range d.byIP[ip] {
-			dst.Records = append(dst.Records, d.Records[idx])
-		}
+		dst.Records = append(dst.Records, h.Records...)
 	}
 	return seedSet, testSet
 }

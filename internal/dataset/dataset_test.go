@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -153,15 +154,32 @@ func TestRecordKey(t *testing.T) {
 	}
 }
 
+// TestByHostGroupsAreClipped: a host group aliases the dataset, so its
+// capacity ends at the host's last record and an append to it copies
+// instead of overwriting the next host's first record.
+func TestByHostGroupsAreClipped(t *testing.T) {
+	d := SnapshotLZR(testUniverse(t), 0.3, 7)
+	groups := d.ByHost()
+	if len(groups) < 2 {
+		t.Fatal("need two host groups")
+	}
+	next := groups[1].Records[0].Key()
+	_ = append(groups[0].Records, Record{IP: groups[0].IP, Port: 65535})
+	if groups[1].Records[0].Key() != next || d.Records[len(groups[0].Records)].Key() != next {
+		t.Fatal("appending to one host group wrote into the next")
+	}
+}
+
 // TestByHostConcurrent guards the sharded fan-out contract: N pipelines
-// share one broadcast seed dataset and all call ByHost concurrently on a
-// dataset whose lazy index was never built. ByHost must be a pure read
-// (run under -race in CI).
+// share one broadcast seed dataset and all call ByHost, IPs and Split
+// concurrently on a fresh one. Every accessor must be a pure read (run
+// under -race in CI).
 func TestByHostConcurrent(t *testing.T) {
 	u := netmodel.Generate(netmodel.TestParams(3))
-	fresh := SnapshotLZR(u, 0.2, 5) // never indexed
-	want := len(fresh.ByHost())
-	fresh = SnapshotLZR(u, 0.2, 5) // fresh again: drop any cached state
+	ref := SnapshotLZR(u, 0.2, 5)
+	wantHosts, wantIPs := len(ref.ByHost()), len(ref.IPs())
+	refSeed, _ := ref.Split(0.05, 9)
+	fresh := SnapshotLZR(u, 0.2, 5)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -169,8 +187,14 @@ func TestByHostConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if got := len(fresh.ByHost()); got != want {
-				t.Errorf("concurrent ByHost returned %d hosts; want %d", got, want)
+			if got := len(fresh.ByHost()); got != wantHosts {
+				t.Errorf("concurrent ByHost returned %d hosts; want %d", got, wantHosts)
+			}
+			if got := len(fresh.IPs()); got != wantIPs {
+				t.Errorf("concurrent IPs returned %d addresses; want %d", got, wantIPs)
+			}
+			if seed, _ := fresh.Split(0.05, 9); !reflect.DeepEqual(seed.Records, refSeed.Records) {
+				t.Error("concurrent Split differs from a lone one")
 			}
 		}()
 	}

@@ -188,10 +188,16 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 
 // Train runs phase 2: it groups the seed set by host and builds the
 // probabilistic model. The result is ready for Scan and holds nothing
-// else yet.
+// else yet. The seed set must be a strict (IP, port) run, as every
+// dataset constructor emits: its host groups are slices of it.
 func Train(seedSet *dataset.Dataset, cfg Config) (*Result, error) {
 	if seedSet.NumServices() == 0 {
 		return nil, fmt.Errorf("gps: empty seed set")
+	}
+	for i := 1; i < len(seedSet.Records); i++ {
+		if prev, k := seedSet.Records[i-1].Key(), seedSet.Records[i].Key(); prev.Compare(k) >= 0 {
+			return nil, fmt.Errorf("gps: seed record %d %v is at or before %v: not a strict (IP, port) run", i, k, prev)
+		}
 	}
 	res := &Result{SeedProbes: seedSet.CollectionProbes, hosts: seedSet.ByHost()}
 	start := time.Now()

@@ -20,6 +20,8 @@ import (
 //	per add/update entry: continuous.EncodeServed's fields
 //	per remove: continuous.EncodeKey's IP u32 | port u16 (big-endian)
 //
+// Each section is a strict (IP, port) run, and no key is in two sections.
+//
 // A delta carries exactly the GPSV serving fields, so a chain of deltas
 // applied to a GPSV bootstrap reconstructs the origin's inventory
 // byte-identically under WriteInventory — the contract the replication
@@ -226,8 +228,9 @@ func WriteDelta(w io.Writer, d *Delta) error {
 // ReadDelta parses WriteDelta output. Every malformed input is a
 // *wire.Error with Format "GPSE": foreign bytes, another version, a
 // stream cut short (Section "header", "add", "update" or "remove", with
-// the entry index inside a section), an implausible count, trailing
-// bytes.
+// the entry index inside a section), an implausible count, a key at or
+// before the one before it in its section, a key an earlier section
+// holds, trailing bytes.
 func ReadDelta(r io.Reader) (*Delta, error) {
 	d := wire.NewReader(deltaMagic, r)
 	d.At("header", -1)
@@ -235,28 +238,49 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 	out := &Delta{}
 	out.BaseEpoch = int(d.Varint())
 	out.Epoch = int(d.Varint())
-	out.Adds = decodeDeltaEntries(d, "add")
-	out.Updates = decodeDeltaEntries(d, "update")
-	d.At("remove", -1)
-	n := d.Count(d.Uvarint(), maxInventoryEntries)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		d.At("remove", i)
-		out.Removes = append(out.Removes, continuous.DecodeKey(d))
-	}
+	out.Adds = readSection(d, "add", decodeDeltaEntry)
+	out.Updates = readSection(d, "update", decodeDeltaEntry, out.Adds)
+	out.Removes = readSection(d, "remove", decodeRemove, out.Adds, out.Updates)
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func decodeDeltaEntries(d *wire.Dec, section string) []DeltaEntry {
+func decodeDeltaEntry(d *wire.Dec) (netmodel.Key, DeltaEntry) {
+	k, e := continuous.DecodeServed(d)
+	return k, DeltaEntry{Key: k, Entry: e}
+}
+
+func decodeRemove(d *wire.Dec) (netmodel.Key, netmodel.Key) {
+	k := continuous.DecodeKey(d)
+	return k, k
+}
+
+// readSection reads one GPSE section: a count, then that many elements
+// through decode. Their keys must be a strict (IP, port) run sharing no
+// key with the sections read before it (adds, then updates), which it
+// walks with one cursor each.
+func readSection[T any](d *wire.Dec, section string, decode func(*wire.Dec) (netmodel.Key, T), earlier ...[]DeltaEntry) []T {
 	d.At(section, -1)
 	n := d.Count(d.Uvarint(), maxInventoryEntries)
-	var out []DeltaEntry
+	var out []T
+	var prev netmodel.Key
+	at := make([]int, len(earlier))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At(section, i)
-		k, e := continuous.DecodeServed(d)
-		out = append(out, DeltaEntry{Key: k, Entry: e})
+		k, v := decode(d)
+		continuous.KeyAfter(d, i, prev, k)
+		prev = k
+		for j, run := range earlier {
+			for at[j] < len(run) && run[at[j]].Key.Compare(k) < 0 {
+				at[j]++
+			}
+			if at[j] < len(run) && run[at[j]].Key == k {
+				d.Fail(wire.Implausible, fmt.Errorf("key %v is in the %s section too", k, [...]string{"add", "update"}[j]))
+			}
+		}
+		out = append(out, v)
 	}
 	return out
 }

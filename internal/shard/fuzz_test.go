@@ -116,6 +116,84 @@ func TestReadersRefuseOutOfRangeServedFields(t *testing.T) {
 	}
 }
 
+// unorderedCase is a GPSV or GPSE encoding whose keyed section is not a
+// strict (IP, port) run, or whose GPSE sections share a key, with the
+// section and index its reader must refuse it at.
+type unorderedCase struct {
+	name, format, section string
+	index                 int
+	data                  []byte
+}
+
+// unorderedCases are the encodings no writer emits: a key repeated or
+// out of order within a section, and one key in two GPSE sections.
+func unorderedCases(tb testing.TB) []unorderedCase {
+	a := netmodel.Key{IP: 0x0a000001, Port: 80}
+	b := netmodel.Key{IP: 0x0a000001, Port: 443}
+	gpsv := func(keys ...netmodel.Key) []byte {
+		var e wire.Enc
+		e.Header(stateInventoryMagic, stateInventoryVersion)
+		e.U64(uint64(len(keys)))
+		for _, k := range keys {
+			continuous.EncodeServed(&e, k, fuzzEntry(k, 1, 1, 60, 0, 1, 0))
+		}
+		return e
+	}
+	gpse := func(adds, updates, removes []netmodel.Key) []byte {
+		d := &Delta{BaseEpoch: 1, Epoch: 2, Removes: removes}
+		for _, k := range adds {
+			d.Adds = append(d.Adds, DeltaEntry{Key: k, Entry: *fuzzEntry(k, 1, 1, 60, 2, 2, 0)})
+		}
+		for _, k := range updates {
+			d.Updates = append(d.Updates, DeltaEntry{Key: k, Entry: *fuzzEntry(k, 1, 1, 60, 0, 2, 0)})
+		}
+		var buf bytes.Buffer
+		if err := WriteDelta(&buf, d); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ks := func(keys ...netmodel.Key) []netmodel.Key { return keys }
+	return []unorderedCase{
+		// 49 bytes: one 12-byte entry three times under a count of 3,
+		// which a map-building reader served as one entry.
+		{"GPSV/repeated", "GPSV", "entry", 1, gpsv(a, a, a)},
+		{"GPSV/swapped", "GPSV", "entry", 1, gpsv(b, a)},
+		{"GPSE/swapped-adds", "GPSE", "add", 1, gpse(ks(b, a), nil, nil)},
+		{"GPSE/swapped-removes", "GPSE", "remove", 1, gpse(nil, nil, ks(b, a))},
+		{"GPSE/doubled-remove", "GPSE", "remove", 1, gpse(nil, nil, ks(a, a))},
+		{"GPSE/add-and-update", "GPSE", "update", 0, gpse(ks(a), ks(a), nil)},
+		{"GPSE/add-and-remove", "GPSE", "remove", 0, gpse(ks(a), nil, ks(a))},
+		{"GPSE/update-and-remove", "GPSE", "remove", 1, gpse(nil, ks(b), ks(a, b))},
+	}
+}
+
+// TestReadersRefuseUnorderedKeys: GPSV entries and each GPSE section are
+// written as strict (IP, port) runs, and no key is in two GPSE sections,
+// so the readers refuse anything else as Implausible at the offending
+// key instead of serving the last copy of a repeated key or applying a
+// delta no origin computed.
+func TestReadersRefuseUnorderedKeys(t *testing.T) {
+	if n := len(unorderedCases(t)[0].data); n != 49 {
+		t.Fatalf("repeated-key GPSV is %d bytes; want 49", n)
+	}
+	for _, c := range unorderedCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			if c.format == "GPSV" {
+				_, err = ReadInventory(bytes.NewReader(c.data))
+			} else {
+				_, err = ReadDelta(bytes.NewReader(c.data))
+			}
+			var werr *wire.Error
+			if !errors.As(err, &werr) || werr.Kind != wire.Implausible || werr.Format != c.format ||
+				werr.Section != c.section || werr.Index != c.index {
+				t.Errorf("returned %v; want a %s implausible *wire.Error in %s %d", err, c.format, c.section, c.index)
+			}
+		})
+	}
+}
+
 // FuzzReadInventory drives arbitrary bytes through the GPSV reader. No
 // input may panic; failures must be the documented typed errors; and an
 // accepted inventory must survive a canonical write/read round trip.
@@ -138,6 +216,11 @@ func FuzzReadInventory(f *testing.F) {
 	for _, c := range outOfRangeFields {
 		f.Add(withServed(f, ok.Bytes(), k, base[k], c.proto, c.asn, c.ttl))
 	}
+	for _, c := range unorderedCases(f) {
+		if c.format == "GPSV" {
+			f.Add(c.data)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inv, err := ReadInventory(bytes.NewReader(data))
@@ -150,6 +233,9 @@ func FuzzReadInventory(f *testing.F) {
 		var buf bytes.Buffer
 		if err := WriteInventory(&buf, inv); err != nil {
 			t.Fatalf("re-encoding accepted inventory: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted % x, which re-encodes to % x", data, buf.Bytes())
 		}
 		inv2, err := ReadInventory(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -191,6 +277,11 @@ func FuzzApplyDelta(f *testing.F) {
 	for _, c := range outOfRangeFields {
 		f.Add(withServed(f, ok.Bytes(), addKey, next[addKey], c.proto, c.asn, c.ttl))
 	}
+	for _, c := range unorderedCases(f) {
+		if c.format == "GPSE" {
+			f.Add(c.data)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDelta(bytes.NewReader(data))
@@ -199,6 +290,17 @@ func FuzzApplyDelta(f *testing.F) {
 				t.Fatalf("ReadDelta: untyped error %T: %v", err, err)
 			}
 			return
+		}
+		// An accepted delta is canonical: its sections are strict runs
+		// that share no key.
+		seen := make(map[netmodel.Key]bool, d.Size())
+		for _, keys := range [][]netmodel.Key{deltaKeys(d.Adds), deltaKeys(d.Updates), d.Removes} {
+			for i, k := range keys {
+				if i > 0 && keys[i-1].Compare(k) >= 0 || seen[k] {
+					t.Fatalf("accepted a delta whose key %v is out of order or in two sections", k)
+				}
+				seen[k] = true
+			}
 		}
 		applied := CloneInventory(base)
 		if err := ApplyDelta(applied, d); err != nil {
@@ -216,6 +318,15 @@ func FuzzApplyDelta(f *testing.F) {
 		}
 		diffInventories(t, applied, replay)
 	})
+}
+
+// deltaKeys returns the keys of a delta section.
+func deltaKeys(entries []DeltaEntry) []netmodel.Key {
+	out := make([]netmodel.Key, len(entries))
+	for i, e := range entries {
+		out[i] = e.Key
+	}
+	return out
 }
 
 // diffInventories fails the test unless a and b agree on the

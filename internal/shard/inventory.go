@@ -12,7 +12,8 @@ import (
 //
 //	magic "GPSV" | version u8
 //	entry count u64 big-endian
-//	per entry, sorted by (IP, port): continuous.EncodeServed's fields
+//	per entry, in strictly increasing (IP, port) order:
+//	  continuous.EncodeServed's fields
 //
 // Version 1 had no version byte and carried only the observation
 // counters; version 2 adds the record fields the serving layer indexes on
@@ -54,7 +55,8 @@ func WriteInventory(w io.Writer, inv map[netmodel.Key]*continuous.Entry) error {
 // features are not part of the format and come back empty. Every
 // malformed input is a *wire.Error with Format "GPSV": foreign bytes,
 // another version, a stream cut short (Section "header" or "entry" with
-// its index), an implausible entry count, trailing bytes.
+// its index), an implausible entry count, a key at or before the one
+// before it (the entries are a strict (IP, port) run), trailing bytes.
 func ReadInventory(r io.Reader) (map[netmodel.Key]*continuous.Entry, error) {
 	d := wire.NewReader(stateInventoryMagic, r)
 	d.At("header", -1)
@@ -71,12 +73,15 @@ func ReadInventory(r io.Reader) (map[netmodel.Key]*continuous.Entry, error) {
 	// per entry.
 	inv := make(map[netmodel.Key]*continuous.Entry, min(n, 1<<20))
 	var slab []continuous.Entry
+	var prev netmodel.Key
 	for i := 0; i < n && d.Err() == nil; i++ {
 		if len(slab) == 0 {
 			slab = make([]continuous.Entry, min(n-i, max(i, 1<<10)))
 		}
 		d.At("entry", i)
 		k, e := continuous.DecodeServed(d)
+		continuous.KeyAfter(d, i, prev, k)
+		prev = k
 		slab[0] = e
 		inv[k] = &slab[0]
 		slab = slab[1:]
