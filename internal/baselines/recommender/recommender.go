@@ -22,13 +22,12 @@ import (
 
 // Config are the model hyperparameters.
 type Config struct {
-	Dim     int     // embedding dimensionality
-	Epochs  int     // training passes over positives
-	LR      float64 // SGD learning rate
-	Reg     float64 // L2 regularization
-	TopK    int     // ports recommended per IP at evaluation
-	Seed    int64
-	Workers int // unused; training is inherently sequential SGD
+	Dim    int     // embedding dimensionality
+	Epochs int     // training passes over positives
+	LR     float64 // SGD learning rate
+	Reg    float64 // L2 regularization
+	TopK   int     // ports recommended per IP at evaluation
+	Seed   int64
 }
 
 // DefaultConfig mirrors the appendix's setup: 100 recommendations per IP.

@@ -26,6 +26,7 @@ import (
 	"gps/internal/metrics"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
+	"gps/internal/probmodel"
 	"gps/internal/scanner"
 	"gps/internal/trace"
 	"gps/internal/zgrab"
@@ -136,6 +137,8 @@ type State struct {
 type Runner struct {
 	cfg Config
 	st  *State
+	// run is the last training set compiled (pipeline.Train), never checkpointed.
+	run probmodel.Compiled
 	tel *runnerTelemetry
 	// tparent is the trace context the next Epoch's phase spans parent
 	// to. A shard coordinator (or a transport worker relaying a remote
@@ -313,8 +316,9 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 		res *pipeline.Result
 		err error
 	)
+	run := r.run
 	if discover {
-		res, err = pipeline.Train(train, pcfg)
+		res, err = pipeline.Train(train, pcfg, &run)
 	}
 	endPhase("retrain", &stats.Phases.Retrain, trace.Int("train_size", stats.TrainSize))
 	if discover {
@@ -343,7 +347,7 @@ func (r *Runner) Epoch(u *netmodel.Universe) (EpochStats, error) {
 			stats.Freshness.Stale++
 		}
 	}
-	r.st = &State{Epoch: e, Known: known}
+	r.st, r.run = &State{Epoch: e, Known: known}, run
 	r.tel.record(stats)
 	ownSpan.SetAttr(trace.Int("known", stats.KnownSize))
 	ownSpan.Finish()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gps/internal/dataset"
+	"gps/internal/features"
 	"gps/internal/netmodel"
 	"gps/internal/pipeline"
 	"gps/internal/wire"
@@ -321,6 +322,74 @@ func TestResumeIdentical(t *testing.T) {
 
 	if !statesEqual(a.State(), c.State()) {
 		t.Error("resumed epoch 3 state differs from straight-through run")
+	}
+}
+
+// TestResumeMatchesUninterrupted: a runner checkpointed and resumed after
+// K epochs, which compiles its run afresh under a new dictionary, runs K
+// more epochs to the same GPSC bytes and the same counters as the runner
+// that kept its dictionary and ids throughout. Half the seed records carry
+// a protocol value the universe does not serve, so the refreshes before
+// the checkpoint change features: a runner that kept such a record's old
+// ids would train on what the checkpoint no longer holds.
+func TestResumeMatchesUninterrupted(t *testing.T) {
+	const k = 2
+	u, seedSet := testWorld(t, 17)
+	seed := &dataset.Dataset{Records: slices.Clone(seedSet.Records)}
+	for i := range seed.Records {
+		if i%2 == 0 {
+			r := &seed.Records[i]
+			r.Feats = features.NewSet(append(slices.Clone(r.Feats), features.Value{Key: features.KeyProtocol, Val: "stale"})...)
+		}
+	}
+	worlds := make([]*netmodel.Universe, 2*k)
+	for e, w := 0, u; e < 2*k; e++ {
+		w = churned(w, 700, e+1)
+		worlds[e] = w
+	}
+	epochs := func(r *Runner, ws []*netmodel.Universe) (stats []EpochStats, blobs [][]byte) {
+		for _, w := range ws {
+			s, err := r.Epoch(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Phases = PhaseTimes{}
+			var buf bytes.Buffer
+			if err := WriteCheckpoint(&buf, r.State()); err != nil {
+				t.Fatal(err)
+			}
+			stats, blobs = append(stats, s), append(blobs, buf.Bytes())
+		}
+		return stats, blobs
+	}
+
+	straight := New(seed, testConfig())
+	wantStats, wantBlobs := epochs(straight, worlds)
+
+	first := New(seed, testConfig())
+	_, blobs := epochs(first, worlds[:k])
+	changed := 0
+	for _, ent := range first.State().Known {
+		if i, ok := slices.BinarySearchFunc(seed.Records, ent.Rec.Key(), func(r dataset.Record, k netmodel.Key) int { return r.Key().Compare(k) }); ok &&
+			!slices.Equal(seed.Records[i].Feats, ent.Rec.Feats) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no refresh before the checkpoint changed a record's features")
+	}
+	st, err := ReadCheckpoint(bytes.NewReader(blobs[k-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotStats, gotBlobs := epochs(Resume(st, testConfig()), worlds[k:])
+	for e := range gotStats {
+		if gotStats[e] != wantStats[k+e] {
+			t.Errorf("epoch %d: resumed stats %+v, uninterrupted %+v", k+e+1, gotStats[e], wantStats[k+e])
+		}
+		if !bytes.Equal(gotBlobs[e], wantBlobs[k+e]) {
+			t.Errorf("epoch %d: resumed state differs from the uninterrupted one", k+e+1)
+		}
 	}
 }
 

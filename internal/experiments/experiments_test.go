@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"gps/internal/features"
 )
 
 // sharedSetup builds the small-scale setup once per test binary; the
@@ -121,6 +124,21 @@ func TestTables(t *testing.T) {
 	t.Log(t4.Render())
 	if len(t4.Rows) == 0 {
 		t.Error("Table 4 empty")
+	}
+}
+
+// TestTable4TiesInKeyOrder: rows with equal counts come out in feature-key
+// order on every call, whatever order the counts map yields them in.
+func TestTable4TiesInKeyOrder(t *testing.T) {
+	counts := map[features.Key]int{features.KeyASN: 10, features.KeySubnet17: 6, features.KeySubnet23: 6, features.KeySubnet20: 6}
+	var want [][]string
+	for _, k := range []features.Key{features.KeyASN, features.KeySubnet17, features.KeySubnet20, features.KeySubnet23} {
+		want = append(want, []string{k.String(), fmtPct(float64(counts[k]) / 28)})
+	}
+	for rep := 0; rep < 20; rep++ {
+		if got := table4(counts, 28).Rows; !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+			t.Fatalf("repetition %d: rows %v, want %v", rep, got, want)
+		}
 	}
 }
 

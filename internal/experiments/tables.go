@@ -269,6 +269,12 @@ func Table4(s *Setup) Table {
 			total++
 		}
 	}
+	return table4(counts, total)
+}
+
+// table4 renders the per-feature counts, most services first and ties in
+// key order.
+func table4(counts map[features.Key]int, total int) Table {
 	type row struct {
 		key features.Key
 		n   int
@@ -277,7 +283,9 @@ func Table4(s *Setup) Table {
 	for k, n := range counts {
 		rows = append(rows, row{k, n})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+	sort.Slice(rows, func(i, j int) bool {
+		return rows[i].n > rows[j].n || rows[i].n == rows[j].n && rows[i].key < rows[j].key
+	})
 	t := Table{
 		Title:  "Table 4: network features most predictive of services (Appendix C)",
 		Header: []string{"network feature", "% services most predictive"},

@@ -88,12 +88,6 @@ func (c Config) engine() engine.Config { return engine.Config{Workers: c.Workers
 // sharded reports whether the run is restricted to one shard.
 func (c Config) sharded() bool { return c.ShardCount > 1 }
 
-// owns reports whether this run's shard owns ip. Unsharded runs own
-// everything.
-func (c Config) owns(ip asndb.IP) bool {
-	return asndb.ShardOwns(ip, c.ShardIndex, c.ShardCount)
-}
-
 // Phase identifies which scan phase discovered a service.
 type Phase uint8
 
@@ -176,7 +170,7 @@ func CollectSeed(u *netmodel.Universe, fraction float64, seed int64) *dataset.Da
 // seedSet: Train, then Scan. The seed set is typically either
 // CollectSeed output or the seed half of a dataset split (§6.1).
 func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, error) {
-	res, err := Train(seedSet, cfg)
+	res, err := Train(seedSet, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -187,10 +181,14 @@ func Run(u *netmodel.Universe, seedSet *dataset.Dataset, cfg Config) (*Result, e
 }
 
 // Train runs phase 2: it groups the seed set by host and builds the
-// probabilistic model. The result is ready for Scan and holds nothing
-// else yet. The seed set must be a strict (IP, port) run, as every
-// dataset constructor emits: its host groups are slices of it.
-func Train(seedSet *dataset.Dataset, cfg Config) (*Result, error) {
+// probabilistic model, compiled by run.Recompile and left in run for the
+// next Train (zero, or at twice the conditions the seed set exhibits: a
+// fresh dictionary). A nil run, Run's, has Build compile it and keeps no
+// seed records for Resolve: few anchors of a small seed are in it. The
+// result is ready for Scan and holds nothing else yet. The seed set must
+// be a strict (IP, port) run, as every dataset constructor emits: its
+// host groups are slices of it.
+func Train(seedSet *dataset.Dataset, cfg Config, run *probmodel.Compiled) (*Result, error) {
 	if seedSet.NumServices() == 0 {
 		return nil, fmt.Errorf("gps: empty seed set")
 	}
@@ -201,13 +199,25 @@ func Train(seedSet *dataset.Dataset, cfg Config) (*Result, error) {
 	}
 	res := &Result{SeedProbes: seedSet.CollectionProbes, hosts: seedSet.ByHost()}
 	start := time.Now()
-	res.Model = probmodel.Build(probmodel.Config{
+	mcfg := probmodel.Config{
 		Families:   cfg.Families,
 		Floor:      cfg.Floor,
 		AppKeys:    cfg.AppKeys,
 		MinSupport: cfg.MinSupport,
 		Engine:     cfg.engine(),
-	}, res.hosts)
+	}
+	if run == nil {
+		res.Model = probmodel.Build(mcfg, res.hosts)
+	} else {
+		if run.Dict == nil {
+			run.Dict = probmodel.NewDict(mcfg)
+		}
+		*run = run.Recompile(seedSet.Records)
+		res.Model = run.Build(res.hosts)
+		if res.Model.NumIDs() > 2*res.Model.NumConds() {
+			*run = probmodel.Compiled{}
+		}
+	}
 	res.Timings.Model = time.Since(start)
 	return res, nil
 }
@@ -319,12 +329,6 @@ func Scan(u *netmodel.Universe, res *Result, cfg Config) error {
 	for _, p := range res.Predictions {
 		if cfg.Budget > 0 && sc.Probes() >= cfg.Budget {
 			break
-		}
-		// Predictions inherit their anchor's IP, so a sharded run's
-		// predictions are owned by construction; the guard matters only
-		// when a caller hands Run anchors from another shard's seed.
-		if !cfg.owns(p.IP) {
-			continue
 		}
 		k := p.Key()
 		if res.Found[k] {

@@ -67,13 +67,13 @@ func BuildMPF(m *probmodel.Model, hosts []dataset.HostGroup, _ engine.Config) *M
 	slices.Sort(pairs)
 	pairs = slices.Compact(pairs)
 
-	out := &MPF{model: m, rowOff: make([]uint32, m.NumConds()+1), rules: make([]rule, len(pairs))}
+	out := &MPF{model: m, rowOff: make([]uint32, m.NumIDs()+1), rules: make([]rule, len(pairs))}
 	for i, pair := range pairs {
 		cond, port := probmodel.CondID(pair>>16), uint16(pair)
 		out.rules[i] = rule{port: port, p: m.ProbID(cond, port)}
 		out.rowOff[cond+1]++
 	}
-	for id := 0; id < m.NumConds(); id++ {
+	for id := 0; id < m.NumIDs(); id++ {
 		out.rowOff[id+1] += out.rowOff[id]
 		slices.SortFunc(out.rules[out.rowOff[id]:out.rowOff[id+1]], func(a, b rule) int {
 			if a.p != b.p {

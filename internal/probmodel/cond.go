@@ -11,20 +11,21 @@
 // seed set exhibiting the condition, what fraction also had PortA open
 // (the computation GPS runs on BigQuery).
 //
-// Counting is done on integers. Build interns every distinct condition to
-// a dense CondID whose dictionary key is fixed-size and holds no string:
-// the port, the two feature keys, the application value as an index into
-// the model's table of distinct values, and the network value as the
-// subnet's network address or the AS number itself. Ids are handed out in
-// order of first appearance over the hosts, their records (T, then TA by
-// feature key, then TN by configured network key, then TAN) in one
-// sequential pass, so they depend on the input alone and not on how many
-// workers share the later passes. Hosts per condition and hosts per
-// (condition, other open port) are flat arrays indexed by CondID. Build
-// is the one place a seed record is compiled to ids: it also stores each
-// seed service's most predictive condition on its host, the step the
-// priors list and the MPF list share. priors and predict read conditions
-// by id (SeedBest, Resolve, ProbID) and never see a string.
+// Counting is done on integers. Dict.Compile, the one compiler, interns
+// every distinct condition of a record to a dense CondID of a grow-only
+// Dict, whose key is fixed-size and holds no string: the port, the two
+// feature keys, the application value as an index into the Dict's table
+// of distinct values, and the network value as the subnet's network
+// address or the AS number itself. A record's ids come in the families'
+// order (T, then TA by feature key, then TN by configured network key,
+// then TAN); their numbering is the Dict's history and reaches no
+// output. Build compiles its hosts under a fresh Dict; Recompile compiles
+// only the records an earlier run lacks or holds changed. Compiled.Build
+// counts hosts per condition and per (condition, other open port) into
+// flat arrays indexed by CondID and stores each seed service's most
+// predictive condition on its host, the step the priors and MPF lists
+// share. priors and predict read conditions by id (SeedBest, Resolve,
+// ProbID) and never see a string.
 //
 // Strings live at the edges: Cond is the display form of a condition, with
 // the banner, "10.0.0.0/16" and "AS7" spelled out, for tables, tests and

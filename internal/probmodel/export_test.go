@@ -102,7 +102,7 @@ func CondsOf(r dataset.Record, fams FamilySet, enabledKeys map[features.Key]bool
 func (m *Model) Lookup(c Cond) (id CondID, ok bool) {
 	k := condKey{port: c.Port, appKey: c.AppKey, netKey: c.NetKey}
 	if c.AppKey != features.KeyNone {
-		if k.appVal, ok = m.strID[c.AppVal]; !ok {
+		if k.appVal, ok = m.dict.strID[c.AppVal]; !ok {
 			return NoCond, false
 		}
 	}
@@ -122,7 +122,7 @@ func (m *Model) Lookup(c Cond) (id CondID, ok bool) {
 		}
 		k.netVal = uint32(n)
 	}
-	if id, ok = m.dict[k]; !ok || m.Cond(id) != c {
+	if id, ok = m.dict.dict[k]; !ok || int(id) >= len(m.condHosts) || m.condHosts[id] == 0 || m.Cond(id) != c {
 		return NoCond, false
 	}
 	return id, true

@@ -7,6 +7,7 @@ import (
 	"gps/internal/dataset"
 	"gps/internal/engine"
 	"gps/internal/features"
+	"gps/internal/netmodel"
 )
 
 // DefaultFloor is the probability below which GPS discards a pattern
@@ -60,9 +61,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// CondID names a condition inside one Model: its index in the model's
-// dictionary, dense from 0 in order of first appearance in the seed hosts
-// Build was given. An id means nothing to another model.
+// CondID names a condition inside one Dict: its index in the dictionary,
+// dense from 0 in order of first compilation. An id means nothing to
+// another Dict, and no output depends on how ids are numbered.
 type CondID uint32
 
 // NoCond is the CondID of no condition.
@@ -70,7 +71,7 @@ const NoCond = ^CondID(0)
 
 // condKey is a condition as the dictionary stores it: fixed-size and
 // pointer-free, so hashing it touches no string. appVal indexes
-// Model.strs; netVal is the subnet's network address for a subnet key and
+// Dict.strs; netVal is the subnet's network address for a subnet key and
 // the AS number for KeyASN — the formatted spellings ("10.0.0.0/16",
 // "AS7") exist only in Cond.
 type condKey struct {
@@ -81,34 +82,102 @@ type condKey struct {
 	netVal uint32
 }
 
-// Model holds the trained conditional probabilities. It is immutable after
-// Build and safe for concurrent queries: nothing is interned, cached or
-// built lazily at query time.
-//
-// Counts live in flat arrays indexed by CondID. condHosts[id] is the
-// number of seed hosts exhibiting the condition; the hosts that also had
-// another port open are one CSR row per condition — rowOff[id] to
-// rowOff[id+1] in pairPort (ascending) and pairHosts — which ProbID
-// binary searches. seedBest holds every input record's best condition, one flat
-// slice aligned with Build's input. Ids depend only on the order of hosts,
-// records and feature keys in Build's input, never on Config.Engine, so
-// every table is identical for any worker count.
-type Model struct {
+// Dict is a grow-only condition dictionary under one Config. A Model
+// built under it resolves through it, so it must not grow while the
+// model is queried.
+type Dict struct {
 	cfg        Config
 	enabledKey map[features.Key]bool // nil = all
 	nets       []netSlot             // cfg.NetKeys, resolved
 	strID      map[string]uint32     // application feature value → index in strs
 	strs       []string              // the values, for rendering a Cond
-	dict       map[condKey]CondID    // read-only after Build
-	keys       []condKey             // CondID → key
-	condHosts  []uint32              // CondID → hosts exhibiting it
-	rowOff     []uint32              // CondID → start of its row; len(keys)+1
-	pairPort   []uint16              // other open ports, ascending within a row
-	pairHosts  []uint32              // hosts exhibiting the condition AND that port
-	seedIP     []asndb.IP            // Build's input hosts' addresses
-	hostFirst  []int                 // host i's records are seedBest[hostFirst[i]:hostFirst[i+1]]
-	seedBest   []Best                // Build's input records → best condition on the host
-	stats      engine.Stats
+	dict       map[condKey]CondID
+	keys       []condKey // CondID → key
+	scratch    Scratch   // Compile's
+}
+
+// NewDict returns an empty dictionary for models under cfg.
+func NewDict(cfg Config) *Dict {
+	cfg = cfg.withDefaults()
+	d := &Dict{cfg: cfg, strID: make(map[string]uint32), dict: make(map[condKey]CondID)}
+	if cfg.AppKeys != nil {
+		d.enabledKey = make(map[features.Key]bool, len(cfg.AppKeys))
+		for _, k := range cfg.AppKeys {
+			d.enabledKey[k] = true
+		}
+	}
+	for _, k := range cfg.NetKeys {
+		if bits, ok := k.SubnetBits(); ok {
+			d.nets = append(d.nets, netSlot{key: k, mask: asndb.Mask(bits)})
+		} else if k == features.KeyASN {
+			d.nets = append(d.nets, netSlot{key: k, asn: true})
+		}
+	}
+	return d
+}
+
+// Compile is the one compiler: it appends the ids of the conditions r
+// exhibits to dst, interning every one not yet held.
+func (d *Dict) Compile(dst []CondID, r dataset.Record) []CondID {
+	return d.appendConds(dst, r, &d.scratch, true)
+}
+
+// Compiled is a run of records compiled under Dict: record i's ids are
+// IDs[Off[i]:Off[i+1]], and Recs[i] is the record (none if Build compiled).
+type Compiled struct {
+	Dict *Dict
+	Recs []dataset.Record
+	Off  []uint32
+	IDs  []CondID
+}
+
+// find returns the ids of the record Recs holds at r's (IP, port) if it
+// agrees with r on every other field Compile reads (ASN, features).
+func (c *Compiled) find(r dataset.Record) ([]CondID, bool) {
+	i, ok := slices.BinarySearchFunc(c.Recs, r.Key(), func(x dataset.Record, k netmodel.Key) int { return x.Key().Compare(k) })
+	if !ok || c.Recs[i].ASN != r.ASN || !slices.Equal(c.Recs[i].Feats, r.Feats) {
+		return nil, false
+	}
+	return c.IDs[c.Off[i]:c.Off[i+1]:c.Off[i+1]], true
+}
+
+// Recompile returns recs, a strict (IP, port) run, compiled under c's
+// Dict: a record c holds unchanged keeps its ids, only others compile.
+func (c *Compiled) Recompile(recs []dataset.Record) Compiled {
+	out := Compiled{Dict: c.Dict, Recs: recs, Off: make([]uint32, 1, len(recs)+1), IDs: make([]CondID, 0, max(len(c.IDs), 8*len(recs)))}
+	for _, r := range recs {
+		if ids, ok := c.find(r); ok {
+			out.IDs = append(out.IDs, ids...)
+		} else {
+			out.IDs = out.Dict.Compile(out.IDs, r)
+		}
+		out.Off = append(out.Off, uint32(len(out.IDs)))
+	}
+	return out
+}
+
+// Model holds the trained conditional probabilities. It is immutable after
+// Build and, while its Dict does not grow, safe for concurrent queries.
+//
+// Counts live in flat arrays indexed by CondID, sized by the Dict at
+// Build. condHosts[id] is the number of seed hosts exhibiting the
+// condition; the hosts that also had another port open are one CSR row
+// per condition — rowOff[id] to rowOff[id+1] in pairPort (ascending) and
+// pairHosts — which ProbID binary searches. seedBest holds every input
+// record's best condition, one flat slice aligned with Build's input.
+// No count depends on the ids' numbering or on Config.Engine.
+type Model struct {
+	dict      *Dict
+	run       Compiled   // Build's input, compiled
+	nconds    int        // conditions the input exhibits
+	condHosts []uint32   // CondID → hosts exhibiting it
+	rowOff    []uint32   // CondID → start of its row; len(condHosts)+1
+	pairPort  []uint16   // other open ports, ascending within a row
+	pairHosts []uint32   // hosts exhibiting the condition AND that port
+	seedIP    []asndb.IP // Build's input hosts' addresses
+	hostFirst []int      // host i's records are seedBest[hostFirst[i]:hostFirst[i+1]]
+	seedBest  []Best     // Build's input records → best condition on the host
+	stats     engine.Stats
 }
 
 // netSlot is one configured network feature: a subnet length, or the ASN.
@@ -118,60 +187,44 @@ type netSlot struct {
 	asn  bool
 }
 
-// Build trains the model over seed hosts in three passes. Pass 1 interns
-// every condition and counts the hosts exhibiting it; pass 2 counts the
-// (condition, other open port) co-occurrences by a counting sort over
-// condition ids into the CSR rows; pass 3 finds every seed service's best
-// condition (SeedBest), which the priors and MPF lists both read. Each
-// seed record's conditions are compiled once, in pass 1.
+// Build trains the model over seed hosts compiled under a fresh Dict.
 func Build(cfg Config, hosts []dataset.HostGroup) *Model {
-	cfg = cfg.withDefaults()
-	m := &Model{
-		cfg:   cfg,
-		strID: make(map[string]uint32), dict: make(map[condKey]CondID),
-	}
-	if cfg.AppKeys != nil {
-		m.enabledKey = make(map[features.Key]bool, len(cfg.AppKeys))
-		for _, k := range cfg.AppKeys {
-			m.enabledKey[k] = true
-		}
-	}
-	for _, k := range cfg.NetKeys {
-		if bits, ok := k.SubnetBits(); ok {
-			m.nets = append(m.nets, netSlot{key: k, mask: asndb.Mask(bits)})
-		} else if k == features.KeyASN {
-			m.nets = append(m.nets, netSlot{key: k, asn: true})
-		}
-	}
+	return (&Compiled{Dict: NewDict(cfg)}).Build(hosts)
+}
 
-	// Pass 1: count hosts per condition. A condition is counted once per
-	// record that exhibits it; ids[recStart[i]:recStart[i+1]] keeps the
-	// conditions of the i-th record overall for passes 2 and 3, and
-	// hostFirst[h] is the overall index of host h's first record.
-	nrec := 0
-	for _, h := range hosts {
-		nrec += len(h.Records)
-	}
-	var (
-		s         Scratch
-		ids       = make([]CondID, 0, 8*nrec) // a guess; append corrects it
-		recStart  = make([]uint32, 0, nrec+1)
-		hostFirst = make([]int, len(hosts)+1)
-	)
-	m.seedIP = make([]asndb.IP, len(hosts))
+// Build trains the model over seed hosts whose records, host by host,
+// are the run's, in three passes; a run with no Off is first compiled
+// from the hosts. Pass 1 counts the hosts exhibiting each condition; pass
+// 2 counts the (condition, other open port) co-occurrences by a counting
+// sort over condition ids into the CSR rows; pass 3 finds every seed
+// service's best condition (SeedBest), which the priors and MPF lists
+// both read.
+func (c *Compiled) Build(hosts []dataset.HostGroup) *Model {
+	// Host h's first record is the hostFirst[h]-th overall.
+	hostFirst, seedIP := make([]int, len(hosts)+1), make([]asndb.IP, len(hosts))
 	for i, h := range hosts {
-		hostFirst[i], m.seedIP[i] = len(recStart), h.IP
-		for _, r := range h.Records {
-			start := len(ids)
-			recStart = append(recStart, uint32(start))
-			ids = m.appendConds(ids, r, &s, true)
-			for _, id := range ids[start:] {
-				m.condHosts[id]++
+		hostFirst[i+1], seedIP[i] = hostFirst[i]+len(h.Records), h.IP
+	}
+	nrec := hostFirst[len(hosts)]
+	if c.Off == nil {
+		c.Off, c.IDs = make([]uint32, 1, nrec+1), make([]CondID, 0, 8*nrec) // a guess; append corrects it
+		for _, h := range hosts {
+			for _, r := range h.Records {
+				c.IDs = c.Dict.Compile(c.IDs, r)
+				c.Off = append(c.Off, uint32(len(c.IDs)))
 			}
 		}
 	}
-	recStart = append(recStart, uint32(len(ids)))
-	hostFirst[len(hosts)] = nrec
+	ids, recStart := c.IDs, c.Off
+	m := &Model{dict: c.Dict, run: *c, condHosts: make([]uint32, len(c.Dict.keys)), seedIP: seedIP}
+
+	// Pass 1: count hosts per condition, once per record that exhibits it.
+	for _, id := range ids {
+		if m.condHosts[id] == 0 {
+			m.nconds++
+		}
+		m.condHosts[id]++
+	}
 	// pairsOf calls f for every ordered pair (b, a) of host i's records
 	// on different ports, with b's condition ids.
 	pairsOf := func(i int, f func(conds []CondID, a int)) {
@@ -192,7 +245,7 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 	// into its condition's bucket (pos[c] ends up at the bucket's start,
 	// pos[c+1] at its end), and each bucket is sorted and run-length
 	// counted into its CSR row.
-	pos := make([]int, len(m.keys)+1)
+	pos := make([]int, len(m.condHosts)+1)
 	for i := range hosts {
 		pairsOf(i, func(conds []CondID, _ int) {
 			for _, c := range conds {
@@ -203,7 +256,7 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 	for c := 1; c < len(pos); c++ {
 		pos[c] += pos[c-1]
 	}
-	ports := make([]uint16, pos[len(m.keys)])
+	ports := make([]uint16, pos[len(m.condHosts)])
 	for i, h := range hosts {
 		pairsOf(i, func(conds []CondID, a int) {
 			for _, c := range conds {
@@ -212,8 +265,8 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 			}
 		})
 	}
-	m.rowOff = make([]uint32, len(m.keys)+1)
-	for c := range m.keys {
+	m.rowOff = make([]uint32, len(m.condHosts)+1)
+	for c := range m.condHosts {
 		row := ports[pos[c]:pos[c+1]]
 		slices.Sort(row)
 		for j := 0; j < len(row); {
@@ -230,8 +283,8 @@ func Build(cfg Config, hosts []dataset.HostGroup) *Model {
 
 	// Pass 3: every seed record's best condition on its host's other
 	// records, from the ids pass 1 kept.
-	m.hostFirst, m.seedBest = hostFirst, make([]Best, nrec)
-	engine.ParallelFor(cfg.Engine, len(hosts), func(lo, hi int) {
+	m.hostFirst, m.seedBest = hostFirst, make([]Best, len(recStart)-1)
+	engine.ParallelFor(c.Dict.cfg.Engine, len(hosts), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			recs, best := hosts[i].Records, m.seedBest[hostFirst[i]:hostFirst[i+1]]
 			for a := range best {
@@ -264,41 +317,40 @@ type Scratch struct {
 // appSlot is one application feature of the record being compiled.
 type appSlot struct {
 	key features.Key
-	val uint32 // the value's index in Model.strs
+	val uint32 // the value's index in Dict.strs
 }
 
 // appendConds appends the ids of the conditions r exhibits, in the
 // families' order (T, TA by key, TN by configured net key, TAN app-major). With
-// intern set (Build only) an unknown value or condition is added to the
+// intern set (Compile only) an unknown value or condition is added to the
 // dictionary; otherwise it is left out, since it has no counts.
-func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern bool) []CondID {
+func (d *Dict) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern bool) []CondID {
 	apps := s.apps[:0]
 	for _, v := range r.Feats {
-		if m.enabledKey != nil && !m.enabledKey[v.Key] {
+		if d.enabledKey != nil && !d.enabledKey[v.Key] {
 			continue
 		}
-		id, ok := m.strID[v.Val]
+		id, ok := d.strID[v.Val]
 		if !ok {
 			if !intern {
 				continue
 			}
-			id = uint32(len(m.strs))
-			m.strs = append(m.strs, v.Val)
-			m.strID[v.Val] = id
+			id = uint32(len(d.strs))
+			d.strs = append(d.strs, v.Val)
+			d.strID[v.Val] = id
 		}
 		apps = append(apps, appSlot{key: v.Key, val: id})
 	}
 
 	add := func(k condKey) {
-		id, ok := m.dict[k]
+		id, ok := d.dict[k]
 		if !ok {
 			if !intern {
 				return
 			}
-			id = CondID(len(m.keys))
-			m.dict[k] = id
-			m.keys = append(m.keys, k)
-			m.condHosts = append(m.condHosts, 0)
+			id = CondID(len(d.keys))
+			d.dict[k] = id
+			d.keys = append(d.keys, k)
 		}
 		dst = append(dst, id)
 	}
@@ -308,7 +360,7 @@ func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern b
 		}
 		return uint32(r.IP & n.mask)
 	}
-	fams := m.cfg.Families
+	fams := d.cfg.Families
 	if fams.Has(FamilyT) {
 		add(condKey{port: r.Port})
 	}
@@ -318,13 +370,13 @@ func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern b
 		}
 	}
 	if fams.Has(FamilyTN) {
-		for _, n := range m.nets {
+		for _, n := range d.nets {
 			add(condKey{port: r.Port, netKey: n.key, netVal: netVal(n)})
 		}
 	}
 	if fams.Has(FamilyTAN) {
 		for _, a := range apps {
-			for _, n := range m.nets {
+			for _, n := range d.nets {
 				add(condKey{port: r.Port, appKey: a.key, appVal: a.val, netKey: n.key, netVal: netVal(n)})
 			}
 		}
@@ -332,13 +384,17 @@ func (m *Model) appendConds(dst []CondID, r dataset.Record, s *Scratch, intern b
 	return dst
 }
 
-// Resolve returns the ids of the conditions r exhibits that the model has
-// counts for, in appendConds' order. A condition the seed never showed — a
-// banner, subnet or AS first met on an anchor — has no id, no counts and
-// no rules, so it is left out rather than interned: resolving reads the
-// model and never writes it.
+// Resolve returns the ids of the conditions r exhibits that the model's
+// Dict holds, in Compile's order: a record the model was built from
+// resolves to the ids it was compiled to, read off the run if it has
+// Recs. A condition first met on an anchor — a banner, subnet or AS the
+// seed never showed — has no counts and no rules, so it is left out
+// rather than interned: resolving reads the dictionary and never writes it.
 func (m *Model) Resolve(r dataset.Record, s *Scratch) []CondID {
-	s.ids = m.appendConds(s.ids[:0], r, s, false)
+	if ids, ok := m.run.find(r); ok {
+		return ids
+	}
+	s.ids = m.dict.appendConds(s.ids[:0], r, s, false)
 	return s.ids
 }
 
@@ -363,8 +419,11 @@ func (m *Model) SeedBest(i int, h dataset.HostGroup) []Best {
 	return m.seedBest[m.hostFirst[i]:m.hostFirst[i+1]:m.hostFirst[i+1]]
 }
 
-// NumConds returns the number of distinct conditions observed.
-func (m *Model) NumConds() int { return len(m.keys) }
+// NumConds returns the number of distinct conditions the input exhibits.
+func (m *Model) NumConds() int { return m.nconds }
+
+// NumIDs returns the size of the model's Dict at Build.
+func (m *Model) NumIDs() int { return len(m.condHosts) }
 
 // NumPairs returns the number of distinct (condition, port) pairs.
 func (m *Model) NumPairs() int { return len(m.pairPort) }
@@ -379,16 +438,16 @@ func (m *Model) Stats() (recordsIn, pairsEmitted uint64) {
 }
 
 // Port returns the port (PortB) of the condition.
-func (m *Model) Port(id CondID) uint16 { return m.keys[id].port }
+func (m *Model) Port(id CondID) uint16 { return m.dict.keys[id].port }
 
 // Cond renders the condition in its display form: this is where the
 // interned application value, the subnet and the AS number become strings
 // again.
 func (m *Model) Cond(id CondID) Cond {
-	k := m.keys[id]
+	k := m.dict.keys[id]
 	c := Cond{Port: k.port, AppKey: k.appKey, NetKey: k.netKey}
 	if k.appKey != features.KeyNone {
-		c.AppVal = m.strs[k.appVal]
+		c.AppVal = m.dict.strs[k.appVal]
 	}
 	if bits, ok := k.netKey.SubnetBits(); ok {
 		c.NetVal = asndb.Prefix{Addr: asndb.IP(k.netVal), Bits: bits}.String()
@@ -404,7 +463,7 @@ func (m *Model) Cond(id CondID) Cond {
 // probing.
 func (m *Model) ProbID(id CondID, portA uint16) float64 {
 	denom := m.condHosts[id]
-	if int(denom) < m.cfg.MinSupport {
+	if int(denom) < m.dict.cfg.MinSupport {
 		return 0
 	}
 	lo := m.rowOff[id]
@@ -413,7 +472,7 @@ func (m *Model) ProbID(id CondID, portA uint16) float64 {
 		return 0
 	}
 	p := float64(m.pairHosts[int(lo)+i]) / float64(denom)
-	if p < m.cfg.Floor {
+	if p < m.dict.cfg.Floor {
 		return 0
 	}
 	return p

@@ -73,3 +73,26 @@ func TestExactShardCountsUnsharded(t *testing.T) {
 		t.Errorf("unsharded scan accounted %d probes; want %d", sc.Probes(), pfx.Size())
 	}
 }
+
+// TestCensusClosedForm holds ownedInPrefix, closed form and memoized
+// walk alike, to the per-address count for power-of-two and other shard
+// counts, at prefixes the closed form covers (/16, /20, /24) and ones it
+// leaves to the walk (/25, /28).
+func TestCensusClosedForm(t *testing.T) {
+	for _, base := range []string{"10.0.0.0", "203.113.0.0"} {
+		for _, bits := range []uint8{16, 20, 24, 25, 28} {
+			p := asndb.MustPrefix(asndb.MustParseIP(base), bits)
+			for _, n := range []int{2, 4, 8, 16, 256, 3, 5, 6} {
+				want := make([]uint64, n)
+				for off := uint64(0); off < p.Size(); off++ {
+					want[asndb.ShardOf(p.First()+asndb.IP(off), n)]++
+				}
+				for i := 0; i < n; i++ {
+					if got := NewSharded(nil, i, n).ownedInPrefix(p); got != want[i] {
+						t.Errorf("%v shard %d/%d: census %d, per-address count %d", p, i, n, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ type Scanner struct {
 	shardIdx, shardCnt int
 
 	// census memoizes a sharded scanner's owned-address count per
-	// prefix, so each prefix is hashed at most once.
+	// prefix that has no closed form, so each is hashed at most once.
 	censusMu sync.Mutex
 	census   map[asndb.Prefix]uint64
 }
@@ -62,8 +62,13 @@ func (s *Scanner) owns(ip asndb.IP) bool {
 }
 
 // ownedInPrefix returns the exact number of addresses in p this scanner's
-// shard owns, memoized per prefix.
+// shard owns. ShardOf's last step multiplies (h ^ low byte) by an odd
+// prime, a bijection on the low byte, so a power-of-two count up to 256
+// owns 1/count of every /24; else the census counts, memoized per prefix.
 func (s *Scanner) ownedInPrefix(p asndb.Prefix) uint64 {
+	if n := uint64(s.shardCnt); p.Bits <= 24 && n <= 256 && n&(n-1) == 0 {
+		return p.Size() / n
+	}
 	s.censusMu.Lock()
 	if n, ok := s.census[p]; ok {
 		s.censusMu.Unlock()
@@ -131,8 +136,8 @@ type PrefixResponder interface {
 // responder's PrefixResponder fast path when available. The probe counter
 // still advances by what ScanPrefix would probe — the bandwidth is
 // identical, only the simulation is cheaper: the full prefix, or for a
-// sharded scanner the addresses its shard owns (memoized per prefix, so
-// the hashing cost is paid once), whose responders alone it returns.
+// sharded scanner the addresses its shard owns (ownedInPrefix), whose
+// responders alone it returns.
 func (s *Scanner) ScanPrefixFast(p asndb.Prefix, port uint16, seed int64) []asndb.IP {
 	pr, ok := s.target.(PrefixResponder)
 	if !ok {
