@@ -21,7 +21,7 @@ import (
 //	  increasing (IP, port) order: the served fields (EncodeServed) and
 //	  the interned feature set (store.AppendInterned)
 //
-// The reader refuses an epoch past maxEpoch, keys out of strict order,
+// The reader refuses an epoch past MaxEpoch, keys out of strict order,
 // an entry first seen after it was last seen or last seen past the
 // epoch, a stale count past the int range, a served field out of its
 // range (DecodeServed) and a string table numbered otherwise than
@@ -35,10 +35,10 @@ const (
 	checkpointVersion = 3
 
 	maxEntries = 1 << 28
-	// maxEpoch bounds a state's epoch, and so every LastSeen: the next
+	// MaxEpoch bounds a state's epoch, and so every LastSeen: the next
 	// epoch's re-verification order sizes an array by it, 128 MiB at
 	// this bound. 2²⁴ one-second epochs are 194 days.
-	maxEpoch = 1 << 24
+	MaxEpoch = 1 << 24
 )
 
 // EncodeServed writes one service as GPSC, GPSV and GPSE all carry it:
@@ -110,12 +110,18 @@ func WriteCheckpoint(w io.Writer, st *State) error {
 	var e wire.Enc
 	e.Header(checkpointMagic, checkpointVersion)
 	e.Uvarint(uint64(st.Epoch))
-	store.AppendInterned(&e, len(st.Known), func(w *wire.Enc, i int) features.Set {
-		EncodeServed(w, st.Known[i].Rec.Key(), &st.Known[i])
-		return st.Known[i].Rec.Feats
-	})
+	AppendKnown(&e, st.Known)
 	_, err := w.Write(e)
 	return err
+}
+
+// AppendKnown appends a strict run of entries as GPSC holds its known set:
+// string table, count, then per entry EncodeServed and its interned set.
+func AppendKnown(e *wire.Enc, known []Entry) {
+	store.AppendInterned(e, len(known), func(w *wire.Enc, i int) features.Set {
+		EncodeServed(w, known[i].Rec.Key(), &known[i])
+		return known[i].Rec.Feats
+	})
 }
 
 // ReadCheckpoint parses WriteCheckpoint output. Malformed input is a
@@ -125,12 +131,21 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 	d.At("header", -1)
 	d.Header(checkpointMagic, checkpointVersion)
 	epoch := d.Uvarint()
-	if epoch > maxEpoch {
-		d.Fail(wire.Implausible, fmt.Errorf("epoch %d, limit %d", epoch, maxEpoch))
+	if epoch > MaxEpoch {
+		d.Fail(wire.Implausible, fmt.Errorf("epoch %d, limit %d", epoch, MaxEpoch))
 	}
-	st := &State{Epoch: int(epoch)}
+	st := &State{Epoch: int(epoch), Known: ReadKnown(d, int(epoch))}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// ReadKnown reads AppendKnown output as a state at epoch holds it, making
+// every check the format comment lists but the epoch bound.
+func ReadKnown(d *wire.Dec, epoch int) []Entry {
 	table, n := store.ReadStringTable(d, maxEntries)
-	st.Known = make([]Entry, 0, min(n, 1<<16))
+	known := make([]Entry, 0, min(n, 1<<16))
 	var prev netmodel.Key
 	for i := 0; i < n && d.Err() == nil; i++ {
 		d.At("entry", i)
@@ -138,14 +153,17 @@ func ReadCheckpoint(r io.Reader) (*State, error) {
 		e.Rec.Feats = table.Feats(d)
 		KeyAfter(d, i, prev, k)
 		prev = k
-		if e.FirstSeen < 0 || e.FirstSeen > e.LastSeen || e.LastSeen > st.Epoch || e.Stale < 0 {
-			d.Fail(wire.Implausible, fmt.Errorf("%v seen at epochs %d to %d of %d with stale count %d",
-				k, e.FirstSeen, e.LastSeen, st.Epoch, e.Stale))
-		}
-		st.Known = append(st.Known, e)
+		CheckSeen(d, &e, epoch)
+		known = append(known, e)
 	}
-	if err := d.Done(); err != nil {
-		return nil, err
+	return known
+}
+
+// CheckSeen refuses an entry of a state at epoch first seen after it was
+// last seen, last seen past the epoch, or stale past the int range.
+func CheckSeen(d *wire.Dec, e *Entry, epoch int) {
+	if e.FirstSeen < 0 || e.FirstSeen > e.LastSeen || e.LastSeen > epoch || e.Stale < 0 {
+		d.Fail(wire.Implausible, fmt.Errorf("%v seen at epochs %d to %d of %d with stale count %d",
+			e.Rec.Key(), e.FirstSeen, e.LastSeen, epoch, e.Stale))
 	}
-	return st, nil
 }

@@ -176,9 +176,15 @@ func (h *Host) AddService(s Service) {
 
 // find binary-searches the services for port.
 func (h *Host) find(port uint16) (int, bool) {
-	return slices.BinarySearchFunc(h.services, port, func(s Service, port uint16) int {
-		return cmp.Compare(s.Port, port)
-	})
+	lo, hi := 0, len(h.services)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); h.services[m].Port < port {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(h.services) && h.services[lo].Port == port
 }
 
 // SetPseudoBlock makes the host serve the same pseudo service on every

@@ -134,19 +134,29 @@ type Compiled struct {
 // find returns the ids of the record Recs holds at r's (IP, port) if it
 // agrees with r on every other field Compile reads (ASN, features).
 func (c *Compiled) find(r dataset.Record) ([]CondID, bool) {
-	i, ok := slices.BinarySearchFunc(c.Recs, r.Key(), func(x dataset.Record, k netmodel.Key) int { return x.Key().Compare(k) })
-	if !ok || c.Recs[i].ASN != r.ASN || !slices.Equal(c.Recs[i].Feats, r.Feats) {
+	i, _ := slices.BinarySearchFunc(c.Recs, r.Key(), func(x dataset.Record, k netmodel.Key) int { return x.Key().Compare(k) })
+	return c.idsAt(i, r)
+}
+
+// idsAt is find at index i.
+func (c *Compiled) idsAt(i int, r dataset.Record) ([]CondID, bool) {
+	if i >= len(c.Recs) || c.Recs[i].Key() != r.Key() || c.Recs[i].ASN != r.ASN || !slices.Equal(c.Recs[i].Feats, r.Feats) {
 		return nil, false
 	}
 	return c.IDs[c.Off[i]:c.Off[i+1]:c.Off[i+1]], true
 }
 
 // Recompile returns recs, a strict (IP, port) run, compiled under c's
-// Dict: a record c holds unchanged keeps its ids, only others compile.
+// Dict: a record c holds unchanged keeps its ids (one cursor finds it:
+// Recs is a run too), only others compile.
 func (c *Compiled) Recompile(recs []dataset.Record) Compiled {
 	out := Compiled{Dict: c.Dict, Recs: recs, Off: make([]uint32, 1, len(recs)+1), IDs: make([]CondID, 0, max(len(c.IDs), 8*len(recs)))}
+	j := 0
 	for _, r := range recs {
-		if ids, ok := c.find(r); ok {
+		for j < len(c.Recs) && c.Recs[j].Key().Compare(r.Key()) < 0 {
+			j++
+		}
+		if ids, ok := c.idsAt(j, r); ok {
 			out.IDs = append(out.IDs, ids...)
 		} else {
 			out.IDs = out.Dict.Compile(out.IDs, r)

@@ -39,18 +39,21 @@ type Config struct {
 // epoch that itself errored) would fail identically on every worker, so it
 // aborts instead. An executor that also implements io.Closer is closed
 // when its worker leaves the fleet, drained or dead.
+// While placed[s] holds, the executor's state for shard s is c.states[s]:
+// an abort clears placed, a lost result re-places the shard, so a fleet's
+// epoch result need carry only the step from it (EncodeStep).
 type Executor interface {
 	// Place caches shard s at st, the coordinator's state for it. owned is
 	// every shard the worker serves once the placement lands, s included;
 	// tc, when valid, parents the placement's spans.
 	Place(s int, cfg continuous.Config, st *continuous.State, owned []int, tc trace.SpanContext) error
-	// Epoch runs shard s's given epoch from its placed state and returns
-	// the new state, the epoch's stats (phases included) and whether the
-	// worker asks to drain. u is the universe an in-process epoch scans;
-	// it is nil for a fleet, whose workers hold their own replica, built
-	// from the world spec. The runner's phase spans hang from the
-	// per-shard span the executor opens under parent.
-	Epoch(s, epoch int, u *netmodel.Universe, parent trace.SpanContext) (st *continuous.State, stats continuous.EpochStats, draining bool, err error)
+	// Epoch runs shard s's given epoch from base, its placed state, and
+	// returns the new state, the epoch's stats (phases included) and
+	// whether the worker asks to drain. u is the universe an in-process
+	// epoch scans; it is nil for a fleet, whose workers hold their own
+	// replica, built from the world spec. The runner's phase spans hang
+	// from the per-shard span the executor opens under parent.
+	Epoch(s, epoch int, base *continuous.State, u *netmodel.Universe, parent trace.SpanContext) (st *continuous.State, stats continuous.EpochStats, draining bool, err error)
 }
 
 // refusal marks an in-process epoch's error: with no link to lose, a local
@@ -77,7 +80,7 @@ func (x *localExecutor) Place(s int, cfg continuous.Config, st *continuous.State
 	return nil
 }
 
-func (x *localExecutor) Epoch(s, _ int, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
+func (x *localExecutor) Epoch(s, _ int, _ *continuous.State, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
 	r := x.runners[s]
 	span := trace.StartSpan(parent, "shard-epoch", trace.Int("shard", s))
 	r.SetTraceParent(span.Context())
@@ -449,7 +452,7 @@ func (c *Coordinator) Epoch(u *netmodel.Universe) (continuous.EpochStats, error)
 			}
 		}
 		start := time.Now()
-		st, shardStats, draining, err := w.ex.Epoch(s, epoch, u, root.Context())
+		st, shardStats, draining, err := w.ex.Epoch(s, epoch, c.states[s], u, root.Context())
 		if err != nil {
 			return err
 		}

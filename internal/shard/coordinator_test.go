@@ -29,8 +29,8 @@ type statsExec struct {
 	last map[int]continuous.EpochStats
 }
 
-func (x *statsExec) Epoch(s, epoch int, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
-	st, stats, draining, err := x.localExecutor.Epoch(s, epoch, u, parent)
+func (x *statsExec) Epoch(s, epoch int, base *continuous.State, u *netmodel.Universe, parent trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
+	st, stats, draining, err := x.localExecutor.Epoch(s, epoch, base, u, parent)
 	x.last[s] = stats
 	return st, stats, draining, err
 }

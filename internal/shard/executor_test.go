@@ -50,6 +50,9 @@ type fakeFleet struct {
 	faults map[at]fault
 	tries  map[at]int       // calls so far, keyed with attempt 0
 	ran    map[string][]int // worker id → epochs of the shard-epochs it completed
+	// drift names every epoch call whose base was not the state the
+	// worker had cached for the shard (see Executor).
+	drift []string
 }
 
 func (f *fakeFleet) next(op string, shard, epoch int) fault {
@@ -79,15 +82,19 @@ func (e refusedError) Error() string { return e.msg }
 func (e refusedError) Refused() bool { return true }
 
 func cloneState(st *continuous.State) *continuous.State {
-	blob, err := EncodeState(st)
-	if err != nil {
-		panic(err)
-	}
-	cp, err := DecodeState(blob)
+	cp, err := DecodeState(cloneBytes(st))
 	if err != nil {
 		panic(err)
 	}
 	return cp
+}
+
+func cloneBytes(st *continuous.State) []byte {
+	blob, err := EncodeState(st)
+	if err != nil {
+		panic(err)
+	}
+	return blob
 }
 
 func (x *fakeExec) Place(s int, _ continuous.Config, st *continuous.State, owned []int, _ trace.SpanContext) error {
@@ -106,7 +113,7 @@ func (x *fakeExec) Place(s int, _ continuous.Config, st *continuous.State, owned
 	return nil
 }
 
-func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
+func (x *fakeExec) Epoch(s, epoch int, base *continuous.State, _ *netmodel.Universe, _ trace.SpanContext) (*continuous.State, continuous.EpochStats, bool, error) {
 	var none continuous.EpochStats
 	f := x.fleet.next("epoch", s, epoch)
 	switch f {
@@ -118,6 +125,11 @@ func (x *fakeExec) Epoch(s, epoch int, _ *netmodel.Universe, _ trace.SpanContext
 	st, ok := x.cache[s]
 	if !ok || st.Epoch+1 != epoch {
 		return nil, none, false, refusedError{fmt.Sprintf("shard %d cannot run epoch %d here", s, epoch)}
+	}
+	if a, b := cloneBytes(st), cloneBytes(base); !bytes.Equal(a, b) {
+		x.fleet.mu.Lock()
+		x.fleet.drift = append(x.fleet.drift, fmt.Sprintf("%s: shard %d epoch %d", x.id, s, epoch))
+		x.fleet.mu.Unlock()
 	}
 	next := cloneState(st)
 	next.Epoch = epoch
@@ -191,9 +203,13 @@ func (h *harness) admit(id string) {
 
 // check holds the invariant every step must preserve: each shard is owned
 // by exactly one live worker — in the assignment and in the cluster
-// document built from it — and a worker out of the fleet was released.
+// document built from it — a worker out of the fleet was released, and
+// no epoch ran from a cached state other than the coordinator's.
 func (h *harness) check() {
 	h.t.Helper()
+	if len(h.fleet.drift) > 0 {
+		h.t.Errorf("epochs ran from a base the worker did not hold: %v", h.fleet.drift)
+	}
 	for s, wi := range h.c.Assignment() {
 		if !h.c.workers[wi].alive() {
 			h.t.Errorf("shard %d is assigned to %q, which is not alive", s, h.c.workers[wi].id)
@@ -527,7 +543,7 @@ func TestLocalExecutorRefusal(t *testing.T) {
 	if err := x.Place(2, cfg, st, []int{2}, trace.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := x.Epoch(2, 1, u, trace.SpanContext{})
+	_, _, _, err := x.Epoch(2, 1, st, u, trace.SpanContext{})
 	var r refusal
 	if !errors.As(err, &r) || !r.Refused() || !refused(err) {
 		t.Fatalf("local epoch returned %v; want a refusal", err)

@@ -346,3 +346,45 @@ func diffInventories(t *testing.T, a, b map[netmodel.Key]*continuous.Entry) {
 		}
 	}
 }
+
+// FuzzApplyStep drives arbitrary bytes through ApplyStep over each base a
+// runner stepped from (runnerSteps), seeded with the runner's own steps:
+// re-verifications, stale marks, evictions, new services and a refresh
+// with changed features. A refusal is a *wire.Error naming the step
+// format. An accepted state is one GPSC reads back, and the canonical
+// step to it applies to the same bytes: ApplyStep(b, EncodeStep(b, n))
+// re-encodes to n.
+func FuzzApplyStep(f *testing.F) {
+	pairs := runnerSteps(f)
+	for i, p := range pairs {
+		step := EncodeStep(p[0], p[1])
+		f.Add(uint8(i), step)
+		f.Add(uint8(i), step[:len(step)/2])
+	}
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		base := pairs[int(which)%len(pairs)][0]
+		st, err := ApplyStep(base, data)
+		if err != nil {
+			var werr *wire.Error
+			if !errors.As(err, &werr) || werr.Format != stepFormat {
+				t.Fatalf("ApplyStep: untyped error %T: %v", err, err)
+			}
+			return
+		}
+		blob, err := EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeState(blob); err != nil {
+			t.Fatalf("an applied state GPSC refuses: %v", err)
+		}
+		again, err := ApplyStep(base, EncodeStep(base, st))
+		if err != nil {
+			t.Fatalf("the canonical step to an applied state: %v", err)
+		}
+		if !bytes.Equal(stateBytes(t, again), blob) {
+			t.Fatal("the canonical step to an applied state applies to other bytes")
+		}
+	})
+}

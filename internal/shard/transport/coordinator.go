@@ -135,11 +135,12 @@ func (w *workerLink) Place(s int, cfg continuous.Config, st *continuous.State, o
 }
 
 // Epoch runs one shard epoch on the worker (msgEpoch), which scans its own
-// replica of the universe. The RPC span opened under parent is the trace
-// context shipped to the worker, so the worker's phase spans — returned on
-// the result frame and imported below — land directly beneath it in the
-// stitched tree.
-func (w *workerLink) Epoch(s, epoch int, _ *netmodel.Universe, parent trace.SpanContext) (st *continuous.State, stats continuous.EpochStats, draining bool, err error) {
+// replica of the universe, and applies the step it answers with to base; a
+// bad step poisons the link (*DisconnectError), so the shard is placed
+// again. The RPC span opened under parent is the trace context shipped to
+// the worker, so the worker's phase spans — returned on the result frame
+// and imported below — land directly beneath it in the stitched tree.
+func (w *workerLink) Epoch(s, epoch int, base *continuous.State, _ *netmodel.Universe, parent trace.SpanContext) (st *continuous.State, stats continuous.EpochStats, draining bool, err error) {
 	rpcSpan := trace.StartSpan(parent, "rpc.epoch",
 		trace.Int("shard", s), trace.String("worker", w.id))
 	defer func() { rpcSpan.FinishErr(err) }()
@@ -161,8 +162,8 @@ func (w *workerLink) Epoch(s, epoch int, _ *netmodel.Universe, parent trace.Span
 	case res.Stats.Epoch != epoch:
 		return nil, stats, false, fmt.Errorf("shard %d: worker reported epoch %d, asked for %d", s, res.Stats.Epoch, epoch)
 	}
-	if st, err = shard.DecodeState(res.State); err != nil {
-		return nil, stats, false, fmt.Errorf("shard %d: %w", s, err)
+	if st, err = shard.ApplyStep(base, res.Step); err != nil {
+		return nil, stats, false, &DisconnectError{Addr: w.addr, Err: fmt.Errorf("shard %d: %w", s, err)}
 	}
 	return st, res.Stats, res.Draining, nil
 }

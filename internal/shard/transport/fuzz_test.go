@@ -38,8 +38,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	seeds := [][]byte{
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 1, Cfg: cfg, WorldSpec: spec, State: []byte("blob")})),
 		frameBytes(f, msgEpoch, encodeEpochReq(3, 17, trace.SpanContext{TraceID: 7, SpanID: 9})),
-		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, State: []byte("state"), Draining: true, Stats: stats, Spans: []byte("spans")})),
-		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, State: []byte("state"), Stats: stats})),
+		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, Step: []byte("step"), Draining: true, Stats: stats, Spans: []byte("spans")})),
+		frameBytes(f, msgEpochResult, encodeEpochResult(epochResult{Shard: 3, Step: []byte("step"), Stats: stats})),
 		frameBytes(f, msgInit, encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: spec, State: []byte("blob"), Trace: trace.SpanContext{TraceID: 7, SpanID: 9}})),
 		frameBytes(f, msgJoin, encodeJoin(joinMsg{ID: "worker-a"})),
 		frameBytes(f, msgInitOK, encodeShardAck(5)),

@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"gps/internal/asndb"
 	"gps/internal/continuous"
+	"gps/internal/dataset"
 	"gps/internal/features"
 	"gps/internal/metrics"
 	"gps/internal/pipeline"
+	"gps/internal/shard"
 	"gps/internal/trace"
 	"gps/internal/wire/wiretest"
 )
@@ -17,7 +20,9 @@ import (
 // goldenPayloads is one GPST payload per msg* encoder, each with tracing
 // off and — where the frame has an optional trailing field — on. The
 // blobs the payloads carry (state, inventories) are opaque to the
-// framing and pinned by their own goldens at the repo root.
+// framing and pinned by their own goldens at the repo root; the epoch
+// result's step has no golden of its own, so its rows carry a real one
+// (goldenStep) and decode it against its base.
 func goldenPayloads() []wiretest.Case {
 	cfg := continuous.Config{
 		Budget: 1 << 40, ReverifyFraction: 0.375, MaxStale: 3, ShardIndex: 2, ShardCount: 300,
@@ -39,7 +44,8 @@ func goldenPayloads() []wiretest.Case {
 			Discover: 3 * time.Second, Fold: 7 * time.Nanosecond,
 		},
 	}
-	result := epochResult{Shard: 130, State: []byte("state"), Draining: true, Stats: stats}
+	base, step := goldenStep()
+	result := epochResult{Shard: 130, Step: step, Draining: true, Stats: stats}
 	tracedResult := result
 	tracedResult.Draining, tracedResult.Spans = false, spans
 	untracedResult := tracedResult
@@ -58,7 +64,13 @@ func goldenPayloads() []wiretest.Case {
 
 	tryInit := func(b []byte) error { _, err := decodeInit(b); return err }
 	tryEpochReq := func(b []byte) error { _, _, _, err := decodeEpochReq(b); return err }
-	tryEpochResult := func(b []byte) error { _, err := decodeEpochResult(b); return err }
+	tryEpochResult := func(b []byte) error {
+		r, err := decodeEpochResult(b)
+		if err == nil {
+			_, err = shard.ApplyStep(base, r.Step)
+		}
+		return err
+	}
 	tryShardAck := func(b []byte) error { _, err := decodeShardAck(b); return err }
 	tryJoin := func(b []byte) error { _, err := decodeJoin(b); return err }
 	tryError := func(b []byte) error { _, err := decodeError(b); return err }
@@ -85,6 +97,35 @@ func goldenPayloads() []wiretest.Case {
 		payload("snapshot", 0, encodeFeedSnapshot(41, []byte("an opaque GPSV inventory")), tryFeedSnapshot),
 		payload("delta", 0, encodeFeedDelta(9000, 42, []byte("an opaque GPSE delta")), tryFeedDelta),
 	}
+}
+
+// goldenStep is a step that takes every op over a hand-made epoch-4
+// base: one entry kept, one seen, one marked stale, one evicted, one
+// refreshed with changed features (dropped and put again), and one new
+// service put.
+func goldenStep() (*continuous.State, []byte) {
+	entry := func(ip uint32, port uint16, banner string, first, last, stale int) continuous.Entry {
+		return continuous.Entry{
+			Rec: dataset.Record{IP: asndb.IP(ip), Port: port, Proto: 2, ASN: 64500, TTL: 61,
+				Feats: features.NewSet(features.Value{Key: 3, Val: banner})},
+			FirstSeen: first, LastSeen: last, Stale: stale,
+		}
+	}
+	base := &continuous.State{Epoch: 4, Known: []continuous.Entry{
+		entry(0x0a000001, 22, "ssh", 0, 2, 1),
+		entry(0x0a000001, 80, "http", 0, 4, 0),
+		entry(0x0a000002, 443, "tls", 1, 4, 0),
+		entry(0x0a000003, 8080, "http", 2, 3, 1),
+		entry(0x0a000004, 21, "ftp", 0, 4, 0),
+	}}
+	next := &continuous.State{Epoch: 5, Known: []continuous.Entry{
+		base.Known[0],
+		entry(0x0a000001, 80, "http", 0, 5, 0),
+		entry(0x0a000002, 443, "tls", 1, 4, 1),
+		entry(0x0a000004, 21, "ftp2", 0, 5, 0),
+		entry(0x0a000005, 25, "smtp", 5, 5, 0),
+	}}
+	return base, shard.EncodeStep(base, next)
 }
 
 // TestGoldenPayloads holds every GPST payload encoder to the bytes it

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -452,6 +454,160 @@ func TestTransportEpochRefusalOverTheWire(t *testing.T) {
 	if !bytes.Equal(stateBytes(t, c.States()), stateBytes(t, ref)) {
 		t.Error("retried epoch's states differ from the in-process run")
 	}
+}
+
+// dropResultListener is a worker's listener whose connections cut
+// themselves instead of writing the worker's dropAt-th epoch result
+// frame (counted from 1 over every connection it accepted): the worker
+// ran the epoch, and its result never reaches the coordinator.
+type dropResultListener struct {
+	net.Listener
+	results atomic.Int32
+	dropAt  int32
+}
+
+func (l *dropResultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &dropResultConn{Conn: conn, l: l}, nil
+}
+
+type dropResultConn struct {
+	net.Conn
+	l *dropResultListener
+}
+
+func (c *dropResultConn) Write(p []byte) (int, error) {
+	// writeFrame writes each frame's header on its own.
+	if len(p) == frameOverhead && p[0] == msgEpochResult && c.l.results.Add(1) == c.l.dropAt {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
+}
+
+// adoptLog is a worker's log of the placements it adopted.
+type adoptLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *adoptLog) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// adopted reports whether the worker adopted shard s of n at epoch.
+func (l *adoptLog) adopted(s, n, epoch int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	want := fmt.Sprintf("adopted shard %d/%d at epoch %d ", s, n, epoch)
+	return slices.ContainsFunc(l.lines, func(line string) bool { return strings.Contains(line, want) })
+}
+
+// serveOn runs a worker on lis, logging to log, until the test ends.
+func serveOn(t *testing.T, lis net.Listener, factory WorldFactory, log *adoptLog) string {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Serve(lis, factory, &WorkerOptions{Logf: log.logf})
+	}()
+	t.Cleanup(func() {
+		lis.Close()
+		<-done
+	})
+	return lis.Addr().String()
+}
+
+// TestTransportLostResultReplaces: a worker that ran shard s's epoch but
+// whose result the coordinator never committed holds a runner past the
+// coordinator's state for s. An epoch result is only the step from that
+// state, so the shard must be placed again from the coordinator's state
+// before it runs another epoch — the worker's advanced runner must not
+// become the next base. Whether the result was lost with the connection
+// or the epoch was aborted by another shard's refusal, the survivor (or
+// the same worker) adopts s at the pre-epoch state again, and the merged
+// inventory stays byte-identical to the fault-free run.
+func TestTransportLostResultReplaces(t *testing.T) {
+	const worldSeed, n, epochs = 21, 4, 3
+	listen := func() net.Listener {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lis
+	}
+	run := func(t *testing.T, addrs []string, wantFail bool) *Coordinator {
+		t.Helper()
+		c, err := Dial(addrs, testConfig(n), worldSpec(worldSeed), testOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		_, seedSet := testSeed(worldSeed)
+		if err := c.Seed(seedSet); err != nil {
+			t.Fatal(err)
+		}
+		for e := 1; e <= epochs; e++ {
+			_, err := c.Epoch()
+			var re *RemoteError
+			if wantFail && e == 2 {
+				if !errors.As(err, &re) {
+					t.Fatalf("epoch 2 returned %v; want it refused", err)
+				}
+				_, err = c.Epoch()
+			}
+			if err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+		}
+		ref, _ := inProcessRun(t, worldSeed, n, epochs)
+		if !bytes.Equal(inventoryBytes(t, c.States()), inventoryBytes(t, ref)) {
+			t.Error("merged inventory differs from the fault-free run")
+		}
+		return c
+	}
+
+	t.Run("connection drops", func(t *testing.T) {
+		// The first worker owns shards 0 and 2 and runs them in that
+		// order: its third result is shard 0's at epoch 2.
+		var dropLog, survivorLog adoptLog
+		dropper := &dropResultListener{Listener: listen(), dropAt: 3}
+		c := run(t, []string{serveOn(t, dropper, newSimWorld, &dropLog), serveOn(t, listen(), newSimWorld, &survivorLog)}, false)
+		var de *DisconnectError
+		if f := c.Failures(); len(f) == 0 || f[0].Shard != 0 || !errors.As(f[0].Err, &de) {
+			t.Fatalf("failures = %v; want a *DisconnectError on shard 0 first", f)
+		}
+		for _, s := range []int{0, 2} {
+			if !survivorLog.adopted(s, n, 1) {
+				t.Errorf("the survivor never adopted shard %d at epoch 1", s)
+			}
+		}
+	})
+
+	t.Run("another shard refuses", func(t *testing.T) {
+		// The second worker refuses its first epoch 2 (shard 1) after the
+		// first has run shards 0 and 2 to epoch 2.
+		var healthyLog, flakyLog adoptLog
+		failed := new(atomic.Bool)
+		flaky := func(spec []byte) (World, error) {
+			w, err := newSimWorld(spec)
+			return flakyWorld{World: w, failAt: 2, failed: failed}, err
+		}
+		c := run(t, []string{serveOn(t, listen(), newSimWorld, &healthyLog), serveOn(t, listen(), flaky, &flakyLog)}, true)
+		if len(c.Failures()) != 0 {
+			t.Errorf("a refusal declared workers dead: %v", c.Failures())
+		}
+		for _, s := range []int{0, 2} {
+			if !healthyLog.adopted(s, n, 1) {
+				t.Errorf("the worker that ran shard %d's aborted epoch never adopted it at epoch 1 again", s)
+			}
+		}
+	})
 }
 
 // TestTransportBadWorldSpecRejected: a crafted or corrupt world spec

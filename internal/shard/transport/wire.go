@@ -18,9 +18,10 @@
 //	type u8 | payload length u32 big-endian | payload
 //
 // Payloads are uvarint/zigzag scalars plus length-prefixed blobs that
-// reuse the existing on-disk encodings (GPSC checkpoints for shard state,
-// GPSV/GPSE for the feed), so the transport inherits their compactness,
-// and a version change in one of them bumps Version. Every malformed input
+// reuse the existing on-disk encodings (GPSC checkpoints to place shard
+// state and for an epoch step's new entries, GPSV/GPSE for the feed), so
+// the transport inherits their compactness, and a version change in one of
+// them bumps Version. Every malformed input
 // maps to a typed error — a *wire.Error with Format "GPST" (bad magic,
 // bad version, truncated, implausible) or a FrameSizeError — never a
 // silent misparse or a hang.
@@ -55,11 +56,12 @@ const (
 	// shard state (GPSC version 2) that no longer holds them. Version 5
 	// ships GPSC 3 states, so a mixed fleet is refused at the preamble,
 	// not at every placement. Version 6 dropped the runner config's
-	// random-priors-order flag, version 7 its exact-shard-counts flag. A
-	// skewed peer on either listener gets a typed bad-version *wire.Error
-	// on both sides — the listener logs and keeps accepting, the worker
-	// reports and exits — never a misparse.
-	Version = 7
+	// random-priors-order flag, version 7 its exact-shard-counts flag,
+	// version 8 sent the epoch result's step (shard.EncodeStep), not its
+	// state. A skewed peer on either listener gets a typed bad-version
+	// *wire.Error on both sides — the listener logs and keeps accepting,
+	// the worker reports and exits — never a misparse.
+	Version = 8
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
@@ -71,7 +73,7 @@ const (
 	msgInit        = 1 // coordinator → worker: adopt a shard at the carried state
 	msgInitOK      = 2 // worker → coordinator: shard adopted (names the shard)
 	msgEpoch       = 3 // coordinator → worker: run one epoch on a shard
-	msgEpochResult = 4 // worker → coordinator: post-epoch shard state and stats
+	msgEpochResult = 4 // worker → coordinator: the epoch's step and stats
 	msgShutdown    = 5 // coordinator → worker: close the session cleanly
 	msgError       = 6 // worker → coordinator: request failed remotely
 
@@ -361,10 +363,10 @@ func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err
 }
 
 // epochResult is the decoded form of an msgEpochResult payload: the
-// shard's post-epoch state and the epoch's stats, which no state keeps.
+// shard's step from its placed state and the epoch's stats.
 type epochResult struct {
 	Shard int
-	State []byte // shard.EncodeState blob
+	Step  []byte // shard.EncodeStep from the placed state
 	// Draining is how a worker asks to leave: set once the process has
 	// been told to drain, it makes the coordinator migrate the worker's
 	// shards away at the next epoch boundary instead of waiting for the
@@ -380,12 +382,12 @@ type epochResult struct {
 	Spans []byte
 }
 
-// encodeEpochResult lays out shard | state | draining | the epoch's stats
+// encodeEpochResult lays out shard | step | draining | the epoch's stats
 // (statsCounters), then the span batch when there is one.
 func encodeEpochResult(r epochResult) []byte {
 	var e wire.Enc
 	e.Varint(int64(r.Shard))
-	e.Blob(r.State)
+	e.Blob(r.Step)
 	e.Bool(r.Draining)
 	for _, v := range statsCounters(r.Stats) {
 		e.Uvarint(v)
@@ -400,7 +402,7 @@ func decodeEpochResult(payload []byte) (epochResult, error) {
 	d := wire.NewDec(Magic, payload)
 	var r epochResult
 	r.Shard = int(d.Varint())
-	r.State = d.Blob(maxFrame)
+	r.Step = d.Blob(maxFrame)
 	r.Draining = d.Bool()
 	var vals [19]uint64
 	for i := range vals {

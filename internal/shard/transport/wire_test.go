@@ -171,39 +171,62 @@ func TestWireMidStreamDisconnect(t *testing.T) {
 // only for the shard and the epoch it asked about; a worker answering
 // for either other one has broken protocol.
 func TestWireEpochResultMustMatchRequest(t *testing.T) {
-	blob, err := shard.EncodeState(&continuous.State{Epoch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, step := goldenStep()
 	for _, tc := range []struct {
 		name         string
 		shard, epoch int
 		want         string
 	}{
-		{"right", 1, 3, ""},
-		{"wrong shard", 2, 3, "answered for shard 2"},
-		{"wrong epoch", 1, 4, "reported epoch 4"},
+		{"right", 1, 5, ""},
+		{"wrong shard", 2, 5, "answered for shard 2"},
+		{"wrong epoch", 1, 6, "reported epoch 6"},
 	} {
-		coordEnd, workerEnd := net.Pipe()
-		go func() {
-			defer workerEnd.Close()
-			if _, _, err := readFrame(workerEnd); err != nil {
-				return
-			}
-			res := epochResult{Shard: tc.shard, State: blob}
-			res.Stats.Epoch = tc.epoch
-			writeFrame(workerEnd, msgEpochResult, encodeEpochResult(res))
-		}()
-		w := &workerLink{addr: "pipe", conn: coordEnd, timeout: 5 * time.Second}
-		_, stats, _, err := w.Epoch(1, 3, nil, trace.SpanContext{})
-		coordEnd.Close()
+		st, stats, err := epochOverPipe(t, base, epochResult{Shard: tc.shard, Step: step, Stats: continuous.EpochStats{Epoch: tc.epoch}})
 		switch {
-		case tc.want == "" && (err != nil || stats.Epoch != 3):
-			t.Errorf("%s: Epoch = (%+v, %v); want epoch 3's stats", tc.name, stats, err)
+		case tc.want == "" && (err != nil || stats.Epoch != 5 || st.Epoch != 5 || len(st.Known) != 5):
+			t.Errorf("%s: Epoch = (%+v, %v); want epoch 5's stats and state", tc.name, stats, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: Epoch error %v; want it to say %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// TestWireStepFromAnotherBase: a result whose step does not start from
+// the state the coordinator holds for the shard means the worker's runner
+// drifted from it, and poisons the link so the shard is placed again.
+func TestWireStepFromAnotherBase(t *testing.T) {
+	base, _ := goldenStep()
+	for name, other := range map[string]*continuous.State{
+		"another epoch": {Epoch: base.Epoch - 1, Known: base.Known},
+		"another count": {Epoch: base.Epoch, Known: base.Known[1:]},
+	} {
+		next := &continuous.State{Epoch: base.Epoch + 1, Known: other.Known}
+		res := epochResult{Shard: 1, Step: shard.EncodeStep(other, next), Stats: continuous.EpochStats{Epoch: base.Epoch + 1}}
+		_, _, err := epochOverPipe(t, base, res)
+		var de *DisconnectError
+		if !errors.As(err, &de) || !wire.IsKind(err, wire.Implausible) {
+			t.Errorf("%s: Epoch error %v; want a *DisconnectError over an implausible *wire.Error", name, err)
+		}
+	}
+}
+
+// epochOverPipe asks a scripted worker for shard 1's epoch base.Epoch+1
+// over a pipe, as the coordinator holding base does, and returns what
+// workerLink.Epoch makes of the worker's answer res.
+func epochOverPipe(t *testing.T, base *continuous.State, res epochResult) (*continuous.State, continuous.EpochStats, error) {
+	t.Helper()
+	coordEnd, workerEnd := net.Pipe()
+	go func() {
+		defer workerEnd.Close()
+		if _, _, err := readFrame(workerEnd); err != nil {
+			return
+		}
+		writeFrame(workerEnd, msgEpochResult, encodeEpochResult(res))
+	}()
+	defer coordEnd.Close()
+	w := &workerLink{addr: "pipe", conn: coordEnd, timeout: 5 * time.Second}
+	st, stats, _, err := w.Epoch(1, base.Epoch+1, base, nil, trace.SpanContext{})
+	return st, stats, err
 }
 
 func TestWireConfigRoundTrip(t *testing.T) {
@@ -329,11 +352,11 @@ func TestWireEpochResultPhases(t *testing.T) {
 		Freshness: metrics.Freshness{Known: 11, Fresh: 12, Stale: 13, Checked: 14, Alive: 15},
 		Phases:    continuous.PhaseTimes{Reverify: 3 * time.Millisecond, Retrain: time.Second, Discover: 42, Fold: 1 << 40},
 	}
-	fixed := encodeEpochResult(epochResult{Shard: 2, State: []byte("state"), Draining: true, Stats: stats})
+	fixed := encodeEpochResult(epochResult{Shard: 2, Step: []byte("step"), Draining: true, Stats: stats})
 	for _, spans := range [][]byte{nil, []byte("a span batch")} {
-		full := encodeEpochResult(epochResult{Shard: 2, State: []byte("state"), Draining: true, Stats: stats, Spans: spans})
+		full := encodeEpochResult(epochResult{Shard: 2, Step: []byte("step"), Draining: true, Stats: stats, Spans: spans})
 		got, err := decodeEpochResult(full)
-		if err != nil || got.Shard != 2 || string(got.State) != "state" || !got.Draining || !bytes.Equal(got.Spans, spans) {
+		if err != nil || got.Shard != 2 || string(got.Step) != "step" || !got.Draining || !bytes.Equal(got.Spans, spans) {
 			t.Fatalf("spans=%q: result decoded to (%+v, %v)", spans, got, err)
 		}
 		if got.Stats != stats {

@@ -308,6 +308,7 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 		trace.Default.SetCurrentTrace(tc.TraceID)
 		r.SetTraceParent(tc)
 	}
+	base := r.State() // the coordinator's state for the shard (shard.Executor)
 	stats, eerr := r.Epoch(u)
 	var spanBlob []byte
 	if tc.Valid() {
@@ -319,11 +320,7 @@ func (s *session) handleEpoch(conn net.Conn, payload []byte) error {
 		return s.reject(conn, fmt.Errorf("epoch %d on shard %d: %w", epoch, shard, eerr))
 	}
 	workerEpochs.Inc()
-	blob, err := gpsshard.EncodeState(r.State())
-	if err != nil {
-		return s.reject(conn, fmt.Errorf("encoding shard %d state: %w", shard, err))
-	}
 	return s.send(conn, msgEpochResult, encodeEpochResult(epochResult{
-		Shard: shard, State: blob, Draining: s.opts.draining(), Stats: stats, Spans: spanBlob,
+		Shard: shard, Step: gpsshard.EncodeStep(base, r.State()), Draining: s.opts.draining(), Stats: stats, Spans: spanBlob,
 	}))
 }
