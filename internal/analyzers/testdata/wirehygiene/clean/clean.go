@@ -1,7 +1,6 @@
 // Package fixture is the wirehygiene known-clean golden package,
 // checked as gps/internal/shard/transport: every frame constant has an
-// encode and a decode site, and the decoders only use minimum-length
-// guards.
+// encode and a decode site, and every decoder finishes with Done.
 package fixture
 
 import (
@@ -61,18 +60,30 @@ func call(w io.Writer) error {
 	return rpc(msgPong, msgPong)
 }
 
-// decodeData uses a minimum-length guard and tolerates trailing bytes —
-// the two-way-compatibility rule.
+// decodeData finishes with Done: a payload has one layout.
 func decodeData(payload []byte) error {
-	if len(payload) < 1 {
-		return errors.New("short payload")
-	}
-	return nil
+	d := wire.NewDec("GPST", payload)
+	d.Str(16)
+	return d.Done()
 }
 
-// decodeTolerant finishes with Err: trailing bytes are not its business.
-func decodeTolerant(payload []byte) (int64, error) {
+// decodeList checks Err to stop its loop, then finishes with Done.
+func decodeList(payload []byte) ([]uint64, error) {
 	d := wire.NewDec("GPST", payload)
-	v := d.Varint()
-	return v, d.Err()
+	n := d.Count(d.Uvarint(), 8)
+	var out []uint64
+	for i := 0; i < n && d.Err() == nil; i++ {
+		out = append(out, d.Uvarint())
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// peekHeader is no decoder: only decode*/read* functions are governed.
+func peekHeader(payload []byte) error {
+	d := wire.NewDec("GPST", payload)
+	d.U8()
+	return d.Err()
 }

@@ -34,34 +34,30 @@ func send(w io.Writer) error {
 func dispatch(typ uint8, payload []byte) error {
 	switch typ {
 	case msgHello:
-		return decodeHello(payload)
+		_, err := decodeHello(payload)
+		return err
 	case msgReadOnly:
 		return nil
 	}
 	return errors.New("unhandled")
 }
 
-// decodeHello asserts exact exhaustion — the compatibility hazard: a
-// peer that appends an optional trailing field breaks this reader.
-func decodeHello(payload []byte) error {
-	if len(payload) != 8 { // want `decoder decodeHello asserts exact payload length`
-		return errors.New("bad length")
-	}
-	return nil
-}
-
-// readBody double-checks the remainder with an equality on len.
-func readBody(payload []byte, n int) error {
-	if n == len(payload) { // want `decoder readBody asserts exact payload length`
-		return nil
-	}
-	return errors.New("trailing bytes")
-}
-
-// decodeStrict parses through the shared codec but finishes with Done,
-// which is the same exhaustion assert spelled differently.
-func decodeStrict(payload []byte) (int64, error) {
+// decodeHello finishes with Err, so a payload with bytes appended
+// decodes as well: a second layout the encoder never writes.
+func decodeHello(payload []byte) (int64, error) {
 	d := wire.NewDec("GPST", payload)
 	v := d.Varint()
-	return v, d.Done() // want `decoder decodeStrict finishes with wire.Dec.Done`
+	return v, d.Err() // want `decoder decodeHello finishes with wire.Dec.Err`
+}
+
+// readBody checks Done on the header, then only Err after the body.
+func readBody(payload []byte) ([]byte, error) {
+	d := wire.NewDec("GPST", payload)
+	hdr := wire.NewDec("GPST", d.Blob(8))
+	hdr.U8()
+	if err := hdr.Done(); err != nil {
+		return nil, err
+	}
+	body := d.Blob(1 << 10)
+	return body, d.Err() // want `decoder readBody finishes with wire.Dec.Err`
 }

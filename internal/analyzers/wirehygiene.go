@@ -12,16 +12,17 @@ var wirePkgs = []string{
 	"gps/internal/shard/transport",
 }
 
-// wirePkgPath is the shared codec, whose Dec.Done asserts exhaustion.
+// wirePkgPath is the shared codec, whose Dec.Done is a decoder's last
+// check.
 const wirePkgPath = "gps/internal/wire"
 
 // msgConstRe names the frame-type constants the pairing rule governs.
 var msgConstRe = regexp.MustCompile(`^msg[A-Z]`)
 
-// decoderFuncRe names the functions the exhaustion rule governs.
+// decoderFuncRe names the functions the strictness rule governs.
 var decoderFuncRe = regexp.MustCompile(`(?i)^(decode|read)`)
 
-// Wirehygiene pins the transport's two-way-compatibility rules.
+// Wirehygiene pins the transport's frame-pairing and strictness rules.
 var Wirehygiene = &Analyzer{
 	Name: "wirehygiene",
 	Doc: `enforce GPST wire-protocol hygiene
@@ -31,12 +32,10 @@ call, typically writeFrame) and a decode site (a switch case or ==/!=
 comparison in a dispatch path): a frame only one side understands is a
 protocol skew waiting for a version bump nobody made.
 
-Decode*/read* functions must never assert exact payload exhaustion
-(len(...) ==/!= comparisons, or finishing a wire.Dec with Done rather
-than Err): PR 9 stitched tracing over the live protocol precisely
-because decoders tolerate trailing bytes, which is what lets the wire
-grow optional trailing fields without a version bump. Minimum-length
-guards (<, >=) remain fine.`,
+A decode*/read* function must not make wire.Dec.Err its final check:
+Err accepts unread bytes, so the payload would have a second, longer
+layout the encoder never writes. Finish with Done, which refuses them;
+a new field is a version bump, which the preamble enforces.`,
 	Run: runWirehygiene,
 }
 
@@ -45,7 +44,7 @@ func runWirehygiene(pass *Pass) {
 		return
 	}
 	checkFramePairing(pass)
-	checkExhaustionAsserts(pass)
+	checkStrictDecoders(pass)
 }
 
 // checkFramePairing verifies every msg* constant is consumed on both
@@ -199,58 +198,31 @@ func containsPos(n ast.Node, pos token.Pos) bool {
 	return n.Pos() <= pos && pos < n.End()
 }
 
-// checkExhaustionAsserts flags exact payload-length comparisons, and
-// (*wire.Dec).Done — the codec's own exhaustion assert — inside decoder
-// functions.
-func checkExhaustionAsserts(pass *Pass) {
+// checkStrictDecoders flags a decoder function whose last call to
+// (*wire.Dec).Err or Done, in source order, is Err.
+func checkStrictDecoders(pass *Pass) {
 	info := pass.Info()
 	forEachFunc(pass.Pkg, func(decl *ast.FuncDecl) {
 		if decl.Body == nil || !decoderFuncRe.MatchString(decl.Name.Name) {
 			return
 		}
+		var last *ast.CallExpr
+		var lastName string
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fn := calleeFunc(info, call); fn != nil && fn.Name() == "Done" &&
-					funcPkgPath(fn) == wirePkgPath && recvTypeName(fn) == "Dec" {
-					pass.Reportf(call.Pos(),
-						"decoder %s finishes with wire.Dec.Done, which refuses trailing bytes: decoders must tolerate them (two-way compatibility, PR 9); finish with Err",
-						decl.Name.Name)
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-				return true
+			if fn := calleeFunc(info, call); fn != nil && (fn.Name() == "Err" || fn.Name() == "Done") &&
+				funcPkgPath(fn) == wirePkgPath && recvTypeName(fn) == "Dec" {
+				last, lastName = call, fn.Name() // Inspect visits in source order
 			}
-			if !isLenCall(info, be.X) && !isLenCall(info, be.Y) {
-				return true
-			}
-			// len(magic)-style comparisons of two constants are not
-			// exhaustion asserts; require one side to involve the
-			// decoded input (heuristically: a non-constant operand).
-			if isConstExpr(info, be.X) && isConstExpr(info, be.Y) {
-				return true
-			}
-			pass.Reportf(be.Pos(),
-				"decoder %s asserts exact payload length: decoders must tolerate trailing bytes (two-way compatibility, PR 9); use a minimum-length guard",
-				decl.Name.Name)
 			return true
 		})
+		if lastName == "Err" {
+			pass.Reportf(last.Pos(),
+				"decoder %s finishes with wire.Dec.Err, which accepts trailing bytes: a payload has one layout; finish with Done",
+				decl.Name.Name)
+		}
 	})
-}
-
-// isLenCall reports whether e is a call to the len builtin.
-func isLenCall(info *types.Info, e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "len" && info.Uses[id] == types.Universe.Lookup("len")
-}
-
-// isConstExpr reports whether the type checker folded e to a constant.
-func isConstExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.Value != nil
 }

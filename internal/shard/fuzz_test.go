@@ -246,7 +246,8 @@ func FuzzReadInventory(f *testing.F) {
 }
 
 // FuzzApplyDelta drives arbitrary bytes through the GPSE reader and the
-// delta application path. An accepted, applicable delta must agree with
+// delta application path. An accepted delta must write back to exactly
+// the bytes it was read from, and an applicable one must agree with
 // the canonical delta recomputed from its own effect: applying
 // ComputeDelta(base, applied) to a fresh clone reproduces the same
 // inventory.
@@ -291,8 +292,15 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 			return
 		}
-		// An accepted delta is canonical: its sections are strict runs
-		// that share no key.
+		// An accepted delta is canonical: it writes back to exactly its
+		// bytes, and its sections are strict runs that share no key.
+		var again bytes.Buffer
+		if err := WriteDelta(&again, d); err != nil {
+			t.Fatalf("re-encoding accepted delta: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("accepted % x, which re-encodes to % x", data, again.Bytes())
+		}
 		seen := make(map[netmodel.Key]bool, d.Size())
 		for _, keys := range [][]netmodel.Key{deltaKeys(d.Adds), deltaKeys(d.Updates), d.Removes} {
 			for i, k := range keys {

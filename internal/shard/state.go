@@ -151,7 +151,7 @@ func ApplyStep(base *continuous.State, step []byte) (*continuous.State, error) {
 		ops.At("op", len(base.Known))
 		ops.Fail(wire.Implausible, fmt.Errorf("ops past the base's %d entries", len(base.Known)))
 	}
-	if err := ops.Err(); err != nil {
+	if err := ops.Done(); err != nil {
 		return nil, err
 	}
 	return &continuous.State{Epoch: epoch, Known: append(known, puts[p:]...)}, nil

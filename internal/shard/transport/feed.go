@@ -267,7 +267,7 @@ func encodeSubscribe(since int) []byte {
 func decodeSubscribe(payload []byte) (since int, err error) {
 	d := wire.NewDec(Magic, payload)
 	since = int(d.Varint())
-	return since, d.Err()
+	return since, d.Done()
 }
 
 func encodeFeedSnapshot(epoch int, gpsv []byte) []byte {
@@ -283,7 +283,7 @@ func decodeFeedSnapshot(payload []byte) (FeedEvent, error) {
 	ev.Epoch = int(d.Varint())
 	ev.Head = ev.Epoch
 	ev.Payload = d.Blob(maxFrame)
-	return ev, d.Err()
+	return ev, d.Done()
 }
 
 func encodeFeedDelta(head, epoch int, gpse []byte) []byte {
@@ -300,7 +300,7 @@ func decodeFeedDelta(payload []byte) (FeedEvent, error) {
 	ev.Head = int(d.Varint())
 	ev.Epoch = int(d.Varint())
 	ev.Payload = d.Blob(maxFrame)
-	return ev, d.Err()
+	return ev, d.Done()
 }
 
 // Close tears the subscription down; a blocked Recv returns.

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,11 +16,12 @@ import (
 	"gps/internal/pipeline"
 	"gps/internal/shard"
 	"gps/internal/trace"
+	"gps/internal/wire"
 	"gps/internal/wire/wiretest"
 )
 
 // goldenPayloads is one GPST payload per msg* encoder, each with tracing
-// off and — where the frame has an optional trailing field — on. The
+// off and — where the frame carries a trace context or span batch — on. The
 // blobs the payloads carry (state, inventories) are opaque to the
 // framing and pinned by their own goldens at the repo root; the epoch
 // result's step has no golden of its own, so its rows carry a real one
@@ -48,19 +51,14 @@ func goldenPayloads() []wiretest.Case {
 	result := epochResult{Shard: 130, Step: step, Draining: true, Stats: stats}
 	tracedResult := result
 	tracedResult.Draining, tracedResult.Spans = false, spans
-	untracedResult := tracedResult
-	untracedResult.Spans = nil
 
-	payload := func(name string, optional int, b []byte, decode func([]byte) error) wiretest.Case {
+	payload := func(name string, b []byte, decode func([]byte) error) wiretest.Case {
 		return wiretest.Case{
-			Name:     "GPST-" + name,
-			Encode:   func() ([]byte, error) { return b, nil },
-			Decode:   decode,
-			Optional: optional,
+			Name:   "GPST-" + name,
+			Encode: func() ([]byte, error) { return b, nil },
+			Decode: decode,
 		}
 	}
-	// tail is how many bytes a frame's optional trailing field adds.
-	tail := func(with, without []byte) int { return len(with) - len(without) }
 
 	tryInit := func(b []byte) error { _, err := decodeInit(b); return err }
 	tryEpochReq := func(b []byte) error { _, _, _, err := decodeEpochReq(b); return err }
@@ -82,20 +80,18 @@ func goldenPayloads() []wiretest.Case {
 	traced := init
 	traced.Trace = tc
 	return []wiretest.Case{
-		payload("init", 0, encodeInit(init), tryInit),
-		payload("init-traced", tail(encodeInit(traced), encodeInit(init)), encodeInit(traced), tryInit),
-		payload("epoch", 0, encodeEpochReq(130, 9000, trace.SpanContext{}), tryEpochReq),
-		payload("epoch-traced", tail(encodeEpochReq(130, 9000, tc), encodeEpochReq(130, 9000, trace.SpanContext{})),
-			encodeEpochReq(130, 9000, tc), tryEpochReq),
-		payload("epoch-result", 0, encodeEpochResult(result), tryEpochResult),
-		payload("epoch-result-traced", tail(encodeEpochResult(tracedResult), encodeEpochResult(untracedResult)),
-			encodeEpochResult(tracedResult), tryEpochResult),
-		payload("ack", 0, encodeShardAck(130), tryShardAck),
-		payload("join", 0, encodeJoin(joinMsg{ID: "worker-a"}), tryJoin),
-		payload("error", 0, encodeError("shard 130 is not mine"), tryError),
-		payload("subscribe", 0, encodeSubscribe(-1), trySubscribe),
-		payload("snapshot", 0, encodeFeedSnapshot(41, []byte("an opaque GPSV inventory")), tryFeedSnapshot),
-		payload("delta", 0, encodeFeedDelta(9000, 42, []byte("an opaque GPSE delta")), tryFeedDelta),
+		payload("init", encodeInit(init), tryInit),
+		payload("init-traced", encodeInit(traced), tryInit),
+		payload("epoch", encodeEpochReq(130, 9000, trace.SpanContext{}), tryEpochReq),
+		payload("epoch-traced", encodeEpochReq(130, 9000, tc), tryEpochReq),
+		payload("epoch-result", encodeEpochResult(result), tryEpochResult),
+		payload("epoch-result-traced", encodeEpochResult(tracedResult), tryEpochResult),
+		payload("ack", encodeShardAck(130), tryShardAck),
+		payload("join", encodeJoin(joinMsg{ID: "worker-a"}), tryJoin),
+		payload("error", encodeError("shard 130 is not mine"), tryError),
+		payload("subscribe", encodeSubscribe(-1), trySubscribe),
+		payload("snapshot", encodeFeedSnapshot(41, []byte("an opaque GPSV inventory")), tryFeedSnapshot),
+		payload("delta", encodeFeedDelta(9000, 42, []byte("an opaque GPSE delta")), tryFeedDelta),
 	}
 }
 
@@ -128,9 +124,9 @@ func goldenStep() (*continuous.State, []byte) {
 	return base, shard.EncodeStep(base, next)
 }
 
-// TestGoldenPayloads holds every GPST payload encoder to the bytes it
-// wrote before the transport moved onto internal/wire, and every decoder
-// to a typed truncation error at each cut short of the optional tail.
+// TestGoldenPayloads holds every GPST payload encoder to its golden
+// bytes, and every decoder to a typed truncation error at each cut and a
+// trailing-data error one byte past the end.
 func TestGoldenPayloads(t *testing.T) {
 	const dir = "../../../testdata/golden"
 	cases := goldenPayloads()
@@ -150,5 +146,27 @@ func TestGoldenPayloads(t *testing.T) {
 		if name := strings.TrimSuffix(filepath.Base(f), ".bin"); !checked[name] {
 			t.Errorf("%s has no goldenPayloads row", f)
 		}
+	}
+}
+
+// TestEpochResultDrainingByteIsZeroOrOne: the golden epoch result with
+// its draining byte set to 2 is refused, not read as draining and then
+// re-encoded to other bytes.
+func TestEpochResultDrainingByteIsZeroOrOne(t *testing.T) {
+	golden, err := os.ReadFile("../../../testdata/golden/GPST-epoch-result.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, step := goldenStep()
+	var prefix wire.Enc // the fields before the draining byte
+	prefix.Varint(130)
+	prefix.Blob(step)
+	if golden[len(prefix)] != 1 {
+		t.Fatalf("byte %d of the golden is %d; want its draining flag, 1", len(prefix), golden[len(prefix)])
+	}
+	bad := bytes.Clone(golden)
+	bad[len(prefix)] = 2
+	if r, err := decodeEpochResult(bad); !wire.IsKind(err, wire.Implausible) {
+		t.Errorf("draining byte 2 decoded to (draining %v, %v); want an implausible *wire.Error", r.Draining, err)
 	}
 }

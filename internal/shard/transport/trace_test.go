@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"testing"
 
 	"gps/internal/trace"
-	"gps/internal/wire"
 )
 
 func spanAttr(r trace.SpanRecord, key string) string {
@@ -95,52 +93,10 @@ func TestTransportTraceStitching(t *testing.T) {
 	}
 }
 
-// TestTransportTraceContextSkew pins wire compatibility with peers that
-// predate the trailing trace-context fields. GPST decoders never
-// require payload exhaustion, so the fields are compatible both ways
-// without a version bump: an old peer's shorter frames decode with a
-// zero context, and a new peer with tracing off emits byte-identical
-// old frames.
-func TestTransportTraceContextSkew(t *testing.T) {
-	// Old coordinator -> new worker: the request ends after the epoch.
-	var oldReq wire.Enc
-	oldReq.Varint(3)
-	oldReq.Varint(9)
-	shard, epoch, tc, err := decodeEpochReq(oldReq)
-	if err != nil || shard != 3 || epoch != 9 || tc.Valid() {
-		t.Fatalf("old epoch request decoded to (%d, %d, %+v, %v); want (3, 9, zero ctx, nil)",
-			shard, epoch, tc, err)
-	}
-	// New coordinator without a trace emits exactly the old frame.
-	if !bytes.Equal(encodeEpochReq(3, 9, trace.SpanContext{}), oldReq) {
-		t.Error("untraced epoch request differs from the pre-trace wire format")
-	}
-	// With a trace the old fields stay a prefix, so an old worker's
-	// decoder reads them and ignores the tail.
-	traced := encodeEpochReq(3, 9, trace.SpanContext{TraceID: 0xabc, SpanID: 0xdef})
-	if !bytes.HasPrefix(traced, oldReq) {
-		t.Error("trace context must trail the epoch-request fields")
-	}
-
-	// Placement: an init from an encoder that never appends a context
-	// still decodes, to a zero context, and a zero-context encode is
-	// exactly those bytes.
-	cfg := testConfig(1).Continuous
-	var oldInit wire.Enc
-	oldInit.Varint(2)
-	encodeConfig(&oldInit, cfg)
-	oldInit.Blob([]byte("spec"))
-	oldInit.Blob([]byte("blob"))
-	m, err := decodeInit(oldInit)
-	if err != nil || m.Shard != 2 || string(m.State) != "blob" || m.Trace.Valid() {
-		t.Fatalf("untraced init decoded to (%+v, %v)", m, err)
-	}
-	if !bytes.Equal(encodeInit(initMsg{Shard: 2, Cfg: cfg, WorldSpec: []byte("spec"), State: []byte("blob")}), oldInit) {
-		t.Error("untraced init carries bytes past the state blob")
-	}
-
-	// End to end with tracing disabled the wire carries exactly the old
-	// frames: a full epoch must still run, and record nothing.
+// TestTransportTracingDisabled runs a full epoch with the tracer off:
+// the frames carry a zero trace context and an empty span batch, and
+// nothing is recorded.
+func TestTransportTracingDisabled(t *testing.T) {
 	trace.Default.SetEnabled(false)
 	defer trace.Default.SetEnabled(true)
 	trace.Default.Reset()

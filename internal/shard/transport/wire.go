@@ -23,8 +23,8 @@
 // the transport inherits their compactness, and a version change in one of
 // them bumps Version. Every malformed input
 // maps to a typed error — a *wire.Error with Format "GPST" (bad magic,
-// bad version, truncated, implausible) or a FrameSizeError — never a
-// silent misparse or a hang.
+// bad version, truncated, implausible, trailing data) or a
+// FrameSizeError — never a silent misparse or a hang.
 package transport
 
 import (
@@ -58,10 +58,13 @@ const (
 	// not at every placement. Version 6 dropped the runner config's
 	// random-priors-order flag, version 7 its exact-shard-counts flag,
 	// version 8 sent the epoch result's step (shard.EncodeStep), not its
-	// state. A skewed peer on either listener gets a typed bad-version
-	// *wire.Error on both sides — the listener logs and keeps accepting,
-	// the worker reports and exits — never a misparse.
-	Version = 8
+	// state. Version 9 made the trace context and the span batch fixed
+	// last fields, so every payload has one layout and every payload
+	// decoder refuses unread bytes. A skewed peer on either listener gets
+	// a typed bad-version *wire.Error on both sides — the listener logs
+	// and keeps accepting, the worker reports and exits — never a
+	// misparse.
+	Version = 9
 	// maxFrame bounds one frame's payload; matches the checkpoint
 	// readers' implausibility guards.
 	maxFrame = 1 << 28
@@ -176,7 +179,7 @@ func readHandshake(r io.Reader) error {
 	d := wire.NewDec(Magic, buf[:n])
 	d.At("handshake", -1)
 	d.Header(Magic, Version)
-	return d.Err()
+	return d.Done()
 }
 
 // writeFrame sends one frame, rejecting oversized payloads locally — a
@@ -230,32 +233,12 @@ func truncatedFrame(detail error) error {
 	return &wire.Error{Format: Magic, Kind: wire.Truncated, Section: "frame", Index: -1, Err: detail}
 }
 
-// Payload decoders in this package finish with Dec.Err, never Dec.Done:
-// they do not require payload exhaustion, which is what lets a frame
-// grow optional trailing fields without a version bump (gpslint's
+// Payload decoders in this package finish with Dec.Done: a payload has
+// one layout, and unread bytes are a Trailing error (gpslint's
 // wirehygiene holds them to it). A length-prefixed field is bounded by
-// maxFrame: it cannot outgrow the frame that carries it.
-
-// Optional trailing trace context. Appending (trace id, span id) to the
-// END of an existing payload is wire-compatible in both directions
-// without a version bump: a pre-trace peer ignores the extra bytes, and
-// a post-trace peer treats their absence as "no trace". Nothing is
-// emitted for an invalid context, so with tracing disabled the wire
-// bytes are identical to the pre-trace protocol.
-func encodeTraceCtx(e *wire.Enc, ctx trace.SpanContext) {
-	if ctx.Valid() {
-		*e = trace.AppendContext(*e, ctx)
-	}
-}
-
-// decodeTraceCtx reads an optional trailing trace context. Best-effort
-// by contract: absence, truncation, or garbage all yield the zero
-// context and never poison the decoder — trace metadata must not fail a
-// frame.
-func decodeTraceCtx(d *wire.Dec) trace.SpanContext {
-	ctx, _ := trace.ReadContext(d.Rest())
-	return ctx
-}
+// maxFrame: it cannot outgrow the frame that carries it. A span context
+// is the fixed last field of the frames that carry one, as two
+// uvarints, trace id then span id, both zero when there is no trace.
 
 // encodeConfig serializes a per-shard continuous configuration. The field
 // order is frozen by Version.
@@ -316,9 +299,9 @@ type initMsg struct {
 	Cfg       continuous.Config
 	WorldSpec []byte
 	State     []byte // shard.EncodeState blob
-	// Trace is the optional trailing span context (the migration or the
-	// epoch that absorbed a failover): the worker parents its adopt span
-	// under it so both sides of the placement share one trace.
+	// Trace is the span context of the migration or the epoch that
+	// absorbed a failover, zero when untraced: the worker parents its
+	// adopt span under it so both sides of the placement share one trace.
 	Trace trace.SpanContext
 }
 
@@ -328,7 +311,8 @@ func encodeInit(m initMsg) []byte {
 	encodeConfig(&e, m.Cfg)
 	e.Blob(m.WorldSpec)
 	e.Blob(m.State)
-	encodeTraceCtx(&e, m.Trace)
+	e.Uvarint(m.Trace.TraceID)
+	e.Uvarint(m.Trace.SpanID)
 	return e
 }
 
@@ -339,18 +323,19 @@ func decodeInit(payload []byte) (initMsg, error) {
 	m.Cfg = decodeConfig(d)
 	m.WorldSpec = d.Blob(maxFrame)
 	m.State = d.Blob(maxFrame)
-	m.Trace = decodeTraceCtx(d)
-	return m, d.Err()
+	m.Trace = trace.SpanContext{TraceID: d.Uvarint(), SpanID: d.Uvarint()}
+	return m, d.Done()
 }
 
 // encodeEpochReq frames an epoch request; tc, when valid, is the
-// coordinator's per-shard RPC span, appended as an optional trailing
-// field so the worker can parent its phase spans under it.
+// coordinator's per-shard RPC span, under which the worker parents its
+// phase spans.
 func encodeEpochReq(shard, epoch int, tc trace.SpanContext) []byte {
 	var e wire.Enc
 	e.Varint(int64(shard))
 	e.Varint(int64(epoch))
-	encodeTraceCtx(&e, tc)
+	e.Uvarint(tc.TraceID)
+	e.Uvarint(tc.SpanID)
 	return e
 }
 
@@ -358,8 +343,8 @@ func decodeEpochReq(payload []byte) (shard, epoch int, tc trace.SpanContext, err
 	d := wire.NewDec(Magic, payload)
 	shard = int(d.Varint())
 	epoch = int(d.Varint())
-	tc = decodeTraceCtx(d)
-	return shard, epoch, tc, d.Err()
+	tc = trace.SpanContext{TraceID: d.Uvarint(), SpanID: d.Uvarint()}
+	return shard, epoch, tc, d.Done()
 }
 
 // epochResult is the decoded form of an msgEpochResult payload: the
@@ -375,15 +360,15 @@ type epochResult struct {
 	// Stats are the epoch's counters and phase split, as the worker's
 	// runner returned them.
 	Stats continuous.EpochStats
-	// Spans is the optional trailing span batch (trace.EncodeSpans): the
-	// worker's phase spans for this epoch, shipped back so the
-	// coordinator can stitch them into its own flight recorder. Only sent
-	// when the request carried a trace context.
+	// Spans is the span batch (trace.EncodeSpans): the worker's phase
+	// spans for this epoch, shipped back so the coordinator can stitch
+	// them into its own flight recorder. Empty when the request carried
+	// no trace context.
 	Spans []byte
 }
 
 // encodeEpochResult lays out shard | step | draining | the epoch's stats
-// (statsCounters), then the span batch when there is one.
+// (statsCounters) | span batch.
 func encodeEpochResult(r epochResult) []byte {
 	var e wire.Enc
 	e.Varint(int64(r.Shard))
@@ -392,9 +377,7 @@ func encodeEpochResult(r epochResult) []byte {
 	for _, v := range statsCounters(r.Stats) {
 		e.Uvarint(v)
 	}
-	if len(r.Spans) > 0 {
-		e.Blob(r.Spans)
-	}
+	e.Blob(r.Spans)
 	return e
 }
 
@@ -409,10 +392,8 @@ func decodeEpochResult(payload []byte) (epochResult, error) {
 		vals[i] = d.Uvarint()
 	}
 	r.Stats = statsFromCounters(vals)
-	if d.More() { // optional trailing field: absent when untraced
-		r.Spans = d.Blob(maxFrame)
-	}
-	return r, d.Err()
+	r.Spans = d.Blob(maxFrame)
+	return r, d.Done()
 }
 
 // statsCounters flattens EpochStats for the wire: the 15 counters, then
@@ -460,7 +441,7 @@ func encodeError(msg string) []byte {
 func decodeError(payload []byte) (msg string, err error) {
 	d := wire.NewDec(Magic, payload)
 	msg = d.Str(maxFrame)
-	return msg, d.Err()
+	return msg, d.Done()
 }
 
 // encodeShardAck is msgInitOK's payload: the shard the worker adopted,
@@ -474,7 +455,7 @@ func encodeShardAck(shard int) []byte {
 func decodeShardAck(payload []byte) (int, error) {
 	d := wire.NewDec(Magic, payload)
 	shard := int(d.Varint())
-	return shard, d.Err()
+	return shard, d.Done()
 }
 
 // joinMsg is the decoded form of an msgJoin payload: how a -join worker
@@ -493,7 +474,7 @@ func decodeJoin(payload []byte) (joinMsg, error) {
 	d := wire.NewDec(Magic, payload)
 	var m joinMsg
 	m.ID = d.Str(maxFrame)
-	return m, d.Err()
+	return m, d.Done()
 }
 
 // World-spec partition envelope. The coordinator never sends a caller's
@@ -531,8 +512,8 @@ func EncodeWorldSpec(base []byte, shards int, owned []int) []byte {
 // DecodeWorldSpec unwraps EncodeWorldSpec output into the base spec, the
 // total shard count, and the owned shard indexes (ascending). Every
 // malformed input — wrong magic, implausible counts, out-of-range or
-// unsorted indexes, truncation — returns a *wire.Error with Format
-// "GPSP", never a misparse.
+// unsorted indexes, truncation, trailing bytes — returns a *wire.Error
+// with Format "GPSP", never a misparse.
 func DecodeWorldSpec(spec []byte) (base []byte, shards int, owned []int, err error) {
 	d := wire.NewDec(specMagic, spec)
 	d.Magic(specMagic)
@@ -553,7 +534,7 @@ func DecodeWorldSpec(spec []byte) (base []byte, shards int, owned []int, err err
 		owned = append(owned, int(s))
 	}
 	base = d.Blob(maxFrame)
-	if err := d.Err(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, 0, nil, err
 	}
 	return base, n, owned, nil

@@ -6,34 +6,11 @@ import (
 	"gps/internal/wire"
 )
 
-// Wire encoding for trace context and span batches. These ride as
-// OPTIONAL TRAILING FIELDS on existing GPST frames: the transport's
-// decoders never require payload exhaustion, so a v2 peer built before
-// tracing simply ignores the extra bytes, and a new peer treats their
-// absence as "no trace". Nothing here bumps the wire version.
-
-// AppendContext appends a span context to buf as two uvarints
-// (trace id, span id). Appending the zero context is allowed and
-// decodes back to zero.
-func AppendContext(buf []byte, ctx SpanContext) []byte {
-	e := wire.Enc(buf)
-	e.Uvarint(ctx.TraceID)
-	e.Uvarint(ctx.SpanID)
-	return e
-}
-
-// ReadContext decodes a span context produced by AppendContext from
-// the front of buf, returning the remainder. A short or corrupt buffer
-// yields the zero context — trace context is best-effort metadata and
-// must never fail a frame.
-func ReadContext(buf []byte) (SpanContext, []byte) {
-	d := wire.NewDec("trace context", buf)
-	ctx := SpanContext{TraceID: d.Uvarint(), SpanID: d.Uvarint()}
-	if d.Err() != nil {
-		return SpanContext{}, nil
-	}
-	return ctx, d.Rest()
-}
+// Wire encoding for span batches. A batch is the last blob of a GPST
+// epoch result, empty when the epoch ran untraced, and its decoder is
+// strict like every other in the tree: it accepts only what EncodeSpans
+// writes. (A span context on the wire is two plain uvarints of the
+// frame that carries it, trace id then span id, both zero for none.)
 
 const (
 	// spanFormat names the span batch in decode errors; the batch has no
@@ -48,12 +25,8 @@ const (
 )
 
 // EncodeSpans serializes a span batch for shipping across the wire
-// (worker → coordinator on an epoch result). Returns nil for an empty
-// batch so callers can gate the optional field on len() != 0.
+// (worker → coordinator on an epoch result).
 func EncodeSpans(recs []SpanRecord) []byte {
-	if len(recs) == 0 {
-		return nil
-	}
 	var e wire.Enc
 	e.Uvarint(uint64(len(recs)))
 	for _, r := range recs {
@@ -73,8 +46,9 @@ func EncodeSpans(recs []SpanRecord) []byte {
 	return e
 }
 
-// DecodeSpans parses a batch produced by EncodeSpans. Malformed input is
-// a *wire.Error carrying the index of the span it broke in.
+// DecodeSpans parses a batch produced by EncodeSpans. Malformed input,
+// trailing bytes included, is a *wire.Error carrying the index of the
+// span it broke in.
 func DecodeSpans(buf []byte) ([]SpanRecord, error) {
 	d := wire.NewDec(spanFormat, buf)
 	n := d.Count(d.Uvarint(), maxWireSpans)
@@ -98,7 +72,7 @@ func DecodeSpans(buf []byte) ([]SpanRecord, error) {
 		}
 		recs = append(recs, rec)
 	}
-	if err := d.Err(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return recs, nil

@@ -6,10 +6,9 @@
 //
 // Dec is sticky: the first malformed field records a typed *Error and
 // every later read returns zero, so a decoder reads straight through and
-// checks once. Which check it makes at the end is the format's trailing
-// policy: Done refuses unread bytes (the strict file formats), Err does
-// not (GPST payloads, which grow optional trailing fields without a
-// version bump).
+// checks once, with Done, which also refuses unread bytes. Every format
+// has one byte layout per version: a field is never optional, a reader
+// accepts only what its writer emits, and a new field is a version bump.
 package wire
 
 import (
@@ -27,7 +26,7 @@ const (
 	BadVersion                  // this format, a version the reader does not speak
 	Truncated                   // the input ended (or the read failed) mid-field
 	Implausible                 // a count, length or value outside what the format allows
-	Trailing                    // unread bytes after a strict format's last field
+	Trailing                    // unread bytes after a format's last field
 )
 
 func (k Kind) String() string {
@@ -196,7 +195,17 @@ func (d *Dec) U8() uint8   { return d.take(1)[0] }
 func (d *Dec) U16() uint16 { return binary.BigEndian.Uint16(d.take(2)) }
 func (d *Dec) U32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
 func (d *Dec) U64() uint64 { return binary.BigEndian.Uint64(d.take(8)) }
-func (d *Dec) Bool() bool  { return d.U8() != 0 }
+
+// Bool reads a byte as Enc.Bool writes it: 0 or 1, and any other byte is
+// Implausible, so every accepted input re-encodes to itself.
+func (d *Dec) Bool() bool {
+	v := d.U8()
+	if v > 1 {
+		d.Fail(Implausible, fmt.Errorf("bool byte %d", v))
+		return false
+	}
+	return v == 1
+}
 
 // Uvarint reads a varint as Enc.Uvarint writes it: in its fewest bytes,
 // so a longer encoding of the same value (a last byte of 0x00) is
@@ -299,12 +308,11 @@ func (d *Dec) Blob(max uint64) []byte {
 // Str is Blob for a string.
 func (d *Dec) Str(max uint64) string { return string(d.Blob(max)) }
 
-// More reports whether unread bytes remain (false once failed): how a
-// decoder asks whether an optional trailing field is present.
+// More reports whether unread bytes remain (false once failed).
 func (d *Dec) More() bool { return d.err == nil && d.fill(1) }
 
 // Rest returns the unread remainder of an in-memory encoding without
-// consuming it; optional trailing fields decode from it.
+// consuming it, for a format that embeds another's encoding as its tail.
 func (d *Dec) Rest() []byte {
 	if d.err != nil {
 		return nil
@@ -312,11 +320,12 @@ func (d *Dec) Rest() []byte {
 	return d.buf[d.off:]
 }
 
-// Err returns the sticky error without requiring the input to be
-// exhausted: the check for a trailing-tolerant format.
+// Err returns the sticky error so far: the check a decoder makes
+// mid-way, to stop a loop or hand its rest to an embedded format.
 func (d *Dec) Err() error { return d.err }
 
-// Done is Err for a strict format: unread bytes are a Trailing error.
+// Done is a decoder's last check: the sticky error, or Trailing when
+// unread bytes remain.
 func (d *Dec) Done() error {
 	if d.More() {
 		d.At("", -1)

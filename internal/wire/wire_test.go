@@ -226,8 +226,25 @@ func TestUvarintMinimal(t *testing.T) {
 	}
 }
 
-// TestTrailingPolicy: the same leftover byte is an error to Done and
-// invisible to Err, and Rest/More expose an optional trailing field.
+// TestBoolIsZeroOrOne: Bool reads only the two bytes Enc.Bool writes;
+// any other byte is Implausible and reads as false.
+func TestBoolIsZeroOrOne(t *testing.T) {
+	for _, b := range []byte{0, 1, 2, 0x80, 0xff} {
+		d := NewDec("TEST", []byte{b})
+		got := d.Bool()
+		if b <= 1 && (got != (b == 1) || d.Done() != nil) {
+			t.Errorf("%#x: %v, %v; want %v", b, got, d.Err(), b == 1)
+		}
+		if b > 1 && (got || !IsKind(d.Done(), Implausible)) {
+			t.Errorf("%#x: %v, %v; want false and an implausible error", b, got, d.Err())
+		}
+	}
+}
+
+// TestTrailingPolicy: a leftover byte is an error to Done, a decoder's
+// last check, and not to the mid-way checks Err, More and Rest, which a
+// format embedding another's encoding as its tail reads before handing
+// the rest over.
 func TestTrailingPolicy(t *testing.T) {
 	var e Enc
 	e.Varint(-5)

@@ -1,5 +1,5 @@
 // Package wiretest holds the checks every binary format in the tree
-// runs against: the golden-file table and the fuzz body of the strict
+// runs against: the golden-file table and the fuzz body of the file
 // formats. The goldens under testdata/golden were written by the
 // encoders as they stood before the formats moved onto internal/wire, so
 // they pin each format's bytes, not just its round trip. The checks live
@@ -29,16 +29,12 @@ type Case struct {
 	Encode func() ([]byte, error)
 	// Decode runs today's decoder and reports its error.
 	Decode func([]byte) error
-	// Optional is how many bytes at the end of the golden are optional
-	// trailing fields (a GPST trace context or span batch). A cut inside
-	// them is a frame from an older peer and may decode cleanly; every
-	// earlier cut must fail. Zero for the strict formats.
-	Optional int
 }
 
 // Run checks each case against dir/<Name>.bin: the encoder reproduces
-// the golden bit for bit, the decoder accepts it, and the golden cut at
-// every byte offset is refused with a *wire.Error of kind Truncated.
+// the golden bit for bit, the decoder accepts it, the golden cut at
+// every byte offset is refused with a *wire.Error of kind Truncated, and
+// the golden with one byte appended is refused as Trailing.
 func Run(t *testing.T, dir string, cases []Case) {
 	for _, c := range cases {
 		t.Run(c.Name, func(t *testing.T) {
@@ -57,22 +53,21 @@ func Run(t *testing.T, dir string, cases []Case) {
 				t.Errorf("decoding the golden: %v", err)
 			}
 			for cut := 0; cut < len(golden); cut++ {
-				err := c.Decode(golden[:cut:cut])
-				if err == nil && cut >= len(golden)-c.Optional {
-					continue
-				}
-				if !wire.IsKind(err, wire.Truncated) {
+				if err := c.Decode(golden[:cut:cut]); !wire.IsKind(err, wire.Truncated) {
 					t.Fatalf("cut at %d of %d: %v; want a truncated *wire.Error", cut, len(golden), err)
 				}
+			}
+			if err := c.Decode(append(bytes.Clone(golden), 0)); !wire.IsKind(err, wire.Trailing) {
+				t.Errorf("one byte past the golden: %v; want a trailing-data *wire.Error", err)
 			}
 		})
 	}
 }
 
-// FuzzCanonical is the fuzz body the strict file formats share. Data is
-// either refused with a *wire.Error naming one of formats (the format
-// itself, or one it embeds), or read into a value that is canonical
-// after one write: write → read → write reproduces the bytes.
+// FuzzCanonical is the fuzz body the file formats share. Data is either
+// refused with a *wire.Error naming one of formats (the format itself,
+// or one it embeds), or read into a value that writes back to exactly
+// data: a reader accepts only the bytes its writer emits.
 func FuzzCanonical[T any](t *testing.T, data []byte, formats string,
 	read func(io.Reader) (T, error), write func(io.Writer, T) error) {
 	v, err := read(bytes.NewReader(data))
@@ -83,18 +78,11 @@ func FuzzCanonical[T any](t *testing.T, data []byte, formats string,
 		}
 		return
 	}
-	var first, second bytes.Buffer
-	if err := write(&first, v); err != nil {
+	var again bytes.Buffer
+	if err := write(&again, v); err != nil {
 		t.Fatalf("re-encoding an accepted value: %v", err)
 	}
-	again, err := read(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatalf("re-reading canonical bytes: %v", err)
-	}
-	if err := write(&second, again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("canonical bytes changed across a round trip")
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Fatalf("accepted input re-encodes differently:\n got %x\nwant %x", again.Bytes(), data)
 	}
 }
